@@ -14,6 +14,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from queue import Queue
 
@@ -157,13 +158,11 @@ class Session:
     session; distinct sessions are independent.
     """
 
-    def __init__(self, role: str, profile: NetworkProfile,
-                 real_delay: bool = False):
+    def __init__(self, role: str, profile: NetworkProfile):
         assert role in (A, B)
         self.role = role
         self.peer_role = B if role == A else A
         self.profile = profile
-        self.real_delay = real_delay  # sleep out the simulated time per send
         self.ledger = _Ledger(profile)
         self._label_stack = []
 
@@ -192,13 +191,20 @@ class Session:
     def pop_phase(self):
         self._label_stack.pop()
 
+    @contextmanager
+    def phase(self, prefix: str):
+        """Qualify every label inside the ``with`` block by ``prefix``."""
+        self.push_phase(prefix)
+        try:
+            yield
+        finally:
+            self.pop_phase()
+
     def send(self, label: str, payload: bytes, metered: bool = True):
         data = self._frame(payload)
         self._send_bytes(data)
         if metered:
             self.ledger.log_frame(self.role, self._qualify(label), len(data))
-            if self.real_delay:
-                time.sleep(self.profile.message_time(len(data)))
 
     def recv(self, label: str, metered: bool = True) -> bytes:
         data = self._recv_bytes()

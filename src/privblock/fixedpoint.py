@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modarith import signed_lift
 from .params import FixedPointConfig
 from .sharing import (RING, FIELD, GadgetProvider, GadgetUnavailable, Share,
-                      DomainMismatch, signed_lift)
-
-VALID_SCALES = ("zero", "s", "2s")
+                      DomainMismatch)
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,12 @@ def encode(x, cfg: FixedPointConfig, domain: str = RING, scale: int | None = Non
     mod = _modulus(cfg, domain)
     arr = np.asarray(x, dtype=np.float64)
     limit = 2.0 ** (cfg.k - s - 1)
-    if np.any(np.abs(arr) >= limit):
+    if not np.all(np.abs(arr) < limit):  # NaN included
         raise OverflowError(f"|x| exceeds representable range 2^{cfg.k - s - 1}")
-    ints = np.round(arr * (1 << s)).astype(object)
-    enc = ints % mod
+    enc = np.round(arr * (1 << s)).astype(np.int64) % mod
     if arr.ndim == 0:
         return FixEncoded(int(enc), s, domain)
-    return FixEncoded(np.asarray(enc, dtype=np.uint64), s, domain)
+    return FixEncoded(enc.astype(np.uint64), s, domain)
 
 
 def decode(v, cfg: FixedPointConfig, domain: str = RING, scale: int | None = None):
@@ -73,10 +71,15 @@ def decode(v, cfg: FixedPointConfig, domain: str = RING, scale: int | None = Non
 
 
 def encode_int(x, cfg: FixedPointConfig, domain: str, scale: int):
-    """Raw integer encoding at an arbitrary scale (protocol internals)."""
+    """Raw integer encoding at an arbitrary scale (protocol internals).
+    Raises OverflowError when round(x * 2^scale) falls outside (-M/2, M/2],
+    where decode_int could not recover it."""
     mod = _modulus(cfg, domain)
-    ints = np.round(np.asarray(x, dtype=np.float64) * (2.0 ** scale)).astype(object)
-    return np.asarray(ints % mod, dtype=np.uint64)
+    ints = np.round(np.asarray(x, dtype=np.float64) * (2.0 ** scale))
+    half = mod >> 1
+    if not np.all((ints > half - mod) & (ints <= half)):
+        raise OverflowError(f"value outside the {domain} range at scale {scale}")
+    return (ints.astype(np.int64) % mod).astype(np.uint64)
 
 
 def decode_int(v, cfg: FixedPointConfig, domain: str, scale: int):
@@ -99,10 +102,10 @@ def convert_share(sh: Share, to_domain: str, cfg: FixedPointConfig,
         return sh
     if to_domain == FIELD and sh.domain == RING:
         if mode == "fast":
-            payload = sh.payload.astype(object) % cfg.p
+            payload = sh.payload % cfg.p
             if sh.party == "B":
-                payload = (payload - cfg.ring_mod) % cfg.p
-            return Share(FIELD, sh.party, np.asarray(payload, dtype=np.uint64), cfg.p)
+                payload = (payload + (cfg.p - cfg.ring_mod % cfg.p)) % cfg.p
+            return Share(FIELD, sh.party, payload, cfg.p)
         if provider is None:
             raise GadgetUnavailable("strict ring->field conversion needs a provider")
         return provider.ring_to_field_strict(sh)
@@ -129,10 +132,9 @@ def truncate_shares(sh: Share, shift: int, cfg: FixedPointConfig,
         if provider is None:
             raise GadgetUnavailable("gadget truncation needs a provider")
         return provider.trunc_faithful(sh, shift)
-    mod = cfg.ring_mod
-    pay = sh.payload.astype(object)
+    mod = np.uint64(cfg.ring_mod)
     if sh.party == "A":
-        out = [int(v) >> shift for v in pay]
+        out = sh.payload >> np.uint64(shift)
     else:
-        out = [(-(((mod - int(v)) % mod) >> shift)) % mod for v in pay]
-    return Share(RING, sh.party, np.asarray(out, dtype=np.uint64), mod)
+        out = (mod - (((mod - sh.payload) % mod) >> np.uint64(shift))) % mod
+    return Share(RING, sh.party, out, cfg.ring_mod)

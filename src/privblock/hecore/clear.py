@@ -12,22 +12,11 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, ct_bytes, noise_budget_bits, pack_header,
                parse_header)
+from ..modarith import centered_max, mulmod
 from ..params import HeParams
 from . import noise
 
 BACKEND_ID = 0
-_SPLIT = np.uint64(19)
-_LOWMASK = np.uint64((1 << 19) - 1)
-
-
-def mulmod_vec(a, b, p: int):
-    """(a * b) mod p for vectors with p up to ~44 bits."""
-    p64 = np.uint64(p)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    hi = b >> _SPLIT
-    lo = b & _LOWMASK
-    return (((a * hi) % p64 << _SPLIT) + a * lo) % p64
 
 
 class ClearPublicKey:
@@ -110,12 +99,8 @@ class ClearBackend:
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         v = self._pad(slots)
-        out = mulmod_vec(x.slots, v, self.params.p)
-        # centered plaintext magnitude drives the growth estimate
-        half = self.params.p >> 1
-        centered = np.where(v.astype(object) > half,
-                            self.params.p - v.astype(object), v.astype(object))
-        maxc = int(max(centered.max(), 1)) if centered.size else 1
+        out = mulmod(x.slots, v, self.params.p)
+        maxc = centered_max(v, self.params.p)
         return ClearCiphertext(out, x.owner,
                                noise.mul_pt_bits(self.params, x.noise_bits, maxc))
 
@@ -124,7 +109,7 @@ class ClearBackend:
         self._same_owner(x, y)
         if not getattr(public, "has_relin", False):
             raise MissingRelinKey("relinearization key required for ct*ct")
-        out = mulmod_vec(x.slots, y.slots, self.params.p)
+        out = mulmod(x.slots, y.slots, self.params.p)
         nb = noise.mul_ct_bits(self.params, x.noise_bits, y.noise_bits)
         if noise_budget_bits(self.params, nb) <= 0:
             raise NoiseExhausted("multiplication would exhaust the noise budget")

@@ -7,14 +7,15 @@ forward transforms correspond to negacyclic polynomial products, which is
 exactly the slot algebra the SIMD scheme needs.  Tables are cached per
 (prime, N).
 
-Primes up to 30 bits use direct uint64 products; wider primes (the plaintext
-modulus is ~37 bits) go through a split multiplier so intermediates stay
-below 2^63.
+Butterfly products go through ``modarith.mulmod``, exact for every prime
+below 2^MAX_MODULUS_BITS: the 30-bit RNS limbs and the plaintext modulus p.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..modarith import mulmod
 
 _TABLES: dict = {}
 
@@ -60,7 +61,6 @@ class NttPlan:
             raise ValueError(f"prime {prime} is not 1 mod 2N for N={n}")
         self.prime = prime
         self.n = n
-        self.wide = prime.bit_length() > 30
         g = _find_generator(prime)
         psi = _pow_mod(g, (prime - 1) // (2 * n), prime)
         if _pow_mod(psi, n, prime) != prime - 1:
@@ -75,17 +75,6 @@ class NttPlan:
         self.ipsi_rev = ipowers[rev]
         self.n_inv = np.uint64(_pow_mod(n, prime - 2, prime))
 
-    # -- modular product helpers (vectorized) -----------------------------
-    def _mul(self, a, b):
-        p = np.uint64(self.prime)
-        if not self.wide:
-            return (a * b) % p
-        # split b = hi*2^19 + lo so partial products stay under 2^63
-        hi = b >> np.uint64(19)
-        lo = b & np.uint64((1 << 19) - 1)
-        part = ((a * hi) % p) << np.uint64(19)
-        return (part + a * lo) % p
-
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> NTT values (bit-reversed order)."""
         p = np.uint64(self.prime)
@@ -98,7 +87,7 @@ class NttPlan:
             view = a.reshape(m, 2, t)
             s = self.psi_rev[m:2 * m].reshape(m, 1)
             u = view[:, 0, :]
-            v = self._mul(view[:, 1, :], s)
+            v = mulmod(view[:, 1, :], s, self.prime)
             lo = (u + v) % p
             hi = (u + p - v) % p
             view[:, 0, :] = lo
@@ -120,15 +109,15 @@ class NttPlan:
             u = view[:, 0, :]
             v = view[:, 1, :]
             lo = (u + v) % p
-            hi = self._mul((u + p - v) % p, s)
+            hi = mulmod((u + p - v) % p, s, self.prime)
             view[:, 0, :] = lo
             view[:, 1, :] = hi
             t <<= 1
             m = h
-        return self._mul(a, self.n_inv)
+        return mulmod(a, self.n_inv, self.prime)
 
     def pointwise(self, x, y):
-        return self._mul(np.asarray(x, dtype=np.uint64), np.asarray(y, dtype=np.uint64))
+        return mulmod(x, y, self.prime)
 
 
 def get_plan(prime: int, n: int) -> NttPlan:
@@ -138,19 +127,6 @@ def get_plan(prime: int, n: int) -> NttPlan:
         plan = NttPlan(prime, n)
         _TABLES[key] = plan
     return plan
-
-
-def negacyclic_mul_int(a_coeffs, b_coeffs, aux_primes, n: int):
-    """Exact integer negacyclic product of two big-integer coefficient
-    vectors via CRT over ``aux_primes`` (product must exceed twice the
-    magnitude bound of the result)."""
-    residues = []
-    for pr in aux_primes:
-        plan = get_plan(pr, n)
-        ar = np.asarray(a_coeffs % pr, dtype=np.uint64)
-        br = np.asarray(b_coeffs % pr, dtype=np.uint64)
-        residues.append(plan.inverse(plan.pointwise(plan.forward(ar), plan.forward(br))))
-    return crt_reconstruct_centered(residues, aux_primes)
 
 
 def crt_reconstruct_centered(residues, primes):

@@ -18,6 +18,7 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, ct_bytes, noise_budget_bits, pack_header,
                parse_header)
+from ..modarith import centered_max, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
 from .ntt import get_plan
@@ -293,9 +294,9 @@ class RlweBackend:
         return RlweCiphertext(out, x.owner, noise.add_pt_bits(self.params, x.noise_bits))
 
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        m = self._slots_to_coeffs(slots).astype(object)
-        centered = np.where(m > self.p >> 1, m - self.p, m)
-        maxc = int(max((abs(int(v)) for v in centered), default=1))
+        m = self._slots_to_coeffs(slots)
+        centered = signed_lift(m, self.p)
+        maxc = centered_max(m, self.p)
         out = np.empty_like(x.data)
         for j, (q, plan) in enumerate(zip(self.qs, self.plans)):
             m_ntt = plan.forward(np.asarray(centered % q, dtype=np.uint64))

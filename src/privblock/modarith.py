@@ -1,0 +1,77 @@
+"""Modular arithmetic on machine words: the one kernel every layer uses.
+
+Every share, slot and plaintext value is a canonical representative below
+its modulus M, which is either the prime p or the ring modulus 2^k.  All of
+them live in uint64 arrays; lifts to signed values live in int64.
+
+Products mod p split one factor at 19 bits, so the high partial product
+a * (b >> 19) must stay below 2^64: ``mulmod`` and ``matmod`` are exact for
+p below 2^MAX_MODULUS_BITS, and parameter sets with a wider p are rejected.
+Sums and differences of two representatives stay far below 2^63.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+MAX_MODULUS_BITS = 41
+_SPLIT = 19
+_LOW = np.uint64((1 << _SPLIT) - 1)
+
+
+def mulmod(a, b, p: int) -> np.ndarray:
+    """Elementwise (a * b) mod p for uint64 operands below p < 2^41."""
+    p64 = np.uint64(p)
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if p < 1 << 32:  # the RNS limbs: one product fits in 64 bits
+        return (a * b) % p64
+    hi = b >> np.uint64(_SPLIT)
+    lo = b & _LOW
+    return (((a * hi) % p64 << np.uint64(_SPLIT)) + a * lo) % p64
+
+
+def matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for uint64 matrices with entries below p < 2^41
+    and an inner dimension below 2^19, so every int64 partial sum of the
+    split products stays below 2^63."""
+    ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
+    al = (a & _LOW).astype(np.int64)
+    bh = (b >> np.uint64(_SPLIT)).astype(np.int64)
+    bl = (b & _LOW).astype(np.int64)
+    # Horner in 2^19: hh * 2^38 + (hl + lh) * 2^19 + ll; each sum < 2^62
+    acc = (ah @ bh) % p
+    acc = ((acc << _SPLIT) + ah @ bl + al @ bh) % p
+    acc = ((acc << _SPLIT) + al @ bl) % p
+    return acc.astype(np.uint64)
+
+
+def signed_lift(values, modulus: int) -> np.ndarray:
+    """Map canonical representatives to int64 values in (-M/2, M/2]."""
+    v = np.asarray(values, dtype=np.uint64).astype(np.int64)
+    return np.where(v > modulus >> 1, v - modulus, v)
+
+
+def floor_shift(values, modulus: int, shift: int) -> np.ndarray:
+    """floor(signed_lift(v) / 2^shift) as int64."""
+    return signed_lift(values, modulus) >> shift
+
+
+def round_shift(values, modulus: int, shift: int) -> np.ndarray:
+    """signed_lift(v) / 2^shift rounded half up, as int64; shift >= 1."""
+    return (signed_lift(values, modulus) + (1 << (shift - 1))) >> shift
+
+
+def lift_shift(values, p: int, value_bits: int, shift: int) -> np.ndarray:
+    """Masked-decrypt rescale: recover the exact integer w = value - mask
+    from (value - mask) mod p and return floor(w / 2^shift) as int64.
+    Valid when 0 <= value <= 2^value_bits and 0 <= mask < p - 2^value_bits."""
+    v = np.asarray(values, dtype=np.uint64).astype(np.int64)
+    return np.where(v <= 1 << value_bits, v, v - p) >> shift
+
+
+def centered_max(values, p: int) -> int:
+    """max |signed_lift(v)| (0 when empty): the plaintext magnitude that
+    drives the noise growth estimate of a plaintext multiply."""
+    v = signed_lift(values, p)
+    return int(np.abs(v).max()) if v.size else 0

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import fixedpoint as fp
 from .approx import gelu_exact
+from .modarith import matmod, mulmod
 from .protocols import (LnParams, PartyCtx, pi_gelu, pi_ln, pi_matmul,
                         pi_matmul_shared, pi_softmax)
 from .protocols.common import ProtocolOutputShares, ShapeMismatch
-from .protocols.matmul import matmod
 from .sharing import FIELD, Share
 
 WEIGHT_MAGIC = b"PBW1"
@@ -219,27 +219,26 @@ def _matmul_shared_plain(ctx: PartyCtx, x_sh: Share, w_enc, shape,
                     shape, data_party="A", label=label)
     if ctx.role == "B":
         local = matmod(x_sh.payload.reshape(m, n), w_enc, ctx.fp.p)
-        merged = (out.share.payload.astype(object)
-                  + local.ravel().astype(object)) % ctx.fp.p
-        out = ProtocolOutputShares(ctx.field_share(np.asarray(merged, dtype=np.uint64)),
-                                   out.shape, out.scale, out.label)
+        out = _add_payload(ctx, out, local.ravel())
     return out
+
+
+def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
+                 payload: np.ndarray) -> ProtocolOutputShares:
+    merged = (a.share.payload + payload) % np.uint64(ctx.fp.p)
+    return ProtocolOutputShares(ctx.field_share(merged), a.shape, a.scale, a.label)
 
 
 def _add_shares(ctx: PartyCtx, a: ProtocolOutputShares,
                 b: ProtocolOutputShares) -> ProtocolOutputShares:
     if a.scale != b.scale or a.shape != b.shape:
         raise ShapeMismatch("residual operands disagree")
-    merged = (a.share.payload.astype(object) + b.share.payload.astype(object)) % ctx.fp.p
-    return ProtocolOutputShares(ctx.field_share(np.asarray(merged, dtype=np.uint64)),
-                                a.shape, a.scale, a.label)
+    return _add_payload(ctx, a, b.share.payload)
 
 
 def _mul_public(ctx: PartyCtx, a: ProtocolOutputShares, const_enc: int,
                 added_scale: int) -> ProtocolOutputShares:
-    from .hecore.clear import mulmod_vec
-    pay = mulmod_vec(a.share.payload, np.full(a.share.payload.size,
-                                              np.uint64(const_enc)), ctx.fp.p)
+    pay = mulmod(a.share.payload, np.uint64(const_enc), ctx.fp.p)
     return ProtocolOutputShares(ctx.field_share(pay), a.shape,
                                 a.scale + added_scale, a.label)
 
@@ -249,7 +248,6 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
     """Run one block; party A supplies the input matrix (or its share),
     party B supplies the weights.  Returns field shares at scale s."""
     s = ctx.fp.s
-    p = ctx.fp.p
     d_s, d_m, h, d_k, d_f = config.to_tuple()
     enc = lambda mat, scale=s: fp.encode_int(mat, ctx.fp, FIELD, scale)
 
@@ -274,8 +272,7 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
     inv_sqrt_dk = int(round((1 << s) / math.sqrt(d_k)))
     head_outs = []
     for i in range(h):
-        sess.push_phase(f"head{i}")
-        try:
+        with sess.phase(f"head{i}"):
             qkv = {}
             for name in ("wq", "wk", "wv"):
                 mat = x_sh.matrix() if ctx.role == "A" else w[name][i]
@@ -293,74 +290,50 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
                                      (d_s, d_s), (d_s, d_k), transpose_right=False,
                                      label="mix")
             head_outs.append(_rescale(ctx, mixed, s))
-        finally:
-            sess.pop_phase()
 
     concat = np.concatenate([o.matrix() for o in head_outs], axis=1)
     h_sh = ProtocolOutputShares(ctx.field_share(concat.ravel()), (d_s, d_m), s, "concat")
 
-    sess.push_phase("proj")
-    try:
+    with sess.phase("proj"):
         proj = _matmul_shared_plain(ctx, h_sh.share, w.get("wo"),
                                     (d_s, d_m, d_m), label="wo")
         proj = _rescale(ctx, proj, s)
-    finally:
-        sess.pop_phase()
 
     res1 = _add_shares(ctx, proj, x_sh)
-    sess.push_phase("ln1")
-    try:
+    with sess.phase("ln1"):
         ring_sh = ctx.provider.field_to_ring(res1.share)
         ln1 = pi_ln(ctx, ring_sh, (d_s, d_m),
                     LnParams(weights["ln1_g"], weights["ln1_b"]) if ctx.role == "B" else None,
                     label="core")
         ln1 = _rescale(ctx, ln1, s)
-    finally:
-        sess.pop_phase()
 
-    sess.push_phase("ffn1")
-    try:
+    with sess.phase("ffn1"):
         u = _matmul_shared_plain(ctx, ln1.share, w.get("wf1"),
                                  (d_s, d_m, d_f), label="wf1")
         if ctx.role == "B":
-            bias = np.tile(fp.encode_int(weights["bf1"], ctx.fp, FIELD, u.scale), d_s)
-            merged = (u.share.payload.astype(object) + bias.astype(object)) % p
-            u = ProtocolOutputShares(ctx.field_share(np.asarray(merged, dtype=np.uint64)),
-                                     u.shape, u.scale, u.label)
+            bias = fp.encode_int(weights["bf1"], ctx.fp, FIELD, u.scale)
+            u = _add_payload(ctx, u, np.tile(bias, d_s))
         u = _rescale(ctx, u, s)
-    finally:
-        sess.pop_phase()
 
-    sess.push_phase("act")
-    try:
+    with sess.phase("act"):
         g = pi_gelu(ctx, u.share, (d_s, d_f), label="core")
         g = _rescale(ctx, g, s)
-    finally:
-        sess.pop_phase()
 
-    sess.push_phase("ffn2")
-    try:
+    with sess.phase("ffn2"):
         z = _matmul_shared_plain(ctx, g.share, w.get("wf2"),
                                  (d_s, d_f, d_m), label="wf2")
         if ctx.role == "B":
-            bias = np.tile(fp.encode_int(weights["bf2"], ctx.fp, FIELD, z.scale), d_s)
-            merged = (z.share.payload.astype(object) + bias.astype(object)) % p
-            z = ProtocolOutputShares(ctx.field_share(np.asarray(merged, dtype=np.uint64)),
-                                     z.shape, z.scale, z.label)
+            bias = fp.encode_int(weights["bf2"], ctx.fp, FIELD, z.scale)
+            z = _add_payload(ctx, z, np.tile(bias, d_s))
         z = _rescale(ctx, z, s)
-    finally:
-        sess.pop_phase()
 
     res2 = _add_shares(ctx, z, ln1)
-    sess.push_phase("ln2")
-    try:
+    with sess.phase("ln2"):
         ring_sh = ctx.provider.field_to_ring(res2.share)
         ln2 = pi_ln(ctx, ring_sh, (d_s, d_m),
                     LnParams(weights["ln2_g"], weights["ln2_b"]) if ctx.role == "B" else None,
                     label="core")
         ln2 = _rescale(ctx, ln2, s)
-    finally:
-        sess.pop_phase()
     return ln2
 
 

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
+from .modarith import MAX_MODULUS_BITS
+
 # Default fixed-point layout.  k and s follow the standard 2PC fixed-point
 # setting; p is the largest NTT-friendly prime below 2^k so that field
 # elements always embed into the ring and slot packing splits completely.
@@ -80,6 +82,11 @@ class ParamError(ValueError):
     """Raised for invalid or inconsistent parameter sets."""
 
 
+def _check_word_size(p: int):
+    if p.bit_length() > MAX_MODULUS_BITS:
+        raise ParamError(f"p={p} exceeds the {MAX_MODULUS_BITS}-bit modular kernel")
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Fixed-point layout over the ring Z_{2^k} and the field Z_p.
@@ -97,6 +104,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (2 ** self.s < self.p < 2 ** self.k):
             raise ParamError(f"need 2^s < p < 2^k, got s={self.s} p={self.p} k={self.k}")
+        _check_word_size(self.p)
         if self.s >= self.k - 2:
             raise ParamError("need s < k - 2 for sign bit and carry headroom")
         if not _is_prime(self.p):
@@ -132,6 +140,7 @@ class HeParams:
     def __post_init__(self):
         if self.n & (self.n - 1) or self.n < 8:
             raise ParamError(f"N must be a power of two >= 8, got {self.n}")
+        _check_word_size(self.p)
         if self.p % (2 * self.n) != 1:
             raise ParamError(f"p={self.p} is not 1 mod 2N={2 * self.n}; slots do not split")
         for q in self.q_primes:

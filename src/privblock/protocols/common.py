@@ -1,5 +1,5 @@
 """Shared protocol machinery: party context, ciphertext framing, block
-packing, and the statistically-masked decrypt-side rescaling step."""
+packing, and the masked row-sum exchange."""
 
 from __future__ import annotations
 
@@ -147,24 +147,28 @@ def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> Party
 
 
 # ---------------------------------------------------------------------------
-# decrypt-side rescaling with a bounded statistical mask
+# masked row-sum exchange
 # ---------------------------------------------------------------------------
 
-def stat_mask_bound(fp: FixedPointConfig, value_bits: int) -> int:
-    """Upper bound (exclusive) for additive masks that keep the masked value
-    exactly liftable: mask < p - 2^value_bits."""
-    return fp.p - (1 << value_bits)
+def _row_sums(flat: np.ndarray, shape: tuple, p: int) -> np.ndarray:
+    return flat.reshape(shape).sum(axis=1) % np.uint64(p)
 
 
-def lift_masked(values: np.ndarray, fp: FixedPointConfig, value_bits: int):
-    """Lift (value - mask) mod p back to the exact integer value - mask,
-    valid when 0 <= value <= 2^value_bits and mask < p - 2^value_bits."""
-    v = values.astype(object)
-    cut = 1 << value_bits
-    return np.where(v <= cut, v, v - fp.p)
+def send_masked_rows(ctx: PartyCtx, label: str, cts: list, shape: tuple):
+    """Party A's half of the masked row-sum exchange: blind the m x d slot
+    matrix of ``cts`` (under B's key) with a fresh mask r and send it with
+    A's encryption of the row sums of r."""
+    r = ctx.rand_field(shape[0] * shape[1])
+    masked = ctx.blockwise(ctx.backend.add_pt, cts, r)
+    ctx.send_cts(label, masked + ctx.encrypt_blocks(_row_sums(r, shape, ctx.fp.p), "A"))
 
 
-def trunc_nonneg(values_obj, shift: int, mod: int) -> np.ndarray:
-    """floor(v / 2^shift) mod `mod` for signed python-int vectors."""
-    return np.asarray([(int(v) >> shift) % mod for v in values_obj],
-                      dtype=np.uint64)
+def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> list:
+    """Party B's half: decrypt the blinded matrix, sum its rows and remove
+    the mask under A's key.  Returns A-key ciphertexts of the row sums."""
+    got = ctx.recv_cts(label)
+    blocks = ctx.n_blocks(shape[0] * shape[1])
+    masked = ctx.decrypt_blocks(got[:blocks], shape[0] * shape[1])
+    sums = _row_sums(masked, shape, ctx.fp.p)
+    return ctx.blockwise(ctx.backend.add_pt,
+                         [ctx.backend.neg_ct(c) for c in got[blocks:]], sums)

@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from ..approx import GELU_TABLE, PiecewisePoly, shifted_segment_coeffs
-from ..sharing import BOOL, FIELD, Share, not_share, xor_shares
-from .common import (PartyCtx, ProtocolOutputShares, ShapeMismatch,
-                     lift_masked)
+from ..modarith import lift_shift, mulmod
+from ..sharing import FIELD, Share, not_share, xor_shares
+from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
 
@@ -59,9 +59,7 @@ def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TA
     n_vals = m * w
     s = ctx.fp.s
     sy = 2 * s + COEFF_BITS
-    sess = ctx.session
-    sess.push_phase(label)
-    try:
+    with ctx.session.phase(label):
         ctx.n_blocks(n_vals)
         plan = _segment_plan(table, s)
         if isinstance(x_input, Share):
@@ -79,8 +77,6 @@ def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TA
         if ctx.role == "B":
             return _party_b(ctx, ct_x, shape, plan, table, sy, label)
         return _party_a(ctx, shape, plan, table, sy, label)
-    finally:
-        sess.pop_phase()
 
 
 def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
@@ -99,12 +95,10 @@ def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
     """Arithmetic share of the exact bit via the offset-convention B2A."""
     s = ctx.fp.s
     p = ctx.fp.p
-    ar = ctx.provider.b2a(b, FIELD, offset=True)
-    pay = ar.payload.astype(object)
+    pay = ctx.provider.b2a(b, FIELD, offset=True).payload
     if ctx.role == "A":
-        pay = (pay - (1 << s)) % p  # remove the public offset once
-    inv2s = pow(1 << s, -1, p)
-    return np.asarray(pay * inv2s % p, dtype=np.uint64)
+        pay = (pay + (p - (1 << s))) % np.uint64(p)  # remove the public offset once
+    return mulmod(pay, pow(1 << s, -1, p), p)
 
 
 def _party_b(ctx, ct_x, shape, plan, table, sy, label):
@@ -140,7 +134,7 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     ct_t2s = []
     for i in range(len(plan)):
         chunk = got[(nb + i) * blocks:(nb + i + 1) * blocks]
-        t2b = np.asarray([int(v) >> s for v in r2[i].astype(object)], dtype=np.uint64)
+        t2b = r2[i] >> np.uint64(s)
         ct_t2s.append(ctx.blockwise(ctx.backend.add_pt, chunk, t2b))
     # cubes and quartics from the rescaled squares
     masked, rmask, kinds = [], [], []
@@ -167,7 +161,7 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     ct_pow = {}
     for idx, (key, r) in enumerate(zip(kinds, rmask)):
         chunk = got[idx * blocks:(idx + 1) * blocks]
-        mine = np.asarray([int(v) >> s for v in r.astype(object)], dtype=np.uint64)
+        mine = r >> np.uint64(s)
         ct_pow[key] = ctx.blockwise(ctx.backend.add_pt, chunk, mine)
         if key[1] == 3:
             ct_pow[key] = ctx.blockwise(
@@ -221,9 +215,7 @@ def _party_a(ctx, shape, plan, table, sy, label):
     t2_shares = []
     for i in range(len(plan)):
         wv = ctx.decrypt_blocks(got[(1 + i) * blocks:(2 + i) * blocks], n_vals)
-        lifted = lift_masked(wv, ctx.fp, vb_sq)
-        t2_shares.append(np.asarray([(int(v) >> s) % p for v in lifted],
-                                    dtype=np.uint64))
+        t2_shares.append(lift_shift(wv, p, vb_sq, s) % p)
     x_ring = ctx.provider.field_to_ring(x_share_a)
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
@@ -237,9 +229,7 @@ def _party_a(ctx, shape, plan, table, sy, label):
     shares = []
     for idx in range(len(got) // blocks):
         wv = ctx.decrypt_blocks(got[idx * blocks:(idx + 1) * blocks], n_vals)
-        lifted = lift_masked(wv, ctx.fp, vb_hi)
-        shares.append(np.asarray([(int(v) >> s) % p for v in lifted],
-                                 dtype=np.uint64))
+        shares.append(lift_shift(wv, p, vb_hi, s) % p)
     send = []
     for sh in shares:
         send += ctx.encrypt_blocks(sh, "A")

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sharing import RING, DomainError, Share
+from ..fixedpoint import encode_int
+from ..modarith import lift_shift
+from ..sharing import FIELD, RING, DomainError, Share
 from .common import (DegenerateRow, PartyCtx, ProtocolOutputShares,
-                     ShapeMismatch, lift_masked, trunc_nonneg)
+                     ShapeMismatch, recv_masked_row_sums, send_masked_rows)
 
 RATIO_BITS = 30       # centered scale + 1/sqrt precision, fixed budget
 RATIO_SCALE = 15      # normalized ratio after decrypt-side rescale
@@ -64,26 +66,18 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
     p = ctx.fp.p
     ring_mod = ctx.fp.ring_mod
     sa, s_inv = centered_scale(ctx.fp, n)
-    sess = ctx.session
-    sess.push_phase(label)
-    try:
+    with ctx.session.phase(label):
         # re-center locally: a = n*x - row_sum(x), still ring shares at scale s
-        xs = x_share.payload.reshape(m, n).astype(object)
-        a = (n * xs - xs.sum(axis=1, keepdims=True)) % ring_mod
-        a_sh = x_share.like(np.asarray(a.ravel(), dtype=np.uint64))
+        xs = x_share.payload.reshape(m, n)
+        rows = xs.sum(axis=1, keepdims=True) % np.uint64(ring_mod)
+        a = (n * xs + (ring_mod - rows)) % np.uint64(ring_mod)
+        a_sh = x_share.like(a.ravel())
         # fused rescale (s -> sa) + exact conversion into the field
         a_f = ctx.provider.ring_to_field_strict_trunc(a_sh, s - sa)
         blocks = ctx.n_blocks(m * n)
-        vec_blocks = ctx.n_blocks(m)
         if ctx.role == "B":
             ctx.send_cts("ashare", ctx.encrypt_blocks(a_f.payload, "B"))
-            got = ctx.recv_cts("masked_square")
-            ct_a2r, ct_sr = got[:blocks], got[blocks:]
-            a2r = ctx.decrypt_blocks(ct_a2r, m * n)
-            sums = np.asarray(a2r.reshape(m, n).astype(object).sum(axis=1) % p,
-                              dtype=np.uint64)
-            ct_k = ctx.blockwise(ctx.backend.add_pt,
-                                 [ctx.backend.neg_ct(c) for c in ct_sr], sums)
+            ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
             v = ctx.rand_field(m)
             ctx.send_cts("masked_rowsum", ctx.blockwise(ctx.backend.sub_pt, ct_k, v))
             k_share = ctx.field_share(v)
@@ -94,17 +88,11 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             ct_wr, ct_strunc = got[:blocks], got[blocks:]
             w = ctx.decrypt_blocks(ct_wr, m * n)
             shift = sa + s_inv - RATIO_SCALE
-            lifted = lift_masked(w, ctx.fp, sa + s_inv + 1)
             off = 1 << (sa + s_inv - shift)
-            t_b = np.asarray([((int(x) >> shift) - off) % p for x in lifted],
-                             dtype=np.uint64)
+            t_b = (lift_shift(w, p, sa + s_inv + 1, shift) - off) % p
             ct_ratio = ctx.blockwise(ctx.backend.add_pt, ct_strunc, t_b)
-            gs = np.asarray(
-                np.round(params.gamma * math.sqrt(n) * (1 << GAMMA_SCALE)).astype(object)
-                % p, dtype=np.uint64)
-            bs = np.asarray(
-                np.round(params.beta * float(1 << LN_OUT_SCALE)).astype(object)
-                % p, dtype=np.uint64)
+            gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
+            bs = encode_int(params.beta, ctx.fp, FIELD, LN_OUT_SCALE)
             ct_y = ctx.blockwise(ctx.backend.mul_pt, ct_ratio, np.tile(gs, m))
             ct_y = ctx.blockwise(ctx.backend.add_pt, ct_y, np.tile(bs, m))
             mask = ctx.rand_field(m * n)
@@ -115,11 +103,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         ct_a = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("ashare"), a_f.payload)
         pub_b = ctx.public_of("B")
         ct_a2 = [ctx.backend.square(c, pub_b) for c in ct_a]
-        r = ctx.rand_field(m * n)
-        ct_a2r = ctx.blockwise(ctx.backend.add_pt, ct_a2, r)
-        sr = np.asarray(r.reshape(m, n).astype(object).sum(axis=1) % p,
-                        dtype=np.uint64)
-        ctx.send_cts("masked_square", ct_a2r + ctx.encrypt_blocks(sr, "A"))
+        send_masked_rows(ctx, "masked_square", ct_a2, shape)
         k_share = ctx.field_share(ctx.decrypt_blocks(ctx.recv_cts("masked_rowsum"), m))
         inv = _invsqrt(ctx, k_share, sa, s_inv)
         tiled = np.repeat(inv.payload, n)
@@ -132,15 +116,13 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         smask = ctx.rng.integers(0, p - (1 << (sa + s_inv + 1)), size=m * n,
                                  dtype=np.uint64)
         shift = sa + s_inv - RATIO_SCALE
-        strunc = np.asarray([(int(v) >> shift) for v in smask], dtype=np.uint64)
+        strunc = smask >> np.uint64(shift)
         ctx.send_cts("masked_ratio",
                      ctx.blockwise(ctx.backend.sub_pt, ct_off, smask)
                      + ctx.encrypt_blocks(strunc, "A"))
         share = ctx.decrypt_blocks(ctx.recv_cts("result"), m * n)
         return ProtocolOutputShares(ctx.field_share(share), shape,
                                     LN_OUT_SCALE, label)
-    finally:
-        sess.pop_phase()
 
 
 def _invsqrt(ctx: PartyCtx, k_share: Share, sa: int, s_inv: int) -> Share:

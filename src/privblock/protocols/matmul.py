@@ -12,25 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..modarith import matmod
 from ..sharing import FIELD, Share
 from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
-
-_SPLIT = 19
-_MASK = (1 << _SPLIT) - 1
-
-
-def matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for uint64 matrices with entries < 2^37."""
-    ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
-    al = (a & np.uint64(_MASK)).astype(np.int64)
-    bh = (b >> np.uint64(_SPLIT)).astype(np.int64)
-    bl = (b & np.uint64(_MASK)).astype(np.int64)
-    hh = ah @ bh
-    hl = ah @ bl
-    lh = al @ bh
-    ll = al @ bl
-    comb = (hh.astype(object) << (2 * _SPLIT)) + ((hl + lh).astype(object) << _SPLIT) + ll
-    return np.asarray(comb % p, dtype=np.uint64)
 
 
 def expand_left(mat: np.ndarray, h: int) -> list:
@@ -53,9 +37,7 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
     if min(m, n, h) < 1:
         raise ShapeMismatch("all dimensions must be >= 1")
     out_scale = 2 * ctx.fp.s if scale is None else scale
-    sess = ctx.session
-    sess.push_phase(label)
-    try:
+    with ctx.session.phase(label):
         out_len = m * h
         blocks = ctx.n_blocks(out_len)
         if ctx.role == data_party:
@@ -87,8 +69,6 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
         out = ctx.blockwise(ctx.backend.sub_pt, acc, mask)
         ctx.send_cts("masked_product", out)
         return ProtocolOutputShares(ctx.field_share(mask), (m, h), out_scale, label)
-    finally:
-        sess.pop_phase()
 
 
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
@@ -112,10 +92,8 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
     q_mat = q_share.payload.reshape(q_shape)
     k_mat = k_share.payload.reshape(k_shape)
     rt = k_mat.T.copy() if transpose_right else k_mat
-    sess = ctx.session
-    sess.push_phase(label)
-    try:
-        local = matmod(q_mat, rt, p)
+    with ctx.session.phase(label):
+        local = matmod(q_mat, rt, p).ravel()
         # cross term 1: A's q-share against B's k-share
         mine = q_mat if ctx.role == "A" else rt
         c1 = pi_matmul(ctx, mine, (m, n, h), data_party="A", label="cross_ab")
@@ -124,15 +102,9 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba")
         if ctx.role == "B":
             mask = ctx.rand_field(m * h)
-            ctx.send_array("local_term", (local.ravel().astype(object) - mask.astype(object)) % p)
-            total = (mask.astype(object) + c1.share.payload.astype(object)
-                     + c2.share.payload.astype(object)) % p
+            ctx.send_array("local_term", (local + (p - mask)) % np.uint64(p))
+            total = mask + c1.share.payload + c2.share.payload
         else:
-            peer_local = ctx.recv_array("local_term")
-            total = (local.ravel().astype(object) + peer_local.astype(object)
-                     + c1.share.payload.astype(object)
-                     + c2.share.payload.astype(object)) % p
-        share = ctx.field_share(np.asarray(total, dtype=np.uint64))
+            total = local + ctx.recv_array("local_term") + c1.share.payload + c2.share.payload
+        share = ctx.field_share(total % np.uint64(p))
         return ProtocolOutputShares(share, (m, h), out_scale, label)
-    finally:
-        sess.pop_phase()

@@ -14,14 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..sharing import RING, Share
-from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import (PartyCtx, ProtocolOutputShares, ShapeMismatch,
+                     recv_masked_row_sums, send_masked_rows)
 
 SOFTMAX_GUARD_BITS = 11
-
-
-def _row_sums_mod(flat: np.ndarray, m: int, d: int, mod: int) -> np.ndarray:
-    return np.asarray(flat.reshape(m, d).astype(object).sum(axis=1) % mod,
-                      dtype=np.uint64)
 
 
 def mask_band(ctx: PartyCtx, d: int) -> tuple:
@@ -44,29 +40,21 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
         raise ShapeMismatch("share length does not match shape")
     s = ctx.fp.s
     g = SOFTMAX_GUARD_BITS
-    p = ctx.fp.p
     out_scale = 2 * s + g
-    sess = ctx.session
-    sess.push_phase(label)
-    try:
+    with ctx.session.phase(label):
         if normalize == "max":
             mx = ctx.provider.row_max(x_share, d)
             spread = np.repeat(mx.payload, d)
             ring_mod = ctx.fp.ring_mod
             x_share = x_share.like(
-                (x_share.payload.astype(object) - spread.astype(object)) % ring_mod)
+                (x_share.payload + (ring_mod - spread)) % np.uint64(ring_mod))
         e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
         n_vals = m * d
-        blocks = ctx.n_blocks(n_vals)
+        ctx.n_blocks(n_vals)
         vec_blocks = ctx.n_blocks(m)
         if ctx.role == "B":
             ctx.send_cts("exp_share", ctx.encrypt_blocks(e_sh.payload, "B"))
-            got = ctx.recv_cts("masked_exp")
-            ct_er, ct_sr = got[:blocks], got[blocks:]
-            er = ctx.decrypt_blocks(ct_er, n_vals)
-            sums = _row_sums_mod(er, m, d, p)
-            ct_sum = ctx.blockwise(ctx.backend.add_pt,
-                                   [ctx.backend.neg_ct(c) for c in ct_sr], sums)
+            ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
             ct_sumv = ctx.blockwise(ctx.backend.mul_pt, ct_sum, v)
@@ -78,20 +66,14 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
         # party A
         ct_e = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("exp_share"),
                              e_sh.payload)
-        r = ctx.rand_field(n_vals)
-        ct_er = ctx.blockwise(ctx.backend.add_pt, ct_e, r)
-        sr = _row_sums_mod(r, m, d, p)
-        ctx.send_cts("masked_exp", ct_er + ctx.encrypt_blocks(sr, "A"))
+        send_masked_rows(ctx, "masked_exp", ct_e, shape)
         got = ctx.recv_cts("denominator")
         ct_sumv, ct_vhat = got[:vec_blocks], got[vec_blocks:]
         u = ctx.decrypt_blocks(ct_sumv, m)  # exact integers: sum(E) * v < p
-        recip = np.array([((1 << out_scale) + int(x) // 2) // max(int(x), 1)
-                          for x in u], dtype=np.uint64)
+        recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
         ct_recip = ctx.blockwise(ctx.backend.mul_pt, ct_vhat, np.repeat(recip, d))
         pub_b = ctx.public_of("B")
         ct_y = [ctx.backend.mul_ct(a, b, pub_b) for a, b in zip(ct_e, ct_recip)]
         mask = ctx.rand_field(n_vals)
         ctx.send_cts("result", ctx.blockwise(ctx.backend.sub_pt, ct_y, mask))
         return ProtocolOutputShares(ctx.field_share(mask), shape, out_scale, label)
-    finally:
-        sess.pop_phase()

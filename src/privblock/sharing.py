@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Session
+from .modarith import floor_shift, round_shift, signed_lift
 from .params import FixedPointConfig, GadgetCostTable
 
 RING, FIELD, BOOL = "ring", "field", "bool"
@@ -80,9 +81,8 @@ def share(secret, domain: str, cfg: FixedPointConfig, rng: np.random.Generator):
     if domain == BOOL:
         rb = sec ^ ra
     else:
-        rb = (sec.astype(object) - ra.astype(object)) % mod
-    return (Share(domain, "A", ra, mod),
-            Share(domain, "B", np.asarray(rb, dtype=np.uint64), mod))
+        rb = (sec + (mod - ra)) % np.uint64(mod)
+    return Share(domain, "A", ra, mod), Share(domain, "B", rb, mod)
 
 
 def reconstruct(sh_a: Share, sh_b: Share):
@@ -92,8 +92,7 @@ def reconstruct(sh_a: Share, sh_b: Share):
         raise DomainMismatch("share lengths differ")
     if sh_a.domain == BOOL:
         return sh_a.payload ^ sh_b.payload
-    out = (sh_a.payload.astype(object) + sh_b.payload.astype(object)) % sh_a.modulus
-    return np.asarray(out, dtype=np.uint64)
+    return (sh_a.payload + sh_b.payload) % np.uint64(sh_a.modulus)
 
 
 def xor_shares(x: Share, y: Share) -> Share:
@@ -110,13 +109,6 @@ def not_share(x: Share) -> Share:
     if x.party == "A":
         return x.like(x.payload ^ np.uint64(1))
     return x.like(x.payload.copy())
-
-
-def signed_lift(values, modulus: int):
-    """Map canonical representatives to signed integers in (-M/2, M/2]."""
-    v = np.asarray(values, dtype=np.uint64).astype(object)
-    half = modulus >> 1
-    return np.where(v > half, v - modulus, v)
 
 
 GADGET_LABEL = "gadget"
@@ -145,8 +137,6 @@ class GadgetProvider:
         self.session.charge(f"{GADGET_LABEL}:{entry}", total // 2,
                             total - total // 2, rounds, warn_zero=warn)
 
-    _charge = charge
-
     def _evaluate(self, my_share: Share, func, out_domain: str, out_party_mod: int):
         """Trusted-dealer round: reconstruct at B, evaluate, reshare fresh.
 
@@ -168,23 +158,21 @@ class GadgetProvider:
         if my_share.domain == BOOL:
             secret = other ^ my_share.payload
         else:
-            secret = np.asarray(
-                (other.astype(object) + my_share.payload.astype(object)) % my_share.modulus)
+            secret = (other + my_share.payload) % np.uint64(my_share.modulus)
         try:
             result = func(secret)
         except (RangeError, DomainError) as e:
             kind = "range" if isinstance(e, RangeError) else "domain"
             self.session.send("_gadget", f"E{kind}:{e}".encode(), metered=False)
             raise
-        result = np.asarray(result, dtype=object) % out_party_mod
+        result = (np.asarray(result) % out_party_mod).astype(np.uint64)
         if out_domain == BOOL:
             mine = self._dealer_rng.integers(0, 2, size=result.size, dtype=np.uint64)
-            theirs = np.asarray(result, dtype=np.uint64) ^ mine
+            theirs = result ^ mine
         else:
             mine = self._dealer_rng.integers(0, out_party_mod, size=result.size,
                                              dtype=np.uint64)
-            theirs = np.asarray((result - mine.astype(object)) % out_party_mod,
-                                dtype=np.uint64)
+            theirs = (result + (out_party_mod - mine)) % np.uint64(out_party_mod)
         self.session.send("_gadget", b"K" + np.ascontiguousarray(theirs).tobytes(),
                           metered=False)
         return Share(out_domain, "B", mine, out_party_mod)
@@ -194,7 +182,7 @@ class GadgetProvider:
         """Boolean shares of [x < c] for signed fixed-point x and public c."""
         if x.domain not in (RING, FIELD):
             raise DomainMismatch("lt expects arithmetic shares")
-        self._charge("lt", len(x))
+        self.charge("lt", len(x))
 
         def f(secret):
             sx = signed_lift(secret, x.modulus)
@@ -209,14 +197,11 @@ class GadgetProvider:
         if b.domain != BOOL:
             raise DomainMismatch("b2a expects boolean shares")
         mod = _mod_of(target_domain, self.cfg)
-        self._charge("b2a", len(b))
-        two_s = 1 << self.cfg.s
+        self.charge("b2a", len(b))
+        two_s = np.uint64(1 << self.cfg.s)
 
         def f(secret):
-            bits = secret.astype(object)
-            if offset:
-                return (bits * two_s + two_s) % mod
-            return bits % mod
+            return secret * two_s + two_s if offset else secret
 
         return self._evaluate(b, f, target_domain, mod)
 
@@ -227,15 +212,14 @@ class GadgetProvider:
             raise DomainMismatch("rexp expects ring shares")
         scale = self.cfg.s if scale is None else scale
         out_scale = self.cfg.s if out_scale is None else out_scale
-        self._charge("rexp", len(x))
+        self.charge("rexp", len(x))
         p = self.cfg.p
 
         def f(secret):
             sx = signed_lift(secret, x.modulus).astype(np.float64) / (1 << scale)
             if np.any(sx > 2.0 ** (-self.cfg.s) * 8):
                 raise RangeError("rexp input exceeds 0 beyond tolerance")
-            vals = np.round(np.exp(np.minimum(sx, 0.0)) * (1 << out_scale))
-            return vals.astype(object)
+            return np.round(np.exp(np.minimum(sx, 0.0)) * (1 << out_scale)).astype(np.int64)
 
         return self._evaluate(x, f, FIELD, p)
 
@@ -244,15 +228,15 @@ class GadgetProvider:
         """Shares of encode(1/sqrt(x), out_scale); input at ``scale``, x > 0."""
         if x.domain not in (RING, FIELD):
             raise DomainMismatch("invsqrt expects arithmetic shares")
-        self._charge("invsqrt", len(x))
+        self.charge("invsqrt", len(x))
         mod = _mod_of(out_domain, self.cfg)
 
         def f(secret):
             sx = signed_lift(secret, x.modulus)
-            if np.any(np.asarray(sx, dtype=object) <= 0):
+            if np.any(sx <= 0):
                 raise DomainError("invsqrt domain requires x > 0")
             vals = np.round((1 << out_scale) / np.sqrt(sx.astype(np.float64) / 2.0 ** scale))
-            return vals.astype(object)
+            return vals.astype(np.int64)
 
         return self._evaluate(x, f, out_domain, mod)
 
@@ -261,7 +245,7 @@ class GadgetProvider:
         """Z_p -> Z_{2^k} share conversion (comparison + multiplexer route)."""
         if x.domain != FIELD:
             raise DomainMismatch("field_to_ring expects field shares")
-        self._charge("convert", len(x))
+        self.charge("convert", len(x))
         ring_mod = self.cfg.ring_mod
         p = self.cfg.p
 
@@ -274,7 +258,7 @@ class GadgetProvider:
         """Exact Z_{2^k} -> Z_p conversion through the comparison gadget."""
         if x.domain != RING:
             raise DomainMismatch("ring_to_field_strict expects ring shares")
-        self._charge("convert", len(x))
+        self.charge("convert", len(x))
         p = self.cfg.p
 
         def f(secret):
@@ -289,15 +273,12 @@ class GadgetProvider:
             raise DomainMismatch("ring_to_field_strict_trunc expects ring shares")
         if shift <= 0:
             return self.ring_to_field_strict(x)
-        self._charge("trunc", len(x))
-        self._charge("convert", len(x))
+        self.charge("trunc", len(x))
+        self.charge("convert", len(x))
         p = self.cfg.p
-        half = 1 << (shift - 1)
 
         def f(secret):
-            sx = signed_lift(secret, x.modulus)
-            return np.asarray([((int(v) + half) >> shift) % p for v in sx],
-                              dtype=object)
+            return round_shift(secret, x.modulus, shift) % p
 
         return self._evaluate(x, f, FIELD, p)
 
@@ -307,15 +288,12 @@ class GadgetProvider:
         plus one conversion round-trip."""
         if x.domain != FIELD:
             raise DomainMismatch("rescale_field expects field shares")
-        self._charge("trunc", len(x))
-        self._charge("convert", len(x))
+        self.charge("trunc", len(x))
+        self.charge("convert", len(x))
         p = self.cfg.p
-        half = 1 << (shift - 1)
 
         def f(secret):
-            sx = signed_lift(secret, p)
-            return np.asarray([((int(v) + half) >> shift) % p for v in sx],
-                              dtype=object)
+            return round_shift(secret, p, shift) % p
 
         return self._evaluate(x, f, FIELD, p)
 
@@ -323,12 +301,11 @@ class GadgetProvider:
         """Exact floor division of the signed secret by 2^shift (ring)."""
         if x.domain != RING:
             raise DomainMismatch("trunc_faithful expects ring shares")
-        self._charge("trunc", len(x))
+        self.charge("trunc", len(x))
         ring_mod = self.cfg.ring_mod
 
         def f(secret):
-            sx = signed_lift(secret, x.modulus)
-            return np.asarray([int(v) >> shift for v in sx], dtype=object) % ring_mod
+            return floor_shift(secret, x.modulus, shift) % ring_mod
 
         return self._evaluate(x, f, RING, ring_mod)
 
@@ -336,12 +313,11 @@ class GadgetProvider:
         """Ring shares of per-row maxima (comparison-tree composite)."""
         if x.domain != RING:
             raise DomainMismatch("row_max expects ring shares")
-        self._charge("rowmax", len(x))
+        self.charge("rowmax", len(x))
         ring_mod = self.cfg.ring_mod
 
         def f(secret):
             sx = signed_lift(secret, x.modulus).reshape(-1, row_len)
-            mx = np.max(sx, axis=1)
-            return np.asarray(mx, dtype=object) % ring_mod
+            return np.max(sx, axis=1) % ring_mod
 
         return self._evaluate(x, f, RING, ring_mod)

@@ -25,6 +25,20 @@ def test_frame_overhead_accounting():
     assert sb.report().bytes_sent["A"] == 100 + FRAME_OVERHEAD
 
 
+
+def test_phase_qualifies_labels_and_pops_on_error():
+    sa, sb = make_pair(PROFILES["lan"])
+    with sa.phase("outer"):
+        with sa.phase("inner"):
+            sa.send("x", b"a")
+        sa.charge("g", 1, 1, 1)
+    with pytest.raises(RuntimeError):
+        with sa.phase("failing"):
+            raise RuntimeError("body failed")
+    sa.send("y", b"b")
+    assert [label for _, _, label in sa.transcript_labels()] == [
+        "outer/inner/x", "outer/g", "y"]
+
 def test_wan1_megabyte_message_time():
     """A message whose on-wire size is exactly 1 MB costs exactly
     0.010 + 8e6/400e6 = 0.030 s under the first WAN profile."""

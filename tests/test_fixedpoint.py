@@ -20,6 +20,20 @@ def test_encode_overflow():
         fp.encode(2.0 ** (CFG.k - CFG.s - 1), CFG, RING)
 
 
+
+@pytest.mark.parametrize("domain", [RING, FIELD])
+def test_encode_int_rejects_values_decode_int_cannot_recover(domain):
+    mod = CFG.ring_mod if domain == RING else CFG.p
+    half = mod >> 1
+    edges = np.array([half - mod + 1, half], dtype=np.float64) / 2 ** 5
+    enc = fp.encode_int(edges, CFG, domain, 5)
+    assert fp.decode_int(enc, CFG, domain, 5).tolist() == edges.tolist()
+    for bad in (half + 1, half - mod, 2.0 ** 70, float("nan")):
+        with pytest.raises(OverflowError):
+            fp.encode_int([0.0, bad / 2 ** 5], CFG, domain, 5)
+        with pytest.raises(OverflowError):
+            fp.encode([0.0, float("nan")], CFG, domain)
+
 def test_decode_examples():
     assert fp.decode(6144, CFG, RING, 12) == 1.5
     assert fp.decode(0, CFG, RING) == 0.0

@@ -1,0 +1,120 @@
+"""The machine-word modular kernel against Python-integer references."""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from privblock import modarith as ma
+from privblock.hecore.ntt import NttPlan
+from privblock.params import FixedPointConfig, ParamError, toy_he_params
+
+P = 137438822401
+RING = 1 << 37
+P41 = 2199023255521  # largest 41-bit prime = 1 mod 16
+P42 = 4398046510961  # largest 42-bit prime = 1 mod 16
+
+
+def _inputs(mod, size, rng):
+    """Random representatives below ``mod`` led by the edge values."""
+    half = mod >> 1
+    edges = np.array([0, 1, half, half + 1, mod - 1], dtype=np.uint64)
+    rand = rng.integers(0, mod, size=size - edges.size, dtype=np.uint64)
+    return np.concatenate([edges, rand])
+
+
+def _lift_ref(v, mod):
+    return [int(x) - mod if int(x) > mod >> 1 else int(x) for x in v]
+
+
+@pytest.mark.parametrize("mod", [P, RING, P41])
+def test_mulmod_matches_python(mod, rng):
+    a = _inputs(mod, 4000, rng)
+    edges = a[:5]
+    a = np.concatenate([np.repeat(edges, 5), a])
+    b = np.concatenate([np.tile(edges, 5), rng.permutation(a[25:])])
+    want = [int(x) * int(y) % mod for x, y in zip(a, b)]
+    assert ma.mulmod(a, b, mod).tolist() == want
+
+
+@pytest.mark.parametrize("mod,shape", [(P, (9, 3072, 5)), (RING, (7, 768, 6)),
+                                       (P41, (5, 3072, 4))])
+def test_matmod_matches_object_matmul(mod, shape, rng):
+    m, n, h = shape
+    a = _inputs(mod, m * n, rng).reshape(m, n)
+    b = _inputs(mod, n * h, rng).reshape(h, n).T.copy()
+    a[1, :] = mod - 1          # one row and one column of the largest entries
+    b[:, 1] = mod - 1
+    want = (a.astype(object) @ b.astype(object)) % mod
+    assert np.array_equal(ma.matmod(a, b, mod).astype(object), want)
+
+
+@pytest.mark.parametrize("mod", [P, RING])
+def test_signed_lift_and_centered_max(mod, rng):
+    v = _inputs(mod, 2000, rng)
+    ref = _lift_ref(v, mod)
+    got = ma.signed_lift(v, mod)
+    assert got.dtype == np.int64 and got.tolist() == ref
+    assert ma.signed_lift(v[:5], mod).tolist() == [0, 1, mod >> 1, (mod >> 1) + 1 - mod, -1]
+    assert ma.centered_max(v, mod) == max(abs(x) for x in ref)
+    assert ma.centered_max(v[:2], mod) == 1
+    assert ma.centered_max(np.array([mod - 5, 3], dtype=np.uint64), mod) == 5
+    assert ma.centered_max(np.zeros(0, dtype=np.uint64), mod) == 0
+
+
+@pytest.mark.parametrize("mod", [P, RING])
+@pytest.mark.parametrize("shift", [1, 12, 24])
+def test_floor_and_round_shifts(mod, shift, rng):
+    v = _inputs(mod, 2000, rng)
+    lifted = _lift_ref(v, mod)
+    assert ma.floor_shift(v, mod, shift).tolist() == [x >> shift for x in lifted]
+    half = 1 << (shift - 1)
+    assert ma.round_shift(v, mod, shift).tolist() == [(x + half) >> shift for x in lifted]
+
+
+@pytest.mark.parametrize("value_bits,shift", [(26, 12), (28, 12), (31, 15)])
+def test_lift_shift_recovers_masked_values(value_bits, shift, rng):
+    value = rng.integers(0, (1 << value_bits) + 1, size=2000, dtype=np.uint64)
+    mask = rng.integers(0, P - (1 << value_bits), size=2000, dtype=np.uint64)
+    value[:3] = [0, 1 << value_bits, 0]
+    mask[:3] = [0, 0, P - (1 << value_bits) - 1]
+    masked = [(int(x) - int(r)) % P for x, r in zip(value, mask)]
+    want = [(int(x) - int(r)) >> shift for x, r in zip(value, mask)]
+    assert ma.lift_shift(np.array(masked, dtype=np.uint64), P, value_bits,
+                         shift).tolist() == want
+
+
+def test_41_bit_prime_is_accepted_with_exact_transforms(rng):
+    assert FixedPointConfig(k=43, s=12, p=P41).p == P41
+    n = toy_he_params(n=8, p=P41).n
+    plan = NttPlan(P41, n)
+    a, b = _inputs(P41, n, rng), _inputs(P41, n, rng)[::-1].copy()
+    got = plan.inverse(plan.pointwise(plan.forward(a), plan.forward(b)))
+    want = [0] * n
+    for i in range(n):
+        for j in range(n):
+            sign = 1 if i + j < n else -1
+            want[(i + j) % n] += sign * int(a[i]) * int(b[j])
+    assert got.tolist() == [w % P41 for w in want]
+
+
+@pytest.mark.parametrize("make", [lambda p: FixedPointConfig(k=43, s=12, p=p),
+                                  lambda p: toy_he_params(n=8, p=p)])
+def test_42_bit_prime_is_rejected(make):
+    with pytest.raises(ParamError):
+        make(P42)
+
+
+def test_object_dtype_only_in_big_integer_paths():
+    """Share arithmetic stays in machine words; Python-int arrays remain only
+    in the rlwe big-integer CRT path and the CLI's reference check."""
+    root = pathlib.Path(ma.__file__).parent
+    allowed = {"hecore/rlwe.py", "hecore/ntt.py", "cli.py"}
+    pattern = re.compile(r"astype\(object\)|dtype=object")
+    found = [f"{path.relative_to(root).as_posix()}:{i}"
+             for path in sorted(root.rglob("*.py"))
+             if path.relative_to(root).as_posix() not in allowed
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
