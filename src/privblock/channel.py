@@ -340,7 +340,9 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     """Drive two party functions over an in-process pair on two threads.
 
     Each function receives its Session; returns (result_a, result_b).
-    Exceptions propagate to the caller.
+    Exceptions propagate to the caller.  A party that raises closes its
+    session, so a peer blocked in ``recv`` fails with ``PeerClosed`` instead
+    of waiting for the join timeout; the originating error is the one raised.
     """
     import threading
 
@@ -354,6 +356,7 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
             out[name] = fn(sess)
         except BaseException as e:  # re-raised in the parent
             err[name] = e
+            sess.close()
 
     ta = threading.Thread(target=runner, args=("a", fn_a, sa), daemon=True)
     tb = threading.Thread(target=runner, args=("b", fn_b, sb), daemon=True)
@@ -363,7 +366,7 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     tb.join(timeout=600)
     if ta.is_alive() or tb.is_alive():
         raise IoError("party driver deadlocked")
-    for name in ("a", "b"):
-        if name in err:
-            raise err[name]
+    errors = [err[name] for name in ("a", "b") if name in err]
+    if errors:
+        raise min(errors, key=lambda e: isinstance(e, PeerClosed))
     return out["a"], out["b"]

@@ -22,9 +22,9 @@ from .hecore import NoiseExhausted
 from .model import (BlockWeights, dump_weights, infer_block, load_weights,
                     oracle_block, toy_block_config)
 from .params import Config, ParamError
-from .protocols import (DegenerateRow, LnParams, ShapeMismatch, costs,
-                        make_party, pi_gelu, pi_ln, pi_matmul,
-                        pi_matmul_shared, pi_softmax)
+from .protocols import (DegenerateRow, LnParams, ShapeMismatch, make_party,
+                        pi_gelu, pi_ln, pi_matmul, pi_matmul_shared,
+                        pi_softmax)
 from .sharing import RangeError, reconstruct, share
 
 EXIT_CONFIG, EXIT_PROTOCOL, EXIT_IO = 2, 3, 4

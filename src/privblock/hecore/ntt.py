@@ -13,15 +13,13 @@ below 2^MAX_MODULUS_BITS: the 30-bit RNS limbs and the plaintext modulus p.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..modarith import mulmod
 
 _TABLES: dict = {}
-
-
-def _pow_mod(base: int, exp: int, mod: int) -> int:
-    return pow(base, exp, mod)
 
 
 def _find_generator(p: int) -> int:
@@ -39,7 +37,7 @@ def _find_generator(p: int) -> int:
         factors.add(m)
     g = 2
     while True:
-        if all(_pow_mod(g, n // f, p) != 1 for f in factors):
+        if all(pow(g, n // f, p) != 1 for f in factors):
             return g
         g += 1
 
@@ -62,18 +60,18 @@ class NttPlan:
         self.prime = prime
         self.n = n
         g = _find_generator(prime)
-        psi = _pow_mod(g, (prime - 1) // (2 * n), prime)
-        if _pow_mod(psi, n, prime) != prime - 1:
+        psi = pow(g, (prime - 1) // (2 * n), prime)
+        if pow(psi, n, prime) != prime - 1:
             raise ValueError("not a primitive 2N-th root")
-        psi_inv = _pow_mod(psi, 2 * n - 1, prime)
+        psi_inv = pow(psi, 2 * n - 1, prime)
         rev = _bit_reverse(n)
-        powers = np.array([_pow_mod(psi, int(i), prime) for i in range(n)],
+        powers = np.array([pow(psi, int(i), prime) for i in range(n)],
                           dtype=np.uint64)
-        ipowers = np.array([_pow_mod(psi_inv, int(i), prime) for i in range(n)],
+        ipowers = np.array([pow(psi_inv, int(i), prime) for i in range(n)],
                            dtype=np.uint64)
         self.psi_rev = powers[rev]
         self.ipsi_rev = ipowers[rev]
-        self.n_inv = np.uint64(_pow_mod(n, prime - 2, prime))
+        self.n_inv = np.uint64(pow(n, prime - 2, prime))
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> NTT values (bit-reversed order)."""
@@ -130,9 +128,9 @@ def get_plan(prime: int, n: int) -> NttPlan:
 
 
 def crt_reconstruct_centered(residues, primes):
-    """Combine per-prime residue vectors into centered big integers."""
-    import math
-
+    """Combine per-prime residue vectors into centered Python integers in
+    [-(M-1)/2, (M-1)/2] for the odd product M of the primes: the one CRT
+    reconstruction of the rlwe backend (decrypt and ct*ct)."""
     M = math.prod(int(p) for p in primes)
     acc = np.zeros(len(residues[0]), dtype=object)
     for r, p in zip(residues, primes):

@@ -19,12 +19,14 @@ _SPLIT = 19
 _LOW = np.uint64((1 << _SPLIT) - 1)
 
 
-def mulmod(a, b, p: int) -> np.ndarray:
-    """Elementwise (a * b) mod p for uint64 operands below p < 2^41."""
-    p64 = np.uint64(p)
+def mulmod(a, b, p) -> np.ndarray:
+    """Elementwise (a * b) mod p for uint64 operands below p < 2^41.  ``p``
+    is an int, or a uint64 column that gives each row of a and b its own
+    modulus (the RNS limbs of a ciphertext)."""
+    p64 = np.asarray(p, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    if p < 1 << 32:  # the RNS limbs: one product fits in 64 bits
+    if (p if isinstance(p, int) else p64.max()) < 1 << 32:  # one product fits
         return (a * b) % p64
     hi = b >> np.uint64(_SPLIT)
     lo = b & _LOW

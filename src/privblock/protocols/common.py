@@ -9,7 +9,7 @@ import numpy as np
 
 from ..channel import Session
 from ..hecore import create_backend, ct_bytes
-from ..params import Config, FixedPointConfig, GadgetCostTable, HeParams
+from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, RING, GadgetProvider, Share
 
 MAX_BLOCKS = 64

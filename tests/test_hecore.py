@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from privblock import fixedpoint as fp
 from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
                               NoiseExhausted, SimdPlaintext, create_backend,
                               ct_bytes)
+from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import HeParams, ParamError, toy_he_params
+from privblock.protocols import (LnParams, pi_gelu, pi_ln, pi_matmul,
+                                 pi_matmul_shared, pi_softmax)
+from privblock.sharing import reconstruct, share
 
 TOY = toy_he_params(n=64, p=12289, limbs=3)
 
@@ -201,3 +206,46 @@ def test_no_rotation_anywhere():
     for be in (rbe, cbe):
         names = [n.lower() for n in dir(be)]
         assert not any("rot" in n or "galois" in n or "shift" in n for n in names)
+
+
+def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
+    """Every protocol and the toy block reconstruct bit-identically, at the
+    same per-phase cost, on clear and on rlwe at the default 37-bit p.  Only
+    the key exchange differs: the key blobs are backend-specific."""
+    cfg = toy_cfg.fixedpoint
+    rng = np.random.default_rng(21)
+
+    def shares(x, domain):
+        return share(fp.encode_int(x, cfg, domain, cfg.s).ravel(), domain, cfg, rng)
+
+    a = rng.integers(0, 1 << 20, size=(4, 8), dtype=np.uint64)
+    b = rng.integers(0, 1 << 20, size=(8, 6), dtype=np.uint64)
+    qa, qb = share(rng.integers(0, 1 << 24, size=12, dtype=np.uint64), "field", cfg, rng)
+    ka, kb = share(rng.integers(0, 1 << 24, size=15, dtype=np.uint64), "field", cfg, rng)
+    sa, sb = shares(rng.normal(0, 2, size=(4, 8)), "ring")
+    la, lb = shares(rng.normal(0, 1, size=(4, 16)), "ring")
+    ln = LnParams(rng.uniform(0.5, 1.5, 16), rng.uniform(-1, 1, 16))
+    ga, gb = shares(rng.uniform(-8, 8, size=(2, 32)), "field")
+    bc = toy_block_config()
+    weights = BlockWeights.random(bc, rng)
+    x = rng.normal(0, 1, size=(bc.d_s, bc.d_m))
+    cases = {
+        "matmul": (lambda c: pi_matmul(c, a, (4, 8, 6)),
+                   lambda c: pi_matmul(c, b, (4, 8, 6))),
+        "mmshared": (lambda c: pi_matmul_shared(c, qa, ka, (4, 3), (5, 3)),
+                     lambda c: pi_matmul_shared(c, qb, kb, (4, 3), (5, 3))),
+        "softmax": (lambda c: pi_softmax(c, sa, (4, 8), "max"),
+                    lambda c: pi_softmax(c, sb, (4, 8), "max")),
+        "ln": (lambda c: pi_ln(c, la, (4, 16), None),
+               lambda c: pi_ln(c, lb, (4, 16), ln)),
+        "gelu": (lambda c: pi_gelu(c, ga, (2, 32)), lambda c: pi_gelu(c, gb, (2, 32))),
+        "block": (lambda c: infer_block(c, x, None, bc),
+                  lambda c: infer_block(c, None, weights, bc)),
+    }
+    for name, (fa, fb) in cases.items():
+        got = []
+        for backend_cfg in (toy_cfg, rlwe_toy_cfg):
+            ra, rb, rep, _ = pair_runner(backend_cfg, fa, fb, seed=5, want_reports=True)
+            rep.phases.pop("keyexchange")
+            got.append((reconstruct(ra.share, rb.share).tobytes(), rep.phases))
+        assert got[0] == got[1], name

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
-from privblock.protocols import DegenerateRow, LnParams, costs, pi_ln
+from privblock.protocols import (DegenerateRow, LnParams, ShapeMismatch, costs,
+                                 pi_ln)
 from privblock.sharing import reconstruct, share
 
 
@@ -102,3 +105,22 @@ def test_determinism(toy_cfg, pair_runner):
         return y.tobytes(), rep.to_dict()
 
     assert run() == run()
+
+
+def test_one_sided_error_reaches_the_caller_promptly(toy_cfg, pair_runner):
+    """B rejects gamma/beta of the wrong width before it sends anything.  A,
+    blocked in recv, is released, and B's error is the one raised."""
+    x = np.random.default_rng(8).normal(0, 1, size=(4, 16))
+    caught = {}
+
+    def run():
+        try:
+            _run(toy_cfg, pair_runner, x, np.ones(15), np.zeros(15))
+        except Exception as e:  # noqa: BLE001 - inspected below
+            caught["err"] = e
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=10)
+    assert not th.is_alive(), "run_pair still waiting after 10 s"
+    assert isinstance(caught.get("err"), ShapeMismatch)

@@ -1,5 +1,6 @@
 """The machine-word modular kernel against Python-integer references."""
 
+import math
 import pathlib
 import re
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 from privblock import modarith as ma
-from privblock.hecore.ntt import NttPlan
-from privblock.params import FixedPointConfig, ParamError, toy_he_params
+from privblock.hecore.ntt import NttPlan, crt_reconstruct_centered
+from privblock.params import (AUX_PRIMES, DEFAULT_Q_PRIMES, FixedPointConfig,
+                              ParamError, toy_he_params)
 
 P = 137438822401
 RING = 1 << 37
 P41 = 2199023255521  # largest 41-bit prime = 1 mod 16
 P42 = 4398046510961  # largest 42-bit prime = 1 mod 16
+Q_COLUMN = np.array(DEFAULT_Q_PRIMES, dtype=np.uint64).reshape(-1, 1)
+MIXED_COLUMN = np.array([[DEFAULT_Q_PRIMES[0]], [P41]], dtype=np.uint64)
 
 
 def _inputs(mod, size, rng):
@@ -28,14 +32,31 @@ def _lift_ref(v, mod):
     return [int(x) - mod if int(x) > mod >> 1 else int(x) for x in v]
 
 
-@pytest.mark.parametrize("mod", [P, RING, P41])
+@pytest.mark.parametrize("mod", [P, RING, P41, Q_COLUMN, MIXED_COLUMN])
 def test_mulmod_matches_python(mod, rng):
-    a = _inputs(mod, 4000, rng)
-    edges = a[:5]
-    a = np.concatenate([np.repeat(edges, 5), a])
-    b = np.concatenate([np.tile(edges, 5), rng.permutation(a[25:])])
-    want = [int(x) * int(y) % mod for x, y in zip(a, b)]
-    assert ma.mulmod(a, b, mod).tolist() == want
+    """An int modulus, or a column giving each row its own modulus."""
+    rows_a, rows_b, want = [], [], []
+    for m in np.ravel(mod).tolist():
+        a = _inputs(m, 4000, rng)
+        edges = a[:5]
+        a = np.concatenate([np.repeat(edges, 5), a])
+        b = np.concatenate([np.tile(edges, 5), rng.permutation(a[25:])])
+        rows_a.append(a)
+        rows_b.append(b)
+        want.append([int(x) * int(y) % m for x, y in zip(a, b)])
+    assert ma.mulmod(np.stack(rows_a), np.stack(rows_b), mod).tolist() == want
+
+
+@pytest.mark.parametrize("primes", [DEFAULT_Q_PRIMES, AUX_PRIMES])
+def test_crt_reconstruct_centered_matches_python(primes, rng):
+    big = math.prod(primes)
+    half = big >> 1  # the product is odd: the range is [-half, half]
+    edges = [0, 1, -1, half, -half, half - 1, 1 - half]
+    nbytes = big.bit_length() // 8 + 8
+    values = edges + [int.from_bytes(rng.bytes(nbytes), "little") % big - half
+                      for _ in range(500)]
+    residues = [np.array([v % q for v in values], dtype=np.uint64) for q in primes]
+    assert crt_reconstruct_centered(residues, primes).tolist() == values
 
 
 @pytest.mark.parametrize("mod,shape", [(P, (9, 3072, 5)), (RING, (7, 768, 6)),
@@ -107,10 +128,11 @@ def test_42_bit_prime_is_rejected(make):
 
 
 def test_object_dtype_only_in_big_integer_paths():
-    """Share arithmetic stays in machine words; Python-int arrays remain only
-    in the rlwe big-integer CRT path and the CLI's reference check."""
+    """Share and ciphertext arithmetic stays in machine words; Python-int
+    arrays remain only in the one CRT reconstruction and the CLI's reference
+    check."""
     root = pathlib.Path(ma.__file__).parent
-    allowed = {"hecore/rlwe.py", "hecore/ntt.py", "cli.py"}
+    allowed = {"hecore/ntt.py", "cli.py"}
     pattern = re.compile(r"astype\(object\)|dtype=object")
     found = [f"{path.relative_to(root).as_posix()}:{i}"
              for path in sorted(root.rglob("*.py"))
