@@ -11,6 +11,7 @@ import csv
 import io
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,10 +34,10 @@ PROTOCOLS = ("matmul", "mmshared", "softmax", "ln", "gelu", "block")
 
 
 def _profile(args) -> NetworkProfile:
-    if args.bandwidth or args.latency:
-        return NetworkProfile("custom", args.bandwidth or 400e6,
-                              args.latency if args.latency is not None else 0.01)
-    return PROFILES[args.profile]
+    """The named profile with the given --bandwidth/--latency in place."""
+    given = {"bandwidth": args.bandwidth, "latency": args.latency}
+    return replace(PROFILES[args.profile],
+                   **{k: v for k, v in given.items() if v is not None})
 
 
 def _config(args) -> Config:
@@ -323,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="MxNxK for matmuls, MxN otherwise")
         p.add_argument("--profile", choices=sorted(PROFILES), default="lan")
         p.add_argument("--bandwidth", type=float, default=None,
-                       help="bits/second (overrides --profile)")
+                       help="bits/second (replaces the profile's bandwidth)")
         p.add_argument("--latency", type=float, default=None,
-                       help="one-way seconds (overrides --profile)")
+                       help="one-way seconds (replaces the profile's latency)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--backend", choices=("clear", "rlwe"), default=None)

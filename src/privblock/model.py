@@ -135,31 +135,33 @@ def load_weights(path: str) -> BlockWeights:
         data = f.read()
     if data[:4] != WEIGHT_MAGIC:
         raise ParseError("not a weight container")
-    try:
-        version, d_s, d_m, h, d_k, d_f = struct.unpack(">HIIIII", data[4:26])
-    except struct.error as e:
-        raise ParseError(f"bad header: {e}") from e
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise ParseError(f"weight container truncated at byte {len(data)}")
+        off += n
+        return data[off - n:off]
+
+    version, d_s, d_m, h, d_k, d_f = struct.unpack(">HIIIII", take(22))
     if version != 1:
         raise ParseError(f"unsupported container version {version}")
     try:
         config = BlockConfig(d_s, d_m, h, d_k, d_f)
     except ShapeError as e:
         raise ShapeError(f"inconsistent dimensions in header: {e}") from e
-    off = 26
     tensors = {}
     while off < len(data):
-        (nlen,) = struct.unpack(">H", data[off:off + 2])
-        off += 2
-        name = data[off:off + nlen].decode()
-        off += nlen
-        ndim = data[off]
-        off += 1
-        shape = struct.unpack(f">{ndim}I", data[off:off + 4 * ndim])
-        off += 4 * ndim
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        off += 8 * count
+        (nlen,) = struct.unpack(">H", take(2))
+        name = take(nlen).decode()
+        (ndim,) = take(1)
+        shape = struct.unpack(f">{ndim}I", take(4 * ndim))
+        arr = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8")
         tensors[name] = arr.reshape(shape).copy()
+    missing = sorted(set(WEIGHT_SHAPES) - set(tensors))
+    if missing:
+        raise ParseError(f"weight container holds no tensor {missing[0]!r}")
     return BlockWeights(config, tensors)
 
 

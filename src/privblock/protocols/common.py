@@ -1,5 +1,13 @@
-"""Shared protocol machinery: party context, ciphertext framing, block
-packing, and the masked row-sum exchange."""
+"""Shared protocol machinery: the party context, encrypted vectors, and the
+masked row-sum exchange.
+
+An encrypted vector (``CtVec``) is the one place that knows how a vector of
+field values maps onto N-slot ciphertexts: one backend ciphertext per block,
+the tail slots of the last block zero.  Protocols encrypt, operate on,
+frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
+hold all ciphertext framing, and ``recv_cts`` rejects a frame that does not
+hold exactly the ciphertexts of the sizes it expects.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +18,7 @@ import numpy as np
 from ..channel import Session
 from ..hecore import create_backend, ct_bytes
 from ..params import Config, FixedPointConfig, HeParams
-from ..sharing import FIELD, RING, GadgetProvider, Share
+from ..sharing import FIELD, GadgetProvider, Share
 
 MAX_BLOCKS = 64
 
@@ -38,6 +46,63 @@ class ProtocolOutputShares:
 
     def matrix(self):
         return self.share.payload.reshape(self.shape)
+
+
+class CtVec:
+    """A vector of ``size`` field values encrypted under one key, held as one
+    backend ciphertext per N-slot block.
+
+    The methods carry the backend's op names and apply that op block by
+    block.  A plaintext operand is a vector of ``size`` values or one int
+    broadcast to all ``size`` values; a ciphertext operand is a ``CtVec`` of
+    the same size.
+    """
+
+    def __init__(self, ctx: "PartyCtx", cts, size: int):
+        self.ctx = ctx
+        self.cts = list(cts)
+        self.size = size
+
+    def _with_pt(self, op, values) -> "CtVec":
+        if np.ndim(values) == 0:
+            values = np.full(self.size, values, dtype=np.uint64)
+        elif np.shape(values) != (self.size,):
+            raise ShapeMismatch(f"plaintext of shape {np.shape(values)} against "
+                                f"an encrypted vector of {self.size} values")
+        n = self.ctx.he_params.n
+        return CtVec(self.ctx, (op(ct, values[b * n:(b + 1) * n])
+                                for b, ct in enumerate(self.cts)), self.size)
+
+    def _with_ct(self, op, other: "CtVec") -> "CtVec":
+        if other.size != self.size:
+            raise ShapeMismatch(f"encrypted vectors of {self.size} and "
+                                f"{other.size} values")
+        return CtVec(self.ctx, map(op, self.cts, other.cts), self.size)
+
+    def add_pt(self, values) -> "CtVec":
+        return self._with_pt(self.ctx.backend.add_pt, values)
+
+    def sub_pt(self, values) -> "CtVec":
+        return self._with_pt(self.ctx.backend.sub_pt, values)
+
+    def mul_pt(self, values) -> "CtVec":
+        return self._with_pt(self.ctx.backend.mul_pt, values)
+
+    def add_ct(self, other: "CtVec") -> "CtVec":
+        return self._with_ct(self.ctx.backend.add_ct, other)
+
+    def mul_ct(self, other: "CtVec") -> "CtVec":
+        ctx = self.ctx
+        return self._with_ct(
+            lambda x, y: ctx.backend.mul_ct(x, y, ctx.public_of(x.owner)), other)
+
+    def square(self) -> "CtVec":
+        ctx = self.ctx
+        return CtVec(ctx, (ctx.backend.square(ct, ctx.public_of(ct.owner))
+                           for ct in self.cts), self.size)
+
+    def neg_ct(self) -> "CtVec":
+        return CtVec(self.ctx, map(self.ctx.backend.neg_ct, self.cts), self.size)
 
 
 class PartyCtx:
@@ -88,53 +153,48 @@ class PartyCtx:
     def field_share(self, payload) -> Share:
         return Share(FIELD, self.role, payload, self.fp.p)
 
-    def ring_share(self, payload) -> Share:
-        return Share(RING, self.role, payload, self.fp.ring_mod)
-
-    # -- ciphertext block framing -------------------------------------------
+    # -- encrypted vectors --------------------------------------------------
     def n_blocks(self, n_values: int) -> int:
         blocks = -(-n_values // self.he_params.n)
         if blocks > MAX_BLOCKS:
             raise CapacityExceeded(f"{n_values} values span {blocks} blocks")
         return blocks
 
-    def encrypt_blocks(self, values: np.ndarray, owner: str) -> list:
-        """Split a flat field vector into N-slot blocks and encrypt each."""
+    def encrypt(self, values, owner: str) -> CtVec:
+        """Encrypt a flat field vector under ``owner``'s key."""
         n = self.he_params.n
         values = np.asarray(values, dtype=np.uint64).ravel()
         pub = self.public_of(owner)
-        out = []
-        for b in range(self.n_blocks(values.size)):
-            out.append(self.backend.encrypt(values[b * n:(b + 1) * n], pub))
-        return out
+        return CtVec(self, (self.backend.encrypt(values[b * n:(b + 1) * n], pub)
+                            for b in range(self.n_blocks(values.size))), values.size)
 
-    def decrypt_blocks(self, cts: list, n_values: int) -> np.ndarray:
-        out = np.concatenate([self.backend.decrypt(ct, self.keypair) for ct in cts])
-        return out[:n_values]
+    def decrypt(self, vec: CtVec) -> np.ndarray:
+        out = np.concatenate([self.backend.decrypt(ct, self.keypair) for ct in vec.cts])
+        return out[:vec.size]
 
-    def send_cts(self, label: str, cts: list):
-        payload = b"".join(self.backend.serialize(ct) for ct in cts)
-        self.session.send(label, payload)
+    def send_cts(self, label: str, *vecs: CtVec):
+        """Send the encrypted vectors as one frame."""
+        self.session.send(label, b"".join(self.backend.serialize(ct)
+                                          for vec in vecs for ct in vec.cts))
 
-    def recv_cts(self, label: str) -> list:
+    def recv_cts(self, label: str, *sizes: int) -> list:
+        """Receive one frame holding encrypted vectors of ``sizes`` values."""
+        counts = [self.n_blocks(size) for size in sizes]
+        width = ct_bytes(self.he_params, 2)
         payload = self.session.recv(label)
-        size = ct_bytes(self.he_params, 2)
-        if len(payload) % size:
-            raise ShapeMismatch("ciphertext frame is not block aligned")
-        return [self.backend.deserialize(payload[i:i + size])
-                for i in range(0, len(payload), size)]
+        if len(payload) != sum(counts) * width:
+            raise ShapeMismatch(f"{label}: frame of {len(payload)} bytes, expected "
+                                f"{sum(counts)} ciphertexts of {width} bytes")
+        cts = iter([self.backend.deserialize(payload[i:i + width])
+                    for i in range(0, len(payload), width)])
+        return [CtVec(self, (next(cts) for _ in range(count)), size)
+                for size, count in zip(sizes, counts)]
 
     def send_array(self, label: str, arr: np.ndarray):
         self.session.send(label, np.ascontiguousarray(arr, dtype=np.uint64).tobytes())
 
     def recv_array(self, label: str) -> np.ndarray:
         return np.frombuffer(self.session.recv(label), dtype=np.uint64).copy()
-
-    # -- slotwise block ops ------------------------------------------------------
-    def blockwise(self, op, cts: list, flat: np.ndarray):
-        """Apply a (ct, slot-vector) backend op block by block."""
-        n = self.he_params.n
-        return [op(ct, flat[b * n:(b + 1) * n]) for b, ct in enumerate(cts)]
 
 
 def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> PartyCtx:
@@ -154,21 +214,17 @@ def _row_sums(flat: np.ndarray, shape: tuple, p: int) -> np.ndarray:
     return flat.reshape(shape).sum(axis=1) % np.uint64(p)
 
 
-def send_masked_rows(ctx: PartyCtx, label: str, cts: list, shape: tuple):
+def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
     """Party A's half of the masked row-sum exchange: blind the m x d slot
-    matrix of ``cts`` (under B's key) with a fresh mask r and send it with
-    A's encryption of the row sums of r."""
-    r = ctx.rand_field(shape[0] * shape[1])
-    masked = ctx.blockwise(ctx.backend.add_pt, cts, r)
-    ctx.send_cts(label, masked + ctx.encrypt_blocks(_row_sums(r, shape, ctx.fp.p), "A"))
+    matrix ``vec`` (under B's key) with a fresh mask r and send it with A's
+    encryption of the row sums of r."""
+    r = ctx.rand_field(vec.size)
+    ctx.send_cts(label, vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p), "A"))
 
 
-def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> list:
+def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> CtVec:
     """Party B's half: decrypt the blinded matrix, sum its rows and remove
-    the mask under A's key.  Returns A-key ciphertexts of the row sums."""
-    got = ctx.recv_cts(label)
-    blocks = ctx.n_blocks(shape[0] * shape[1])
-    masked = ctx.decrypt_blocks(got[:blocks], shape[0] * shape[1])
-    sums = _row_sums(masked, shape, ctx.fp.p)
-    return ctx.blockwise(ctx.backend.add_pt,
-                         [ctx.backend.neg_ct(c) for c in got[blocks:]], sums)
+    the mask under A's key.  Returns A's encryption of the row sums."""
+    masked, mask_sums = ctx.recv_cts(label, shape[0] * shape[1], shape[0])
+    sums = _row_sums(ctx.decrypt(masked), shape, ctx.fp.p)
+    return mask_sums.neg_ct().add_pt(sums)

@@ -47,13 +47,23 @@ def _segment_plan(table: PiecewisePoly, s: int):
     return plan
 
 
+def _power_keys(plan) -> list:
+    """(segment, power) of every cube and quartic, in exchange order."""
+    return [(i, j) for i, seg in enumerate(plan) for j in seg["powers"] if j > 2]
+
+
+def _fixed(c: float, scale: int, p: int) -> int:
+    """A public real constant as a field element at ``scale``."""
+    return int(round(c * (1 << scale))) % p
+
+
 def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TABLE,
             label: str = "gelu") -> ProtocolOutputShares:
     """Piecewise activation on a SIMD ciphertext batch.
 
-    Party B passes the ciphertext blocks (under A's key) as ``x_input``;
-    party A passes None.  Alternatively both parties pass field Share pairs
-    at scale s and the convenience path encrypts first.
+    Party B passes the input as a ``CtVec`` of m*w values under A's key as
+    ``x_input``; party A passes None.  Alternatively both parties pass field
+    Share pairs at scale s and the convenience path encrypts first.
     """
     m, w = shape
     n_vals = m * w
@@ -67,11 +77,11 @@ def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TA
             if x_input.domain != FIELD:
                 raise ShapeMismatch("gelu wrapper expects field shares at scale s")
             if ctx.role == "A":
-                ctx.send_cts("encrypt_input", ctx.encrypt_blocks(x_input.payload, "A"))
+                ctx.send_cts("encrypt_input", ctx.encrypt(x_input.payload, "A"))
                 ct_x = None
             else:
-                ct_x = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("encrypt_input"),
-                                     x_input.payload)
+                [ct_x] = ctx.recv_cts("encrypt_input", n_vals)
+                ct_x = ct_x.add_pt(x_input.payload)
         else:
             ct_x = x_input if ctx.role == "B" else None
         if ctx.role == "B":
@@ -109,95 +119,50 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     vb_hi = 2 * s + 4
     off3 = 1 << (2 * s + 3)
     # squares of the per-segment centered variables, then mask everything
-    ct_t = [ctx.blockwise(ctx.backend.sub_pt, ct_x,
-                          np.full(n_vals, np.uint64(seg["midq"] % p)))
-            for seg in plan]
-    pub_a = ctx.public_of("A")
-    ct_t2 = [[ctx.backend.square(c, pub_a) for c in blocks_] for blocks_ in ct_t]
+    ct_t = [ct_x.sub_pt(seg["midq"] % p) for seg in plan]
     rx = ctx.rand_field(n_vals)
-    out_cts = ctx.blockwise(ctx.backend.sub_pt, ct_x, rx)
-    r2 = []
-    for i in range(len(plan)):
-        r = ctx.rng.integers(0, p - (1 << (vb_sq + 1)), size=n_vals, dtype=np.uint64)
-        r2.append(r)
-        out_cts = out_cts + ctx.blockwise(ctx.backend.sub_pt, ct_t2[i], r)
-    ctx.send_cts("input_and_squares", out_cts)
-    x_share_b = ctx.field_share(rx)
-    x_ring = ctx.provider.field_to_ring(x_share_b)
+    r2 = [ctx.rng.integers(0, p - (1 << (vb_sq + 1)), size=n_vals, dtype=np.uint64)
+          for _ in plan]
+    ctx.send_cts("input_and_squares", ct_x.sub_pt(rx),
+                 *[t.square().sub_pt(r) for t, r in zip(ct_t, r2)])
+    x_ring = ctx.provider.field_to_ring(ctx.field_share(rx))
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
-    got = ctx.recv_cts("selector_and_square_shares")
-    nb = len(bits)
-    blocks = ctx.n_blocks(n_vals)
-    ct_b = [ctx.blockwise(ctx.backend.add_pt, got[i * blocks:(i + 1) * blocks],
-                          b_arith[i]) for i in range(nb)]
-    ct_t2s = []
-    for i in range(len(plan)):
-        chunk = got[(nb + i) * blocks:(nb + i + 1) * blocks]
-        t2b = r2[i] >> np.uint64(s)
-        ct_t2s.append(ctx.blockwise(ctx.backend.add_pt, chunk, t2b))
+    got = iter(ctx.recv_cts("selector_and_square_shares",
+                            *[n_vals] * (len(bits) + len(plan))))
+    ct_b = [next(got).add_pt(b) for b in b_arith]
+    ct_t2s = [next(got).add_pt(r >> np.uint64(s)) for r in r2]
     # cubes and quartics from the rescaled squares
-    masked, rmask, kinds = [], [], []
-    for i, seg in enumerate(plan):
-        if 3 in seg["powers"]:
-            ct3 = [ctx.backend.mul_ct(a, b, pub_a)
-                   for a, b in zip(ct_t2s[i], ct_t[i])]
-            ct3 = ctx.blockwise(ctx.backend.add_pt, ct3,
-                                np.full(n_vals, np.uint64(off3)))
-            r = ctx.rng.integers(0, p - (1 << (vb_hi + 1)), size=n_vals,
-                                 dtype=np.uint64)
-            masked += ctx.blockwise(ctx.backend.sub_pt, ct3, r)
-            rmask.append(r)
-            kinds.append((i, 3))
-        if 4 in seg["powers"]:
-            ct4 = [ctx.backend.square(c, pub_a) for c in ct_t2s[i]]
-            r = ctx.rng.integers(0, p - (1 << (vb_hi + 1)), size=n_vals,
-                                 dtype=np.uint64)
-            masked += ctx.blockwise(ctx.backend.sub_pt, ct4, r)
-            rmask.append(r)
-            kinds.append((i, 4))
-    ctx.send_cts("masked_powers", masked)
-    got = ctx.recv_cts("power_shares")
+    keys = _power_keys(plan)
+    masked, rmask = [], []
+    for i, j in keys:
+        ct = (ct_t2s[i].mul_ct(ct_t[i]).add_pt(off3) if j == 3
+              else ct_t2s[i].square())
+        rmask.append(ctx.rng.integers(0, p - (1 << (vb_hi + 1)), size=n_vals,
+                                      dtype=np.uint64))
+        masked.append(ct.sub_pt(rmask[-1]))
+    ctx.send_cts("masked_powers", *masked)
+    got = ctx.recv_cts("power_shares", *[n_vals] * len(keys))
     ct_pow = {}
-    for idx, (key, r) in enumerate(zip(kinds, rmask)):
-        chunk = got[idx * blocks:(idx + 1) * blocks]
-        mine = r >> np.uint64(s)
-        ct_pow[key] = ctx.blockwise(ctx.backend.add_pt, chunk, mine)
-        if key[1] == 3:
-            ct_pow[key] = ctx.blockwise(
-                ctx.backend.sub_pt, ct_pow[key],
-                np.full(n_vals, np.uint64(off3 >> s)))
+    for (i, j), ct, r in zip(keys, got, rmask):
+        ct = ct.add_pt(r >> np.uint64(s))
+        ct_pow[(i, j)] = ct.sub_pt(off3 >> s) if j == 3 else ct
     # assemble Y = sum_i b_i * F_i plus the closed-form tails
     sc = s + COEFF_BITS
     acc = None
     for i, seg in enumerate(plan):
         cf = seg["coeffs"]
-        const = np.full(n_vals, np.uint64(int(round(cf[0] * (1 << sy))) % p))
-        fi = ctx.blockwise(ctx.backend.add_pt,
-                           ctx.blockwise(ctx.backend.mul_pt, ct_t[i],
-                                         np.full(n_vals, np.uint64(
-                                             int(round(cf[1] * (1 << sc))) % p))),
-                           const)
+        fi = ct_t[i].mul_pt(_fixed(cf[1], sc, p)).add_pt(_fixed(cf[0], sy, p))
         for j in seg["powers"]:
             src = ct_t2s[i] if j == 2 else ct_pow[(i, j)]
-            cj = np.full(n_vals, np.uint64(int(round(cf[j] * (1 << sc))) % p))
-            fi = [ctx.backend.add_ct(a, b) for a, b in
-                  zip(fi, ctx.blockwise(ctx.backend.mul_pt, src, cj))]
-        term = [ctx.backend.mul_ct(a, b, pub_a) for a, b in zip(ct_b[i + 1], fi)]
-        acc = term if acc is None else [ctx.backend.add_ct(a, b)
-                                        for a, b in zip(acc, term)]
-    eps_enc = int(round(table.left[1] * (1 << sy))) % p
-    t_left = ctx.blockwise(ctx.backend.mul_pt, ct_b[0],
-                           np.full(n_vals, np.uint64(eps_enc)))
-    acc = [ctx.backend.add_ct(a, b) for a, b in zip(acc, t_left)]
-    ct_lin = ctx.blockwise(ctx.backend.mul_pt, ct_x,
-                           np.full(n_vals, np.uint64(1 << (sy - s))))
-    ct_lin = ctx.blockwise(ctx.backend.add_pt, ct_lin,
-                           np.full(n_vals, np.uint64(int(round(table.right[1] * (1 << sy))) % p)))
-    t_right = [ctx.backend.mul_ct(a, b, pub_a) for a, b in zip(ct_b[4], ct_lin)]
-    acc = [ctx.backend.add_ct(a, b) for a, b in zip(acc, t_right)]
+            fi = fi.add_ct(src.mul_pt(_fixed(cf[j], sc, p)))
+        term = ct_b[i + 1].mul_ct(fi)
+        acc = term if acc is None else acc.add_ct(term)
+    acc = acc.add_ct(ct_b[0].mul_pt(_fixed(table.left[1], sy, p)))
+    ct_lin = ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(table.right[1], sy, p))
+    acc = acc.add_ct(ct_b[4].mul_ct(ct_lin))
     mask = ctx.rand_field(n_vals)
-    ctx.send_cts("result", ctx.blockwise(ctx.backend.sub_pt, acc, mask))
+    ctx.send_cts("result", acc.sub_pt(mask))
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy, label)
 
 
@@ -207,32 +172,17 @@ def _party_a(ctx, shape, plan, table, sy, label):
     s, p = ctx.fp.s, ctx.fp.p
     vb_sq = 2 * s + 2
     vb_hi = 2 * s + 4
-    off3 = 1 << (2 * s + 3)
-    blocks = ctx.n_blocks(n_vals)
-    got = ctx.recv_cts("input_and_squares")
-    x_vals = ctx.decrypt_blocks(got[:blocks], n_vals)
-    x_share_a = ctx.field_share(x_vals)
-    t2_shares = []
-    for i in range(len(plan)):
-        wv = ctx.decrypt_blocks(got[(1 + i) * blocks:(2 + i) * blocks], n_vals)
-        t2_shares.append(lift_shift(wv, p, vb_sq, s) % p)
+    ct_x, *ct_t2 = ctx.recv_cts("input_and_squares", *[n_vals] * (1 + len(plan)))
+    x_share_a = ctx.field_share(ctx.decrypt(ct_x))
+    t2_shares = [lift_shift(ctx.decrypt(ct), p, vb_sq, s) % p for ct in ct_t2]
     x_ring = ctx.provider.field_to_ring(x_share_a)
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
-    send = []
-    for ba in b_arith:
-        send += ctx.encrypt_blocks(ba, "A")
-    for t2 in t2_shares:
-        send += ctx.encrypt_blocks(t2, "A")
-    ctx.send_cts("selector_and_square_shares", send)
-    got = ctx.recv_cts("masked_powers")
-    shares = []
-    for idx in range(len(got) // blocks):
-        wv = ctx.decrypt_blocks(got[idx * blocks:(idx + 1) * blocks], n_vals)
-        shares.append(lift_shift(wv, p, vb_hi, s) % p)
-    send = []
-    for sh in shares:
-        send += ctx.encrypt_blocks(sh, "A")
-    ctx.send_cts("power_shares", send)
-    share = ctx.decrypt_blocks(ctx.recv_cts("result"), n_vals)
+    ctx.send_cts("selector_and_square_shares",
+                 *[ctx.encrypt(v, "A") for v in b_arith + t2_shares])
+    got = ctx.recv_cts("masked_powers", *[n_vals] * len(_power_keys(plan)))
+    shares = [lift_shift(ctx.decrypt(ct), p, vb_hi, s) % p for ct in got]
+    ctx.send_cts("power_shares", *[ctx.encrypt(sh, "A") for sh in shares])
+    [ct_y] = ctx.recv_cts("result", n_vals)
+    share = ctx.decrypt(ct_y)
     return ProtocolOutputShares(ctx.field_share(share), shape, sy, label)

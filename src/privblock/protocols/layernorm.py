@@ -66,6 +66,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
     p = ctx.fp.p
     ring_mod = ctx.fp.ring_mod
     sa, s_inv = centered_scale(ctx.fp, n)
+    ctx.n_blocks(m * n)
     with ctx.session.phase(label):
         # re-center locally: a = n*x - row_sum(x), still ring shares at scale s
         xs = x_share.payload.reshape(m, n)
@@ -74,53 +75,43 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         a_sh = x_share.like(a.ravel())
         # fused rescale (s -> sa) + exact conversion into the field
         a_f = ctx.provider.ring_to_field_strict_trunc(a_sh, s - sa)
-        blocks = ctx.n_blocks(m * n)
+        shift = sa + s_inv - RATIO_SCALE
         if ctx.role == "B":
-            ctx.send_cts("ashare", ctx.encrypt_blocks(a_f.payload, "B"))
+            ctx.send_cts("ashare", ctx.encrypt(a_f.payload, "B"))
             ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
             v = ctx.rand_field(m)
-            ctx.send_cts("masked_rowsum", ctx.blockwise(ctx.backend.sub_pt, ct_k, v))
+            ctx.send_cts("masked_rowsum", ct_k.sub_pt(v))
             k_share = ctx.field_share(v)
             inv = _invsqrt(ctx, k_share, sa, s_inv)
-            tiled = np.repeat(inv.payload, n)
-            ctx.send_cts("invsqrt_share", ctx.encrypt_blocks(tiled, "B"))
-            got = ctx.recv_cts("masked_ratio")
-            ct_wr, ct_strunc = got[:blocks], got[blocks:]
-            w = ctx.decrypt_blocks(ct_wr, m * n)
-            shift = sa + s_inv - RATIO_SCALE
+            ctx.send_cts("invsqrt_share", ctx.encrypt(np.repeat(inv.payload, n), "B"))
+            ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n)
+            w = ctx.decrypt(ct_wr)
             off = 1 << (sa + s_inv - shift)
             t_b = (lift_shift(w, p, sa + s_inv + 1, shift) - off) % p
-            ct_ratio = ctx.blockwise(ctx.backend.add_pt, ct_strunc, t_b)
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
             bs = encode_int(params.beta, ctx.fp, FIELD, LN_OUT_SCALE)
-            ct_y = ctx.blockwise(ctx.backend.mul_pt, ct_ratio, np.tile(gs, m))
-            ct_y = ctx.blockwise(ctx.backend.add_pt, ct_y, np.tile(bs, m))
+            ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))
             mask = ctx.rand_field(m * n)
-            ctx.send_cts("result", ctx.blockwise(ctx.backend.sub_pt, ct_y, mask))
+            ctx.send_cts("result", ct_y.sub_pt(mask))
             return ProtocolOutputShares(ctx.field_share(mask), shape,
                                         LN_OUT_SCALE, label)
         # party A
-        ct_a = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("ashare"), a_f.payload)
-        pub_b = ctx.public_of("B")
-        ct_a2 = [ctx.backend.square(c, pub_b) for c in ct_a]
-        send_masked_rows(ctx, "masked_square", ct_a2, shape)
-        k_share = ctx.field_share(ctx.decrypt_blocks(ctx.recv_cts("masked_rowsum"), m))
+        [ct_a] = ctx.recv_cts("ashare", m * n)
+        ct_a = ct_a.add_pt(a_f.payload)
+        send_masked_rows(ctx, "masked_square", ct_a.square(), shape)
+        [ct_k] = ctx.recv_cts("masked_rowsum", m)
+        k_share = ctx.field_share(ctx.decrypt(ct_k))
         inv = _invsqrt(ctx, k_share, sa, s_inv)
-        tiled = np.repeat(inv.payload, n)
-        ct_inv = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("invsqrt_share"),
-                               tiled)
-        ct_ratio = [ctx.backend.mul_ct(x, y, pub_b) for x, y in zip(ct_a, ct_inv)]
+        [ct_inv] = ctx.recv_cts("invsqrt_share", m * n)
+        ct_ratio = ct_a.mul_ct(ct_inv.add_pt(np.repeat(inv.payload, n)))
         # statistically-masked decrypt-side rescale of the ratio
-        off_vec = np.full(m * n, np.uint64(1 << (sa + s_inv)))
-        ct_off = ctx.blockwise(ctx.backend.add_pt, ct_ratio, off_vec)
+        ct_off = ct_ratio.add_pt(1 << (sa + s_inv))
         smask = ctx.rng.integers(0, p - (1 << (sa + s_inv + 1)), size=m * n,
                                  dtype=np.uint64)
-        shift = sa + s_inv - RATIO_SCALE
-        strunc = smask >> np.uint64(shift)
-        ctx.send_cts("masked_ratio",
-                     ctx.blockwise(ctx.backend.sub_pt, ct_off, smask)
-                     + ctx.encrypt_blocks(strunc, "A"))
-        share = ctx.decrypt_blocks(ctx.recv_cts("result"), m * n)
+        ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
+                     ctx.encrypt(smask >> np.uint64(shift), "A"))
+        [ct_y] = ctx.recv_cts("result", m * n)
+        share = ctx.decrypt(ct_y)
         return ProtocolOutputShares(ctx.field_share(share), shape,
                                     LN_OUT_SCALE, label)
 

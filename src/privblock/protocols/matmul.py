@@ -39,35 +39,25 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
     out_scale = 2 * ctx.fp.s if scale is None else scale
     with ctx.session.phase(label):
         out_len = m * h
-        blocks = ctx.n_blocks(out_len)
+        ctx.n_blocks(out_len)
         if ctx.role == data_party:
             mat = np.asarray(mat, dtype=np.uint64)
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            cts = []
-            for row in expand_left(mat, h):
-                cts.extend(ctx.encrypt_blocks(row, ctx.role))
-            ctx.send_cts("inputs", cts)
-            got = ctx.recv_cts("masked_product")
-            share = ctx.decrypt_blocks(got, out_len)
+            ctx.send_cts("inputs", *[ctx.encrypt(row, ctx.role)
+                                     for row in expand_left(mat, h)])
+            [got] = ctx.recv_cts("masked_product", out_len)
+            share = ctx.decrypt(got)
             return ProtocolOutputShares(ctx.field_share(share), (m, h), out_scale, label)
         mat = np.asarray(mat, dtype=np.uint64)
         if mat.shape != (n, h):
             raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
-        cts = ctx.recv_cts("inputs")
-        if len(cts) != n * blocks:
-            raise ShapeMismatch("unexpected ciphertext count from data party")
-        nslots = ctx.he_params.n
-        acc = [None] * blocks
-        rows = expand_right(mat, m)
-        for j in range(n):
-            for b in range(blocks):
-                term = ctx.backend.mul_pt(cts[j * blocks + b],
-                                          rows[j][b * nslots:(b + 1) * nslots])
-                acc[b] = term if acc[b] is None else ctx.backend.add_ct(acc[b], term)
+        acc = None
+        for ct, row in zip(ctx.recv_cts("inputs", *[out_len] * n), expand_right(mat, m)):
+            term = ct.mul_pt(row)
+            acc = term if acc is None else acc.add_ct(term)
         mask = ctx.rand_field(out_len)
-        out = ctx.blockwise(ctx.backend.sub_pt, acc, mask)
-        ctx.send_cts("masked_product", out)
+        ctx.send_cts("masked_product", acc.sub_pt(mask))
         return ProtocolOutputShares(ctx.field_share(mask), (m, h), out_scale, label)
 
 

@@ -41,6 +41,8 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
     s = ctx.fp.s
     g = SOFTMAX_GUARD_BITS
     out_scale = 2 * s + g
+    n_vals = m * d
+    ctx.n_blocks(n_vals)
     with ctx.session.phase(label):
         if normalize == "max":
             mx = ctx.provider.row_max(x_share, d)
@@ -49,31 +51,24 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             x_share = x_share.like(
                 (x_share.payload + (ring_mod - spread)) % np.uint64(ring_mod))
         e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
-        n_vals = m * d
-        ctx.n_blocks(n_vals)
-        vec_blocks = ctx.n_blocks(m)
         if ctx.role == "B":
-            ctx.send_cts("exp_share", ctx.encrypt_blocks(e_sh.payload, "B"))
+            ctx.send_cts("exp_share", ctx.encrypt(e_sh.payload, "B"))
             ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
-            ct_sumv = ctx.blockwise(ctx.backend.mul_pt, ct_sum, v)
-            vhat = np.repeat(v, d)
-            ct_vhat = ctx.encrypt_blocks(vhat, "B")
-            ctx.send_cts("denominator", ct_sumv + ct_vhat)
-            share = ctx.decrypt_blocks(ctx.recv_cts("result"), n_vals)
+            ctx.send_cts("denominator", ct_sum.mul_pt(v),
+                         ctx.encrypt(np.repeat(v, d), "B"))
+            [ct_y] = ctx.recv_cts("result", n_vals)
+            share = ctx.decrypt(ct_y)
             return ProtocolOutputShares(ctx.field_share(share), shape, out_scale, label)
         # party A
-        ct_e = ctx.blockwise(ctx.backend.add_pt, ctx.recv_cts("exp_share"),
-                             e_sh.payload)
+        [ct_e] = ctx.recv_cts("exp_share", n_vals)
+        ct_e = ct_e.add_pt(e_sh.payload)
         send_masked_rows(ctx, "masked_exp", ct_e, shape)
-        got = ctx.recv_cts("denominator")
-        ct_sumv, ct_vhat = got[:vec_blocks], got[vec_blocks:]
-        u = ctx.decrypt_blocks(ct_sumv, m)  # exact integers: sum(E) * v < p
+        ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals)
+        u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
         recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
-        ct_recip = ctx.blockwise(ctx.backend.mul_pt, ct_vhat, np.repeat(recip, d))
-        pub_b = ctx.public_of("B")
-        ct_y = [ctx.backend.mul_ct(a, b, pub_b) for a, b in zip(ct_e, ct_recip)]
+        ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
         mask = ctx.rand_field(n_vals)
-        ctx.send_cts("result", ctx.blockwise(ctx.backend.sub_pt, ct_y, mask))
+        ctx.send_cts("result", ct_y.sub_pt(mask))
         return ProtocolOutputShares(ctx.field_share(mask), shape, out_scale, label)

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from privblock.cli import main
+from privblock.cli import _profile, build_parser, main
 from privblock.params import Config, toy_he_params
 
 TOY_CFG_DICT = Config(he=toy_he_params(n=256, p=137438822401, limbs=6),
@@ -108,6 +108,20 @@ def test_mae_all_functions():
 
 def test_config_error_exit_code():
     code = main(["party", "--protocol", "matmul", "--shape", "3x3", "--local"])
+    assert code == 2
+
+
+def test_network_overrides_replace_only_given_fields(toy_cfg_file):
+    def profile(*flags):
+        return _profile(build_parser().parse_args(
+            ["party", "--protocol", "matmul", *flags]))
+
+    wan1 = profile("--profile", "wan1", "--latency", "0")
+    assert (wan1.bandwidth, wan1.latency) == (400_000_000, 0.0)
+    lan = profile("--profile", "lan", "--latency", "0.001")
+    assert (lan.bandwidth, lan.latency) == (1_000_000_000, 0.001)
+    code = main(["party", "--protocol", "matmul", "--shape", "2x2x2", "--local",
+                 "--config", toy_cfg_file, "--bandwidth", "0"])
     assert code == 2
 
 

@@ -105,7 +105,7 @@ def test_ciphertext_entry_equals_wrapper(toy_cfg, pair_runner):
         return pi_gelu(ctx, None, (2, 32))
 
     def fb(ctx):
-        cts = ctx.encrypt_blocks(xe.ravel(), "A")
+        cts = ctx.encrypt(xe.ravel(), "A")
         return pi_gelu(ctx, cts, (2, 32))
 
     ra2, rb2 = pair_runner(toy_cfg, fa, fb, seed=9)

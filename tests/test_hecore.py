@@ -6,9 +6,9 @@ from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
                               NoiseExhausted, SimdPlaintext, create_backend,
                               ct_bytes)
 from privblock.model import BlockWeights, infer_block, toy_block_config
-from privblock.params import HeParams, ParamError, toy_he_params
-from privblock.protocols import (LnParams, pi_gelu, pi_ln, pi_matmul,
-                                 pi_matmul_shared, pi_softmax)
+from privblock.params import Config, HeParams, ParamError, toy_he_params
+from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
+                                 pi_matmul, pi_matmul_shared, pi_softmax)
 from privblock.sharing import reconstruct, share
 
 TOY = toy_he_params(n=64, p=12289, limbs=3)
@@ -208,44 +208,79 @@ def test_no_rotation_anywhere():
         assert not any("rot" in n or "galois" in n or "shift" in n for n in names)
 
 
+def test_encrypted_vector_blocks_and_shapes(toy_cfg, pair_runner):
+    """A CtVec spans ceil(size/N) blocks, broadcasts an int operand to its
+    size with the tail slots left zero, and rejects operands of another size."""
+    p = toy_cfg.fixedpoint.p
+
+    def fa(ctx):
+        n = ctx.he_params.n
+        vec = ctx.encrypt(np.arange(n + 3, dtype=np.uint64), "A")
+        assert len(vec.cts) == 2
+        with pytest.raises(ShapeMismatch):
+            vec.add_ct(ctx.encrypt(np.arange(n, dtype=np.uint64), "A"))
+        with pytest.raises(ShapeMismatch):
+            vec.mul_pt(np.ones(n, dtype=np.uint64))
+        out = vec.add_pt(5).mul_ct(vec.neg_ct())
+        want = (p - (np.arange(n + 3) + 5) * np.arange(n + 3) % p) % p
+        assert np.array_equal(ctx.decrypt(out), want.astype(np.uint64))
+        assert not ctx.backend.decrypt(out.cts[1], ctx.keypair)[3:].any()
+
+    pair_runner(toy_cfg, fa, lambda ctx: None)
+
+
 def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
     """Every protocol and the toy block reconstruct bit-identically, at the
-    same per-phase cost, on clear and on rlwe at the default 37-bit p.  Only
-    the key exchange differs: the key blobs are backend-specific."""
+    same per-phase cost, on clear and on rlwe at the default 37-bit p: at
+    N=256, where each vector fits one block, and at N=64, where each spans
+    two or more blocks, most ending in a partial one.  Only the key exchange
+    differs: the key blobs are backend-specific."""
     cfg = toy_cfg.fixedpoint
     rng = np.random.default_rng(21)
 
     def shares(x, domain):
         return share(fp.encode_int(x, cfg, domain, cfg.s).ravel(), domain, cfg, rng)
 
-    a = rng.integers(0, 1 << 20, size=(4, 8), dtype=np.uint64)
-    b = rng.integers(0, 1 << 20, size=(8, 6), dtype=np.uint64)
-    qa, qb = share(rng.integers(0, 1 << 24, size=12, dtype=np.uint64), "field", cfg, rng)
-    ka, kb = share(rng.integers(0, 1 << 24, size=15, dtype=np.uint64), "field", cfg, rng)
-    sa, sb = shares(rng.normal(0, 2, size=(4, 8)), "ring")
-    la, lb = shares(rng.normal(0, 1, size=(4, 16)), "ring")
-    ln = LnParams(rng.uniform(0.5, 1.5, 16), rng.uniform(-1, 1, 16))
-    ga, gb = shares(rng.uniform(-8, 8, size=(2, 32)), "field")
+    def cases(mm, q_shape, k_shape, sm_shape, ln_shape, gelu_shape):
+        m, n, h = mm
+        a = rng.integers(0, 1 << 20, size=(m, n), dtype=np.uint64)
+        b = rng.integers(0, 1 << 20, size=(n, h), dtype=np.uint64)
+        qa, qb = share(rng.integers(0, 1 << 24, size=q_shape[0] * q_shape[1],
+                                    dtype=np.uint64), "field", cfg, rng)
+        ka, kb = share(rng.integers(0, 1 << 24, size=k_shape[0] * k_shape[1],
+                                    dtype=np.uint64), "field", cfg, rng)
+        sa, sb = shares(rng.normal(0, 2, size=sm_shape), "ring")
+        la, lb = shares(rng.normal(0, 1, size=ln_shape), "ring")
+        ln = LnParams(rng.uniform(0.5, 1.5, ln_shape[1]), rng.uniform(-1, 1, ln_shape[1]))
+        ga, gb = shares(rng.uniform(-8, 8, size=gelu_shape), "field")
+        return {
+            "matmul": (lambda c: pi_matmul(c, a, mm), lambda c: pi_matmul(c, b, mm)),
+            "mmshared": (lambda c: pi_matmul_shared(c, qa, ka, q_shape, k_shape),
+                         lambda c: pi_matmul_shared(c, qb, kb, q_shape, k_shape)),
+            "softmax": (lambda c: pi_softmax(c, sa, sm_shape, "max"),
+                        lambda c: pi_softmax(c, sb, sm_shape, "max")),
+            "ln": (lambda c: pi_ln(c, la, ln_shape, None),
+                   lambda c: pi_ln(c, lb, ln_shape, ln)),
+            "gelu": (lambda c: pi_gelu(c, ga, gelu_shape),
+                     lambda c: pi_gelu(c, gb, gelu_shape)),
+        }
+
+    one_block = cases((4, 8, 6), (4, 3), (5, 3), (4, 8), (4, 16), (2, 32))
     bc = toy_block_config()
     weights = BlockWeights.random(bc, rng)
     x = rng.normal(0, 1, size=(bc.d_s, bc.d_m))
-    cases = {
-        "matmul": (lambda c: pi_matmul(c, a, (4, 8, 6)),
-                   lambda c: pi_matmul(c, b, (4, 8, 6))),
-        "mmshared": (lambda c: pi_matmul_shared(c, qa, ka, (4, 3), (5, 3)),
-                     lambda c: pi_matmul_shared(c, qb, kb, (4, 3), (5, 3))),
-        "softmax": (lambda c: pi_softmax(c, sa, (4, 8), "max"),
-                    lambda c: pi_softmax(c, sb, (4, 8), "max")),
-        "ln": (lambda c: pi_ln(c, la, (4, 16), None),
-               lambda c: pi_ln(c, lb, (4, 16), ln)),
-        "gelu": (lambda c: pi_gelu(c, ga, (2, 32)), lambda c: pi_gelu(c, gb, (2, 32))),
-        "block": (lambda c: infer_block(c, x, None, bc),
-                  lambda c: infer_block(c, None, weights, bc)),
-    }
-    for name, (fa, fb) in cases.items():
-        got = []
-        for backend_cfg in (toy_cfg, rlwe_toy_cfg):
-            ra, rb, rep, _ = pair_runner(backend_cfg, fa, fb, seed=5, want_reports=True)
-            rep.phases.pop("keyexchange")
-            got.append((reconstruct(ra.share, rb.share).tobytes(), rep.phases))
-        assert got[0] == got[1], name
+    one_block["block"] = (lambda c: infer_block(c, x, None, bc),
+                          lambda c: infer_block(c, None, weights, bc))
+    n64 = [Config(he=toy_he_params(n=64, p=toy_cfg.he.p, limbs=6), he_backend=kind)
+           for kind in ("clear", "rlwe")]
+    lanes = [((toy_cfg, rlwe_toy_cfg), one_block),
+             (n64, cases((8, 5, 12), (8, 6), (10, 6), (8, 16), (8, 24), (4, 40)))]
+    for backend_cfgs, lane in lanes:
+        for name, (fa, fb) in lane.items():
+            got = []
+            for backend_cfg in backend_cfgs:
+                ra, rb, rep, _ = pair_runner(backend_cfg, fa, fb, seed=5,
+                                             want_reports=True)
+                rep.phases.pop("keyexchange")
+                got.append((reconstruct(ra.share, rb.share).tobytes(), rep.phases))
+            assert got[0] == got[1], (backend_cfgs[0].he.n, name)

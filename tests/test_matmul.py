@@ -84,6 +84,21 @@ def test_shape_mismatch(toy_cfg, pair_runner):
                     lambda ctx: pi_matmul(ctx, b, (2, 4, 2)))
 
 
+def test_wrong_size_ciphertext_frame(toy_cfg, pair_runner):
+    """A frame holding more ciphertexts than the product needs is rejected,
+    not truncated into a share."""
+    a = np.ones((2, 2), dtype=np.uint64)
+
+    def fake_b(ctx):
+        with ctx.session.phase("matmul"):
+            ctx.session.recv("inputs")
+            ct = ctx.backend.encrypt(np.zeros(4, dtype=np.uint64), ctx.public_of("A"))
+            ctx.session.send("masked_product", ctx.backend.serialize(ct) * 2)
+
+    with pytest.raises(ShapeMismatch):
+        pair_runner(toy_cfg, lambda ctx: pi_matmul(ctx, a, (2, 2, 2)), fake_b)
+
+
 def test_capacity_guard(toy_cfg, pair_runner):
     big = (600, 1, 600)  # 360000 values > 64 blocks at N=256
     with pytest.raises(CapacityExceeded):

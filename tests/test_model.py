@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
+from privblock.cli import main
 from privblock.model import (BLOCK_STAGES, BlockConfig, BlockWeights,
-                             ShapeError, dump_weights, infer_block,
+                             ParseError, ShapeError, dump_weights, infer_block,
                              load_weights, oracle_attention, oracle_block,
                              oracle_softmax, toy_block_config)
 from privblock.sharing import reconstruct
@@ -43,6 +44,27 @@ def test_weights_bad_header(tmp_path):
     open(bad, "wb").write(bytes(blob))
     with pytest.raises(ShapeError):
         load_weights(bad)
+
+
+def test_weights_truncated_container_is_a_parse_error(tmp_path):
+    """Every cut through the header or the first tensor record, and one cut
+    inside the last tensor, is a ParseError, and the CLI exits 2 on it."""
+    w = BlockWeights.random(toy_block_config(), np.random.default_rng(4))
+    path = os.path.join(tmp_path, "w.bin")
+    dump_weights(w, path)
+    with open(path, "rb") as f:
+        blob = f.read()
+    name = sorted(w.tensors)[0]
+    record = 2 + len(name) + 1 + 4 * w[name].ndim + 8 * w[name].size
+    cut = os.path.join(tmp_path, "cut.bin")
+    for end in [*range(26 + record), len(blob) - 8]:
+        with open(cut, "wb") as f:
+            f.write(blob[:end])
+        with pytest.raises(ParseError):
+            load_weights(cut)
+        if end in (20, 27, 26 + record - 1, len(blob) - 8):
+            argv = ["party", "--protocol", "block", "--local", "--weights", cut]
+            assert main(argv) == 2, end
 
 
 def test_weights_missing_tensor():
