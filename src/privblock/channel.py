@@ -1,12 +1,12 @@
 """Two-party transport with byte/round accounting and simulated network timing.
 
-A ``Session`` is one side of one logical conversation.  Frames are
-``magic(4) | length(4, big-endian) | payload``; every metered frame is logged
-by both endpoints with a step label, so a finished run yields identical
-``CostReport`` objects on both sides regardless of transport (in-process pair
-or TCP).  Simulated time is computed analytically from the transcript:
-``latency + 8 * frame_bytes / bandwidth`` per message along the (sequential)
-critical path, never by sleeping.
+A ``Session`` is one side of one logical conversation.  Both endpoints log
+every metered message with a step label and ``FRAME_OVERHEAD + len(payload)``
+bytes, so a finished run yields identical ``CostReport`` objects on both sides
+on either transport: the in-process pair queues payloads, and only TCP writes
+``magic(4) | length(4, big-endian) | payload``.  Simulated time is computed
+analytically from the transcript: ``latency + 8 * frame_bytes / bandwidth``
+per message along the (sequential) critical path, never by sleeping.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ class _Ledger:
 class Session:
     """One party's endpoint of a two-party conversation.
 
-    Subclasses provide the raw byte transport; this class provides framing,
-    labeling, accounting, and virtual gadget charges.  One driver thread per
-    session; distinct sessions are independent.
+    Subclasses move payloads; this class provides labeling, accounting, and
+    virtual gadget charges.  One driver thread per session; distinct
+    sessions are independent.
     """
 
     def __init__(self, role: str, profile: NetworkProfile):
@@ -166,8 +166,8 @@ class Session:
         self.ledger = _Ledger(profile)
         self._label_stack = []
 
-    # -- raw transport, provided by subclass ------------------------------
-    def _send_bytes(self, data: bytes):
+    # -- payload transport, provided by subclass ----------------------------
+    def _send_bytes(self, payload: bytes):
         raise NotImplementedError
 
     def _recv_bytes(self) -> bytes:
@@ -176,10 +176,7 @@ class Session:
     def close(self):
         pass
 
-    # -- framing and accounting -------------------------------------------
-    def _frame(self, payload: bytes) -> bytes:
-        return MAGIC + struct.pack(">I", len(payload)) + payload
-
+    # -- labeling and accounting -------------------------------------------
     def _qualify(self, label: str) -> str:
         if self._label_stack:
             return self._label_stack[-1] + "/" + label
@@ -201,21 +198,17 @@ class Session:
             self.pop_phase()
 
     def send(self, label: str, payload: bytes, metered: bool = True):
-        data = self._frame(payload)
-        self._send_bytes(data)
+        self._send_bytes(payload)
         if metered:
-            self.ledger.log_frame(self.role, self._qualify(label), len(data))
+            self.ledger.log_frame(self.role, self._qualify(label),
+                                  FRAME_OVERHEAD + len(payload))
 
     def recv(self, label: str, metered: bool = True) -> bytes:
-        data = self._recv_bytes()
-        if len(data) < FRAME_OVERHEAD or data[:4] != MAGIC:
-            raise IoError("malformed frame")
-        (length,) = struct.unpack(">I", data[4:8])
-        payload = data[8:]
-        if len(payload) != length:
-            raise IoError("frame length mismatch")
+        """The payload, as bytes or a bytearray depending on the transport."""
+        payload = self._recv_bytes()
         if metered:
-            self.ledger.log_frame(self.peer_role, self._qualify(label), len(data))
+            self.ledger.log_frame(self.peer_role, self._qualify(label),
+                                  FRAME_OVERHEAD + len(payload))
         return payload
 
     def charge(self, label: str, bytes_ab: int, bytes_ba: int, rounds: int,
@@ -245,21 +238,21 @@ class Session:
 
 
 class PairSession(Session):
-    """In-process session backed by a pair of queues."""
+    """In-process session backed by a pair of queues of payloads."""
 
     def __init__(self, role, profile, inbox: Queue, outbox: Queue):
         super().__init__(role, profile)
         self._inbox = inbox
         self._outbox = outbox
 
-    def _send_bytes(self, data: bytes):
-        self._outbox.put(data)
+    def _send_bytes(self, payload: bytes):
+        self._outbox.put(payload)
 
     def _recv_bytes(self) -> bytes:
-        data = self._inbox.get()
-        if data is None:
+        payload = self._inbox.get()
+        if payload is None:
             raise PeerClosed("peer closed the pair")
-        return data
+        return payload
 
     def close(self):
         self._outbox.put(None)
@@ -272,33 +265,41 @@ def make_pair(profile: NetworkProfile) -> tuple[PairSession, PairSession]:
 
 
 class TcpSession(Session):
-    """TCP-backed session; one frame per labeled message."""
+    """TCP-backed session; it alone writes and checks each frame's header."""
 
     def __init__(self, role, profile, sock: socket.socket):
         super().__init__(role, profile)
         self._sock = sock
 
-    def _send_bytes(self, data: bytes):
+    def _send_bytes(self, payload: bytes):
+        head = MAGIC + struct.pack(">I", len(payload))
+        body = memoryview(payload)
         try:
-            self._sock.sendall(data)
+            # one write for header and payload, without copying the payload
+            sent = self._sock.sendmsg([head, body])
+            if sent < len(head):
+                self._sock.sendall(head[sent:])
+            if sent < len(head) + len(body):
+                self._sock.sendall(body[max(sent - len(head), 0):])
         except OSError as e:
             raise IoError(str(e)) from e
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int) -> bytearray:
+        # grows with what arrives: a declared length is never allocated up front
         buf = bytearray()
         while len(buf) < n:
             chunk = self._sock.recv(min(1 << 20, n - len(buf)))
             if not chunk:
                 raise PeerClosed("connection closed mid-frame")
-            buf.extend(chunk)
-        return bytes(buf)
+            buf += chunk
+        return buf
 
-    def _recv_bytes(self) -> bytes:
+    def _recv_bytes(self) -> bytearray:
         head = self._recv_exact(FRAME_OVERHEAD)
         if head[:4] != MAGIC:
             raise IoError("bad frame magic")
-        (length,) = struct.unpack(">I", head[4:8])
-        return head + self._recv_exact(length)
+        (length,) = struct.unpack(">I", head[4:])
+        return self._recv_exact(length)
 
     def close(self):
         try:
@@ -311,14 +312,14 @@ class TcpSession(Session):
 def connect(role: str, endpoint: tuple, profile: NetworkProfile,
             params_blob: bytes, timeout: float = 30.0) -> TcpSession:
     """Open a TCP session: role B listens, role A connects.  The handshake
-    exchanges ``params_blob``; a mismatch aborts the session."""
+    exchanges ``params_blob``; a mismatch aborts the session.  Nagle is off,
+    so the tail of a frame never waits for the ACK of the data before it."""
     host, port = endpoint
     if role == B:
         srv = socket.create_server((host, port))
         srv.settimeout(timeout)
-        conn, _ = srv.accept()
+        sock, _ = srv.accept()
         srv.close()
-        sess = TcpSession(B, profile, conn)
     else:
         deadline = time.monotonic() + timeout
         last = None
@@ -331,7 +332,8 @@ def connect(role: str, endpoint: tuple, profile: NetworkProfile,
                 if time.monotonic() > deadline:
                     raise IoError(f"connect failed: {last}") from e
                 time.sleep(0.05)
-        sess = TcpSession(A, profile, sock)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sess = TcpSession(role, profile, sock)
     sess.handshake(params_blob)
     return sess
 

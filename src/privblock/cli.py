@@ -20,6 +20,7 @@ from . import fixedpoint as fp
 from .channel import (PROFILES, HandshakeMismatch, IoError, NetworkProfile,
                       connect, run_pair)
 from .hecore import NoiseExhausted
+from .modarith import matmod
 from .model import (BlockWeights, dump_weights, infer_block, load_weights,
                     oracle_block, toy_block_config)
 from .params import Config, ParamError
@@ -131,15 +132,12 @@ def _verify(protocol, shape, inputs, out_a, out_b, cfg, block=None):
     fpc = cfg.fixedpoint
     rec = reconstruct(out_a.share, out_b.share)
     val = fp.decode_int(rec, fpc, "field", out_a.scale).reshape(out_a.shape)
-    if protocol == "matmul":
-        a, b = inputs["A"].astype(object), inputs["B"].astype(object)
-        exact = np.array_equal(rec.reshape(out_a.shape).astype(object),
-                               (a @ b) % fpc.p)
-        return 0.0 if exact else float("inf")
-    if protocol == "mmshared":
-        q, k = inputs["plain"]
-        ref = (q.astype(object) @ k.astype(object).T) % fpc.p
-        exact = np.array_equal(rec.reshape(out_a.shape).astype(object), ref)
+    if protocol in ("matmul", "mmshared"):
+        if protocol == "matmul":
+            a, b = inputs["A"], inputs["B"]
+        else:
+            a, b = inputs["plain"][0], inputs["plain"][1].T
+        exact = np.array_equal(rec.reshape(out_a.shape), matmod(a, b, fpc.p))
         return 0.0 if exact else float("inf")
     if protocol == "softmax":
         x = inputs["plain"]

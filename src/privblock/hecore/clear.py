@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, ct_bytes, noise_budget_bits, pack_header,
-               parse_header)
+               NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
+               pack_header, parse_header)
 from ..modarith import centered_max, mulmod
 from ..params import HeParams
 from . import noise
@@ -63,10 +63,8 @@ class ClearBackend:
 
     # -- core ops -------------------------------------------------------------
     def encrypt(self, slots, public: ClearPublicKey) -> ClearCiphertext:
-        v = np.zeros(self.params.n, dtype=np.uint64)
-        src = np.asarray(slots, dtype=np.uint64).ravel()
-        v[:src.size] = src
-        return ClearCiphertext(v, public.owner, noise.fresh_bits(self.params))
+        return ClearCiphertext(SimdPlaintext.pack(slots, self.params).slots,
+                               public.owner, noise.fresh_bits(self.params))
 
     def decrypt(self, ct: ClearCiphertext, keypair: ClearKeyPair) -> np.ndarray:
         if ct.owner != keypair.owner:
@@ -87,18 +85,18 @@ class ClearBackend:
 
     def add_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         p = np.uint64(self.params.p)
-        v = self._pad(slots)
+        v = SimdPlaintext.pack(slots, self.params).slots
         return ClearCiphertext((x.slots + v) % p, x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def sub_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         p = np.uint64(self.params.p)
-        v = self._pad(slots)
+        v = SimdPlaintext.pack(slots, self.params).slots
         return ClearCiphertext((x.slots + p - v) % p, x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
-        v = self._pad(slots)
+        v = SimdPlaintext.pack(slots, self.params).slots
         out = mulmod(x.slots, v, self.params.p)
         maxc = centered_max(v, self.params.p)
         return ClearCiphertext(out, x.owner,
@@ -139,12 +137,6 @@ class ClearBackend:
         return ClearCiphertext(slots, owner, noise_bits, ncomp)
 
     # -- helpers ---------------------------------------------------------------
-    def _pad(self, slots) -> np.ndarray:
-        v = np.zeros(self.params.n, dtype=np.uint64)
-        src = np.asarray(slots, dtype=np.uint64).ravel()
-        v[:src.size] = src
-        return v
-
     def _same_owner(self, x, y):
         if x.owner != y.owner:
             raise KeyMismatch("ciphertexts under different keys")

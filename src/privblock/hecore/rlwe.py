@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, ct_bytes, noise_budget_bits, pack_header,
-               parse_header)
+               NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
+               pack_header, parse_header)
 from ..modarith import centered_max, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
@@ -160,10 +160,7 @@ class RlweBackend:
 
     # -- plaintext codec ---------------------------------------------------------
     def _slots_to_coeffs(self, slots) -> np.ndarray:
-        v = np.zeros(self.n, dtype=np.uint64)
-        src = np.asarray(slots, dtype=np.uint64).ravel()
-        v[:src.size] = src
-        return self.plan_p.inverse(v)
+        return self.plan_p.inverse(SimdPlaintext.pack(slots, self.params).slots)
 
     def _coeffs_to_slots(self, coeffs: np.ndarray) -> np.ndarray:
         return self.plan_p.forward(coeffs)
@@ -293,5 +290,4 @@ class RlweBackend:
         if len(data) != ct_bytes(self.params, ncomp):
             raise MalformedBytes("truncated or padded ciphertext stream")
         arr = np.frombuffer(data, dtype="<u4", offset=HEADER_BYTES).astype(np.uint64)
-        return RlweCiphertext(arr.reshape(ncomp, self.L, self.n).copy(), owner,
-                              noise_bits)
+        return RlweCiphertext(arr.reshape(ncomp, self.L, self.n), owner, noise_bits)

@@ -181,7 +181,7 @@ class PartyCtx:
         """Receive one frame holding encrypted vectors of ``sizes`` values."""
         counts = [self.n_blocks(size) for size in sizes]
         width = ct_bytes(self.he_params, 2)
-        payload = self.session.recv(label)
+        payload = memoryview(self.session.recv(label))
         if len(payload) != sum(counts) * width:
             raise ShapeMismatch(f"{label}: frame of {len(payload)} bytes, expected "
                                 f"{sum(counts)} ciphertexts of {width} bytes")

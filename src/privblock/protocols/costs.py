@@ -9,9 +9,11 @@ CLI prints both.
 
 from __future__ import annotations
 
+from ..approx import GELU_TABLE, PiecewisePoly
 from ..channel import FRAME_OVERHEAD
 from ..hecore import ct_bytes
 from ..params import Config
+from .gelu import _power_keys, _segment_plan
 
 
 def _blocks(n_values: int, n_slots: int) -> int:
@@ -73,23 +75,25 @@ def ln_bytes(cfg: Config, m: int, n: int) -> dict:
     }
 
 
-def gelu_bytes(cfg: Config, m: int, w: int, with_wrapper: bool = True,
-               n_segments: int = 3, n_cubes: int = 2, n_quartics: int = 2) -> dict:
+def gelu_bytes(cfg: Config, m: int, w: int,
+               table: PiecewisePoly = GELU_TABLE) -> dict:
     ct = ct_bytes(cfg.he)
     blocks = _blocks(m * w, cfg.he.n)
     n_vals = m * w
-    out = {}
-    if with_wrapper:
-        out["encrypt_input"] = FRAME_OVERHEAD + blocks * ct
-    out["gadget:convert"] = _gadget(cfg, "convert", n_vals)
-    out["gadget:lt"] = 4 * _gadget(cfg, "lt", n_vals)
-    out["gadget:b2a"] = 5 * _gadget(cfg, "b2a", n_vals)
-    out["input_and_squares"] = FRAME_OVERHEAD + (1 + n_segments) * blocks * ct
-    out["selector_and_square_shares"] = FRAME_OVERHEAD + (5 + n_segments) * blocks * ct
-    out["masked_powers"] = FRAME_OVERHEAD + (n_cubes + n_quartics) * blocks * ct
-    out["power_shares"] = FRAME_OVERHEAD + (n_cubes + n_quartics) * blocks * ct
-    out["result"] = FRAME_OVERHEAD + blocks * ct
-    return out
+    plan = _segment_plan(table, cfg.fixedpoint.s)
+    n_bounds, n_powers = len(table.boundaries), len(_power_keys(plan))
+    return {
+        "encrypt_input": FRAME_OVERHEAD + blocks * ct,
+        "gadget:convert": _gadget(cfg, "convert", n_vals),
+        "gadget:lt": n_bounds * _gadget(cfg, "lt", n_vals),
+        "gadget:b2a": (n_bounds + 1) * _gadget(cfg, "b2a", n_vals),
+        "input_and_squares": FRAME_OVERHEAD + (1 + len(plan)) * blocks * ct,
+        "selector_and_square_shares":
+            FRAME_OVERHEAD + (n_bounds + 1 + len(plan)) * blocks * ct,
+        "masked_powers": FRAME_OVERHEAD + n_powers * blocks * ct,
+        "power_shares": FRAME_OVERHEAD + n_powers * blocks * ct,
+        "result": FRAME_OVERHEAD + blocks * ct,
+    }
 
 
 def total(breakdown: dict) -> int:

@@ -2,22 +2,22 @@
 
 The evaluating party raises the input to the needed powers homomorphically
 (per-segment centered variables keep coefficient precision inside the field),
-segment membership bits come from four comparison gadgets with XOR
-composition and exactly one bit set per element, and the result is the
-selector-weighted sum of the segment polynomials plus the two closed-form
-tails.  Power rescaling rides on two extra masked exchanges; out-of-segment
-slots decode arbitrarily there and are nulled by their zero selectors.
+segment membership bits come from one comparison gadget per table boundary
+with XOR composition and exactly one bit set per element, and the result is
+the selector-weighted sum of the segment polynomials plus the two closed-form
+tails (a constant left tail; a constant or linear right tail).  Power
+rescaling rides on two extra masked exchanges; out-of-segment slots decode
+arbitrarily there and are nulled by their zero selectors.
 
 Output shares are field-domain at scale GELU_OUT_SCALE = s + COEFF_BITS.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..approx import GELU_TABLE, PiecewisePoly, shifted_segment_coeffs
+from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
+                      shifted_segment_coeffs)
 from ..modarith import lift_shift, mulmod
 from ..sharing import FIELD, Share, not_share, xor_shares
 from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
@@ -34,6 +34,8 @@ def _segment_plan(table: PiecewisePoly, s: int):
     """Per-segment centered coefficients and required power set."""
     if table.max_degree > 4:
         raise ShapeMismatch("interactive evaluation supports degree <= 4 tables")
+    if table.symmetry != "none" or table.left is None:
+        raise ShapeMismatch("interactive evaluation needs a left tail and no symmetry")
     plan = []
     for i, coeffs in enumerate(table.segments):
         lo, hi = table.boundaries[i], table.boundaries[i + 1]
@@ -90,15 +92,10 @@ def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TA
 
 
 def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
-    """One-hot segment selectors from four strict comparisons."""
-    cq = [int(math.floor(b * (1 << s))) for b in table.boundaries]
-    lt = [ctx.provider.lt(x_ring, c) for c in cq]
-    bits = [lt[0],
-            xor_shares(lt[0], lt[1]),
-            xor_shares(lt[1], lt[2]),
-            xor_shares(lt[2], lt[3]),
-            not_share(lt[3])]
-    return bits
+    """One-hot selectors (left tail, each segment, right tail) from one
+    strict comparison per boundary."""
+    lt = [ctx.provider.lt(x_ring, c) for c in quantized_boundaries(table, s)]
+    return [lt[0], *map(xor_shares, lt[:-1], lt[1:]), not_share(lt[-1])]
 
 
 def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
@@ -159,8 +156,12 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
         term = ct_b[i + 1].mul_ct(fi)
         acc = term if acc is None else acc.add_ct(term)
     acc = acc.add_ct(ct_b[0].mul_pt(_fixed(table.left[1], sy, p)))
-    ct_lin = ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(table.right[1], sy, p))
-    acc = acc.add_ct(ct_b[4].mul_ct(ct_lin))
+    kind, value = table.right
+    if kind == "const":
+        acc = acc.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
+    else:
+        ct_lin = ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))
+        acc = acc.add_ct(ct_b[-1].mul_ct(ct_lin))
     mask = ctx.rand_field(n_vals)
     ctx.send_cts("result", acc.sub_pt(mask))
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy, label)

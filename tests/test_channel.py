@@ -1,12 +1,14 @@
 import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privblock.channel import (FRAME_OVERHEAD, PROFILES, HandshakeMismatch,
-                               NetworkProfile, TcpSession, connect, make_pair,
+from privblock.channel import (FRAME_OVERHEAD, MAGIC, PROFILES,
+                               HandshakeMismatch, IoError, NetworkProfile,
+                               PeerClosed, TcpSession, connect, make_pair,
                                run_pair)
 
 
@@ -124,6 +126,62 @@ def test_tcp_loopback_echo():
     sess.close()
     assert back == payload
     assert sess.report().to_dict() == out["b"].to_dict()
+
+
+def _tcp_end():
+    """A TcpSession around one end of a socket pair, and the raw other end."""
+    ours, theirs = socket.socketpair()
+    return TcpSession("B", PROFILES["lan"], ours), theirs
+
+
+def test_tcp_bad_magic_raises_ioerror():
+    sess, raw = _tcp_end()
+    raw.sendall(b"XXXX" + struct.pack(">I", 3) + b"abc")
+    with pytest.raises(IoError, match="magic"):
+        sess.recv("x")
+    sess.close()
+    raw.close()
+
+
+def test_tcp_truncated_payload_raises_peer_closed():
+    sess, raw = _tcp_end()
+    raw.sendall(MAGIC + struct.pack(">I", 100) + b"a" * 50)
+    raw.close()
+    with pytest.raises(PeerClosed):
+        sess.recv("x")
+    sess.close()
+
+
+def test_tcp_and_pair_meter_the_same_frame():
+    payload = b"p" * 1000
+    ours, theirs = socket.socketpair()
+    tcp = (TcpSession("A", PROFILES["lan"], ours),
+           TcpSession("B", PROFILES["lan"], theirs))
+    for sa, sb in (tcp, make_pair(PROFILES["lan"])):
+        sa.send("x", payload)
+        assert sb.recv("x") == payload
+        for sess in (sa, sb):
+            assert sess.report().bytes_sent == {"A": FRAME_OVERHEAD + len(payload),
+                                                "B": 0}
+        sa.close()
+        sb.close()
+
+
+def test_tcp_frame_larger_than_socket_buffer():
+    """A partial first write continues until header and payload are out."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(10)
+    sa = TcpSession("A", PROFILES["lan"], ours)
+    sb = TcpSession("B", PROFILES["lan"], theirs)
+    payload = bytes(np.random.default_rng(1).integers(0, 256, 8 << 20, dtype=np.uint8))
+    got = {}
+    reader = threading.Thread(target=lambda: got.update(data=sb.recv("x")))
+    reader.start()
+    sa.send("x", payload)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got["data"] == payload
+    sa.close()
+    sb.close()
 
 
 def test_handshake_mismatch_tcp():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,14 @@ from privblock.sharing import RING, Share, reconstruct, share
 S = 12
 
 
-def _run(cfg, pair_runner, x, seed=0, want=None):
+def _run(cfg, pair_runner, x, seed=0, want=None, table=approx.GELU_TABLE):
     m, w = x.shape
     xe = fp.encode_int(x, cfg.fixedpoint, "field", S)
     rng = np.random.default_rng(seed)
     xa, xb = share(xe.ravel(), "field", cfg.fixedpoint, rng)
     out = pair_runner(cfg,
-                      lambda ctx: pi_gelu(ctx, xa, (m, w)),
-                      lambda ctx: pi_gelu(ctx, xb, (m, w)),
+                      lambda ctx: pi_gelu(ctx, xa, (m, w), table=table),
+                      lambda ctx: pi_gelu(ctx, xb, (m, w), table=table),
                       seed=seed, want_reports=(want == "reports"),
                       want_transcript=(want == "transcript"))
     if want:
@@ -29,9 +31,22 @@ def _run(cfg, pair_runner, x, seed=0, want=None):
     return y, rep, extra
 
 
-def _oracle(x):
+def _oracle(x, table=approx.GELU_TABLE):
     xq = np.round(x * 2 ** S).astype(np.int64)
-    return approx.eval_on_grid(approx.GELU_TABLE, xq.ravel(), S).reshape(x.shape)
+    return approx.eval_on_grid(table, xq.ravel(), S).reshape(x.shape)
+
+
+def _phase_bytes(rep):
+    return {k.split("/", 1)[1]: v["bytes_a"] + v["bytes_b"]
+            for k, v in rep.phases.items() if k.startswith("gelu/")}
+
+
+# GELU with a constant right tail, and a total tanh table: both tails const
+CONST_TAIL_GELU = replace(approx.GELU_TABLE, right=("const", 1.0))
+TOTAL_TANH = approx.fit_segments(
+    approx.FitSpec(approx.tanh_exact, degree=4),
+    [-4.60, -approx.TANH_X1, 0.0, approx.TANH_X1, 4.60],
+    ("const", -1.0), ("const", 1.0), name="tanh_total")
 
 
 def test_published_spot_values(toy_cfg, pair_runner):
@@ -117,9 +132,28 @@ def test_cost_formula_exact(toy_cfg, pair_runner):
     rng = np.random.default_rng(6)
     x = rng.uniform(-8, 8, size=(4, 32))
     _, rep, _ = _run(toy_cfg, pair_runner, x, seed=6, want="reports")
-    got = {k.split("/", 1)[1]: v["bytes_a"] + v["bytes_b"]
-           for k, v in rep.phases.items() if k.startswith("gelu/")}
-    assert got == costs.gelu_bytes(toy_cfg, 4, 32)
+    assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 4, 32)
+
+
+@pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH],
+                         ids=["const_tail_gelu", "total_tanh"])
+def test_other_tables_vs_oracle_and_bytes(toy_cfg, pair_runner, table):
+    """Selectors, tails and bytes follow the table: a constant right tail is
+    that constant, and the count of comparisons and powers is the table's."""
+    rng = np.random.default_rng(10)
+    x = np.concatenate([[6.0, 7.5, -7.5, 4.6, -4.6, 0.0],
+                        rng.uniform(-8, 8, size=58)]).reshape(2, 32)
+    y, rep, _ = _run(toy_cfg, pair_runner, x, seed=10, want="reports", table=table)
+    assert (np.abs(y - _oracle(x, table)).max() * 2 ** S) <= 2.0
+    assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 2, 32, table)
+
+
+def test_total_tanh_on_rlwe(rlwe_toy_cfg, pair_runner):
+    x = np.random.default_rng(11).uniform(-6, 6, size=(2, 16))
+    y, rep, _ = _run(rlwe_toy_cfg, pair_runner, x, seed=11, want="reports",
+                     table=TOTAL_TANH)
+    assert (np.abs(y - _oracle(x, TOTAL_TANH)).max() * 2 ** S) <= 2.0
+    assert _phase_bytes(rep) == costs.gelu_bytes(rlwe_toy_cfg, 2, 16, TOTAL_TANH)
 
 
 def test_transcript_shape(toy_cfg, pair_runner):
@@ -155,6 +189,16 @@ def test_rejects_high_degree_table(toy_cfg, pair_runner):
         pair_runner(toy_cfg,
                     lambda ctx: pi_gelu(ctx, xa, (2, 8), table=approx.MISH_TABLE),
                     lambda ctx: pi_gelu(ctx, xb, (2, 8), table=approx.MISH_TABLE))
+
+
+def test_rejects_symmetric_table(toy_cfg, pair_runner):
+    rng = np.random.default_rng(8)
+    xe = np.zeros(16, dtype=np.uint64)
+    xa, xb = share(xe, "field", toy_cfg.fixedpoint, rng)
+    with pytest.raises(ShapeMismatch):
+        pair_runner(toy_cfg,
+                    lambda ctx: pi_gelu(ctx, xa, (2, 8), table=approx.TANH_TABLE),
+                    lambda ctx: pi_gelu(ctx, xb, (2, 8), table=approx.TANH_TABLE))
 
 
 def test_determinism(toy_cfg, pair_runner):

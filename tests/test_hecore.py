@@ -56,6 +56,21 @@ def test_simd_plaintext_pack():
         SimdPlaintext.pack([TOY.p], TOY)
 
 
+@pytest.mark.parametrize("op", ["encrypt", "add_pt", "sub_pt", "mul_pt"])
+def test_every_plaintext_is_packed_and_checked(op):
+    """Both backends reject a slot >= p and more than N values in every
+    plaintext they take, instead of reducing or padding it their own way."""
+    for be in backends():
+        pub = be.keygen("A").public
+        ct = be.encrypt(np.arange(64, dtype=np.uint64), pub)
+        apply = ((lambda v: be.encrypt(v, pub)) if op == "encrypt"
+                 else (lambda v: getattr(be, op)(ct, v)))
+        for bad in (np.full(4, TOY.p + 5, dtype=np.uint64),
+                    np.ones(TOY.n + 1, dtype=np.uint64)):
+            with pytest.raises(ParamError):
+                apply(bad)
+
+
 OPS = ("add_pt", "sub_pt", "mul_pt", "add_ct", "mul_ct", "square", "neg_ct")
 
 

@@ -128,11 +128,11 @@ def test_42_bit_prime_is_rejected(make):
 
 
 def test_object_dtype_only_in_big_integer_paths():
-    """Share and ciphertext arithmetic stays in machine words; Python-int
-    arrays remain only in the one CRT reconstruction and the CLI's reference
-    check."""
+    """Share and ciphertext arithmetic and the CLI's reference check stay in
+    machine words; Python-int arrays remain only in the one CRT
+    reconstruction."""
     root = pathlib.Path(ma.__file__).parent
-    allowed = {"hecore/ntt.py", "cli.py"}
+    allowed = {"hecore/ntt.py"}
     pattern = re.compile(r"astype\(object\)|dtype=object")
     found = [f"{path.relative_to(root).as_posix()}:{i}"
              for path in sorted(root.rglob("*.py"))
