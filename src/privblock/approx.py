@@ -4,7 +4,9 @@ Segment endpoints sit where the target's second (or third) derivative
 vanishes, located by bisection; outer cutoffs sit where the curvature terms
 drop below a flatness threshold.  Shipped tables for gelu / sigmoid / tanh /
 mish carry fixed published coefficients and are covered by spot-value tests;
-the generic fitter re-derives tables by per-segment least squares.
+the generic fitter re-derives tables by per-segment least squares.  Every
+table is total: the odd tanh and the complement-symmetric sigmoid are
+unfolded from their published x >= 0 halves by ``mirrored``.
 """
 
 from __future__ import annotations
@@ -28,17 +30,22 @@ class IllConditioned(ValueError):
     pass
 
 
+def _piece(bounds, x):
+    """Piece index of x, half-open to the right: i on [bounds[i-1], bounds[i])."""
+    return np.searchsorted(bounds, x, side="right")
+
+
 @dataclass
 class PiecewisePoly:
-    """Total piecewise polynomial: interior segments on [b_i, b_{i+1}) plus
-    closed-form extremal pieces; optional symmetry extension for x < 0."""
+    """Total piecewise polynomial: a constant left tail, interior segments on
+    [b_i, b_{i+1}) and a constant or linear right tail.  Piece 0 is the left
+    tail, piece i the segment i-1, piece len(boundaries) the right tail."""
 
     name: str
     boundaries: list          # strictly increasing; segment i covers [b_i, b_{i+1})
     segments: list            # coefficient vectors, ascending degree
-    left: tuple | None        # ("const", v) for x < boundaries[0]
+    left: tuple               # ("const", v) for x < boundaries[0]
     right: tuple              # ("const", v) or ("linear", eps): x + eps
-    symmetry: str = "none"    # "none" | "odd" | "complement"
 
     def __post_init__(self):
         b = self.boundaries
@@ -46,67 +53,51 @@ class PiecewisePoly:
             raise ValueError("boundaries must be strictly increasing")
         if len(self.segments) != len(b) - 1:
             raise ValueError("need one segment per interior interval")
+        for side, kinds in (("left", ("const",)), ("right", ("const", "linear"))):
+            tail = getattr(self, side)
+            if not (isinstance(tail, (tuple, list)) and len(tail) == 2
+                    and tail[0] in kinds):
+                raise ValueError(f"{side} tail must be (kind, value) with kind in "
+                                 f"{kinds}, got {tail!r}")
+            setattr(self, side, tuple(tail))
 
     @property
     def max_degree(self) -> int:
         return max(len(c) - 1 for c in self.segments)
 
-    def _eval_pos(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        done = np.zeros(x.shape, dtype=bool)
-        if self.left is not None:
-            m = x < self.boundaries[0]
-            out[m] = self.left[1]
-            done |= m
-        for i, coeffs in enumerate(self.segments):
-            m = (~done) & (x >= self.boundaries[i]) & (x < self.boundaries[i + 1])
+    def _eval(self, x: np.ndarray, key: np.ndarray, bounds) -> np.ndarray:
+        """Each x evaluated on the piece its ``key`` falls in among ``bounds``."""
+        x, piece = np.atleast_1d(x), _piece(bounds, np.atleast_1d(key))
+        out = np.full(x.shape, self.left[1], dtype=np.float64)
+        for i, coeffs in enumerate(self.segments, 1):
+            m = piece == i
             out[m] = _horner(coeffs, x[m])
-            done |= m
-        m = ~done
-        if self.right[0] == "const":
-            out[m] = self.right[1]
-        else:
-            out[m] = x[m] + self.right[1]
+        m = piece == len(self.boundaries)
+        kind, value = self.right
+        out[m] = value if kind == "const" else x[m] + value
         return out
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).copy()
-        if self.symmetry == "none":
-            out = self._eval_pos(arr)
-        else:
-            out = np.empty_like(arr)
-            pos = arr >= 0
-            out[pos] = self._eval_pos(arr[pos])
-            mirrored = self._eval_pos(-arr[~pos])
-            out[~pos] = (1.0 - mirrored if self.symmetry == "complement"
-                         else -mirrored)
-        return float(out[0]) if scalar else out
+        out = self._eval(arr, arr, self.boundaries)
+        return out if arr.ndim else float(out[0])
 
     def continuity_jumps(self) -> dict:
-        """|left limit - right value| at every interior boundary (and the
-        symmetry seam at 0 when applicable)."""
+        """|left limit - right value| at every boundary."""
         eps = 1e-9
-        jumps = {}
-        points = list(self.boundaries)
-        if self.symmetry != "none":
-            points = [0.0] + points[1:]
-        for b in points:
-            jumps[b] = abs(self(b - eps) - self(b + eps))
-        return jumps
+        return {b: abs(self(b - eps) - self(b + eps)) for b in self.boundaries}
 
     def to_dict(self) -> dict:
         return {"name": self.name, "boundaries": list(map(float, self.boundaries)),
                 "segments": [list(map(float, c)) for c in self.segments],
-                "left": list(self.left) if self.left else None,
-                "right": list(self.right), "symmetry": self.symmetry}
+                "left": list(self.left), "right": list(self.right)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewisePoly":
-        return cls(d["name"], d["boundaries"], d["segments"],
-                   tuple(d["left"]) if d["left"] else None,
-                   tuple(d["right"]), d.get("symmetry", "none"))
+        keys = ("name", "boundaries", "segments", "left", "right")
+        if missing := [k for k in keys if k not in d]:
+            raise ValueError(f"table lacks key(s) {', '.join(missing)}")
+        return cls(*(d[k] for k in keys))
 
 
 def _horner(coeffs, x):
@@ -158,32 +149,45 @@ GELU_TABLE = PiecewisePoly(
     ("linear", GELU_EPS),
 )
 
+
+def mirrored(name: str, boundaries, segments, right, odd: bool) -> PiecewisePoly:
+    """Total table of an odd (f(-x) = -f(x)) or complement (f(-x) = 1 - f(x))
+    function from its x >= 0 half, which starts at 0 and ends in a constant
+    tail.  Each segment's x < 0 piece is its mirrored polynomial."""
+    kind, value = right
+    if boundaries[0] != 0.0 or kind != "const":
+        raise ValueError("a mirrored half table starts at 0 and ends in a constant")
+    flip = [[1.0 - c if j == 0 and not odd else (-1) ** (j + 1) * c
+             for j, c in enumerate(coeffs)] for coeffs in segments]
+    return PiecewisePoly(name, [-b for b in boundaries[:0:-1]] + list(boundaries),
+                         flip[::-1] + list(segments),
+                         ("const", -value if odd else 1.0 - value), right)
+
+
 SIGMOID_X1 = math.log(2.0 + math.sqrt(3.0))
 
-SIGMOID_TABLE = PiecewisePoly(
+SIGMOID_TABLE = mirrored(
     "sigmoid",
     [0.0, SIGMOID_X1, 6.48],
     [
         [0.4998102695, 0.2527736008, -0.0086980795, -0.0127621849],
         [0.4489827105, 0.3642809155, -0.0948498277, 0.0113621587, -0.0005220290],
     ],
-    None,
     ("const", 1.0),
-    symmetry="complement",
+    odd=False,
 )
 
 TANH_X1 = math.log((math.sqrt(3.0) + 2.0) / math.sqrt(2.0))
 
-TANH_TABLE = PiecewisePoly(
+TANH_TABLE = mirrored(
     "tanh",
     [0.0, TANH_X1, 4.60],
     [
         [-0.0018890324, 1.0384417257, -0.1695016932, -0.1084776546],
         [0.0800126966, 1.0756763251, -0.4766182792, 0.0938427835, -0.0068823466],
     ],
-    None,
     ("const", 1.0),
-    symmetry="odd",
+    odd=True,
 )
 
 MISH_TABLE = PiecewisePoly(
@@ -346,8 +350,8 @@ def outer_cutoff(spec: FitSpec, start: float, direction: int = 1,
     raise NoRootFound("curvature never fell below the flatness threshold")
 
 
-def fit_segments(spec: FitSpec, boundaries, left=None, right=("const", 0.0),
-                 symmetry: str = "none", name: str = "fit") -> PiecewisePoly:
+def fit_segments(spec: FitSpec, boundaries, left, right=("const", 0.0),
+                 name: str = "fit") -> PiecewisePoly:
     """Per-segment unweighted least squares over dense uniform samples."""
     segs = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
@@ -358,7 +362,7 @@ def fit_segments(spec: FitSpec, boundaries, left=None, right=("const", 0.0),
         if rank < spec.degree + 1:
             raise IllConditioned("normal equations are rank deficient")
         segs.append(list(coeffs))
-    return PiecewisePoly(name, list(boundaries), segs, left, right, symmetry)
+    return PiecewisePoly(name, list(boundaries), segs, left, right)
 
 
 def mae(pp, target, lo: float, hi: float, n_points: int = 10000) -> float:
@@ -394,26 +398,9 @@ def eval_on_grid(pp: PiecewisePoly, x_enc, s: int):
     protocol only ever sees the quantized input, so boundary membership is
     decided by the encoded comparisons, half-open to the right.
     """
-    xs = np.atleast_1d(np.asarray(x_enc, dtype=np.int64))
-    bq = quantized_boundaries(pp, s)
-    out = np.empty(xs.shape, dtype=np.float64)
-    for i, xe in enumerate(xs):
-        xe = int(xe)
-        if pp.symmetry != "none" and xe < 0:
-            inner = float(eval_on_grid(pp, -xe, s))
-            out[i] = (1.0 - inner) if pp.symmetry == "complement" else -inner
-            continue
-        xr = xe / (1 << s)
-        if pp.left is not None and xe < bq[0]:
-            out[i] = pp.left[1]
-        elif xe >= bq[-1]:
-            out[i] = pp.right[1] if pp.right[0] == "const" else xr + pp.right[1]
-        else:
-            for j in range(len(pp.segments)):
-                if bq[j] <= xe < bq[j + 1]:
-                    out[i] = float(_horner(pp.segments[j], np.float64(xr)))
-                    break
-    return out if np.ndim(x_enc) else float(out[0])
+    xs = np.asarray(x_enc, dtype=np.int64)
+    out = pp._eval(xs / (1 << s), xs, quantized_boundaries(pp, s))
+    return out if xs.ndim else float(out[0])
 
 
 def _coeff_scale(s: int, coeffs, t_max: float) -> int:
@@ -428,28 +415,22 @@ def eval_fixed(pp: PiecewisePoly, x_enc: int, s: int) -> int:
     segment selection against the scale-s boundary grid and a per-segment
     centered variable with fixed coefficient precision.  Pure integer math.
     """
-    if pp.symmetry != "none" and x_enc < 0:
-        inner = eval_fixed(pp, -x_enc, s)
-        return ((1 << s) - inner) if pp.symmetry == "complement" else -inner
     bq = quantized_boundaries(pp, s)
-    if pp.left is not None and x_enc < bq[0]:
+    i = int(_piece(bq, x_enc))
+    if i == 0:
         return int(round(pp.left[1] * (1 << s)))
-    if x_enc >= bq[-1]:
-        if pp.right[0] == "const":
-            return int(round(pp.right[1] * (1 << s)))
-        return x_enc + int(round(pp.right[1] * (1 << s)))
-    for i, coeffs in enumerate(pp.segments):
-        if bq[i] <= x_enc < bq[i + 1]:
-            half = 0.5 * (pp.boundaries[i + 1] - pp.boundaries[i])
-            mid = 0.5 * (pp.boundaries[i] + pp.boundaries[i + 1])
-            shifted = shifted_segment_coeffs(coeffs, mid)
-            sc = _coeff_scale(s, shifted, half + 1.0)
-            t = x_enc - int(round(mid * (1 << s)))
-            deg = len(shifted) - 1
-            # exact integer Horner-free sum: term_j at scale sc + deg*s
-            acc = 0
-            for j, c in enumerate(shifted):
-                acc += int(round(c * (1 << sc))) * t ** j * (1 << s) ** (deg - j)
-            shift = sc + deg * s - s
-            return (acc + (1 << (shift - 1))) >> shift
-    raise AssertionError("unreachable: boundaries cover the interior")
+    if i == len(bq):
+        kind, value = pp.right
+        return int(round(value * (1 << s))) + (x_enc if kind == "linear" else 0)
+    lo, hi = pp.boundaries[i - 1], pp.boundaries[i]
+    mid = 0.5 * (lo + hi)
+    shifted = shifted_segment_coeffs(pp.segments[i - 1], mid)
+    sc = _coeff_scale(s, shifted, 0.5 * (hi - lo) + 1.0)
+    t = x_enc - int(round(mid * (1 << s)))
+    deg = len(shifted) - 1
+    # exact integer Horner-free sum: term_j at scale sc + deg*s
+    acc = 0
+    for j, c in enumerate(shifted):
+        acc += int(round(c * (1 << sc))) * t ** j * (1 << s) ** (deg - j)
+    shift = sc + deg * s - s
+    return (acc + (1 << (shift - 1))) >> shift

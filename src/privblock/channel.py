@@ -165,6 +165,7 @@ class Session:
         self.profile = profile
         self.ledger = _Ledger(profile)
         self._label_stack = []
+        self._agreed = None  # the fingerprint both parties handshook on
 
     # -- payload transport, provided by subclass ----------------------------
     def _send_bytes(self, payload: bytes):
@@ -226,7 +227,12 @@ class Session:
 
     # -- handshake ---------------------------------------------------------
     def handshake(self, params_blob: bytes):
-        """Exchange a parameter fingerprint; abort on mismatch."""
+        """Exchange a parameter fingerprint once; abort on mismatch.  A repeat
+        call moves nothing, and raises unless its fingerprint is the agreed one."""
+        if self._agreed is not None:
+            if params_blob != self._agreed:
+                raise HandshakeMismatch("fingerprint differs from the one agreed")
+            return
         if self.role == A:
             self.send("handshake", params_blob)
             other = self.recv("handshake")
@@ -235,6 +241,7 @@ class Session:
             self.send("handshake", params_blob)
         if other != params_blob:
             raise HandshakeMismatch("parameter fingerprints differ between parties")
+        self._agreed = bytes(params_blob)
 
 
 class PairSession(Session):

@@ -82,6 +82,17 @@ class ParamError(ValueError):
     """Raised for invalid or inconsistent parameter sets."""
 
 
+def _checked(d, section: str, allowed, required=()) -> dict:
+    """``d`` once it is an object naming only ``allowed`` and all ``required`` keys."""
+    if not isinstance(d, dict):
+        raise ParamError(f"{section}: expected an object, got {type(d).__name__}")
+    for what, keys in (("unknown", sorted(set(d) - set(allowed))),
+                       ("missing", [k for k in required if k not in d])):
+        if keys:
+            raise ParamError(f"{section}: {what} key(s) {', '.join(keys)}")
+    return d
+
+
 def _check_word_size(p: int):
     if p.bit_length() > MAX_MODULUS_BITS:
         raise ParamError(f"p={p} exceeds the {MAX_MODULUS_BITS}-bit modular kernel")
@@ -122,7 +133,7 @@ class FixedPointConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FixedPointConfig":
-        return cls(**d)
+        return cls(**_checked(d, "fixedpoint", ("k", "s", "p", "truncation_mode")))
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,8 @@ class HeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeParams":
+        keys = ("n", "q_primes", "p")
+        d = _checked(d, "he", keys, keys)
         return cls(n=d["n"], q_primes=tuple(d["q_primes"]), p=d["p"])
 
 
@@ -238,6 +251,7 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
+        _checked(d, "config", ("fixedpoint", "he", "gadget_costs", "he_backend"))
         return cls(
             fixedpoint=FixedPointConfig.from_dict(d.get("fixedpoint", {})),
             he=HeParams.from_dict(d["he"]) if "he" in d else HeParams(),

@@ -34,8 +34,6 @@ def _segment_plan(table: PiecewisePoly, s: int):
     """Per-segment centered coefficients and required power set."""
     if table.max_degree > 4:
         raise ShapeMismatch("interactive evaluation supports degree <= 4 tables")
-    if table.symmetry != "none" or table.left is None:
-        raise ShapeMismatch("interactive evaluation needs a left tail and no symmetry")
     plan = []
     for i, coeffs in enumerate(table.segments):
         lo, hi = table.boundaries[i], table.boundaries[i + 1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,14 +86,28 @@ def test_continuity_audit_below_threshold():
 
 
 def test_symmetry_exact_as_implemented():
+    """The mirrored tanh pieces are exact sign flips; the mirrored sigmoid
+    pieces fold 1 - c_0 into one coefficient, which rounds differently."""
     for x in (0.1, 0.9, 1.5, 3.3, 7.0):
-        assert approx.SIGMOID_TABLE(-x) == 1.0 - approx.SIGMOID_TABLE(x)
+        sig = approx.SIGMOID_TABLE
+        assert abs(sig(-x) - (1.0 - sig(x))) <= 2.0 ** -52
         assert approx.TANH_TABLE(-x) == -approx.TANH_TABLE(x)
+
+
+def test_mirrored_unfolds_half_tables():
+    t = approx.TANH_TABLE
+    assert t.boundaries == [-4.60, -approx.TANH_X1, 0.0, approx.TANH_X1, 4.60]
+    assert (t.left, t.right) == (("const", -1.0), ("const", 1.0))
+    assert approx.SIGMOID_TABLE.left == ("const", 0.0)
+    with pytest.raises(ValueError):
+        approx.mirrored("bad", [0.0, 1.0], [[0.0]], ("linear", 0.0), odd=True)
+    with pytest.raises(ValueError):
+        approx.mirrored("bad", [0.5, 1.0], [[0.0]], ("const", 1.0), odd=True)
 
 
 def test_fit_linear_target_exact():
     spec = approx.FitSpec(lambda x: 3.0 * x - 1.0, degree=1)
-    pp = approx.fit_segments(spec, [0.0, 1.0], None, ("const", 2.0))
+    pp = approx.fit_segments(spec, [0.0, 1.0], ("const", -1.0), ("const", 2.0))
     a0, a1 = pp.segments[0]
     assert a0 == pytest.approx(-1.0, abs=1e-9)
     assert a1 == pytest.approx(3.0, abs=1e-9)
@@ -119,8 +134,8 @@ def test_tanh_degree_comparison_rows():
     with more segments and higher degree wins (measured, not assumed)."""
     shipped = approx.mae(approx.TANH_TABLE, approx.tanh_exact, 0, 6, 10000)
     spec = approx.FitSpec(approx.tanh_exact, degree=5, window=(0.0, 4.0))
-    refit = approx.fit_segments(spec, [0.0, 0.5, 2.0, 3.0, 4.0], None,
-                                ("const", 1.0), symmetry="odd")
+    refit = approx.fit_segments(spec, [-4.0, -3.0, -2.0, -0.5, 0.0, 0.5, 2.0, 3.0,
+                                       4.0], ("const", -1.0), ("const", 1.0))
     alt = approx.mae(refit, approx.tanh_exact, 0, 6, 10000)
     assert shipped < 1e-2 and alt < shipped  # direction verified numerically
 
@@ -145,19 +160,41 @@ def test_eval_fixed_tracks_eval():
         assert worst <= 3.0, table.name
 
 
+def test_eval_on_grid_selects_on_quantized_boundaries():
+    """The grid oracle is the table with its boundaries moved onto the grid,
+    evaluated on the grid points, bit for bit."""
+    xe = np.arange(-9 * 2 ** S, 9 * 2 ** S + 1)
+    for table in approx.TABLES.values():
+        on_grid = replace(table, boundaries=[q / 2 ** S for q in
+                                             approx.quantized_boundaries(table, S)])
+        assert np.array_equal(approx.eval_on_grid(table, xe, S),
+                              on_grid(xe / 2 ** S)), table.name
+
+
 def test_table_dump_load_roundtrip():
-    blob = approx.dump_table(approx.MISH_TABLE)
-    loaded = approx.load_table(blob)
     xs = np.linspace(-9, 9, 123)
-    assert np.array_equal(loaded(xs), approx.MISH_TABLE(xs))
+    xe = np.arange(-9 * 2 ** S, 9 * 2 ** S + 1, 37)
+    for table in approx.TABLES.values():
+        loaded = approx.load_table(approx.dump_table(table))
+        assert loaded == table, table.name
+        assert np.array_equal(loaded(xs), table(xs)), table.name
+        assert np.array_equal(approx.eval_on_grid(loaded, xe, S),
+                              approx.eval_on_grid(table, xe, S)), table.name
 
 
 def test_piecewise_validation():
     with pytest.raises(ValueError):
-        approx.PiecewisePoly("bad", [1.0, 0.5], [[0.0]], None, ("const", 0.0))
-    with pytest.raises(ValueError):
-        approx.PiecewisePoly("bad", [0.0, 1.0], [[0.0], [1.0]], None,
+        approx.PiecewisePoly("bad", [1.0, 0.5], [[0.0]], ("const", 0.0),
                              ("const", 0.0))
+    with pytest.raises(ValueError):
+        approx.PiecewisePoly("bad", [0.0, 1.0], [[0.0], [1.0]], ("const", 0.0),
+                             ("const", 0.0))
+    # every table is total: a missing left tail or an unknown tail kind raises
+    with pytest.raises(ValueError, match="left tail"):
+        approx.PiecewisePoly("bad", [0.0, 1.0], [[0.0]], None, ("const", 2.0))
+    with pytest.raises(ValueError, match="right tail"):
+        approx.PiecewisePoly("bad", [0.0, 1.0], [[0.0]], ("const", 0.0),
+                             ("quadratic", 2.0))
 
 
 def test_max_degree_invariants():

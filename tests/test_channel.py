@@ -240,15 +240,23 @@ def test_transport_independent_accounting(toy_cfg):
                    toy_cfg.he.param_hash() + bytes([37, 12]))
     rep_tcp = drive_tcp(sess, "A")
     th.join(timeout=30)
-    da, db = rep_pair.to_dict(), rep_tcp.to_dict()
-    # handshake payloads differ between make_party and raw connect; compare
-    # the protocol phases and totals excluding the handshake label
-    for d in (da, db):
-        d["phases"].pop("handshake", None)
-    da["bytes_a"] = db["bytes_a"] = 0
-    da["bytes_b"] = db["bytes_b"] = 0
-    da["total_bytes"] = db["total_bytes"] = 0
-    assert da["phases"] == db["phases"]
+    assert rep_pair.to_dict() == rep_tcp.to_dict()
+
+
+def test_repeat_handshake():
+    """A session handshakes once: a repeat with the agreed fingerprint moves
+    nothing, a repeat with another fingerprint raises without traffic."""
+    def party(sess):
+        sess.handshake(b"params")
+        before = sess.report().to_dict()
+        sess.handshake(b"params")
+        assert sess.report().to_dict() == before
+        with pytest.raises(HandshakeMismatch):
+            sess.handshake(b"other")
+        return sess.report()
+
+    rep_a, rep_b = run_pair(party, party, PROFILES["lan"])
+    assert rep_a.message_count == rep_b.message_count == 2
 
 
 @settings(max_examples=60, deadline=None)

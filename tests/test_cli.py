@@ -215,3 +215,58 @@ def test_local_equals_tcp_costs(toy_cfg_file):
     th.join(timeout=120)
     assert ra.returncode == 0
     assert _phase_lines(local_out, "matmul/") == _phase_lines(ra.stdout, "matmul/")
+
+
+def _write_json(tmp_path, name, obj):
+    path = os.path.join(tmp_path, name)
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    return path
+
+
+def _malformed_config(change):
+    cfg = json.loads(json.dumps(TOY_CFG_DICT))
+    change(cfg)
+    return cfg
+
+
+def _malformed_table(change):
+    from privblock import approx
+    table = approx.GELU_TABLE.to_dict()
+    change(table)
+    return table
+
+
+@pytest.mark.parametrize("argv,obj", [
+    (["party", "--protocol", "matmul", "--shape", "2x2x2", "--local", "--config"],
+     _malformed_config(lambda c: c["fixedpoint"].update(bits=37))),
+    (["party", "--protocol", "matmul", "--shape", "2x2x2", "--local", "--config"],
+     _malformed_config(lambda c: c["he"].pop("q_primes"))),
+    (["mae", "--function", "gelu", "--table"],
+     _malformed_table(lambda t: t.pop("segments"))),
+    (["mae", "--function", "gelu", "--table"],
+     _malformed_table(lambda t: t.update(right=["quadratic", 0.0]))),
+], ids=["unknown_fixedpoint_key", "he_without_q_primes", "table_without_segments",
+        "unknown_tail_kind"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj):
+    code = main(argv + [_write_json(tmp_path, "in.json", obj)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_verify_gelu_on_the_boundary_grid(toy_cfg, pair_runner):
+    """The --local gelu check decides segments on the quantized boundaries,
+    as the protocol does, so grid points next to a boundary verify."""
+    from privblock import fixedpoint as fp
+    from privblock.cli import _verify
+    from privblock.protocols import pi_gelu
+    from privblock.sharing import share
+
+    s = toy_cfg.fixedpoint.s
+    x = np.array([[-20788, -5793, 5792, 20787]]) / 2 ** s
+    xe = fp.encode_int(x, toy_cfg.fixedpoint, "field", s).ravel()
+    xa, xb = share(xe, "field", toy_cfg.fixedpoint, np.random.default_rng(3))
+    out_a, out_b = pair_runner(toy_cfg, lambda ctx: pi_gelu(ctx, xa, (1, 4)),
+                               lambda ctx: pi_gelu(ctx, xb, (1, 4)))
+    err = _verify("gelu", (1, 4), {"plain": x}, out_a, out_b, toy_cfg)
+    assert err * 2 ** s <= 2.0

@@ -135,8 +135,8 @@ def test_cost_formula_exact(toy_cfg, pair_runner):
     assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 4, 32)
 
 
-@pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH],
-                         ids=["const_tail_gelu", "total_tanh"])
+@pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH, approx.TANH_TABLE],
+                         ids=["const_tail_gelu", "total_tanh", "shipped_tanh"])
 def test_other_tables_vs_oracle_and_bytes(toy_cfg, pair_runner, table):
     """Selectors, tails and bytes follow the table: a constant right tail is
     that constant, and the count of comparisons and powers is the table's."""
@@ -148,12 +148,14 @@ def test_other_tables_vs_oracle_and_bytes(toy_cfg, pair_runner, table):
     assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 2, 32, table)
 
 
-def test_total_tanh_on_rlwe(rlwe_toy_cfg, pair_runner):
+@pytest.mark.parametrize("table", [TOTAL_TANH, approx.TANH_TABLE],
+                         ids=["total_tanh", "shipped_tanh"])
+def test_total_tanh_on_rlwe(rlwe_toy_cfg, pair_runner, table):
     x = np.random.default_rng(11).uniform(-6, 6, size=(2, 16))
     y, rep, _ = _run(rlwe_toy_cfg, pair_runner, x, seed=11, want="reports",
-                     table=TOTAL_TANH)
-    assert (np.abs(y - _oracle(x, TOTAL_TANH)).max() * 2 ** S) <= 2.0
-    assert _phase_bytes(rep) == costs.gelu_bytes(rlwe_toy_cfg, 2, 16, TOTAL_TANH)
+                     table=table)
+    assert (np.abs(y - _oracle(x, table)).max() * 2 ** S) <= 2.0
+    assert _phase_bytes(rep) == costs.gelu_bytes(rlwe_toy_cfg, 2, 16, table)
 
 
 def test_transcript_shape(toy_cfg, pair_runner):
@@ -192,13 +194,14 @@ def test_rejects_high_degree_table(toy_cfg, pair_runner):
 
 
 def test_rejects_symmetric_table(toy_cfg, pair_runner):
+    """The unfolded sigmoid's outer segments have half-width 2.58 > 2."""
     rng = np.random.default_rng(8)
     xe = np.zeros(16, dtype=np.uint64)
     xa, xb = share(xe, "field", toy_cfg.fixedpoint, rng)
     with pytest.raises(ShapeMismatch):
         pair_runner(toy_cfg,
-                    lambda ctx: pi_gelu(ctx, xa, (2, 8), table=approx.TANH_TABLE),
-                    lambda ctx: pi_gelu(ctx, xb, (2, 8), table=approx.TANH_TABLE))
+                    lambda ctx: pi_gelu(ctx, xa, (2, 8), table=approx.SIGMOID_TABLE),
+                    lambda ctx: pi_gelu(ctx, xb, (2, 8), table=approx.SIGMOID_TABLE))
 
 
 def test_determinism(toy_cfg, pair_runner):
