@@ -183,9 +183,8 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
                       (block_cfg, weights) if protocol == "block" else None)
         return sess_a.report(), err, wall
     role = args.role.upper()
-    blob = cfg.he.param_hash() + bytes([cfg.fixedpoint.k, cfg.fixedpoint.s])
     host, port = args.endpoint.split(":")
-    sess = connect(role, (host, int(port)), profile, blob)
+    sess = connect(role, (host, int(port)), profile, cfg.fingerprint())
     try:
         ctx = make_party(role, sess, cfg, seed)
         _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg)

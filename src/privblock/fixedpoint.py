@@ -118,7 +118,7 @@ def convert_share(sh: Share, to_domain: str, cfg: FixedPointConfig,
 
 def truncate_shares(sh: Share, shift: int, cfg: FixedPointConfig,
                     provider: GadgetProvider | None = None,
-                    mode: str | None = None) -> Share:
+                    mode: str = "local") -> Share:
     """Rescale ring shares: secret -> floor(secret / 2^shift).
 
     Local mode is non-interactive with at most 1 ulp error and fails with
@@ -127,7 +127,6 @@ def truncate_shares(sh: Share, shift: int, cfg: FixedPointConfig,
     """
     if sh.domain != RING:
         raise DomainMismatch("truncation operates on ring shares")
-    mode = mode or cfg.truncation_mode
     if mode == "gadget":
         if provider is None:
             raise GadgetUnavailable("gadget truncation needs a provider")

@@ -93,6 +93,12 @@ def _checked(d, section: str, allowed, required=()) -> dict:
     return d
 
 
+def _check_int(key: str, value):
+    """Reject a config value that is not an integer (``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParamError(f"{key} must be an integer, got {value!r}")
+
+
 def _check_word_size(p: int):
     if p.bit_length() > MAX_MODULUS_BITS:
         raise ParamError(f"p={p} exceeds the {MAX_MODULUS_BITS}-bit modular kernel")
@@ -110,9 +116,10 @@ class FixedPointConfig:
     k: int = DEFAULT_K
     s: int = DEFAULT_S
     p: int = DEFAULT_P
-    truncation_mode: str = "local"  # "local" (probabilistic) or "gadget" (faithful)
 
     def __post_init__(self):
+        for key in ("k", "s", "p"):
+            _check_int(f"fixedpoint.{key}", getattr(self, key))
         if not (2 ** self.s < self.p < 2 ** self.k):
             raise ParamError(f"need 2^s < p < 2^k, got s={self.s} p={self.p} k={self.k}")
         _check_word_size(self.p)
@@ -120,20 +127,17 @@ class FixedPointConfig:
             raise ParamError("need s < k - 2 for sign bit and carry headroom")
         if not _is_prime(self.p):
             raise ParamError(f"p={self.p} is not prime")
-        if self.truncation_mode not in ("local", "gadget"):
-            raise ParamError(f"unknown truncation_mode {self.truncation_mode!r}")
 
     @property
     def ring_mod(self) -> int:
         return 1 << self.k
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "s": self.s, "p": self.p,
-                "truncation_mode": self.truncation_mode}
+        return {"k": self.k, "s": self.s, "p": self.p}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FixedPointConfig":
-        return cls(**_checked(d, "fixedpoint", ("k", "s", "p", "truncation_mode")))
+        return cls(**_checked(d, "fixedpoint", ("k", "s", "p")))
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,10 @@ class HeParams:
     p: int = DEFAULT_P
 
     def __post_init__(self):
+        for key in ("n", "p"):
+            _check_int(f"he.{key}", getattr(self, key))
+        for q in self.q_primes:
+            _check_int("he.q_primes", q)
         if self.n & (self.n - 1) or self.n < 8:
             raise ParamError(f"N must be a power of two >= 8, got {self.n}")
         _check_word_size(self.p)
@@ -183,6 +191,8 @@ class HeParams:
     def from_dict(cls, d: dict) -> "HeParams":
         keys = ("n", "q_primes", "p")
         d = _checked(d, "he", keys, keys)
+        if not isinstance(d["q_primes"], list):
+            raise ParamError(f"he.q_primes must be a list, got {d['q_primes']!r}")
         return cls(n=d["n"], q_primes=tuple(d["q_primes"]), p=d["p"])
 
 
@@ -224,7 +234,11 @@ class GadgetCostTable:
     @classmethod
     def from_dict(cls, d: dict) -> "GadgetCostTable":
         base = json.loads(json.dumps(DEFAULT_GADGET_COSTS))
-        base.update(d or {})
+        keys = ("bytes_per_element", "rounds")
+        for name, e in _checked(d, "gadget_costs", allowed=d).items():  # any name
+            for key, value in _checked(e, f"gadget_costs.{name}", keys, keys).items():
+                _check_int(f"gadget_costs.{name}.{key}", value)
+        base.update(d)
         return cls(entries=base)
 
 
@@ -236,6 +250,15 @@ class Config:
     he: HeParams = field(default_factory=HeParams)
     gadget_costs: GadgetCostTable = field(default_factory=GadgetCostTable)
     he_backend: str = "clear"  # "clear" or "rlwe"
+
+    def __post_init__(self):
+        if self.he.p != self.fixedpoint.p:
+            raise ParamError(f"he.p={self.he.p} must equal fixedpoint.p={self.fixedpoint.p}: "
+                             "the HE slots carry the field shares")
+
+    def fingerprint(self) -> bytes:
+        """Parameter fingerprint both parties compare in the handshake."""
+        return self.he.param_hash() + bytes([self.fixedpoint.k, self.fixedpoint.s])
 
     def to_dict(self) -> dict:
         return {

@@ -199,8 +199,7 @@ class PartyCtx:
 
 def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> PartyCtx:
     """Handshake parameters, exchange public keys, return a ready context."""
-    blob = cfg.he.param_hash() + bytes([cfg.fixedpoint.k, cfg.fixedpoint.s])
-    session.handshake(blob)
+    session.handshake(cfg.fingerprint())
     ctx = PartyCtx(role, session, cfg, seed)
     ctx.exchange_keys()
     return ctx

@@ -100,7 +100,7 @@ def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
     """Arithmetic share of the exact bit via the offset-convention B2A."""
     s = ctx.fp.s
     p = ctx.fp.p
-    pay = ctx.provider.b2a(b, FIELD, offset=True).payload
+    pay = ctx.provider.b2a(b, FIELD).payload
     if ctx.role == "A":
         pay = (pay + (p - (1 << s))) % np.uint64(p)  # remove the public offset once
     return mulmod(pay, pow(1 << s, -1, p), p)

@@ -7,12 +7,14 @@ bool-to-arithmetic conversion, shared exponential, shared inverse square
 root) plus the domain-conversion and faithful-truncation composites built
 from them.
 
-The provider's "ideal" backend is a trusted-dealer emulation: party A ships
-its input share to party B over an unmetered side channel, B evaluates the
-function on the reconstructed secret and returns a fresh uniform resharing.
-The metered channel is charged the byte/round cost of the cited protocol
-from the configurable cost table, so cost accounting of the surrounding
-protocols does not depend on the emulation shortcut.
+The provider's "ideal" backend is a trusted-dealer emulation written once,
+as one dealer round: party A ships its input share to party B over an
+unmetered side channel, B evaluates the function on the reconstructed secret
+and returns a fresh uniform resharing.  Each gadget only declares the input
+domains it accepts, the cost-table entries it is charged and the function the
+dealer evaluates.  The metered channel is charged the byte/round cost of the
+cited protocol from the configurable cost table, so cost accounting of the
+surrounding protocols does not depend on the emulation shortcut.
 """
 
 from __future__ import annotations
@@ -137,14 +139,24 @@ class GadgetProvider:
         self.session.charge(f"{GADGET_LABEL}:{entry}", total // 2,
                             total - total // 2, rounds, warn_zero=warn)
 
-    def _evaluate(self, my_share: Share, func, out_domain: str, out_party_mod: int):
-        """Trusted-dealer round: reconstruct at B, evaluate, reshare fresh.
+    def _round(self, x: Share, domains: tuple, entries: tuple, out_domain: str,
+               func) -> Share:
+        """One gadget call: reject an input outside ``domains``, charge each
+        cost entry for ``len(x)`` elements, then run the trusted-dealer round:
+        reconstruct at B, evaluate ``func`` on the secret, reduce the result
+        into ``out_domain`` and reshare it fresh.
 
         Dealer exceptions travel back to A as an error frame so both parties
         raise instead of one deadlocking.
         """
+        if x.domain not in domains:
+            raise DomainMismatch(f"gadget expects {' or '.join(domains)} shares, "
+                                 f"got {x.domain}")
+        for entry in entries:
+            self.charge(entry, len(x))
+        mod = _mod_of(out_domain, self.cfg)
         if self.role == "A":
-            self.session.send("_gadget", my_share.payload.tobytes(), metered=False)
+            self.session.send("_gadget", x.payload.tobytes(), metered=False)
             raw = self.session.recv("_gadget", metered=False)
             if raw[:1] == b"E":
                 kind, _, msg = raw[1:].decode().partition(":")
@@ -152,85 +164,52 @@ class GadgetProvider:
                     kind, GadgetUnavailable)
                 raise exc(msg)
             out = np.frombuffer(raw[1:], dtype=np.uint64).copy()
-            return Share(out_domain, "A", out, out_party_mod)
+            return Share(out_domain, "A", out, mod)
         other = np.frombuffer(self.session.recv("_gadget", metered=False),
                               dtype=np.uint64)
-        if my_share.domain == BOOL:
-            secret = other ^ my_share.payload
-        else:
-            secret = (other + my_share.payload) % np.uint64(my_share.modulus)
+        secret = reconstruct(x.like(other), x)
         try:
             result = func(secret)
         except (RangeError, DomainError) as e:
             kind = "range" if isinstance(e, RangeError) else "domain"
             self.session.send("_gadget", f"E{kind}:{e}".encode(), metered=False)
             raise
-        result = (np.asarray(result) % out_party_mod).astype(np.uint64)
-        if out_domain == BOOL:
-            mine = self._dealer_rng.integers(0, 2, size=result.size, dtype=np.uint64)
-            theirs = result ^ mine
-        else:
-            mine = self._dealer_rng.integers(0, out_party_mod, size=result.size,
-                                             dtype=np.uint64)
-            theirs = (result + (out_party_mod - mine)) % np.uint64(out_party_mod)
-        self.session.send("_gadget", b"K" + np.ascontiguousarray(theirs).tobytes(),
-                          metered=False)
-        return Share(out_domain, "B", mine, out_party_mod)
+        # ``share`` draws its first share from the dealer RNG; B keeps that one.
+        mine, theirs = share(np.asarray(result) % mod, out_domain, self.cfg,
+                             self._dealer_rng)
+        self.session.send("_gadget", b"K" + theirs.payload.tobytes(), metered=False)
+        return Share(out_domain, "B", mine.payload, mod)
 
     # -- the four imported protocols ----------------------------------------
     def lt(self, x: Share, c_enc: int) -> Share:
         """Boolean shares of [x < c] for signed fixed-point x and public c."""
-        if x.domain not in (RING, FIELD):
-            raise DomainMismatch("lt expects arithmetic shares")
-        self.charge("lt", len(x))
+        return self._round(x, (RING, FIELD), ("lt",), BOOL,
+                           lambda secret: signed_lift(secret, x.modulus) < c_enc)
 
-        def f(secret):
-            sx = signed_lift(secret, x.modulus)
-            return (sx < c_enc).astype(np.uint64)
-
-        return self._evaluate(x, f, BOOL, 2)
-
-    def b2a(self, b: Share, target_domain: str, offset: bool = True) -> Share:
-        """Boolean -> arithmetic.  With ``offset`` (the convention used by the
-        activation protocol) the result reconstructs to b*2^s + 2^s; callers
-        remove the public 2^s afterwards.  Without it, to b."""
-        if b.domain != BOOL:
-            raise DomainMismatch("b2a expects boolean shares")
-        mod = _mod_of(target_domain, self.cfg)
-        self.charge("b2a", len(b))
+    def b2a(self, b: Share, target_domain: str) -> Share:
+        """Boolean -> arithmetic in the activation protocol's offset
+        convention: the result reconstructs to b*2^s + 2^s, and callers
+        remove the public 2^s afterwards."""
         two_s = np.uint64(1 << self.cfg.s)
+        return self._round(b, (BOOL,), ("b2a",), target_domain,
+                           lambda secret: secret * two_s + two_s)
+
+    def rexp(self, x: Share) -> Share:
+        """Field shares of encode(e^x) for ring shares of x <= 0, both at
+        scale s."""
+        s = self.cfg.s
 
         def f(secret):
-            return secret * two_s + two_s if offset else secret
-
-        return self._evaluate(b, f, target_domain, mod)
-
-    def rexp(self, x: Share, scale: int | None = None,
-             out_scale: int | None = None) -> Share:
-        """Field shares of encode(e^x) for ring shares of x <= 0."""
-        if x.domain != RING:
-            raise DomainMismatch("rexp expects ring shares")
-        scale = self.cfg.s if scale is None else scale
-        out_scale = self.cfg.s if out_scale is None else out_scale
-        self.charge("rexp", len(x))
-        p = self.cfg.p
-
-        def f(secret):
-            sx = signed_lift(secret, x.modulus).astype(np.float64) / (1 << scale)
-            if np.any(sx > 2.0 ** (-self.cfg.s) * 8):
+            sx = signed_lift(secret, x.modulus).astype(np.float64) / (1 << s)
+            if np.any(sx > 2.0 ** (-s) * 8):
                 raise RangeError("rexp input exceeds 0 beyond tolerance")
-            return np.round(np.exp(np.minimum(sx, 0.0)) * (1 << out_scale)).astype(np.int64)
+            return np.round(np.exp(np.minimum(sx, 0.0)) * (1 << s)).astype(np.int64)
 
-        return self._evaluate(x, f, FIELD, p)
+        return self._round(x, (RING,), ("rexp",), FIELD, f)
 
-    def invsqrt(self, x: Share, scale: int, out_scale: int,
-                out_domain: str = FIELD) -> Share:
-        """Shares of encode(1/sqrt(x), out_scale); input at ``scale``, x > 0."""
-        if x.domain not in (RING, FIELD):
-            raise DomainMismatch("invsqrt expects arithmetic shares")
-        self.charge("invsqrt", len(x))
-        mod = _mod_of(out_domain, self.cfg)
-
+    def invsqrt(self, x: Share, scale: int, out_scale: int) -> Share:
+        """Field shares of encode(1/sqrt(x), out_scale); input at ``scale``,
+        x > 0."""
         def f(secret):
             sx = signed_lift(secret, x.modulus)
             if np.any(sx <= 0):
@@ -238,86 +217,41 @@ class GadgetProvider:
             vals = np.round((1 << out_scale) / np.sqrt(sx.astype(np.float64) / 2.0 ** scale))
             return vals.astype(np.int64)
 
-        return self._evaluate(x, f, out_domain, mod)
+        return self._round(x, (RING, FIELD), ("invsqrt",), FIELD, f)
 
     # -- composites charged as single conversion/truncation calls -----------
     def field_to_ring(self, x: Share) -> Share:
         """Z_p -> Z_{2^k} share conversion (comparison + multiplexer route)."""
-        if x.domain != FIELD:
-            raise DomainMismatch("field_to_ring expects field shares")
-        self.charge("convert", len(x))
-        ring_mod = self.cfg.ring_mod
-        p = self.cfg.p
-
-        def f(secret):
-            return signed_lift(secret, p) % ring_mod
-
-        return self._evaluate(x, f, RING, ring_mod)
+        return self._round(x, (FIELD,), ("convert",), RING,
+                           lambda secret: signed_lift(secret, self.cfg.p))
 
     def ring_to_field_strict(self, x: Share) -> Share:
         """Exact Z_{2^k} -> Z_p conversion through the comparison gadget."""
-        if x.domain != RING:
-            raise DomainMismatch("ring_to_field_strict expects ring shares")
-        self.charge("convert", len(x))
-        p = self.cfg.p
-
-        def f(secret):
-            return signed_lift(secret, x.modulus) % p
-
-        return self._evaluate(x, f, FIELD, p)
+        return self._round(x, (RING,), ("convert",), FIELD,
+                           lambda secret: signed_lift(secret, x.modulus))
 
     def ring_to_field_strict_trunc(self, x: Share, shift: int) -> Share:
         """Fused faithful truncation by 2^shift and exact conversion to Z_p
         (charged as one truncation plus one conversion)."""
-        if x.domain != RING:
-            raise DomainMismatch("ring_to_field_strict_trunc expects ring shares")
         if shift <= 0:
             return self.ring_to_field_strict(x)
-        self.charge("trunc", len(x))
-        self.charge("convert", len(x))
-        p = self.cfg.p
-
-        def f(secret):
-            return round_shift(secret, x.modulus, shift) % p
-
-        return self._evaluate(x, f, FIELD, p)
+        return self._round(x, (RING,), ("trunc", "convert"), FIELD,
+                           lambda secret: round_shift(secret, x.modulus, shift))
 
     def rescale_field(self, x: Share, shift: int) -> Share:
         """Faithful rescale of field shares by 2^shift (round-to-nearest on
         the signed secret), staying in the field.  Charged as one truncation
         plus one conversion round-trip."""
-        if x.domain != FIELD:
-            raise DomainMismatch("rescale_field expects field shares")
-        self.charge("trunc", len(x))
-        self.charge("convert", len(x))
-        p = self.cfg.p
-
-        def f(secret):
-            return round_shift(secret, p, shift) % p
-
-        return self._evaluate(x, f, FIELD, p)
+        return self._round(x, (FIELD,), ("trunc", "convert"), FIELD,
+                           lambda secret: round_shift(secret, self.cfg.p, shift))
 
     def trunc_faithful(self, x: Share, shift: int) -> Share:
         """Exact floor division of the signed secret by 2^shift (ring)."""
-        if x.domain != RING:
-            raise DomainMismatch("trunc_faithful expects ring shares")
-        self.charge("trunc", len(x))
-        ring_mod = self.cfg.ring_mod
-
-        def f(secret):
-            return floor_shift(secret, x.modulus, shift) % ring_mod
-
-        return self._evaluate(x, f, RING, ring_mod)
+        return self._round(x, (RING,), ("trunc",), RING,
+                           lambda secret: floor_shift(secret, x.modulus, shift))
 
     def row_max(self, x: Share, row_len: int) -> Share:
         """Ring shares of per-row maxima (comparison-tree composite)."""
-        if x.domain != RING:
-            raise DomainMismatch("row_max expects ring shares")
-        self.charge("rowmax", len(x))
-        ring_mod = self.cfg.ring_mod
-
-        def f(secret):
-            sx = signed_lift(secret, x.modulus).reshape(-1, row_len)
-            return np.max(sx, axis=1) % ring_mod
-
-        return self._evaluate(x, f, RING, ring_mod)
+        return self._round(x, (RING,), ("rowmax",), RING,
+                           lambda secret: signed_lift(secret, x.modulus)
+                           .reshape(-1, row_len).max(axis=1))

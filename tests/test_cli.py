@@ -237,21 +237,37 @@ def _malformed_table(change):
     return table
 
 
-@pytest.mark.parametrize("argv,obj", [
-    (["party", "--protocol", "matmul", "--shape", "2x2x2", "--local", "--config"],
-     _malformed_config(lambda c: c["fixedpoint"].update(bits=37))),
-    (["party", "--protocol", "matmul", "--shape", "2x2x2", "--local", "--config"],
-     _malformed_config(lambda c: c["he"].pop("q_primes"))),
+PARTY_MATMUL = ["party", "--protocol", "matmul", "--shape", "2x2x2", "--local", "--config"]
+PARTY_GELU = ["party", "--protocol", "gelu", "--shape", "1x4", "--local", "--config"]
+
+
+@pytest.mark.parametrize("argv,obj,named", [
+    (PARTY_MATMUL, _malformed_config(lambda c: c["fixedpoint"].update(bits=37)), "bits"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["he"].pop("q_primes")), "q_primes"),
     (["mae", "--function", "gelu", "--table"],
-     _malformed_table(lambda t: t.pop("segments"))),
+     _malformed_table(lambda t: t.pop("segments")), "segments"),
     (["mae", "--function", "gelu", "--table"],
-     _malformed_table(lambda t: t.update(right=["quadratic", 0.0]))),
+     _malformed_table(lambda t: t.update(right=["quadratic", 0.0])), "quadratic"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["he"].update(n="256")), "he.n"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["fixedpoint"].update(s="12")),
+     "fixedpoint.s"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["he"].update(q_primes=5)), "he.q_primes"),
+    (PARTY_GELU, _malformed_config(lambda c: c["gadget_costs"]["lt"].pop("rounds")),
+     "gadget_costs.lt"),
+    (PARTY_GELU, _malformed_config(
+        lambda c: c["gadget_costs"]["b2a"].update(bytes_per_element=True)),
+     "gadget_costs.b2a.bytes_per_element"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["he"].update(p=137438840321)), "he.p"),
+    (PARTY_MATMUL, _malformed_config(lambda c: c["fixedpoint"].update(truncation_mode="local")),
+     "truncation_mode"),
 ], ids=["unknown_fixedpoint_key", "he_without_q_primes", "table_without_segments",
-        "unknown_tail_kind"])
-def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj):
+        "unknown_tail_kind", "he_n_string", "fixedpoint_s_string", "q_primes_not_a_list",
+        "cost_without_rounds", "cost_bool_bytes", "he_p_differs", "truncation_mode_key"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj, named):
     code = main(argv + [_write_json(tmp_path, "in.json", obj)])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
 
 
 def test_verify_gelu_on_the_boundary_grid(toy_cfg, pair_runner):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from privblock.channel import PROFILES, PeerClosed, make_pair
 from privblock.params import FixedPointConfig, GadgetCostTable
 from privblock.sharing import (BOOL, FIELD, RING, DomainError, DomainMismatch,
                                GadgetProvider, RangeError, Share, not_share,
@@ -207,3 +208,89 @@ def test_gadget_costs_charged(toy_cfg, pair_runner):
     assert rep_a.phases["gadget:lt"]["bytes_a"] + rep_a.phases["gadget:lt"]["bytes_b"] == want
     assert rep_a.phases["gadget:lt"]["rounds"] == rounds
     assert rep_a.to_dict() == rep_b.to_dict()
+
+
+WRONG_DOMAIN = {  # gadget -> (call, a share domain it does not accept)
+    "lt": (lambda g, x: g.lt(x, 0), BOOL),
+    "b2a": (lambda g, x: g.b2a(x, FIELD), RING),
+    "rexp": (lambda g, x: g.rexp(x), FIELD),
+    "invsqrt": (lambda g, x: g.invsqrt(x, S, S), BOOL),
+    "field_to_ring": (lambda g, x: g.field_to_ring(x), RING),
+    "ring_to_field_strict": (lambda g, x: g.ring_to_field_strict(x), FIELD),
+    "ring_to_field_strict_trunc": (lambda g, x: g.ring_to_field_strict_trunc(x, 3), FIELD),
+    "rescale_field": (lambda g, x: g.rescale_field(x, 3), RING),
+    "trunc_faithful": (lambda g, x: g.trunc_faithful(x, 3), FIELD),
+    "row_max": (lambda g, x: g.row_max(x, 2), FIELD),
+}
+
+
+@pytest.mark.parametrize("gadget", WRONG_DOMAIN)
+def test_gadget_rejects_wrong_domain_before_any_traffic(gadget):
+    """A share of a domain the gadget does not accept raises DomainMismatch
+    on either party before anything is charged or sent.  The peer is closed
+    up front, so a gadget that reached its dealer round would fail with
+    PeerClosed instead of blocking."""
+    call, domain = WRONG_DOMAIN[gadget]
+    for me in (0, 1):
+        pair = make_pair(PROFILES["lan"])
+        session, peer = pair[me], pair[1 - me]
+        peer.close()
+        x = _mk_shares(np.zeros(4, dtype=np.uint64), domain)[me]
+        with pytest.raises(DomainMismatch):
+            call(GadgetProvider(session, CFG, GadgetCostTable()), x)
+        assert session.ledger.entries == []
+        session.close()
+        with pytest.raises(PeerClosed):  # the close is the first thing peer gets
+            peer.recv("_gadget", metered=False)
+
+
+TINY = FixedPointConfig(k=10, s=4, p=661)
+
+
+def _tiny_gadget(cfg, pair_runner, vals, domain, call, seed):
+    """Run ``call`` on the k=10/p=661 provider; the reconstructed signed
+    result as Python ints and A's gadget charges in order."""
+    sa, sb = _mk_shares(vals, domain, TINY, seed=seed)
+
+    def f(sh):
+        return lambda ctx: call(GadgetProvider(ctx.session, TINY, ctx.provider.costs), sh)
+
+    ra, rb, _, transcript = pair_runner(cfg, f(sa), f(sb), want_transcript=True)
+    charges = [label for kind, _, label in transcript if kind == "charge"]
+    return [int(v) for v in reconstruct(ra, rb)], ra.modulus, charges
+
+
+def _signed(v: int, modulus: int) -> int:
+    return v - modulus if v > modulus // 2 else v
+
+
+def test_row_max_toy_ring(toy_cfg, pair_runner):
+    vals = np.random.default_rng(15).permutation(1024).astype(np.uint64)
+    got, mod, charges = _tiny_gadget(toy_cfg, pair_runner, vals, RING,
+                                     lambda g, x: g.row_max(x, 8), seed=15)
+    rows = [[_signed(int(v), 1024) for v in vals[i:i + 8]] for i in range(0, 1024, 8)]
+    assert mod == 1024 and got == [max(r) % 1024 for r in rows]
+    assert charges == ["gadget:rowmax"]
+
+
+def test_rescale_field_toy_field_rounds_half_up(toy_cfg, pair_runner):
+    vals = np.arange(661, dtype=np.uint64)
+    got, mod, charges = _tiny_gadget(toy_cfg, pair_runner, vals, FIELD,
+                                     lambda g, x: g.rescale_field(x, 3), seed=16)
+    want = [((_signed(v, 661) + 4) >> 3) % 661 for v in range(661)]
+    assert mod == 661 and got == want
+    # half up on negatives: -12/8 = -1.5 -> -1, -13/8 -> -2; 12/8 = 1.5 -> 2
+    assert [_signed(got[v % 661], 661) for v in (-12, -13, 12)] == [-1, -2, 2]
+    assert charges == ["gadget:trunc", "gadget:convert"]
+
+
+@pytest.mark.parametrize("shift", [0, 3])
+def test_ring_to_field_strict_trunc_toy_ring(toy_cfg, pair_runner, shift):
+    vals = np.arange(1024, dtype=np.uint64)
+    got, mod, charges = _tiny_gadget(
+        toy_cfg, pair_runner, vals, RING,
+        lambda g, x: g.ring_to_field_strict_trunc(x, shift), seed=17)
+    half = (1 << shift) >> 1
+    want = [((_signed(v, 1024) + half) >> shift) % 661 for v in range(1024)]
+    assert mod == 661 and got == want
+    assert charges == (["gadget:trunc"] if shift else []) + ["gadget:convert"]
