@@ -20,6 +20,7 @@ from queue import Queue
 
 MAGIC = b"PBF1"
 FRAME_OVERHEAD = 8  # 4-byte magic + 4-byte length
+RUN_PAIR_TIMEOUT_S = 600.0  # run_pair's one deadline for both parties
 
 A, B = "A", "B"
 
@@ -349,6 +350,8 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     """Drive two party functions over an in-process pair on two threads.
 
     Each function receives its Session; returns (result_a, result_b).
+    Both parties share one deadline, ``RUN_PAIR_TIMEOUT_S`` after the start;
+    a party still running then is a deadlock (``IoError``).
     Exceptions propagate to the caller.  A party that raises closes its
     session, so a peer blocked in ``recv`` fails with ``PeerClosed`` instead
     of waiting for the join timeout; the originating error is the one raised.
@@ -371,8 +374,9 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     tb = threading.Thread(target=runner, args=("b", fn_b, sb), daemon=True)
     ta.start()
     tb.start()
-    ta.join(timeout=600)
-    tb.join(timeout=600)
+    deadline = time.monotonic() + RUN_PAIR_TIMEOUT_S
+    for t in (ta, tb):
+        t.join(timeout=max(deadline - time.monotonic(), 0.0))
     if ta.is_alive() or tb.is_alive():
         raise IoError("party driver deadlocked")
     errors = [err[name] for name in ("a", "b") if name in err]

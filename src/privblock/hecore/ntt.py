@@ -129,8 +129,9 @@ def get_plan(prime: int, n: int) -> NttPlan:
 
 def crt_reconstruct_centered(residues, primes):
     """Combine per-prime residue vectors into centered Python integers in
-    [-(M-1)/2, (M-1)/2] for the odd product M of the primes: the one CRT
-    reconstruction of the rlwe backend (decrypt and ct*ct)."""
+    [-(M-1)/2, (M-1)/2] for the odd product M of the primes: the exact
+    centered phase behind ``RlweBackend.measured_noise_bits``, which no
+    protocol op calls."""
     M = math.prod(int(p) for p in primes)
     acc = np.zeros(len(residues[0]), dtype=object)
     for r, p in zip(residues, primes):

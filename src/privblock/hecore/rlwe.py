@@ -3,13 +3,15 @@
 Ciphertext polynomials live permanently in per-limb NTT (evaluation) form,
 so additions and plaintext multiplies are pointwise; every such step works
 on the whole (ncomp, L, N) array at once against the (L, 1) column of limb
-moduli.  Decrypt and ct*ct leave the RNS form through the one CRT
-reconstruction (``ntt.crt_reconstruct_centered``) to exact centered
-Python-int coefficients: ct*ct tensors them negacyclically over an auxiliary
-CRT basis, rounds by p/q, and relinearizes the quadratic component with
-limb-decomposed switching keys.  Plaintext slots are the CRT components of
-Z_p[X]/(X^N+1), reached through a mod-p negacyclic transform; there is no
-slot permutation anywhere.
+moduli.  Every operation stays in machine words (full RNS, after Halevi,
+Polyakov and Shoup, CT-RSA 2019): ct*ct extends its inputs from the basis Q
+to an auxiliary basis P, tensors them pointwise over Q and P, scales by p/Q
+into P and extends the result back to Q, where the quadratic component's
+residues are the digits of the limb-decomposed relinearization.  Decrypt
+takes round(p v / Q) mod p from the phase's limb residues.  The only exact
+Python-int step left is ``measured_noise_bits``, test instrumentation.
+Plaintext slots are the CRT components of Z_p[X]/(X^N+1), reached through a
+mod-p negacyclic transform; there is no slot permutation anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
                pack_header, parse_header)
-from ..modarith import centered_max, mulmod, signed_lift
+from ..modarith import centered_max, matmod_rows, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
 from .ntt import crt_reconstruct_centered, get_plan
@@ -35,16 +37,72 @@ def _column(values) -> np.ndarray:
 
 
 def _to_ntt(coeffs: np.ndarray, plans) -> np.ndarray:
-    """Signed integer coefficients (int64 or Python ints) -> one NTT row per
-    plan's prime; Python's % gives the non-negative residue."""
+    """Signed int64 (or uint64) coefficients -> one NTT row per plan's
+    prime; numpy's % by a Python int gives the non-negative residue."""
     return np.stack([plan.forward(np.asarray(coeffs % plan.prime, dtype=np.uint64))
                      for plan in plans])
 
 
-def _from_ntt(values: np.ndarray, plans) -> np.ndarray:
-    """One NTT row per plan's prime -> centered Python-int coefficients."""
-    return crt_reconstruct_centered([plan.inverse(v) for plan, v in zip(plans, values)],
-                                    [plan.prime for plan in plans])
+def _transform(rows: np.ndarray, plans, inverse: bool = False) -> np.ndarray:
+    """Forward (or inverse) NTT of each limb row of a (..., len(plans), N)
+    array, limb j under plans[j]."""
+    out = np.empty(rows.shape, dtype=np.uint64)
+    for idx in np.ndindex(rows.shape[:-2]):
+        for j, plan in enumerate(plans):
+            out[idx + (j,)] = (plan.inverse if inverse else plan.forward)(rows[idx + (j,)])
+    return out
+
+
+class _BaseExtension:
+    """Centered fast base extension from the RNS basis ``src`` (product M)
+    to ``dst``: with y_i = [x_i (M/m_i)^-1]_{m_i} and v = rint(sum y_i/m_i),
+    x = sum y_i [M/m_i]_d - v [M]_d in each d of ``dst``, for the x with
+    |x| < M/2.  The float v can be off by one only for |x| within about
+    2^-50 M of M/2."""
+
+    def __init__(self, src, dst):
+        big = math.prod(src)
+        self.src = _column(src)
+        self.inv_hat = _column(pow(big // m, -1, m) for m in src)
+        self.hat = np.array([[big // m % d for m in src] for d in dst], dtype=np.uint64)
+        self.neg_big = _column(-big % d for d in dst)
+        self.dst = _column(dst)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """(..., L, N) residues mod ``src`` -> (..., K, N) residues mod ``dst``."""
+        y = mulmod(x, self.inv_hat, self.src)
+        v = np.rint((y / self.src).sum(axis=-2, keepdims=True)).astype(np.uint64)
+        return (matmod_rows(self.hat, y, self.dst) + v * self.neg_big) % self.dst
+
+
+class _ScaleRound:
+    """Rounded scaling by t/M from the residues x_i of x mod the basis ``src``
+    into each modulus of ``dst``: t (M/m_i)^-1 mod m_i / m_i = w_i + f_i
+    (integer and fraction), so round(t x / M) = sum x_i w_i + rint(sum x_i
+    f_i) + (terms of the limbs of M beyond ``src``, added by the caller) up
+    to a multiple of t, which vanishes in each modulus of ``dst``.
+
+    Each f_i is split at ``bits`` binary places: an exact uint64 sum of
+    x_i floor(f_i 2^bits) and a float sum of the rest.  That keeps the error
+    of the rounded sum near 2^-50 (one float sum: 2^-21), so a coefficient
+    rounds wrongly only within that distance of a tie."""
+
+    def __init__(self, src, t: int, big: int, dst):
+        self.bits = 64 - max(src).bit_length() - len(src).bit_length()
+        parts = [divmod(t * pow(big // m, -1, m), m) for m in src]
+        self.whole = np.array([[w % d for w, _ in parts] for d in dst], dtype=np.uint64)
+        fracs = [(f << self.bits, m) for (_, f), m in zip(parts, src)]
+        self.frac_hi = np.array([[f // m for f, m in fracs]], dtype=np.uint64)
+        self.frac_lo = np.array([[f % m / m for f, m in fracs]])
+        self.dst = _column(dst)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """(..., L, N) residues x_i < m_i -> (..., K, N) residues mod ``dst``."""
+        hi = self.frac_hi @ x
+        low_bits = hi & np.uint64((1 << self.bits) - 1)
+        carry = np.rint((low_bits + self.frac_lo @ x) / 2.0 ** self.bits).astype(np.uint64)
+        return (matmod_rows(self.whole, x, self.dst) + (hi >> np.uint64(self.bits))
+                + carry) % self.dst
 
 
 class RlwePublicKey:
@@ -115,18 +173,27 @@ class RlweBackend:
         self.plans = [get_plan(q, self.n) for q in self.qs]
         self.plan_p = get_plan(self.p, self.n)
         self.delta_col = _column(self.q // self.p % q for q in self.qs)
-        need = 2 * self.n * self.q * self.q
-        self.aux = []
-        acc = 1
-        for pr in AUX_PRIMES:
-            self.aux.append(int(pr))
-            acc *= int(pr)
-            if acc > 2 * need:
-                break
-        if acc <= 2 * need:
-            raise ParamError("auxiliary CRT basis too small for exact tensoring")
-        self.aux_col = _column(self.aux)
-        self.aux_plans = [get_plan(pr, self.n) for pr in self.aux]
+        # ct*ct basis P: the fewest auxiliary primes with P > 4 p N Q, so the
+        # tensor (|d| <= N Q^2 / 2) is exact mod QP and round(p d / Q) is
+        # centered in P
+        bound = 4 * self.p * self.n * self.q
+        k = next((k for k in range(1, len(AUX_PRIMES) + 1)
+                  if math.prod(AUX_PRIMES[:k]) > bound), None)
+        if k is None:
+            raise ParamError("auxiliary basis too small for the ct*ct tensor")
+        self.ps = [int(pr) for pr in AUX_PRIMES[:k]]
+        big_p = math.prod(self.ps)
+        self.p_col = _column(self.ps)
+        self.qp_col = _column(self.qs + self.ps)
+        self.p_plans = [get_plan(pr, self.n) for pr in self.ps]
+        self.q_to_p = _BaseExtension(self.qs, self.ps)
+        self.p_to_q = _BaseExtension(self.ps, self.qs)
+        # round(p d / Q) mod P from d mod QP: the Q limbs by _ScaleRound, and
+        # each P limb x_k times p (P/p_k) [(QP/p_k)^-1]_{p_k}
+        self.scale_qp = _ScaleRound(self.qs, self.p * big_p, self.q * big_p, self.ps)
+        self.lam_col = _column(self.p * (big_p // pk) * pow(self.q * big_p // pk, -1, pk) % pk
+                               for pk in self.ps)
+        self.scale_q = _ScaleRound(self.qs, self.p, self.q, [self.p])
 
     # -- sampling -------------------------------------------------------------
     def _ternary(self) -> np.ndarray:
@@ -165,30 +232,33 @@ class RlweBackend:
     def _coeffs_to_slots(self, coeffs: np.ndarray) -> np.ndarray:
         return self.plan_p.forward(coeffs)
 
-    def _pt_delta_ntt(self, slots) -> np.ndarray:
-        """floor(q/p) * m in NTT form for the plaintext with these slots."""
-        m_ntt = _to_ntt(self._slots_to_coeffs(slots), self.plans)
-        return mulmod(m_ntt, self.delta_col, self.q_col)
+    def _pt_delta(self, slots) -> np.ndarray:
+        """floor(q/p) * m mod each limb, in coefficient form, for the
+        plaintext with these slots."""
+        m = self._slots_to_coeffs(slots)
+        return mulmod(m % self.q_col, self.delta_col, self.q_col)
 
-    def _round_pq(self, v: np.ndarray) -> np.ndarray:
-        """round(p * v / q), halves up, for Python-int coefficients."""
-        return (2 * self.p * v + self.q) // (2 * self.q)
+    def _pt_delta_ntt(self, slots) -> np.ndarray:
+        return _transform(self._pt_delta(slots), self.plans)
 
     # -- encrypt / decrypt ---------------------------------------------------------
     def encrypt(self, slots, public: RlwePublicKey) -> RlweCiphertext:
-        dm = self._pt_delta_ntt(slots)
+        dm = self._pt_delta(slots)
         u_ntt = _to_ntt(self._ternary(), self.plans)
-        e1_ntt = _to_ntt(self._gauss(), self.plans)
+        e1 = self._gauss()
         e2_ntt = _to_ntt(self._gauss(), self.plans)
-        data = mulmod(public.pk, u_ntt, self.q_col) + np.stack([e1_ntt + dm, e2_ntt])
+        # e1 and floor(q/p) m both go to c0: one forward NTT per limb for both
+        c0 = _transform(dm + np.stack([e1 % q for q in self.qs]).astype(np.uint64),
+                        self.plans)
+        data = mulmod(public.pk, u_ntt, self.q_col) + np.stack([c0, e2_ntt])
         return RlweCiphertext(data % self.q_col, public.owner,
                               noise.fresh_bits(self.params))
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
-        """c0 + c1 s (+ c2 s^2) as centered Python-int coefficients."""
+        """c0 + c1 s (+ c2 s^2) mod each limb, in coefficient form."""
         keys = np.stack((kp._s, kp._s2)[:ct.ncomp - 1])
         acc = ct.data[0] + mulmod(ct.data[1:], keys, self.q_col).sum(axis=0)
-        return _from_ntt(acc % self.q_col, self.plans)
+        return _transform(acc % self.q_col, self.plans, inverse=True)
 
     def decrypt(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         if ct.owner != kp.owner:
@@ -196,14 +266,14 @@ class RlweBackend:
         if noise_budget_bits(self.params, ct.noise_bits) <= 0:
             raise NoiseExhausted("noise budget exhausted")
         # round(p v / q) mod p does not change when the phase v shifts by q
-        m = self._round_pq(self._phase(ct, kp)) % self.p
-        return self._coeffs_to_slots(m.astype(np.uint64))
+        return self._coeffs_to_slots(self.scale_q(self._phase(ct, kp))[0])
 
     def measured_noise_bits(self, ct: RlweCiphertext, kp: RlweKeyPair) -> float:
-        """True residual noise (test instrumentation)."""
-        phi = self._phase(ct, kp)
-        # distance to the code point
-        r = phi - (self._round_pq(phi) * self.q + self.p // 2) // self.p
+        """True residual noise (test instrumentation): the distance of the
+        exact centered phase to its code point, in Python ints."""
+        phi = crt_reconstruct_centered(self._phase(ct, kp), self.qs)
+        m = (2 * self.p * phi + self.q) // (2 * self.q)
+        r = phi - (m * self.q + self.p // 2) // self.p
         return math.log2(max(int(np.abs(r).max()), 1))
 
     # -- linear ops -------------------------------------------------------------
@@ -240,23 +310,12 @@ class RlweBackend:
                                                 centered_max(m, self.p)))
 
     # -- ct * ct -----------------------------------------------------------------
-    def _tensor(self, a_comps, b_comps):
-        """Exact integer tensor (d0, d1, d2) over the auxiliary basis."""
-        a0, a1 = (_to_ntt(c, self.aux_plans) for c in a_comps)
-        b0, b1 = (_to_ntt(c, self.aux_plans) for c in b_comps)
-        m = self.aux_col
-        d1 = (mulmod(a0, b1, m) + mulmod(a1, b0, m)) % m
-        return [_from_ntt(d, self.aux_plans)
-                for d in (mulmod(a0, b0, m), d1, mulmod(a1, b1, m))]
-
     def _relin(self, d2: np.ndarray, public: RlwePublicKey) -> np.ndarray:
         """Key-switch the quadratic component; returns the (2, L, N) NTT pair
-        to add.  Its digits are the residues d2 mod q_i, each below q_i."""
-        acc = np.zeros((2, self.L, self.n), dtype=np.uint64)
-        for i, qi in enumerate(self.qs):
-            w_ntt = _to_ntt((d2 % qi).astype(np.uint64), self.plans)
-            acc = (acc + mulmod(public.rlk[i], w_ntt, self.q_col)) % self.q_col
-        return acc
+        to add.  Its digits are the limb residues d2 mod q_i (coefficient
+        form), each below q_i."""
+        digits = np.stack([_to_ntt(row, self.plans) for row in d2])[:, None]
+        return mulmod(public.rlk, digits, self.q_col).sum(axis=0) % self.q_col
 
     def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,
                public: RlwePublicKey) -> RlweCiphertext:
@@ -266,11 +325,21 @@ class RlweBackend:
         nb = noise.mul_ct_bits(self.params, x.noise_bits, y.noise_bits)
         if noise_budget_bits(self.params, nb) <= 0:
             raise NoiseExhausted("multiplication would exhaust the noise budget")
-        a = [_from_ntt(c, self.plans) for c in x.data]
-        b = a if y is x else [_from_ntt(c, self.plans) for c in y.data]
-        d0, d1, d2 = (self._round_pq(d) for d in self._tensor(a, b))
-        data = np.stack([_to_ntt(d0, self.plans), _to_ntt(d1, self.plans)])
-        return RlweCiphertext((data + self._relin(d2, public)) % self.q_col, x.owner, nb)
+        comps = x.data if y is x else np.concatenate([x.data, y.data])
+        # each component over Q and P: the Q limbs are its NTT rows, the P
+        # limbs the NTT of the centered extension of its coefficients
+        ext = self.q_to_p(_transform(comps, self.plans, inverse=True))
+        ab = np.concatenate([comps, _transform(ext, self.p_plans)], axis=1)
+        a0, a1, b0, b1 = (*ab, *ab) if y is x else ab
+        m = self.qp_col
+        d = np.stack([mulmod(a0, b0, m), (mulmod(a0, b1, m) + mulmod(a1, b0, m)) % m,
+                      mulmod(a1, b1, m)])
+        d = _transform(d, self.plans + self.p_plans, inverse=True)
+        # round(p d / Q) into P, then back to Q
+        r = self.scale_qp(d[:, :self.L]) + mulmod(d[:, self.L:], self.lam_col, self.p_col)
+        d = self.p_to_q(r % self.p_col)
+        data = _transform(d[:2], self.plans) + self._relin(d[2], public)
+        return RlweCiphertext(data % self.q_col, x.owner, nb)
 
     def square(self, x: RlweCiphertext, public: RlwePublicKey) -> RlweCiphertext:
         return self.mul_ct(x, x, public)

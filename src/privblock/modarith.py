@@ -48,6 +48,16 @@ def matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc.astype(np.uint64)
 
 
+def matmod_rows(m: np.ndarray, x: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """(m @ x) mod moduli[k] in row k, for a (K, L) uint64 matrix below 2^41,
+    (..., L, N) uint64 words below 2^32, a (K, 1) uint64 modulus column and
+    L below 64: m splits at 15 bits, so each partial sum stays below 2^64.
+    This is how ``rlwe`` maps limb residues from one RNS basis to another."""
+    hi = (m >> np.uint64(15)) @ x
+    lo = (m & np.uint64(0x7FFF)) @ x
+    return (((hi % moduli) << np.uint64(15)) + lo) % moduli
+
+
 def signed_lift(values, modulus: int) -> np.ndarray:
     """Map canonical representatives to int64 values in (-M/2, M/2]."""
     v = np.asarray(values, dtype=np.uint64).astype(np.int64)

@@ -36,8 +36,9 @@ DEFAULT_Q_PRIMES = (
     1073233921,
 )
 
-# Auxiliary NTT basis for exact integer tensoring in ct-ct multiplication.
-# Product must exceed 2 * N * q^2.
+# Auxiliary RNS basis P of ct-ct multiplication: the rlwe backend takes the
+# fewest leading primes with P > 4 * p * N * q, so the tensor is exact over
+# q * P and its scaling by p/q is centered in P.
 AUX_PRIMES = (
     1073184769,
     1073135617,
@@ -238,6 +239,8 @@ class GadgetCostTable:
         for name, e in _checked(d, "gadget_costs", allowed=d).items():  # any name
             for key, value in _checked(e, f"gadget_costs.{name}", keys, keys).items():
                 _check_int(f"gadget_costs.{name}.{key}", value)
+                if value < 0:
+                    raise ParamError(f"gadget_costs.{name}.{key} must be >= 0, got {value}")
         base.update(d)
         return cls(entries=base)
 

@@ -1,11 +1,13 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privblock import channel
 from privblock.channel import (FRAME_OVERHEAD, MAGIC, PROFILES,
                                HandshakeMismatch, IoError, NetworkProfile,
                                PeerClosed, TcpSession, connect, make_pair,
@@ -257,6 +259,21 @@ def test_repeat_handshake():
 
     rep_a, rep_b = run_pair(party, party, PROFILES["lan"])
     assert rep_a.message_count == rep_b.message_count == 2
+
+
+def test_run_pair_has_one_deadline(monkeypatch):
+    """Both parties share one deadline: two parties that each run past it
+    (but not past twice it) are a deadlock, not two separate waits."""
+    monkeypatch.setattr(channel, "RUN_PAIR_TIMEOUT_S", 0.4)
+
+    def party(sess):
+        time.sleep(0.6)
+        return sess.role
+
+    start = time.monotonic()
+    with pytest.raises(IoError, match="deadlocked"):
+        run_pair(party, party)
+    assert time.monotonic() - start < 0.55
 
 
 @settings(max_examples=60, deadline=None)

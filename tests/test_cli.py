@@ -257,12 +257,18 @@ PARTY_GELU = ["party", "--protocol", "gelu", "--shape", "1x4", "--local", "--con
     (PARTY_GELU, _malformed_config(
         lambda c: c["gadget_costs"]["b2a"].update(bytes_per_element=True)),
      "gadget_costs.b2a.bytes_per_element"),
+    (PARTY_GELU, _malformed_config(
+        lambda c: c["gadget_costs"]["lt"].update(bytes_per_element=-592)),
+     "gadget_costs.lt.bytes_per_element"),
+    (PARTY_GELU, _malformed_config(lambda c: c["gadget_costs"]["b2a"].update(rounds=-1)),
+     "gadget_costs.b2a.rounds"),
     (PARTY_MATMUL, _malformed_config(lambda c: c["he"].update(p=137438840321)), "he.p"),
     (PARTY_MATMUL, _malformed_config(lambda c: c["fixedpoint"].update(truncation_mode="local")),
      "truncation_mode"),
 ], ids=["unknown_fixedpoint_key", "he_without_q_primes", "table_without_segments",
         "unknown_tail_kind", "he_n_string", "fixedpoint_s_string", "q_primes_not_a_list",
-        "cost_without_rounds", "cost_bool_bytes", "he_p_differs", "truncation_mode_key"])
+        "cost_without_rounds", "cost_bool_bytes", "cost_negative_bytes",
+        "cost_negative_rounds", "he_p_differs", "truncation_mode_key"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj, named):
     code = main(argv + [_write_json(tmp_path, "in.json", obj)])
     assert code == 2

@@ -71,6 +71,20 @@ def test_matmod_matches_object_matmul(mod, shape, rng):
     assert np.array_equal(ma.matmod(a, b, mod).astype(object), want)
 
 
+@pytest.mark.parametrize("moduli", [DEFAULT_Q_PRIMES, AUX_PRIMES[:8], (P, P41)])
+def test_matmod_rows_matches_python(moduli, rng):
+    """Row k reduced mod moduli[k]: 30-bit words against a matrix of 30-bit
+    limb residues, or of residues of the 37- and 41-bit plaintext primes."""
+    k, l, n = len(moduli), 6, 300
+    m = np.stack([_inputs(mod, l, rng) for mod in moduli])
+    x = rng.integers(0, 1 << 32, size=(2, l, n), dtype=np.uint64)
+    x[0, :, 0] = (1 << 32) - 1
+    want = [[[sum(int(m[r, i]) * int(x[b, i, j]) for i in range(l)) % moduli[r]
+              for j in range(n)] for r in range(k)] for b in range(2)]
+    col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    assert ma.matmod_rows(m, x, col).tolist() == want
+
+
 @pytest.mark.parametrize("mod", [P, RING])
 def test_signed_lift_and_centered_max(mod, rng):
     v = _inputs(mod, 2000, rng)
