@@ -1,10 +1,10 @@
 """The full-RNS rlwe backend against the exact Python-integer reference.
 
-The reference is the backend's earlier exact path: centered CRT
-reconstruction of every coefficient, a negacyclic tensor over an auxiliary
-basis large enough for the exact integer product, round(p d / Q) on Python
-ints, and relinearization digits d2 mod q_i.  The RNS path must give the
-same ciphertext words.
+The reference computes in exact integers: centered CRT reconstruction of
+every coefficient, a negacyclic tensor over an auxiliary basis large enough
+for the exact integer product, round(p d / Q) on Python ints, and
+relinearization digits d2 mod q_i.  The RNS path must give the same
+ciphertext words.
 
 Float ties.  Both RNS roundings decide with a float.  The Q -> P extension
 of ct*ct errs only for a coefficient within about 2^-50 Q of +-Q/2, and the
