@@ -23,7 +23,7 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
                pack_header, parse_header)
-from ..modarith import centered_max, matmod_rows, mulmod, signed_lift
+from ..modarith import centered_max, matmod, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
 from .ntt import crt_reconstruct_centered, get_plan
@@ -34,13 +34,6 @@ BACKEND_ID = 1
 def _column(values) -> np.ndarray:
     """One modulus (or residue) per limb as a (L, 1) uint64 column."""
     return np.array([int(v) for v in values], dtype=np.uint64).reshape(-1, 1)
-
-
-def _to_ntt(coeffs: np.ndarray, plans) -> np.ndarray:
-    """Signed int64 (or uint64) coefficients -> one NTT row per plan's
-    prime; numpy's % by a Python int gives the non-negative residue."""
-    return np.stack([plan.forward(np.asarray(coeffs % plan.prime, dtype=np.uint64))
-                     for plan in plans])
 
 
 def _transform(rows: np.ndarray, plans, inverse: bool = False) -> np.ndarray:
@@ -72,7 +65,7 @@ class _BaseExtension:
         """(..., L, N) residues mod ``src`` -> (..., K, N) residues mod ``dst``."""
         y = mulmod(x, self.inv_hat, self.src)
         v = np.rint((y / self.src).sum(axis=-2, keepdims=True)).astype(np.uint64)
-        return (matmod_rows(self.hat, y, self.dst) + v * self.neg_big) % self.dst
+        return (matmod(self.hat, y, self.dst) + v * self.neg_big) % self.dst
 
 
 class _ScaleRound:
@@ -101,7 +94,7 @@ class _ScaleRound:
         hi = self.frac_hi @ x
         low_bits = hi & np.uint64((1 << self.bits) - 1)
         carry = np.rint((low_bits + self.frac_lo @ x) / 2.0 ** self.bits).astype(np.uint64)
-        return (matmod_rows(self.whole, x, self.dst) + (hi >> np.uint64(self.bits))
+        return (matmod(self.whole, x, self.dst) + (hi >> np.uint64(self.bits))
                 + carry) % self.dst
 
 
@@ -166,6 +159,7 @@ class RlweBackend:
         self.rng = rng or np.random.default_rng()
         self.qs = [int(q) for q in params.q_primes]
         self.q_col = _column(self.qs)
+        self.q_signed = self.q_col.astype(np.int64)  # int64 % uint64 is float64
         self.q = params.q
         self.p = params.p
         self.n = params.n
@@ -207,13 +201,18 @@ class RlweBackend:
         """(-(a s + e), a) in NTT form for fresh uniform a and Gaussian e."""
         a = np.stack([self.rng.integers(0, q, size=self.n, dtype=np.uint64)
                       for q in self.qs])
-        e_ntt = _to_ntt(self._gauss(), self.plans)
+        e_ntt = self._to_ntt(self._gauss())
         body = (mulmod(a, s_ntt, self.q_col) + e_ntt) % self.q_col
         return np.stack([(self.q_col - body) % self.q_col, a])
 
+    def _to_ntt(self, coeffs: np.ndarray) -> np.ndarray:
+        """Signed int64 coefficients (..., N) -> their NTT in every limb,
+        (..., L, N)."""
+        return _transform((coeffs[..., None, :] % self.q_signed).astype(np.uint64), self.plans)
+
     # -- keys -------------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
-        s_ntt = _to_ntt(self._ternary(), self.plans)
+        s_ntt = self._to_ntt(self._ternary())
         s2_ntt = mulmod(s_ntt, s_ntt, self.q_col)
         pk = self._key_row(s_ntt)
         rlk = None
@@ -238,18 +237,14 @@ class RlweBackend:
         m = self._slots_to_coeffs(slots)
         return mulmod(m % self.q_col, self.delta_col, self.q_col)
 
-    def _pt_delta_ntt(self, slots) -> np.ndarray:
-        return _transform(self._pt_delta(slots), self.plans)
-
     # -- encrypt / decrypt ---------------------------------------------------------
     def encrypt(self, slots, public: RlwePublicKey) -> RlweCiphertext:
         dm = self._pt_delta(slots)
-        u_ntt = _to_ntt(self._ternary(), self.plans)
+        u_ntt = self._to_ntt(self._ternary())
         e1 = self._gauss()
-        e2_ntt = _to_ntt(self._gauss(), self.plans)
+        e2_ntt = self._to_ntt(self._gauss())
         # e1 and floor(q/p) m both go to c0: one forward NTT per limb for both
-        c0 = _transform(dm + np.stack([e1 % q for q in self.qs]).astype(np.uint64),
-                        self.plans)
+        c0 = _transform(dm + (e1 % self.q_signed).astype(np.uint64), self.plans)
         data = mulmod(public.pk, u_ntt, self.q_col) + np.stack([c0, e2_ntt])
         return RlweCiphertext(data % self.q_col, public.owner,
                               noise.fresh_bits(self.params))
@@ -297,14 +292,14 @@ class RlweBackend:
         return RlweCiphertext(out, x.owner, noise.add_pt_bits(self.params, x.noise_bits))
 
     def add_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        return self._add_to_c0(x, self._pt_delta_ntt(slots))
+        return self._add_to_c0(x, _transform(self._pt_delta(slots), self.plans))
 
     def sub_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        return self._add_to_c0(x, self.q_col - self._pt_delta_ntt(slots))
+        return self._add_to_c0(x, self.q_col - _transform(self._pt_delta(slots), self.plans))
 
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
         m = self._slots_to_coeffs(slots)
-        m_ntt = _to_ntt(signed_lift(m, self.p), self.plans)
+        m_ntt = self._to_ntt(signed_lift(m, self.p))
         return RlweCiphertext(mulmod(x.data, m_ntt, self.q_col), x.owner,
                               noise.mul_pt_bits(self.params, x.noise_bits,
                                                 centered_max(m, self.p)))
@@ -314,7 +309,7 @@ class RlweBackend:
         """Key-switch the quadratic component; returns the (2, L, N) NTT pair
         to add.  Its digits are the limb residues d2 mod q_i (coefficient
         form), each below q_i."""
-        digits = np.stack([_to_ntt(row, self.plans) for row in d2])[:, None]
+        digits = self._to_ntt(d2.astype(np.int64))[:, None]
         return mulmod(public.rlk, digits, self.q_col).sum(axis=0) % self.q_col
 
     def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,

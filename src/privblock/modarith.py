@@ -33,10 +33,13 @@ def mulmod(a, b, p) -> np.ndarray:
     return (((a * hi) % p64 << np.uint64(_SPLIT)) + a * lo) % p64
 
 
-def matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Exact (a @ b) mod p for uint64 matrices with entries below p < 2^41
     and an inner dimension below 2^19, so every int64 partial sum of the
-    split products stays below 2^63."""
+    split products stays below 2^63.  ``p`` is an int, or a column that
+    gives each row of the product its own modulus (``rlwe`` maps limb
+    residues from one RNS basis to another this way)."""
+    p = np.asarray(p, dtype=np.int64)  # int64 % uint64 would be float64
     ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
     al = (a & _LOW).astype(np.int64)
     bh = (b >> np.uint64(_SPLIT)).astype(np.int64)
@@ -46,16 +49,6 @@ def matmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     acc = ((acc << _SPLIT) + ah @ bl + al @ bh) % p
     acc = ((acc << _SPLIT) + al @ bl) % p
     return acc.astype(np.uint64)
-
-
-def matmod_rows(m: np.ndarray, x: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """(m @ x) mod moduli[k] in row k, for a (K, L) uint64 matrix below 2^41,
-    (..., L, N) uint64 words below 2^32, a (K, 1) uint64 modulus column and
-    L below 64: m splits at 15 bits, so each partial sum stays below 2^64.
-    This is how ``rlwe`` maps limb residues from one RNS basis to another."""
-    hi = (m >> np.uint64(15)) @ x
-    lo = (m & np.uint64(0x7FFF)) @ x
-    return (((hi % moduli) << np.uint64(15)) + lo) % moduli
 
 
 def signed_lift(values, modulus: int) -> np.ndarray:

@@ -263,17 +263,18 @@ def test_repeat_handshake():
 
 def test_run_pair_has_one_deadline(monkeypatch):
     """Both parties share one deadline: two parties that each run past it
-    (but not past twice it) are a deadlock, not two separate waits."""
-    monkeypatch.setattr(channel, "RUN_PAIR_TIMEOUT_S", 0.4)
+    (but not past twice it) are a deadlock, not two separate waits, which
+    would see both finish and return their results."""
+    monkeypatch.setattr(channel, "RUN_PAIR_TIMEOUT_S", 0.5)
 
     def party(sess):
-        time.sleep(0.6)
+        time.sleep(0.9)
         return sess.role
 
     start = time.monotonic()
     with pytest.raises(IoError, match="deadlocked"):
         run_pair(party, party)
-    assert time.monotonic() - start < 0.55
+    assert time.monotonic() - start < 0.9
 
 
 @settings(max_examples=60, deadline=None)

@@ -71,18 +71,16 @@ def test_matmod_matches_object_matmul(mod, shape, rng):
     assert np.array_equal(ma.matmod(a, b, mod).astype(object), want)
 
 
-@pytest.mark.parametrize("moduli", [DEFAULT_Q_PRIMES, AUX_PRIMES[:8], (P, P41)])
-def test_matmod_rows_matches_python(moduli, rng):
-    """Row k reduced mod moduli[k]: 30-bit words against a matrix of 30-bit
-    limb residues, or of residues of the 37- and 41-bit plaintext primes."""
-    k, l, n = len(moduli), 6, 300
-    m = np.stack([_inputs(mod, l, rng) for mod in moduli])
-    x = rng.integers(0, 1 << 32, size=(2, l, n), dtype=np.uint64)
-    x[0, :, 0] = (1 << 32) - 1
-    want = [[[sum(int(m[r, i]) * int(x[b, i, j]) for i in range(l)) % moduli[r]
-              for j in range(n)] for r in range(k)] for b in range(2)]
+@pytest.mark.parametrize("moduli", [AUX_PRIMES[:8], (P, P41)])
+def test_matmod_modulus_column(moduli, rng):
+    """Row k reduced mod moduli[k], broadcast over a stack of 30-bit limb
+    residues: how ``rlwe`` extends limbs from one RNS basis to another."""
+    m = np.stack([_inputs(mod, 6, rng) for mod in moduli])
+    x = np.stack([_inputs(DEFAULT_Q_PRIMES[0], 6 * 300, rng).reshape(6, 300)
+                  for _ in range(2)])
     col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-    assert ma.matmod_rows(m, x, col).tolist() == want
+    want = (m.astype(object) @ x.astype(object)) % col.astype(object)
+    assert np.array_equal(ma.matmod(m, x, col).astype(object), want)
 
 
 @pytest.mark.parametrize("mod", [P, RING])
