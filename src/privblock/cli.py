@@ -160,15 +160,18 @@ def _verify(protocol, shape, inputs, out_a, out_b, cfg, block=None):
 
 
 def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
-    """One full two-party execution; returns (report, max_err, wall)."""
+    """One full two-party execution; returns (report, max_err, wall, dims):
+    dims is the --shape, or d_s,d_m,h,d_k,d_f for the block."""
     protocol = args.protocol
     block_cfg = weights = None
     if protocol == "block":
         block_cfg, weights, inputs = _block_setup(args, cfg, seed)
         shape = (block_cfg.d_s, block_cfg.d_m)
+        dims = ",".join(map(str, block_cfg.to_tuple()))
     else:
         shape = _parse_shape(args.shape, 3 if protocol in ("matmul", "mmshared") else 2)
         inputs = _gen_inputs(protocol, shape, cfg, seed)
+        dims = args.shape
     t0 = time.perf_counter()
     if args.local:
         def fa(sess):
@@ -181,7 +184,7 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
         wall = time.perf_counter() - t0
         err = _verify(protocol, shape, inputs, out_a, out_b, cfg,
                       (block_cfg, weights) if protocol == "block" else None)
-        return sess_a.report(), err, wall
+        return sess_a.report(), err, wall, dims
     role = args.role.upper()
     host, port = args.endpoint.split(":")
     sess = connect(role, (host, int(port)), profile, cfg.fingerprint())
@@ -189,7 +192,7 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
         ctx = make_party(role, sess, cfg, seed)
         _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg)
         wall = time.perf_counter() - t0
-        return sess.report(), float("nan"), wall
+        return sess.report(), float("nan"), wall, dims
     finally:
         sess.close()
 
@@ -197,14 +200,14 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
 def cmd_party(args) -> int:
     cfg = _config(args)
     profile = _profile(args)
-    report, err, wall = run_once(args, cfg, profile, args.seed)
-    _print_report(report, err, wall, args)
+    report, err, wall, dims = run_once(args, cfg, profile, args.seed)
+    _print_report(report, err, wall, args.protocol, dims)
     return 0
 
 
-def _print_report(report, err, wall, args):
+def _print_report(report, err, wall, protocol, dims):
     out = sys.stdout
-    out.write(f"protocol={args.protocol} shape={getattr(args, 'shape', '-')}\n")
+    out.write(f"protocol={protocol} shape={dims}\n")
     out.write(f"bytes_a={report.bytes_sent['A']} bytes_b={report.bytes_sent['B']} "
               f"total={report.total_bytes}\n")
     out.write(f"messages={report.message_count} rounds={report.round_count} "
@@ -229,12 +232,12 @@ def cmd_bench(args) -> int:
         raise ParamError("repetitions must be >= 1")
     rows = []
     for rep in range(args.repetitions):
-        report, err, wall = run_once(args, cfg, profile, args.seed + rep)
-        rows.append([args.protocol, getattr(args, "shape", "-"), rep,
+        report, err, wall, dims = run_once(args, cfg, profile, args.seed + rep)
+        rows.append([args.protocol, dims, rep,
                      report.bytes_sent["A"], report.bytes_sent["B"],
                      report.total_bytes, report.message_count,
                      report.round_count, report.simulated_time, wall, err])
-    agg = ["aggregate", getattr(args, "shape", "-"), args.repetitions]
+    agg = ["aggregate", dims, args.repetitions]
     for col in range(3, len(BENCH_COLUMNS)):
         agg.append(float(np.mean([r[col] for r in rows])))
     rows.append(agg)

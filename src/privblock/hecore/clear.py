@@ -29,9 +29,10 @@ class ClearPublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes):
-        if data[:4] != b"CLRK":
+        """Parse a key blob: the magic and an owner of A or B, nothing more."""
+        if len(data) != 5 or data[:4] != b"CLRK" or data[4:] not in (b"A", b"B"):
             raise MalformedBytes("bad clear public key blob")
-        return cls(data[4:5].decode())
+        return cls(data[4:].decode())
 
 
 class ClearKeyPair:

@@ -13,8 +13,6 @@ below 2^MAX_MODULUS_BITS: the 30-bit RNS limbs and the plaintext modulus p.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..modarith import mulmod
@@ -126,18 +124,3 @@ def get_plan(prime: int, n: int) -> NttPlan:
         _TABLES[key] = plan
     return plan
 
-
-def crt_reconstruct_centered(residues, primes):
-    """Combine per-prime residue vectors into centered Python integers in
-    [-(M-1)/2, (M-1)/2] for the odd product M of the primes: the exact
-    centered phase behind ``RlweBackend.measured_noise_bits``, which no
-    protocol op calls."""
-    M = math.prod(int(p) for p in primes)
-    acc = np.zeros(len(residues[0]), dtype=object)
-    for r, p in zip(residues, primes):
-        mi = M // int(p)
-        gi = (mi * pow(mi, -1, int(p))) % M
-        acc = acc + r.astype(object) * gi
-    acc %= M
-    half = M >> 1
-    return np.where(acc > half, acc - M, acc)

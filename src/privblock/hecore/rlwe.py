@@ -8,10 +8,9 @@ Polyakov and Shoup, CT-RSA 2019): ct*ct extends its inputs from the basis Q
 to an auxiliary basis P, tensors them pointwise over Q and P, scales by p/Q
 into P and extends the result back to Q, where the quadratic component's
 residues are the digits of the limb-decomposed relinearization.  Decrypt
-takes round(p v / Q) mod p from the phase's limb residues.  The only exact
-Python-int step left is ``measured_noise_bits``, test instrumentation.
-Plaintext slots are the CRT components of Z_p[X]/(X^N+1), reached through a
-mod-p negacyclic transform; there is no slot permutation anywhere.
+takes round(p v / Q) mod p from the phase's limb residues.  Plaintext
+slots are the CRT components of Z_p[X]/(X^N+1), reached through a mod-p
+negacyclic transform; there is no slot permutation anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
 from ..modarith import centered_max, matmod, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
-from .ntt import crt_reconstruct_centered, get_plan
+from .ntt import get_plan
 
 BACKEND_ID = 1
 
@@ -114,19 +113,19 @@ class RlwePublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: HeParams):
-        if data[:4] != b"RLPK":
+        """Parse a key blob; anything but a whole key of these parameters,
+        owned by A or B, raises ``MalformedBytes``."""
+        if len(data) < 6 or data[:4] != b"RLPK":
             raise MalformedBytes("bad public key blob")
-        owner = data[4:5].decode()
-        has_relin = data[5] == 1
+        if data[4:5] not in (b"A", b"B") or data[5] not in (0, 1):
+            raise MalformedBytes("bad public key owner or relinearization flag")
         L, N = params.limbs, params.n
-        off = 6
-        pk = np.frombuffer(data, dtype="<u8", count=2 * L * N, offset=off).reshape(2, L, N).copy()
-        rlk = None
-        if has_relin:
-            off += 2 * L * N * 8
-            rlk = np.frombuffer(data, dtype="<u8", count=L * 2 * L * N,
-                                offset=off).reshape(L, 2, L, N).copy()
-        return cls(owner, pk, rlk)
+        if len(data) != 6 + 8 * 2 * L * N * (1 + L * data[5]):
+            raise MalformedBytes("truncated or padded public key blob")
+        body = np.frombuffer(data, dtype="<u8", offset=6)
+        pk = body[:2 * L * N].reshape(2, L, N).copy()
+        rlk = body[2 * L * N:].reshape(L, 2, L, N).copy() if data[5] else None
+        return cls(data[4:5].decode(), pk, rlk)
 
 
 class RlweKeyPair:
@@ -262,14 +261,6 @@ class RlweBackend:
             raise NoiseExhausted("noise budget exhausted")
         # round(p v / q) mod p does not change when the phase v shifts by q
         return self._coeffs_to_slots(self.scale_q(self._phase(ct, kp))[0])
-
-    def measured_noise_bits(self, ct: RlweCiphertext, kp: RlweKeyPair) -> float:
-        """True residual noise (test instrumentation): the distance of the
-        exact centered phase to its code point, in Python ints."""
-        phi = crt_reconstruct_centered(self._phase(ct, kp), self.qs)
-        m = (2 * self.p * phi + self.q) // (2 * self.q)
-        r = phi - (m * self.q + self.p // 2) // self.p
-        return math.log2(max(int(np.abs(r).max()), 1))
 
     # -- linear ops -------------------------------------------------------------
     def _check_pair(self, x: RlweCiphertext, y: RlweCiphertext):

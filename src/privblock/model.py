@@ -214,11 +214,11 @@ def _rescale(ctx: PartyCtx, out: ProtocolOutputShares,
 
 def _matmul_shared_plain(ctx: PartyCtx, x_sh: Share, w_enc, shape,
                          label: str) -> ProtocolOutputShares:
-    """Shared activations times B-held plaintext weights: one matmul
+    """Shared activations times B-held plaintext weights: one packed matmul
     invocation on A's share plus B's local product folded into its share."""
     m, n, h = shape
     out = pi_matmul(ctx, x_sh.payload.reshape(m, n) if ctx.role == "A" else w_enc,
-                    shape, data_party="A", label=label)
+                    shape, data_party="A", label=label, packed=True)
     if ctx.role == "B":
         local = matmod(x_sh.payload.reshape(m, n), w_enc, ctx.fp.p)
         out = _add_payload(ctx, out, local.ravel())
@@ -278,7 +278,7 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
             qkv = {}
             for name in ("wq", "wk", "wv"):
                 mat = x_sh.matrix() if ctx.role == "A" else w[name][i]
-                out = pi_matmul(ctx, mat, (d_s, d_m, d_k), label=name)
+                out = pi_matmul(ctx, mat, (d_s, d_m, d_k), label=name, packed=True)
                 qkv[name] = _rescale(ctx, out, s)
             scores = pi_matmul_shared(ctx, qkv["wq"].share, qkv["wk"].share,
                                       (d_s, d_k), (d_s, d_k), transpose_right=True,

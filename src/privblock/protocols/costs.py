@@ -14,6 +14,7 @@ from ..channel import FRAME_OVERHEAD
 from ..hecore import ct_bytes
 from ..params import Config
 from .gelu import _power_keys, _segment_plan
+from .matmul import packed_partition
 
 
 def _blocks(n_values: int, n_slots: int) -> int:
@@ -25,18 +26,27 @@ def _gadget(cfg: Config, entry: str, n: int) -> int:
     return total
 
 
-def matmul_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
+def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False) -> dict:
+    """The paper's slot-replicated product, or with ``packed`` the
+    coefficient-packed one: one ciphertext per block of L in, one per block
+    of C out."""
+    if packed:
+        widths = packed_partition(m, n, h, cfg.he.n)
+        bm, bn, bh = (_blocks(d, w) for d, w in zip((m, n, h), widths))
+        cts_in, cts_out = bm * bn, bm * bh
+    else:
+        cts_out = _blocks(m * h, cfg.he.n)
+        cts_in = n * cts_out
     ct = ct_bytes(cfg.he)
-    d = _blocks(m * h, cfg.he.n)
     return {
-        "inputs": FRAME_OVERHEAD + n * d * ct,
-        "masked_product": FRAME_OVERHEAD + d * ct,
+        "inputs": FRAME_OVERHEAD + cts_in * ct,
+        "masked_product": FRAME_OVERHEAD + cts_out * ct,
     }
 
 
 def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
     out = {}
-    for sub, val in matmul_bytes(cfg, m, n, h).items():
+    for sub, val in matmul_bytes(cfg, m, n, h, packed=True).items():
         out[f"cross_ab/{sub}"] = val
         out[f"cross_ba/{sub}"] = val
     out["local_term"] = FRAME_OVERHEAD + m * h * 8

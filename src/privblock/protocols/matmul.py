@@ -1,20 +1,47 @@
-"""Rotation-free secure matrix multiplication.
+"""Rotation-free secure matrix multiplication, in two layouts.
 
-The data party flattens its left matrix by rows and replicates each row
-entry across the output columns; the weight party replicates its right
-matrix down the output rows.  Slot-aligned ciphertext*plaintext products
-accumulated over the inner dimension then land the full product, row-major,
-in the output slots: one ciphertext batch in, one masked batch back, and no
-slot rotation anywhere.
+One protocol serves both: the data party encrypts a list of plaintext
+vectors and sends them; the weight party multiply-accumulates each output
+vector from its inputs by ciphertext*plaintext products, subtracts uniform
+mask slots and returns it; the data party decrypts.  No slot is ever
+rotated.  The layouts differ only in their encoders and their decoder.
+
+- Slot-replicated (the paper's protocol, the default): the data party
+  replicates each entry of its left matrix across the output columns, the
+  weight party replicates its right matrix down the output rows, and the
+  products accumulated over the inner dimension land the full product,
+  row-major, in the output slots: n ciphertext vectors in, one back.
+- Coefficient-packed (``packed=True``, after Huang et al., "Cheetah",
+  USENIX Security 2022): slots are the mod-p negacyclic NTT of the
+  plaintext coefficients, so a slot-wise product is the polynomial product.
+  For block widths (m_w, n_w, h_w) with m_w n_w h_w <= N the data party
+  packs each block of L as sum L[i,j] X^(i n_w h_w + j), the weight party
+  each block of R as sum R[j,k] X^(k n_w + n_w - 1 - j), and coefficient
+  i n_w h_w + k n_w + n_w - 1 of their product is the block's C[i,k]; the
+  wrapped terms land below n_w - 1.  One ciphertext per packed polynomial
+  each way.
+
+Uniform mask slots are uniform coefficients, so every coefficient the data
+party decrypts is masked, not only those that carry C.  Both parties decode
+their slots (the data party its decryption, the weight party its masks) the
+same way, so the shares are C - R_mask and R_mask.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import product
+
 import numpy as np
 
+from ..hecore.ntt import get_plan
 from ..modarith import matmod
 from ..sharing import FIELD, Share
-from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def expand_left(mat: np.ndarray, h: int) -> list:
@@ -27,38 +54,135 @@ def expand_right(mat: np.ndarray, m: int) -> list:
     return [np.tile(mat[j, :], m) for j in range(mat.shape[0])]
 
 
+def _widths(d: int) -> list:
+    """The narrowest width of each block count of a dimension d, widest first."""
+    return sorted({_ceil_div(d, b) for b in range(1, d + 1)}, reverse=True)
+
+
+@functools.lru_cache(maxsize=256)
+def packed_partition(m: int, n: int, h: int, n_slots: int) -> tuple:
+    """Block widths (m_w, n_w, h_w) with m_w n_w h_w <= n_slots that need
+    the fewest ciphertexts in plus out, ceil(m/m_w) (ceil(n/n_w) +
+    ceil(h/h_w)).  Ties go to fewer ciphertexts in (encryptions), then to
+    fewer ciphertext*plaintext products, then to wider row and inner blocks.
+    Only the narrowest width of each block count is a candidate, so the
+    search is over O(sqrt(m n)) pairs."""
+    best = None
+    for m_w, n_w in product(_widths(m), _widths(n)):
+        if m_w * n_w > n_slots:
+            continue
+        bm, bn = _ceil_div(m, m_w), _ceil_div(n, n_w)
+        bh = _ceil_div(h, n_slots // (m_w * n_w))
+        key = (bm * (bn + bh), bm * bn, bm * bn * bh)
+        if best is None or key < best[0]:
+            best = key, (m_w, n_w, _ceil_div(h, bh))
+    return best[1]
+
+
+class _Replicated:
+    """The paper's layout: n input vectors of m*h slots, one output."""
+
+    def __init__(self, ctx: PartyCtx, shape: tuple):
+        m, n, h = self.shape = shape
+        ctx.n_blocks(m * h)
+        self.in_sizes, self.out_sizes = [m * h] * n, [m * h]
+
+    def left(self, mat):
+        return expand_left(mat, self.shape[2])
+
+    def right(self, mat):
+        """Each output's (input index, plaintext) terms."""
+        yield list(enumerate(expand_right(mat, self.shape[0])))
+
+    def decode(self, outs: list) -> np.ndarray:
+        return outs[0]
+
+
+class _Packed:
+    """The coefficient-packed layout: one N-slot vector per block of L in,
+    one per block of C out, ordered by column block, then row block."""
+
+    def __init__(self, ctx: PartyCtx, shape: tuple):
+        self.n_slots = ctx.he_params.n
+        self.shape = shape
+        self.widths = packed_partition(*shape, self.n_slots)
+        self.plan = get_plan(ctx.he_params.p, self.n_slots)
+        bm, bn, bh = self.blocks = tuple(map(_ceil_div, shape, self.widths))
+        self.in_sizes = [self.n_slots] * (bm * bn)
+        self.out_sizes = [self.n_slots] * (bm * bh)
+
+    def _poly(self, block: np.ndarray, rows: int, cols: int, flip: bool) -> np.ndarray:
+        """Slots of the polynomial whose first rows*cols coefficients, read
+        as a (rows, cols) matrix (columns reversed if ``flip``), hold
+        ``block`` in its top-left corner."""
+        coeffs = np.zeros(self.n_slots, dtype=np.uint64)
+        grid = coeffs[:rows * cols].reshape(rows, cols)
+        (grid[:, ::-1] if flip else grid)[:block.shape[0], :block.shape[1]] = block
+        return self.plan.forward(coeffs)
+
+    def left(self, mat):
+        m_w, n_w, h_w = self.widths
+        bm, bn, _ = self.blocks
+        for bi, bj in product(range(bm), range(bn)):
+            block = mat[bi * m_w:(bi + 1) * m_w, bj * n_w:(bj + 1) * n_w]
+            yield self._poly(block, m_w, n_w * h_w, flip=False)
+
+    def right(self, mat):
+        _, n_w, h_w = self.widths
+        bm, bn, bh = self.blocks
+        for bk in range(bh):
+            col = [self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
+                              h_w, n_w, flip=True) for bj in range(bn)]
+            for bi in range(bm):
+                yield [(bi * bn + bj, pt) for bj, pt in enumerate(col)]
+
+    def decode(self, outs: list) -> np.ndarray:
+        m_w, n_w, h_w = self.widths
+        bm, _, bh = self.blocks
+        where = (np.arange(m_w)[:, None] * (n_w * h_w)
+                 + np.arange(h_w)[None, :] * n_w + n_w - 1)
+        out = np.empty((bm * m_w, bh * h_w), dtype=np.uint64)
+        for o, slots in enumerate(outs):
+            bk, bi = divmod(o, bm)
+            out[bi * m_w:(bi + 1) * m_w, bk * h_w:(bk + 1) * h_w] = \
+                self.plan.inverse(slots)[where]
+        m, _, h = self.shape
+        return out[:m, :h].ravel()
+
+
 def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
-              label: str = "matmul", scale: int | None = None) -> ProtocolOutputShares:
+              label: str = "matmul", scale: int | None = None, *,
+              packed: bool = False) -> ProtocolOutputShares:
     """Two-party product C = L (x) R with L held by ``data_party`` and R by
     the other party.  Outputs additive field shares of C at scale
     scale(L)+scale(R); the data party ends with C - R_mask, the weight party
-    with R_mask.  Exact mod p."""
+    with R_mask.  Exact mod p.  ``packed`` picks the coefficient-packed
+    layout over the paper's slot-replicated one."""
     m, n, h = shape
     if min(m, n, h) < 1:
         raise ShapeMismatch("all dimensions must be >= 1")
     out_scale = 2 * ctx.fp.s if scale is None else scale
     with ctx.session.phase(label):
-        out_len = m * h
-        ctx.n_blocks(out_len)
+        layout = (_Packed if packed else _Replicated)(ctx, shape)
+        mat = np.asarray(mat, dtype=np.uint64)
         if ctx.role == data_party:
-            mat = np.asarray(mat, dtype=np.uint64)
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", *[ctx.encrypt(row, ctx.role)
-                                     for row in expand_left(mat, h)])
-            [got] = ctx.recv_cts("masked_product", out_len)
-            share = ctx.decrypt(got)
-            return ProtocolOutputShares(ctx.field_share(share), (m, h), out_scale, label)
-        mat = np.asarray(mat, dtype=np.uint64)
-        if mat.shape != (n, h):
-            raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
-        acc = None
-        for ct, row in zip(ctx.recv_cts("inputs", *[out_len] * n), expand_right(mat, m)):
-            term = ct.mul_pt(row)
-            acc = term if acc is None else acc.add_ct(term)
-        mask = ctx.rand_field(out_len)
-        ctx.send_cts("masked_product", acc.sub_pt(mask))
-        return ProtocolOutputShares(ctx.field_share(mask), (m, h), out_scale, label)
+            ctx.send_cts("inputs", *[ctx.encrypt(v, ctx.role) for v in layout.left(mat)])
+            got = ctx.recv_cts("masked_product", *layout.out_sizes)
+            share = layout.decode([ctx.decrypt(vec) for vec in got])
+        else:
+            if mat.shape != (n, h):
+                raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
+            cts = ctx.recv_cts("inputs", *layout.in_sizes)
+            masks, replies = [], []
+            for terms in layout.right(mat):
+                acc = functools.reduce(CtVec.add_ct, (cts[i].mul_pt(pt) for i, pt in terms))
+                masks.append(ctx.rand_field(acc.size))
+                replies.append(acc.sub_pt(masks[-1]))
+            ctx.send_cts("masked_product", *replies)
+            share = layout.decode(masks)
+        return ProtocolOutputShares(ctx.field_share(share), (m, h), out_scale, label)
 
 
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
@@ -66,8 +190,9 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
                      label: str = "mmshared",
                      scale: int | None = None) -> ProtocolOutputShares:
     """Product of two secret-shared matrices, assembled from two local share
-    products, two cross-term matmul invocations with swapped data parties,
-    and a single masked exchange of the weight party's local term."""
+    products, two coefficient-packed cross-term matmul invocations with
+    swapped data parties, and a single masked exchange of the weight
+    party's local term."""
     m, n = q_shape
     if transpose_right:
         h, n2 = k_shape
@@ -86,10 +211,12 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         local = matmod(q_mat, rt, p).ravel()
         # cross term 1: A's q-share against B's k-share
         mine = q_mat if ctx.role == "A" else rt
-        c1 = pi_matmul(ctx, mine, (m, n, h), data_party="A", label="cross_ab")
+        c1 = pi_matmul(ctx, mine, (m, n, h), data_party="A", label="cross_ab",
+                       packed=True)
         # cross term 2: B's q-share against A's k-share
         mine = rt if ctx.role == "A" else q_mat
-        c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba")
+        c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba",
+                       packed=True)
         if ctx.role == "B":
             mask = ctx.rand_field(m * h)
             ctx.send_array("local_term", (local + (p - mask)) % np.uint64(p))

@@ -1,0 +1,34 @@
+"""Exact Python-integer instrumentation of the rlwe backend's noise.
+
+The program computes in machine words only; these helpers reconstruct the
+exact centered phase of a ciphertext in Python ints, for the tests that
+hold the noise estimate above the measured noise and for the exact
+reference in ``test_rns.py``.
+"""
+
+import math
+
+import numpy as np
+
+
+def crt_reconstruct_centered(residues, primes):
+    """Combine per-prime residue vectors into centered Python integers in
+    [-(M-1)/2, (M-1)/2] for the odd product M of the primes."""
+    M = math.prod(int(p) for p in primes)
+    acc = np.zeros(len(residues[0]), dtype=object)
+    for r, p in zip(residues, primes):
+        mi = M // int(p)
+        gi = (mi * pow(mi, -1, int(p))) % M
+        acc = acc + r.astype(object) * gi
+    acc %= M
+    half = M >> 1
+    return np.where(acc > half, acc - M, acc)
+
+
+def measured_noise_bits(be, ct, kp) -> float:
+    """True residual noise of ``ct`` under the rlwe backend ``be``: the
+    distance of the exact centered phase to its code point."""
+    phi = crt_reconstruct_centered(be._phase(ct, kp), be.qs)
+    m = (2 * be.p * phi + be.q) // (2 * be.q)
+    r = phi - (m * be.q + be.p // 2) // be.p
+    return math.log2(max(int(np.abs(r).max()), 1))

@@ -52,6 +52,21 @@ def test_party_every_protocol_local(toy_cfg_file):
         code, out = _capture(argv)
         assert code == 0, proto
         assert "max_abs_err" in out
+        dims = "8,16,2,8,32" if proto == "block" else shape
+        assert out.startswith(f"protocol={proto} shape={dims}\n")
+
+
+def test_block_reports_the_dimensions_of_its_weights(toy_cfg_file, tmp_path):
+    """party and bench name the block's d_s,d_m,h,d_k,d_f, not --shape."""
+    weights = os.path.join(tmp_path, "w.bin")
+    assert main(["weights", "--out", weights, "--dims", "4,8,2,4,16"]) == 0
+    argv = ["--protocol", "block", "--local", "--config", toy_cfg_file,
+            "--weights", weights]
+    code, out = _capture(["party", *argv])
+    assert code == 0 and out.startswith("protocol=block shape=4,8,2,4,16\n")
+    out_path = os.path.join(tmp_path, "bench.csv")
+    assert main(["bench", *argv, "--out", out_path]) == 0
+    assert {r["shape"] for r in csv.DictReader(open(out_path))} == {"4,8,2,4,16"}
 
 
 def test_bench_csv_and_aggregate(toy_cfg_file, tmp_path):

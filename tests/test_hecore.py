@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
 from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
                               NoiseExhausted, SimdPlaintext, create_backend,
                               ct_bytes)
+from privblock.hecore.clear import ClearPublicKey
+from privblock.hecore.rlwe import RlwePublicKey
 from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
@@ -187,7 +190,7 @@ def test_depth2_chain_default_params():
     ct = be.square(ct, kp.public)
     want = ((m1.astype(object) * m2.astype(object)) ** 2) % params.p
     assert np.array_equal(be.decrypt(ct, kp).astype(object), want)
-    assert be.measured_noise_bits(ct, kp) <= ct.noise_bits
+    assert measured_noise_bits(be, ct, kp) <= ct.noise_bits
 
 
 def test_noise_monotone_and_loud_exhaustion():
@@ -210,9 +213,9 @@ def test_noise_estimate_dominates_measurement():
     rng = np.random.default_rng(17)
     m = rng.integers(0, TOY.p, size=64, dtype=np.uint64)
     ct = be.encrypt(m, kp.public)
-    assert be.measured_noise_bits(ct, kp) <= ct.noise_bits
+    assert measured_noise_bits(be, ct, kp) <= ct.noise_bits
     ct2 = be.mul_ct(ct, ct, kp.public)
-    assert be.measured_noise_bits(ct2, kp) <= ct2.noise_bits
+    assert measured_noise_bits(be, ct2, kp) <= ct2.noise_bits
 
 
 def test_no_rotation_anywhere():
@@ -248,7 +251,8 @@ def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
     """Every protocol and the toy block reconstruct bit-identically, at the
     same per-phase cost, on clear and on rlwe at the default 37-bit p: at
     N=256, where each vector fits one block, and at N=64, where each spans
-    two or more blocks, most ending in a partial one.  Only the key exchange
+    two or more blocks, most ending in a partial one, and the packed
+    product spans several partitions.  Only the key exchange
     differs: the key blobs are backend-specific."""
     cfg = toy_cfg.fixedpoint
     rng = np.random.default_rng(21)
@@ -270,6 +274,8 @@ def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
         ga, gb = shares(rng.uniform(-8, 8, size=gelu_shape), "field")
         return {
             "matmul": (lambda c: pi_matmul(c, a, mm), lambda c: pi_matmul(c, b, mm)),
+            "packed": (lambda c: pi_matmul(c, a, mm, packed=True),
+                       lambda c: pi_matmul(c, b, mm, packed=True)),
             "mmshared": (lambda c: pi_matmul_shared(c, qa, ka, q_shape, k_shape),
                          lambda c: pi_matmul_shared(c, qb, kb, q_shape, k_shape)),
             "softmax": (lambda c: pi_softmax(c, sa, sm_shape, "max"),
@@ -299,3 +305,29 @@ def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
                 rep.phases.pop("keyexchange")
                 got.append((reconstruct(ra.share, rb.share).tobytes(), rep.phases))
             assert got[0] == got[1], (backend_cfgs[0].he.n, name)
+
+
+@pytest.mark.parametrize("kind", ["clear", "rlwe"])
+def test_public_key_blob_is_checked(kind):
+    """A key blob parses only whole, with an owner of A or B and (rlwe) a
+    relinearization flag of 0 or 1; a cut, padded, bad-flag or bad-owner
+    blob raises MalformedBytes on both backends."""
+    be = create_backend(TOY, kind, np.random.default_rng(19))
+    if kind == "clear":
+        parse = ClearPublicKey.from_bytes
+        blobs = [be.keygen("B").public.to_bytes()]
+    else:
+        parse = lambda blob: RlwePublicKey.from_bytes(blob, TOY)
+        blobs = [be.keygen("B", with_relin=relin).public.to_bytes()
+                 for relin in (True, False)]
+    for blob in blobs:
+        key = parse(blob)
+        assert key.owner == "B" and parse(key.to_bytes()).has_relin == key.has_relin
+        bad = [blob[:-9], blob[:-1], blob[:4], blob + b"\0\0", blob + b"\1",
+               blob[:4] + b"C" + blob[5:], blob[:4] + b"\0" + blob[5:]]
+        if kind == "rlwe":
+            bad += [blob[:5], blob[:6]]
+            bad += [blob[:5] + bytes([flag]) + blob[6:] for flag in (2, 255, 1 - blob[5])]
+        for cut in bad:
+            with pytest.raises(MalformedBytes):
+                parse(cut)

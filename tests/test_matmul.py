@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
+from privblock.channel import FRAME_OVERHEAD
+from privblock.hecore import ct_bytes
+from privblock.hecore.ntt import get_plan
+from privblock.model import toy_block_config
 from privblock.params import Config, toy_he_params
 from privblock.protocols import (CapacityExceeded, ShapeMismatch, costs,
                                  pi_matmul, pi_matmul_shared)
-from privblock.protocols.matmul import matmod
+from privblock.protocols.matmul import matmod, packed_partition
 from privblock.sharing import reconstruct, share
 
 P = 137438822401
@@ -175,3 +179,81 @@ def test_determinism(toy_cfg, pair_runner):
 
     r1, r2 = run(), run()
     assert r1[0] == r2[0] and r1[1] == r2[1] and r1[2] == r2[2]
+
+
+# -- the coefficient-packed layout ------------------------------------------------
+
+def _n64(kind):
+    return Config(he=toy_he_params(n=64, p=P, limbs=6), he_backend=kind)
+
+
+@pytest.mark.parametrize("kind", ["clear", "rlwe"])
+@pytest.mark.parametrize("data_party", ["A", "B"])
+@pytest.mark.parametrize("shape", [(8, 32, 16), (9, 40, 13), (70, 5, 3)])
+def test_packed_exact_mod_p(pair_runner, kind, data_party, shape):
+    """Packed products over several blocks of n and h ((70, 5, 3) also of m)
+    equal the Python-int product, and their phase bytes the packed formula."""
+    cfg = _n64(kind)
+    m, n, h = shape
+    blocks = [-(-d // w) for d, w in zip(shape, packed_partition(m, n, h, 64))]
+    assert blocks[1] > 1 and blocks[2] > 1 and (m < 64 or blocks[0] > 1)
+    rng = np.random.default_rng(m * n * h)
+    a = rng.integers(0, P, size=(m, n), dtype=np.uint64)
+    b = rng.integers(0, P, size=(n, h), dtype=np.uint64)
+
+    def party(ctx):
+        mine = a if ctx.role == data_party else b
+        return pi_matmul(ctx, mine, shape, data_party=data_party, packed=True)
+
+    ra, rb, rep, _ = pair_runner(cfg, party, party, want_reports=True)
+    got = reconstruct(ra.share, rb.share).reshape(m, h).astype(object)
+    assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % P)
+    assert ra.scale == 2 * cfg.fixedpoint.s
+    assert _phase_bytes(rep, "matmul") == costs.matmul_bytes(cfg, m, n, h, packed=True)
+
+
+def test_packed_partition_desk_and_toy():
+    """At N=8192 the desk products need 56, 192, 384, 384 and 24 ciphertexts
+    in plus out, and every toy-block product fits one partition."""
+    desk = {(128, 768, 64): (128, 32, 2), (128, 768, 768): (128, 8, 8),
+            (128, 768, 3072): (128, 4, 16), (128, 3072, 768): (128, 16, 4),
+            (128, 64, 128): (128, 8, 8)}
+    cts = []
+    for shape, widths in desk.items():
+        assert packed_partition(*shape, 8192) == widths
+        bm, bn, bh = (-(-d // w) for d, w in zip(shape, widths))
+        cts.append(bm * (bn + bh))
+    assert cts == [56, 192, 384, 384, 24]
+    bc = toy_block_config()
+    cfg = Config(he_backend="clear")
+    one = FRAME_OVERHEAD + ct_bytes(cfg.he)
+    for m, n, h in {(bc.d_s, bc.d_m, bc.d_k), (bc.d_s, bc.d_k, bc.d_s),
+                    (bc.d_s, bc.d_s, bc.d_k), (bc.d_s, bc.d_m, bc.d_m),
+                    (bc.d_s, bc.d_m, bc.d_f), (bc.d_s, bc.d_f, bc.d_m)}:
+        assert packed_partition(m, n, h, 8192) == (m, n, h)
+        assert costs.matmul_bytes(cfg, m, n, h, packed=True) == {
+            "inputs": one, "masked_product": one}
+
+
+def test_packed_masks_every_coefficient(pair_runner):
+    """With zero inputs every product coefficient is 0, so each coefficient
+    the data party decrypts is the weight party's mask alone: all of them,
+    not only the ones that carry C, must be nonzero and distinct."""
+    cfg = _n64("clear")
+    shape = (9, 40, 13)
+    seen = []
+
+    def data(ctx):
+        decrypt = ctx.decrypt
+        ctx.decrypt = lambda vec: seen.append(decrypt(vec)) or seen[-1]
+        return pi_matmul(ctx, np.zeros((9, 40), dtype=np.uint64), shape, packed=True)
+
+    ra, rb = pair_runner(cfg, data, lambda ctx: pi_matmul(
+        ctx, np.zeros((40, 13), dtype=np.uint64), shape, packed=True))
+    assert not reconstruct(ra.share, rb.share).any()
+    plan = get_plan(P, 64)
+    bm, _, bh = (-(-d // w) for d, w in zip(shape, packed_partition(*shape, 64)))
+    assert len(seen) == bm * bh > 1
+    for slots in seen:
+        coeffs = plan.inverse(slots)
+        assert coeffs.all() and len(set(coeffs.tolist())) == 64

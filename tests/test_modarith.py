@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from exact_noise import crt_reconstruct_centered
 from privblock import modarith as ma
-from privblock.hecore.ntt import NttPlan, crt_reconstruct_centered
+from privblock.hecore.ntt import NttPlan
 from privblock.params import (AUX_PRIMES, DEFAULT_Q_PRIMES, FixedPointConfig,
                               ParamError, toy_he_params)
 
@@ -141,14 +142,12 @@ def test_42_bit_prime_is_rejected(make):
 
 def test_object_dtype_only_in_big_integer_paths():
     """Share and ciphertext arithmetic and the CLI's reference check stay in
-    machine words; Python-int arrays remain only in the one CRT
-    reconstruction."""
+    machine words; no module of the program makes a Python-int array (the
+    exact CRT reconstruction lives in the tests' ``exact_noise``)."""
     root = pathlib.Path(ma.__file__).parent
-    allowed = {"hecore/ntt.py"}
     pattern = re.compile(r"astype\(object\)|dtype=object")
     found = [f"{path.relative_to(root).as_posix()}:{i}"
              for path in sorted(root.rglob("*.py"))
-             if path.relative_to(root).as_posix() not in allowed
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line)]
     assert found == []

@@ -20,8 +20,10 @@ import math
 import numpy as np
 import pytest
 
-from privblock.hecore import create_backend, ntt, rlwe
-from privblock.hecore.ntt import NttPlan, crt_reconstruct_centered, get_plan
+import exact_noise
+from exact_noise import crt_reconstruct_centered
+from privblock.hecore import create_backend, rlwe
+from privblock.hecore.ntt import NttPlan, get_plan
 from privblock.modarith import mulmod
 from privblock.params import AUX_PRIMES, HeParams, toy_he_params
 
@@ -190,8 +192,7 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
     def refuse(*args):
         raise AssertionError("CRT reconstruction on a protocol path")
 
-    monkeypatch.setattr(rlwe, "crt_reconstruct_centered", refuse)
-    monkeypatch.setattr(ntt, "crt_reconstruct_centered", refuse)
+    monkeypatch.setattr(exact_noise, "crt_reconstruct_centered", refuse)
     counts = {"forward": 0, "inverse": 0}
     for name in counts:
         def counted(self, values, _name=name, _fn=getattr(NttPlan, name)):
