@@ -377,14 +377,14 @@ def mae(pp, target, lo: float, hi: float, n_points: int = 10000) -> float:
 # fixed-point evaluation (mirrors the protocol arithmetic)
 # ---------------------------------------------------------------------------
 
-def shifted_segment_coeffs(coeffs, mid: float, max_degree: int | None = None):
-    """Coefficients of F(t + mid) for the centered variable t = x - mid."""
+def shifted_segment_coeffs(coeffs, mid: float):
+    """Coefficients of F(t + mid) for the centered variable t = x - mid, as
+    many as F has."""
     poly = np.polynomial.polynomial.Polynomial(list(coeffs))
     shifted = poly(np.polynomial.polynomial.Polynomial([mid, 1.0]))
     out = list(shifted.coef)
-    deg = max_degree if max_degree is not None else len(coeffs) - 1
-    out += [0.0] * (deg + 1 - len(out))
-    return out[:deg + 1]
+    out += [0.0] * (len(coeffs) - len(out))
+    return out[:len(coeffs)]
 
 
 def quantized_boundaries(pp: PiecewisePoly, s: int) -> list:

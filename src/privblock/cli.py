@@ -1,7 +1,8 @@
 """Command-line entry points: run a party, micro-benchmark a protocol, or
 emit approximation-accuracy tables.
 
-Exit codes: 0 success, 2 configuration error, 3 protocol error, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 protocol error, 4 I/O error
+(including a malformed key or ciphertext from the peer).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import approx
 from . import fixedpoint as fp
 from .channel import (PROFILES, HandshakeMismatch, IoError, NetworkProfile,
                       connect, run_pair)
-from .hecore import NoiseExhausted
+from .hecore import MalformedBytes, NoiseExhausted
 from .modarith import matmod
 from .model import (BlockWeights, dump_weights, infer_block, load_weights,
                     oracle_block, toy_block_config)
@@ -367,7 +368,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (HandshakeMismatch, IoError, OSError) as e:
+    # MalformedBytes is a ValueError, but in a run it means bad peer bytes
+    except (HandshakeMismatch, IoError, OSError, MalformedBytes) as e:
         sys.stderr.write(f"io error: {e}\n")
         return EXIT_IO
     except (ShapeMismatch, DegenerateRow, RangeError, NoiseExhausted) as e:

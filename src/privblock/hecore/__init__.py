@@ -15,7 +15,6 @@ size, so cost accounting is backend-independent.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +40,17 @@ class MalformedBytes(ValueError):
     pass
 
 
-@dataclass
-class SimdPlaintext:
-    """A packed vector of N slots over Z_p; unused tail slots are zero."""
-
-    slots: np.ndarray
-
-    @classmethod
-    def pack(cls, values, params: HeParams) -> "SimdPlaintext":
-        v = np.asarray(values, dtype=np.uint64).ravel()
-        if v.size > params.n:
-            raise ParamError(f"{v.size} values exceed {params.n} slots")
-        if v.size and int(v.max()) >= params.p:
-            raise ParamError("slot values must be < p")
-        out = np.zeros(params.n, dtype=np.uint64)
-        out[:v.size] = v
-        return cls(out)
+def pack_slots(values, params: HeParams) -> np.ndarray:
+    """The N plaintext slots over Z_p holding ``values``; unused tail slots
+    are zero."""
+    v = np.asarray(values, dtype=np.uint64).ravel()
+    if v.size > params.n:
+        raise ParamError(f"{v.size} values exceed {params.n} slots")
+    if v.size and int(v.max()) >= params.p:
+        raise ParamError("slot values must be < p")
+    out = np.zeros(params.n, dtype=np.uint64)
+    out[:v.size] = v
+    return out
 
 
 def ct_bytes(params: HeParams, n_components: int = 2) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
-               pack_header, parse_header)
+               NoiseExhausted, ct_bytes, noise_budget_bits,
+               pack_header, pack_slots, parse_header)
 from ..modarith import centered_max, mulmod
 from ..params import HeParams
 from . import noise
@@ -62,9 +62,13 @@ class ClearBackend:
     def keygen(self, owner: str) -> ClearKeyPair:
         return ClearKeyPair(owner)
 
+    def parse_public_key(self, data: bytes) -> ClearPublicKey:
+        """The peer's public key from its blob (``MalformedBytes`` if bad)."""
+        return ClearPublicKey.from_bytes(data)
+
     # -- core ops -------------------------------------------------------------
     def encrypt(self, slots, public: ClearPublicKey) -> ClearCiphertext:
-        return ClearCiphertext(SimdPlaintext.pack(slots, self.params).slots,
+        return ClearCiphertext(pack_slots(slots, self.params),
                                public.owner, noise.fresh_bits(self.params))
 
     def decrypt(self, ct: ClearCiphertext, keypair: ClearKeyPair) -> np.ndarray:
@@ -86,18 +90,18 @@ class ClearBackend:
 
     def add_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         p = np.uint64(self.params.p)
-        v = SimdPlaintext.pack(slots, self.params).slots
+        v = pack_slots(slots, self.params)
         return ClearCiphertext((x.slots + v) % p, x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def sub_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         p = np.uint64(self.params.p)
-        v = SimdPlaintext.pack(slots, self.params).slots
+        v = pack_slots(slots, self.params)
         return ClearCiphertext((x.slots + p - v) % p, x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
-        v = SimdPlaintext.pack(slots, self.params).slots
+        v = pack_slots(slots, self.params)
         out = mulmod(x.slots, v, self.params.p)
         maxc = centered_max(v, self.params.p)
         return ClearCiphertext(out, x.owner,

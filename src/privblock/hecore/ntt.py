@@ -112,9 +112,6 @@ class NttPlan:
             m = h
         return mulmod(a, self.n_inv, self.prime)
 
-    def pointwise(self, x, y):
-        return mulmod(x, y, self.prime)
-
 
 def get_plan(prime: int, n: int) -> NttPlan:
     key = (prime, n)

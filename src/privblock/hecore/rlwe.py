@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, SimdPlaintext, ct_bytes, noise_budget_bits,
-               pack_header, parse_header)
+               NoiseExhausted, ct_bytes, noise_budget_bits,
+               pack_header, pack_slots, parse_header)
 from ..modarith import centered_max, matmod, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
@@ -223,9 +223,13 @@ class RlweBackend:
         public = RlwePublicKey(owner, pk, rlk)
         return RlweKeyPair(owner, s_ntt, s2_ntt, public)
 
+    def parse_public_key(self, data: bytes) -> RlwePublicKey:
+        """The peer's public key from its blob (``MalformedBytes`` if bad)."""
+        return RlwePublicKey.from_bytes(data, self.params)
+
     # -- plaintext codec ---------------------------------------------------------
     def _slots_to_coeffs(self, slots) -> np.ndarray:
-        return self.plan_p.inverse(SimdPlaintext.pack(slots, self.params).slots)
+        return self.plan_p.inverse(pack_slots(slots, self.params))
 
     def _coeffs_to_slots(self, coeffs: np.ndarray) -> np.ndarray:
         return self.plan_p.forward(coeffs)

@@ -57,11 +57,6 @@ def signed_lift(values, modulus: int) -> np.ndarray:
     return np.where(v > modulus >> 1, v - modulus, v)
 
 
-def floor_shift(values, modulus: int, shift: int) -> np.ndarray:
-    """floor(signed_lift(v) / 2^shift) as int64."""
-    return signed_lift(values, modulus) >> shift
-
-
 def round_shift(values, modulus: int, shift: int) -> np.ndarray:
     """signed_lift(v) / 2^shift rounded half up, as int64; shift >= 1."""
     return (signed_lift(values, modulus) + (1 << (shift - 1))) >> shift

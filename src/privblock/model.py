@@ -96,9 +96,8 @@ class BlockWeights:
         return self.tensors[name]
 
     @classmethod
-    def random(cls, config: BlockConfig, rng: np.random.Generator,
-               weight_std: float | None = None) -> "BlockWeights":
-        std = weight_std if weight_std is not None else 0.5 / math.sqrt(config.d_m)
+    def random(cls, config: BlockConfig, rng: np.random.Generator) -> "BlockWeights":
+        std = 0.5 / math.sqrt(config.d_m)
         dims = {"h": config.h, "d_m": config.d_m, "d_k": config.d_k,
                 "d_f": config.d_f}
         tensors = {}

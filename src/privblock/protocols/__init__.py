@@ -6,12 +6,12 @@ from .common import (PartyCtx, ProtocolOutputShares, ShapeMismatch,
 from .matmul import pi_matmul, pi_matmul_shared
 from .softmax import pi_softmax, SOFTMAX_GUARD_BITS
 from .layernorm import pi_ln, LnParams
-from .gelu import pi_gelu, GELU_OUT_SCALE
+from .gelu import pi_gelu
 from . import costs
 
 __all__ = [
     "PartyCtx", "ProtocolOutputShares", "ShapeMismatch", "CapacityExceeded",
     "DegenerateRow", "make_party", "pi_matmul", "pi_matmul_shared",
     "pi_softmax", "SOFTMAX_GUARD_BITS", "pi_ln", "LnParams", "pi_gelu",
-    "GELU_OUT_SCALE", "costs",
+    "costs",
 ]

@@ -134,12 +134,7 @@ class PartyCtx:
         else:
             other = self.session.recv("keyexchange")
             self.session.send("keyexchange", blob)
-        if self.backend.kind == "clear":
-            from ..hecore.clear import ClearPublicKey
-            self.peer_public = ClearPublicKey.from_bytes(other)
-        else:
-            from ..hecore.rlwe import RlwePublicKey
-            self.peer_public = RlwePublicKey.from_bytes(other, self.he_params)
+        self.peer_public = self.backend.parse_public_key(other)
 
     def public_of(self, owner: str):
         if self.keypair is not None and owner == self.role:
@@ -160,11 +155,11 @@ class PartyCtx:
             raise CapacityExceeded(f"{n_values} values span {blocks} blocks")
         return blocks
 
-    def encrypt(self, values, owner: str) -> CtVec:
-        """Encrypt a flat field vector under ``owner``'s key."""
+    def encrypt(self, values) -> CtVec:
+        """Encrypt a flat field vector under this party's own key."""
         n = self.he_params.n
         values = np.asarray(values, dtype=np.uint64).ravel()
-        pub = self.public_of(owner)
+        pub = self.keypair.public
         return CtVec(self, (self.backend.encrypt(values[b * n:(b + 1) * n], pub)
                             for b in range(self.n_blocks(values.size))), values.size)
 
@@ -218,7 +213,7 @@ def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
     matrix ``vec`` (under B's key) with a fresh mask r and send it with A's
     encryption of the row sums of r."""
     r = ctx.rand_field(vec.size)
-    ctx.send_cts(label, vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p), "A"))
+    ctx.send_cts(label, vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p)))
 
 
 def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> CtVec:

@@ -9,7 +9,9 @@ tails (a constant left tail; a constant or linear right tail).  Power
 rescaling rides on two extra masked exchanges; out-of-segment slots decode
 arbitrarily there and are nulled by their zero selectors.
 
-Output shares are field-domain at scale GELU_OUT_SCALE = s + COEFF_BITS.
+Both parties enter with field shares of the input at scale s; party A
+encrypts its share under its own key.  Output shares are field-domain at
+scale 2s + COEFF_BITS.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ from ..sharing import FIELD, Share, not_share, xor_shares
 from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
-
-
-def GELU_OUT_SCALE(fp) -> int:
-    """Output scale: input scale plus the coefficient scale (s + COEFF_BITS)."""
-    return 2 * fp.s + COEFF_BITS
 
 
 def _segment_plan(table: PiecewisePoly, s: int):
@@ -57,14 +54,12 @@ def _fixed(c: float, scale: int, p: int) -> int:
     return int(round(c * (1 << scale))) % p
 
 
-def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TABLE,
+def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
+            table: PiecewisePoly = GELU_TABLE,
             label: str = "gelu") -> ProtocolOutputShares:
-    """Piecewise activation on a SIMD ciphertext batch.
-
-    Party B passes the input as a ``CtVec`` of m*w values under A's key as
-    ``x_input``; party A passes None.  Alternatively both parties pass field
-    Share pairs at scale s and the convenience path encrypts first.
-    """
+    """Piecewise activation on field shares of m*w values at scale s: A
+    encrypts its share under its own key, and B adds its own share to form
+    the SIMD batch [[X]]_A it evaluates."""
     m, w = shape
     n_vals = m * w
     s = ctx.fp.s
@@ -72,21 +67,14 @@ def pi_gelu(ctx: PartyCtx, x_input, shape: tuple, table: PiecewisePoly = GELU_TA
     with ctx.session.phase(label):
         ctx.n_blocks(n_vals)
         plan = _segment_plan(table, s)
-        if isinstance(x_input, Share):
-            # convenience wrapper: encrypt the share pair into [[X]]_A at B
-            if x_input.domain != FIELD:
-                raise ShapeMismatch("gelu wrapper expects field shares at scale s")
-            if ctx.role == "A":
-                ctx.send_cts("encrypt_input", ctx.encrypt(x_input.payload, "A"))
-                ct_x = None
-            else:
-                [ct_x] = ctx.recv_cts("encrypt_input", n_vals)
-                ct_x = ct_x.add_pt(x_input.payload)
-        else:
-            ct_x = x_input if ctx.role == "B" else None
-        if ctx.role == "B":
-            return _party_b(ctx, ct_x, shape, plan, table, sy, label)
-        return _party_a(ctx, shape, plan, table, sy, label)
+        if x_share.domain != FIELD:
+            raise ShapeMismatch("gelu expects field shares at scale s")
+        if ctx.role == "A":
+            ctx.send_cts("encrypt_input", ctx.encrypt(x_share.payload))
+            return _party_a(ctx, shape, plan, table, sy, label)
+        [ct_x] = ctx.recv_cts("encrypt_input", n_vals)
+        return _party_b(ctx, ct_x.add_pt(x_share.payload), shape, plan, table,
+                        sy, label)
 
 
 def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
@@ -178,10 +166,10 @@ def _party_a(ctx, shape, plan, table, sy, label):
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
     ctx.send_cts("selector_and_square_shares",
-                 *[ctx.encrypt(v, "A") for v in b_arith + t2_shares])
+                 *[ctx.encrypt(v) for v in b_arith + t2_shares])
     got = ctx.recv_cts("masked_powers", *[n_vals] * len(_power_keys(plan)))
     shares = [lift_shift(ctx.decrypt(ct), p, vb_hi, s) % p for ct in got]
-    ctx.send_cts("power_shares", *[ctx.encrypt(sh, "A") for sh in shares])
+    ctx.send_cts("power_shares", *[ctx.encrypt(sh) for sh in shares])
     [ct_y] = ctx.recv_cts("result", n_vals)
     share = ctx.decrypt(ct_y)
     return ProtocolOutputShares(ctx.field_share(share), shape, sy, label)

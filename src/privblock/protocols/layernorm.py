@@ -77,13 +77,13 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         a_f = ctx.provider.ring_to_field_strict_trunc(a_sh, s - sa)
         shift = sa + s_inv - RATIO_SCALE
         if ctx.role == "B":
-            ctx.send_cts("ashare", ctx.encrypt(a_f.payload, "B"))
+            ctx.send_cts("ashare", ctx.encrypt(a_f.payload))
             ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
             v = ctx.rand_field(m)
             ctx.send_cts("masked_rowsum", ct_k.sub_pt(v))
             k_share = ctx.field_share(v)
             inv = _invsqrt(ctx, k_share, sa, s_inv)
-            ctx.send_cts("invsqrt_share", ctx.encrypt(np.repeat(inv.payload, n), "B"))
+            ctx.send_cts("invsqrt_share", ctx.encrypt(np.repeat(inv.payload, n)))
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n)
             w = ctx.decrypt(ct_wr)
             off = 1 << (sa + s_inv - shift)
@@ -109,7 +109,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         smask = ctx.rng.integers(0, p - (1 << (sa + s_inv + 1)), size=m * n,
                                  dtype=np.uint64)
         ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
-                     ctx.encrypt(smask >> np.uint64(shift), "A"))
+                     ctx.encrypt(smask >> np.uint64(shift)))
         [ct_y] = ctx.recv_cts("result", m * n)
         share = ctx.decrypt(ct_y)
         return ProtocolOutputShares(ctx.field_share(share), shape,

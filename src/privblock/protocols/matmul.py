@@ -151,24 +151,23 @@ class _Packed:
 
 
 def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
-              label: str = "matmul", scale: int | None = None, *,
+              label: str = "matmul", *,
               packed: bool = False) -> ProtocolOutputShares:
     """Two-party product C = L (x) R with L held by ``data_party`` and R by
-    the other party.  Outputs additive field shares of C at scale
-    scale(L)+scale(R); the data party ends with C - R_mask, the weight party
-    with R_mask.  Exact mod p.  ``packed`` picks the coefficient-packed
-    layout over the paper's slot-replicated one."""
+    the other party, both at scale s.  Outputs additive field shares of C at
+    scale 2s; the data party ends with C - R_mask, the weight party with
+    R_mask.  Exact mod p.  ``packed`` picks the coefficient-packed layout
+    over the paper's slot-replicated one."""
     m, n, h = shape
     if min(m, n, h) < 1:
         raise ShapeMismatch("all dimensions must be >= 1")
-    out_scale = 2 * ctx.fp.s if scale is None else scale
     with ctx.session.phase(label):
         layout = (_Packed if packed else _Replicated)(ctx, shape)
         mat = np.asarray(mat, dtype=np.uint64)
         if ctx.role == data_party:
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", *[ctx.encrypt(v, ctx.role) for v in layout.left(mat)])
+            ctx.send_cts("inputs", *[ctx.encrypt(v) for v in layout.left(mat)])
             got = ctx.recv_cts("masked_product", *layout.out_sizes)
             share = layout.decode([ctx.decrypt(vec) for vec in got])
         else:
@@ -182,17 +181,17 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
                 replies.append(acc.sub_pt(masks[-1]))
             ctx.send_cts("masked_product", *replies)
             share = layout.decode(masks)
-        return ProtocolOutputShares(ctx.field_share(share), (m, h), out_scale, label)
+        return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s,
+                                    label)
 
 
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
                      q_shape: tuple, k_shape: tuple, transpose_right: bool = True,
-                     label: str = "mmshared",
-                     scale: int | None = None) -> ProtocolOutputShares:
+                     label: str = "mmshared") -> ProtocolOutputShares:
     """Product of two secret-shared matrices, assembled from two local share
     products, two coefficient-packed cross-term matmul invocations with
     swapped data parties, and a single masked exchange of the weight
-    party's local term."""
+    party's local term.  Outputs field shares at scale 2s."""
     m, n = q_shape
     if transpose_right:
         h, n2 = k_shape
@@ -202,7 +201,6 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         raise ShapeMismatch(f"inner dimensions differ: {n} vs {n2}")
     if q_share.domain != FIELD or k_share.domain != FIELD:
         raise ShapeMismatch("shared matmul expects field shares")
-    out_scale = 2 * ctx.fp.s if scale is None else scale
     p = ctx.fp.p
     q_mat = q_share.payload.reshape(q_shape)
     k_mat = k_share.payload.reshape(k_shape)
@@ -224,4 +222,4 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         else:
             total = local + ctx.recv_array("local_term") + c1.share.payload + c2.share.payload
         share = ctx.field_share(total % np.uint64(p))
-        return ProtocolOutputShares(share, (m, h), out_scale, label)
+        return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s, label)

@@ -52,12 +52,12 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
                 (x_share.payload + (ring_mod - spread)) % np.uint64(ring_mod))
         e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
         if ctx.role == "B":
-            ctx.send_cts("exp_share", ctx.encrypt(e_sh.payload, "B"))
+            ctx.send_cts("exp_share", ctx.encrypt(e_sh.payload))
             ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
             ctx.send_cts("denominator", ct_sum.mul_pt(v),
-                         ctx.encrypt(np.repeat(v, d), "B"))
+                         ctx.encrypt(np.repeat(v, d)))
             [ct_y] = ctx.recv_cts("result", n_vals)
             share = ctx.decrypt(ct_y)
             return ProtocolOutputShares(ctx.field_share(share), shape, out_scale, label)

@@ -4,7 +4,7 @@ Shares are uniform additive splits over the ring Z_{2^k} or the prime field
 Z_p, or XOR splits for booleans.  The ``GadgetProvider`` supplies the
 sub-protocols this artifact imports as black boxes (less-than comparison,
 bool-to-arithmetic conversion, shared exponential, shared inverse square
-root) plus the domain-conversion and faithful-truncation composites built
+root) plus the domain-conversion, rescaling and row-maximum composites built
 from them.
 
 The provider's "ideal" backend is a trusted-dealer emulation written once,
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Session
-from .modarith import floor_shift, round_shift, signed_lift
+from .modarith import round_shift, signed_lift
 from .params import FixedPointConfig, GadgetCostTable
 
 RING, FIELD, BOOL = "ring", "field", "bool"
@@ -225,16 +225,9 @@ class GadgetProvider:
         return self._round(x, (FIELD,), ("convert",), RING,
                            lambda secret: signed_lift(secret, self.cfg.p))
 
-    def ring_to_field_strict(self, x: Share) -> Share:
-        """Exact Z_{2^k} -> Z_p conversion through the comparison gadget."""
-        return self._round(x, (RING,), ("convert",), FIELD,
-                           lambda secret: signed_lift(secret, x.modulus))
-
     def ring_to_field_strict_trunc(self, x: Share, shift: int) -> Share:
         """Fused faithful truncation by 2^shift and exact conversion to Z_p
-        (charged as one truncation plus one conversion)."""
-        if shift <= 0:
-            return self.ring_to_field_strict(x)
+        (charged as one truncation plus one conversion); shift >= 1."""
         return self._round(x, (RING,), ("trunc", "convert"), FIELD,
                            lambda secret: round_shift(secret, x.modulus, shift))
 
@@ -244,11 +237,6 @@ class GadgetProvider:
         plus one conversion round-trip."""
         return self._round(x, (FIELD,), ("trunc", "convert"), FIELD,
                            lambda secret: round_shift(secret, self.cfg.p, shift))
-
-    def trunc_faithful(self, x: Share, shift: int) -> Share:
-        """Exact floor division of the signed secret by 2^shift (ring)."""
-        return self._round(x, (RING,), ("trunc",), RING,
-                           lambda secret: floor_shift(secret, x.modulus, shift))
 
     def row_max(self, x: Share, row_len: int) -> Share:
         """Ring shares of per-row maxima (comparison-tree composite)."""

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from privblock.channel import PROFILES, connect
 from privblock.cli import _profile, build_parser, main
 from privblock.params import Config, toy_he_params
 
@@ -230,6 +231,33 @@ def test_local_equals_tcp_costs(toy_cfg_file):
     th.join(timeout=120)
     assert ra.returncode == 0
     assert _phase_lines(local_out, "matmul/") == _phase_lines(ra.stdout, "matmul/")
+
+
+def test_malformed_peer_key_exits_4(toy_cfg_file, capsys):
+    """A peer that handshakes correctly and then sends a junk key blob is an
+    I/O error (exit 4), not a configuration error."""
+    cfg = Config.load(toy_cfg_file)
+    errors = []
+
+    def fake_b():
+        try:
+            sess = connect("B", ("127.0.0.1", 19744), PROFILES["lan"],
+                           cfg.fingerprint())
+            sess.recv("keyexchange")
+            sess.send("keyexchange", b"junk")
+            sess.close()
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    th = threading.Thread(target=fake_b, daemon=True)
+    th.start()
+    code = main(["party", "--protocol", "matmul", "--shape", "2x2x2", "--role",
+                 "a", "--endpoint", "127.0.0.1:19744", "--config", toy_cfg_file])
+    th.join(timeout=60)
+    assert not th.is_alive() and not errors
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "public key blob" in err
 
 
 def _write_json(tmp_path, name, obj):

@@ -4,21 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from privblock import fixedpoint as fp
 from privblock.params import FixedPointConfig
-from privblock.sharing import FIELD, RING, GadgetProvider, Share, reconstruct, share
+from privblock.sharing import FIELD, RING, DomainMismatch, Share, reconstruct, share
 
 CFG = FixedPointConfig()
+S = CFG.s
 
 
 def test_encode_examples():
-    assert fp.encode(0.0, CFG, RING).value == 0
-    assert fp.encode(1.5, CFG, RING).value == 6144
-    assert fp.encode(-0.5, CFG, RING).value == 2 ** 37 - 2048
-
-
-def test_encode_overflow():
-    with pytest.raises(OverflowError):
-        fp.encode(2.0 ** (CFG.k - CFG.s - 1), CFG, RING)
-
+    assert fp.encode_int(0.0, CFG, RING, S) == 0
+    assert fp.encode_int(1.5, CFG, RING, S) == 6144
+    assert fp.encode_int(-0.5, CFG, RING, S) == 2 ** 37 - 2048
 
 
 @pytest.mark.parametrize("domain", [RING, FIELD])
@@ -31,31 +26,30 @@ def test_encode_int_rejects_values_decode_int_cannot_recover(domain):
     for bad in (half + 1, half - mod, 2.0 ** 70, float("nan")):
         with pytest.raises(OverflowError):
             fp.encode_int([0.0, bad / 2 ** 5], CFG, domain, 5)
-        with pytest.raises(OverflowError):
-            fp.encode([0.0, float("nan")], CFG, domain)
+
 
 def test_decode_examples():
-    assert fp.decode(6144, CFG, RING, 12) == 1.5
-    assert fp.decode(0, CFG, RING) == 0.0
-    assert fp.decode(CFG.p - 4096, CFG, FIELD, 12) == -1.0
+    assert fp.decode_int(6144, CFG, RING, S) == 1.5
+    assert fp.decode_int(0, CFG, RING, S) == 0.0
+    assert fp.decode_int(CFG.p - 4096, CFG, FIELD, S) == -1.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-2.0 ** 20, 2.0 ** 20, allow_nan=False))
 def test_roundtrip_quantization(x):
     for domain in (RING, FIELD):
-        got = fp.decode(fp.encode(x, CFG, domain), CFG)
-        assert abs(got - x) <= 2.0 ** (-CFG.s - 1)
+        got = fp.decode_int(fp.encode_int(x, CFG, domain, S), CFG, domain, S)
+        assert abs(got - x) <= 2.0 ** (-S - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-1000, 1000), st.floats(-1000, 1000))
 def test_additive_homomorphism(x, y):
-    ex = fp.encode(x, CFG, FIELD).value
-    ey = fp.encode(y, CFG, FIELD).value
+    ex = fp.encode_int(x, CFG, FIELD, S)
+    ey = fp.encode_int(y, CFG, FIELD, S)
     s = (ex + ey) % CFG.p
-    want = fp.decode(ex, CFG, FIELD) + fp.decode(ey, CFG, FIELD)
-    assert fp.decode(s, CFG, FIELD) == want
+    want = fp.decode_int(ex, CFG, FIELD, S) + fp.decode_int(ey, CFG, FIELD, S)
+    assert fp.decode_int(s, CFG, FIELD, S) == want
 
 
 def test_convert_small_positive():
@@ -117,78 +111,24 @@ def test_convert_fast_statistical():
     assert np.array_equal(got, want)
 
 
-def test_convert_strict_exact(toy_cfg, pair_runner):
-    rng = np.random.default_rng(8)
-    vals = rng.integers(-(2 ** 30), 2 ** 30, size=500).astype(object) % (2 ** 37)
-    sa, sb = share(np.asarray(vals, dtype=np.uint64), RING, toy_cfg.fixedpoint, rng)
-    ra, rb = pair_runner(
-        toy_cfg,
-        lambda ctx: fp.convert_share(sa, FIELD, ctx.fp, ctx.provider, mode="strict"),
-        lambda ctx: fp.convert_share(sb, FIELD, ctx.fp, ctx.provider, mode="strict"))
-    got = reconstruct(ra, rb).astype(object)
-    want = np.asarray([(int(v) - 2 ** 37 if v > 2 ** 36 else int(v)) % CFG.p
-                       for v in vals], dtype=object)
-    assert np.array_equal(got, want)
-
-
 def test_field_to_ring(toy_cfg, pair_runner):
     rng = np.random.default_rng(9)
     vals = rng.integers(-(2 ** 30), 2 ** 30, size=400).astype(object) % CFG.p
     sa, sb = share(np.asarray(vals, dtype=np.uint64), FIELD, toy_cfg.fixedpoint, rng)
     ra, rb = pair_runner(
         toy_cfg,
-        lambda ctx: fp.convert_share(sa, RING, ctx.fp, ctx.provider),
-        lambda ctx: fp.convert_share(sb, RING, ctx.fp, ctx.provider))
+        lambda ctx: ctx.provider.field_to_ring(sa),
+        lambda ctx: ctx.provider.field_to_ring(sb))
     got = reconstruct(ra, rb).astype(object)
     want = np.asarray([(int(v) - CFG.p if v > CFG.p // 2 else int(v)) % 2 ** 37
                        for v in vals], dtype=object)
     assert np.array_equal(got, want)
 
 
-def test_truncate_exact_power():
-    rng = np.random.default_rng(1)
-    x = np.array([6144 * 4096], dtype=np.uint64)
-    a, b = share(x, RING, CFG, rng)
-    ta = fp.truncate_shares(a, 12, CFG, mode="local")
-    tb = fp.truncate_shares(b, 12, CFG, mode="local")
-    assert abs(int(reconstruct(ta, tb)[0]) - 6144) <= 1
-
-
-def test_truncate_local_error_bound():
-    """10^5 random secrets: local truncation is within 1 ulp of the floor
-    oracle (secrets kept well under the ring bound)."""
-    rng = np.random.default_rng(2)
-    vals = rng.integers(-(2 ** 15), 2 ** 15, size=100_000).astype(object) % (2 ** 37)
-    sa, sb = share(np.asarray(vals, dtype=np.uint64), RING, CFG, rng)
-    ta = fp.truncate_shares(sa, CFG.s, CFG, mode="local")
-    tb = fp.truncate_shares(sb, CFG.s, CFG, mode="local")
-    got = reconstruct(ta, tb).astype(object)
-    bad = 0
-    for g, v in zip(got, vals):
-        signed = int(v) - 2 ** 37 if v > 2 ** 36 else int(v)
-        want = signed >> CFG.s
-        gs = int(g) - 2 ** 37 if g > 2 ** 36 else int(g)
-        bad += abs(gs - want) > 1
-    assert bad == 0
-
-
-def test_truncate_gadget_exhaustive(pair_runner):
-    """Gadget-mode truncation equals the floor oracle on the full k=10 ring."""
-    from privblock.params import Config, toy_he_params
-    cfg = Config(he=toy_he_params(n=256, p=137438822401, limbs=6), he_backend="clear")
-    tiny = FixedPointConfig(k=10, s=4, p=661)
-    vals = np.arange(1024, dtype=np.uint64)
-    rng = np.random.default_rng(3)
-    sa, sb = share(vals, RING, tiny, rng)
-
-    def run(sh):
-        def body(ctx):
-            prov = GadgetProvider(ctx.session, tiny, ctx.provider.costs)
-            return prov.trunc_faithful(sh, 4)
-        return body
-
-    ra, rb = pair_runner(cfg, run(sa), run(sb))
-    got = reconstruct(ra, rb).astype(object)
-    for g, v in zip(got, vals):
-        signed = int(v) - 1024 if v > 512 else int(v)
-        assert int(g) == (signed >> 4) % 1024
+def test_convert_share_is_ring_to_field_only():
+    """The local conversion goes one way; field -> ring is the provider's
+    gadget, and a same-domain request is a caller error."""
+    sa, sb = share(np.array([5], dtype=np.uint64), FIELD, CFG, np.random.default_rng(0))
+    for sh, to in ((sa, RING), (sb, FIELD)):
+        with pytest.raises(DomainMismatch):
+            fp.convert_share(sh, to, CFG)

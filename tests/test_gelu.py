@@ -103,31 +103,6 @@ def test_one_hot_selectors_exhaustive(toy_cfg, pair_runner):
         assert segs[j + 1][idx] == 1
 
 
-def test_ciphertext_entry_equals_wrapper(toy_cfg, pair_runner):
-    """Primary entry (evaluating party already holds the batch) matches the
-    share-pair wrapper bit for bit."""
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-6, 6, size=(2, 32))
-    xe = fp.encode_int(x, toy_cfg.fixedpoint, "field", S)
-    xa, xb = share(xe.ravel(), "field", toy_cfg.fixedpoint, rng)
-
-    ra, rb = pair_runner(toy_cfg,
-                         lambda ctx: pi_gelu(ctx, xa, (2, 32)),
-                         lambda ctx: pi_gelu(ctx, xb, (2, 32)), seed=9)
-    wrapper = reconstruct(ra.share, rb.share)
-
-    def fa(ctx):
-        return pi_gelu(ctx, None, (2, 32))
-
-    def fb(ctx):
-        cts = ctx.encrypt(xe.ravel(), "A")
-        return pi_gelu(ctx, cts, (2, 32))
-
-    ra2, rb2 = pair_runner(toy_cfg, fa, fb, seed=9)
-    direct = reconstruct(ra2.share, rb2.share)
-    assert np.array_equal(wrapper, direct)
-
-
 def test_cost_formula_exact(toy_cfg, pair_runner):
     rng = np.random.default_rng(6)
     x = rng.uniform(-8, 8, size=(4, 32))

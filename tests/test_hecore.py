@@ -4,8 +4,8 @@ import pytest
 from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
 from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
-                              NoiseExhausted, SimdPlaintext, create_backend,
-                              ct_bytes)
+                              NoiseExhausted, create_backend, ct_bytes,
+                              pack_slots)
 from privblock.hecore.clear import ClearPublicKey
 from privblock.hecore.rlwe import RlwePublicKey
 from privblock.model import BlockWeights, infer_block, toy_block_config
@@ -51,12 +51,12 @@ def test_wrong_key_rejected():
 
 
 def test_simd_plaintext_pack():
-    pt = SimdPlaintext.pack([1, 2, 3], TOY)
-    assert pt.slots.size == 64 and pt.slots[3:].sum() == 0
+    slots = pack_slots([1, 2, 3], TOY)
+    assert slots.size == 64 and slots[3:].sum() == 0
     with pytest.raises(ParamError):
-        SimdPlaintext.pack(np.full(65, 1), TOY)
+        pack_slots(np.full(65, 1), TOY)
     with pytest.raises(ParamError):
-        SimdPlaintext.pack([TOY.p], TOY)
+        pack_slots([TOY.p], TOY)
 
 
 @pytest.mark.parametrize("op", ["encrypt", "add_pt", "sub_pt", "mul_pt"])
@@ -233,10 +233,10 @@ def test_encrypted_vector_blocks_and_shapes(toy_cfg, pair_runner):
 
     def fa(ctx):
         n = ctx.he_params.n
-        vec = ctx.encrypt(np.arange(n + 3, dtype=np.uint64), "A")
+        vec = ctx.encrypt(np.arange(n + 3, dtype=np.uint64))
         assert len(vec.cts) == 2
         with pytest.raises(ShapeMismatch):
-            vec.add_ct(ctx.encrypt(np.arange(n, dtype=np.uint64), "A"))
+            vec.add_ct(ctx.encrypt(np.arange(n, dtype=np.uint64)))
         with pytest.raises(ShapeMismatch):
             vec.mul_pt(np.ones(n, dtype=np.uint64))
         out = vec.add_pt(5).mul_ct(vec.neg_ct())

@@ -31,8 +31,8 @@ def test_identity_times_matrix(toy_cfg, pair_runner):
     a = fp.encode_int(np.eye(2), toy_cfg.fixedpoint, "field", 0)
     b = fp.encode_int([[5, 6], [7, 8]], toy_cfg.fixedpoint, "field", 0)
     ra, rb = pair_runner(toy_cfg,
-                         lambda ctx: pi_matmul(ctx, a, (2, 2, 2), scale=0),
-                         lambda ctx: pi_matmul(ctx, b, (2, 2, 2), scale=0))
+                         lambda ctx: pi_matmul(ctx, a, (2, 2, 2)),
+                         lambda ctx: pi_matmul(ctx, b, (2, 2, 2)))
     got = reconstruct(ra.share, rb.share).reshape(2, 2)
     assert np.array_equal(got, np.array([[5, 6], [7, 8]], dtype=np.uint64))
 

@@ -189,7 +189,7 @@ def test_gadget_output_marginal_uniform(toy_cfg, pair_runner):
 
     def f(sh):
         return lambda ctx: GadgetProvider(ctx.session, tiny,
-                                          ctx.provider.costs).trunc_faithful(sh, 2)
+                                          ctx.provider.costs).row_max(sh, 1)
 
     ra, rb = pair_runner(toy_cfg, f(sa), f(sb))
     for out in (ra, rb):
@@ -216,10 +216,8 @@ WRONG_DOMAIN = {  # gadget -> (call, a share domain it does not accept)
     "rexp": (lambda g, x: g.rexp(x), FIELD),
     "invsqrt": (lambda g, x: g.invsqrt(x, S, S), BOOL),
     "field_to_ring": (lambda g, x: g.field_to_ring(x), RING),
-    "ring_to_field_strict": (lambda g, x: g.ring_to_field_strict(x), FIELD),
     "ring_to_field_strict_trunc": (lambda g, x: g.ring_to_field_strict_trunc(x, 3), FIELD),
     "rescale_field": (lambda g, x: g.rescale_field(x, 3), RING),
-    "trunc_faithful": (lambda g, x: g.trunc_faithful(x, 3), FIELD),
     "row_max": (lambda g, x: g.row_max(x, 2), FIELD),
 }
 
@@ -284,7 +282,7 @@ def test_rescale_field_toy_field_rounds_half_up(toy_cfg, pair_runner):
     assert charges == ["gadget:trunc", "gadget:convert"]
 
 
-@pytest.mark.parametrize("shift", [0, 3])
+@pytest.mark.parametrize("shift", [1, 3])
 def test_ring_to_field_strict_trunc_toy_ring(toy_cfg, pair_runner, shift):
     vals = np.arange(1024, dtype=np.uint64)
     got, mod, charges = _tiny_gadget(
@@ -293,4 +291,5 @@ def test_ring_to_field_strict_trunc_toy_ring(toy_cfg, pair_runner, shift):
     half = (1 << shift) >> 1
     want = [((_signed(v, 1024) + half) >> shift) % 661 for v in range(1024)]
     assert mod == 661 and got == want
-    assert charges == (["gadget:trunc"] if shift else []) + ["gadget:convert"]
+    assert charges == ["gadget:trunc", "gadget:convert"]
+
