@@ -22,7 +22,7 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, ct_bytes, noise_budget_bits,
                pack_header, pack_slots, parse_header)
-from ..modarith import centered_max, matmod, mulmod, signed_lift
+from ..modarith import centered_max, matmod, mod, mulmod, signed_lift
 from ..params import AUX_PRIMES, HeParams, ParamError
 from . import noise
 from .ntt import get_plan
@@ -64,7 +64,7 @@ class _BaseExtension:
         """(..., L, N) residues mod ``src`` -> (..., K, N) residues mod ``dst``."""
         y = mulmod(x, self.inv_hat, self.src)
         v = np.rint((y / self.src).sum(axis=-2, keepdims=True)).astype(np.uint64)
-        return (matmod(self.hat, y, self.dst) + v * self.neg_big) % self.dst
+        return mod(matmod(self.hat, y, self.dst) + v * self.neg_big, self.dst)
 
 
 class _ScaleRound:
@@ -93,8 +93,8 @@ class _ScaleRound:
         hi = self.frac_hi @ x
         low_bits = hi & np.uint64((1 << self.bits) - 1)
         carry = np.rint((low_bits + self.frac_lo @ x) / 2.0 ** self.bits).astype(np.uint64)
-        return (matmod(self.whole, x, self.dst) + (hi >> np.uint64(self.bits))
-                + carry) % self.dst
+        return mod(matmod(self.whole, x, self.dst) + (hi >> np.uint64(self.bits))
+                   + carry, self.dst)
 
 
 class RlwePublicKey:
@@ -158,7 +158,7 @@ class RlweBackend:
         self.rng = rng or np.random.default_rng()
         self.qs = [int(q) for q in params.q_primes]
         self.q_col = _column(self.qs)
-        self.q_signed = self.q_col.astype(np.int64)  # int64 % uint64 is float64
+        self.q_signed = self.q_col.astype(np.int64)  # int64 // uint64 is float64
         self.q = params.q
         self.p = params.p
         self.n = params.n
@@ -201,13 +201,13 @@ class RlweBackend:
         a = np.stack([self.rng.integers(0, q, size=self.n, dtype=np.uint64)
                       for q in self.qs])
         e_ntt = self._to_ntt(self._gauss())
-        body = (mulmod(a, s_ntt, self.q_col) + e_ntt) % self.q_col
-        return np.stack([(self.q_col - body) % self.q_col, a])
+        body = mod(mulmod(a, s_ntt, self.q_col) + e_ntt, self.q_col)
+        return np.stack([mod(self.q_col - body, self.q_col), a])
 
     def _to_ntt(self, coeffs: np.ndarray) -> np.ndarray:
         """Signed int64 coefficients (..., N) -> their NTT in every limb,
         (..., L, N)."""
-        return _transform((coeffs[..., None, :] % self.q_signed).astype(np.uint64), self.plans)
+        return _transform(mod(coeffs[..., None, :], self.q_signed).astype(np.uint64), self.plans)
 
     # -- keys -------------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
@@ -219,7 +219,7 @@ class RlweBackend:
             # row i encrypts s^2 in limb i: (-(a_i s + e_i) + [j == i] s^2, a_i)
             rlk = np.stack([self._key_row(s_ntt) for _ in range(self.L)])
             diag = np.arange(self.L)
-            rlk[diag, 0, diag] = (rlk[diag, 0, diag] + s2_ntt) % self.q_col
+            rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + s2_ntt, self.q_col)
         public = RlwePublicKey(owner, pk, rlk)
         return RlweKeyPair(owner, s_ntt, s2_ntt, public)
 
@@ -238,7 +238,7 @@ class RlweBackend:
         """floor(q/p) * m mod each limb, in coefficient form, for the
         plaintext with these slots."""
         m = self._slots_to_coeffs(slots)
-        return mulmod(m % self.q_col, self.delta_col, self.q_col)
+        return mulmod(mod(m, self.q_col), self.delta_col, self.q_col)
 
     # -- encrypt / decrypt ---------------------------------------------------------
     def encrypt(self, slots, public: RlwePublicKey) -> RlweCiphertext:
@@ -247,16 +247,16 @@ class RlweBackend:
         e1 = self._gauss()
         e2_ntt = self._to_ntt(self._gauss())
         # e1 and floor(q/p) m both go to c0: one forward NTT per limb for both
-        c0 = _transform(dm + (e1 % self.q_signed).astype(np.uint64), self.plans)
+        c0 = _transform(dm + mod(e1, self.q_signed).astype(np.uint64), self.plans)
         data = mulmod(public.pk, u_ntt, self.q_col) + np.stack([c0, e2_ntt])
-        return RlweCiphertext(data % self.q_col, public.owner,
+        return RlweCiphertext(mod(data, self.q_col), public.owner,
                               noise.fresh_bits(self.params))
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         """c0 + c1 s (+ c2 s^2) mod each limb, in coefficient form."""
         keys = np.stack((kp._s, kp._s2)[:ct.ncomp - 1])
         acc = ct.data[0] + mulmod(ct.data[1:], keys, self.q_col).sum(axis=0)
-        return _transform(acc % self.q_col, self.plans, inverse=True)
+        return _transform(mod(acc, self.q_col), self.plans, inverse=True)
 
     def decrypt(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         if ct.owner != kp.owner:
@@ -275,15 +275,15 @@ class RlweBackend:
         self._check_pair(x, y)
         if x.ncomp != y.ncomp:
             raise MalformedBytes("component count mismatch")
-        return RlweCiphertext((x.data + y.data) % self.q_col, x.owner,
+        return RlweCiphertext(mod(x.data + y.data, self.q_col), x.owner,
                               noise.add_ct_bits(x.noise_bits, y.noise_bits))
 
     def neg_ct(self, x: RlweCiphertext) -> RlweCiphertext:
-        return RlweCiphertext((self.q_col - x.data) % self.q_col, x.owner, x.noise_bits)
+        return RlweCiphertext(mod(self.q_col - x.data, self.q_col), x.owner, x.noise_bits)
 
     def _add_to_c0(self, x: RlweCiphertext, dm: np.ndarray) -> RlweCiphertext:
         out = x.data.copy()
-        out[0] = (out[0] + dm) % self.q_col
+        out[0] = mod(out[0] + dm, self.q_col)
         return RlweCiphertext(out, x.owner, noise.add_pt_bits(self.params, x.noise_bits))
 
     def add_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
@@ -305,7 +305,7 @@ class RlweBackend:
         to add.  Its digits are the limb residues d2 mod q_i (coefficient
         form), each below q_i."""
         digits = self._to_ntt(d2.astype(np.int64))[:, None]
-        return mulmod(public.rlk, digits, self.q_col).sum(axis=0) % self.q_col
+        return mod(mulmod(public.rlk, digits, self.q_col).sum(axis=0), self.q_col)
 
     def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,
                public: RlwePublicKey) -> RlweCiphertext:
@@ -322,14 +322,14 @@ class RlweBackend:
         ab = np.concatenate([comps, _transform(ext, self.p_plans)], axis=1)
         a0, a1, b0, b1 = (*ab, *ab) if y is x else ab
         m = self.qp_col
-        d = np.stack([mulmod(a0, b0, m), (mulmod(a0, b1, m) + mulmod(a1, b0, m)) % m,
+        d = np.stack([mulmod(a0, b0, m), mod(mulmod(a0, b1, m) + mulmod(a1, b0, m), m),
                       mulmod(a1, b1, m)])
         d = _transform(d, self.plans + self.p_plans, inverse=True)
         # round(p d / Q) into P, then back to Q
         r = self.scale_qp(d[:, :self.L]) + mulmod(d[:, self.L:], self.lam_col, self.p_col)
-        d = self.p_to_q(r % self.p_col)
+        d = self.p_to_q(mod(r, self.p_col))
         data = _transform(d[:2], self.plans) + self._relin(d[2], public)
-        return RlweCiphertext(data % self.q_col, x.owner, nb)
+        return RlweCiphertext(mod(data, self.q_col), x.owner, nb)
 
     def square(self, x: RlweCiphertext, public: RlwePublicKey) -> RlweCiphertext:
         return self.mul_ct(x, x, public)

@@ -4,10 +4,17 @@ Every share, slot and plaintext value is a canonical representative below
 its modulus M, which is either the prime p or the ring modulus 2^k.  All of
 them live in uint64 arrays; lifts to signed values live in int64.
 
+``mulmod``, ``matmod``, the NTT and the ``rlwe`` backend reduce with ``mod``,
+x - (x // m) * m: numpy divides by a fixed divisor (a scalar, or one modulus
+per row) with libdivide, several times faster than its ``%`` on 64-bit
+integers.
+
 Products mod p split one factor at 19 bits, so the high partial product
 a * (b >> 19) must stay below 2^64: ``mulmod`` and ``matmod`` are exact for
 p below 2^MAX_MODULUS_BITS, and parameter sets with a wider p are rejected.
-Sums and differences of two representatives stay far below 2^63.
+``mulmod`` needs only its second factor reduced: the first may be anything
+below ``mulmod_limit(p)``, which the lazy NTT butterflies rely on.  Sums and
+differences of two representatives stay far below 2^63.
 """
 
 from __future__ import annotations
@@ -19,18 +26,38 @@ _SPLIT = 19
 _LOW = np.uint64((1 << _SPLIT) - 1)
 
 
+def mod(x, m) -> np.ndarray:
+    """x - (x // m) * m: uint64 x by an int, a 0-d or an (L, 1) uint64 m, or
+    int64 x by an int64 m (floored, so in [0, m)).  int64 by uint64 is
+    rejected: numpy takes that quotient in float64."""
+    r = np.asarray(x // m)
+    if r.dtype.kind not in "iu":
+        raise TypeError(f"mod of {np.asarray(x).dtype} by {np.asarray(m).dtype}")
+    r *= m
+    return np.subtract(x, r, out=r)
+
+
+def mulmod_limit(p: int) -> int:
+    """A bound on a below which mulmod(a, b, p) is exact for every b < p:
+    a (p - 1), or on the split path a ((p - 1) >> 19) and
+    ((p - 1) << 19) + a (2^19 - 1), stay below 2^64."""
+    if p < 1 << 32:
+        return (1 << 64) // (p - 1)
+    return min((1 << 64) // ((p - 1) >> _SPLIT), ((1 << 64) - ((p - 1) << _SPLIT)) >> _SPLIT)
+
+
 def mulmod(a, b, p) -> np.ndarray:
-    """Elementwise (a * b) mod p for uint64 operands below p < 2^41.  ``p``
-    is an int, or a uint64 column that gives each row of a and b its own
-    modulus (the RNS limbs of a ciphertext)."""
+    """Elementwise (a * b) mod p for uint64 b below p < 2^41 and a below
+    ``mulmod_limit(p)``.  ``p`` is an int, or a uint64 column that gives
+    each row of a and b its own modulus (the RNS limbs of a ciphertext)."""
     p64 = np.asarray(p, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if (p if isinstance(p, int) else p64.max()) < 1 << 32:  # one product fits
-        return (a * b) % p64
+        return mod(a * b, p64)
     hi = b >> np.uint64(_SPLIT)
     lo = b & _LOW
-    return (((a * hi) % p64 << np.uint64(_SPLIT)) + a * lo) % p64
+    return mod((mod(a * hi, p64) << np.uint64(_SPLIT)) + a * lo, p64)
 
 
 def matmod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
@@ -39,15 +66,15 @@ def matmod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     split products stays below 2^63.  ``p`` is an int, or a column that
     gives each row of the product its own modulus (``rlwe`` maps limb
     residues from one RNS basis to another this way)."""
-    p = np.asarray(p, dtype=np.int64)  # int64 % uint64 would be float64
+    p = np.asarray(p, dtype=np.int64)  # int64 // uint64 would be float64
     ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
     al = (a & _LOW).astype(np.int64)
     bh = (b >> np.uint64(_SPLIT)).astype(np.int64)
     bl = (b & _LOW).astype(np.int64)
     # Horner in 2^19: hh * 2^38 + (hl + lh) * 2^19 + ll; each sum < 2^62
-    acc = (ah @ bh) % p
-    acc = ((acc << _SPLIT) + ah @ bl + al @ bh) % p
-    acc = ((acc << _SPLIT) + al @ bl) % p
+    acc = mod(ah @ bh, p)
+    acc = mod((acc << _SPLIT) + ah @ bl + al @ bh, p)
+    acc = mod((acc << _SPLIT) + al @ bl, p)
     return acc.astype(np.uint64)
 
 

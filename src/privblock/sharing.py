@@ -146,8 +146,10 @@ class GadgetProvider:
         reconstruct at B, evaluate ``func`` on the secret, reduce the result
         into ``out_domain`` and reshare it fresh.
 
-        Dealer exceptions travel back to A as an error frame so both parties
-        raise instead of one deadlocking.
+        Any exception ``func`` raises travels back to A as an error frame, so
+        both parties raise instead of one deadlocking: A raises the same
+        ``RangeError`` or ``DomainError``, or ``GadgetUnavailable`` naming
+        any other exception.
         """
         if x.domain not in domains:
             raise DomainMismatch(f"gadget expects {' or '.join(domains)} shares, "
@@ -160,9 +162,8 @@ class GadgetProvider:
             raw = self.session.recv("_gadget", metered=False)
             if raw[:1] == b"E":
                 kind, _, msg = raw[1:].decode().partition(":")
-                exc = {"range": RangeError, "domain": DomainError}.get(
-                    kind, GadgetUnavailable)
-                raise exc(msg)
+                exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
+                raise exc(msg) if exc else GadgetUnavailable(f"dealer raised {kind}: {msg}")
             out = np.frombuffer(raw[1:], dtype=np.uint64).copy()
             return Share(out_domain, "A", out, mod)
         other = np.frombuffer(self.session.recv("_gadget", metered=False),
@@ -170,9 +171,8 @@ class GadgetProvider:
         secret = reconstruct(x.like(other), x)
         try:
             result = func(secret)
-        except (RangeError, DomainError) as e:
-            kind = "range" if isinstance(e, RangeError) else "domain"
-            self.session.send("_gadget", f"E{kind}:{e}".encode(), metered=False)
+        except Exception as e:
+            self.session.send("_gadget", f"E{type(e).__name__}:{e}".encode(), metered=False)
             raise
         # ``share`` draws its first share from the dealer RNG; B keeps that one.
         mine, theirs = share(np.asarray(result) % mod, out_domain, self.cfg,

@@ -33,6 +33,36 @@ def _lift_ref(v, mod):
     return [int(x) - mod if int(x) > mod >> 1 else int(x) for x in v]
 
 
+@pytest.mark.parametrize("mod", [P, np.uint64(P), np.array(P41, dtype=np.uint64),
+                                 Q_COLUMN, MIXED_COLUMN])
+def test_mod_equals_percent_on_words(mod, rng):
+    """uint64 words, up to 2^64 - 1, by an int, a numpy scalar, a 0-d array
+    or an (L, 1) column of moduli."""
+    rows = np.shape(mod)[0] if np.ndim(mod) == 2 else 3
+    x = rng.integers(0, 1 << 64, size=(rows, 2000), dtype=np.uint64)
+    x[:, :3] = [0, (1 << 64) - 1, int(np.max(mod)) - 1]
+    got = ma.mod(x, mod)
+    assert got.dtype == np.uint64 and np.array_equal(got, x % mod)
+
+
+def test_mod_of_signed_values_floors():
+    """int64 by an int64 column: the result lies in [0, m), as Python's %."""
+    col = Q_COLUMN.astype(np.int64)
+    x = np.random.default_rng(3).integers(-(1 << 62), 1 << 62, size=(1, 500))
+    x[0, :4] = [-1, 0, -int(col[0, 0]), -(1 << 63)]
+    got = ma.mod(x, col)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[int(v) % int(m) for v in x[0]] for m in col[:, 0]]
+
+
+def test_mod_rejects_signed_by_unsigned():
+    """numpy takes an int64 by uint64 quotient in float64, which is not exact."""
+    x = np.array([-5, 7], dtype=np.int64)
+    assert (x // Q_COLUMN).dtype == np.float64
+    with pytest.raises(TypeError):
+        ma.mod(x, Q_COLUMN)
+
+
 @pytest.mark.parametrize("mod", [P, RING, P41, Q_COLUMN, MIXED_COLUMN])
 def test_mulmod_matches_python(mod, rng):
     """An int modulus, or a column giving each row its own modulus."""
@@ -46,6 +76,19 @@ def test_mulmod_matches_python(mod, rng):
         rows_b.append(b)
         want.append([int(x) * int(y) % m for x, y in zip(a, b)])
     assert ma.mulmod(np.stack(rows_a), np.stack(rows_b), mod).tolist() == want
+
+
+@pytest.mark.parametrize("mod", [DEFAULT_Q_PRIMES[0], (1 << 32) - 5, P, P41])
+def test_mulmod_is_exact_up_to_its_limit(mod, rng):
+    """The first factor need not be reduced: anything below
+    ``mulmod_limit`` works, as the lazy NTT butterflies assume."""
+    limit = ma.mulmod_limit(mod)
+    assert limit > mod
+    a = rng.integers(0, limit, size=2000, dtype=np.uint64)
+    b = _inputs(mod, 2000, rng)
+    a[:5] = limit - 1
+    want = [int(x) * int(y) % mod for x, y in zip(a, b)]
+    assert ma.mulmod(a, b, mod).tolist() == want
 
 
 @pytest.mark.parametrize("primes", [DEFAULT_Q_PRIMES, AUX_PRIMES])

@@ -1,0 +1,73 @@
+"""The lazy NTT kernel against a direct Python-integer evaluation.
+
+Entry i of the forward transform is sum_j a_j psi^(j (2 brv(i) + 1)) mod the
+prime.  Every prime ``rlwe`` transforms under at N = 8192 is checked: the
+default q limbs, the auxiliary primes of ct*ct and the plaintext modulus p.
+A 41-bit prime takes the branch that reduces between stages.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from privblock.hecore.ntt import NttPlan
+from privblock.modarith import MAX_MODULUS_BITS
+from privblock.params import AUX_PRIMES, DEFAULT_P, DEFAULT_Q_PRIMES, HeParams
+
+N = 8192
+# rlwe's auxiliary basis: the fewest leading AUX_PRIMES with P > 4 p N Q
+_BOUND = 4 * DEFAULT_P * N * math.prod(DEFAULT_Q_PRIMES)
+USED_AUX = next(AUX_PRIMES[:k] for k in range(1, len(AUX_PRIMES) + 1)
+                if math.prod(AUX_PRIMES[:k]) > _BOUND)
+P41_1024 = 2199023251457  # largest 41-bit prime = 1 mod 2 * 1024
+CASES = ([(q, N) for q in DEFAULT_Q_PRIMES] + [(q, N) for q in USED_AUX]
+         + [(DEFAULT_P, N), (P41_1024, 1024)])
+
+
+def _inputs(prime, n, rng):
+    """All (prime - 1); random residues; random words below 2^63."""
+    return {"top": np.full(n, prime - 1, dtype=np.uint64),
+            "residues": rng.integers(0, prime, size=n, dtype=np.uint64),
+            "words": rng.integers(0, 1 << 63, size=n, dtype=np.uint64)}
+
+
+def _direct(values, psi, prime, rows):
+    """sum_j a_j psi^(j (2 brv(i) + 1)) for each i in ``rows``, by Horner."""
+    bits = len(values).bit_length() - 1
+    coeffs = [int(v) % prime for v in values][::-1]
+    out = []
+    for i in rows:
+        root = pow(psi, 2 * int(format(i, f"0{bits}b")[::-1], 2) + 1, prime)
+        acc = 0
+        for c in coeffs:
+            acc = (acc * root + c) % prime
+        out.append(acc)
+    return out
+
+
+def test_cases_cover_the_backend_primes():
+    params = HeParams()
+    assert params.n == N and params.q_primes == DEFAULT_Q_PRIMES and params.p == DEFAULT_P
+    assert len(USED_AUX) == 8
+    assert P41_1024.bit_length() == MAX_MODULUS_BITS and (P41_1024 - 1) % 2048 == 0
+
+
+@pytest.mark.parametrize("prime,n", CASES, ids=[f"{p}-{n}" for p, n in CASES])
+def test_forward_is_the_negacyclic_evaluation_and_inverse_undoes_it(prime, n):
+    rng = np.random.default_rng(prime % 1000)
+    plan = NttPlan(prime, n)
+    psi = int(plan.psi_rev[n // 2])  # psi_rev[brv(1)] = psi^1
+    assert pow(psi, n, prime) == prime - 1  # a primitive 2N-th root
+    if prime == P41_1024:  # the lazy bound is under the 11 primes of 10 stages
+        assert plan.limit < 3 * prime
+    rows = rng.choice(n, size=16, replace=False)
+    for name, x in _inputs(prime, n, rng).items():
+        y = plan.forward(x)
+        assert y.dtype == np.uint64 and int(y.max()) < prime, name
+        assert [int(y[i]) for i in rows] == _direct(x, psi, prime, rows), name
+        assert np.array_equal(plan.inverse(y), x % np.uint64(prime)), name
+        # the inverse does not need its input reduced either
+        z = plan.inverse(x)
+        assert int(z.max()) < prime, name
+        assert np.array_equal(plan.forward(z), x % np.uint64(prime)), name

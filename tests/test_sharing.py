@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy import stats
 from privblock.channel import PROFILES, PeerClosed, make_pair
 from privblock.params import FixedPointConfig, GadgetCostTable
 from privblock.sharing import (BOOL, FIELD, RING, DomainError, DomainMismatch,
-                               GadgetProvider, RangeError, Share, not_share,
-                               reconstruct, share, xor_shares)
+                               GadgetProvider, GadgetUnavailable, RangeError,
+                               Share, not_share, reconstruct, share, xor_shares)
 
 CFG = FixedPointConfig()
 S = CFG.s
@@ -240,6 +241,35 @@ def test_gadget_rejects_wrong_domain_before_any_traffic(gadget):
         session.close()
         with pytest.raises(PeerClosed):  # the close is the first thing peer gets
             peer.recv("_gadget", metered=False)
+
+
+def test_any_dealer_exception_reaches_both_parties():
+    """A dealer function that raises something other than RangeError or
+    DomainError (a shift of 0 makes ``round_shift`` raise ValueError) fails
+    both parties, well before any deadline: B with the exception itself, A
+    with GadgetUnavailable from the error frame."""
+    sessions = make_pair(PROFILES["lan"])
+    shares = _mk_shares(np.arange(4, dtype=np.uint64), FIELD)
+    errors = {}
+
+    def run(me):
+        try:
+            GadgetProvider(sessions[me], CFG, GadgetCostTable()).rescale_field(shares[me], 0)
+        except Exception as e:
+            errors[me] = e
+
+    threads = [threading.Thread(target=run, args=(me,), daemon=True) for me in (0, 1)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        for session in sessions:
+            session.close()
+    assert isinstance(errors[0], GadgetUnavailable) and "ValueError" in str(errors[0])
+    assert isinstance(errors[1], ValueError)
 
 
 TINY = FixedPointConfig(k=10, s=4, p=661)
