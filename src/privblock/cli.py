@@ -170,9 +170,10 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
         shape = (block_cfg.d_s, block_cfg.d_m)
         dims = ",".join(map(str, block_cfg.to_tuple()))
     else:
-        shape = _parse_shape(args.shape, 3 if protocol in ("matmul", "mmshared") else 2)
+        want = 3 if protocol in ("matmul", "mmshared") else 2
+        dims = args.shape or ("8x8x8" if want == 3 else "8x8")
+        shape = _parse_shape(dims, want)
         inputs = _gen_inputs(protocol, shape, cfg, seed)
-        dims = args.shape
     t0 = time.perf_counter()
     if args.local:
         def fa(sess):
@@ -319,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_proto=True):
         if with_proto:
             p.add_argument("--protocol", choices=PROTOCOLS, required=True)
-            p.add_argument("--shape", default="8x8x8",
-                           help="MxNxK for matmuls, MxN otherwise")
+            p.add_argument("--shape", default=None,
+                           help="MxNxK for matmuls, MxN otherwise "
+                                "(default 8x8x8 or 8x8)")
         p.add_argument("--profile", choices=sorted(PROFILES), default="lan")
         p.add_argument("--bandwidth", type=float, default=None,
                        help="bits/second (replaces the profile's bandwidth)")

@@ -9,6 +9,20 @@ n^-1 psi^-j.  Pointwise products of two forward transforms correspond to
 negacyclic polynomial products, which is exactly the slot algebra the SIMD
 scheme needs.  Tables are cached per (prime, N).
 
+The stages follow Pease's constant-geometry schedule ("An adaptation of the
+fast Fourier transform for parallel processing", J. ACM 1968): every stage
+multiplies one half-length row by a twiddle row and writes its butterflies
+into a second buffer, so no stage iterates a short inner axis.  The forward
+transform reads the two halves and writes the even and odd entries, which
+rotates the bits of the in-place index by one place a stage; after log2 N
+stages the order is the in-place one again, so the outputs are those of the
+in-place schedule.  The inverse reads the even and odd entries and writes
+the halves.  At forward stage h the twiddles have period h: psi_rev[h:2h],
+tiled to 64 entries (at most N/2) while h is shorter.  At inverse stage h
+they come in runs of N/2h: an (h, 1) column while the runs are at least 64
+long, a stored half-length row for shorter runs, and every other psi^-j
+in the last stage.  A plan at N = 8192 keeps 355 KiB of tables.
+
 Butterflies are lazy (Harvey, "Faster arithmetic for number-theoretic
 transforms", J. Symb. Comput. 2014): u + v and u + prime - v are left
 unreduced, so each stage raises the entry bound by one prime, and the row
@@ -27,6 +41,7 @@ import numpy as np
 from ..modarith import mod, mulmod, mulmod_limit
 
 _TABLES: dict = {}
+_ROW = 64  # the shortest inner axis a stage multiplies along
 
 
 def _find_generator(p: int) -> int:
@@ -47,6 +62,14 @@ def _find_generator(p: int) -> int:
         if all(pow(g, n // f, p) != 1 for f in factors):
             return g
         g += 1
+
+
+def _halves(x: np.ndarray):
+    return x[:len(x) // 2], x[len(x) // 2:]
+
+
+def _pairs(x: np.ndarray):
+    return x[0::2], x[1::2]
 
 
 def _bit_reverse(n: int) -> np.ndarray:
@@ -78,39 +101,56 @@ class NttPlan:
                            dtype=np.uint64)
         self.psi_rev = powers[rev]
         self.limit = mulmod_limit(prime)
-        halves = [1 << k for k in range(n.bit_length() - 1)]
-        # stage h of the forward transform: h blocks, block b twiddled by
-        # psi_rev[h + b]; of the inverse: blocks of 2h, entry k of each half
-        # twiddled by psi^(-2 k n / 2h)
-        self._forward = [((h, 2, n // (2 * h)), self.psi_rev[h:2 * h, None])
-                         for h in halves]
-        self._inverse = [((n // (2 * h), 2, h), ipowers[:n:n // h]) for h in halves]
+        half = n // 2
+        hs = [1 << k for k in range(n.bit_length() - 1)]
+        # forward stage h twiddles entry k of the top half by psi_rev[h + k mod h]:
+        # a row of c = min(max(h, 64), N/2) entries over an (N/2c, c) view
+        self._forward = []
+        for h in hs:
+            c = min(max(h, _ROW), half)
+            row = self.psi_rev[h:2 * h]
+            self._forward.append(((half // c, c), row if c == h else np.tile(row, c // h)))
+        # inverse stage h twiddles odd entry k by psi^(-n/h (k // r)), in runs
+        # of r = N/2h: an (h, 1) column while the runs are at least 64 long,
+        # a stored half-length row for the stages after that but the last
+        self._inverse = []
+        for h in hs:
+            w, runs = ipowers[:n:n // h], half // h
+            self._inverse.append(((h, runs), w[:, None]) if runs >= _ROW
+                                 else ((half,), np.repeat(w, runs) if runs > 1 else w))
         self._unscale = mulmod(ipowers, pow(n, -1, prime), prime)
 
-    def _butterflies(self, values: np.ndarray, stages) -> np.ndarray:
-        """Cooley-Tukey stages on a reduced copy of ``values``: each stage
-        views the row as (blocks, 2, half) and maps (u, v) to (u + w v,
-        u - w v).  Returns entries below ``self.limit``, not reduced."""
+    def _butterflies(self, values: np.ndarray, stages, forward: bool) -> np.ndarray:
+        """Constant-geometry Cooley-Tukey stages on a reduced copy of
+        ``values``.  Each stage reads two half-length rows u and v, and
+        writes u + w v and u - w v to the other buffer: forward reads the
+        halves and writes the even and odd entries, the inverse reads the
+        even and odd entries and writes the halves.  Returns entries below
+        ``self.limit``, not reduced."""
         p = np.uint64(self.prime)
+        read, write = (_halves, _pairs) if forward else (_pairs, _halves)
         a = mod(np.asarray(values, dtype=np.uint64), p)
+        b = np.empty_like(a)
         bound = self.prime  # every entry is below it
         for shape, w in stages:
             if bound > self.limit:
                 a, bound = mod(a, p), self.prime
-            view = a.reshape(shape)
-            v = mulmod(view[:, 1], w, self.prime)
-            np.add(view[:, 0], p - v, out=view[:, 1])
-            view[:, 0] += v
+            (u, v), (top, bottom) = read(a), write(b)
+            wv = mulmod(v.reshape(shape), w, self.prime).reshape(u.shape)
+            np.add(u, wv, out=top)
+            np.subtract(p, wv, out=wv)
+            np.add(u, wv, out=bottom)
+            a, b = b, a
             bound += self.prime
         return mod(a, p) if bound > self.limit else a
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> NTT values (bit-reversed order)."""
-        return mod(self._butterflies(coeffs, self._forward), np.uint64(self.prime))
+        return mod(self._butterflies(coeffs, self._forward, True), np.uint64(self.prime))
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """NTT values (bit-reversed order) -> coefficients."""
-        return mulmod(self._butterflies(values, self._inverse), self._unscale, self.prime)
+        return mulmod(self._butterflies(values, self._inverse, False), self._unscale, self.prime)
 
 
 def get_plan(prime: int, n: int) -> NttPlan:

@@ -57,6 +57,15 @@ def test_party_every_protocol_local(toy_cfg_file):
         assert out.startswith(f"protocol={proto} shape={dims}\n")
 
 
+def test_default_shape_fits_every_protocol(toy_cfg_file):
+    for proto, dims in (("matmul", "8x8x8"), ("gelu", "8x8"), ("softmax", "8x8"),
+                        ("ln", "8x8")):
+        code, out = _capture(["party", "--protocol", proto, "--local",
+                              "--config", toy_cfg_file])
+        assert code == 0, proto
+        assert out.startswith(f"protocol={proto} shape={dims}\n")
+
+
 def test_block_reports_the_dimensions_of_its_weights(toy_cfg_file, tmp_path):
     """party and bench name the block's d_s,d_m,h,d_k,d_f, not --shape."""
     weights = os.path.join(tmp_path, "w.bin")

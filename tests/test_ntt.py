@@ -1,9 +1,13 @@
-"""The lazy NTT kernel against a direct Python-integer evaluation.
+"""The constant-geometry NTT kernel against a direct Python-integer evaluation.
 
 Entry i of the forward transform is sum_j a_j psi^(j (2 brv(i) + 1)) mod the
 prime.  Every prime ``rlwe`` transforms under at N = 8192 is checked: the
 default q limbs, the auxiliary primes of ct*ct and the plaintext modulus p.
-A 41-bit prime takes the branch that reduces between stages.
+A 41-bit prime takes the branch that reduces between stages.  Small N, down
+to N/2 below the 64-entry twiddle rows the stages broadcast, runs under one
+q limb and p: the toy parameters and the packed matmul encoder use it.  The
+twiddle tables a plan keeps stay small, because every party's set-up builds
+one plan per prime.
 """
 
 import math
@@ -21,8 +25,11 @@ _BOUND = 4 * DEFAULT_P * N * math.prod(DEFAULT_Q_PRIMES)
 USED_AUX = next(AUX_PRIMES[:k] for k in range(1, len(AUX_PRIMES) + 1)
                 if math.prod(AUX_PRIMES[:k]) > _BOUND)
 P41_1024 = 2199023251457  # largest 41-bit prime = 1 mod 2 * 1024
+SMALL_N = (8, 16, 32, 128, 512)
 CASES = ([(q, N) for q in DEFAULT_Q_PRIMES] + [(q, N) for q in USED_AUX]
-         + [(DEFAULT_P, N), (P41_1024, 1024)])
+         + [(DEFAULT_P, N), (P41_1024, 1024)]
+         + [(q, n) for q in (DEFAULT_Q_PRIMES[0], DEFAULT_P) for n in SMALL_N])
+PLAN_BYTES_LIMIT = 448 << 10  # the tables of one NttPlan at N = 8192
 
 
 def _inputs(prime, n, rng):
@@ -61,7 +68,7 @@ def test_forward_is_the_negacyclic_evaluation_and_inverse_undoes_it(prime, n):
     assert pow(psi, n, prime) == prime - 1  # a primitive 2N-th root
     if prime == P41_1024:  # the lazy bound is under the 11 primes of 10 stages
         assert plan.limit < 3 * prime
-    rows = rng.choice(n, size=16, replace=False)
+    rows = rng.choice(n, size=min(16, n), replace=False)
     for name, x in _inputs(prime, n, rng).items():
         y = plan.forward(x)
         assert y.dtype == np.uint64 and int(y.max()) < prime, name
@@ -71,3 +78,24 @@ def test_forward_is_the_negacyclic_evaluation_and_inverse_undoes_it(prime, n):
         z = plan.inverse(x)
         assert int(z.max()) < prime, name
         assert np.array_equal(plan.forward(z), x % np.uint64(prime)), name
+
+
+def _held_bytes(plan) -> int:
+    """Bytes of the distinct arrays ``plan``'s attributes keep alive."""
+    held = {}
+    todo = list(vars(plan).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            held[id(x)] = x.nbytes
+    return sum(held.values())
+
+
+def test_plan_tables_stay_small():
+    plan = NttPlan(DEFAULT_Q_PRIMES[0], N)
+    assert _held_bytes(plan) >= 3 * N * 8  # psi_rev, psi^-j and the unscale row
+    assert _held_bytes(plan) <= PLAN_BYTES_LIMIT
