@@ -7,7 +7,10 @@ Cooley-Tukey with bit-reversed output: entry i is sum_j a_j psi^(j (2 brv(i)
 bit-reversed input, with powers of psi^-2, and ends with one multiply by
 n^-1 psi^-j.  Pointwise products of two forward transforms correspond to
 negacyclic polynomial products, which is exactly the slot algebra the SIMD
-scheme needs.  Tables are cached per (prime, N).
+scheme needs.  A plan transforms a stack (..., N) of rows in one call: the
+stages slice the last axis and the twiddles broadcast over the leading
+ones.  Tables are cached per (prime, N), built once even when two threads
+ask at the same time.
 
 The stages follow Pease's constant-geometry schedule ("An adaptation of the
 fast Fourier transform for parallel processing", J. ACM 1968): every stage
@@ -36,11 +39,14 @@ modulus p.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..modarith import mod, mulmod, mulmod_limit
 
 _TABLES: dict = {}
+_LOCK = threading.Lock()
 _ROW = 64  # the shortest inner axis a stage multiplies along
 
 
@@ -65,11 +71,12 @@ def _find_generator(p: int) -> int:
 
 
 def _halves(x: np.ndarray):
-    return x[:len(x) // 2], x[len(x) // 2:]
+    half = x.shape[-1] // 2
+    return x[..., :half], x[..., half:]
 
 
 def _pairs(x: np.ndarray):
-    return x[0::2], x[1::2]
+    return x[..., 0::2], x[..., 1::2]
 
 
 def _bit_reverse(n: int) -> np.ndarray:
@@ -121,8 +128,8 @@ class NttPlan:
         self._unscale = mulmod(ipowers, pow(n, -1, prime), prime)
 
     def _butterflies(self, values: np.ndarray, stages, forward: bool) -> np.ndarray:
-        """Constant-geometry Cooley-Tukey stages on a reduced copy of
-        ``values``.  Each stage reads two half-length rows u and v, and
+        """Constant-geometry Cooley-Tukey stages on a reduced copy of each
+        row of ``values``.  Each stage reads two half-length rows u and v, and
         writes u + w v and u - w v to the other buffer: forward reads the
         halves and writes the even and odd entries, the inverse reads the
         even and odd entries and writes the halves.  Returns entries below
@@ -136,7 +143,7 @@ class NttPlan:
             if bound > self.limit:
                 a, bound = mod(a, p), self.prime
             (u, v), (top, bottom) = read(a), write(b)
-            wv = mulmod(v.reshape(shape), w, self.prime).reshape(u.shape)
+            wv = mulmod(v.reshape(v.shape[:-1] + shape), w, self.prime).reshape(u.shape)
             np.add(u, wv, out=top)
             np.subtract(p, wv, out=wv)
             np.add(u, wv, out=bottom)
@@ -145,19 +152,19 @@ class NttPlan:
         return mod(a, p) if bound > self.limit else a
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients -> NTT values (bit-reversed order)."""
+        """Coefficient rows (..., N) -> NTT values (bit-reversed order)."""
         return mod(self._butterflies(coeffs, self._forward, True), np.uint64(self.prime))
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        """NTT values (bit-reversed order) -> coefficients."""
+        """NTT value rows (..., N), bit-reversed order -> coefficients."""
         return mulmod(self._butterflies(values, self._inverse, False), self._unscale, self.prime)
 
 
 def get_plan(prime: int, n: int) -> NttPlan:
-    key = (prime, n)
-    plan = _TABLES.get(key)
-    if plan is None:
-        plan = NttPlan(prime, n)
-        _TABLES[key] = plan
-    return plan
+    with _LOCK:  # both parties' set-up threads ask for the same plans
+        key = (prime, n)
+        plan = _TABLES.get(key)
+        if plan is None:
+            plan = _TABLES[key] = NttPlan(prime, n)
+        return plan
 

@@ -37,11 +37,11 @@ def _column(values) -> np.ndarray:
 
 def _transform(rows: np.ndarray, plans, inverse: bool = False) -> np.ndarray:
     """Forward (or inverse) NTT of each limb row of a (..., len(plans), N)
-    array, limb j under plans[j]."""
+    array, limb j under plans[j]: one plan call per limb over every leading
+    row."""
     out = np.empty(rows.shape, dtype=np.uint64)
-    for idx in np.ndindex(rows.shape[:-2]):
-        for j, plan in enumerate(plans):
-            out[idx + (j,)] = (plan.inverse if inverse else plan.forward)(rows[idx + (j,)])
+    for j, plan in enumerate(plans):
+        out[..., j, :] = (plan.inverse if inverse else plan.forward)(rows[..., j, :])
     return out
 
 
@@ -243,12 +243,11 @@ class RlweBackend:
     # -- encrypt / decrypt ---------------------------------------------------------
     def encrypt(self, slots, public: RlwePublicKey) -> RlweCiphertext:
         dm = self._pt_delta(slots)
-        u_ntt = self._to_ntt(self._ternary())
-        e1 = self._gauss()
-        e2_ntt = self._to_ntt(self._gauss())
-        # e1 and floor(q/p) m both go to c0: one forward NTT per limb for both
-        c0 = _transform(dm + mod(e1, self.q_signed).astype(np.uint64), self.plans)
-        data = mulmod(public.pk, u_ntt, self.q_col) + np.stack([c0, e2_ntt])
+        u, e1, e2 = self._ternary(), self._gauss(), self._gauss()
+        rows = mod(np.stack([u, e1, e2])[:, None], self.q_signed).astype(np.uint64)
+        rows[1] += dm  # e1 and floor(q/p) m both go to c0
+        u_ntt, *c = _transform(rows, self.plans)
+        data = mulmod(public.pk, u_ntt, self.q_col) + np.stack(c)
         return RlweCiphertext(mod(data, self.q_col), public.owner,
                               noise.fresh_bits(self.params))
 

@@ -12,6 +12,8 @@ integers.
 Products mod p split one factor at 19 bits, so the high partial product
 a * (b >> 19) must stay below 2^64: ``mulmod`` and ``matmod`` are exact for
 p below 2^MAX_MODULUS_BITS, and parameter sets with a wider p are rejected.
+Where one product cannot wrap (p below 2^32 in ``mulmod``; inner dimension
+times the largest entries below 2^64 in ``matmod``) they take it unsplit.
 ``mulmod`` needs only its second factor reduced: the first may be anything
 below ``mulmod_limit(p)``, which the lazy NTT butterflies rely on.  Sums and
 differences of two representatives stay far below 2^63.
@@ -65,7 +67,14 @@ def matmod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     and an inner dimension below 2^19, so every int64 partial sum of the
     split products stays below 2^63.  ``p`` is an int, or a column that
     gives each row of the product its own modulus (``rlwe`` maps limb
-    residues from one RNS basis to another this way)."""
+    residues from one RNS basis to another this way).
+
+    When the inner dimension times the largest entries of a and b stays
+    below 2^64, no sum can wrap, and one uint64 product and one ``mod``
+    suffice: every ``rlwe`` base extension and scaling (at most 8 terms of
+    30 by 30 bits).  The 37-bit share products take the split."""
+    if a.shape[-1] * int(a.max(initial=0)) * int(b.max(initial=0)) < 1 << 64:
+        return mod(a @ b, np.asarray(p, dtype=np.uint64))
     p = np.asarray(p, dtype=np.int64)  # int64 // uint64 would be float64
     ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
     al = (a & _LOW).astype(np.int64)

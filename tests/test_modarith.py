@@ -125,6 +125,18 @@ def test_matmod_modulus_column(moduli, rng):
     col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
     want = (m.astype(object) @ x.astype(object)) % col.astype(object)
     assert np.array_equal(ma.matmod(m, x, col).astype(object), want)
+    # inner dimension 8 with every entry at its modulus - 1: one uint64
+    # product for 30-bit moduli (the single-product edge), the split for wider
+    top = int(col.max()) - 1
+    edge = np.repeat(col - 1, 8, axis=1)
+    assert (8 * top * top < 1 << 64) == (max(moduli).bit_length() <= 30)
+    # entries that make 8 a_max b_max just reach 2^64: one product would wrap
+    over = -(-(1 << 64) // (8 * top))
+    assert 8 * top * (over - 1) < 1 << 64 <= 8 * top * over
+    for b in (np.full((2, 8, 5), top, dtype=np.uint64),
+              np.full((2, 8, 5), over, dtype=np.uint64)):
+        want = (edge.astype(object) @ b.astype(object)) % col.astype(object)
+        assert np.array_equal(ma.matmod(edge, b, col).astype(object), want)
 
 
 @pytest.mark.parametrize("mod", [P, RING])

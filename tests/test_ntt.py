@@ -7,15 +7,19 @@ A 41-bit prime takes the branch that reduces between stages.  Small N, down
 to N/2 below the 64-entry twiddle rows the stages broadcast, runs under one
 q limb and p: the toy parameters and the packed matmul encoder use it.  The
 twiddle tables a plan keeps stay small, because every party's set-up builds
-one plan per prime.
+one plan per prime, and the two parties' set-up threads share them.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from privblock.hecore.ntt import NttPlan
+from privblock.hecore import ntt
+from privblock.hecore.ntt import NttPlan, get_plan
 from privblock.modarith import MAX_MODULUS_BITS
 from privblock.params import AUX_PRIMES, DEFAULT_P, DEFAULT_Q_PRIMES, HeParams
 
@@ -69,7 +73,8 @@ def test_forward_is_the_negacyclic_evaluation_and_inverse_undoes_it(prime, n):
     if prime == P41_1024:  # the lazy bound is under the 11 primes of 10 stages
         assert plan.limit < 3 * prime
     rows = rng.choice(n, size=min(16, n), replace=False)
-    for name, x in _inputs(prime, n, rng).items():
+    inputs = _inputs(prime, n, rng)
+    for name, x in inputs.items():
         y = plan.forward(x)
         assert y.dtype == np.uint64 and int(y.max()) < prime, name
         assert [int(y[i]) for i in rows] == _direct(x, psi, prime, rows), name
@@ -78,6 +83,10 @@ def test_forward_is_the_negacyclic_evaluation_and_inverse_undoes_it(prime, n):
         z = plan.inverse(x)
         assert int(z.max()) < prime, name
         assert np.array_equal(plan.forward(z), x % np.uint64(prime)), name
+    # a (3, n) stack of the inputs transforms row by row in one call
+    stack = np.stack(list(inputs.values()))
+    for fn in (plan.forward, plan.inverse):
+        assert np.array_equal(fn(stack), np.stack([fn(x) for x in stack])), fn.__name__
 
 
 def _held_bytes(plan) -> int:
@@ -99,3 +108,33 @@ def test_plan_tables_stay_small():
     plan = NttPlan(DEFAULT_Q_PRIMES[0], N)
     assert _held_bytes(plan) >= 3 * N * 8  # psi_rev, psi^-j and the unscale row
     assert _held_bytes(plan) <= PLAN_BYTES_LIMIT
+
+
+def test_two_threads_get_one_plan(monkeypatch):
+    """Both parties' set-up threads ask for the same plans on a cleared
+    cache; each (prime, N) is built once and every thread gets that object."""
+    built = []
+
+    class SlowPlan(NttPlan):
+        def __init__(self, prime, n):
+            built.append((prime, n))
+            time.sleep(0.05)  # the other threads would miss the cache meanwhile
+            super().__init__(prime, n)
+
+    monkeypatch.setattr(ntt, "_TABLES", {})
+    monkeypatch.setattr(ntt, "NttPlan", SlowPlan)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(get_plan(DEFAULT_P, 64)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(plan is got[0] for plan in got)
+    assert built == [(DEFAULT_P, 64)]

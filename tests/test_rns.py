@@ -188,15 +188,18 @@ def test_edge_coefficients(params):
 # -- machine words and the NTT budget -------------------------------------------------
 def test_protocol_ops_stay_in_machine_words(monkeypatch):
     """No protocol op reconstructs a coefficient as a Python int, and each
-    op's NTT count is pinned (default parameters: 6 limbs, 8 in P)."""
+    op's count of transformed rows is pinned (default parameters: 6 limbs,
+    8 in P), as is its count of plan calls, which transform a stack of rows
+    each."""
     def refuse(*args):
         raise AssertionError("CRT reconstruction on a protocol path")
 
     monkeypatch.setattr(exact_noise, "crt_reconstruct_centered", refuse)
-    counts = {"forward": 0, "inverse": 0}
-    for name in counts:
+    counts = {"forward": 0, "inverse": 0, "forward_calls": 0, "inverse_calls": 0}
+    for name in ("forward", "inverse"):
         def counted(self, values, _name=name, _fn=getattr(NttPlan, name)):
-            counts[_name] += 1
+            counts[_name] += math.prod(np.shape(values)[:-1])
+            counts[_name + "_calls"] += 1
             return _fn(self, values)
         monkeypatch.setattr(NttPlan, name, counted)
 
@@ -212,15 +215,17 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
         return out, dict(counts)
 
     x, c = run(lambda: be.encrypt(m, kp.public))
-    assert c == {"forward": 18, "inverse": 1}
+    assert c == {"forward": 18, "inverse": 1, "forward_calls": 6, "inverse_calls": 1}
     y = be.encrypt(m[::-1].copy(), kp.public)
     for op in (lambda: be.add_pt(x, m), lambda: be.sub_pt(x, m),
                lambda: be.mul_pt(x, m), lambda: be.add_ct(x, y)):
         run(op)
     prod, c = run(lambda: be.mul_ct(x, y, kp.public))
     assert c["forward"] <= 80 and c["inverse"] <= 66
+    assert c["forward_calls"] + c["inverse_calls"] <= 40
     sq, c = run(lambda: be.square(x, kp.public))
     assert c["forward"] <= 64 and c["inverse"] <= 54
+    assert c["forward_calls"] + c["inverse_calls"] <= 40
     got, _ = run(lambda: be.decrypt(prod, kp))
     assert np.array_equal(got.astype(object), m.astype(object) * m[::-1] % params.p)
     got, _ = run(lambda: be.decrypt(sq, kp))
