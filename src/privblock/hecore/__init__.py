@@ -2,8 +2,10 @@
 
 Exactly the operation surface the protocols need: KeyGen, Encrypt, Decrypt,
 ciphertext+plaintext add/sub, ciphertext*plaintext multiply,
-ciphertext*ciphertext multiply, and Square.  There is deliberately no
-rotation anywhere in this API.
+ciphertext*ciphertext multiply (also a sum of such products, relinearized
+once), and Square.  A plaintext operand is a slot vector, or an int c: the
+constant polynomial c, which holds c in every slot.  There is deliberately
+no rotation anywhere in this API.
 
 Two interchangeable backends implement the surface: ``rlwe`` (a real
 RLWE/NTT scheme with exact plaintext semantics mod p) and ``clear``
@@ -18,7 +20,7 @@ import struct
 
 import numpy as np
 
-from ..params import HeParams, ParamError
+from ..params import AUX_PRIMES, HeParams, ParamError
 
 CT_MAGIC = b"PBC1"
 HEADER_BYTES = 16
@@ -40,9 +42,19 @@ class MalformedBytes(ValueError):
     pass
 
 
+def scalar_slot(value, params: HeParams) -> int:
+    """A scalar plaintext operand as an int, checked below p."""
+    c = int(value)
+    if not 0 <= c < params.p:
+        raise ParamError("slot values must be < p")
+    return c
+
+
 def pack_slots(values, params: HeParams) -> np.ndarray:
-    """The N plaintext slots over Z_p holding ``values``; unused tail slots
-    are zero."""
+    """The N plaintext slots over Z_p holding ``values``: a vector fills the
+    leading slots and leaves the tail zero, an int fills every slot."""
+    if np.ndim(values) == 0:
+        return np.full(params.n, scalar_slot(values, params), dtype=np.uint64)
     v = np.asarray(values, dtype=np.uint64).ravel()
     if v.size > params.n:
         raise ParamError(f"{v.size} values exceed {params.n} slots")
@@ -78,6 +90,32 @@ def parse_header(data: bytes, params: HeParams):
 def noise_budget_bits(params: HeParams, noise_bits: float) -> float:
     """Remaining headroom before decryption becomes unreliable."""
     return params.q_bits - params.p.bit_length() - 1 - noise_bits
+
+
+def aux_basis(params: HeParams) -> tuple:
+    """The ct*ct auxiliary basis P and the most products one relinearization
+    may sum.  P is the fewest ``AUX_PRIMES`` with P > 4 p N Q, so one
+    product's tensor (|d| <= N Q^2 / 2) is exact mod QP and round(p d / Q)
+    is centered in P; a sum of k products needs P > 4 k p N Q."""
+    bound = 4 * params.p * params.n * params.q
+    big_p = 1
+    for k, prime in enumerate(AUX_PRIMES, 1):
+        big_p *= prime
+        if big_p > bound:
+            return list(AUX_PRIMES[:k]), (big_p - 1) // bound
+    raise ParamError("auxiliary basis too small for the ct*ct tensor")
+
+
+def check_fan_in(pairs, max_fan_in: int) -> list:
+    """The (x, y) pairs of a sum of products, as a list of 1 to
+    ``max_fan_in`` pairs under one key."""
+    pairs = list(pairs)
+    if not 1 <= len(pairs) <= max_fan_in:
+        raise ParamError(f"a sum of {len(pairs)} ct*ct products; the auxiliary "
+                         f"basis allows 1 to {max_fan_in}")
+    if len({ct.owner for pair in pairs for ct in pair}) != 1:
+        raise KeyMismatch("ciphertexts under different keys")
+    return pairs
 
 
 def create_backend(params: HeParams, kind: str, rng: np.random.Generator | None = None):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, ct_bytes, noise_budget_bits,
-               pack_header, pack_slots, parse_header)
+               NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
+               noise_budget_bits, pack_header, pack_slots, parse_header)
 from ..modarith import centered_max, mulmod
 from ..params import HeParams
 from . import noise
@@ -57,6 +57,7 @@ class ClearBackend:
     def __init__(self, params: HeParams, rng=None):
         self.params = params
         self.rng = rng or np.random.default_rng()
+        _, self.max_fan_in = aux_basis(params)  # the rlwe backend's cap
 
     # -- keys ---------------------------------------------------------------
     def keygen(self, owner: str) -> ClearKeyPair:
@@ -67,9 +68,10 @@ class ClearBackend:
         return ClearPublicKey.from_bytes(data)
 
     # -- core ops -------------------------------------------------------------
-    def encrypt(self, slots, public: ClearPublicKey) -> ClearCiphertext:
+    def encrypt(self, slots, key) -> ClearCiphertext:
+        """Encrypt under a key pair (secret key) or a public key."""
         return ClearCiphertext(pack_slots(slots, self.params),
-                               public.owner, noise.fresh_bits(self.params))
+                               key.owner, noise.fresh_bits(self.params))
 
     def decrypt(self, ct: ClearCiphertext, keypair: ClearKeyPair) -> np.ndarray:
         if ct.owner != keypair.owner:
@@ -107,16 +109,21 @@ class ClearBackend:
         return ClearCiphertext(out, x.owner,
                                noise.mul_pt_bits(self.params, x.noise_bits, maxc))
 
-    def mul_ct(self, x: ClearCiphertext, y: ClearCiphertext,
-               public: ClearPublicKey) -> ClearCiphertext:
-        self._same_owner(x, y)
+    def mul_ct_sum(self, pairs, public: ClearPublicKey) -> ClearCiphertext:
+        """The sum of the products x*y of the (x, y) ``pairs``."""
+        pairs = check_fan_in(pairs, self.max_fan_in)
         if not getattr(public, "has_relin", False):
             raise MissingRelinKey("relinearization key required for ct*ct")
-        out = mulmod(x.slots, y.slots, self.params.p)
-        nb = noise.mul_ct_bits(self.params, x.noise_bits, y.noise_bits)
+        nb = noise.mul_ct_bits(self.params, [(x.noise_bits, y.noise_bits) for x, y in pairs])
         if noise_budget_bits(self.params, nb) <= 0:
             raise NoiseExhausted("multiplication would exhaust the noise budget")
-        return ClearCiphertext(out, x.owner, nb)
+        p = self.params.p
+        out = sum(mulmod(x.slots, y.slots, p) for x, y in pairs) % np.uint64(p)
+        return ClearCiphertext(out, pairs[0][0].owner, nb)
+
+    def mul_ct(self, x: ClearCiphertext, y: ClearCiphertext,
+               public: ClearPublicKey) -> ClearCiphertext:
+        return self.mul_ct_sum([(x, y)], public)
 
     def square(self, x: ClearCiphertext, public: ClearPublicKey) -> ClearCiphertext:
         return self.mul_ct(x, x, public)

@@ -19,9 +19,11 @@ def log2add(a: float, b: float) -> float:
 
 
 def fresh_bits(params) -> float:
-    # e1 + e*u + e2*s with ternary u, s (~ sigma*sqrt(2N)) plus the
-    # floor(q/p) rounding term, which scales with the message and can
-    # reach q mod p
+    """A fresh encryption under either key.  Public key: e1 + e*u + e2*s
+    with ternary u, s (~ sigma*sqrt(2N)); secret key: one Gaussian e, which
+    that term covers.  Both add the floor(q/p) rounding term, which scales
+    with the message, can reach q mod p and dominates at the default
+    parameters."""
     base = math.log2(SIGMA) + 0.5 * math.log2(2 * params.n) + 2.0
     rt = params.q % params.p
     return log2add(base, math.log2(max(rt, 1))) + 0.5
@@ -47,9 +49,11 @@ def relin_bits(params) -> float:
             + 0.5 * math.log2(params.n) + 1.0)
 
 
-def mul_ct_bits(params, n1: float, n2: float) -> float:
+def mul_ct_bits(params, pairs) -> float:
+    """A sum of ct*ct products, relinearized once; ``pairs`` holds the noise
+    bits (n1, n2) of each product's inputs."""
     # growth pad calibrated against measured depth-2 chains (tests hold the
     # estimate above the measurement with a few bits to spare)
-    grow = (math.log2(params.p) + 0.5 * math.log2(3 * params.n) + 5.0
-            + log2add(n1, n2))
-    return log2add(grow, relin_bits(params))
+    grow = [math.log2(params.p) + 0.5 * math.log2(3 * params.n) + 5.0 + log2add(n1, n2)
+            for n1, n2 in pairs]
+    return log2add(float(np.logaddexp2.reduce(grow)), relin_bits(params))

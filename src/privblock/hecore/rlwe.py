@@ -20,10 +20,11 @@ import math
 import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, ct_bytes, noise_budget_bits,
-               pack_header, pack_slots, parse_header)
+               NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
+               noise_budget_bits, pack_header, pack_slots, parse_header,
+               scalar_slot)
 from ..modarith import centered_max, matmod, mod, mulmod, signed_lift
-from ..params import AUX_PRIMES, HeParams, ParamError
+from ..params import HeParams
 from . import noise
 from .ntt import get_plan
 
@@ -166,15 +167,7 @@ class RlweBackend:
         self.plans = [get_plan(q, self.n) for q in self.qs]
         self.plan_p = get_plan(self.p, self.n)
         self.delta_col = _column(self.q // self.p % q for q in self.qs)
-        # ct*ct basis P: the fewest auxiliary primes with P > 4 p N Q, so the
-        # tensor (|d| <= N Q^2 / 2) is exact mod QP and round(p d / Q) is
-        # centered in P
-        bound = 4 * self.p * self.n * self.q
-        k = next((k for k in range(1, len(AUX_PRIMES) + 1)
-                  if math.prod(AUX_PRIMES[:k]) > bound), None)
-        if k is None:
-            raise ParamError("auxiliary basis too small for the ct*ct tensor")
-        self.ps = [int(pr) for pr in AUX_PRIMES[:k]]
+        self.ps, self.max_fan_in = aux_basis(params)
         big_p = math.prod(self.ps)
         self.p_col = _column(self.ps)
         self.qp_col = _column(self.qs + self.ps)
@@ -196,28 +189,34 @@ class RlweBackend:
         e = np.rint(self.rng.normal(0.0, noise.SIGMA, size=self.n)).astype(np.int64)
         return np.clip(e, -6 * int(noise.SIGMA) - 1, 6 * int(noise.SIGMA) + 1)
 
-    def _key_row(self, s_ntt: np.ndarray) -> np.ndarray:
-        """(-(a s + e), a) in NTT form for fresh uniform a and Gaussian e."""
-        a = np.stack([self.rng.integers(0, q, size=self.n, dtype=np.uint64)
-                      for q in self.qs])
-        e_ntt = self._to_ntt(self._gauss())
-        body = mod(mulmod(a, s_ntt, self.q_col) + e_ntt, self.q_col)
-        return np.stack([mod(self.q_col - body, self.q_col), a])
+    def _limbs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Signed int64 coefficients (..., N) -> their residues in every
+        limb, (..., L, N)."""
+        return mod(coeffs[..., None, :], self.q_signed).astype(np.uint64)
 
     def _to_ntt(self, coeffs: np.ndarray) -> np.ndarray:
-        """Signed int64 coefficients (..., N) -> their NTT in every limb,
-        (..., L, N)."""
-        return _transform(mod(coeffs[..., None, :], self.q_signed).astype(np.uint64), self.plans)
+        """Signed int64 coefficients (..., N) -> their NTT in every limb."""
+        return _transform(self._limbs(coeffs), self.plans)
+
+    def _sk_encrypt(self, s_ntt: np.ndarray, dm=0) -> np.ndarray:
+        """(NTT(dm + e) - a s, a) for fresh Gaussian e and uniform a, sampled
+        in NTT form: the (L, N) coefficient rows ``dm`` under the secret s,
+        in one forward transform per limb."""
+        row = self._limbs(self._gauss()) + dm  # the transform reduces it
+        a = np.stack([self.rng.integers(0, q, size=self.n, dtype=np.uint64)
+                      for q in self.qs])
+        body = _transform(row, self.plans) + self.q_col - mulmod(a, s_ntt, self.q_col)
+        return np.stack([mod(body, self.q_col), a])
 
     # -- keys -------------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
         s_ntt = self._to_ntt(self._ternary())
         s2_ntt = mulmod(s_ntt, s_ntt, self.q_col)
-        pk = self._key_row(s_ntt)
+        pk = self._sk_encrypt(s_ntt)
         rlk = None
         if with_relin:
-            # row i encrypts s^2 in limb i: (-(a_i s + e_i) + [j == i] s^2, a_i)
-            rlk = np.stack([self._key_row(s_ntt) for _ in range(self.L)])
+            # row i encrypts s^2 in limb i: (e_i - a_i s + [j == i] s^2, a_i)
+            rlk = np.stack([self._sk_encrypt(s_ntt) for _ in range(self.L)])
             diag = np.arange(self.L)
             rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + s2_ntt, self.q_col)
         public = RlwePublicKey(owner, pk, rlk)
@@ -240,16 +239,34 @@ class RlweBackend:
         m = self._slots_to_coeffs(slots)
         return mulmod(mod(m, self.q_col), self.delta_col, self.q_col)
 
+    def _const(self, value) -> np.ndarray:
+        """The constant polynomial of an int c (signed or not) in NTT form: c
+        mod each limb as an (L, 1) column, since it evaluates to c at every
+        root."""
+        return mod(np.array([[value]], dtype=np.int64), self.q_signed).astype(np.uint64)
+
+    def _pt_delta_ntt(self, slots) -> np.ndarray:
+        """floor(q/p) * m in NTT form: an (L, 1) column for a scalar."""
+        if np.ndim(slots) == 0:
+            return mulmod(self._const(scalar_slot(slots, self.params)), self.delta_col,
+                          self.q_col)
+        return _transform(self._pt_delta(slots), self.plans)
+
     # -- encrypt / decrypt ---------------------------------------------------------
-    def encrypt(self, slots, public: RlwePublicKey) -> RlweCiphertext:
+    def encrypt(self, slots, key) -> RlweCiphertext:
+        """Encrypt under a key pair (secret key: e and floor(q/p) m share one
+        row, 6 forward row transforms at 6 limbs) or a public key (u, e1
+        with floor(q/p) m, and e2: 18)."""
         dm = self._pt_delta(slots)
-        u, e1, e2 = self._ternary(), self._gauss(), self._gauss()
-        rows = mod(np.stack([u, e1, e2])[:, None], self.q_signed).astype(np.uint64)
-        rows[1] += dm  # e1 and floor(q/p) m both go to c0
-        u_ntt, *c = _transform(rows, self.plans)
-        data = mulmod(public.pk, u_ntt, self.q_col) + np.stack(c)
-        return RlweCiphertext(mod(data, self.q_col), public.owner,
-                              noise.fresh_bits(self.params))
+        if isinstance(key, RlweKeyPair):
+            data = self._sk_encrypt(key._s, dm)
+        else:
+            u, e1, e2 = self._ternary(), self._gauss(), self._gauss()
+            rows = self._limbs(np.stack([u, e1, e2]))
+            rows[1] += dm  # e1 and floor(q/p) m both go to c0
+            u_ntt, *c = _transform(rows, self.plans)
+            data = mod(mulmod(key.pk, u_ntt, self.q_col) + np.stack(c), self.q_col)
+        return RlweCiphertext(data, key.owner, noise.fresh_bits(self.params))
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         """c0 + c1 s (+ c2 s^2) mod each limb, in coefficient form."""
@@ -286,17 +303,20 @@ class RlweBackend:
         return RlweCiphertext(out, x.owner, noise.add_pt_bits(self.params, x.noise_bits))
 
     def add_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        return self._add_to_c0(x, _transform(self._pt_delta(slots), self.plans))
+        return self._add_to_c0(x, self._pt_delta_ntt(slots))
 
     def sub_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        return self._add_to_c0(x, self.q_col - _transform(self._pt_delta(slots), self.plans))
+        return self._add_to_c0(x, self.q_col - self._pt_delta_ntt(slots))
 
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
-        m = self._slots_to_coeffs(slots)
-        m_ntt = self._to_ntt(signed_lift(m, self.p))
+        if np.ndim(slots) == 0:
+            c = signed_lift(scalar_slot(slots, self.params), self.p)
+            m_ntt, bound = self._const(c), abs(int(c))
+        else:
+            m = self._slots_to_coeffs(slots)
+            m_ntt, bound = self._to_ntt(signed_lift(m, self.p)), centered_max(m, self.p)
         return RlweCiphertext(mulmod(x.data, m_ntt, self.q_col), x.owner,
-                              noise.mul_pt_bits(self.params, x.noise_bits,
-                                                centered_max(m, self.p)))
+                              noise.mul_pt_bits(self.params, x.noise_bits, bound))
 
     # -- ct * ct -----------------------------------------------------------------
     def _relin(self, d2: np.ndarray, public: RlwePublicKey) -> np.ndarray:
@@ -306,14 +326,8 @@ class RlweBackend:
         digits = self._to_ntt(d2.astype(np.int64))[:, None]
         return mod(mulmod(public.rlk, digits, self.q_col).sum(axis=0), self.q_col)
 
-    def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,
-               public: RlwePublicKey) -> RlweCiphertext:
-        self._check_pair(x, y)
-        if public.rlk is None:
-            raise MissingRelinKey("relinearization key required for ct*ct")
-        nb = noise.mul_ct_bits(self.params, x.noise_bits, y.noise_bits)
-        if noise_budget_bits(self.params, nb) <= 0:
-            raise NoiseExhausted("multiplication would exhaust the noise budget")
+    def _tensor(self, x: RlweCiphertext, y: RlweCiphertext) -> np.ndarray:
+        """The (3, L + K, N) tensor of x and y over Q and P, NTT form."""
         comps = x.data if y is x else np.concatenate([x.data, y.data])
         # each component over Q and P: the Q limbs are its NTT rows, the P
         # limbs the NTT of the centered extension of its coefficients
@@ -321,14 +335,33 @@ class RlweBackend:
         ab = np.concatenate([comps, _transform(ext, self.p_plans)], axis=1)
         a0, a1, b0, b1 = (*ab, *ab) if y is x else ab
         m = self.qp_col
-        d = np.stack([mulmod(a0, b0, m), mod(mulmod(a0, b1, m) + mulmod(a1, b0, m), m),
-                      mulmod(a1, b1, m)])
+        return np.stack([mulmod(a0, b0, m), mod(mulmod(a0, b1, m) + mulmod(a1, b0, m), m),
+                         mulmod(a1, b1, m)])
+
+    def mul_ct_sum(self, pairs, public: RlwePublicKey) -> RlweCiphertext:
+        """The sum of the products x*y of the (x, y) ``pairs``: the tensors
+        add up mod QP, and the inverse transforms, the scaling by p/Q and the
+        relinearization run once.  At most ``max_fan_in`` pairs keep the
+        summed tensor exact mod QP and its scaling centered in P."""
+        pairs = check_fan_in(pairs, self.max_fan_in)
+        if public.rlk is None:
+            raise MissingRelinKey("relinearization key required for ct*ct")
+        nb = noise.mul_ct_bits(self.params, [(x.noise_bits, y.noise_bits) for x, y in pairs])
+        if noise_budget_bits(self.params, nb) <= 0:
+            raise NoiseExhausted("multiplication would exhaust the noise budget")
+        d = self._tensor(*pairs[0])
+        for x, y in pairs[1:]:
+            d = mod(d + self._tensor(x, y), self.qp_col)
         d = _transform(d, self.plans + self.p_plans, inverse=True)
         # round(p d / Q) into P, then back to Q
         r = self.scale_qp(d[:, :self.L]) + mulmod(d[:, self.L:], self.lam_col, self.p_col)
         d = self.p_to_q(mod(r, self.p_col))
         data = _transform(d[:2], self.plans) + self._relin(d[2], public)
-        return RlweCiphertext(mod(data, self.q_col), x.owner, nb)
+        return RlweCiphertext(mod(data, self.q_col), pairs[0][0].owner, nb)
+
+    def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,
+               public: RlwePublicKey) -> RlweCiphertext:
+        return self.mul_ct_sum([(x, y)], public)
 
     def square(self, x: RlweCiphertext, public: RlwePublicKey) -> RlweCiphertext:
         return self.mul_ct(x, x, public)

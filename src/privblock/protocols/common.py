@@ -3,7 +3,10 @@ masked row-sum exchange.
 
 An encrypted vector (``CtVec``) is the one place that knows how a vector of
 field values maps onto N-slot ciphertexts: one backend ciphertext per block,
-the tail slots of the last block zero.  Protocols encrypt, operate on,
+the tail slots of the last block zero when encrypted.  An int operand is the
+backend's constant polynomial and reaches the tail slots too, so a tail
+slot holds zero or a value computed from public constants, never a secret
+or a mask.  Protocols encrypt, operate on,
 frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
 hold all ciphertext framing, and ``recv_cts`` rejects a frame that does not
 hold exactly the ciphertexts of the sizes it expects.
@@ -53,9 +56,10 @@ class CtVec:
     backend ciphertext per N-slot block.
 
     The methods carry the backend's op names and apply that op block by
-    block.  A plaintext operand is a vector of ``size`` values or one int
-    broadcast to all ``size`` values; a ciphertext operand is a ``CtVec`` of
-    the same size.
+    block.  A plaintext operand is a vector of ``size`` values or one int,
+    which the backend applies to every slot of every block as a constant
+    polynomial (no transform); a ciphertext operand is a ``CtVec`` of the
+    same size.
     """
 
     def __init__(self, ctx: "PartyCtx", cts, size: int):
@@ -65,18 +69,21 @@ class CtVec:
 
     def _with_pt(self, op, values) -> "CtVec":
         if np.ndim(values) == 0:
-            values = np.full(self.size, values, dtype=np.uint64)
-        elif np.shape(values) != (self.size,):
+            return CtVec(self.ctx, (op(ct, values) for ct in self.cts), self.size)
+        if np.shape(values) != (self.size,):
             raise ShapeMismatch(f"plaintext of shape {np.shape(values)} against "
                                 f"an encrypted vector of {self.size} values")
         n = self.ctx.he_params.n
         return CtVec(self.ctx, (op(ct, values[b * n:(b + 1) * n])
                                 for b, ct in enumerate(self.cts)), self.size)
 
-    def _with_ct(self, op, other: "CtVec") -> "CtVec":
+    def _same_size(self, other: "CtVec"):
         if other.size != self.size:
             raise ShapeMismatch(f"encrypted vectors of {self.size} and "
                                 f"{other.size} values")
+
+    def _with_ct(self, op, other: "CtVec") -> "CtVec":
+        self._same_size(other)
         return CtVec(self.ctx, map(op, self.cts, other.cts), self.size)
 
     def add_pt(self, values) -> "CtVec":
@@ -95,6 +102,21 @@ class CtVec:
         ctx = self.ctx
         return self._with_ct(
             lambda x, y: ctx.backend.mul_ct(x, y, ctx.public_of(x.owner)), other)
+
+    @staticmethod
+    def mul_ct_sum(pairs) -> "CtVec":
+        """The sum of x*y over the (x, y) ``pairs`` of same-size vectors under
+        one key, scaled and relinearized once per block."""
+        pairs = list(pairs)
+        first = pairs[0][0]
+        for pair in pairs:
+            for vec in pair:
+                first._same_size(vec)
+        ctx = first.ctx
+        public = ctx.public_of(first.cts[0].owner)
+        return CtVec(ctx, (ctx.backend.mul_ct_sum([(x.cts[b], y.cts[b]) for x, y in pairs],
+                                                  public)
+                           for b in range(len(first.cts))), first.size)
 
     def square(self) -> "CtVec":
         ctx = self.ctx
@@ -156,11 +178,10 @@ class PartyCtx:
         return blocks
 
     def encrypt(self, values) -> CtVec:
-        """Encrypt a flat field vector under this party's own key."""
+        """Encrypt a flat field vector under this party's own secret key."""
         n = self.he_params.n
         values = np.asarray(values, dtype=np.uint64).ravel()
-        pub = self.keypair.public
-        return CtVec(self, (self.backend.encrypt(values[b * n:(b + 1) * n], pub)
+        return CtVec(self, (self.backend.encrypt(values[b * n:(b + 1) * n], self.keypair)
                             for b in range(self.n_blocks(values.size))), values.size)
 
     def decrypt(self, vec: CtVec) -> np.ndarray:
@@ -168,9 +189,18 @@ class PartyCtx:
         return out[:vec.size]
 
     def send_cts(self, label: str, *vecs: CtVec):
-        """Send the encrypted vectors as one frame."""
-        self.session.send(label, b"".join(self.backend.serialize(ct)
-                                          for vec in vecs for ct in vec.cts))
+        """Send the encrypted vectors as one frame, written ciphertext by
+        ciphertext into one buffer (no joined copy beside the parts)."""
+        cts = [ct for vec in vecs for ct in vec.cts]
+        width = ct_bytes(self.he_params, 2)
+        frame = bytearray(len(cts) * width)
+        for i, ct in enumerate(cts):
+            blob = self.backend.serialize(ct)
+            if len(blob) != width:
+                raise ShapeMismatch(f"{label}: a ciphertext of {len(blob)} bytes, "
+                                    f"expected {width}")
+            frame[i * width:(i + 1) * width] = blob
+        self.session.send(label, frame)
 
     def recv_cts(self, label: str, *sizes: int) -> list:
         """Receive one frame holding encrypted vectors of ``sizes`` values."""

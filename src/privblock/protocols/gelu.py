@@ -1,11 +1,13 @@
 """Secure piecewise-gelu over a SIMD ciphertext.
 
 The evaluating party raises the input to the needed powers homomorphically
-(per-segment centered variables keep coefficient precision inside the field),
+(per-segment centered variables keep coefficient precision inside the field;
+their squares (x - m)^2 = x^2 - 2 m x + m^2 share one ciphertext square),
 segment membership bits come from one comparison gadget per table boundary
 with XOR composition and exactly one bit set per element, and the result is
 the selector-weighted sum of the segment polynomials plus the two closed-form
-tails (a constant left tail; a constant or linear right tail).  Power
+tails (a constant left tail; a constant or linear right tail), its ct*ct
+products summed under one relinearization.  Power
 rescaling rides on two extra masked exchanges; out-of-segment slots decode
 arbitrarily there and are nulled by their zero selectors.
 
@@ -22,7 +24,7 @@ from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
 from ..modarith import lift_shift, mulmod
 from ..sharing import FIELD, Share, not_share, xor_shares
-from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
 
@@ -101,13 +103,17 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     vb_sq = 2 * s + 2
     vb_hi = 2 * s + 4
     off3 = 1 << (2 * s + 3)
-    # squares of the per-segment centered variables, then mask everything
+    # squares of the per-segment centered variables from one square of x,
+    # then mask everything
     ct_t = [ct_x.sub_pt(seg["midq"] % p) for seg in plan]
+    ct_x2 = ct_x.square()
+    ct_t2 = [ct_x2.add_ct(ct_x.mul_pt(-2 * seg["midq"] % p)).add_pt(seg["midq"] ** 2 % p)
+             for seg in plan]
     rx = ctx.rand_field(n_vals)
     r2 = [ctx.rng.integers(0, p - (1 << (vb_sq + 1)), size=n_vals, dtype=np.uint64)
           for _ in plan]
     ctx.send_cts("input_and_squares", ct_x.sub_pt(rx),
-                 *[t.square().sub_pt(r) for t, r in zip(ct_t, r2)])
+                 *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)])
     x_ring = ctx.provider.field_to_ring(ctx.field_share(rx))
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
@@ -132,22 +138,21 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
         ct_pow[(i, j)] = ct.sub_pt(off3 >> s) if j == 3 else ct
     # assemble Y = sum_i b_i * F_i plus the closed-form tails
     sc = s + COEFF_BITS
-    acc = None
+    pairs = []
     for i, seg in enumerate(plan):
         cf = seg["coeffs"]
         fi = ct_t[i].mul_pt(_fixed(cf[1], sc, p)).add_pt(_fixed(cf[0], sy, p))
         for j in seg["powers"]:
             src = ct_t2s[i] if j == 2 else ct_pow[(i, j)]
             fi = fi.add_ct(src.mul_pt(_fixed(cf[j], sc, p)))
-        term = ct_b[i + 1].mul_ct(fi)
-        acc = term if acc is None else acc.add_ct(term)
-    acc = acc.add_ct(ct_b[0].mul_pt(_fixed(table.left[1], sy, p)))
+        pairs.append((ct_b[i + 1], fi))
+    tails = ct_b[0].mul_pt(_fixed(table.left[1], sy, p))
     kind, value = table.right
     if kind == "const":
-        acc = acc.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
+        tails = tails.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
     else:
-        ct_lin = ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))
-        acc = acc.add_ct(ct_b[-1].mul_ct(ct_lin))
+        pairs.append((ct_b[-1], ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))))
+    acc = CtVec.mul_ct_sum(pairs).add_ct(tails)
     mask = ctx.rand_field(n_vals)
     ctx.send_cts("result", acc.sub_pt(mask))
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy, label)

@@ -12,6 +12,7 @@ from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
+from privblock.protocols.common import PartyCtx
 from privblock.sharing import reconstruct, share
 
 TOY = toy_he_params(n=64, p=12289, limbs=3)
@@ -69,7 +70,7 @@ def test_every_plaintext_is_packed_and_checked(op):
         apply = ((lambda v: be.encrypt(v, pub)) if op == "encrypt"
                  else (lambda v: getattr(be, op)(ct, v)))
         for bad in (np.full(4, TOY.p + 5, dtype=np.uint64),
-                    np.ones(TOY.n + 1, dtype=np.uint64)):
+                    np.ones(TOY.n + 1, dtype=np.uint64), TOY.p + 5, -1):
             with pytest.raises(ParamError):
                 apply(bad)
 
@@ -216,6 +217,66 @@ def test_noise_estimate_dominates_measurement():
     assert measured_noise_bits(be, ct, kp) <= ct.noise_bits
     ct2 = be.mul_ct(ct, ct, kp.public)
     assert measured_noise_bits(be, ct2, kp) <= ct2.noise_bits
+    # the secret-key encryption, under the same estimate
+    sk = be.encrypt(m, kp)
+    assert np.array_equal(be.decrypt(sk, kp), m) and sk.noise_bits == ct.noise_bits
+    assert measured_noise_bits(be, sk, kp) <= sk.noise_bits
+
+
+@pytest.mark.parametrize("params", [TOY, HeParams()], ids=["toy", "n8192"])
+def test_mul_ct_sum(params):
+    """A sum of k products decrypts to the k products added one by one, on
+    both backends, under one estimate that dominates the measured noise; a
+    fan-in above the cap the auxiliary basis sets, an empty sum and mixed
+    keys raise on both."""
+    rng = np.random.default_rng(26)
+    rbe, cbe = backends(params, seed=27)
+    kr, kc = rbe.keygen("A"), cbe.keygen("A")
+    assert rbe.max_fan_in == cbe.max_fan_in >= 4
+    k = 4 if params.n == TOY.n else 2
+    ms = [rng.integers(0, params.p, size=params.n, dtype=np.uint64) for _ in range(2 * k)]
+    idx = [(2 * i, 2 * i + 1) for i in range(k - 1)] + [(2 * k - 2, 2 * k - 2)]  # a square
+    want = sum(ms[i].astype(object) * ms[j] for i, j in idx) % params.p
+    sums = []
+    for be, kp in ((rbe, kr), (cbe, kc)):
+        cts = [be.encrypt(m, kp) for m in ms]
+        pairs = [(cts[i], cts[j]) for i, j in idx]
+        got = be.mul_ct_sum(pairs, kp.public)
+        one_by_one = be.mul_ct(*pairs[0], kp.public)
+        for x, y in pairs[1:]:
+            one_by_one = be.add_ct(one_by_one, be.mul_ct(x, y, kp.public))
+        assert np.array_equal(be.decrypt(got, kp).astype(object), want)
+        assert np.array_equal(be.decrypt(got, kp), be.decrypt(one_by_one, kp))
+        assert got.noise_bits <= one_by_one.noise_bits
+        sums.append(got)
+        with pytest.raises(ParamError):
+            be.mul_ct_sum([pairs[0]] * (be.max_fan_in + 1), kp.public)
+        with pytest.raises(ParamError):
+            be.mul_ct_sum([], kp.public)
+        other = be.encrypt(ms[0], be.keygen("B"))
+        with pytest.raises(KeyMismatch):
+            be.mul_ct_sum([pairs[0], (other, other)], kp.public)
+    assert sums[0].noise_bits == sums[1].noise_bits
+    assert measured_noise_bits(rbe, sums[0], kr) <= sums[0].noise_bits
+
+
+def test_scalar_operand_is_the_constant_polynomial():
+    """An int operand c is the constant polynomial c: on rlwe the same
+    ciphertext words and estimate as the vector with c in every slot, on
+    clear the same slots; the multiply's estimate uses |c| centered."""
+    rbe, cbe = backends(seed=28)
+    kr, kc = rbe.keygen("A"), cbe.keygen("A")
+    m = np.random.default_rng(29).integers(0, TOY.p, size=64, dtype=np.uint64)
+    xr, xc = rbe.encrypt(m, kr), cbe.encrypt(m, kc)
+    for c in (0, 1, 5, TOY.p // 2, TOY.p // 2 + 1, TOY.p - 1):
+        full = np.full(TOY.n, c, dtype=np.uint64)
+        for op in ("add_pt", "sub_pt", "mul_pt"):
+            got, ref = getattr(rbe, op)(xr, c), getattr(rbe, op)(xr, full)
+            assert np.array_equal(got.data, ref.data) and got.noise_bits == ref.noise_bits
+            got_c = getattr(cbe, op)(xc, c)
+            assert np.array_equal(got_c.slots, getattr(cbe, op)(xc, full).slots)
+            assert got_c.noise_bits == got.noise_bits
+            assert np.array_equal(cbe.decrypt(got_c, kc), rbe.decrypt(got, kr))
 
 
 def test_no_rotation_anywhere():
@@ -226,9 +287,10 @@ def test_no_rotation_anywhere():
         assert not any("rot" in n or "galois" in n or "shift" in n for n in names)
 
 
-def test_encrypted_vector_blocks_and_shapes(toy_cfg, pair_runner):
-    """A CtVec spans ceil(size/N) blocks, broadcasts an int operand to its
-    size with the tail slots left zero, and rejects operands of another size."""
+def test_encrypted_vector_blocks_and_shapes(toy_cfg, rlwe_toy_cfg, pair_runner):
+    """A CtVec spans ceil(size/N) blocks, applies an int operand to every
+    slot of every block, tail slots included (the backend's constant
+    polynomial), and rejects operands of another size; on both backends."""
     p = toy_cfg.fixedpoint.p
 
     def fa(ctx):
@@ -243,8 +305,47 @@ def test_encrypted_vector_blocks_and_shapes(toy_cfg, pair_runner):
         want = (p - (np.arange(n + 3) + 5) * np.arange(n + 3) % p) % p
         assert np.array_equal(ctx.decrypt(out), want.astype(np.uint64))
         assert not ctx.backend.decrypt(out.cts[1], ctx.keypair)[3:].any()
+        tail = ctx.backend.decrypt(vec.add_pt(5).cts[1], ctx.keypair)[3:]
+        assert (tail == 5).all()
 
-    pair_runner(toy_cfg, fa, lambda ctx: None)
+    for cfg in (toy_cfg, rlwe_toy_cfg):
+        pair_runner(cfg, fa, lambda ctx: None)
+
+
+def test_tail_slots_hold_only_public_values(toy_cfg, rlwe_toy_cfg, pair_runner,
+                                            monkeypatch):
+    """Every tail slot of every vector either party decrypts in gelu and ln
+    holds zero or a value computed from public constants: the tails are the
+    same on both backends and for two different inputs and seeds."""
+    tails = []
+    decrypt = PartyCtx.decrypt
+
+    def recording(ctx, vec):
+        slots = np.concatenate([ctx.backend.decrypt(ct, ctx.keypair) for ct in vec.cts])
+        tails.append((ctx.role, slots[vec.size:].tobytes()))
+        return decrypt(ctx, vec)
+
+    monkeypatch.setattr(PartyCtx, "decrypt", recording)
+    fpc = toy_cfg.fixedpoint
+
+    def run(cfg, seed):
+        rng = np.random.default_rng(seed)
+        ga, gb = share(fp.encode_int(rng.uniform(-8, 8, size=(2, 40)), fpc, "field",
+                                     fpc.s).ravel(), "field", fpc, rng)
+        la, lb = share(fp.encode_int(rng.normal(0, 1, size=(4, 20)), fpc, "ring",
+                                     fpc.s).ravel(), "ring", fpc, rng)
+        ln = LnParams(rng.uniform(0.5, 1.5, 20), rng.uniform(-1, 1, 20))
+        tails.clear()
+        pair_runner(cfg, lambda c: pi_gelu(c, ga, (2, 40)), lambda c: pi_gelu(c, gb, (2, 40)),
+                    seed=seed)
+        pair_runner(cfg, lambda c: pi_ln(c, la, (4, 20), None),
+                    lambda c: pi_ln(c, lb, (4, 20), ln), seed=seed)
+        return sorted(tails)
+
+    got = [run(cfg, seed) for cfg in (toy_cfg, rlwe_toy_cfg) for seed in (30, 31)]
+    assert len(got[0]) > 10 and all(g == got[0] for g in got)
+    values = {int(v) for _, t in got[0] for v in np.frombuffer(t, dtype=np.uint64)}
+    assert 0 in values and len(values) > 1  # zero tails and constant ones
 
 
 def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):

@@ -96,6 +96,16 @@ def ref_encrypt(be, slots, public):
     return (mulmod(public.pk, u, be.q_col) + np.stack([e1 + dm, e2])) % be.q_col
 
 
+def ref_sk_encrypt(be, slots, kp):
+    """Encrypt (e + floor(q/p) m - a s, a) under the secret key, with one NTT
+    per limb for each of m and e."""
+    m_ntt = _to_ntt(be.plan_p.inverse(np.asarray(slots, dtype=np.uint64)), be.plans)
+    e = _to_ntt(be._gauss(), be.plans)
+    a = np.stack([be.rng.integers(0, q, size=be.n, dtype=np.uint64) for q in be.qs])
+    body = e + mulmod(m_ntt, be.delta_col, be.q_col) + be.q_col - mulmod(a, kp._s, be.q_col)
+    return np.stack([body % be.q_col, a])
+
+
 # -- comparisons -----------------------------------------------------------------
 def _pair(params, seed):
     """Two backends on the same seed: one runs the RNS path, one the reference."""
@@ -122,6 +132,9 @@ def test_ops_equal_the_exact_reference(params):
         ct = be.encrypt(m, kp.public)
         assert np.array_equal(ct.data, ref_encrypt(ref, m, kp.public))
         cts.append(ct)
+        sk = be.encrypt(m, kp)
+        assert np.array_equal(sk.data, ref_sk_encrypt(ref, m, kp))
+        assert np.array_equal(be.decrypt(sk, kp), m)
     x, y, z = cts
     prod = be.mul_ct(x, y, kp.public)
     assert np.array_equal(prod.data, ref_mul_ct(be, _lifts(be, x), _lifts(be, y), kp.public))
@@ -216,13 +229,25 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
 
     x, c = run(lambda: be.encrypt(m, kp.public))
     assert c == {"forward": 18, "inverse": 1, "forward_calls": 6, "inverse_calls": 1}
+    # the own-key (secret-key) encrypt: e and the message share one row
+    _, c = run(lambda: be.encrypt(m, kp))
+    assert c == {"forward": 6, "inverse": 1, "forward_calls": 6, "inverse_calls": 1}
     y = be.encrypt(m[::-1].copy(), kp.public)
     for op in (lambda: be.add_pt(x, m), lambda: be.sub_pt(x, m),
                lambda: be.mul_pt(x, m), lambda: be.add_ct(x, y)):
         run(op)
+    # a scalar operand is the constant polynomial: no transform at all
+    for op in (be.add_pt, be.sub_pt, be.mul_pt):
+        _, c = run(lambda: op(x, 12345))
+        assert c == dict.fromkeys(counts, 0)
     prod, c = run(lambda: be.mul_ct(x, y, kp.public))
     assert c["forward"] <= 80 and c["inverse"] <= 66
     assert c["forward_calls"] + c["inverse_calls"] <= 40
+    # a 2-pair sum shares the inverse transforms, scaling and
+    # relinearization: fewer rows than two products
+    _, c = run(lambda: be.mul_ct_sum([(x, y), (y, x)], kp.public))
+    assert c["forward"] + c["inverse"] < 2 * (80 + 66)
+    assert c["forward"] <= 112 and c["inverse"] <= 90
     sq, c = run(lambda: be.square(x, kp.public))
     assert c["forward"] <= 64 and c["inverse"] <= 54
     assert c["forward_calls"] + c["inverse_calls"] <= 40
