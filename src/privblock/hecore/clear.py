@@ -12,7 +12,7 @@ import numpy as np
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
                noise_budget_bits, pack_header, pack_slots, parse_header)
-from ..modarith import centered_max, mulmod
+from ..modarith import mulmod
 from ..params import HeParams
 from . import noise
 
@@ -103,11 +103,9 @@ class ClearBackend:
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
-        v = pack_slots(slots, self.params)
-        out = mulmod(x.slots, v, self.params.p)
-        maxc = centered_max(v, self.params.p)
+        out = mulmod(x.slots, pack_slots(slots, self.params), self.params.p)
         return ClearCiphertext(out, x.owner,
-                               noise.mul_pt_bits(self.params, x.noise_bits, maxc))
+                               noise.mul_pt_bits(self.params, x.noise_bits, slots))
 
     def mul_ct_sum(self, pairs, public: ClearPublicKey) -> ClearCiphertext:
         """The sum of the products x*y of the (x, y) ``pairs``."""

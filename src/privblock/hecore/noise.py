@@ -39,8 +39,13 @@ def add_pt_bits(params, n1: float) -> float:
     return log2add(n1, math.log2(max(rt, 1)))
 
 
-def mul_pt_bits(params, n1: float, max_coeff: int) -> float:
-    return n1 + 0.5 * math.log2(params.n) + math.log2(max(int(max_coeff), 1)) + 1.0
+def mul_pt_bits(params, n1: float, operand) -> float:
+    """A plaintext multiply, bounded from public data only: an int operand c
+    (the constant polynomial) by its centered |c|, any vector by (p - 1)/2
+    whatever its values, so no estimate tracks the weight party's data."""
+    p = params.p
+    bound = (p - 1) // 2 if np.ndim(operand) else min(int(operand), p - int(operand))
+    return n1 + 0.5 * math.log2(params.n) + math.log2(max(bound, 1)) + 1.0
 
 
 def relin_bits(params) -> float:

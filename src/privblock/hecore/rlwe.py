@@ -23,7 +23,7 @@ from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
                noise_budget_bits, pack_header, pack_slots, parse_header,
                scalar_slot)
-from ..modarith import centered_max, matmod, mod, mulmod, signed_lift
+from ..modarith import matmod, mod, mulmod, signed_lift
 from ..params import HeParams
 from . import noise
 from .ntt import get_plan
@@ -310,13 +310,11 @@ class RlweBackend:
 
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
         if np.ndim(slots) == 0:
-            c = signed_lift(scalar_slot(slots, self.params), self.p)
-            m_ntt, bound = self._const(c), abs(int(c))
+            m_ntt = self._const(signed_lift(scalar_slot(slots, self.params), self.p))
         else:
-            m = self._slots_to_coeffs(slots)
-            m_ntt, bound = self._to_ntt(signed_lift(m, self.p)), centered_max(m, self.p)
+            m_ntt = self._to_ntt(signed_lift(self._slots_to_coeffs(slots), self.p))
         return RlweCiphertext(mulmod(x.data, m_ntt, self.q_col), x.owner,
-                              noise.mul_pt_bits(self.params, x.noise_bits, bound))
+                              noise.mul_pt_bits(self.params, x.noise_bits, slots))
 
     # -- ct * ct -----------------------------------------------------------------
     def _relin(self, d2: np.ndarray, public: RlwePublicKey) -> np.ndarray:

@@ -104,10 +104,3 @@ def lift_shift(values, p: int, value_bits: int, shift: int) -> np.ndarray:
     Valid when 0 <= value <= 2^value_bits and 0 <= mask < p - 2^value_bits."""
     v = np.asarray(values, dtype=np.uint64).astype(np.int64)
     return np.where(v <= 1 << value_bits, v, v - p) >> shift
-
-
-def centered_max(values, p: int) -> int:
-    """max |signed_lift(v)| (0 when empty): the plaintext magnitude that
-    drives the noise growth estimate of a plaintext multiply."""
-    v = signed_lift(values, p)
-    return int(np.abs(v).max()) if v.size else 0

@@ -1,12 +1,12 @@
 """Transformer-block orchestration over the two-party protocols.
 
 Party A holds the (pre-embedded) input activations, party B holds all block
-weights.  One block = multi-head attention (per-head projections, scaled
-scores, softmax, value mixing, output projection), residual + layernorm,
-then the two-layer feed-forward with the piecewise gelu, residual +
-layernorm.  Every stage's output shares are rescaled back to scale s before
-the next stage.  A double-precision reference evaluator drives all
-equivalence tests.
+weights.  One block = multi-head attention (one product against every
+head's [wq | wk | wv], per-head scores, one softmax over the stacked heads,
+per-head value mixing, output projection), residual + layernorm, then the
+two-layer feed-forward with the piecewise gelu, residual + layernorm.  Every
+stage's output shares are rescaled back to scale s before the next stage.
+A double-precision reference evaluator drives all equivalence tests.
 """
 
 from __future__ import annotations
@@ -237,6 +237,13 @@ def _add_shares(ctx: PartyCtx, a: ProtocolOutputShares,
     return _add_payload(ctx, a, b.share.payload)
 
 
+def _stack(ctx: PartyCtx, outs: list, axis: int) -> ProtocolOutputShares:
+    """The outputs' matrices joined along ``axis`` as one share."""
+    mat = np.concatenate([o.matrix() for o in outs], axis=axis)
+    return ProtocolOutputShares(ctx.field_share(mat.ravel()), mat.shape,
+                                outs[0].scale, outs[0].label)
+
+
 def _mul_public(ctx: PartyCtx, a: ProtocolOutputShares, const_enc: int,
                 added_scale: int) -> ProtocolOutputShares:
     pay = mulmod(a.share.payload, np.uint64(const_enc), ctx.fp.p)
@@ -263,37 +270,31 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         if weights is None:
             raise ShapeError("party B must supply weights")
         w = {name: enc(weights[name]) for name in ("wo", "wf1", "wf2")}
-        w["wq"] = [enc(weights["wq"][i]) for i in range(h)]
-        w["wk"] = [enc(weights["wk"][i]) for i in range(h)]
-        w["wv"] = [enc(weights["wv"][i]) for i in range(h)]
+        w["qkv"] = enc(np.hstack([*weights["wq"], *weights["wk"], *weights["wv"]]))
         x_sh = ProtocolOutputShares(ctx.field_share(np.zeros(d_s * d_m, dtype=np.uint64)),
                                     (d_s, d_m), s, "input")
 
     sess = ctx.session
     inv_sqrt_dk = int(round((1 << s) / math.sqrt(d_k)))
-    head_outs = []
-    for i in range(h):
-        with sess.phase(f"head{i}"):
-            qkv = {}
-            for name in ("wq", "wk", "wv"):
-                mat = x_sh.matrix() if ctx.role == "A" else w[name][i]
-                out = pi_matmul(ctx, mat, (d_s, d_m, d_k), label=name, packed=True)
-                qkv[name] = _rescale(ctx, out, s)
-            scores = pi_matmul_shared(ctx, qkv["wq"].share, qkv["wk"].share,
-                                      (d_s, d_k), (d_s, d_k), transpose_right=True,
-                                      label="scores")
-            scores = _rescale(ctx, scores, s)
-            scores = _rescale(ctx, _mul_public(ctx, scores, inv_sqrt_dk, s), s)
-            ring_sh = ctx.provider.field_to_ring(scores.share)
-            sm = pi_softmax(ctx, ring_sh, (d_s, d_s), normalize="max")
-            sm = _rescale(ctx, sm, s)
-            mixed = pi_matmul_shared(ctx, sm.share, qkv["wv"].share,
-                                     (d_s, d_s), (d_s, d_k), transpose_right=False,
-                                     label="mix")
-            head_outs.append(_rescale(ctx, mixed, s))
-
-    concat = np.concatenate([o.matrix() for o in head_outs], axis=1)
-    h_sh = ProtocolOutputShares(ctx.field_share(concat.ravel()), (d_s, d_m), s, "concat")
+    with sess.phase("head"):
+        qkv = pi_matmul(ctx, x_sh.matrix() if ctx.role == "A" else w["qkv"],
+                        (d_s, d_m, 3 * d_m), label="qkv", packed=True)
+        cols = _rescale(ctx, qkv, s).matrix().reshape(d_s, 3 * h, d_k)
+        q, k, v = ([ctx.field_share(cols[:, j * h + i].ravel()) for i in range(h)]
+                   for j in range(3))
+        scores = _stack(ctx, [pi_matmul_shared(ctx, q[i], k[i], (d_s, d_k), (d_s, d_k),
+                                               transpose_right=True, label="scores")
+                              for i in range(h)], axis=0)
+        scores = _rescale(ctx, scores, s)
+        scores = _rescale(ctx, _mul_public(ctx, scores, inv_sqrt_dk, s), s)
+        ring_sh = ctx.provider.field_to_ring(scores.share)
+        sm = pi_softmax(ctx, ring_sh, (h * d_s, d_s), normalize="max")
+        rows = _rescale(ctx, sm, s).matrix().reshape(h, d_s, d_s)
+        mixed = _stack(ctx, [pi_matmul_shared(ctx, ctx.field_share(rows[i].ravel()), v[i],
+                                              (d_s, d_s), (d_s, d_k), transpose_right=False,
+                                              label="mix")
+                             for i in range(h)], axis=1)
+        h_sh = _rescale(ctx, mixed, s)
 
     with sess.phase("proj"):
         proj = _matmul_shared_plain(ctx, h_sh.share, w.get("wo"),

@@ -215,12 +215,6 @@ class PartyCtx:
         return [CtVec(self, (next(cts) for _ in range(count)), size)
                 for size, count in zip(sizes, counts)]
 
-    def send_array(self, label: str, arr: np.ndarray):
-        self.session.send(label, np.ascontiguousarray(arr, dtype=np.uint64).tobytes())
-
-    def recv_array(self, label: str) -> np.ndarray:
-        return np.frombuffer(self.session.recv(label), dtype=np.uint64).copy()
-
 
 def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> PartyCtx:
     """Handshake parameters, exchange public keys, return a ready context."""

@@ -1,8 +1,8 @@
 """Closed-form byte accounting for every protocol.
 
 Each formula reproduces, exactly, the bytes a run records on the channel:
-serialized ciphertext batches (one 8-byte frame per labeled group), raw
-share arrays, and the per-element gadget charges from the cost table.
+serialized ciphertext batches (one 8-byte frame per labeled group) and
+the per-element gadget charges from the cost table.
 The test suite holds recorded totals equal to these numbers; the benchmark
 CLI prints both.
 """
@@ -49,7 +49,6 @@ def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
     for sub, val in matmul_bytes(cfg, m, n, h, packed=True).items():
         out[f"cross_ab/{sub}"] = val
         out[f"cross_ba/{sub}"] = val
-    out["local_term"] = FRAME_OVERHEAD + m * h * 8
     return out
 
 

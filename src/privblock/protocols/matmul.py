@@ -188,10 +188,12 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
                      q_shape: tuple, k_shape: tuple, transpose_right: bool = True,
                      label: str = "mmshared") -> ProtocolOutputShares:
-    """Product of two secret-shared matrices, assembled from two local share
-    products, two coefficient-packed cross-term matmul invocations with
-    swapped data parties, and a single masked exchange of the weight
-    party's local term.  Outputs field shares at scale 2s."""
+    """Product of two secret-shared matrices: each party adds its local share
+    product to its shares of two coefficient-packed cross-term matmul
+    invocations with swapped data parties.  Each party's share holds the
+    uniform mask it drew as the weight party of one cross term, so the sum
+    is a uniform sharing without a further exchange.  Outputs field shares
+    at scale 2s."""
     m, n = q_shape
     if transpose_right:
         h, n2 = k_shape
@@ -215,11 +217,6 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         mine = rt if ctx.role == "A" else q_mat
         c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba",
                        packed=True)
-        if ctx.role == "B":
-            mask = ctx.rand_field(m * h)
-            ctx.send_array("local_term", (local + (p - mask)) % np.uint64(p))
-            total = mask + c1.share.payload + c2.share.payload
-        else:
-            total = local + ctx.recv_array("local_term") + c1.share.payload + c2.share.payload
+        total = local + c1.share.payload + c2.share.payload
         share = ctx.field_share(total % np.uint64(p))
         return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s, label)

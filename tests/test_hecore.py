@@ -5,7 +5,7 @@ from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
 from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
                               NoiseExhausted, create_backend, ct_bytes,
-                              pack_slots)
+                              noise, pack_slots, parse_header)
 from privblock.hecore.clear import ClearPublicKey
 from privblock.hecore.rlwe import RlwePublicKey
 from privblock.model import BlockWeights, infer_block, toy_block_config
@@ -262,8 +262,9 @@ def test_mul_ct_sum(params):
 
 def test_scalar_operand_is_the_constant_polynomial():
     """An int operand c is the constant polynomial c: on rlwe the same
-    ciphertext words and estimate as the vector with c in every slot, on
-    clear the same slots; the multiply's estimate uses |c| centered."""
+    ciphertext words as the vector with c in every slot, on clear the same
+    slots.  Add and subtract estimates agree; a multiply's estimate uses |c|
+    centered for the int and (p - 1)/2 for the vector, on both backends."""
     rbe, cbe = backends(seed=28)
     kr, kc = rbe.keygen("A"), cbe.keygen("A")
     m = np.random.default_rng(29).integers(0, TOY.p, size=64, dtype=np.uint64)
@@ -272,10 +273,17 @@ def test_scalar_operand_is_the_constant_polynomial():
         full = np.full(TOY.n, c, dtype=np.uint64)
         for op in ("add_pt", "sub_pt", "mul_pt"):
             got, ref = getattr(rbe, op)(xr, c), getattr(rbe, op)(xr, full)
-            assert np.array_equal(got.data, ref.data) and got.noise_bits == ref.noise_bits
-            got_c = getattr(cbe, op)(xc, c)
-            assert np.array_equal(got_c.slots, getattr(cbe, op)(xc, full).slots)
-            assert got_c.noise_bits == got.noise_bits
+            assert np.array_equal(got.data, ref.data)
+            if op == "mul_pt":
+                assert got.noise_bits == noise.mul_pt_bits(TOY, xr.noise_bits,
+                                                           min(c, TOY.p - c))
+                assert ref.noise_bits == noise.mul_pt_bits(TOY, xr.noise_bits,
+                                                           (TOY.p - 1) // 2)
+            else:
+                assert got.noise_bits == ref.noise_bits
+            got_c, ref_c = getattr(cbe, op)(xc, c), getattr(cbe, op)(xc, full)
+            assert np.array_equal(got_c.slots, ref_c.slots)
+            assert got_c.noise_bits == got.noise_bits and ref_c.noise_bits == ref.noise_bits
             assert np.array_equal(cbe.decrypt(got_c, kc), rbe.decrypt(got, kr))
 
 
@@ -346,6 +354,38 @@ def test_tail_slots_hold_only_public_values(toy_cfg, rlwe_toy_cfg, pair_runner,
     assert len(got[0]) > 10 and all(g == got[0] for g in got)
     values = {int(v) for _, t in got[0] for v in np.frombuffer(t, dtype=np.uint64)}
     assert 0 in values and len(values) > 1  # zero tails and constant ones
+
+
+def test_block_headers_are_public(toy_cfg, rlwe_toy_cfg, pair_runner, monkeypatch):
+    """Every ciphertext either party sends in a toy block carries the same
+    header estimate on clear and on rlwe and for two weight sets, so the
+    header tells its reader nothing about the weights; the outputs are the
+    same on both backends."""
+    sent = {}
+    send_cts = PartyCtx.send_cts
+
+    def recording(ctx, label, *vecs):
+        for i, ct in enumerate(ct for vec in vecs for ct in vec.cts):
+            header = parse_header(ctx.backend.serialize(ct), ctx.he_params)
+            sent[ctx.role].append((label, i, header[3]))
+        return send_cts(ctx, label, *vecs)
+
+    monkeypatch.setattr(PartyCtx, "send_cts", recording)
+    bc = toy_block_config()
+    x = np.random.default_rng(40).normal(0, 1.0, size=(bc.d_s, bc.d_m))
+
+    def run(cfg, weight_seed):
+        weights = BlockWeights.random(bc, np.random.default_rng(weight_seed))
+        sent.update(A=[], B=[])
+        ra, rb = pair_runner(cfg, lambda c: infer_block(c, x, None, bc),
+                             lambda c: infer_block(c, None, weights, bc), seed=3)
+        return dict(sent), reconstruct(ra.share, rb.share)
+
+    runs = [run(cfg, ws) for ws in (41, 42) for cfg in (toy_cfg, rlwe_toy_cfg)]
+    headers = runs[0][0]
+    assert len(headers["A"]) > 20 and len(headers["B"]) > 20
+    assert all(h == headers for h, _ in runs)
+    assert np.array_equal(runs[0][1], runs[1][1]) and np.array_equal(runs[2][1], runs[3][1])
 
 
 def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):

@@ -166,6 +166,35 @@ def test_shared_cost_formula(toy_cfg, pair_runner):
     assert _phase_bytes(rep, "mmshared") == costs.matmul_shared_bytes(toy_cfg, 4, 3, 5)
 
 
+@pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
+def test_shared_transcript_is_the_cross_terms(cfg_name, pair_runner, request):
+    """A shared product sends the two cross terms' ciphertext frames and
+    nothing else, no raw share array, and is exact mod p on both backends."""
+    cfg = request.getfixturevalue(cfg_name)
+    rng = np.random.default_rng(12)
+    q = rng.integers(0, P, size=(4, 3), dtype=np.uint64)
+    k = rng.integers(0, P, size=(5, 3), dtype=np.uint64)
+    qa, qb = share(q.ravel(), "field", cfg.fixedpoint, rng)
+    ka, kb = share(k.ravel(), "field", cfg.fixedpoint, rng)
+    ra, rb, rep, transcript = pair_runner(
+        cfg,
+        lambda ctx: pi_matmul_shared(ctx, qa, ka, (4, 3), (5, 3)),
+        lambda ctx: pi_matmul_shared(ctx, qb, kb, (4, 3), (5, 3)),
+        want_transcript=True)
+    got = reconstruct(ra.share, rb.share).reshape(4, 5).astype(object)
+    assert np.array_equal(got, (q.astype(object) @ k.astype(object).T) % P)
+    frames = [(sender, label) for kind, sender, label in transcript
+              if label.startswith("mmshared/")]
+    assert frames == [("A", "mmshared/cross_ab/inputs"),
+                      ("B", "mmshared/cross_ab/masked_product"),
+                      ("B", "mmshared/cross_ba/inputs"),
+                      ("A", "mmshared/cross_ba/masked_product")]
+    assert all(kind == "frame" for kind, _, _ in transcript)
+    one = FRAME_OVERHEAD + ct_bytes(cfg.he)
+    for _, label in frames:
+        assert rep.phases[label]["bytes_a"] + rep.phases[label]["bytes_b"] == one
+
+
 def test_determinism(toy_cfg, pair_runner):
     a = np.arange(6, dtype=np.uint64).reshape(2, 3)
     b = np.arange(6, dtype=np.uint64).reshape(3, 2)

@@ -184,9 +184,9 @@ def test_block_determinism(toy_cfg, pair_runner):
 
 
 def test_toy_block_he_work(pair_runner):
-    """One toy block on clear at N=8192 makes at most 50 encryptions and 40
+    """One toy block on clear at N=8192 makes at most 36 encryptions and 31
     ciphertext*plaintext products: each of its products is one packed
-    ciphertext each way."""
+    ciphertext each way, and attention projects all heads at once."""
     from privblock.hecore.clear import ClearBackend
     calls = {"encrypt": 0, "mul_pt": 0}
     originals = {name: getattr(ClearBackend, name) for name in calls}
@@ -206,31 +206,35 @@ def test_toy_block_he_work(pair_runner):
             mp.setattr(ClearBackend, name, counted(name))
         y, _ = _run_block(Config(he_backend="clear"), pair_runner, x, weights, bc)
     assert np.abs(y - oracle_block(x, weights, bc)).max() <= 2.0 ** -4
-    assert calls["encrypt"] <= 50 and calls["mul_pt"] <= 40, calls
+    assert calls["encrypt"] <= 36 and calls["mul_pt"] <= 31, calls
 
 
 def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):
     """At N=256, where the block's products span several partitions, the
-    six weight products and both cross terms of each shared product move
-    exactly the packed formula's bytes."""
+    qkv, wo, wf1 and wf2 weight products and both cross terms of every
+    head's scores and mix products move exactly the packed formula's bytes,
+    one frame per product and direction."""
     bc = toy_block_config()
     rng = np.random.default_rng(16)
     weights = BlockWeights.random(bc, rng)
     x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
     _, rep = _run_block(toy_cfg, pair_runner, x, weights, bc, want_reports=True)
     d_s, d_m, h, d_k, d_f = bc.to_tuple()
-    shapes = {"wq": (d_s, d_m, d_k), "wk": (d_s, d_m, d_k), "wv": (d_s, d_m, d_k),
-              "scores/cross_ab": (d_s, d_k, d_s), "scores/cross_ba": (d_s, d_k, d_s),
-              "mix/cross_ab": (d_s, d_s, d_k), "mix/cross_ba": (d_s, d_s, d_k),
-              "wo": (d_s, d_m, d_m), "wf1": (d_s, d_m, d_f), "wf2": (d_s, d_f, d_m)}
+    shapes = {"head/qkv": (d_s, d_m, 3 * d_m),
+              "head/scores/cross_ab": (d_s, d_k, d_s), "head/scores/cross_ba": (d_s, d_k, d_s),
+              "head/mix/cross_ab": (d_s, d_s, d_k), "head/mix/cross_ba": (d_s, d_s, d_k),
+              "proj/wo": (d_s, d_m, d_m), "ffn1/wf1": (d_s, d_m, d_f),
+              "ffn2/wf2": (d_s, d_f, d_m)}
     checked = 0
     for label, ph in rep.phases.items():
-        *path, sub = label.split("/")
-        shape = shapes.get("/".join(path[1:]))
+        product, _, sub = label.rpartition("/")
+        shape = shapes.get(product)
         if shape is None:
             continue
         assert packed_partition(*shape, toy_cfg.he.n) != shape
+        calls = h if product.startswith(("head/scores/", "head/mix/")) else 1
         want = costs.matmul_bytes(toy_cfg, *shape, packed=True)[sub]
-        assert ph["bytes_a"] + ph["bytes_b"] == want, label
+        assert ph["bytes_a"] + ph["bytes_b"] == calls * want, label
+        assert ph["messages"] == calls, label
         checked += 1
-    assert checked == 2 * (3 * h + 4 * h + 3)
+    assert checked == 2 * len(shapes) == 16
