@@ -401,36 +401,3 @@ def eval_on_grid(pp: PiecewisePoly, x_enc, s: int):
     xs = np.asarray(x_enc, dtype=np.int64)
     out = pp._eval(xs / (1 << s), xs, quantized_boundaries(pp, s))
     return out if xs.ndim else float(out[0])
-
-
-def _coeff_scale(s: int, coeffs, t_max: float) -> int:
-    spread = sum(abs(t_max) ** j for j in range(len(coeffs)))
-    return s + 3 + max(0, math.ceil(math.log2(max(spread, 1.0))))
-
-
-def eval_fixed(pp: PiecewisePoly, x_enc: int, s: int) -> int:
-    """Evaluate on a scale-s fixed-point input, returning a scale-s encoding.
-
-    Mirrors the quantization structure of the interactive evaluation:
-    segment selection against the scale-s boundary grid and a per-segment
-    centered variable with fixed coefficient precision.  Pure integer math.
-    """
-    bq = quantized_boundaries(pp, s)
-    i = int(_piece(bq, x_enc))
-    if i == 0:
-        return int(round(pp.left[1] * (1 << s)))
-    if i == len(bq):
-        kind, value = pp.right
-        return int(round(value * (1 << s))) + (x_enc if kind == "linear" else 0)
-    lo, hi = pp.boundaries[i - 1], pp.boundaries[i]
-    mid = 0.5 * (lo + hi)
-    shifted = shifted_segment_coeffs(pp.segments[i - 1], mid)
-    sc = _coeff_scale(s, shifted, 0.5 * (hi - lo) + 1.0)
-    t = x_enc - int(round(mid * (1 << s)))
-    deg = len(shifted) - 1
-    # exact integer Horner-free sum: term_j at scale sc + deg*s
-    acc = 0
-    for j, c in enumerate(shifted):
-        acc += int(round(c * (1 << sc))) * t ** j * (1 << s) ** (deg - j)
-    shift = sc + deg * s - s
-    return (acc + (1 << (shift - 1))) >> shift

@@ -20,7 +20,7 @@ from queue import Queue
 
 MAGIC = b"PBF1"
 FRAME_OVERHEAD = 8  # 4-byte magic + 4-byte length
-RUN_PAIR_TIMEOUT_S = 600.0  # run_pair's one deadline for both parties
+RUN_PAIR_TIMEOUT_S = 600.0  # run_pair fails once no message has moved this long
 
 A, B = "A", "B"
 
@@ -252,12 +252,15 @@ class PairSession(Session):
         super().__init__(role, profile)
         self._inbox = inbox
         self._outbox = outbox
+        self.last_io = time.monotonic()  # when a message last moved
 
     def _send_bytes(self, payload: bytes):
         self._outbox.put(payload)
+        self.last_io = time.monotonic()
 
     def _recv_bytes(self) -> bytes:
         payload = self._inbox.get()
+        self.last_io = time.monotonic()
         if payload is None:
             raise PeerClosed("peer closed the pair")
         return payload
@@ -350,8 +353,9 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     """Drive two party functions over an in-process pair on two threads.
 
     Each function receives its Session; returns (result_a, result_b).
-    Both parties share one deadline, ``RUN_PAIR_TIMEOUT_S`` after the start;
-    a party still running then is a deadlock (``IoError``).
+    A run in which no message has moved on either side for
+    ``RUN_PAIR_TIMEOUT_S`` while a party still runs is a deadlock
+    (``IoError``), however long the run has taken so far.
     Exceptions propagate to the caller.  A party that raises closes its
     session, so a peer blocked in ``recv`` fails with ``PeerClosed`` instead
     of waiting for the join timeout; the originating error is the one raised.
@@ -374,11 +378,12 @@ def run_pair(fn_a, fn_b, profile: NetworkProfile | None = None):
     tb = threading.Thread(target=runner, args=("b", fn_b, sb), daemon=True)
     ta.start()
     tb.start()
-    deadline = time.monotonic() + RUN_PAIR_TIMEOUT_S
     for t in (ta, tb):
-        t.join(timeout=max(deadline - time.monotonic(), 0.0))
-    if ta.is_alive() or tb.is_alive():
-        raise IoError("party driver deadlocked")
+        while t.is_alive():
+            idle_until = max(sa.last_io, sb.last_io) + RUN_PAIR_TIMEOUT_S
+            if time.monotonic() >= idle_until:
+                raise IoError("party driver deadlocked")
+            t.join(timeout=max(idle_until - time.monotonic(), 0.0))
     errors = [err[name] for name in ("a", "b") if name in err]
     if errors:
         raise min(errors, key=lambda e: isinstance(e, PeerClosed))

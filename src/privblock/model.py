@@ -24,7 +24,7 @@ from .modarith import matmod, mulmod
 from .protocols import (LnParams, PartyCtx, pi_gelu, pi_ln, pi_matmul,
                         pi_matmul_shared, pi_softmax)
 from .protocols.common import ProtocolOutputShares, ShapeMismatch
-from .sharing import FIELD, Share
+from .sharing import FIELD
 
 WEIGHT_MAGIC = b"PBW1"
 
@@ -211,17 +211,31 @@ def _rescale(ctx: PartyCtx, out: ProtocolOutputShares,
     return ProtocolOutputShares(sh, out.shape, to_scale, out.label)
 
 
-def _matmul_shared_plain(ctx: PartyCtx, x_sh: Share, w_enc, shape,
-                         label: str) -> ProtocolOutputShares:
-    """Shared activations times B-held plaintext weights: one packed matmul
-    invocation on A's share plus B's local product folded into its share."""
-    m, n, h = shape
-    out = pi_matmul(ctx, x_sh.payload.reshape(m, n) if ctx.role == "A" else w_enc,
-                    shape, data_party="A", label=label, packed=True)
+def _linear(ctx: PartyCtx, x: ProtocolOutputShares, w, bias, width: int,
+            label: str) -> ProtocolOutputShares:
+    """Shared activations times B-held weights ``w`` (plus ``bias``), at
+    scale s: one packed matmul on A's share, B's local product and bias
+    folded into its share, then a rescale."""
+    m, n = x.shape
+    out = pi_matmul(ctx, x.matrix() if ctx.role == "A" else w, (m, n, width),
+                    label=label, packed=True)
     if ctx.role == "B":
-        local = matmod(x_sh.payload.reshape(m, n), w_enc, ctx.fp.p)
-        out = _add_payload(ctx, out, local.ravel())
-    return out
+        local = matmod(x.matrix(), w, ctx.fp.p).ravel()
+        if bias is not None:
+            local += np.tile(fp.encode_int(bias, ctx.fp, FIELD, out.scale), m)
+        out = _add_payload(ctx, out, local)
+    return _rescale(ctx, out, ctx.fp.s)
+
+
+def _layernorm(ctx: PartyCtx, x: ProtocolOutputShares, weights: BlockWeights | None,
+               name: str) -> ProtocolOutputShares:
+    """Layernorm ``name`` (phase and weight prefix) of field shares at scale s."""
+    params = None
+    if ctx.role == "B":
+        params = LnParams(weights[name + "_g"], weights[name + "_b"])
+    with ctx.session.phase(name):
+        ring_sh = ctx.provider.field_to_ring(x.share)
+        return _rescale(ctx, pi_ln(ctx, ring_sh, x.shape, params, label="core"), ctx.fp.s)
 
 
 def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
@@ -270,6 +284,7 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         if weights is None:
             raise ShapeError("party B must supply weights")
         w = {name: enc(weights[name]) for name in ("wo", "wf1", "wf2")}
+        w.update(bf1=weights["bf1"], bf2=weights["bf2"])  # encoded by _linear
         w["qkv"] = enc(np.hstack([*weights["wq"], *weights["wk"], *weights["wv"]]))
         x_sh = ProtocolOutputShares(ctx.field_share(np.zeros(d_s * d_m, dtype=np.uint64)),
                                     (d_s, d_m), s, "input")
@@ -297,46 +312,15 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         h_sh = _rescale(ctx, mixed, s)
 
     with sess.phase("proj"):
-        proj = _matmul_shared_plain(ctx, h_sh.share, w.get("wo"),
-                                    (d_s, d_m, d_m), label="wo")
-        proj = _rescale(ctx, proj, s)
-
-    res1 = _add_shares(ctx, proj, x_sh)
-    with sess.phase("ln1"):
-        ring_sh = ctx.provider.field_to_ring(res1.share)
-        ln1 = pi_ln(ctx, ring_sh, (d_s, d_m),
-                    LnParams(weights["ln1_g"], weights["ln1_b"]) if ctx.role == "B" else None,
-                    label="core")
-        ln1 = _rescale(ctx, ln1, s)
-
+        proj = _linear(ctx, h_sh, w.get("wo"), None, d_m, "wo")
+    ln1 = _layernorm(ctx, _add_shares(ctx, proj, x_sh), weights, "ln1")
     with sess.phase("ffn1"):
-        u = _matmul_shared_plain(ctx, ln1.share, w.get("wf1"),
-                                 (d_s, d_m, d_f), label="wf1")
-        if ctx.role == "B":
-            bias = fp.encode_int(weights["bf1"], ctx.fp, FIELD, u.scale)
-            u = _add_payload(ctx, u, np.tile(bias, d_s))
-        u = _rescale(ctx, u, s)
-
+        u = _linear(ctx, ln1, w.get("wf1"), w.get("bf1"), d_f, "wf1")
     with sess.phase("act"):
-        g = pi_gelu(ctx, u.share, (d_s, d_f), label="core")
-        g = _rescale(ctx, g, s)
-
+        g = _rescale(ctx, pi_gelu(ctx, u.share, (d_s, d_f), label="core"), s)
     with sess.phase("ffn2"):
-        z = _matmul_shared_plain(ctx, g.share, w.get("wf2"),
-                                 (d_s, d_f, d_m), label="wf2")
-        if ctx.role == "B":
-            bias = fp.encode_int(weights["bf2"], ctx.fp, FIELD, z.scale)
-            z = _add_payload(ctx, z, np.tile(bias, d_s))
-        z = _rescale(ctx, z, s)
-
-    res2 = _add_shares(ctx, z, ln1)
-    with sess.phase("ln2"):
-        ring_sh = ctx.provider.field_to_ring(res2.share)
-        ln2 = pi_ln(ctx, ring_sh, (d_s, d_m),
-                    LnParams(weights["ln2_g"], weights["ln2_b"]) if ctx.role == "B" else None,
-                    label="core")
-        ln2 = _rescale(ctx, ln2, s)
-    return ln2
+        z = _linear(ctx, g, w.get("wf2"), w.get("bf2"), d_m, "wf2")
+    return _layernorm(ctx, _add_shares(ctx, z, ln1), weights, "ln2")
 
 
 BLOCK_STAGES = ("head", "proj", "ln1", "ffn1", "act", "ffn2", "ln2")

@@ -10,6 +10,13 @@ or a mask.  Protocols encrypt, operate on,
 frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
 hold all ciphertext framing, and ``recv_cts`` rejects a frame that does not
 hold exactly the ciphertexts of the sizes it expects.
+
+Every protocol is a chain of two conversions, each a method pair of
+``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
+under the peer's key into additive shares (this party keeps the masks, the
+key holder decrypts the rest), and ``send_encrypted``/``recv_added`` turn
+shares back into a vector under the sender's key.  ``PartyCtx.mask`` draws
+every additive mask.
 """
 
 from __future__ import annotations
@@ -164,8 +171,12 @@ class PartyCtx:
         return self.peer_public
 
     # -- vector helpers -------------------------------------------------------
-    def rand_field(self, size: int) -> np.ndarray:
-        return self.rng.integers(0, self.fp.p, size=size, dtype=np.uint64)
+    def mask(self, size: int, bits: int | None = None) -> np.ndarray:
+        """A fresh additive mask: uniform mod p, or, with ``bits``, uniform
+        below p - 2^(bits+1), the headroom the peer's ``lift_shift`` of a
+        masked ``bits``-bit value needs."""
+        high = self.fp.p if bits is None else self.fp.p - (1 << (bits + 1))
+        return self.rng.integers(0, high, size=size, dtype=np.uint64)
 
     def field_share(self, payload) -> Share:
         return Share(FIELD, self.role, payload, self.fp.p)
@@ -215,6 +226,32 @@ class PartyCtx:
         return [CtVec(self, (next(cts) for _ in range(count)), size)
                 for size, count in zip(sizes, counts)]
 
+    # -- HE <-> share conversions -------------------------------------------
+    def send_masked(self, label: str, vecs, bits: int | None = None) -> list:
+        """Subtract a fresh ``mask(bits=bits)`` from each vector of the
+        iterable ``vecs`` (under the peer's key) as it arrives, send them as
+        one frame and return the masks: this party's shares."""
+        masks, masked = [], []
+        for vec in vecs:
+            masks.append(self.mask(vec.size, bits))
+            masked.append(vec.sub_pt(masks[-1]))
+        self.send_cts(label, *masked)
+        return masks
+
+    def recv_decrypted(self, label: str, *sizes: int) -> list:
+        """The peer's ``send_masked`` frame, each vector decrypted."""
+        return [self.decrypt(vec) for vec in self.recv_cts(label, *sizes)]
+
+    def send_encrypted(self, label: str, *shares):
+        """Encrypt each share under this party's key; send them as one frame."""
+        self.send_cts(label, *[self.encrypt(sh) for sh in shares])
+
+    def recv_added(self, label: str, *shares) -> list:
+        """The peer's ``send_encrypted`` frame, this party's share added to
+        each vector: the shared values under the peer's key."""
+        got = self.recv_cts(label, *[len(sh) for sh in shares])
+        return [vec.add_pt(sh) for vec, sh in zip(got, shares)]
+
 
 def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> PartyCtx:
     """Handshake parameters, exchange public keys, return a ready context."""
@@ -236,7 +273,7 @@ def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
     """Party A's half of the masked row-sum exchange: blind the m x d slot
     matrix ``vec`` (under B's key) with a fresh mask r and send it with A's
     encryption of the row sums of r."""
-    r = ctx.rand_field(vec.size)
+    r = ctx.mask(vec.size)
     ctx.send_cts(label, vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p)))
 
 

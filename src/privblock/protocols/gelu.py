@@ -63,20 +63,20 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
     encrypts its share under its own key, and B adds its own share to form
     the SIMD batch [[X]]_A it evaluates."""
     m, w = shape
-    n_vals = m * w
+    if x_share.domain != FIELD:
+        raise ShapeMismatch("gelu expects field shares at scale s")
+    if x_share.payload.size != m * w:
+        raise ShapeMismatch("share length does not match shape")
     s = ctx.fp.s
     sy = 2 * s + COEFF_BITS
     with ctx.session.phase(label):
-        ctx.n_blocks(n_vals)
+        ctx.n_blocks(m * w)
         plan = _segment_plan(table, s)
-        if x_share.domain != FIELD:
-            raise ShapeMismatch("gelu expects field shares at scale s")
         if ctx.role == "A":
-            ctx.send_cts("encrypt_input", ctx.encrypt(x_share.payload))
+            ctx.send_encrypted("encrypt_input", x_share.payload)
             return _party_a(ctx, shape, plan, table, sy, label)
-        [ct_x] = ctx.recv_cts("encrypt_input", n_vals)
-        return _party_b(ctx, ct_x.add_pt(x_share.payload), shape, plan, table,
-                        sy, label)
+        [ct_x] = ctx.recv_added("encrypt_input", x_share.payload)
+        return _party_b(ctx, ct_x, shape, plan, table, sy, label)
 
 
 def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
@@ -109,33 +109,25 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     ct_x2 = ct_x.square()
     ct_t2 = [ct_x2.add_ct(ct_x.mul_pt(-2 * seg["midq"] % p)).add_pt(seg["midq"] ** 2 % p)
              for seg in plan]
-    rx = ctx.rand_field(n_vals)
-    r2 = [ctx.rng.integers(0, p - (1 << (vb_sq + 1)), size=n_vals, dtype=np.uint64)
-          for _ in plan]
+    # x is masked uniformly, the squares below the field for A's lift
+    rx = ctx.mask(n_vals)
+    r2 = [ctx.mask(n_vals, bits=vb_sq) for _ in plan]
     ctx.send_cts("input_and_squares", ct_x.sub_pt(rx),
                  *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)])
     x_ring = ctx.provider.field_to_ring(ctx.field_share(rx))
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
-    got = iter(ctx.recv_cts("selector_and_square_shares",
-                            *[n_vals] * (len(bits) + len(plan))))
-    ct_b = [next(got).add_pt(b) for b in b_arith]
-    ct_t2s = [next(got).add_pt(r >> np.uint64(s)) for r in r2]
+    got = ctx.recv_added("selector_and_square_shares",
+                         *b_arith, *[r >> np.uint64(s) for r in r2])
+    ct_b, ct_t2s = got[:len(bits)], got[len(bits):]
     # cubes and quartics from the rescaled squares
     keys = _power_keys(plan)
-    masked, rmask = [], []
-    for i, j in keys:
-        ct = (ct_t2s[i].mul_ct(ct_t[i]).add_pt(off3) if j == 3
-              else ct_t2s[i].square())
-        rmask.append(ctx.rng.integers(0, p - (1 << (vb_hi + 1)), size=n_vals,
-                                      dtype=np.uint64))
-        masked.append(ct.sub_pt(rmask[-1]))
-    ctx.send_cts("masked_powers", *masked)
-    got = ctx.recv_cts("power_shares", *[n_vals] * len(keys))
-    ct_pow = {}
-    for (i, j), ct, r in zip(keys, got, rmask):
-        ct = ct.add_pt(r >> np.uint64(s))
-        ct_pow[(i, j)] = ct.sub_pt(off3 >> s) if j == 3 else ct
+    rmask = ctx.send_masked("masked_powers",
+                            (ct_t2s[i].mul_ct(ct_t[i]).add_pt(off3) if j == 3
+                             else ct_t2s[i].square() for i, j in keys), bits=vb_hi)
+    got = ctx.recv_added("power_shares", *[r >> np.uint64(s) for r in rmask])
+    ct_pow = {(i, j): ct.sub_pt(off3 >> s) if j == 3 else ct
+              for (i, j), ct in zip(keys, got)}
     # assemble Y = sum_i b_i * F_i plus the closed-form tails
     sc = s + COEFF_BITS
     pairs = []
@@ -152,9 +144,7 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
         tails = tails.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
     else:
         pairs.append((ct_b[-1], ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))))
-    acc = CtVec.mul_ct_sum(pairs).add_ct(tails)
-    mask = ctx.rand_field(n_vals)
-    ctx.send_cts("result", acc.sub_pt(mask))
+    [mask] = ctx.send_masked("result", [CtVec.mul_ct_sum(pairs).add_ct(tails)])
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy, label)
 
 
@@ -164,17 +154,13 @@ def _party_a(ctx, shape, plan, table, sy, label):
     s, p = ctx.fp.s, ctx.fp.p
     vb_sq = 2 * s + 2
     vb_hi = 2 * s + 4
-    ct_x, *ct_t2 = ctx.recv_cts("input_and_squares", *[n_vals] * (1 + len(plan)))
-    x_share_a = ctx.field_share(ctx.decrypt(ct_x))
-    t2_shares = [lift_shift(ctx.decrypt(ct), p, vb_sq, s) % p for ct in ct_t2]
-    x_ring = ctx.provider.field_to_ring(x_share_a)
+    x_a, *t2 = ctx.recv_decrypted("input_and_squares", *[n_vals] * (1 + len(plan)))
+    x_ring = ctx.provider.field_to_ring(ctx.field_share(x_a))
     bits = _selector_bits(ctx, x_ring, table, s)
-    b_arith = [_bit_to_field(ctx, b) for b in bits]
-    ctx.send_cts("selector_and_square_shares",
-                 *[ctx.encrypt(v) for v in b_arith + t2_shares])
-    got = ctx.recv_cts("masked_powers", *[n_vals] * len(_power_keys(plan)))
-    shares = [lift_shift(ctx.decrypt(ct), p, vb_hi, s) % p for ct in got]
-    ctx.send_cts("power_shares", *[ctx.encrypt(sh) for sh in shares])
-    [ct_y] = ctx.recv_cts("result", n_vals)
-    share = ctx.decrypt(ct_y)
+    ctx.send_encrypted("selector_and_square_shares",
+                       *[_bit_to_field(ctx, b) for b in bits],
+                       *[lift_shift(v, p, vb_sq, s) % p for v in t2])
+    got = ctx.recv_decrypted("masked_powers", *[n_vals] * len(_power_keys(plan)))
+    ctx.send_encrypted("power_shares", *[lift_shift(v, p, vb_hi, s) % p for v in got])
+    [share] = ctx.recv_decrypted("result", n_vals)
     return ProtocolOutputShares(ctx.field_share(share), shape, sy, label)

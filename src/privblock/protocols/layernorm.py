@@ -77,13 +77,11 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         a_f = ctx.provider.ring_to_field_strict_trunc(a_sh, s - sa)
         shift = sa + s_inv - RATIO_SCALE
         if ctx.role == "B":
-            ctx.send_cts("ashare", ctx.encrypt(a_f.payload))
+            ctx.send_encrypted("ashare", a_f.payload)
             ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
-            v = ctx.rand_field(m)
-            ctx.send_cts("masked_rowsum", ct_k.sub_pt(v))
-            k_share = ctx.field_share(v)
-            inv = _invsqrt(ctx, k_share, sa, s_inv)
-            ctx.send_cts("invsqrt_share", ctx.encrypt(np.repeat(inv.payload, n)))
+            [v] = ctx.send_masked("masked_rowsum", [ct_k])
+            inv = _invsqrt(ctx, ctx.field_share(v), sa, s_inv)
+            ctx.send_encrypted("invsqrt_share", np.repeat(inv.payload, n))
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n)
             w = ctx.decrypt(ct_wr)
             off = 1 << (sa + s_inv - shift)
@@ -91,29 +89,20 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
             bs = encode_int(params.beta, ctx.fp, FIELD, LN_OUT_SCALE)
             ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))
-            mask = ctx.rand_field(m * n)
-            ctx.send_cts("result", ct_y.sub_pt(mask))
-            return ProtocolOutputShares(ctx.field_share(mask), shape,
-                                        LN_OUT_SCALE, label)
-        # party A
-        [ct_a] = ctx.recv_cts("ashare", m * n)
-        ct_a = ct_a.add_pt(a_f.payload)
-        send_masked_rows(ctx, "masked_square", ct_a.square(), shape)
-        [ct_k] = ctx.recv_cts("masked_rowsum", m)
-        k_share = ctx.field_share(ctx.decrypt(ct_k))
-        inv = _invsqrt(ctx, k_share, sa, s_inv)
-        [ct_inv] = ctx.recv_cts("invsqrt_share", m * n)
-        ct_ratio = ct_a.mul_ct(ct_inv.add_pt(np.repeat(inv.payload, n)))
-        # statistically-masked decrypt-side rescale of the ratio
-        ct_off = ct_ratio.add_pt(1 << (sa + s_inv))
-        smask = ctx.rng.integers(0, p - (1 << (sa + s_inv + 1)), size=m * n,
-                                 dtype=np.uint64)
-        ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
-                     ctx.encrypt(smask >> np.uint64(shift)))
-        [ct_y] = ctx.recv_cts("result", m * n)
-        share = ctx.decrypt(ct_y)
-        return ProtocolOutputShares(ctx.field_share(share), shape,
-                                    LN_OUT_SCALE, label)
+            [share] = ctx.send_masked("result", [ct_y])
+        else:
+            [ct_a] = ctx.recv_added("ashare", a_f.payload)
+            send_masked_rows(ctx, "masked_square", ct_a.square(), shape)
+            [k] = ctx.recv_decrypted("masked_rowsum", m)
+            inv = _invsqrt(ctx, ctx.field_share(k), sa, s_inv)
+            [ct_inv] = ctx.recv_added("invsqrt_share", np.repeat(inv.payload, n))
+            # statistically-masked decrypt-side rescale of the ratio
+            ct_off = ct_a.mul_ct(ct_inv).add_pt(1 << (sa + s_inv))
+            smask = ctx.mask(m * n, bits=sa + s_inv)
+            ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
+                         ctx.encrypt(smask >> np.uint64(shift)))
+            [share] = ctx.recv_decrypted("result", m * n)
+        return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE, label)
 
 
 def _invsqrt(ctx: PartyCtx, k_share: Share, sa: int, s_inv: int) -> Share:

@@ -167,20 +167,15 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
         if ctx.role == data_party:
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", *[ctx.encrypt(v) for v in layout.left(mat)])
-            got = ctx.recv_cts("masked_product", *layout.out_sizes)
-            share = layout.decode([ctx.decrypt(vec) for vec in got])
+            ctx.send_cts("inputs", *map(ctx.encrypt, layout.left(mat)))
+            share = layout.decode(ctx.recv_decrypted("masked_product", *layout.out_sizes))
         else:
             if mat.shape != (n, h):
                 raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
             cts = ctx.recv_cts("inputs", *layout.in_sizes)
-            masks, replies = [], []
-            for terms in layout.right(mat):
-                acc = functools.reduce(CtVec.add_ct, (cts[i].mul_pt(pt) for i, pt in terms))
-                masks.append(ctx.rand_field(acc.size))
-                replies.append(acc.sub_pt(masks[-1]))
-            ctx.send_cts("masked_product", *replies)
-            share = layout.decode(masks)
+            products = (functools.reduce(CtVec.add_ct, (cts[i].mul_pt(pt) for i, pt in terms))
+                        for terms in layout.right(mat))
+            share = layout.decode(ctx.send_masked("masked_product", products))
         return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s,
                                     label)
 

@@ -52,23 +52,19 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
                 (x_share.payload + (ring_mod - spread)) % np.uint64(ring_mod))
         e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
         if ctx.role == "B":
-            ctx.send_cts("exp_share", ctx.encrypt(e_sh.payload))
+            ctx.send_encrypted("exp_share", e_sh.payload)
             ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
             ctx.send_cts("denominator", ct_sum.mul_pt(v),
                          ctx.encrypt(np.repeat(v, d)))
-            [ct_y] = ctx.recv_cts("result", n_vals)
-            share = ctx.decrypt(ct_y)
-            return ProtocolOutputShares(ctx.field_share(share), shape, out_scale, label)
-        # party A
-        [ct_e] = ctx.recv_cts("exp_share", n_vals)
-        ct_e = ct_e.add_pt(e_sh.payload)
-        send_masked_rows(ctx, "masked_exp", ct_e, shape)
-        ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals)
-        u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
-        recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
-        ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
-        mask = ctx.rand_field(n_vals)
-        ctx.send_cts("result", ct_y.sub_pt(mask))
-        return ProtocolOutputShares(ctx.field_share(mask), shape, out_scale, label)
+            [share] = ctx.recv_decrypted("result", n_vals)
+        else:
+            [ct_e] = ctx.recv_added("exp_share", e_sh.payload)
+            send_masked_rows(ctx, "masked_exp", ct_e, shape)
+            ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals)
+            u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
+            recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
+            ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
+            [share] = ctx.send_masked("result", [ct_y])
+        return ProtocolOutputShares(ctx.field_share(share), shape, out_scale, label)

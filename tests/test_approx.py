@@ -140,26 +140,6 @@ def test_tanh_degree_comparison_rows():
     assert shipped < 1e-2 and alt < shipped  # direction verified numerically
 
 
-def test_eval_fixed_tracks_eval():
-    rng = np.random.default_rng(0)
-    for table, lo, hi in ((approx.GELU_TABLE, -8, 8),
-                          (approx.SIGMOID_TABLE, -8, 8),
-                          (approx.TANH_TABLE, -8, 8),
-                          (approx.MISH_TABLE, -9, 9)):
-        guard = set()
-        for b in approx.quantized_boundaries(table, S):
-            guard.update((b - 1, b, b + 1, -b - 1, -b, -b + 1))
-        worst = 0.0
-        for x in rng.uniform(lo, hi, 1500):
-            xe = int(round(x * 2 ** S))
-            if xe in guard:
-                continue
-            got = approx.eval_fixed(table, xe, S) / 2 ** S
-            want = table(xe / 2 ** S)
-            worst = max(worst, abs(got - want) * 2 ** S)
-        assert worst <= 3.0, table.name
-
-
 def test_eval_on_grid_selects_on_quantized_boundaries():
     """The grid oracle is the table with its boundaries moved onto the grid,
     evaluated on the grid points, bit for bit."""

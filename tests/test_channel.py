@@ -277,6 +277,23 @@ def test_run_pair_has_one_deadline(monkeypatch):
     assert time.monotonic() - start < 0.9
 
 
+def test_run_pair_times_out_on_silence_not_on_length(monkeypatch):
+    """The deadline counts from the last message moved: parties that
+    exchange a frame every 0.1 s for 1 s outlive a 0.5 s timeout."""
+    monkeypatch.setattr(channel, "RUN_PAIR_TIMEOUT_S", 0.5)
+
+    def party(sess):
+        for i in range(10):
+            time.sleep(0.1)
+            if sess.role == "A":
+                sess.send("tick", bytes([i]))
+            else:
+                assert sess.recv("tick") == bytes([i])
+        return sess.role
+
+    assert run_pair(party, party) == ("A", "B")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10 ** 8), st.floats(0, 1), st.floats(1e6, 1e10))
 def test_time_monotone(nbytes, latency, bandwidth):

@@ -158,6 +158,26 @@ def test_transcript_shape(toy_cfg, pair_runner):
     ]
 
 
+def test_share_length_checked_on_both_parties(toy_cfg, pair_runner):
+    """A 17-value share against shape (2, 8) is rejected by both parties
+    before any frame, not by B alone after A has sent its input."""
+    xa, xb = share(np.zeros(17, dtype=np.uint64), "field", toy_cfg.fixedpoint,
+                   np.random.default_rng(8))
+
+    def party(x_share):
+        def run(ctx):
+            try:
+                pi_gelu(ctx, x_share, (2, 8))
+            except Exception as e:  # noqa: BLE001 - compared below
+                ctx.session.close()
+                return type(e)
+        return run
+
+    ra, rb, _, tr = pair_runner(toy_cfg, party(xa), party(xb), want_transcript=True)
+    assert ra is rb is ShapeMismatch
+    assert not [l for _, _, l in tr if l.startswith("gelu/")]
+
+
 def test_rejects_high_degree_table(toy_cfg, pair_runner):
     rng = np.random.default_rng(8)
     xe = np.zeros(16, dtype=np.uint64)

@@ -320,6 +320,45 @@ def test_encrypted_vector_blocks_and_shapes(toy_cfg, rlwe_toy_cfg, pair_runner):
         pair_runner(cfg, fa, lambda ctx: None)
 
 
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_share_conversions_round_trip(pair_runner, backend):
+    """At N=64, on vectors of 3 and 2 blocks: ``send_masked`` and
+    ``recv_decrypted`` leave shares of the encrypted values,
+    ``send_encrypted`` and ``recv_added`` a vector that decrypts to the sum
+    of the shares, and a mask drawn with ``bits`` stays below
+    p - 2^(bits+1)."""
+    cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
+    p, bits = cfg.fixedpoint.p, 34
+    rng = np.random.default_rng(6)
+    x, sa, sb = ([rng.integers(0, p, size=size, dtype=np.uint64) for size in (150, 70)]
+                 for _ in range(3))
+
+    def fa(ctx):
+        ctx.send_cts("values", *map(ctx.encrypt, x))
+        shares = ctx.recv_decrypted("masked", 150, 70)
+        [bounded] = ctx.recv_decrypted("bounded", 70)
+        ctx.send_encrypted("shares", *sa)
+        return shares, bounded, [ctx.decrypt(v) for v in ctx.recv_cts("sums", 150, 70)]
+
+    def fb(ctx):
+        vecs = ctx.recv_cts("values", 150, 70)
+        assert [len(v.cts) for v in vecs] == [3, 2]
+        masks = ctx.send_masked("masked", iter(vecs))
+        [bounded] = ctx.send_masked("bounded", vecs[1:], bits=bits)
+        ctx.send_cts("sums", *ctx.recv_added("shares", *sb))
+        return masks, bounded, ctx.mask(5000, bits=bits)
+
+    (shares, bounded_a, sums), (masks, bounded_b, many) = pair_runner(cfg, fa, fb)
+    for want, a, b in zip(x, shares, masks):
+        assert np.array_equal((a + b) % np.uint64(p), want)
+    assert np.array_equal((bounded_a + bounded_b) % np.uint64(p), x[1])
+    for total, a, b in zip(sums, sa, sb):
+        assert np.array_equal(total, (a + b) % np.uint64(p))
+    high = p - (1 << (bits + 1))
+    assert bounded_b.max() < high and many.max() < high
+    assert many.max() > high - high // 100  # uniform up to the bound
+
+
 def test_tail_slots_hold_only_public_values(toy_cfg, rlwe_toy_cfg, pair_runner,
                                             monkeypatch):
     """Every tail slot of every vector either party decrypts in gelu and ln

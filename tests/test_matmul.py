@@ -242,21 +242,23 @@ def test_packed_exact_mod_p(pair_runner, kind, data_party, shape):
 
 
 def test_packed_partition_desk_and_toy():
-    """At N=8192 the desk products need 56, 192, 384, 384 and 24 ciphertexts
-    in plus out, and every toy-block product fits one partition."""
+    """At N=8192 the desk products need 56, 192, 384, 384, 24 and (the
+    block's one qkv product) 192 + 144 = 336 ciphertexts in plus out, and
+    every toy-block product fits one partition."""
     desk = {(128, 768, 64): (128, 32, 2), (128, 768, 768): (128, 8, 8),
             (128, 768, 3072): (128, 4, 16), (128, 3072, 768): (128, 16, 4),
-            (128, 64, 128): (128, 8, 8)}
+            (128, 64, 128): (128, 8, 8), (128, 768, 2304): (128, 4, 16)}
     cts = []
     for shape, widths in desk.items():
         assert packed_partition(*shape, 8192) == widths
         bm, bn, bh = (-(-d // w) for d, w in zip(shape, widths))
         cts.append(bm * (bn + bh))
-    assert cts == [56, 192, 384, 384, 24]
+    assert cts == [56, 192, 384, 384, 24, 336]
     bc = toy_block_config()
     cfg = Config(he_backend="clear")
     one = FRAME_OVERHEAD + ct_bytes(cfg.he)
-    for m, n, h in {(bc.d_s, bc.d_m, bc.d_k), (bc.d_s, bc.d_k, bc.d_s),
+    for m, n, h in {(bc.d_s, bc.d_m, 3 * bc.d_m),
+                    (bc.d_s, bc.d_m, bc.d_k), (bc.d_s, bc.d_k, bc.d_s),
                     (bc.d_s, bc.d_s, bc.d_k), (bc.d_s, bc.d_m, bc.d_m),
                     (bc.d_s, bc.d_m, bc.d_f), (bc.d_s, bc.d_f, bc.d_m)}:
         assert packed_partition(m, n, h, 8192) == (m, n, h)
