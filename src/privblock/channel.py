@@ -4,7 +4,13 @@ A ``Session`` is one side of one logical conversation.  Both endpoints log
 every metered message with a step label and ``FRAME_OVERHEAD + len(payload)``
 bytes, so a finished run yields identical ``CostReport`` objects on both sides
 on either transport: the in-process pair queues payloads, and only TCP writes
-``magic(4) | length(4, big-endian) | payload``.  Simulated time is computed
+``magic(4) | length(4, big-endian) | payload``.  Frames are written in place:
+a sender hands over one buffer (``PartyCtx.send_cts`` serializes each
+ciphertext straight into its slice), TCP sends it behind its header in one
+``sendmsg``, and a TCP receiver reserves one buffer of the declared length
+(virtual memory, resident only as bytes land) and ``recv_into``s the payload,
+one kernel-to-user copy.  ``recv`` returns a memoryview on both transports.
+Simulated time is computed
 analytically from the transcript: ``latency + 8 * frame_bytes / bandwidth``
 per message along the (sequential) critical path, never by sleeping.
 """
@@ -17,6 +23,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from queue import Queue
+
+import numpy as np
 
 MAGIC = b"PBF1"
 FRAME_OVERHEAD = 8  # 4-byte magic + 4-byte length
@@ -205,9 +213,10 @@ class Session:
             self.ledger.log_frame(self.role, self._qualify(label),
                                   FRAME_OVERHEAD + len(payload))
 
-    def recv(self, label: str, metered: bool = True) -> bytes:
-        """The payload, as bytes or a bytearray depending on the transport."""
-        payload = self._recv_bytes()
+    def recv(self, label: str, metered: bool = True) -> memoryview:
+        """The payload, as a memoryview of the transport's buffer: it slices
+        and compares like bytes; take ``bytes()`` of a slice to decode it."""
+        payload = memoryview(self._recv_bytes())
         if metered:
             self.ledger.log_frame(self.peer_role, self._qualify(label),
                                   FRAME_OVERHEAD + len(payload))
@@ -295,22 +304,27 @@ class TcpSession(Session):
         except OSError as e:
             raise IoError(str(e)) from e
 
-    def _recv_exact(self, n: int) -> bytearray:
-        # grows with what arrives: a declared length is never allocated up front
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(min(1 << 20, n - len(buf)))
-            if not chunk:
+    def _recv_into(self, view: memoryview):
+        got = 0
+        while got < len(view):
+            n = self._sock.recv_into(view[got:])
+            if not n:
                 raise PeerClosed("connection closed mid-frame")
-            buf += chunk
-        return buf
+            got += n
 
-    def _recv_bytes(self) -> bytearray:
-        head = self._recv_exact(FRAME_OVERHEAD)
+    def _recv_bytes(self) -> np.ndarray:
+        head = bytearray(FRAME_OVERHEAD)
+        self._recv_into(memoryview(head))
         if head[:4] != MAGIC:
             raise IoError("bad frame magic")
         (length,) = struct.unpack(">I", head[4:])
-        return self._recv_exact(length)
+        try:
+            # reserved virtually: pages become resident as the payload lands
+            payload = np.empty(length, np.uint8)
+        except MemoryError as e:
+            raise IoError(f"cannot reserve a frame of {length} bytes") from e
+        self._recv_into(memoryview(payload))
+        return payload
 
     def close(self):
         try:

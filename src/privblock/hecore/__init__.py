@@ -70,11 +70,24 @@ def ct_bytes(params: HeParams, n_components: int = 2) -> int:
     return HEADER_BYTES + n_components * params.limbs * params.n * 4
 
 
-def pack_header(params: HeParams, n_components: int, owner: str,
-                backend_id: int, noise_bits: float) -> bytes:
-    return (CT_MAGIC + params.param_hash()
-            + struct.pack(">BBBB", n_components, ord(owner), backend_id, 0)
-            + struct.pack(">f", noise_bits))
+def write_ct(params: HeParams, ct, backend_id: int, body: np.ndarray, dtype: str,
+             out=None):
+    """The wire form of ``ct``: its header, ``body`` cast to ``dtype``, then
+    zero padding up to ``ct_bytes``.  With ``out``, a zero-filled writable
+    buffer of exactly that size, the header and body are written into it in
+    place (the padding is not touched) and ``out`` is returned; without it,
+    the same bytes are returned new."""
+    size = ct_bytes(params, ct.ncomp)
+    buf = np.zeros(size, np.uint8) if out is None else np.frombuffer(out, np.uint8)
+    if buf.size != size:
+        raise MalformedBytes(f"a buffer of {buf.size} bytes for a ciphertext of {size}")
+    end = HEADER_BYTES + body.size * np.dtype(dtype).itemsize
+    head = (CT_MAGIC + params.param_hash()
+            + struct.pack(">BBBBf", ct.ncomp, ord(ct.owner), backend_id, 0, ct.noise_bits))
+    buf[:HEADER_BYTES] = np.frombuffer(head, np.uint8)
+    np.copyto(buf[HEADER_BYTES:end].view(dtype).reshape(body.shape), body,
+              casting="unsafe")
+    return buf.tobytes() if out is None else out
 
 
 def parse_header(data: bytes, params: HeParams):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
-               noise_budget_bits, pack_header, pack_slots, parse_header)
+               noise_budget_bits, pack_slots, parse_header, write_ct)
 from ..modarith import mulmod
 from ..params import HeParams
 from . import noise
@@ -32,7 +32,7 @@ class ClearPublicKey:
         """Parse a key blob: the magic and an owner of A or B, nothing more."""
         if len(data) != 5 or data[:4] != b"CLRK" or data[4:] not in (b"A", b"B"):
             raise MalformedBytes("bad clear public key blob")
-        return cls(data[4:].decode())
+        return cls(bytes(data[4:]).decode())
 
 
 class ClearKeyPair:
@@ -127,14 +127,10 @@ class ClearBackend:
         return self.mul_ct(x, x, public)
 
     # -- wire format ---------------------------------------------------------
-    def serialize(self, ct: ClearCiphertext) -> bytes:
-        total = ct_bytes(self.params, ct.ncomp)
-        head = pack_header(self.params, ct.ncomp, ct.owner, BACKEND_ID, ct.noise_bits)
-        body = ct.slots.astype("<u8").tobytes()
-        pad = total - len(head) - len(body)
-        if pad < 0:
-            raise MalformedBytes("slot payload exceeds wire size")
-        return head + body + b"\x00" * pad
+    def serialize(self, ct: ClearCiphertext, out=None):
+        """The slots as ``<u8`` after the header, the rest zero padding;
+        written into ``out`` when given (see ``write_ct``)."""
+        return write_ct(self.params, ct, BACKEND_ID, ct.slots, "<u8", out)
 
     def deserialize(self, data: bytes) -> ClearCiphertext:
         ncomp, owner, backend_id, noise_bits = parse_header(data, self.params)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
                NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
-               noise_budget_bits, pack_header, pack_slots, parse_header,
-               scalar_slot)
+               noise_budget_bits, pack_slots, parse_header, scalar_slot,
+               write_ct)
 from ..modarith import matmod, mod, mulmod, signed_lift
 from ..params import HeParams
 from . import noise
@@ -126,7 +126,7 @@ class RlwePublicKey:
         body = np.frombuffer(data, dtype="<u8", offset=6)
         pk = body[:2 * L * N].reshape(2, L, N).copy()
         rlk = body[2 * L * N:].reshape(L, 2, L, N).copy() if data[5] else None
-        return cls(data[4:5].decode(), pk, rlk)
+        return cls(bytes(data[4:5]).decode(), pk, rlk)
 
 
 class RlweKeyPair:
@@ -365,12 +365,10 @@ class RlweBackend:
         return self.mul_ct(x, x, public)
 
     # -- wire format ----------------------------------------------------------------
-    def serialize(self, ct: RlweCiphertext) -> bytes:
-        head = pack_header(self.params, ct.ncomp, ct.owner, BACKEND_ID, ct.noise_bits)
-        body = ct.data.astype("<u4").tobytes()
-        out = head + body
-        assert len(out) == ct_bytes(self.params, ct.ncomp)
-        return out
+    def serialize(self, ct: RlweCiphertext, out=None):
+        """Every limb as ``<u4`` after the header; written into ``out`` when
+        given (see ``write_ct``)."""
+        return write_ct(self.params, ct, BACKEND_ID, ct.data, "<u4", out)
 
     def deserialize(self, data: bytes) -> RlweCiphertext:
         ncomp, owner, backend_id, noise_bits = parse_header(data, self.params)

@@ -200,24 +200,25 @@ class PartyCtx:
         return out[:vec.size]
 
     def send_cts(self, label: str, *vecs: CtVec):
-        """Send the encrypted vectors as one frame, written ciphertext by
-        ciphertext into one buffer (no joined copy beside the parts)."""
+        """Send the encrypted vectors as one frame: each ciphertext is
+        serialized in place into its slice of one zero-filled buffer, whose
+        untouched padding pages cost no memory (``np.zeros`` is calloc)."""
         cts = [ct for vec in vecs for ct in vec.cts]
+        for ct in cts:
+            if ct.ncomp != 2:
+                raise ShapeMismatch(f"{label}: a ciphertext of {ct.ncomp} "
+                                    f"components, expected 2")
         width = ct_bytes(self.he_params, 2)
-        frame = bytearray(len(cts) * width)
+        frame = np.zeros(len(cts) * width, np.uint8)
         for i, ct in enumerate(cts):
-            blob = self.backend.serialize(ct)
-            if len(blob) != width:
-                raise ShapeMismatch(f"{label}: a ciphertext of {len(blob)} bytes, "
-                                    f"expected {width}")
-            frame[i * width:(i + 1) * width] = blob
+            self.backend.serialize(ct, frame[i * width:(i + 1) * width])
         self.session.send(label, frame)
 
     def recv_cts(self, label: str, *sizes: int) -> list:
         """Receive one frame holding encrypted vectors of ``sizes`` values."""
         counts = [self.n_blocks(size) for size in sizes]
         width = ct_bytes(self.he_params, 2)
-        payload = memoryview(self.session.recv(label))
+        payload = self.session.recv(label)
         if len(payload) != sum(counts) * width:
             raise ShapeMismatch(f"{label}: frame of {len(payload)} bytes, expected "
                                 f"{sum(counts)} ciphertexts of {width} bytes")

@@ -161,7 +161,7 @@ class GadgetProvider:
             self.session.send("_gadget", x.payload.tobytes(), metered=False)
             raw = self.session.recv("_gadget", metered=False)
             if raw[:1] == b"E":
-                kind, _, msg = raw[1:].decode().partition(":")
+                kind, _, msg = bytes(raw[1:]).decode().partition(":")
                 exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
                 raise exc(msg) if exc else GadgetUnavailable(f"dealer raised {kind}: {msg}")
             out = np.frombuffer(raw[1:], dtype=np.uint64).copy()

@@ -1,3 +1,4 @@
+import resource
 import socket
 import struct
 import threading
@@ -154,6 +155,33 @@ def test_tcp_truncated_payload_raises_peer_closed():
     sess.close()
 
 
+def test_tcp_unreservable_declared_length_is_an_io_error(monkeypatch):
+    """A peer declaring 2^32 - 1 bytes and then closing fails the receiver
+    with an I/O error, and the reserved buffer stays virtual: resident
+    memory grows with the bytes that arrived, not with the declared length.
+    A length that cannot be reserved at all is an I/O error too."""
+    sess, raw = _tcp_end()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    raw.sendall(MAGIC + struct.pack(">I", 2 ** 32 - 1) + b"a" * 10)
+    raw.close()
+    with pytest.raises(IoError):
+        sess.recv("x")
+    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    assert grown_kb < 64 * 1024
+    sess.close()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    sess, raw = _tcp_end()
+    raw.sendall(MAGIC + struct.pack(">I", 2 ** 32 - 1))
+    monkeypatch.setattr(channel.np, "empty", no_memory)
+    with pytest.raises(IoError, match="reserve"):
+        sess.recv("x")
+    sess.close()
+    raw.close()
+
+
 def test_tcp_and_pair_meter_the_same_frame():
     payload = b"p" * 1000
     ours, theirs = socket.socketpair()
@@ -204,45 +232,43 @@ def test_handshake_mismatch_tcp():
     assert "b" in errs
 
 
-def test_transport_independent_accounting(toy_cfg):
+@pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
+def test_transport_independent_accounting(cfg_name, request):
     """The same protocol over TCP and over the in-process pair produces an
-    identical cost report."""
-    import numpy as np
+    identical cost report and identical output shares, on either backend
+    (an rlwe key blob is parsed from the received TCP buffer)."""
     from privblock.protocols import make_party, pi_matmul
+    from privblock.sharing import reconstruct
 
+    cfg = request.getfixturevalue(cfg_name)
     a = np.arange(6, dtype=np.uint64).reshape(2, 3)
     b = np.arange(12, dtype=np.uint64).reshape(3, 4)
 
     def drive(sess, role):
-        ctx = make_party(role, sess, toy_cfg, seed=0)
-        pi_matmul(ctx, a if role == "A" else b, (2, 3, 4))
-        return sess.report()
+        ctx = make_party(role, sess, cfg, seed=0)
+        out = pi_matmul(ctx, a if role == "A" else b, (2, 3, 4))
+        return out, sess.report()
 
-    rep_pair, _ = run_pair(lambda s: drive(s, "A"), lambda s: drive(s, "B"),
-                           PROFILES["wan1"])
+    pair = run_pair(lambda s: drive(s, "A"), lambda s: drive(s, "B"), PROFILES["wan1"])
 
-    out = {}
+    tcp = {}
+    blob = cfg.he.param_hash() + bytes([37, 12])
 
-    def server():
-        sess = connect("B", ("127.0.0.1", 19733), PROFILES["wan1"],
-                       toy_cfg.he.param_hash() + bytes([37, 12]))
-        out["rep"] = drive_tcp(sess, "B")
-
-    def drive_tcp(sess, role):
-        from privblock.protocols import make_party as mp
-        ctx = mp(role, sess, toy_cfg, seed=0)
-        pi_matmul(ctx, a if role == "A" else b, (2, 3, 4))
-        rep = sess.report()
+    def drive_tcp(role):
+        sess = connect(role, ("127.0.0.1", 19733), PROFILES["wan1"], blob)
+        tcp[role] = drive(sess, role)
         sess.close()
-        return rep
 
-    th = threading.Thread(target=server, daemon=True)
+    th = threading.Thread(target=drive_tcp, args=("B",), daemon=True)
     th.start()
-    sess = connect("A", ("127.0.0.1", 19733), PROFILES["wan1"],
-                   toy_cfg.he.param_hash() + bytes([37, 12]))
-    rep_tcp = drive_tcp(sess, "A")
+    drive_tcp("A")
     th.join(timeout=30)
-    assert rep_pair.to_dict() == rep_tcp.to_dict()
+    tcp = (tcp["A"], tcp["B"])
+    for (out_p, rep_p), (out_t, rep_t) in zip(pair, tcp):
+        assert rep_p.to_dict() == rep_t.to_dict()
+        assert np.array_equal(out_p.share.payload, out_t.share.payload)
+    assert np.array_equal(reconstruct(tcp[0][0].share, tcp[1][0].share).reshape(2, 4),
+                          a @ b)
 
 
 def test_repeat_handshake():

@@ -12,7 +12,8 @@ from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
-from privblock.protocols.common import PartyCtx
+from privblock.channel import PROFILES, make_pair
+from privblock.protocols.common import CtVec, PartyCtx
 from privblock.sharing import reconstruct, share
 
 TOY = toy_he_params(n=64, p=12289, limbs=3)
@@ -357,6 +358,39 @@ def test_share_conversions_round_trip(pair_runner, backend):
     high = p - (1 << (bits + 1))
     assert bounded_b.max() < high and many.max() < high
     assert many.max() > high - high // 100  # uniform up to the bound
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
+    """The frame ``send_cts`` hands to the session is its ciphertexts'
+    ``serialize`` output end to end; ``serialize(ct, out)`` writes only its
+    own slice of a larger buffer; a ciphertext that is not two components
+    wide is rejected before anything is written."""
+    cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
+    sa, _ = make_pair(PROFILES["lan"])
+    ctx = PartyCtx("A", sa, cfg, seed=5)
+    ctx.keypair = ctx.backend.keygen("A")
+    vec = ctx.encrypt(np.arange(100, dtype=np.uint64))
+    assert len(vec.cts) == 2
+    sent = []
+    monkeypatch.setattr(sa, "send", lambda label, payload, metered=True: sent.append(payload))
+    ctx.send_cts("x", vec)
+    blobs = [ctx.backend.serialize(ct) for ct in vec.cts]
+    assert [bytes(frame) for frame in sent] == [b"".join(blobs)]
+
+    width = ct_bytes(cfg.he, 2)
+    buf = np.zeros(width + 16, np.uint8)
+    buf[:8] = buf[-8:] = 0xA5
+    ctx.backend.serialize(vec.cts[1], buf[8:-8])
+    assert (buf[:8] == 0xA5).all() and (buf[-8:] == 0xA5).all()
+    assert buf[8:-8].tobytes() == blobs[1]
+
+    ct = vec.cts[0]
+    wide = (type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3) if backend == "clear"
+            else type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits))
+    with pytest.raises(ShapeMismatch, match="3 components"):
+        ctx.send_cts("y", CtVec(ctx, [ct, wide], 100))
+    assert len(sent) == 1
 
 
 def test_tail_slots_hold_only_public_values(toy_cfg, rlwe_toy_cfg, pair_runner,

@@ -1,11 +1,12 @@
 import math
+import socket
 import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from privblock.channel import PROFILES, PeerClosed, make_pair
+from privblock.channel import PROFILES, PeerClosed, TcpSession, make_pair
 from privblock.params import FixedPointConfig, GadgetCostTable
 from privblock.sharing import (BOOL, FIELD, RING, DomainError, DomainMismatch,
                                GadgetProvider, GadgetUnavailable, RangeError,
@@ -243,12 +244,19 @@ def test_gadget_rejects_wrong_domain_before_any_traffic(gadget):
             peer.recv("_gadget", metered=False)
 
 
-def test_any_dealer_exception_reaches_both_parties():
+def _tcp_pair():
+    ours, theirs = socket.socketpair()
+    return (TcpSession("A", PROFILES["lan"], ours),
+            TcpSession("B", PROFILES["lan"], theirs))
+
+
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_any_dealer_exception_reaches_both_parties(transport):
     """A dealer function that raises something other than RangeError or
     DomainError (a shift of 0 makes ``round_shift`` raise ValueError) fails
     both parties, well before any deadline: B with the exception itself, A
-    with GadgetUnavailable from the error frame."""
-    sessions = make_pair(PROFILES["lan"])
+    with GadgetUnavailable from the error frame, on either transport."""
+    sessions = make_pair(PROFILES["lan"]) if transport == "pair" else _tcp_pair()
     shares = _mk_shares(np.arange(4, dtype=np.uint64), FIELD)
     errors = {}
 
