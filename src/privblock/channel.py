@@ -336,9 +336,12 @@ class TcpSession(Session):
 
 def connect(role: str, endpoint: tuple, profile: NetworkProfile,
             params_blob: bytes, timeout: float = 30.0) -> TcpSession:
-    """Open a TCP session: role B listens, role A connects.  The handshake
-    exchanges ``params_blob``; a mismatch aborts the session.  Nagle is off,
-    so the tail of a frame never waits for the ACK of the data before it."""
+    """Open a TCP session: role B listens, role A connects, retrying a
+    refused connect after 1 ms, doubling up to 50 ms.  ``timeout`` bounds
+    only the wait for the connection; the connected socket blocks, so a
+    peer may compute for any time between frames.  The handshake exchanges
+    ``params_blob``; a mismatch aborts the session.  Nagle is off, so the
+    tail of a frame never waits for the ACK of the data before it."""
     host, port = endpoint
     if role == B:
         srv = socket.create_server((host, port))
@@ -347,16 +350,17 @@ def connect(role: str, endpoint: tuple, profile: NetworkProfile,
         srv.close()
     else:
         deadline = time.monotonic() + timeout
-        last = None
+        pause = 0.001
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=timeout)
                 break
             except OSError as e:
-                last = e
                 if time.monotonic() > deadline:
-                    raise IoError(f"connect failed: {last}") from e
-                time.sleep(0.05)
+                    raise IoError(f"connect failed: {e}") from e
+                time.sleep(pause)
+                pause = min(2 * pause, 0.05)
+    sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sess = TcpSession(role, profile, sock)
     sess.handshake(params_blob)

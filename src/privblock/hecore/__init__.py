@@ -12,6 +12,12 @@ RLWE/NTT scheme with exact plaintext semantics mod p) and ``clear``
 (plaintext slot vectors with a mirrored noise-budget model) for fast oracle
 testing.  Both serialize ciphertexts to the identical wire format and byte
 size, so cost accounting is backend-independent.
+
+Every rule the two backends share is written once here, and a backend
+supplies only its arithmetic and the noise update of each op:
+``check_same_key`` (the operands of add_ct and of a product),
+``check_decrypt``, ``check_product`` (the ct*ct gate) and the wire pair
+``write_ct``/``read_ct``.  So both fail the same way on the same input.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import struct
 import numpy as np
 
 from ..params import AUX_PRIMES, HeParams, ParamError
+from . import noise
 
 CT_MAGIC = b"PBC1"
 HEADER_BYTES = 16
@@ -100,6 +107,19 @@ def parse_header(data: bytes, params: HeParams):
     return ncomp, chr(owner), backend_id, noise_bits
 
 
+def read_ct(params: HeParams, data: bytes, backend_id: int, dtype: str, count: int = -1):
+    """The inverse of ``write_ct``: (ncomp, owner, noise_bits, body) of a
+    whole ciphertext of backend ``backend_id``, the body its first ``count``
+    words (every word by default) of ``dtype`` after the header, unconverted."""
+    ncomp, owner, got_id, noise_bits = parse_header(data, params)
+    if got_id != backend_id:
+        raise MalformedBytes("ciphertext from a different backend")
+    if len(data) != ct_bytes(params, ncomp):
+        raise MalformedBytes("truncated or padded ciphertext stream")
+    body = np.frombuffer(data, dtype=dtype, count=count, offset=HEADER_BYTES)
+    return ncomp, owner, noise_bits, body
+
+
 def noise_budget_bits(params: HeParams, noise_bits: float) -> float:
     """Remaining headroom before decryption becomes unreliable."""
     return params.q_bits - params.p.bit_length() - 1 - noise_bits
@@ -119,16 +139,38 @@ def aux_basis(params: HeParams) -> tuple:
     raise ParamError("auxiliary basis too small for the ct*ct tensor")
 
 
-def check_fan_in(pairs, max_fan_in: int) -> list:
-    """The (x, y) pairs of a sum of products, as a list of 1 to
-    ``max_fan_in`` pairs under one key."""
+def check_same_key(*cts):
+    """Ciphertexts that combine: one owner (``KeyMismatch``) and one
+    component count (``MalformedBytes``)."""
+    if len({ct.owner for ct in cts}) != 1:
+        raise KeyMismatch("ciphertexts under different keys")
+    if len({ct.ncomp for ct in cts}) != 1:
+        raise MalformedBytes("component count mismatch")
+
+
+def check_decrypt(params: HeParams, ct, keypair):
+    """A ciphertext ``keypair`` may decrypt: its own, with budget left."""
+    if ct.owner != keypair.owner:
+        raise KeyMismatch(f"ciphertext owned by {ct.owner}, key is {keypair.owner}")
+    if noise_budget_bits(params, ct.noise_bits) <= 0:
+        raise NoiseExhausted("noise budget exhausted")
+
+
+def check_product(params: HeParams, pairs, public, max_fan_in: int) -> tuple:
+    """The (x, y) pairs of a sum of products as a list, and the noise bits
+    of the sum: 1 to ``max_fan_in`` pairs under one key, a public key with
+    relinearization, and budget left after the product."""
     pairs = list(pairs)
     if not 1 <= len(pairs) <= max_fan_in:
         raise ParamError(f"a sum of {len(pairs)} ct*ct products; the auxiliary "
                          f"basis allows 1 to {max_fan_in}")
-    if len({ct.owner for pair in pairs for ct in pair}) != 1:
-        raise KeyMismatch("ciphertexts under different keys")
-    return pairs
+    check_same_key(*(ct for pair in pairs for ct in pair))
+    if not public.has_relin:
+        raise MissingRelinKey("relinearization key required for ct*ct")
+    nb = noise.mul_ct_bits(params, [(x.noise_bits, y.noise_bits) for x, y in pairs])
+    if noise_budget_bits(params, nb) <= 0:
+        raise NoiseExhausted("multiplication would exhaust the noise budget")
+    return pairs, nb
 
 
 def create_backend(params: HeParams, kind: str, rng: np.random.Generator | None = None):

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
-               noise_budget_bits, pack_slots, parse_header, write_ct)
+from . import (MalformedBytes, aux_basis, check_decrypt, check_product,
+               check_same_key, pack_slots, read_ct, write_ct)
 from ..modarith import mulmod
 from ..params import HeParams
 from . import noise
@@ -74,14 +73,11 @@ class ClearBackend:
                                key.owner, noise.fresh_bits(self.params))
 
     def decrypt(self, ct: ClearCiphertext, keypair: ClearKeyPair) -> np.ndarray:
-        if ct.owner != keypair.owner:
-            raise KeyMismatch(f"ciphertext owned by {ct.owner}, key is {keypair.owner}")
-        if noise_budget_bits(self.params, ct.noise_bits) <= 0:
-            raise NoiseExhausted("noise budget exhausted")
+        check_decrypt(self.params, ct, keypair)
         return ct.slots.copy()
 
     def add_ct(self, x: ClearCiphertext, y: ClearCiphertext) -> ClearCiphertext:
-        self._same_owner(x, y)
+        check_same_key(x, y)
         p = np.uint64(self.params.p)
         return ClearCiphertext((x.slots + y.slots) % p, x.owner,
                                noise.add_ct_bits(x.noise_bits, y.noise_bits))
@@ -109,12 +105,7 @@ class ClearBackend:
 
     def mul_ct_sum(self, pairs, public: ClearPublicKey) -> ClearCiphertext:
         """The sum of the products x*y of the (x, y) ``pairs``."""
-        pairs = check_fan_in(pairs, self.max_fan_in)
-        if not getattr(public, "has_relin", False):
-            raise MissingRelinKey("relinearization key required for ct*ct")
-        nb = noise.mul_ct_bits(self.params, [(x.noise_bits, y.noise_bits) for x, y in pairs])
-        if noise_budget_bits(self.params, nb) <= 0:
-            raise NoiseExhausted("multiplication would exhaust the noise budget")
+        pairs, nb = check_product(self.params, pairs, public, self.max_fan_in)
         p = self.params.p
         out = sum(mulmod(x.slots, y.slots, p) for x, y in pairs) % np.uint64(p)
         return ClearCiphertext(out, pairs[0][0].owner, nb)
@@ -133,16 +124,6 @@ class ClearBackend:
         return write_ct(self.params, ct, BACKEND_ID, ct.slots, "<u8", out)
 
     def deserialize(self, data: bytes) -> ClearCiphertext:
-        ncomp, owner, backend_id, noise_bits = parse_header(data, self.params)
-        if backend_id != BACKEND_ID:
-            raise MalformedBytes("ciphertext from a different backend")
-        if len(data) != ct_bytes(self.params, ncomp):
-            raise MalformedBytes("truncated or padded ciphertext stream")
-        n = self.params.n
-        slots = np.frombuffer(data, dtype="<u8", count=n, offset=HEADER_BYTES).copy()
-        return ClearCiphertext(slots, owner, noise_bits, ncomp)
-
-    # -- helpers ---------------------------------------------------------------
-    def _same_owner(self, x, y):
-        if x.owner != y.owner:
-            raise KeyMismatch("ciphertexts under different keys")
+        ncomp, owner, noise_bits, slots = read_ct(self.params, data, BACKEND_ID, "<u8",
+                                                  self.params.n)
+        return ClearCiphertext(slots.copy(), owner, noise_bits, ncomp)

@@ -19,10 +19,8 @@ import math
 
 import numpy as np
 
-from . import (HEADER_BYTES, KeyMismatch, MalformedBytes, MissingRelinKey,
-               NoiseExhausted, aux_basis, check_fan_in, ct_bytes,
-               noise_budget_bits, pack_slots, parse_header, scalar_slot,
-               write_ct)
+from . import (MalformedBytes, aux_basis, check_decrypt, check_product,
+               check_same_key, pack_slots, read_ct, scalar_slot, write_ct)
 from ..modarith import matmod, mod, mulmod, signed_lift
 from ..params import HeParams
 from . import noise
@@ -275,22 +273,13 @@ class RlweBackend:
         return _transform(mod(acc, self.q_col), self.plans, inverse=True)
 
     def decrypt(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
-        if ct.owner != kp.owner:
-            raise KeyMismatch(f"ciphertext owned by {ct.owner}, key is {kp.owner}")
-        if noise_budget_bits(self.params, ct.noise_bits) <= 0:
-            raise NoiseExhausted("noise budget exhausted")
+        check_decrypt(self.params, ct, kp)
         # round(p v / q) mod p does not change when the phase v shifts by q
         return self._coeffs_to_slots(self.scale_q(self._phase(ct, kp))[0])
 
     # -- linear ops -------------------------------------------------------------
-    def _check_pair(self, x: RlweCiphertext, y: RlweCiphertext):
-        if x.owner != y.owner:
-            raise KeyMismatch("ciphertexts under different keys")
-
     def add_ct(self, x: RlweCiphertext, y: RlweCiphertext) -> RlweCiphertext:
-        self._check_pair(x, y)
-        if x.ncomp != y.ncomp:
-            raise MalformedBytes("component count mismatch")
+        check_same_key(x, y)
         return RlweCiphertext(mod(x.data + y.data, self.q_col), x.owner,
                               noise.add_ct_bits(x.noise_bits, y.noise_bits))
 
@@ -341,12 +330,7 @@ class RlweBackend:
         add up mod QP, and the inverse transforms, the scaling by p/Q and the
         relinearization run once.  At most ``max_fan_in`` pairs keep the
         summed tensor exact mod QP and its scaling centered in P."""
-        pairs = check_fan_in(pairs, self.max_fan_in)
-        if public.rlk is None:
-            raise MissingRelinKey("relinearization key required for ct*ct")
-        nb = noise.mul_ct_bits(self.params, [(x.noise_bits, y.noise_bits) for x, y in pairs])
-        if noise_budget_bits(self.params, nb) <= 0:
-            raise NoiseExhausted("multiplication would exhaust the noise budget")
+        pairs, nb = check_product(self.params, pairs, public, self.max_fan_in)
         d = self._tensor(*pairs[0])
         for x, y in pairs[1:]:
             d = mod(d + self._tensor(x, y), self.qp_col)
@@ -371,10 +355,6 @@ class RlweBackend:
         return write_ct(self.params, ct, BACKEND_ID, ct.data, "<u4", out)
 
     def deserialize(self, data: bytes) -> RlweCiphertext:
-        ncomp, owner, backend_id, noise_bits = parse_header(data, self.params)
-        if backend_id != BACKEND_ID:
-            raise MalformedBytes("ciphertext from a different backend")
-        if len(data) != ct_bytes(self.params, ncomp):
-            raise MalformedBytes("truncated or padded ciphertext stream")
-        arr = np.frombuffer(data, dtype="<u4", offset=HEADER_BYTES).astype(np.uint64)
-        return RlweCiphertext(arr.reshape(ncomp, self.L, self.n), owner, noise_bits)
+        ncomp, owner, noise_bits, body = read_ct(self.params, data, BACKEND_ID, "<u4")
+        return RlweCiphertext(body.astype(np.uint64).reshape(ncomp, self.L, self.n), owner,
+                              noise_bits)

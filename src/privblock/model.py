@@ -208,7 +208,7 @@ def _rescale(ctx: PartyCtx, out: ProtocolOutputShares,
     if shift == 0:
         return out
     sh = ctx.provider.rescale_field(out.share, shift)
-    return ProtocolOutputShares(sh, out.shape, to_scale, out.label)
+    return ProtocolOutputShares(sh, out.shape, to_scale)
 
 
 def _linear(ctx: PartyCtx, x: ProtocolOutputShares, w, bias, width: int,
@@ -241,7 +241,7 @@ def _layernorm(ctx: PartyCtx, x: ProtocolOutputShares, weights: BlockWeights | N
 def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
                  payload: np.ndarray) -> ProtocolOutputShares:
     merged = (a.share.payload + payload) % np.uint64(ctx.fp.p)
-    return ProtocolOutputShares(ctx.field_share(merged), a.shape, a.scale, a.label)
+    return ProtocolOutputShares(ctx.field_share(merged), a.shape, a.scale)
 
 
 def _add_shares(ctx: PartyCtx, a: ProtocolOutputShares,
@@ -254,15 +254,13 @@ def _add_shares(ctx: PartyCtx, a: ProtocolOutputShares,
 def _stack(ctx: PartyCtx, outs: list, axis: int) -> ProtocolOutputShares:
     """The outputs' matrices joined along ``axis`` as one share."""
     mat = np.concatenate([o.matrix() for o in outs], axis=axis)
-    return ProtocolOutputShares(ctx.field_share(mat.ravel()), mat.shape,
-                                outs[0].scale, outs[0].label)
+    return ProtocolOutputShares(ctx.field_share(mat.ravel()), mat.shape, outs[0].scale)
 
 
 def _mul_public(ctx: PartyCtx, a: ProtocolOutputShares, const_enc: int,
                 added_scale: int) -> ProtocolOutputShares:
     pay = mulmod(a.share.payload, np.uint64(const_enc), ctx.fp.p)
-    return ProtocolOutputShares(ctx.field_share(pay), a.shape,
-                                a.scale + added_scale, a.label)
+    return ProtocolOutputShares(ctx.field_share(pay), a.shape, a.scale + added_scale)
 
 
 def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
@@ -278,7 +276,7 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         x_enc = arr if arr.dtype == np.uint64 else enc(arr.astype(np.float64))
         if x_enc.shape != (d_s, d_m):
             raise ShapeError(f"input is {x_enc.shape}, expected {(d_s, d_m)}")
-        x_sh = ProtocolOutputShares(ctx.field_share(x_enc.ravel()), (d_s, d_m), s, "input")
+        x_sh = ProtocolOutputShares(ctx.field_share(x_enc.ravel()), (d_s, d_m), s)
         w = {}
     else:
         if weights is None:
@@ -287,7 +285,7 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         w.update(bf1=weights["bf1"], bf2=weights["bf2"])  # encoded by _linear
         w["qkv"] = enc(np.hstack([*weights["wq"], *weights["wk"], *weights["wv"]]))
         x_sh = ProtocolOutputShares(ctx.field_share(np.zeros(d_s * d_m, dtype=np.uint64)),
-                                    (d_s, d_m), s, "input")
+                                    (d_s, d_m), s)
 
     sess = ctx.session
     inv_sqrt_dk = int(round((1 << s) / math.sqrt(d_k)))
@@ -295,19 +293,18 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
         qkv = pi_matmul(ctx, x_sh.matrix() if ctx.role == "A" else w["qkv"],
                         (d_s, d_m, 3 * d_m), label="qkv", packed=True)
         cols = _rescale(ctx, qkv, s).matrix().reshape(d_s, 3 * h, d_k)
-        q, k, v = ([ctx.field_share(cols[:, j * h + i].ravel()) for i in range(h)]
-                   for j in range(3))
-        scores = _stack(ctx, [pi_matmul_shared(ctx, q[i], k[i], (d_s, d_k), (d_s, d_k),
-                                               transpose_right=True, label="scores")
+        q, k, v = ([cols[:, j * h + i] for i in range(h)] for j in range(3))
+        shared = lambda mat: ctx.field_share(mat.ravel())
+        scores = _stack(ctx, [pi_matmul_shared(ctx, shared(q[i]), shared(k[i]), (d_s, d_k),
+                                               (d_s, d_k), label="scores")
                               for i in range(h)], axis=0)
         scores = _rescale(ctx, scores, s)
         scores = _rescale(ctx, _mul_public(ctx, scores, inv_sqrt_dk, s), s)
         ring_sh = ctx.provider.field_to_ring(scores.share)
         sm = pi_softmax(ctx, ring_sh, (h * d_s, d_s), normalize="max")
         rows = _rescale(ctx, sm, s).matrix().reshape(h, d_s, d_s)
-        mixed = _stack(ctx, [pi_matmul_shared(ctx, ctx.field_share(rows[i].ravel()), v[i],
-                                              (d_s, d_s), (d_s, d_k), transpose_right=False,
-                                              label="mix")
+        mixed = _stack(ctx, [pi_matmul_shared(ctx, shared(rows[i]), shared(v[i].T),
+                                              (d_s, d_s), (d_k, d_s), label="mix")
                              for i in range(h)], axis=1)
         h_sh = _rescale(ctx, mixed, s)
 

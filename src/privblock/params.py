@@ -271,10 +271,6 @@ class Config:
             "he_backend": self.he_backend,
         }
 
-    def dump(self, path: str):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
         _checked(d, "config", ("fixedpoint", "he", "gadget_costs", "he_backend"))

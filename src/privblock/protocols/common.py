@@ -45,6 +45,10 @@ class DegenerateRow(ValueError):
     pass
 
 
+def ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
 @dataclass
 class ProtocolOutputShares:
     """One party's protocol output: a share plus its numeric metadata."""
@@ -52,7 +56,6 @@ class ProtocolOutputShares:
     share: Share
     shape: tuple
     scale: int
-    label: str
 
     def matrix(self):
         return self.share.payload.reshape(self.shape)
@@ -183,7 +186,7 @@ class PartyCtx:
 
     # -- encrypted vectors --------------------------------------------------
     def n_blocks(self, n_values: int) -> int:
-        blocks = -(-n_values // self.he_params.n)
+        blocks = ceil_div(n_values, self.he_params.n)
         if blocks > MAX_BLOCKS:
             raise CapacityExceeded(f"{n_values} values span {blocks} blocks")
         return blocks

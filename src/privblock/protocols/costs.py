@@ -13,12 +13,9 @@ from ..approx import GELU_TABLE, PiecewisePoly
 from ..channel import FRAME_OVERHEAD
 from ..hecore import ct_bytes
 from ..params import Config
+from .common import ceil_div
 from .gelu import _power_keys, _segment_plan
 from .matmul import packed_partition
-
-
-def _blocks(n_values: int, n_slots: int) -> int:
-    return -(-n_values // n_slots)
 
 
 def _gadget(cfg: Config, entry: str, n: int) -> int:
@@ -32,10 +29,10 @@ def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False) -> d
     of C out."""
     if packed:
         widths = packed_partition(m, n, h, cfg.he.n)
-        bm, bn, bh = (_blocks(d, w) for d, w in zip((m, n, h), widths))
+        bm, bn, bh = (ceil_div(d, w) for d, w in zip((m, n, h), widths))
         cts_in, cts_out = bm * bn, bm * bh
     else:
-        cts_out = _blocks(m * h, cfg.he.n)
+        cts_out = ceil_div(m * h, cfg.he.n)
         cts_in = n * cts_out
     ct = ct_bytes(cfg.he)
     return {
@@ -54,8 +51,8 @@ def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
 
 def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
     ct = ct_bytes(cfg.he)
-    blocks = _blocks(m * d, cfg.he.n)
-    vec = _blocks(m, cfg.he.n)
+    blocks = ceil_div(m * d, cfg.he.n)
+    vec = ceil_div(m, cfg.he.n)
     out = {}
     if normalize == "max":
         out["gadget:rowmax"] = _gadget(cfg, "rowmax", m * d)
@@ -69,8 +66,8 @@ def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
 
 def ln_bytes(cfg: Config, m: int, n: int) -> dict:
     ct = ct_bytes(cfg.he)
-    blocks = _blocks(m * n, cfg.he.n)
-    vec = _blocks(m, cfg.he.n)
+    blocks = ceil_div(m * n, cfg.he.n)
+    vec = ceil_div(m, cfg.he.n)
     return {
         "gadget:trunc": _gadget(cfg, "trunc", m * n),
         "gadget:convert": _gadget(cfg, "convert", m * n) + _gadget(cfg, "convert", m),
@@ -87,7 +84,7 @@ def ln_bytes(cfg: Config, m: int, n: int) -> dict:
 def gelu_bytes(cfg: Config, m: int, w: int,
                table: PiecewisePoly = GELU_TABLE) -> dict:
     ct = ct_bytes(cfg.he)
-    blocks = _blocks(m * w, cfg.he.n)
+    blocks = ceil_div(m * w, cfg.he.n)
     n_vals = m * w
     plan = _segment_plan(table, cfg.fixedpoint.s)
     n_bounds, n_powers = len(table.boundaries), len(_power_keys(plan))

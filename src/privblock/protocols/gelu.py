@@ -74,9 +74,9 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
         plan = _segment_plan(table, s)
         if ctx.role == "A":
             ctx.send_encrypted("encrypt_input", x_share.payload)
-            return _party_a(ctx, shape, plan, table, sy, label)
+            return _party_a(ctx, shape, plan, table, sy)
         [ct_x] = ctx.recv_added("encrypt_input", x_share.payload)
-        return _party_b(ctx, ct_x, shape, plan, table, sy, label)
+        return _party_b(ctx, ct_x, shape, plan, table, sy)
 
 
 def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
@@ -96,7 +96,7 @@ def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
     return mulmod(pay, pow(1 << s, -1, p), p)
 
 
-def _party_b(ctx, ct_x, shape, plan, table, sy, label):
+def _party_b(ctx, ct_x, shape, plan, table, sy):
     m, w = shape
     n_vals = m * w
     s, p = ctx.fp.s, ctx.fp.p
@@ -145,10 +145,10 @@ def _party_b(ctx, ct_x, shape, plan, table, sy, label):
     else:
         pairs.append((ct_b[-1], ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))))
     [mask] = ctx.send_masked("result", [CtVec.mul_ct_sum(pairs).add_ct(tails)])
-    return ProtocolOutputShares(ctx.field_share(mask), shape, sy, label)
+    return ProtocolOutputShares(ctx.field_share(mask), shape, sy)
 
 
-def _party_a(ctx, shape, plan, table, sy, label):
+def _party_a(ctx, shape, plan, table, sy):
     m, w = shape
     n_vals = m * w
     s, p = ctx.fp.s, ctx.fp.p
@@ -163,4 +163,4 @@ def _party_a(ctx, shape, plan, table, sy, label):
     got = ctx.recv_decrypted("masked_powers", *[n_vals] * len(_power_keys(plan)))
     ctx.send_encrypted("power_shares", *[lift_shift(v, p, vb_hi, s) % p for v in got])
     [share] = ctx.recv_decrypted("result", n_vals)
-    return ProtocolOutputShares(ctx.field_share(share), shape, sy, label)
+    return ProtocolOutputShares(ctx.field_share(share), shape, sy)

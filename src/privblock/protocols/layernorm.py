@@ -102,7 +102,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
                          ctx.encrypt(smask >> np.uint64(shift)))
             [share] = ctx.recv_decrypted("result", m * n)
-        return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE, label)
+        return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE)
 
 
 def _invsqrt(ctx: PartyCtx, k_share: Share, sa: int, s_inv: int) -> Share:

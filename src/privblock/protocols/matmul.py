@@ -37,11 +37,7 @@ import numpy as np
 from ..hecore.ntt import get_plan
 from ..modarith import matmod
 from ..sharing import FIELD, Share
-from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
 
 
 def expand_left(mat: np.ndarray, h: int) -> list:
@@ -56,7 +52,7 @@ def expand_right(mat: np.ndarray, m: int) -> list:
 
 def _widths(d: int) -> list:
     """The narrowest width of each block count of a dimension d, widest first."""
-    return sorted({_ceil_div(d, b) for b in range(1, d + 1)}, reverse=True)
+    return sorted({ceil_div(d, b) for b in range(1, d + 1)}, reverse=True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -71,11 +67,11 @@ def packed_partition(m: int, n: int, h: int, n_slots: int) -> tuple:
     for m_w, n_w in product(_widths(m), _widths(n)):
         if m_w * n_w > n_slots:
             continue
-        bm, bn = _ceil_div(m, m_w), _ceil_div(n, n_w)
-        bh = _ceil_div(h, n_slots // (m_w * n_w))
+        bm, bn = ceil_div(m, m_w), ceil_div(n, n_w)
+        bh = ceil_div(h, n_slots // (m_w * n_w))
         key = (bm * (bn + bh), bm * bn, bm * bn * bh)
         if best is None or key < best[0]:
-            best = key, (m_w, n_w, _ceil_div(h, bh))
+            best = key, (m_w, n_w, ceil_div(h, bh))
     return best[1]
 
 
@@ -107,7 +103,7 @@ class _Packed:
         self.shape = shape
         self.widths = packed_partition(*shape, self.n_slots)
         self.plan = get_plan(ctx.he_params.p, self.n_slots)
-        bm, bn, bh = self.blocks = tuple(map(_ceil_div, shape, self.widths))
+        bm, bn, bh = self.blocks = tuple(map(ceil_div, shape, self.widths))
         self.in_sizes = [self.n_slots] * (bm * bn)
         self.out_sizes = [self.n_slots] * (bm * bh)
 
@@ -176,24 +172,20 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
             products = (functools.reduce(CtVec.add_ct, (cts[i].mul_pt(pt) for i, pt in terms))
                         for terms in layout.right(mat))
             share = layout.decode(ctx.send_masked("masked_product", products))
-        return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s,
-                                    label)
+        return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s)
 
 
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
-                     q_shape: tuple, k_shape: tuple, transpose_right: bool = True,
+                     q_shape: tuple, k_shape: tuple,
                      label: str = "mmshared") -> ProtocolOutputShares:
-    """Product of two secret-shared matrices: each party adds its local share
-    product to its shares of two coefficient-packed cross-term matmul
-    invocations with swapped data parties.  Each party's share holds the
-    uniform mask it drew as the weight party of one cross term, so the sum
-    is a uniform sharing without a further exchange.  Outputs field shares
-    at scale 2s."""
+    """Product q k^T of two secret-shared matrices, q of ``q_shape`` (m, n)
+    and k of ``k_shape`` (h, n): each party adds its local share product to
+    its shares of two coefficient-packed cross-term matmul invocations with
+    swapped data parties.  Each party's share holds the uniform mask it drew
+    as the weight party of one cross term, so the sum is a uniform sharing
+    without a further exchange.  Outputs field shares at scale 2s."""
     m, n = q_shape
-    if transpose_right:
-        h, n2 = k_shape
-    else:
-        n2, h = k_shape
+    h, n2 = k_shape
     if n2 != n:
         raise ShapeMismatch(f"inner dimensions differ: {n} vs {n2}")
     if q_share.domain != FIELD or k_share.domain != FIELD:
@@ -201,7 +193,7 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
     p = ctx.fp.p
     q_mat = q_share.payload.reshape(q_shape)
     k_mat = k_share.payload.reshape(k_shape)
-    rt = k_mat.T.copy() if transpose_right else k_mat
+    rt = k_mat.T.copy()
     with ctx.session.phase(label):
         local = matmod(q_mat, rt, p).ravel()
         # cross term 1: A's q-share against B's k-share
@@ -214,4 +206,4 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
                        packed=True)
         total = local + c1.share.payload + c2.share.payload
         share = ctx.field_share(total % np.uint64(p))
-        return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s, label)
+        return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s)

@@ -67,4 +67,4 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
             ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
             [share] = ctx.send_masked("result", [ct_y])
-        return ProtocolOutputShares(ctx.field_share(share), shape, out_scale, label)
+        return ProtocolOutputShares(ctx.field_share(share), shape, out_scale)

@@ -108,21 +108,25 @@ def test_zero_charge_warns():
 
 
 def test_tcp_loopback_echo():
+    """A 1 MiB frame each way over loopback.  ``connect``'s timeout bounds
+    only the wait for the connection: B computes for longer than it before
+    echoing, and A waits instead of timing out."""
     prof = PROFILES["lan"]
     blob = b"params"
     payload = bytes(np.random.default_rng(0).integers(0, 256, 1 << 20, dtype=np.uint8))
     out = {}
 
     def server():
-        sess = connect("B", ("127.0.0.1", 19731), prof, blob)
+        sess = connect("B", ("127.0.0.1", 19731), prof, blob, timeout=0.5)
         data = sess.recv("blob")
+        time.sleep(1.0)
         sess.send("echo", data)
         out["b"] = sess.report()
         sess.close()
 
     th = threading.Thread(target=server, daemon=True)
     th.start()
-    sess = connect("A", ("127.0.0.1", 19731), prof, blob)
+    sess = connect("A", ("127.0.0.1", 19731), prof, blob, timeout=0.5)
     sess.send("blob", payload)
     back = sess.recv("echo")
     th.join(timeout=10)

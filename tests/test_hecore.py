@@ -45,11 +45,23 @@ def test_keygen_roundtrip_zero_and_random():
 
 
 def test_wrong_key_rejected():
-    be, _ = backends()
-    ka, kb = be.keygen("A"), be.keygen("B")
-    ct = be.encrypt(np.arange(64, dtype=np.uint64), ka.public)
-    with pytest.raises(KeyMismatch):
-        be.decrypt(ct, kb)
+    """Both backends fail the same way on ciphertexts that do not belong
+    together: another party's key, another component count, another
+    backend's wire form."""
+    for be, other in zip(backends(), backends()[::-1]):
+        ka, kb = be.keygen("A"), be.keygen("B")
+        ct = be.encrypt(np.arange(64, dtype=np.uint64), ka.public)
+        with pytest.raises(KeyMismatch):
+            be.decrypt(ct, kb)
+        with pytest.raises(KeyMismatch):
+            be.add_ct(ct, be.encrypt(np.arange(64, dtype=np.uint64), kb.public))
+        wide = (type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3) if be.kind == "clear"
+                else type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits))
+        with pytest.raises(MalformedBytes):
+            be.add_ct(ct, wide)
+        with pytest.raises(MalformedBytes):
+            be.deserialize(other.serialize(other.encrypt(np.arange(64, dtype=np.uint64),
+                                                         other.keygen("A"))))
 
 
 def test_simd_plaintext_pack():
