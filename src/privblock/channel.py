@@ -1,15 +1,19 @@
 """Two-party transport with byte/round accounting and simulated network timing.
 
 A ``Session`` is one side of one logical conversation.  Both endpoints log
-every metered message with a step label and ``FRAME_OVERHEAD + len(payload)``
+every metered message with a step label and ``FRAME_OVERHEAD + length``
 bytes, so a finished run yields identical ``CostReport`` objects on both sides
-on either transport: the in-process pair queues payloads, and only TCP writes
-``magic(4) | length(4, big-endian) | payload``.  Frames are written in place:
-a sender hands over one buffer (``PartyCtx.send_cts`` serializes each
-ciphertext straight into its slice), TCP sends it behind its header in one
-``sendmsg``, and a TCP receiver reserves one buffer of the declared length
-(virtual memory, resident only as bytes land) and ``recv_into``s the payload,
-one kernel-to-user copy.  ``recv`` returns a memoryview on both transports.
+on either transport: the in-process pair queues a frame's chunks (the first
+with the length), and only TCP writes ``magic(4) | length(4, big-endian) |
+payload``.  A frame is a stream of chunks.  ``send`` declares the length,
+then writes each buffer its iterable yields before the next one is produced
+(``PartyCtx.send_cts`` serializes a few ciphertexts into each; TCP sends the
+header with the first in one ``sendmsg``).  ``recv_chunks`` yields the
+payload piece by piece: TCP ``recv_into``s each piece into one reused chunk
+buffer, one kernel-to-user copy, and a receiver that expects a length
+rejects any other before it reserves or reads a payload byte.  A single
+buffer is the one-chunk case of ``send``, and ``recv`` returns a whole frame
+as a memoryview on both transports.
 Simulated time is computed
 analytically from the transcript: ``latency + 8 * frame_bytes / bandwidth``
 per message along the (sequential) critical path, never by sleeping.
@@ -43,6 +47,10 @@ class PeerClosed(IoError):
 
 class HandshakeMismatch(ValueError):
     pass
+
+
+class ShapeMismatch(ValueError):
+    """A message or operand whose size is not the one the protocol expects."""
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,10 @@ class Session:
     sessions are independent.
     """
 
+    # whether each chunk handed to ``send`` is copied out before the next is
+    # produced, so that its buffer may be refilled
+    copies_chunks = False
+
     def __init__(self, role: str, profile: NetworkProfile):
         assert role in (A, B)
         self.role = role
@@ -176,11 +188,15 @@ class Session:
         self._label_stack = []
         self._agreed = None  # the fingerprint both parties handshook on
 
-    # -- payload transport, provided by subclass ----------------------------
-    def _send_bytes(self, payload: bytes):
+    # -- frame transport, provided by subclass -------------------------------
+    def _send_chunks(self, length: int, chunks):
+        """Write one frame of ``length`` bytes, the buffers ``chunks`` yields."""
         raise NotImplementedError
 
-    def _recv_bytes(self) -> bytes:
+    def _recv_frame(self, chunk: int | None):
+        """The next frame's declared payload length, and a generator that
+        reads and yields its payload (pieces of ``chunk`` bytes, or one
+        piece, where the transport chooses) once it is iterated."""
         raise NotImplementedError
 
     def close(self):
@@ -207,20 +223,40 @@ class Session:
         finally:
             self.pop_phase()
 
-    def send(self, label: str, payload: bytes, metered: bool = True):
-        self._send_bytes(payload)
+    def send(self, label: str, payload, metered: bool = True, length: int | None = None):
+        """Send one frame: the buffer ``payload``, or, given the frame's
+        ``length``, the buffers of the iterable ``payload`` (its chunks),
+        each written before the next is produced, on this thread, so the
+        sender's work stays on the sender's thread."""
+        if length is None:
+            payload, length = [payload], len(payload)
+        self._send_chunks(length, payload)
         if metered:
             self.ledger.log_frame(self.role, self._qualify(label),
-                                  FRAME_OVERHEAD + len(payload))
+                                  FRAME_OVERHEAD + length)
 
-    def recv(self, label: str, metered: bool = True) -> memoryview:
-        """The payload, as a memoryview of the transport's buffer: it slices
-        and compares like bytes; take ``bytes()`` of a slice to decode it."""
-        payload = memoryview(self._recv_bytes())
+    def recv_chunks(self, label: str, length: int | None = None,
+                    chunk: int | None = None, metered: bool = True):
+        """Yield the next frame's payload in order as memoryviews: pieces of
+        ``chunk`` bytes (the last one shorter) over TCP, read into one
+        buffer that the next piece overwrites, and the sender's chunks on
+        the pair.  A declared length other than ``length`` raises
+        ``ShapeMismatch`` before a payload byte is reserved or read.  The
+        frame is metered once its last byte is read."""
+        declared, pieces = self._recv_frame(chunk)
+        if length is not None and declared != length:
+            raise ShapeMismatch(f"{self._qualify(label)}: a frame of {declared} "
+                                f"bytes, expected {length}")
+        yield from pieces
         if metered:
             self.ledger.log_frame(self.peer_role, self._qualify(label),
-                                  FRAME_OVERHEAD + len(payload))
-        return payload
+                                  FRAME_OVERHEAD + declared)
+
+    def recv(self, label: str, metered: bool = True) -> memoryview:
+        """The whole payload, in a buffer of its own: it slices and compares
+        like bytes; take ``bytes()`` of a slice to decode it."""
+        pieces = list(self.recv_chunks(label, metered=metered))
+        return pieces[0] if len(pieces) == 1 else memoryview(b"".join(pieces))
 
     def charge(self, label: str, bytes_ab: int, bytes_ba: int, rounds: int,
                warn_zero: bool = False):
@@ -263,16 +299,39 @@ class PairSession(Session):
         self._outbox = outbox
         self.last_io = time.monotonic()  # when a message last moved
 
-    def _send_bytes(self, payload: bytes):
-        self._outbox.put(payload)
+    def _put(self, item):
+        self._outbox.put(item)
         self.last_io = time.monotonic()
 
-    def _recv_bytes(self) -> bytes:
-        payload = self._inbox.get()
+    def _get(self):
+        item = self._inbox.get()
         self.last_io = time.monotonic()
-        if payload is None:
+        if item is None:
             raise PeerClosed("peer closed the pair")
-        return payload
+        return item
+
+    def _send_chunks(self, length, chunks):
+        first = True
+        for chunk in chunks:
+            # the length rides with the first chunk: a one-chunk frame is
+            # one item on the queue
+            self._put((length, chunk) if first else chunk)
+            first = False
+        if first:
+            self._put((length, b""))
+
+    def _recv_frame(self, chunk):
+        length, first = self._get()
+        return length, self._pieces(length, first)
+
+    def _pieces(self, length, piece):
+        got = len(piece)
+        if got:
+            yield memoryview(piece)
+        while got < length:
+            piece = self._get()
+            got += len(piece)
+            yield memoryview(piece)
 
     def close(self):
         self._outbox.put(None)
@@ -287,20 +346,27 @@ def make_pair(profile: NetworkProfile) -> tuple[PairSession, PairSession]:
 class TcpSession(Session):
     """TCP-backed session; it alone writes and checks each frame's header."""
 
+    copies_chunks = True
+
     def __init__(self, role, profile, sock: socket.socket):
         super().__init__(role, profile)
         self._sock = sock
 
-    def _send_bytes(self, payload: bytes):
-        head = MAGIC + struct.pack(">I", len(payload))
-        body = memoryview(payload)
+    def _send_chunks(self, length, chunks):
+        head = MAGIC + struct.pack(">I", length)
         try:
-            # one write for header and payload, without copying the payload
-            sent = self._sock.sendmsg([head, body])
-            if sent < len(head):
-                self._sock.sendall(head[sent:])
-            if sent < len(head) + len(body):
-                self._sock.sendall(body[max(sent - len(head), 0):])
+            for chunk in chunks:
+                body = memoryview(chunk)
+                # the header goes out in one write with the first chunk;
+                # no chunk is copied
+                n = self._sock.sendmsg([head, body])
+                if n < len(head):
+                    self._sock.sendall(head[n:])
+                if n < len(head) + len(body):
+                    self._sock.sendall(body[max(n - len(head), 0):])
+                head = b""
+            if head:
+                self._sock.sendall(head)
         except OSError as e:
             raise IoError(str(e)) from e
 
@@ -312,19 +378,24 @@ class TcpSession(Session):
                 raise PeerClosed("connection closed mid-frame")
             got += n
 
-    def _recv_bytes(self) -> np.ndarray:
+    def _recv_frame(self, chunk):
         head = bytearray(FRAME_OVERHEAD)
         self._recv_into(memoryview(head))
         if head[:4] != MAGIC:
             raise IoError("bad frame magic")
         (length,) = struct.unpack(">I", head[4:])
+        return length, self._pieces(length, max(chunk or length, 1))
+
+    def _pieces(self, length, chunk):
         try:
             # reserved virtually: pages become resident as the payload lands
-            payload = np.empty(length, np.uint8)
+            buf = memoryview(np.empty(min(chunk, length), np.uint8))
         except MemoryError as e:
             raise IoError(f"cannot reserve a frame of {length} bytes") from e
-        self._recv_into(memoryview(payload))
-        return payload
+        for start in range(0, length, chunk):
+            piece = buf[:min(chunk, length - start)]
+            self._recv_into(piece)
+            yield piece
 
     def close(self):
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -207,13 +208,20 @@ def cmd_party(args) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far (``ru_maxrss``, in KiB on
+    Linux), in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def _print_report(report, err, wall, protocol, dims):
     out = sys.stdout
     out.write(f"protocol={protocol} shape={dims}\n")
     out.write(f"bytes_a={report.bytes_sent['A']} bytes_b={report.bytes_sent['B']} "
               f"total={report.total_bytes}\n")
     out.write(f"messages={report.message_count} rounds={report.round_count} "
-              f"simulated_time={report.simulated_time:.6f}s wall={wall:.3f}s\n")
+              f"simulated_time={report.simulated_time:.6f}s wall={wall:.3f}s "
+              f"peak_rss_mb={_peak_rss_mb():.1f}\n")
     if err == err:  # not NaN
         out.write(f"max_abs_err={err:.3e}\n")
     for label, ph in sorted(report.phases.items()):

@@ -22,6 +22,7 @@ supplies only its arithmetic and the noise update of each op:
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -109,11 +110,16 @@ def parse_header(data: bytes, params: HeParams):
 
 def read_ct(params: HeParams, data: bytes, backend_id: int, dtype: str, count: int = -1):
     """The inverse of ``write_ct``: (ncomp, owner, noise_bits, body) of a
-    whole ciphertext of backend ``backend_id``, the body its first ``count``
-    words (every word by default) of ``dtype`` after the header, unconverted."""
+    whole two-component ciphertext of backend ``backend_id`` whose noise
+    estimate is finite and not negative, the body its first ``count`` words
+    (every word by default) of ``dtype`` after the header, unconverted."""
     ncomp, owner, got_id, noise_bits = parse_header(data, params)
     if got_id != backend_id:
         raise MalformedBytes("ciphertext from a different backend")
+    if ncomp != 2:
+        raise MalformedBytes(f"a ciphertext of {ncomp} components, expected 2")
+    if not (math.isfinite(noise_bits) and noise_bits >= 0):
+        raise MalformedBytes(f"a noise estimate of {noise_bits} bits")
     if len(data) != ct_bytes(params, ncomp):
         raise MalformedBytes("truncated or padded ciphertext stream")
     body = np.frombuffer(data, dtype=dtype, count=count, offset=HEADER_BYTES)
@@ -158,13 +164,16 @@ def check_decrypt(params: HeParams, ct, keypair):
 
 def check_product(params: HeParams, pairs, public, max_fan_in: int) -> tuple:
     """The (x, y) pairs of a sum of products as a list, and the noise bits
-    of the sum: 1 to ``max_fan_in`` pairs under one key, a public key with
-    relinearization, and budget left after the product."""
+    of the sum: 1 to ``max_fan_in`` pairs of two-component ciphertexts
+    under one key, a public key with relinearization, and budget left after
+    the product."""
     pairs = list(pairs)
     if not 1 <= len(pairs) <= max_fan_in:
         raise ParamError(f"a sum of {len(pairs)} ct*ct products; the auxiliary "
                          f"basis allows 1 to {max_fan_in}")
     check_same_key(*(ct for pair in pairs for ct in pair))
+    if pairs[0][0].ncomp != 2:
+        raise MalformedBytes(f"ct*ct of {pairs[0][0].ncomp}-component operands")
     if not public.has_relin:
         raise MissingRelinKey("relinearization key required for ct*ct")
     nb = noise.mul_ct_bits(params, [(x.noise_bits, y.noise_bits) for x, y in pairs])

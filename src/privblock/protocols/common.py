@@ -8,8 +8,13 @@ backend's constant polynomial and reaches the tail slots too, so a tail
 slot holds zero or a value computed from public constants, never a secret
 or a mask.  Protocols encrypt, operate on,
 frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
-hold all ciphertext framing, and ``recv_cts`` rejects a frame that does not
-hold exactly the ciphertexts of the sizes it expects.
+hold all ciphertext framing.  A frame streams: the sender takes each vector
+from its iterable only as its chunk fills, and the receiver yields each
+vector once its bytes have arrived.  Over TCP the chunks hold the most whole
+ciphertexts that fit in ``CHUNK_BYTES`` (at least one), so neither side
+holds a whole frame; on the in-process pair a frame is one chunk.
+``recv_cts`` rejects a frame that does not hold exactly the ciphertexts of
+the sizes it expects before reading any of it.
 
 Every protocol is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
@@ -22,19 +27,19 @@ every additive mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from ..channel import Session
+from ..channel import Session, ShapeMismatch
 from ..hecore import create_backend, ct_bytes
 from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, GadgetProvider, Share
 
 MAX_BLOCKS = 64
-
-
-class ShapeMismatch(ValueError):
-    pass
+# a ciphertext frame moves in chunks of the most whole ciphertexts that fit
+# in this many bytes, and at least one
+CHUNK_BYTES = 8 << 20
 
 
 class CapacityExceeded(ValueError):
@@ -202,44 +207,99 @@ class PartyCtx:
         out = np.concatenate([self.backend.decrypt(ct, self.keypair) for ct in vec.cts])
         return out[:vec.size]
 
-    def send_cts(self, label: str, *vecs: CtVec):
-        """Send the encrypted vectors as one frame: each ciphertext is
-        serialized in place into its slice of one zero-filled buffer, whose
-        untouched padding pages cost no memory (``np.zeros`` is calloc)."""
-        cts = [ct for vec in vecs for ct in vec.cts]
-        for ct in cts:
-            if ct.ncomp != 2:
-                raise ShapeMismatch(f"{label}: a ciphertext of {ct.ncomp} "
-                                    f"components, expected 2")
+    def _chunk_cts(self) -> tuple:
+        """(ciphertext bytes, ciphertexts per frame chunk)."""
         width = ct_bytes(self.he_params, 2)
-        frame = np.zeros(len(cts) * width, np.uint8)
-        for i, ct in enumerate(cts):
-            self.backend.serialize(ct, frame[i * width:(i + 1) * width])
-        self.session.send(label, frame)
+        return width, max(1, CHUNK_BYTES // width)
 
-    def recv_cts(self, label: str, *sizes: int) -> list:
-        """Receive one frame holding encrypted vectors of ``sizes`` values."""
+    def _cts_of(self, label: str, vecs, sizes):
+        """Yield the ciphertexts of the encrypted vectors ``vecs``, checking
+        each vector as it is taken: ``ShapeMismatch`` for a vector of other
+        than its size in ``sizes``, a ciphertext of other than 2 components,
+        or a count of vectors other than ``len(sizes)``."""
+        vecs = iter(vecs)
+        for size in sizes:
+            vec = next(vecs, None)
+            if vec is None:
+                raise ShapeMismatch(f"{label}: fewer than {len(sizes)} encrypted vectors")
+            if vec.size != size:
+                raise ShapeMismatch(f"{label}: an encrypted vector of {vec.size} "
+                                    f"values, expected {size}")
+            for ct in vec.cts:
+                if ct.ncomp != 2:
+                    raise ShapeMismatch(f"{label}: a ciphertext of {ct.ncomp} "
+                                        f"components, expected 2")
+                yield ct
+        if next(vecs, None) is not None:
+            raise ShapeMismatch(f"{label}: more than {len(sizes)} encrypted vectors")
+
+    def send_cts(self, label: str, vecs, *sizes: int):
+        """Send the encrypted vectors of ``vecs``, of ``sizes`` values, as
+        one frame.  A list or tuple is checked whole before a byte is sent.
+        Any other iterable (which must not use the session) is read, and
+        each vector checked, only when the chunk it goes in is filled; so
+        over TCP a bad vector past the first chunk raises after the header
+        and the earlier chunks are on the wire, and the peer, holding a cut
+        frame, sees ``PeerClosed`` once the sender closes.  Each ciphertext
+        is serialized in place into its slice of a zero-filled buffer,
+        whose untouched padding pages cost no memory (``np.zeros`` is
+        calloc).  Chunks bound memory only on a transport that copies each
+        one out before the next, which then refills one buffer; the pair's
+        queue keeps what it is given, so there the frame is one chunk."""
+        width, per_chunk = self._chunk_cts()
+        count = sum(map(self.n_blocks, sizes))
+        if not self.session.copies_chunks:
+            per_chunk = max(count, 1)
+        cts = self._cts_of(label, vecs, sizes)
+        if isinstance(vecs, (list, tuple)):
+            cts = iter(list(cts))
+
+        def chunks():
+            # each ciphertext rewrites the same bytes of its slice, so a
+            # refilled buffer's padding stays zero
+            buf = np.zeros(min(per_chunk, count) * width, np.uint8)
+            for start in range(0, count, per_chunk):
+                chunk = buf[:min(per_chunk, count - start) * width]
+                for at in range(0, len(chunk), width):
+                    self.backend.serialize(next(cts), chunk[at:at + width])
+                yield chunk
+            next(cts, None)  # check that no vector is left over
+
+        self.session.send(label, chunks(), length=count * width)
+
+    def recv_cts(self, label: str, *sizes: int):
+        """Yield the encrypted vectors of ``sizes`` values of one frame, each
+        once its ciphertexts have arrived; consume them all.  A frame of
+        any other length raises ``ShapeMismatch`` before it is read."""
         counts = [self.n_blocks(size) for size in sizes]
-        width = ct_bytes(self.he_params, 2)
-        payload = self.session.recv(label)
-        if len(payload) != sum(counts) * width:
-            raise ShapeMismatch(f"{label}: frame of {len(payload)} bytes, expected "
-                                f"{sum(counts)} ciphertexts of {width} bytes")
-        cts = iter([self.backend.deserialize(payload[i:i + width])
-                    for i in range(0, len(payload), width)])
-        return [CtVec(self, (next(cts) for _ in range(count)), size)
-                for size, count in zip(sizes, counts)]
+        width, per_chunk = self._chunk_cts()
+        chunks = self.session.recv_chunks(label, sum(counts) * width, per_chunk * width)
+        cts = (self.backend.deserialize(chunk[at:at + width])
+               for chunk in chunks for at in range(0, len(chunk), width))
+        if not sizes:
+            next(cts, None)  # an empty frame: read its header, which meters it
+        for k, (size, count) in enumerate(zip(sizes, counts), 1):
+            vec = CtVec(self, islice(cts, count), size)
+            if k == len(sizes):
+                next(cts, None)  # read to the end of the frame, which meters it
+            yield vec
 
     # -- HE <-> share conversions -------------------------------------------
-    def send_masked(self, label: str, vecs, bits: int | None = None) -> list:
+    def send_masked(self, label: str, vecs, *sizes: int,
+                    bits: int | None = None) -> list:
         """Subtract a fresh ``mask(bits=bits)`` from each vector of the
-        iterable ``vecs`` (under the peer's key) as it arrives, send them as
-        one frame and return the masks: this party's shares."""
-        masks, masked = [], []
-        for vec in vecs:
-            masks.append(self.mask(vec.size, bits))
-            masked.append(vec.sub_pt(masks[-1]))
-        self.send_cts(label, *masked)
+        iterable ``vecs`` (under the peer's key, of ``sizes`` values) as it
+        is sent in one frame; return the masks: this party's shares."""
+        if isinstance(vecs, (list, tuple)):
+            list(self._cts_of(label, vecs, sizes))  # checked whole before a byte is sent
+        masks = []
+
+        def masked():
+            for vec in vecs:
+                masks.append(self.mask(vec.size, bits))
+                yield vec.sub_pt(masks[-1])
+
+        self.send_cts(label, masked(), *sizes)
         return masks
 
     def recv_decrypted(self, label: str, *sizes: int) -> list:
@@ -247,13 +307,14 @@ class PartyCtx:
         return [self.decrypt(vec) for vec in self.recv_cts(label, *sizes)]
 
     def send_encrypted(self, label: str, *shares):
-        """Encrypt each share under this party's key; send them as one frame."""
-        self.send_cts(label, *[self.encrypt(sh) for sh in shares])
+        """Encrypt each share under this party's key as it is sent in one
+        frame."""
+        self.send_cts(label, map(self.encrypt, shares), *map(len, shares))
 
     def recv_added(self, label: str, *shares) -> list:
         """The peer's ``send_encrypted`` frame, this party's share added to
         each vector: the shared values under the peer's key."""
-        got = self.recv_cts(label, *[len(sh) for sh in shares])
+        got = self.recv_cts(label, *map(len, shares))
         return [vec.add_pt(sh) for vec, sh in zip(got, shares)]
 
 
@@ -278,7 +339,8 @@ def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
     matrix ``vec`` (under B's key) with a fresh mask r and send it with A's
     encryption of the row sums of r."""
     r = ctx.mask(vec.size)
-    ctx.send_cts(label, vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p)))
+    ctx.send_cts(label, [vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p))],
+                 vec.size, shape[0])
 
 
 def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> CtVec:

@@ -112,8 +112,9 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
     # x is masked uniformly, the squares below the field for A's lift
     rx = ctx.mask(n_vals)
     r2 = [ctx.mask(n_vals, bits=vb_sq) for _ in plan]
-    ctx.send_cts("input_and_squares", ct_x.sub_pt(rx),
-                 *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)])
+    ctx.send_cts("input_and_squares",
+                 [ct_x.sub_pt(rx), *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)]],
+                 *[n_vals] * (1 + len(plan)))
     x_ring = ctx.provider.field_to_ring(ctx.field_share(rx))
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
@@ -124,7 +125,8 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
     keys = _power_keys(plan)
     rmask = ctx.send_masked("masked_powers",
                             (ct_t2s[i].mul_ct(ct_t[i]).add_pt(off3) if j == 3
-                             else ct_t2s[i].square() for i, j in keys), bits=vb_hi)
+                             else ct_t2s[i].square() for i, j in keys),
+                            *[n_vals] * len(keys), bits=vb_hi)
     got = ctx.recv_added("power_shares", *[r >> np.uint64(s) for r in rmask])
     ct_pow = {(i, j): ct.sub_pt(off3 >> s) if j == 3 else ct
               for (i, j), ct in zip(keys, got)}
@@ -144,7 +146,7 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
         tails = tails.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
     else:
         pairs.append((ct_b[-1], ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))))
-    [mask] = ctx.send_masked("result", [CtVec.mul_ct_sum(pairs).add_ct(tails)])
+    [mask] = ctx.send_masked("result", [CtVec.mul_ct_sum(pairs).add_ct(tails)], n_vals)
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy)
 
 

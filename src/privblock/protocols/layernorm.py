@@ -79,7 +79,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         if ctx.role == "B":
             ctx.send_encrypted("ashare", a_f.payload)
             ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
-            [v] = ctx.send_masked("masked_rowsum", [ct_k])
+            [v] = ctx.send_masked("masked_rowsum", [ct_k], m)
             inv = _invsqrt(ctx, ctx.field_share(v), sa, s_inv)
             ctx.send_encrypted("invsqrt_share", np.repeat(inv.payload, n))
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n)
@@ -89,7 +89,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
             bs = encode_int(params.beta, ctx.fp, FIELD, LN_OUT_SCALE)
             ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))
-            [share] = ctx.send_masked("result", [ct_y])
+            [share] = ctx.send_masked("result", [ct_y], m * n)
         else:
             [ct_a] = ctx.recv_added("ashare", a_f.payload)
             send_masked_rows(ctx, "masked_square", ct_a.square(), shape)
@@ -99,8 +99,9 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             # statistically-masked decrypt-side rescale of the ratio
             ct_off = ct_a.mul_ct(ct_inv).add_pt(1 << (sa + s_inv))
             smask = ctx.mask(m * n, bits=sa + s_inv)
-            ctx.send_cts("masked_ratio", ct_off.sub_pt(smask),
-                         ctx.encrypt(smask >> np.uint64(shift)))
+            ctx.send_cts("masked_ratio",
+                         [ct_off.sub_pt(smask), ctx.encrypt(smask >> np.uint64(shift))],
+                         m * n, m * n)
             [share] = ctx.recv_decrypted("result", m * n)
         return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE)
 

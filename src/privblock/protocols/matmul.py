@@ -1,9 +1,10 @@
 """Rotation-free secure matrix multiplication, in two layouts.
 
-One protocol serves both: the data party encrypts a list of plaintext
-vectors and sends them; the weight party multiply-accumulates each output
-vector from its inputs by ciphertext*plaintext products, subtracts uniform
-mask slots and returns it; the data party decrypts.  No slot is ever
+One protocol serves both: the data party encrypts a sequence of plaintext
+vectors, each as it is sent; the weight party multiply-accumulates every
+input into its running output sums by ciphertext*plaintext products as the
+input arrives, subtracts uniform mask slots and returns the sums; the data
+party decrypts.  No slot is ever
 rotated.  The layouts differ only in their encoders and their decoder.
 
 - Slot-replicated (the paper's protocol, the default): the data party
@@ -37,17 +38,19 @@ import numpy as np
 from ..hecore.ntt import get_plan
 from ..modarith import matmod
 from ..sharing import FIELD, Share
-from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
+from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
 
 
-def expand_left(mat: np.ndarray, h: int) -> list:
-    """Row j of the expanded left operand: entry (i*h + c) = mat[i, j]."""
-    return [np.repeat(mat[:, j], h) for j in range(mat.shape[1])]
+def expand_left(mat: np.ndarray, h: int):
+    """Yield row j of the expanded left operand: entry (i*h + c) = mat[i, j]."""
+    for j in range(mat.shape[1]):
+        yield np.repeat(mat[:, j], h)
 
 
-def expand_right(mat: np.ndarray, m: int) -> list:
-    """Row j of the expanded right operand: entry (i*h + c) = mat[j, c]."""
-    return [np.tile(mat[j, :], m) for j in range(mat.shape[0])]
+def expand_right(mat: np.ndarray, m: int):
+    """Yield row j of the expanded right operand: entry (i*h + c) = mat[j, c]."""
+    for j in range(mat.shape[0]):
+        yield np.tile(mat[j, :], m)
 
 
 def _widths(d: int) -> list:
@@ -87,8 +90,9 @@ class _Replicated:
         return expand_left(mat, self.shape[2])
 
     def right(self, mat):
-        """Each output's (input index, plaintext) terms."""
-        yield list(enumerate(expand_right(mat, self.shape[0])))
+        """Each input's (output index, plaintext) terms, in input order."""
+        for row in expand_right(mat, self.shape[0]):
+            yield [(0, row)]
 
     def decode(self, outs: list) -> np.ndarray:
         return outs[0]
@@ -124,13 +128,13 @@ class _Packed:
             yield self._poly(block, m_w, n_w * h_w, flip=False)
 
     def right(self, mat):
+        """Each input's (output index, plaintext) terms, in input order."""
         _, n_w, h_w = self.widths
         bm, bn, bh = self.blocks
-        for bk in range(bh):
-            col = [self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
-                              h_w, n_w, flip=True) for bj in range(bn)]
-            for bi in range(bm):
-                yield [(bi * bn + bj, pt) for bj, pt in enumerate(col)]
+        rows = [[self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
+                            h_w, n_w, flip=True) for bk in range(bh)] for bj in range(bn)]
+        for bi, bj in product(range(bm), range(bn)):
+            yield [(bk * bm + bi, pt) for bk, pt in enumerate(rows[bj])]
 
     def decode(self, outs: list) -> np.ndarray:
         m_w, n_w, h_w = self.widths
@@ -163,15 +167,19 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
         if ctx.role == data_party:
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", *map(ctx.encrypt, layout.left(mat)))
+            ctx.send_cts("inputs", map(ctx.encrypt, layout.left(mat)), *layout.in_sizes)
             share = layout.decode(ctx.recv_decrypted("masked_product", *layout.out_sizes))
         else:
             if mat.shape != (n, h):
                 raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
-            cts = ctx.recv_cts("inputs", *layout.in_sizes)
-            products = (functools.reduce(CtVec.add_ct, (cts[i].mul_pt(pt) for i, pt in terms))
-                        for terms in layout.right(mat))
-            share = layout.decode(ctx.send_masked("masked_product", products))
+            sums = [None] * len(layout.out_sizes)
+            for vec, terms in zip(ctx.recv_cts("inputs", *layout.in_sizes),
+                                  layout.right(mat)):
+                for o, pt in terms:
+                    term = vec.mul_pt(pt)
+                    sums[o] = term if sums[o] is None else sums[o].add_ct(term)
+            share = layout.decode(ctx.send_masked("masked_product", sums,
+                                                  *layout.out_sizes))
         return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s)
 
 

@@ -56,8 +56,8 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
-            ctx.send_cts("denominator", ct_sum.mul_pt(v),
-                         ctx.encrypt(np.repeat(v, d)))
+            ctx.send_cts("denominator", [ct_sum.mul_pt(v), ctx.encrypt(np.repeat(v, d))],
+                         m, n_vals)
             [share] = ctx.recv_decrypted("result", n_vals)
         else:
             [ct_e] = ctx.recv_added("exp_share", e_sh.payload)
@@ -66,5 +66,5 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
             recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
             ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
-            [share] = ctx.send_masked("result", [ct_y])
+            [share] = ctx.send_masked("result", [ct_y], n_vals)
         return ProtocolOutputShares(ctx.field_share(share), shape, out_scale)

@@ -13,6 +13,10 @@ from privblock.channel import (FRAME_OVERHEAD, MAGIC, PROFILES,
                                HandshakeMismatch, IoError, NetworkProfile,
                                PeerClosed, TcpSession, connect, make_pair,
                                run_pair)
+from privblock.hecore import ct_bytes
+from privblock.params import Config, toy_he_params
+from privblock.protocols import ShapeMismatch, common
+from privblock.protocols.common import PartyCtx
 
 
 def test_fresh_session_zero_report():
@@ -184,6 +188,113 @@ def test_tcp_unreservable_declared_length_is_an_io_error(monkeypatch):
         sess.recv("x")
     sess.close()
     raw.close()
+
+
+def _stream_ctx(role, sess, backend):
+    cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
+    ctx = PartyCtx(role, sess, cfg, seed=7)
+    ctx.keypair = ctx.backend.keygen(role)
+    return ctx
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch):
+    """Over TCP, a ciphertext frame of fewer ciphertexts than one chunk
+    holds, of exactly one chunk and of a count that is not a multiple of
+    it is the header and the ciphertexts' ``serialize`` output back to
+    back, and a receiving ``TcpSession`` yields the same ciphertexts."""
+    ours, theirs = socket.socketpair()
+    ctx = _stream_ctx("A", TcpSession("A", PROFILES["lan"], ours), backend)
+    width = ct_bytes(ctx.he_params, 2)
+    monkeypatch.setattr(common, "CHUNK_BYTES", 3 * width)
+    into, out = socket.socketpair()
+    peer = _stream_ctx("B", TcpSession("B", PROFILES["lan"], out), backend)
+    theirs.settimeout(10)
+    for count in (2, 3, 7):
+        sizes = [64] * (count - 2) + [100]  # the last vector spans two ciphertexts
+        vecs = [ctx.encrypt(np.arange(size, dtype=np.uint64) * count) for size in sizes]
+        ctx.send_cts("x", iter(vecs), *sizes)
+        blobs = b"".join(ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts)
+        want = MAGIC + struct.pack(">I", count * width) + blobs
+        got = bytearray()
+        while len(got) < len(want):
+            got += theirs.recv(len(want) - len(got))
+        assert got == want
+        into.sendall(got)
+        back = b"".join(peer.backend.serialize(ct) for vec in peer.recv_cts("x", *sizes)
+                        for ct in vec.cts)
+        assert back == blobs
+    assert peer.session.report().to_dict() == ctx.session.report().to_dict()
+    for sock in (ours, theirs, into, out):
+        sock.close()
+
+
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_empty_ciphertext_frame_is_read_and_metered(transport):
+    """A frame of no encrypted vectors is sent, read and metered like any
+    other, so the frame after it is read in its place on both sides."""
+    if transport == "pair":
+        sa, sb = make_pair(PROFILES["lan"])
+    else:
+        ours, theirs = socket.socketpair()
+        sa, sb = (TcpSession("A", PROFILES["lan"], ours),
+                  TcpSession("B", PROFILES["lan"], theirs))
+    ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
+    x = np.arange(100, dtype=np.uint64)
+    ctx.send_cts("none", [])
+    ctx.send_cts("x", [ctx.encrypt(x)], 100)
+    assert list(peer.recv_cts("none")) == []
+    [vec] = peer.recv_cts("x", 100)
+    assert (ctx.decrypt(vec) == x).all()
+    assert sb.report().to_dict() == sa.report().to_dict()
+    assert sa.report().bytes_sent["A"] == 2 * FRAME_OVERHEAD + 2 * ct_bytes(ctx.he_params, 2)
+    sa.close()
+    sb.close()
+
+
+def test_tcp_ciphertext_frame_length_is_checked_before_its_payload(monkeypatch):
+    """A ciphertext frame declaring 2^32 - 1 bytes where 2 ciphertexts are
+    expected raises ``ShapeMismatch`` before a payload buffer is reserved
+    or a payload byte read: the bytes after the header stay unread."""
+    ours, theirs = socket.socketpair()
+    ctx = _stream_ctx("B", TcpSession("B", PROFILES["lan"], ours), "clear")
+    theirs.sendall(MAGIC + struct.pack(">I", 0xFFFFFFFF) + b"payload")
+
+    def no_reserve(*args, **kwargs):
+        raise AssertionError("a payload buffer was reserved")
+
+    monkeypatch.setattr(channel.np, "empty", no_reserve)
+    with pytest.raises(ShapeMismatch, match="4294967295 bytes"):
+        list(ctx.recv_cts("x", 100))
+    monkeypatch.undo()
+    ours.settimeout(10)
+    assert ours.recv(64) == b"payload"
+    ours.close()
+    theirs.close()
+
+
+def test_pair_chunks_are_produced_on_the_sender_thread():
+    """The pair transport queues each chunk of a frame as the sender's
+    thread produces it; the receiver gets the chunks in order, and the
+    frame is metered once, at its declared length, on both sides."""
+    made = []
+
+    def chunks():
+        for i in range(3):
+            made.append(threading.get_ident())
+            yield bytes([i]) * (i + 1)
+
+    def fa(sess):
+        sess.send("x", chunks(), length=6)
+        return threading.get_ident()
+
+    def fb(sess):
+        return [bytes(piece) for piece in sess.recv_chunks("x", 6)], sess.report()
+
+    ident, (pieces, rep) = run_pair(fa, fb)
+    assert made == [ident] * 3
+    assert pieces == [b"\x00", b"\x01\x01", b"\x02\x02\x02"]
+    assert rep.bytes_sent == {"A": FRAME_OVERHEAD + 6, "B": 0}
 
 
 def test_tcp_and_pair_meter_the_same_frame():

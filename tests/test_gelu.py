@@ -47,6 +47,11 @@ TOTAL_TANH = approx.fit_segments(
     approx.FitSpec(approx.tanh_exact, degree=4),
     [-4.60, -approx.TANH_X1, 0.0, approx.TANH_X1, 4.60],
     ("const", -1.0), ("const", 1.0), name="tanh_total")
+# quadratic segments: no cube or quartic, so the power frames hold no vector
+QUADRATIC_TANH = approx.fit_segments(
+    approx.FitSpec(approx.tanh_exact, degree=2),
+    [-4.60, -approx.TANH_X1, 0.0, approx.TANH_X1, 4.60],
+    ("const", -1.0), ("const", 1.0), name="tanh_quadratic")
 
 
 def test_published_spot_values(toy_cfg, pair_runner):
@@ -110,8 +115,10 @@ def test_cost_formula_exact(toy_cfg, pair_runner):
     assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 4, 32)
 
 
-@pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH, approx.TANH_TABLE],
-                         ids=["const_tail_gelu", "total_tanh", "shipped_tanh"])
+@pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH, approx.TANH_TABLE,
+                                   QUADRATIC_TANH],
+                         ids=["const_tail_gelu", "total_tanh", "shipped_tanh",
+                              "quadratic_tanh"])
 def test_other_tables_vs_oracle_and_bytes(toy_cfg, pair_runner, table):
     """Selectors, tails and bytes follow the table: a constant right tail is
     that constant, and the count of comparisons and powers is the table's."""

@@ -1,10 +1,13 @@
+import socket
+import struct
+
 import numpy as np
 import pytest
 
 from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
-from privblock.hecore import (KeyMismatch, MalformedBytes, MissingRelinKey,
-                              NoiseExhausted, create_backend, ct_bytes,
+from privblock.hecore import (HEADER_BYTES, KeyMismatch, MalformedBytes,
+                              MissingRelinKey, NoiseExhausted, create_backend, ct_bytes,
                               noise, pack_slots, parse_header)
 from privblock.hecore.clear import ClearPublicKey
 from privblock.hecore.rlwe import RlwePublicKey
@@ -12,7 +15,8 @@ from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
-from privblock.channel import PROFILES, make_pair
+from privblock.channel import PROFILES, TcpSession, make_pair
+from privblock.protocols import common
 from privblock.protocols.common import CtVec, PartyCtx
 from privblock.sharing import reconstruct, share
 
@@ -55,10 +59,8 @@ def test_wrong_key_rejected():
             be.decrypt(ct, kb)
         with pytest.raises(KeyMismatch):
             be.add_ct(ct, be.encrypt(np.arange(64, dtype=np.uint64), kb.public))
-        wide = (type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3) if be.kind == "clear"
-                else type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits))
         with pytest.raises(MalformedBytes):
-            be.add_ct(ct, wide)
+            be.add_ct(ct, _widen(ct))
         with pytest.raises(MalformedBytes):
             be.deserialize(other.serialize(other.encrypt(np.arange(64, dtype=np.uint64),
                                                          other.keygen("A"))))
@@ -174,6 +176,49 @@ def test_serialize_roundtrip_and_malformed():
             be.deserialize(blob[:-7])
         with pytest.raises(MalformedBytes):
             be.deserialize(b"XXXX" + blob[4:])
+
+
+def _widen(ct):
+    """``ct`` with a third component (a copy of its first)."""
+    if hasattr(ct, "slots"):
+        return type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3)
+    return type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits)
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_deserialize_rejects_component_counts_and_noise_fields(backend):
+    """A blob of the right length for 0 or 3 components, or whose noise
+    field is NaN, infinite or negative, is ``MalformedBytes`` on both
+    backends, not a ciphertext that fails later or escapes the budget
+    gates."""
+    be = create_backend(TOY, backend, np.random.default_rng(14))
+    blob = bytearray(be.serialize(be.encrypt(np.arange(64, dtype=np.uint64),
+                                             be.keygen("A").public)))
+    for ncomp in (0, 3):
+        bad = blob[:HEADER_BYTES] + bytes(ct_bytes(TOY, ncomp) - HEADER_BYTES)
+        bad[8] = ncomp
+        with pytest.raises(MalformedBytes, match="components"):
+            be.deserialize(bytes(bad))
+    for noise_bits in (float("nan"), float("inf"), float("-inf"), -1.0):
+        bad = blob[:12] + struct.pack(">f", noise_bits) + blob[16:]
+        with pytest.raises(MalformedBytes, match="noise"):
+            be.deserialize(bytes(bad))
+    blob[12:16] = struct.pack(">f", 0.0)
+    assert be.deserialize(bytes(blob)).noise_bits == 0.0
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_products_reject_three_component_operands(backend):
+    """mul_ct, square and mul_ct_sum of ciphertexts that are not two
+    components wide raise ``MalformedBytes`` on both backends."""
+    be = create_backend(TOY, backend, np.random.default_rng(15))
+    kp = be.keygen("A")
+    wide = _widen(be.encrypt(np.arange(64, dtype=np.uint64), kp.public))
+    for product in (lambda: be.mul_ct(wide, wide, kp.public),
+                    lambda: be.square(wide, kp.public),
+                    lambda: be.mul_ct_sum([(wide, wide)], kp.public)):
+        with pytest.raises(MalformedBytes, match="3-component"):
+            product()
 
 
 def test_wire_sizes_match_across_backends():
@@ -347,18 +392,18 @@ def test_share_conversions_round_trip(pair_runner, backend):
                  for _ in range(3))
 
     def fa(ctx):
-        ctx.send_cts("values", *map(ctx.encrypt, x))
+        ctx.send_cts("values", map(ctx.encrypt, x), 150, 70)
         shares = ctx.recv_decrypted("masked", 150, 70)
         [bounded] = ctx.recv_decrypted("bounded", 70)
         ctx.send_encrypted("shares", *sa)
         return shares, bounded, [ctx.decrypt(v) for v in ctx.recv_cts("sums", 150, 70)]
 
     def fb(ctx):
-        vecs = ctx.recv_cts("values", 150, 70)
+        vecs = list(ctx.recv_cts("values", 150, 70))
         assert [len(v.cts) for v in vecs] == [3, 2]
-        masks = ctx.send_masked("masked", iter(vecs))
-        [bounded] = ctx.send_masked("bounded", vecs[1:], bits=bits)
-        ctx.send_cts("sums", *ctx.recv_added("shares", *sb))
+        masks = ctx.send_masked("masked", iter(vecs), 150, 70)
+        [bounded] = ctx.send_masked("bounded", vecs[1:], 70, bits=bits)
+        ctx.send_cts("sums", ctx.recv_added("shares", *sb), 150, 70)
         return masks, bounded, ctx.mask(5000, bits=bits)
 
     (shares, bounded_a, sums), (masks, bounded_b, many) = pair_runner(cfg, fa, fb)
@@ -374,35 +419,73 @@ def test_share_conversions_round_trip(pair_runner, backend):
 
 @pytest.mark.parametrize("backend", ["clear", "rlwe"])
 def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
-    """The frame ``send_cts`` hands to the session is its ciphertexts'
-    ``serialize`` output end to end; ``serialize(ct, out)`` writes only its
-    own slice of a larger buffer; a ciphertext that is not two components
-    wide is rejected before anything is written."""
+    """The chunks ``send_cts`` hands to a TCP session hold whole
+    ciphertexts, as many as fit in ``CHUNK_BYTES`` (at least one), and
+    join to the ciphertexts' ``serialize`` output end to end; the pair gets
+    the frame as one chunk; ``serialize(ct, out)`` writes only its own
+    slice of a larger buffer.  A list holding a ciphertext that is not two
+    components wide, or of another count of vectors than sizes, is rejected
+    before anything is sent; an iterator is checked as it is read, so the
+    chunks before the one holding the bad ciphertext are handed over."""
     cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
-    sa, _ = make_pair(PROFILES["lan"])
+    width = ct_bytes(cfg.he, 2)
+    monkeypatch.setattr(common, "CHUNK_BYTES", 2 * width + 1)
+    ours, theirs = socket.socketpair()
+    sa = TcpSession("A", PROFILES["lan"], ours)
     ctx = PartyCtx("A", sa, cfg, seed=5)
     ctx.keypair = ctx.backend.keygen("A")
-    vec = ctx.encrypt(np.arange(100, dtype=np.uint64))
-    assert len(vec.cts) == 2
+    vecs = [ctx.encrypt(np.arange(size, dtype=np.uint64)) for size in (100, 150)]
+    assert [len(vec.cts) for vec in vecs] == [2, 3]
     sent = []
-    monkeypatch.setattr(sa, "send", lambda label, payload, metered=True: sent.append(payload))
-    ctx.send_cts("x", vec)
-    blobs = [ctx.backend.serialize(ct) for ct in vec.cts]
-    assert [bytes(frame) for frame in sent] == [b"".join(blobs)]
 
-    width = ct_bytes(cfg.he, 2)
+    def capture(label, chunks, metered=True, length=None):
+        sent.append((label, length, []))
+        for chunk in chunks:
+            sent[-1][2].append(bytes(chunk))
+
+    monkeypatch.setattr(sa, "send", capture)
+    ctx.send_cts("x", vecs, 100, 150)
+    blobs = [ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts]
+    [(label, length, chunks)] = sent
+    assert (label, length) == ("x", 5 * width)
+    assert [len(chunk) for chunk in chunks] == [2 * width, 2 * width, width]
+    assert b"".join(chunks) == b"".join(blobs)
+
+    monkeypatch.setattr(common, "CHUNK_BYTES", 1)  # still one ciphertext a chunk
+    sent.clear()
+    ctx.send_cts("x", vecs[:1], 100)
+    assert sent[0][2] == blobs[:2]
+
+    pair, _ = make_pair(PROFILES["lan"])
+    monkeypatch.setattr(pair, "send", capture)
+    ctx.session = pair
+    sent.clear()
+    ctx.send_cts("x", vecs, 100, 150)
+    assert sent == [("x", 5 * width, [b"".join(blobs)])]
+    ctx.session = sa
+
     buf = np.zeros(width + 16, np.uint8)
     buf[:8] = buf[-8:] = 0xA5
-    ctx.backend.serialize(vec.cts[1], buf[8:-8])
+    ctx.backend.serialize(vecs[0].cts[1], buf[8:-8])
     assert (buf[:8] == 0xA5).all() and (buf[-8:] == 0xA5).all()
     assert buf[8:-8].tobytes() == blobs[1]
 
-    ct = vec.cts[0]
-    wide = (type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3) if backend == "clear"
-            else type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits))
+    monkeypatch.setattr(common, "CHUNK_BYTES", 2 * width)
+    ct = vecs[0].cts[0]
+    bad = [vecs[0], CtVec(ctx, [ct, _widen(ct)], 100)]
+    sent.clear()
     with pytest.raises(ShapeMismatch, match="3 components"):
-        ctx.send_cts("y", CtVec(ctx, [ct, wide], 100))
-    assert len(sent) == 1
+        ctx.send_cts("y", bad, 100, 100)
+    with pytest.raises(ShapeMismatch, match="more than 1 encrypted vectors"):
+        ctx.send_cts("y", vecs, 100)
+    with pytest.raises(ShapeMismatch, match="fewer than 2 encrypted vectors"):
+        ctx.send_masked("y", vecs[:1], 100, 150)
+    assert sent == []
+    with pytest.raises(ShapeMismatch, match="3 components"):
+        ctx.send_cts("y", iter(bad), 100, 100)
+    assert sent == [("y", 4 * width, [b"".join(blobs[:2])])]
+    ours.close()
+    theirs.close()
 
 
 def test_tail_slots_hold_only_public_values(toy_cfg, rlwe_toy_cfg, pair_runner,
@@ -449,11 +532,12 @@ def test_block_headers_are_public(toy_cfg, rlwe_toy_cfg, pair_runner, monkeypatc
     sent = {}
     send_cts = PartyCtx.send_cts
 
-    def recording(ctx, label, *vecs):
+    def recording(ctx, label, vecs, *sizes):
+        vecs = list(vecs)
         for i, ct in enumerate(ct for vec in vecs for ct in vec.cts):
             header = parse_header(ctx.backend.serialize(ct), ctx.he_params)
             sent[ctx.role].append((label, i, header[3]))
-        return send_cts(ctx, label, *vecs)
+        return send_cts(ctx, label, vecs, *sizes)
 
     monkeypatch.setattr(PartyCtx, "send_cts", recording)
     bc = toy_block_config()

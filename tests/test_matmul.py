@@ -1,15 +1,21 @@
+import socket
+import threading
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
-from privblock.channel import FRAME_OVERHEAD
+from privblock.channel import FRAME_OVERHEAD, PROFILES, connect
 from privblock.hecore import ct_bytes
+from privblock.hecore.clear import ClearBackend
 from privblock.hecore.ntt import get_plan
 from privblock.model import toy_block_config
 from privblock.params import Config, toy_he_params
-from privblock.protocols import (CapacityExceeded, ShapeMismatch, costs,
-                                 pi_matmul, pi_matmul_shared)
-from privblock.protocols.matmul import matmod, packed_partition
+from privblock.protocols import (CapacityExceeded, ShapeMismatch, common, costs,
+                                 make_party, pi_matmul, pi_matmul_shared)
+from privblock.protocols.matmul import _Packed, matmod, packed_partition
 from privblock.sharing import reconstruct, share
 
 P = 137438822401
@@ -101,6 +107,74 @@ def test_wrong_size_ciphertext_frame(toy_cfg, pair_runner):
 
     with pytest.raises(ShapeMismatch):
         pair_runner(toy_cfg, lambda ctx: pi_matmul(ctx, a, (2, 2, 2)), fake_b)
+
+
+def test_serialize_runs_on_the_sending_party_thread(toy_cfg, pair_runner, monkeypatch):
+    """On the pair transport every ciphertext a party sends is serialized
+    on that party's own thread, so per-party CPU stays with the party that
+    did the work."""
+    monkeypatch.setattr(common, "CHUNK_BYTES", 2 * ct_bytes(toy_cfg.he, 2))
+    calls, threads = [], {}
+    serialize = ClearBackend.serialize
+
+    def recording(self, ct, out=None):
+        calls.append(threading.get_ident())
+        return serialize(self, ct, out)
+
+    monkeypatch.setattr(ClearBackend, "serialize", recording)
+
+    def party(mat):
+        def run(ctx):
+            threads[ctx.role] = threading.get_ident()
+            return pi_matmul(ctx, mat, (2, 9, 3))
+        return run
+
+    pair_runner(toy_cfg, party(np.ones((2, 9), dtype=np.uint64)),
+                party(np.ones((9, 3), dtype=np.uint64)))
+    # A sends 9 inputs, B one masked product
+    assert Counter(calls) == {threads["A"]: 9, threads["B"]: 1}
+
+
+def test_streamed_matmul_memory_is_bounded_by_chunks(toy_cfg, monkeypatch):
+    """A clear product over TCP loopback whose input frame spans 16 chunks
+    allocates less than half that frame, across both parties, while it
+    runs: neither side ever holds the whole frame."""
+    m, n, h = 4, 64, 8
+    width = ct_bytes(toy_cfg.he, 2)
+    monkeypatch.setattr(common, "CHUNK_BYTES", 4 * width)
+    rng = np.random.default_rng(17)
+    mats = {"A": rng.integers(0, 1 << 20, size=(m, n), dtype=np.uint64),
+            "B": rng.integers(0, 1 << 20, size=(n, h), dtype=np.uint64)}
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        endpoint = probe.getsockname()
+    base = []
+    after_setup = threading.Barrier(
+        2, action=lambda: (tracemalloc.reset_peak(),
+                           base.append(tracemalloc.get_traced_memory()[0])))
+    out = {}
+
+    def party(role):
+        sess = connect(role, endpoint, PROFILES["lan"], toy_cfg.fingerprint())
+        ctx = make_party(role, sess, toy_cfg, seed=4)
+        after_setup.wait(timeout=30)
+        out[role] = pi_matmul(ctx, mats[role], (m, n, h))
+        sess.close()
+
+    tracemalloc.start()
+    try:
+        threads = [threading.Thread(target=party, args=(role,)) for role in "BA"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1] - base[0]
+    finally:
+        tracemalloc.stop()
+    assert not any(t.is_alive() for t in threads)
+    got = reconstruct(out["A"].share, out["B"].share).reshape(m, h)
+    assert np.array_equal(got, matmod(mats["A"], mats["B"], P))
+    assert peak < n * width / 2
 
 
 def test_capacity_guard(toy_cfg, pair_runner):
@@ -219,13 +293,18 @@ def _n64(kind):
 @pytest.mark.parametrize("kind", ["clear", "rlwe"])
 @pytest.mark.parametrize("data_party", ["A", "B"])
 @pytest.mark.parametrize("shape", [(8, 32, 16), (9, 40, 13), (70, 5, 3)])
-def test_packed_exact_mod_p(pair_runner, kind, data_party, shape):
+def test_packed_exact_mod_p(pair_runner, kind, data_party, shape, monkeypatch):
     """Packed products over several blocks of n and h ((70, 5, 3) also of m)
-    equal the Python-int product, and their phase bytes the packed formula."""
+    equal the Python-int product, and their phase bytes the packed formula.
+    Each block of L and of R is packed once, not once per product."""
     cfg = _n64(kind)
     m, n, h = shape
     blocks = [-(-d // w) for d, w in zip(shape, packed_partition(m, n, h, 64))]
     assert blocks[1] > 1 and blocks[2] > 1 and (m < 64 or blocks[0] > 1)
+    packed = []
+    poly = _Packed._poly
+    monkeypatch.setattr(_Packed, "_poly",
+                        lambda self, *args, **kw: packed.append(1) or poly(self, *args, **kw))
     rng = np.random.default_rng(m * n * h)
     a = rng.integers(0, P, size=(m, n), dtype=np.uint64)
     b = rng.integers(0, P, size=(n, h), dtype=np.uint64)
@@ -239,6 +318,8 @@ def test_packed_exact_mod_p(pair_runner, kind, data_party, shape):
     assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % P)
     assert ra.scale == 2 * cfg.fixedpoint.s
     assert _phase_bytes(rep, "matmul") == costs.matmul_bytes(cfg, m, n, h, packed=True)
+    bm, bn, bh = blocks
+    assert len(packed) == bm * bn + bn * bh
 
 
 def test_packed_partition_desk_and_toy():
