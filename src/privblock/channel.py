@@ -159,6 +159,7 @@ class _Ledger:
                 ph["bytes_b"] += bb
                 rep.round_count += rounds
                 ph["rounds"] += rounds
+                prev_dir = None  # the next frame opens a round of its own
                 t = rounds * self.profile.latency + 8.0 * (ba + bb) / self.profile.bandwidth
                 rep.simulated_time += t
                 ph["sim_time"] += t

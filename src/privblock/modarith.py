@@ -94,8 +94,8 @@ def signed_lift(values, modulus: int) -> np.ndarray:
 
 
 def round_shift(values, modulus: int, shift: int) -> np.ndarray:
-    """signed_lift(v) / 2^shift rounded half up, as int64; shift >= 1."""
-    return (signed_lift(values, modulus) + (1 << (shift - 1))) >> shift
+    """signed_lift(v) / 2^shift rounded half up, as int64; shift >= 0."""
+    return (signed_lift(values, modulus) + ((1 << shift) >> 1)) >> shift
 
 
 def lift_shift(values, p: int, value_bits: int, shift: int) -> np.ndarray:

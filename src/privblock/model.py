@@ -4,8 +4,10 @@ Party A holds the (pre-embedded) input activations, party B holds all block
 weights.  One block = multi-head attention (one product against every
 head's [wq | wk | wv], per-head scores, one softmax over the stacked heads,
 per-head value mixing, output projection), residual + layernorm, then the
-two-layer feed-forward with the piecewise gelu, residual + layernorm.  Every
-stage's output shares are rescaled back to scale s before the next stage.
+two-layer feed-forward with the piecewise gelu, residual + layernorm.  Each
+product's output (scale 2s, plus any residual lifted to 2s locally) takes
+one truncating conversion back to scale s, into the ring where softmax or
+layernorm comes next.
 A double-precision reference evaluator drives all equivalence tests.
 """
 
@@ -24,7 +26,7 @@ from .modarith import matmod, mulmod
 from .protocols import (LnParams, PartyCtx, pi_gelu, pi_ln, pi_matmul,
                         pi_matmul_shared, pi_softmax)
 from .protocols.common import ProtocolOutputShares, ShapeMismatch
-from .sharing import FIELD
+from .sharing import FIELD, RING
 
 WEIGHT_MAGIC = b"PBW1"
 
@@ -202,20 +204,18 @@ def oracle_block(x: np.ndarray, weights: BlockWeights,
 # two-party block driver
 # ---------------------------------------------------------------------------
 
-def _rescale(ctx: PartyCtx, out: ProtocolOutputShares,
-             to_scale: int) -> ProtocolOutputShares:
-    shift = out.scale - to_scale
-    if shift == 0:
-        return out
-    sh = ctx.provider.rescale_field(out.share, shift)
-    return ProtocolOutputShares(sh, out.shape, to_scale)
+def _to_s(ctx: PartyCtx, out: ProtocolOutputShares,
+          domain: str = FIELD) -> ProtocolOutputShares:
+    """``out`` back at scale s, in ``domain``: one truncating conversion."""
+    sh = ctx.provider.convert(out.share, domain, out.scale - ctx.fp.s)
+    return ProtocolOutputShares(sh, out.shape, ctx.fp.s)
 
 
 def _linear(ctx: PartyCtx, x: ProtocolOutputShares, w, bias, width: int,
             label: str) -> ProtocolOutputShares:
-    """Shared activations times B-held weights ``w`` (plus ``bias``), at
-    scale s: one packed matmul on A's share, B's local product and bias
-    folded into its share, then a rescale."""
+    """Shared activations at scale s times B-held weights ``w`` (plus
+    ``bias``), left at scale 2s: one packed matmul on A's share, with B's
+    local product and bias folded into its share."""
     m, n = x.shape
     out = pi_matmul(ctx, x.matrix() if ctx.role == "A" else w, (m, n, width),
                     label=label, packed=True)
@@ -224,18 +224,20 @@ def _linear(ctx: PartyCtx, x: ProtocolOutputShares, w, bias, width: int,
         if bias is not None:
             local += np.tile(fp.encode_int(bias, ctx.fp, FIELD, out.scale), m)
         out = _add_payload(ctx, out, local)
-    return _rescale(ctx, out, ctx.fp.s)
+    return out
 
 
 def _layernorm(ctx: PartyCtx, x: ProtocolOutputShares, weights: BlockWeights | None,
                name: str) -> ProtocolOutputShares:
-    """Layernorm ``name`` (phase and weight prefix) of field shares at scale s."""
+    """Layernorm ``name`` (phase and weight prefix) of field shares at any
+    scale of at least s, entering the ring at scale s by one truncating
+    conversion.  Returns field shares at scale s."""
     params = None
     if ctx.role == "B":
         params = LnParams(weights[name + "_g"], weights[name + "_b"])
     with ctx.session.phase(name):
-        ring_sh = ctx.provider.field_to_ring(x.share)
-        return _rescale(ctx, pi_ln(ctx, ring_sh, x.shape, params, label="core"), ctx.fp.s)
+        ring_sh = _to_s(ctx, x, RING).share
+        return _to_s(ctx, pi_ln(ctx, ring_sh, x.shape, params, label="core"))
 
 
 def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
@@ -244,23 +246,19 @@ def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
     return ProtocolOutputShares(ctx.field_share(merged), a.shape, a.scale)
 
 
-def _add_shares(ctx: PartyCtx, a: ProtocolOutputShares,
-                b: ProtocolOutputShares) -> ProtocolOutputShares:
-    if a.scale != b.scale or a.shape != b.shape:
+def _add_residual(ctx: PartyCtx, a: ProtocolOutputShares,
+                  residual: ProtocolOutputShares) -> ProtocolOutputShares:
+    """a plus ``residual`` lifted to a's scale by a local multiply."""
+    if a.shape != residual.shape or a.scale < residual.scale:
         raise ShapeMismatch("residual operands disagree")
-    return _add_payload(ctx, a, b.share.payload)
+    lift = np.uint64(1 << (a.scale - residual.scale))
+    return _add_payload(ctx, a, mulmod(residual.share.payload, lift, ctx.fp.p))
 
 
 def _stack(ctx: PartyCtx, outs: list, axis: int) -> ProtocolOutputShares:
     """The outputs' matrices joined along ``axis`` as one share."""
     mat = np.concatenate([o.matrix() for o in outs], axis=axis)
     return ProtocolOutputShares(ctx.field_share(mat.ravel()), mat.shape, outs[0].scale)
-
-
-def _mul_public(ctx: PartyCtx, a: ProtocolOutputShares, const_enc: int,
-                added_scale: int) -> ProtocolOutputShares:
-    pay = mulmod(a.share.payload, np.uint64(const_enc), ctx.fp.p)
-    return ProtocolOutputShares(ctx.field_share(pay), a.shape, a.scale + added_scale)
 
 
 def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
@@ -283,41 +281,38 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
             raise ShapeError("party B must supply weights")
         w = {name: enc(weights[name]) for name in ("wo", "wf1", "wf2")}
         w.update(bf1=weights["bf1"], bf2=weights["bf2"])  # encoded by _linear
-        w["qkv"] = enc(np.hstack([*weights["wq"], *weights["wk"], *weights["wv"]]))
+        wq = weights["wq"] / math.sqrt(d_k)  # the scores' 1/sqrt(d_k)
+        w["qkv"] = enc(np.hstack([*wq, *weights["wk"], *weights["wv"]]))
         x_sh = ProtocolOutputShares(ctx.field_share(np.zeros(d_s * d_m, dtype=np.uint64)),
                                     (d_s, d_m), s)
 
     sess = ctx.session
-    inv_sqrt_dk = int(round((1 << s) / math.sqrt(d_k)))
     with sess.phase("head"):
         qkv = pi_matmul(ctx, x_sh.matrix() if ctx.role == "A" else w["qkv"],
                         (d_s, d_m, 3 * d_m), label="qkv", packed=True)
-        cols = _rescale(ctx, qkv, s).matrix().reshape(d_s, 3 * h, d_k)
+        cols = _to_s(ctx, qkv).matrix().reshape(d_s, 3 * h, d_k)
         q, k, v = ([cols[:, j * h + i] for i in range(h)] for j in range(3))
         shared = lambda mat: ctx.field_share(mat.ravel())
         scores = _stack(ctx, [pi_matmul_shared(ctx, shared(q[i]), shared(k[i]), (d_s, d_k),
                                                (d_s, d_k), label="scores")
                               for i in range(h)], axis=0)
-        scores = _rescale(ctx, scores, s)
-        scores = _rescale(ctx, _mul_public(ctx, scores, inv_sqrt_dk, s), s)
-        ring_sh = ctx.provider.field_to_ring(scores.share)
-        sm = pi_softmax(ctx, ring_sh, (h * d_s, d_s), normalize="max")
-        rows = _rescale(ctx, sm, s).matrix().reshape(h, d_s, d_s)
+        sm = pi_softmax(ctx, _to_s(ctx, scores, RING).share, (h * d_s, d_s), normalize="max")
+        rows = _to_s(ctx, sm).matrix().reshape(h, d_s, d_s)
         mixed = _stack(ctx, [pi_matmul_shared(ctx, shared(rows[i]), shared(v[i].T),
                                               (d_s, d_s), (d_k, d_s), label="mix")
                              for i in range(h)], axis=1)
-        h_sh = _rescale(ctx, mixed, s)
+        h_sh = _to_s(ctx, mixed)
 
     with sess.phase("proj"):
         proj = _linear(ctx, h_sh, w.get("wo"), None, d_m, "wo")
-    ln1 = _layernorm(ctx, _add_shares(ctx, proj, x_sh), weights, "ln1")
+    ln1 = _layernorm(ctx, _add_residual(ctx, proj, x_sh), weights, "ln1")
     with sess.phase("ffn1"):
-        u = _linear(ctx, ln1, w.get("wf1"), w.get("bf1"), d_f, "wf1")
+        u = _to_s(ctx, _linear(ctx, ln1, w.get("wf1"), w.get("bf1"), d_f, "wf1"))
     with sess.phase("act"):
-        g = _rescale(ctx, pi_gelu(ctx, u.share, (d_s, d_f), label="core"), s)
+        g = _to_s(ctx, pi_gelu(ctx, u.share, (d_s, d_f), label="core"))
     with sess.phase("ffn2"):
         z = _linear(ctx, g, w.get("wf2"), w.get("bf2"), d_m, "wf2")
-    return _layernorm(ctx, _add_shares(ctx, z, ln1), weights, "ln2")
+    return _layernorm(ctx, _add_residual(ctx, z, ln1), weights, "ln2")
 
 
 BLOCK_STAGES = ("head", "proj", "ln1", "ffn1", "act", "ffn2", "ln2")

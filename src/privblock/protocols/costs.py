@@ -3,8 +3,7 @@
 Each formula reproduces, exactly, the bytes a run records on the channel:
 serialized ciphertext batches (one 8-byte frame per labeled group) and
 the per-element gadget charges from the cost table.
-The test suite holds recorded totals equal to these numbers; the benchmark
-CLI prints both.
+The test suite holds recorded totals equal to these numbers.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import numpy as np
 from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
 from ..modarith import lift_shift, mulmod
-from ..sharing import FIELD, Share, not_share, xor_shares
+from ..sharing import FIELD, RING, Share, not_share, xor_shares
 from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
@@ -115,7 +115,7 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
     ctx.send_cts("input_and_squares",
                  [ct_x.sub_pt(rx), *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)]],
                  *[n_vals] * (1 + len(plan)))
-    x_ring = ctx.provider.field_to_ring(ctx.field_share(rx))
+    x_ring = ctx.provider.convert(ctx.field_share(rx), RING)
     bits = _selector_bits(ctx, x_ring, table, s)
     b_arith = [_bit_to_field(ctx, b) for b in bits]
     got = ctx.recv_added("selector_and_square_shares",
@@ -157,7 +157,7 @@ def _party_a(ctx, shape, plan, table, sy):
     vb_sq = 2 * s + 2
     vb_hi = 2 * s + 4
     x_a, *t2 = ctx.recv_decrypted("input_and_squares", *[n_vals] * (1 + len(plan)))
-    x_ring = ctx.provider.field_to_ring(ctx.field_share(x_a))
+    x_ring = ctx.provider.convert(ctx.field_share(x_a), RING)
     bits = _selector_bits(ctx, x_ring, table, s)
     ctx.send_encrypted("selector_and_square_shares",
                        *[_bit_to_field(ctx, b) for b in bits],

@@ -74,7 +74,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         a = (n * xs + (ring_mod - rows)) % np.uint64(ring_mod)
         a_sh = x_share.like(a.ravel())
         # fused rescale (s -> sa) + exact conversion into the field
-        a_f = ctx.provider.ring_to_field_strict_trunc(a_sh, s - sa)
+        a_f = ctx.provider.convert(a_sh, FIELD, s - sa)
         shift = sa + s_inv - RATIO_SCALE
         if ctx.role == "B":
             ctx.send_encrypted("ashare", a_f.payload)

@@ -100,7 +100,7 @@ class _Replicated:
 
 class _Packed:
     """The coefficient-packed layout: one N-slot vector per block of L in,
-    one per block of C out, ordered by column block, then row block."""
+    one per block of C out, each ordered by column block, then row block."""
 
     def __init__(self, ctx: PartyCtx, shape: tuple):
         self.n_slots = ctx.he_params.n
@@ -123,18 +123,20 @@ class _Packed:
     def left(self, mat):
         m_w, n_w, h_w = self.widths
         bm, bn, _ = self.blocks
-        for bi, bj in product(range(bm), range(bn)):
+        for bj, bi in product(range(bn), range(bm)):
             block = mat[bi * m_w:(bi + 1) * m_w, bj * n_w:(bj + 1) * n_w]
             yield self._poly(block, m_w, n_w * h_w, flip=False)
 
     def right(self, mat):
-        """Each input's (output index, plaintext) terms, in input order."""
+        """Each input's (output index, plaintext) terms, in input order: the
+        bh plaintexts of one row block of R serve its bm inputs in a row."""
         _, n_w, h_w = self.widths
         bm, bn, bh = self.blocks
-        rows = [[self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
-                            h_w, n_w, flip=True) for bk in range(bh)] for bj in range(bn)]
-        for bi, bj in product(range(bm), range(bn)):
-            yield [(bk * bm + bi, pt) for bk, pt in enumerate(rows[bj])]
+        for bj in range(bn):
+            pts = [self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
+                              h_w, n_w, flip=True) for bk in range(bh)]
+            for bi in range(bm):
+                yield [(bk * bm + bi, pt) for bk, pt in enumerate(pts)]
 
     def decode(self, outs: list) -> np.ndarray:
         m_w, n_w, h_w = self.widths

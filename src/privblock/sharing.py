@@ -4,8 +4,9 @@ Shares are uniform additive splits over the ring Z_{2^k} or the prime field
 Z_p, or XOR splits for booleans.  The ``GadgetProvider`` supplies the
 sub-protocols this artifact imports as black boxes (less-than comparison,
 bool-to-arithmetic conversion, shared exponential, shared inverse square
-root) plus the domain-conversion, rescaling and row-maximum composites built
-from them.
+root) plus two composites built from them: one truncating conversion between
+the ring and the field (either way, or within one, with an optional
+rescale) and the row maximum.
 
 The provider's "ideal" backend is a trusted-dealer emulation written once,
 as one dealer round: party A ships its input share to party B over an
@@ -219,24 +220,15 @@ class GadgetProvider:
 
         return self._round(x, (RING, FIELD), ("invsqrt",), FIELD, f)
 
-    # -- composites charged as single conversion/truncation calls -----------
-    def field_to_ring(self, x: Share) -> Share:
-        """Z_p -> Z_{2^k} share conversion (comparison + multiplexer route)."""
-        return self._round(x, (FIELD,), ("convert",), RING,
-                           lambda secret: signed_lift(secret, self.cfg.p))
-
-    def ring_to_field_strict_trunc(self, x: Share, shift: int) -> Share:
-        """Fused faithful truncation by 2^shift and exact conversion to Z_p
-        (charged as one truncation plus one conversion); shift >= 1."""
-        return self._round(x, (RING,), ("trunc", "convert"), FIELD,
+    # -- composites ----------------------------------------------------------
+    def convert(self, x: Share, to_domain: str, shift: int = 0) -> Share:
+        """Ring or field shares of x to ``to_domain`` shares of x / 2^shift,
+        rounded half up on the signed secret: a faithful truncation fused
+        with an exact domain conversion.  Charged as one truncation when
+        shift > 0, then one conversion (comparison + multiplexer route)."""
+        entries = ("trunc", "convert") if shift > 0 else ("convert",)
+        return self._round(x, (RING, FIELD), entries, to_domain,
                            lambda secret: round_shift(secret, x.modulus, shift))
-
-    def rescale_field(self, x: Share, shift: int) -> Share:
-        """Faithful rescale of field shares by 2^shift (round-to-nearest on
-        the signed secret), staying in the field.  Charged as one truncation
-        plus one conversion round-trip."""
-        return self._round(x, (FIELD,), ("trunc", "convert"), FIELD,
-                           lambda secret: round_shift(secret, self.cfg.p, shift))
 
     def row_max(self, x: Share, row_len: int) -> Share:
         """Ring shares of per-row maxima (comparison-tree composite)."""

@@ -74,6 +74,20 @@ def test_round_counting_alternations():
     assert sa.report().round_count == 3
 
 
+def test_frame_after_a_charge_opens_a_round():
+    """A gadget charge sits between two same-direction frames, so the frame
+    after it cannot share the round of the frame before it."""
+    sa, sb = make_pair(PROFILES["lan"])
+    sa.send("m1", b"x")
+    sb.recv("m1")
+    for sess in (sa, sb):
+        sess.charge("gadget:test", 10, 10, 3)
+    sa.send("m2", b"y")
+    sb.recv("m2")
+    assert sa.report().round_count == 2 + 3
+    assert sa.report().to_dict() == sb.report().to_dict()
+
+
 def test_scripted_transcript_totals():
     prof = PROFILES["wan2"]
     sa, sb = make_pair(prof)

@@ -112,13 +112,15 @@ def test_convert_fast_statistical():
 
 
 def test_field_to_ring(toy_cfg, pair_runner):
+    """The provider's conversion without a shift maps field shares to ring
+    shares of the same signed value."""
     rng = np.random.default_rng(9)
     vals = rng.integers(-(2 ** 30), 2 ** 30, size=400).astype(object) % CFG.p
     sa, sb = share(np.asarray(vals, dtype=np.uint64), FIELD, toy_cfg.fixedpoint, rng)
     ra, rb = pair_runner(
         toy_cfg,
-        lambda ctx: ctx.provider.field_to_ring(sa),
-        lambda ctx: ctx.provider.field_to_ring(sb))
+        lambda ctx: ctx.provider.convert(sa, RING),
+        lambda ctx: ctx.provider.convert(sb, RING))
     got = reconstruct(ra, rb).astype(object)
     want = np.asarray([(int(v) - CFG.p if v > CFG.p // 2 else int(v)) % 2 ** 37
                        for v in vals], dtype=object)

@@ -1,6 +1,7 @@
 import socket
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -320,6 +321,36 @@ def test_packed_exact_mod_p(pair_runner, kind, data_party, shape, monkeypatch):
     assert _phase_bytes(rep, "matmul") == costs.matmul_bytes(cfg, m, n, h, packed=True)
     bm, bn, bh = blocks
     assert len(packed) == bm * bn + bn * bh
+
+
+def test_packed_weight_party_holds_one_row_block_of_plaintexts(pair_runner, monkeypatch):
+    """The weight party encodes each row block of R as its inputs arrive:
+    with bn = 20 row blocks of bh = 13 plaintexts, no more than the row in
+    use and the one being built (2 bh) are ever alive at once, not all
+    bn bh of them."""
+    cfg = _n64("clear")
+    shape = (70, 40, 13)
+    bm, bn, bh = (-(-d // w) for d, w in zip(shape, packed_partition(*shape, 64)))
+    assert bm > 1 and bn >= 10
+    live, peak = [], []
+    poly = _Packed._poly
+
+    def counted(self, block, rows, cols, flip):
+        out = poly(self, block, rows, cols, flip)
+        if flip:  # the weight party's plaintexts
+            live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(out)]
+            peak.append(len(live))
+        return out
+
+    monkeypatch.setattr(_Packed, "_poly", counted)
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, P, size=shape[:2], dtype=np.uint64)
+    b = rng.integers(0, P, size=shape[1:], dtype=np.uint64)
+    ra, rb = pair_runner(cfg, lambda ctx: pi_matmul(ctx, a, shape, packed=True),
+                         lambda ctx: pi_matmul(ctx, b, shape, packed=True))
+    got = reconstruct(ra.share, rb.share).reshape(70, 13).astype(object)
+    assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % P)
+    assert len(peak) == bn * bh and max(peak) <= 2 * bh
 
 
 def test_packed_partition_desk_and_toy():

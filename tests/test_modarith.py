@@ -149,12 +149,13 @@ def test_signed_lift(mod, rng):
 
 
 @pytest.mark.parametrize("mod", [P, RING])
-@pytest.mark.parametrize("shift", [1, 12, 24])
+@pytest.mark.parametrize("shift", [0, 1, 12, 24])
 def test_floor_and_round_shifts(mod, shift, rng):
-    """round_shift floors (x + 2^(shift-1)) / 2^shift on the signed lift."""
+    """round_shift floors (x + 2^(shift-1)) / 2^shift on the signed lift;
+    shift 0 is the signed lift itself."""
     v = _inputs(mod, 2000, rng)
     lifted = _lift_ref(v, mod)
-    half = 1 << (shift - 1)
+    half = (1 << shift) >> 1
     assert ma.round_shift(v, mod, shift).tolist() == [(x + half) >> shift for x in lifted]
 
 

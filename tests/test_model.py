@@ -169,6 +169,28 @@ def test_block_cost_is_sum_of_stages(toy_cfg, pair_runner):
     assert rep.total_bytes == stage_total + setup
 
 
+def test_block_converts_each_product_once(toy_cfg, pair_runner):
+    """The block's (trunc, convert) gadget charges per stage: one truncating
+    conversion per product, none after proj and ffn2, whose outputs meet
+    their residuals at scale 2s and enter layernorm with the one conversion
+    there; layernorm and gelu add their own inner conversions."""
+    bc = toy_block_config()
+    rng = np.random.default_rng(17)
+    weights = BlockWeights.random(bc, rng)
+    x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
+    *_, transcript = pair_runner(toy_cfg,
+                                 lambda ctx: infer_block(ctx, x, None, bc),
+                                 lambda ctx: infer_block(ctx, None, weights, bc),
+                                 want_transcript=True)
+    charges = [label for kind, _, label in transcript if kind == "charge"]
+    got = {stage: tuple(sum(label.startswith(stage + "/") and label.endswith(entry)
+                            for label in charges)
+                        for entry in ("gadget:trunc", "gadget:convert"))
+           for stage in BLOCK_STAGES}
+    assert got == {"head": (4, 4), "proj": (0, 0), "ln1": (3, 4), "ffn1": (1, 1),
+                   "act": (1, 2), "ffn2": (0, 0), "ln2": (3, 4)}
+
+
 def test_block_determinism(toy_cfg, pair_runner):
     bc = toy_block_config()
     rng = np.random.default_rng(14)

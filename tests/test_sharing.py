@@ -217,9 +217,7 @@ WRONG_DOMAIN = {  # gadget -> (call, a share domain it does not accept)
     "b2a": (lambda g, x: g.b2a(x, FIELD), RING),
     "rexp": (lambda g, x: g.rexp(x), FIELD),
     "invsqrt": (lambda g, x: g.invsqrt(x, S, S), BOOL),
-    "field_to_ring": (lambda g, x: g.field_to_ring(x), RING),
-    "ring_to_field_strict_trunc": (lambda g, x: g.ring_to_field_strict_trunc(x, 3), FIELD),
-    "rescale_field": (lambda g, x: g.rescale_field(x, 3), RING),
+    "convert": (lambda g, x: g.convert(x, FIELD, 3), BOOL),
     "row_max": (lambda g, x: g.row_max(x, 2), FIELD),
 }
 
@@ -253,16 +251,17 @@ def _tcp_pair():
 @pytest.mark.parametrize("transport", ["pair", "tcp"])
 def test_any_dealer_exception_reaches_both_parties(transport):
     """A dealer function that raises something other than RangeError or
-    DomainError (a shift of 0 makes ``round_shift`` raise ValueError) fails
-    both parties, well before any deadline: B with the exception itself, A
-    with GadgetUnavailable from the error frame, on either transport."""
+    DomainError (a negative shift makes ``round_shift`` raise ValueError)
+    fails both parties, well before any deadline: B with the exception
+    itself, A with GadgetUnavailable from the error frame, on either
+    transport."""
     sessions = make_pair(PROFILES["lan"]) if transport == "pair" else _tcp_pair()
     shares = _mk_shares(np.arange(4, dtype=np.uint64), FIELD)
     errors = {}
 
     def run(me):
         try:
-            GadgetProvider(sessions[me], CFG, GadgetCostTable()).rescale_field(shares[me], 0)
+            GadgetProvider(sessions[me], CFG, GadgetCostTable()).convert(shares[me], FIELD, -1)
         except Exception as e:
             errors[me] = e
 
@@ -310,9 +309,10 @@ def test_row_max_toy_ring(toy_cfg, pair_runner):
 
 
 def test_rescale_field_toy_field_rounds_half_up(toy_cfg, pair_runner):
+    """Converting field shares into the field with a shift rescales them."""
     vals = np.arange(661, dtype=np.uint64)
     got, mod, charges = _tiny_gadget(toy_cfg, pair_runner, vals, FIELD,
-                                     lambda g, x: g.rescale_field(x, 3), seed=16)
+                                     lambda g, x: g.convert(x, FIELD, 3), seed=16)
     want = [((_signed(v, 661) + 4) >> 3) % 661 for v in range(661)]
     assert mod == 661 and got == want
     # half up on negatives: -12/8 = -1.5 -> -1, -13/8 -> -2; 12/8 = 1.5 -> 2
@@ -320,14 +320,16 @@ def test_rescale_field_toy_field_rounds_half_up(toy_cfg, pair_runner):
     assert charges == ["gadget:trunc", "gadget:convert"]
 
 
-@pytest.mark.parametrize("shift", [1, 3])
+@pytest.mark.parametrize("shift", [0, 1, 3])
 def test_ring_to_field_strict_trunc_toy_ring(toy_cfg, pair_runner, shift):
+    """Ring shares convert into the field with a faithful truncation, and
+    are charged a truncation only when they are shifted."""
     vals = np.arange(1024, dtype=np.uint64)
     got, mod, charges = _tiny_gadget(
         toy_cfg, pair_runner, vals, RING,
-        lambda g, x: g.ring_to_field_strict_trunc(x, shift), seed=17)
+        lambda g, x: g.convert(x, FIELD, shift), seed=17)
     half = (1 << shift) >> 1
     want = [((_signed(v, 1024) + half) >> shift) % 661 for v in range(1024)]
     assert mod == 661 and got == want
-    assert charges == ["gadget:trunc", "gadget:convert"]
+    assert charges == (["gadget:trunc"] if shift else []) + ["gadget:convert"]
 
