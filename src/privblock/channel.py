@@ -9,8 +9,9 @@ payload``.  A frame is a stream of chunks.  ``send`` declares the length,
 then writes each buffer its iterable yields before the next one is produced
 (``PartyCtx.send_cts`` serializes a few ciphertexts into each; TCP sends the
 header with the first in one ``sendmsg``).  ``recv_chunks`` yields the
-payload piece by piece: TCP ``recv_into``s each piece into one reused chunk
-buffer, one kernel-to-user copy, and a receiver that expects a length
+payload piece by piece: TCP ``recv_into``s each piece, of the lengths the
+receiver asks for, into one reused buffer, one kernel-to-user copy, and a
+receiver that expects a length
 rejects any other before it reserves or reads a payload byte.  A single
 buffer is the one-chunk case of ``send``, and ``recv`` returns a whole frame
 as a memoryview on both transports.
@@ -194,10 +195,10 @@ class Session:
         """Write one frame of ``length`` bytes, the buffers ``chunks`` yields."""
         raise NotImplementedError
 
-    def _recv_frame(self, chunk: int | None):
+    def _recv_frame(self, pieces: list | None):
         """The next frame's declared payload length, and a generator that
-        reads and yields its payload (pieces of ``chunk`` bytes, or one
-        piece, where the transport chooses) once it is iterated."""
+        reads and yields its payload (pieces of the lengths in ``pieces``,
+        or one piece, where the transport chooses) once it is iterated."""
         raise NotImplementedError
 
     def close(self):
@@ -237,14 +238,15 @@ class Session:
                                   FRAME_OVERHEAD + length)
 
     def recv_chunks(self, label: str, length: int | None = None,
-                    chunk: int | None = None, metered: bool = True):
-        """Yield the next frame's payload in order as memoryviews: pieces of
-        ``chunk`` bytes (the last one shorter) over TCP, read into one
-        buffer that the next piece overwrites, and the sender's chunks on
-        the pair.  A declared length other than ``length`` raises
-        ``ShapeMismatch`` before a payload byte is reserved or read.  The
-        frame is metered once its last byte is read."""
-        declared, pieces = self._recv_frame(chunk)
+                    pieces: list | None = None, metered: bool = True):
+        """Yield the next frame's payload in order as memoryviews: over TCP
+        pieces of the lengths in ``pieces`` (which sum to ``length``), or
+        one piece, read into one buffer that the next piece overwrites, and
+        the sender's chunks on the pair.  A declared length other than
+        ``length`` raises ``ShapeMismatch`` before a payload byte is
+        reserved or read.  The frame is metered once its last byte is
+        read."""
+        declared, pieces = self._recv_frame(pieces)
         if length is not None and declared != length:
             raise ShapeMismatch(f"{self._qualify(label)}: a frame of {declared} "
                                 f"bytes, expected {length}")
@@ -321,7 +323,7 @@ class PairSession(Session):
         if first:
             self._put((length, b""))
 
-    def _recv_frame(self, chunk):
+    def _recv_frame(self, pieces):
         length, first = self._get()
         return length, self._pieces(length, first)
 
@@ -379,22 +381,22 @@ class TcpSession(Session):
                 raise PeerClosed("connection closed mid-frame")
             got += n
 
-    def _recv_frame(self, chunk):
+    def _recv_frame(self, pieces):
         head = bytearray(FRAME_OVERHEAD)
         self._recv_into(memoryview(head))
         if head[:4] != MAGIC:
             raise IoError("bad frame magic")
         (length,) = struct.unpack(">I", head[4:])
-        return length, self._pieces(length, max(chunk or length, 1))
+        return length, self._pieces(length, pieces or [length] * bool(length))
 
-    def _pieces(self, length, chunk):
+    def _pieces(self, length, pieces):
         try:
             # reserved virtually: pages become resident as the payload lands
-            buf = memoryview(np.empty(min(chunk, length), np.uint8))
+            buf = memoryview(np.empty(max(pieces, default=0), np.uint8))
         except MemoryError as e:
             raise IoError(f"cannot reserve a frame of {length} bytes") from e
-        for start in range(0, length, chunk):
-            piece = buf[:min(chunk, length - start)]
+        for size in pieces:
+            piece = buf[:size]
             self._recv_into(piece)
             yield piece
 

@@ -13,6 +13,16 @@ RLWE/NTT scheme with exact plaintext semantics mod p) and ``clear``
 testing.  Both serialize ciphertexts to the identical wire format and byte
 size, so cost accounting is backend-independent.
 
+A ciphertext on the wire is a 16-byte header (magic, parameter hash,
+component count, owner, backend id, a flags byte and the float32 noise
+estimate) and its body.  A fresh secret-key encryption (c0, a) draws its
+uniform ``a`` from a 32-byte seed; until an operation touches it, it
+carries that seed, and it is written seeded: flag bit 0 set, the seed, then
+c0 alone, 16 + 32 + L N 4 bytes in place of 16 + 2 L N 4.  The reader
+names the form it expects (``deserialize(data, seeded)``), checks the flag
+and the length against it, and re-expands ``a`` from the seed.  No other
+flag bit is defined.
+
 Every rule the two backends share is written once here, and a backend
 supplies only its arithmetic and the noise update of each op:
 ``check_same_key`` (the operands of add_ct and of a product),
@@ -32,6 +42,8 @@ from . import noise
 
 CT_MAGIC = b"PBC1"
 HEADER_BYTES = 16
+SEED_BYTES = 32
+SEEDED = 1  # the one defined bit of the header's flags byte
 
 
 class KeyMismatch(ValueError):
@@ -73,57 +85,76 @@ def pack_slots(values, params: HeParams) -> np.ndarray:
     return out
 
 
-def ct_bytes(params: HeParams, n_components: int = 2) -> int:
-    """Serialized ciphertext size; identical for both backends."""
+def ct_bytes(params: HeParams, n_components: int = 2, seeded: bool = False) -> int:
+    """Serialized ciphertext size; identical for both backends.  A seeded
+    ciphertext carries the seed of its last component in place of it."""
+    if seeded:
+        return HEADER_BYTES + SEED_BYTES + (n_components - 1) * params.limbs * params.n * 4
     return HEADER_BYTES + n_components * params.limbs * params.n * 4
 
 
 def write_ct(params: HeParams, ct, backend_id: int, body: np.ndarray, dtype: str,
              out=None):
-    """The wire form of ``ct``: its header, ``body`` cast to ``dtype``, then
-    zero padding up to ``ct_bytes``.  With ``out``, a zero-filled writable
-    buffer of exactly that size, the header and body are written into it in
-    place (the padding is not touched) and ``out`` is returned; without it,
-    the same bytes are returned new."""
-    size = ct_bytes(params, ct.ncomp)
+    """The wire form of ``ct``: its header, its seed if it has one, ``body``
+    cast to ``dtype``, then zero padding up to ``ct_bytes``.  With ``out``,
+    a zero-filled writable buffer of exactly that size, these are written
+    into it in place (the padding is not touched) and ``out`` is returned;
+    without it, the same bytes are returned new."""
+    seeded = ct.seed is not None
+    size = ct_bytes(params, ct.ncomp, seeded)
     buf = np.zeros(size, np.uint8) if out is None else np.frombuffer(out, np.uint8)
     if buf.size != size:
         raise MalformedBytes(f"a buffer of {buf.size} bytes for a ciphertext of {size}")
-    end = HEADER_BYTES + body.size * np.dtype(dtype).itemsize
+    start = HEADER_BYTES + SEED_BYTES * seeded
+    end = start + body.size * np.dtype(dtype).itemsize
     head = (CT_MAGIC + params.param_hash()
-            + struct.pack(">BBBBf", ct.ncomp, ord(ct.owner), backend_id, 0, ct.noise_bits))
+            + struct.pack(">BBBBf", ct.ncomp, ord(ct.owner), backend_id,
+                          SEEDED * seeded, ct.noise_bits))
     buf[:HEADER_BYTES] = np.frombuffer(head, np.uint8)
-    np.copyto(buf[HEADER_BYTES:end].view(dtype).reshape(body.shape), body,
-              casting="unsafe")
+    if seeded:
+        buf[HEADER_BYTES:start] = np.frombuffer(ct.seed, np.uint8)
+    np.copyto(buf[start:end].view(dtype).reshape(body.shape), body, casting="unsafe")
     return buf.tobytes() if out is None else out
 
 
 def parse_header(data: bytes, params: HeParams):
+    """(ncomp, owner, backend id, noise bits, seeded) of a header under
+    ``params``; a flags byte other than 0 or ``SEEDED`` is malformed."""
     if len(data) < HEADER_BYTES or data[:4] != CT_MAGIC:
         raise MalformedBytes("bad ciphertext magic")
     if data[4:8] != params.param_hash():
         raise MalformedBytes("ciphertext was built under different parameters")
-    ncomp, owner, backend_id, _ = struct.unpack(">BBBB", data[8:12])
+    ncomp, owner, backend_id, flags = struct.unpack(">BBBB", data[8:12])
+    if flags not in (0, SEEDED):
+        raise MalformedBytes(f"undefined ciphertext flags {flags:#04x}")
     (noise_bits,) = struct.unpack(">f", data[12:16])
-    return ncomp, chr(owner), backend_id, noise_bits
+    return ncomp, chr(owner), backend_id, noise_bits, flags == SEEDED
 
 
-def read_ct(params: HeParams, data: bytes, backend_id: int, dtype: str, count: int = -1):
-    """The inverse of ``write_ct``: (ncomp, owner, noise_bits, body) of a
-    whole two-component ciphertext of backend ``backend_id`` whose noise
-    estimate is finite and not negative, the body its first ``count`` words
-    (every word by default) of ``dtype`` after the header, unconverted."""
-    ncomp, owner, got_id, noise_bits = parse_header(data, params)
+def read_ct(params: HeParams, data: bytes, backend_id: int, dtype: str,
+            seeded: bool = False, count: int = -1):
+    """The inverse of ``write_ct``: (ncomp, owner, noise_bits, seed, body)
+    of a whole two-component ciphertext of backend ``backend_id``, seeded
+    exactly when ``seeded`` (its seed, else None), whose noise estimate is
+    finite and not negative, the body its first ``count`` words (every word
+    by default) of ``dtype`` after the header and seed, unconverted."""
+    ncomp, owner, got_id, noise_bits, got_seeded = parse_header(data, params)
     if got_id != backend_id:
         raise MalformedBytes("ciphertext from a different backend")
     if ncomp != 2:
         raise MalformedBytes(f"a ciphertext of {ncomp} components, expected 2")
+    if got_seeded != seeded:
+        raise MalformedBytes(f"{'a seeded' if got_seeded else 'an unseeded'} ciphertext "
+                             f"where {'a seeded' if seeded else 'an unseeded'} one "
+                             f"is expected")
     if not (math.isfinite(noise_bits) and noise_bits >= 0):
         raise MalformedBytes(f"a noise estimate of {noise_bits} bits")
-    if len(data) != ct_bytes(params, ncomp):
+    if len(data) != ct_bytes(params, ncomp, seeded):
         raise MalformedBytes("truncated or padded ciphertext stream")
-    body = np.frombuffer(data, dtype=dtype, count=count, offset=HEADER_BYTES)
-    return ncomp, owner, noise_bits, body
+    start = HEADER_BYTES + SEED_BYTES * seeded
+    seed = bytes(data[HEADER_BYTES:start]) if seeded else None
+    body = np.frombuffer(data, dtype=dtype, count=count, offset=start)
+    return ncomp, owner, noise_bits, seed, body
 
 
 def noise_budget_bits(params: HeParams, noise_bits: float) -> float:

@@ -1,17 +1,19 @@
 """Clear backend: the HE surface over unencrypted slot vectors.
 
 Slot math is bit-identical to what the RLWE backend decrypts to; the noise
-budget is the mirrored estimate.  Used as the differential-testing oracle
-and as the fast lane for CI and desk-scale cost runs.
+budget is the mirrored estimate, and a secret-key encryption carries a
+seed drawn from the backend RNG, as rlwe's does, so it is flagged and sized
+the same on the wire.  Used as the differential-testing oracle and as the
+fast lane for CI and desk-scale cost runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import (MalformedBytes, aux_basis, check_decrypt, check_product,
+from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_product,
                check_same_key, pack_slots, read_ct, write_ct)
-from ..modarith import mulmod
+from ..modarith import mod, mulmod
 from ..params import HeParams
 from . import noise
 
@@ -41,13 +43,14 @@ class ClearKeyPair:
 
 
 class ClearCiphertext:
-    __slots__ = ("slots", "owner", "noise_bits", "ncomp")
+    __slots__ = ("slots", "owner", "noise_bits", "ncomp", "seed")
 
-    def __init__(self, slots, owner, noise_bits, ncomp=2):
+    def __init__(self, slots, owner, noise_bits, ncomp=2, seed=None):
         self.slots = np.asarray(slots, dtype=np.uint64)
         self.owner = owner
         self.noise_bits = float(noise_bits)
         self.ncomp = ncomp
+        self.seed = seed
 
 
 class ClearBackend:
@@ -68,9 +71,10 @@ class ClearBackend:
 
     # -- core ops -------------------------------------------------------------
     def encrypt(self, slots, key) -> ClearCiphertext:
-        """Encrypt under a key pair (secret key) or a public key."""
+        """Encrypt under a key pair (secret key, seeded) or a public key."""
+        seed = self.rng.bytes(SEED_BYTES) if isinstance(key, ClearKeyPair) else None
         return ClearCiphertext(pack_slots(slots, self.params),
-                               key.owner, noise.fresh_bits(self.params))
+                               key.owner, noise.fresh_bits(self.params), seed=seed)
 
     def decrypt(self, ct: ClearCiphertext, keypair: ClearKeyPair) -> np.ndarray:
         check_decrypt(self.params, ct, keypair)
@@ -78,24 +82,22 @@ class ClearBackend:
 
     def add_ct(self, x: ClearCiphertext, y: ClearCiphertext) -> ClearCiphertext:
         check_same_key(x, y)
-        p = np.uint64(self.params.p)
-        return ClearCiphertext((x.slots + y.slots) % p, x.owner,
+        return ClearCiphertext(mod(x.slots + y.slots, self.params.p), x.owner,
                                noise.add_ct_bits(x.noise_bits, y.noise_bits))
 
     def neg_ct(self, x: ClearCiphertext) -> ClearCiphertext:
-        p = np.uint64(self.params.p)
-        return ClearCiphertext((p - x.slots) % p, x.owner, x.noise_bits)
+        p = self.params.p
+        return ClearCiphertext(mod(p - x.slots, p), x.owner, x.noise_bits)
 
     def add_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
-        p = np.uint64(self.params.p)
         v = pack_slots(slots, self.params)
-        return ClearCiphertext((x.slots + v) % p, x.owner,
+        return ClearCiphertext(mod(x.slots + v, self.params.p), x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def sub_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
-        p = np.uint64(self.params.p)
+        p = self.params.p
         v = pack_slots(slots, self.params)
-        return ClearCiphertext((x.slots + p - v) % p, x.owner,
+        return ClearCiphertext(mod(x.slots + (p - v), p), x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits))
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
@@ -107,7 +109,7 @@ class ClearBackend:
         """The sum of the products x*y of the (x, y) ``pairs``."""
         pairs, nb = check_product(self.params, pairs, public, self.max_fan_in)
         p = self.params.p
-        out = sum(mulmod(x.slots, y.slots, p) for x, y in pairs) % np.uint64(p)
+        out = mod(sum(mulmod(x.slots, y.slots, p) for x, y in pairs), p)
         return ClearCiphertext(out, pairs[0][0].owner, nb)
 
     def mul_ct(self, x: ClearCiphertext, y: ClearCiphertext,
@@ -119,11 +121,13 @@ class ClearBackend:
 
     # -- wire format ---------------------------------------------------------
     def serialize(self, ct: ClearCiphertext, out=None):
-        """The slots as ``<u8`` after the header, the rest zero padding;
-        written into ``out`` when given (see ``write_ct``)."""
+        """The slots as ``<u8`` after the header (and seed), the rest zero
+        padding; written into ``out`` when given (see ``write_ct``)."""
         return write_ct(self.params, ct, BACKEND_ID, ct.slots, "<u8", out)
 
-    def deserialize(self, data: bytes) -> ClearCiphertext:
-        ncomp, owner, noise_bits, slots = read_ct(self.params, data, BACKEND_ID, "<u8",
-                                                  self.params.n)
-        return ClearCiphertext(slots.copy(), owner, noise_bits, ncomp)
+    def deserialize(self, data: bytes, seeded: bool = False) -> ClearCiphertext:
+        """The ciphertext of ``data``, which must be seeded exactly when
+        ``seeded``."""
+        ncomp, owner, noise_bits, seed, slots = read_ct(self.params, data, BACKEND_ID,
+                                                        "<u8", seeded, self.params.n)
+        return ClearCiphertext(slots.copy(), owner, noise_bits, ncomp, seed)

@@ -11,15 +11,21 @@ residues are the digits of the limb-decomposed relinearization.  Decrypt
 takes round(p v / Q) mod p from the phase's limb residues.  Plaintext
 slots are the CRT components of Z_p[X]/(X^N+1), reached through a mod-p
 negacyclic transform; there is no slot permutation anywhere.
+
+A secret-key encryption draws its uniform ``a`` from a fresh 32-byte seed
+out of the backend RNG and keeps that seed, so it serializes at half size
+(see ``hecore``): limb i of ``a`` is read in NTT form from
+shake_128(seed || i), by rejection sampling of ``<u4`` words.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
-from . import (MalformedBytes, aux_basis, check_decrypt, check_product,
+from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_product,
                check_same_key, pack_slots, read_ct, scalar_slot, write_ct)
 from ..modarith import matmod, mod, mulmod, signed_lift
 from ..params import HeParams
@@ -137,12 +143,14 @@ class RlweKeyPair:
 
 
 class RlweCiphertext:
-    __slots__ = ("data", "owner", "noise_bits")
+    __slots__ = ("data", "owner", "noise_bits", "seed")
 
-    def __init__(self, data: np.ndarray, owner: str, noise_bits: float):
+    def __init__(self, data: np.ndarray, owner: str, noise_bits: float,
+                 seed: bytes | None = None):
         self.data = data  # (ncomp, L, N) uint64, NTT domain per limb
         self.owner = owner
         self.noise_bits = float(noise_bits)
+        self.seed = seed  # the seed data[1] expands from, while it is fresh
 
     @property
     def ncomp(self) -> int:
@@ -163,6 +171,10 @@ class RlweBackend:
         self.n = params.n
         self.L = params.limbs
         self.plans = [get_plan(q, self.n) for q in self.qs]
+        # the words drawn per limb of ``a`` at first: about N / P(accept),
+        # with slack enough that the XOF rarely has to be extended
+        self.a_words = [self.n * (1 << q.bit_length()) // q + self.n // 64 + 16
+                        for q in self.qs]
         self.plan_p = get_plan(self.p, self.n)
         self.delta_col = _column(self.q // self.p % q for q in self.qs)
         self.ps, self.max_fan_in = aux_basis(params)
@@ -196,25 +208,45 @@ class RlweBackend:
         """Signed int64 coefficients (..., N) -> their NTT in every limb."""
         return _transform(self._limbs(coeffs), self.plans)
 
-    def _sk_encrypt(self, s_ntt: np.ndarray, dm=0) -> np.ndarray:
+    def _expand_a(self, seed: bytes) -> np.ndarray:
+        """The uniform (L, N) NTT-form ``a`` of a seed: limb i holds the
+        first N of the ``<u4`` words of shake_128(seed || i), each cut to
+        the bit length of q_i, that fall below q_i.  The XOF output is read
+        ``a_words[i]`` words at first and twice as many each time that is
+        short; a longer read extends a shorter one, so ``a`` depends on the
+        seed alone."""
+        a = np.empty((self.L, self.n), dtype=np.uint64)
+        for i, (q, words) in enumerate(zip(self.qs, self.a_words)):
+            xof = hashlib.shake_128(seed + bytes([i]))
+            low = np.uint32((1 << q.bit_length()) - 1)
+            while True:
+                w = np.frombuffer(xof.digest(4 * words), "<u4") & low
+                w = w[w < q]
+                if w.size >= self.n:
+                    break
+                words *= 2
+            a[i] = w[:self.n]
+        return a
+
+    def _sk_encrypt(self, s_ntt: np.ndarray, dm=0) -> tuple:
         """(NTT(dm + e) - a s, a) for fresh Gaussian e and uniform a, sampled
         in NTT form: the (L, N) coefficient rows ``dm`` under the secret s,
-        in one forward transform per limb."""
+        in one forward transform per limb; and the fresh seed of a."""
         row = self._limbs(self._gauss()) + dm  # the transform reduces it
-        a = np.stack([self.rng.integers(0, q, size=self.n, dtype=np.uint64)
-                      for q in self.qs])
+        seed = self.rng.bytes(SEED_BYTES)
+        a = self._expand_a(seed)
         body = _transform(row, self.plans) + self.q_col - mulmod(a, s_ntt, self.q_col)
-        return np.stack([mod(body, self.q_col), a])
+        return np.stack([mod(body, self.q_col), a]), seed
 
     # -- keys -------------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
         s_ntt = self._to_ntt(self._ternary())
         s2_ntt = mulmod(s_ntt, s_ntt, self.q_col)
-        pk = self._sk_encrypt(s_ntt)
+        pk, _ = self._sk_encrypt(s_ntt)
         rlk = None
         if with_relin:
             # row i encrypts s^2 in limb i: (e_i - a_i s + [j == i] s^2, a_i)
-            rlk = np.stack([self._sk_encrypt(s_ntt) for _ in range(self.L)])
+            rlk = np.stack([self._sk_encrypt(s_ntt)[0] for _ in range(self.L)])
             diag = np.arange(self.L)
             rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + s2_ntt, self.q_col)
         public = RlwePublicKey(owner, pk, rlk)
@@ -253,18 +285,19 @@ class RlweBackend:
     # -- encrypt / decrypt ---------------------------------------------------------
     def encrypt(self, slots, key) -> RlweCiphertext:
         """Encrypt under a key pair (secret key: e and floor(q/p) m share one
-        row, 6 forward row transforms at 6 limbs) or a public key (u, e1
-        with floor(q/p) m, and e2: 18)."""
+        row, 6 forward row transforms at 6 limbs; the result is seeded) or
+        a public key (u, e1 with floor(q/p) m, and e2: 18)."""
         dm = self._pt_delta(slots)
+        seed = None
         if isinstance(key, RlweKeyPair):
-            data = self._sk_encrypt(key._s, dm)
+            data, seed = self._sk_encrypt(key._s, dm)
         else:
             u, e1, e2 = self._ternary(), self._gauss(), self._gauss()
             rows = self._limbs(np.stack([u, e1, e2]))
             rows[1] += dm  # e1 and floor(q/p) m both go to c0
             u_ntt, *c = _transform(rows, self.plans)
             data = mod(mulmod(key.pk, u_ntt, self.q_col) + np.stack(c), self.q_col)
-        return RlweCiphertext(data, key.owner, noise.fresh_bits(self.params))
+        return RlweCiphertext(data, key.owner, noise.fresh_bits(self.params), seed)
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         """c0 + c1 s (+ c2 s^2) mod each limb, in coefficient form."""
@@ -350,11 +383,18 @@ class RlweBackend:
 
     # -- wire format ----------------------------------------------------------------
     def serialize(self, ct: RlweCiphertext, out=None):
-        """Every limb as ``<u4`` after the header; written into ``out`` when
-        given (see ``write_ct``)."""
-        return write_ct(self.params, ct, BACKEND_ID, ct.data, "<u4", out)
+        """Every limb as ``<u4`` after the header, of c0 alone after the seed
+        when ``ct`` is seeded; written into ``out`` when given (see
+        ``write_ct``)."""
+        body = ct.data if ct.seed is None else ct.data[:1]
+        return write_ct(self.params, ct, BACKEND_ID, body, "<u4", out)
 
-    def deserialize(self, data: bytes) -> RlweCiphertext:
-        ncomp, owner, noise_bits, body = read_ct(self.params, data, BACKEND_ID, "<u4")
-        return RlweCiphertext(body.astype(np.uint64).reshape(ncomp, self.L, self.n), owner,
-                              noise_bits)
+    def deserialize(self, data: bytes, seeded: bool = False) -> RlweCiphertext:
+        """The ciphertext of ``data``, which must be seeded exactly when
+        ``seeded``; a seeded one gets its ``a`` re-expanded."""
+        ncomp, owner, noise_bits, seed, body = read_ct(self.params, data, BACKEND_ID,
+                                                       "<u4", seeded)
+        rows = body.astype(np.uint64).reshape(-1, self.L, self.n)
+        if seeded:
+            rows = np.stack([rows[0], self._expand_a(seed)])
+        return RlweCiphertext(rows, owner, noise_bits, seed)

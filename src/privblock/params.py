@@ -158,6 +158,9 @@ class HeParams:
             _check_int(f"he.{key}", getattr(self, key))
         for q in self.q_primes:
             _check_int("he.q_primes", q)
+        if len(self.q_primes) < 2:
+            # a seeded ciphertext's one component must hold N clear slots
+            raise ParamError(f"he.q_primes needs at least 2 limbs, got {len(self.q_primes)}")
         if self.n & (self.n - 1) or self.n < 8:
             raise ParamError(f"N must be a power of two >= 8, got {self.n}")
         _check_word_size(self.p)
@@ -168,6 +171,9 @@ class HeParams:
                 raise ParamError(f"q limb {q} is not 1 mod 2N")
             if not _is_prime(q):
                 raise ParamError(f"q limb {q} is not prime")
+        # every ciphertext header carries this; hash it once
+        blob = json.dumps([self.n, list(self.q_primes), self.p]).encode()
+        object.__setattr__(self, "_hash", hashlib.blake2b(blob, digest_size=4).digest())
 
     @property
     def q(self) -> int:
@@ -182,8 +188,7 @@ class HeParams:
         return len(self.q_primes)
 
     def param_hash(self) -> bytes:
-        blob = json.dumps([self.n, list(self.q_primes), self.p]).encode()
-        return hashlib.blake2b(blob, digest_size=4).digest()
+        return self._hash
 
     def to_dict(self) -> dict:
         return {"n": self.n, "q_primes": list(self.q_primes), "p": self.p}

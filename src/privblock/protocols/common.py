@@ -8,13 +8,16 @@ backend's constant polynomial and reaches the tail slots too, so a tail
 slot holds zero or a value computed from public constants, never a secret
 or a mask.  Protocols encrypt, operate on,
 frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
-hold all ciphertext framing.  A frame streams: the sender takes each vector
-from its iterable only as its chunk fills, and the receiver yields each
-vector once its bytes have arrived.  Over TCP the chunks hold the most whole
+hold all ciphertext framing.  Both sides of a frame name its vectors' sizes
+and which of them are ``fresh``: this party's own encryptions, untouched by
+any operation, which go over the wire seeded, at about half the size of any
+other ciphertext.  A frame streams: the sender takes each vector from its
+iterable only as its chunk fills, and the receiver yields each vector once
+its bytes have arrived.  Over TCP the chunks hold the most whole
 ciphertexts that fit in ``CHUNK_BYTES`` (at least one), so neither side
 holds a whole frame; on the in-process pair a frame is one chunk.
 ``recv_cts`` rejects a frame that does not hold exactly the ciphertexts of
-the sizes it expects before reading any of it.
+the sizes and forms it expects before reading any of it.
 
 Every protocol is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
@@ -207,17 +210,39 @@ class PartyCtx:
         out = np.concatenate([self.backend.decrypt(ct, self.keypair) for ct in vec.cts])
         return out[:vec.size]
 
-    def _chunk_cts(self) -> tuple:
-        """(ciphertext bytes, ciphertexts per frame chunk)."""
-        width = ct_bytes(self.he_params, 2)
-        return width, max(1, CHUNK_BYTES // width)
+    def _layout(self, sizes, fresh) -> list:
+        """Whether each ciphertext of a frame of vectors of ``sizes`` values
+        is seeded: those of the vectors ``fresh`` flags (one flag per
+        vector; none for no fresh vector)."""
+        fresh = tuple(fresh) or (False,) * len(sizes)
+        if len(fresh) != len(sizes):
+            raise ShapeMismatch(f"{len(fresh)} fresh flags for {len(sizes)} vectors")
+        return [bool(f) for size, f in zip(sizes, fresh) for _ in range(self.n_blocks(size))]
 
-    def _cts_of(self, label: str, vecs, sizes):
+    def _chunks(self, seeded: list) -> list:
+        """The widths of a frame's ciphertexts, seeded as ``seeded`` says,
+        split into the chunks the frame moves in: the most whole
+        ciphertexts that fit in ``CHUNK_BYTES``, at least one, or one chunk
+        on a transport that keeps its chunks."""
+        widths = [ct_bytes(self.he_params, 2, s) for s in seeded]
+        if not self.session.copies_chunks:
+            return [widths] if widths else []
+        out = []
+        for width in widths:
+            if out and sum(out[-1]) + width <= CHUNK_BYTES:
+                out[-1].append(width)
+            else:
+                out.append([width])
+        return out
+
+    def _cts_of(self, label: str, vecs, sizes, seeded=None):
         """Yield the ciphertexts of the encrypted vectors ``vecs``, checking
         each vector as it is taken: ``ShapeMismatch`` for a vector of other
-        than its size in ``sizes``, a ciphertext of other than 2 components,
-        or a count of vectors other than ``len(sizes)``."""
+        than its size in ``sizes``, a ciphertext of other than 2 components
+        or (given ``seeded``) seeded other than it says, or a count of
+        vectors other than ``len(sizes)``."""
         vecs = iter(vecs)
+        seeded = None if seeded is None else iter(seeded)
         for size in sizes:
             vec = next(vecs, None)
             if vec is None:
@@ -229,53 +254,75 @@ class PartyCtx:
                 if ct.ncomp != 2:
                     raise ShapeMismatch(f"{label}: a ciphertext of {ct.ncomp} "
                                         f"components, expected 2")
+                if seeded is not None and (ct.seed is not None) != next(seeded):
+                    raise ShapeMismatch(f"{label}: {'a ' if ct.seed else 'an un'}seeded "
+                                        f"ciphertext in a {'non-' if ct.seed else ''}"
+                                        f"fresh vector")
                 yield ct
         if next(vecs, None) is not None:
             raise ShapeMismatch(f"{label}: more than {len(sizes)} encrypted vectors")
 
-    def send_cts(self, label: str, vecs, *sizes: int):
+    def send_cts(self, label: str, vecs, *sizes: int, fresh=()):
         """Send the encrypted vectors of ``vecs``, of ``sizes`` values, as
-        one frame.  A list or tuple is checked whole before a byte is sent.
-        Any other iterable (which must not use the session) is read, and
-        each vector checked, only when the chunk it goes in is filled; so
-        over TCP a bad vector past the first chunk raises after the header
-        and the earlier chunks are on the wire, and the peer, holding a cut
-        frame, sees ``PeerClosed`` once the sender closes.  Each ciphertext
-        is serialized in place into its slice of a zero-filled buffer,
-        whose untouched padding pages cost no memory (``np.zeros`` is
-        calloc).  Chunks bound memory only on a transport that copies each
-        one out before the next, which then refills one buffer; the pair's
-        queue keeps what it is given, so there the frame is one chunk."""
-        width, per_chunk = self._chunk_cts()
-        count = sum(map(self.n_blocks, sizes))
-        if not self.session.copies_chunks:
-            per_chunk = max(count, 1)
-        cts = self._cts_of(label, vecs, sizes)
+        one frame.  ``fresh`` flags, one per vector, the vectors that are
+        this party's untouched encryptions: their ciphertexts must be
+        seeded, and no other.  A list or tuple is checked whole before a
+        byte is sent.  Any other iterable (which must not use the session)
+        is read, and each vector checked, only when the chunk it goes in is
+        filled; so over TCP a bad vector past the first chunk raises after
+        the header and the earlier chunks are on the wire, and the peer,
+        holding a cut frame, sees ``PeerClosed`` once the sender closes.
+        Each ciphertext is serialized in place into its slice of a
+        zero-filled buffer, whose untouched padding pages cost no memory
+        (``np.zeros`` is calloc).  Chunks bound memory only on a transport
+        that copies each one out before the next, which then refills one
+        buffer; the pair's queue keeps what it is given, so there the frame
+        is one chunk."""
+        seeded = self._layout(sizes, fresh)
+        plan = self._chunks(seeded)
+        cts = self._cts_of(label, vecs, sizes, seeded)
         if isinstance(vecs, (list, tuple)):
             cts = iter(list(cts))
 
         def chunks():
-            # each ciphertext rewrites the same bytes of its slice, so a
-            # refilled buffer's padding stays zero
-            buf = np.zeros(min(per_chunk, count) * width, np.uint8)
-            for start in range(0, count, per_chunk):
-                chunk = buf[:min(per_chunk, count - start) * width]
-                for at in range(0, len(chunk), width):
+            buf, last = None, []
+            for widths in plan:
+                # a chunk laid out as the start of the last one rewrites the
+                # same bytes of each slice, so a refilled buffer's padding
+                # stays zero; any other layout takes a new buffer
+                if widths != last[:len(widths)]:
+                    buf, last = np.zeros(sum(widths), np.uint8), widths
+                chunk, at = buf[:sum(widths)], 0
+                for width in widths:
                     self.backend.serialize(next(cts), chunk[at:at + width])
+                    at += width
                 yield chunk
             next(cts, None)  # check that no vector is left over
 
-        self.session.send(label, chunks(), length=count * width)
+        self.session.send(label, chunks(), length=sum(map(sum, plan)))
 
-    def recv_cts(self, label: str, *sizes: int):
+    def recv_cts(self, label: str, *sizes: int, fresh=()):
         """Yield the encrypted vectors of ``sizes`` values of one frame, each
-        once its ciphertexts have arrived; consume them all.  A frame of
-        any other length raises ``ShapeMismatch`` before it is read."""
+        once its ciphertexts have arrived; consume them all.  ``fresh`` is
+        the sender's flags.  A frame of any other length raises
+        ``ShapeMismatch`` before it is read, and a ciphertext seeded other
+        than the flags say ``MalformedBytes`` before its body is read."""
         counts = [self.n_blocks(size) for size in sizes]
-        width, per_chunk = self._chunk_cts()
-        chunks = self.session.recv_chunks(label, sum(counts) * width, per_chunk * width)
-        cts = (self.backend.deserialize(chunk[at:at + width])
-               for chunk in chunks for at in range(0, len(chunk), width))
+        seeded = self._layout(sizes, fresh)
+        pieces = list(map(sum, self._chunks(seeded)))
+        chunks = self.session.recv_chunks(label, sum(pieces), pieces)
+
+        def deserialized():
+            forms = iter(seeded)
+            for chunk in chunks:
+                at = 0
+                while at < len(chunk):
+                    form = next(forms)
+                    width = ct_bytes(self.he_params, 2, form)
+                    yield self.backend.deserialize(chunk[at:at + width], form)
+                    at += width
+
+        cts = deserialized()
         if not sizes:
             next(cts, None)  # an empty frame: read its header, which meters it
         for k, (size, count) in enumerate(zip(sizes, counts), 1):
@@ -308,13 +355,14 @@ class PartyCtx:
 
     def send_encrypted(self, label: str, *shares):
         """Encrypt each share under this party's key as it is sent in one
-        frame."""
-        self.send_cts(label, map(self.encrypt, shares), *map(len, shares))
+        frame, seeded."""
+        self.send_cts(label, map(self.encrypt, shares), *map(len, shares),
+                      fresh=[True] * len(shares))
 
     def recv_added(self, label: str, *shares) -> list:
         """The peer's ``send_encrypted`` frame, this party's share added to
         each vector: the shared values under the peer's key."""
-        got = self.recv_cts(label, *map(len, shares))
+        got = self.recv_cts(label, *map(len, shares), fresh=[True] * len(shares))
         return [vec.add_pt(sh) for vec, sh in zip(got, shares)]
 
 
@@ -340,12 +388,13 @@ def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
     encryption of the row sums of r."""
     r = ctx.mask(vec.size)
     ctx.send_cts(label, [vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p))],
-                 vec.size, shape[0])
+                 vec.size, shape[0], fresh=(False, True))
 
 
 def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> CtVec:
     """Party B's half: decrypt the blinded matrix, sum its rows and remove
     the mask under A's key.  Returns A's encryption of the row sums."""
-    masked, mask_sums = ctx.recv_cts(label, shape[0] * shape[1], shape[0])
+    masked, mask_sums = ctx.recv_cts(label, shape[0] * shape[1], shape[0],
+                                     fresh=(False, True))
     sums = _row_sums(ctx.decrypt(masked), shape, ctx.fp.p)
     return mask_sums.neg_ct().add_pt(sums)

@@ -1,8 +1,10 @@
 """Closed-form byte accounting for every protocol.
 
 Each formula reproduces, exactly, the bytes a run records on the channel:
-serialized ciphertext batches (one 8-byte frame per labeled group) and
-the per-element gadget charges from the cost table.
+serialized ciphertext batches (one 8-byte frame per labeled group), in
+which a party's fresh encryptions are seeded (``fresh``) and every other
+ciphertext whole (``ct``), and the per-element gadget charges from the
+cost table.
 The test suite holds recorded totals equal to these numbers.
 """
 
@@ -11,10 +13,15 @@ from __future__ import annotations
 from ..approx import GELU_TABLE, PiecewisePoly
 from ..channel import FRAME_OVERHEAD
 from ..hecore import ct_bytes
-from ..params import Config
+from ..params import Config, HeParams
 from .common import ceil_div
 from .gelu import _power_keys, _segment_plan
 from .matmul import packed_partition
+
+
+def _widths(he: HeParams) -> tuple:
+    """(bytes of a computed ciphertext, bytes of a fresh seeded one)."""
+    return ct_bytes(he), ct_bytes(he, seeded=True)
 
 
 def _gadget(cfg: Config, entry: str, n: int) -> int:
@@ -33,9 +40,9 @@ def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False) -> d
     else:
         cts_out = ceil_div(m * h, cfg.he.n)
         cts_in = n * cts_out
-    ct = ct_bytes(cfg.he)
+    ct, fresh = _widths(cfg.he)
     return {
-        "inputs": FRAME_OVERHEAD + cts_in * ct,
+        "inputs": FRAME_OVERHEAD + cts_in * fresh,
         "masked_product": FRAME_OVERHEAD + cts_out * ct,
     }
 
@@ -49,54 +56,54 @@ def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
 
 
 def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
-    ct = ct_bytes(cfg.he)
+    ct, fresh = _widths(cfg.he)
     blocks = ceil_div(m * d, cfg.he.n)
     vec = ceil_div(m, cfg.he.n)
     out = {}
     if normalize == "max":
         out["gadget:rowmax"] = _gadget(cfg, "rowmax", m * d)
     out["gadget:rexp"] = _gadget(cfg, "rexp", m * d)
-    out["exp_share"] = FRAME_OVERHEAD + blocks * ct
-    out["masked_exp"] = FRAME_OVERHEAD + (blocks + vec) * ct
-    out["denominator"] = FRAME_OVERHEAD + (vec + blocks) * ct
+    out["exp_share"] = FRAME_OVERHEAD + blocks * fresh
+    out["masked_exp"] = FRAME_OVERHEAD + blocks * ct + vec * fresh
+    out["denominator"] = FRAME_OVERHEAD + vec * ct + blocks * fresh
     out["result"] = FRAME_OVERHEAD + blocks * ct
     return out
 
 
 def ln_bytes(cfg: Config, m: int, n: int) -> dict:
-    ct = ct_bytes(cfg.he)
+    ct, fresh = _widths(cfg.he)
     blocks = ceil_div(m * n, cfg.he.n)
     vec = ceil_div(m, cfg.he.n)
     return {
         "gadget:trunc": _gadget(cfg, "trunc", m * n),
         "gadget:convert": _gadget(cfg, "convert", m * n) + _gadget(cfg, "convert", m),
         "gadget:invsqrt": _gadget(cfg, "invsqrt", m),
-        "ashare": FRAME_OVERHEAD + blocks * ct,
-        "masked_square": FRAME_OVERHEAD + (blocks + vec) * ct,
+        "ashare": FRAME_OVERHEAD + blocks * fresh,
+        "masked_square": FRAME_OVERHEAD + blocks * ct + vec * fresh,
         "masked_rowsum": FRAME_OVERHEAD + vec * ct,
-        "invsqrt_share": FRAME_OVERHEAD + blocks * ct,
-        "masked_ratio": FRAME_OVERHEAD + 2 * blocks * ct,
+        "invsqrt_share": FRAME_OVERHEAD + blocks * fresh,
+        "masked_ratio": FRAME_OVERHEAD + blocks * (ct + fresh),
         "result": FRAME_OVERHEAD + blocks * ct,
     }
 
 
 def gelu_bytes(cfg: Config, m: int, w: int,
                table: PiecewisePoly = GELU_TABLE) -> dict:
-    ct = ct_bytes(cfg.he)
+    ct, fresh = _widths(cfg.he)
     blocks = ceil_div(m * w, cfg.he.n)
     n_vals = m * w
     plan = _segment_plan(table, cfg.fixedpoint.s)
     n_bounds, n_powers = len(table.boundaries), len(_power_keys(plan))
     return {
-        "encrypt_input": FRAME_OVERHEAD + blocks * ct,
+        "encrypt_input": FRAME_OVERHEAD + blocks * fresh,
         "gadget:convert": _gadget(cfg, "convert", n_vals),
         "gadget:lt": n_bounds * _gadget(cfg, "lt", n_vals),
         "gadget:b2a": (n_bounds + 1) * _gadget(cfg, "b2a", n_vals),
         "input_and_squares": FRAME_OVERHEAD + (1 + len(plan)) * blocks * ct,
         "selector_and_square_shares":
-            FRAME_OVERHEAD + (n_bounds + 1 + len(plan)) * blocks * ct,
+            FRAME_OVERHEAD + (n_bounds + 1 + len(plan)) * blocks * fresh,
         "masked_powers": FRAME_OVERHEAD + n_powers * blocks * ct,
-        "power_shares": FRAME_OVERHEAD + n_powers * blocks * ct,
+        "power_shares": FRAME_OVERHEAD + n_powers * blocks * fresh,
         "result": FRAME_OVERHEAD + blocks * ct,
     }
 

@@ -82,7 +82,8 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             [v] = ctx.send_masked("masked_rowsum", [ct_k], m)
             inv = _invsqrt(ctx, ctx.field_share(v), sa, s_inv)
             ctx.send_encrypted("invsqrt_share", np.repeat(inv.payload, n))
-            ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n)
+            ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n,
+                                            fresh=(False, True))
             w = ctx.decrypt(ct_wr)
             off = 1 << (sa + s_inv - shift)
             t_b = (lift_shift(w, p, sa + s_inv + 1, shift) - off) % p
@@ -101,7 +102,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             smask = ctx.mask(m * n, bits=sa + s_inv)
             ctx.send_cts("masked_ratio",
                          [ct_off.sub_pt(smask), ctx.encrypt(smask >> np.uint64(shift))],
-                         m * n, m * n)
+                         m * n, m * n, fresh=(False, True))
             [share] = ctx.recv_decrypted("result", m * n)
         return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE)
 

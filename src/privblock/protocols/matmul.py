@@ -166,16 +166,18 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
     with ctx.session.phase(label):
         layout = (_Packed if packed else _Replicated)(ctx, shape)
         mat = np.asarray(mat, dtype=np.uint64)
+        fresh = [True] * len(layout.in_sizes)  # the data party's own encryptions
         if ctx.role == data_party:
             if mat.shape != (m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", map(ctx.encrypt, layout.left(mat)), *layout.in_sizes)
+            ctx.send_cts("inputs", map(ctx.encrypt, layout.left(mat)), *layout.in_sizes,
+                         fresh=fresh)
             share = layout.decode(ctx.recv_decrypted("masked_product", *layout.out_sizes))
         else:
             if mat.shape != (n, h):
                 raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
             sums = [None] * len(layout.out_sizes)
-            for vec, terms in zip(ctx.recv_cts("inputs", *layout.in_sizes),
+            for vec, terms in zip(ctx.recv_cts("inputs", *layout.in_sizes, fresh=fresh),
                                   layout.right(mat)):
                 for o, pt in terms:
                     term = vec.mul_pt(pt)

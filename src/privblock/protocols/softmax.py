@@ -57,12 +57,12 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
             ctx.send_cts("denominator", [ct_sum.mul_pt(v), ctx.encrypt(np.repeat(v, d))],
-                         m, n_vals)
+                         m, n_vals, fresh=(False, True))
             [share] = ctx.recv_decrypted("result", n_vals)
         else:
             [ct_e] = ctx.recv_added("exp_share", e_sh.payload)
             send_masked_rows(ctx, "masked_exp", ct_e, shape)
-            ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals)
+            ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals, fresh=(False, True))
             u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
             recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
             ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))

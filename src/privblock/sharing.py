@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Session
-from .modarith import round_shift, signed_lift
+from .modarith import mod, round_shift, signed_lift
 from .params import FixedPointConfig, GadgetCostTable
 
 RING, FIELD, BOOL = "ring", "field", "bool"
@@ -76,16 +76,16 @@ def _mod_of(domain: str, cfg: FixedPointConfig) -> int:
 
 def share(secret, domain: str, cfg: FixedPointConfig, rng: np.random.Generator):
     """Uniformly split ``secret`` (array of domain elements) into two shares."""
-    mod = _mod_of(domain, cfg)
+    modulus = _mod_of(domain, cfg)
     sec = np.asarray(secret, dtype=np.uint64).ravel()
-    if sec.size and int(sec.max()) >= mod:
+    if sec.size and int(sec.max()) >= modulus:
         raise DomainMismatch("secret elements outside domain")
-    ra = rng.integers(0, mod, size=sec.size, dtype=np.uint64)
+    ra = rng.integers(0, modulus, size=sec.size, dtype=np.uint64)
     if domain == BOOL:
         rb = sec ^ ra
     else:
-        rb = (sec + (mod - ra)) % np.uint64(mod)
-    return Share(domain, "A", ra, mod), Share(domain, "B", rb, mod)
+        rb = mod(sec + (modulus - ra), modulus)
+    return Share(domain, "A", ra, modulus), Share(domain, "B", rb, modulus)
 
 
 def reconstruct(sh_a: Share, sh_b: Share):
@@ -95,7 +95,7 @@ def reconstruct(sh_a: Share, sh_b: Share):
         raise DomainMismatch("share lengths differ")
     if sh_a.domain == BOOL:
         return sh_a.payload ^ sh_b.payload
-    return (sh_a.payload + sh_b.payload) % np.uint64(sh_a.modulus)
+    return mod(sh_a.payload + sh_b.payload, sh_a.modulus)
 
 
 def xor_shares(x: Share, y: Share) -> Share:
@@ -157,7 +157,7 @@ class GadgetProvider:
                                  f"got {x.domain}")
         for entry in entries:
             self.charge(entry, len(x))
-        mod = _mod_of(out_domain, self.cfg)
+        modulus = _mod_of(out_domain, self.cfg)
         if self.role == "A":
             self.session.send("_gadget", x.payload.tobytes(), metered=False)
             raw = self.session.recv("_gadget", metered=False)
@@ -166,7 +166,7 @@ class GadgetProvider:
                 exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
                 raise exc(msg) if exc else GadgetUnavailable(f"dealer raised {kind}: {msg}")
             out = np.frombuffer(raw[1:], dtype=np.uint64).copy()
-            return Share(out_domain, "A", out, mod)
+            return Share(out_domain, "A", out, modulus)
         other = np.frombuffer(self.session.recv("_gadget", metered=False),
                               dtype=np.uint64)
         secret = reconstruct(x.like(other), x)
@@ -176,10 +176,10 @@ class GadgetProvider:
             self.session.send("_gadget", f"E{type(e).__name__}:{e}".encode(), metered=False)
             raise
         # ``share`` draws its first share from the dealer RNG; B keeps that one.
-        mine, theirs = share(np.asarray(result) % mod, out_domain, self.cfg,
+        mine, theirs = share(np.asarray(result) % modulus, out_domain, self.cfg,
                              self._dealer_rng)
         self.session.send("_gadget", b"K" + theirs.payload.tobytes(), metered=False)
-        return Share(out_domain, "B", mine.payload, mod)
+        return Share(out_domain, "B", mine.payload, modulus)
 
     # -- the four imported protocols ----------------------------------------
     def lt(self, x: Share, c_enc: int) -> Share:

@@ -13,7 +13,7 @@ from privblock.channel import (FRAME_OVERHEAD, MAGIC, PROFILES,
                                HandshakeMismatch, IoError, NetworkProfile,
                                PeerClosed, TcpSession, connect, make_pair,
                                run_pair)
-from privblock.hecore import ct_bytes
+from privblock.hecore import MalformedBytes, ct_bytes
 from privblock.params import Config, toy_he_params
 from privblock.protocols import ShapeMismatch, common
 from privblock.protocols.common import PartyCtx
@@ -216,7 +216,9 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
     """Over TCP, a ciphertext frame of fewer ciphertexts than one chunk
     holds, of exactly one chunk and of a count that is not a multiple of
     it is the header and the ciphertexts' ``serialize`` output back to
-    back, and a receiving ``TcpSession`` yields the same ciphertexts."""
+    back, and a receiving ``TcpSession`` yields the same ciphertexts.  The
+    frames mix seeded fresh vectors with unseeded ones, so a chunk's layout
+    changes within a frame, and no chunk carries bytes of the one before."""
     ours, theirs = socket.socketpair()
     ctx = _stream_ctx("A", TcpSession("A", PROFILES["lan"], ours), backend)
     width = ct_bytes(ctx.he_params, 2)
@@ -226,16 +228,19 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
     theirs.settimeout(10)
     for count in (2, 3, 7):
         sizes = [64] * (count - 2) + [100]  # the last vector spans two ciphertexts
+        fresh = [k % 3 != 1 for k in range(len(sizes))]
         vecs = [ctx.encrypt(np.arange(size, dtype=np.uint64) * count) for size in sizes]
-        ctx.send_cts("x", iter(vecs), *sizes)
+        vecs = [vec if f else vec.add_pt(1) for vec, f in zip(vecs, fresh)]
+        ctx.send_cts("x", iter(vecs), *sizes, fresh=fresh)
         blobs = b"".join(ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts)
-        want = MAGIC + struct.pack(">I", count * width) + blobs
+        want = MAGIC + struct.pack(">I", len(blobs)) + blobs
         got = bytearray()
         while len(got) < len(want):
             got += theirs.recv(len(want) - len(got))
         assert got == want
         into.sendall(got)
-        back = b"".join(peer.backend.serialize(ct) for vec in peer.recv_cts("x", *sizes)
+        back = b"".join(peer.backend.serialize(ct)
+                        for vec in peer.recv_cts("x", *sizes, fresh=fresh)
                         for ct in vec.cts)
         assert back == blobs
     assert peer.session.report().to_dict() == ctx.session.report().to_dict()
@@ -256,14 +261,88 @@ def test_empty_ciphertext_frame_is_read_and_metered(transport):
     ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
     x = np.arange(100, dtype=np.uint64)
     ctx.send_cts("none", [])
-    ctx.send_cts("x", [ctx.encrypt(x)], 100)
+    ctx.send_cts("x", [ctx.encrypt(x)], 100, fresh=[True])
     assert list(peer.recv_cts("none")) == []
-    [vec] = peer.recv_cts("x", 100)
+    [vec] = peer.recv_cts("x", 100, fresh=[True])
     assert (ctx.decrypt(vec) == x).all()
     assert sb.report().to_dict() == sa.report().to_dict()
-    assert sa.report().bytes_sent["A"] == 2 * FRAME_OVERHEAD + 2 * ct_bytes(ctx.he_params, 2)
+    assert sa.report().bytes_sent["A"] == (2 * FRAME_OVERHEAD
+                                           + 2 * ct_bytes(ctx.he_params, 2, seeded=True))
     sa.close()
     sb.close()
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_seeded_vectors_decrypt_after_a_round_trip(backend, transport):
+    """A fresh vector of three blocks goes over the wire seeded, next to a
+    computed one that goes whole; the receiver re-expands each seeded
+    ciphertext to the sender's (c0, a) and it decrypts exactly."""
+    if transport == "pair":
+        sa, sb = make_pair(PROFILES["lan"])
+    else:
+        ours, theirs = socket.socketpair()
+        sa, sb = (TcpSession("A", PROFILES["lan"], ours),
+                  TcpSession("B", PROFILES["lan"], theirs))
+    ctx, peer = _stream_ctx("A", sa, backend), _stream_ctx("B", sb, backend)
+    x = np.random.default_rng(8).integers(0, ctx.fp.p, size=150, dtype=np.uint64)
+    sent = [ctx.encrypt(x), ctx.encrypt(x[:70]).add_pt(5)]
+    ctx.send_cts("x", sent, 150, 70, fresh=(True, False))
+    got = list(peer.recv_cts("x", 150, 70, fresh=(True, False)))
+    assert [ct.seed for ct in got[0].cts] == [ct.seed for ct in sent[0].cts]
+    assert all(ct.seed is not None for ct in got[0].cts)
+    assert all(ct.seed is None for ct in got[1].cts)
+    for vec, want in zip(got, sent):
+        for ct, ref in zip(vec.cts, want.cts):
+            assert ctx.backend.serialize(ct) == ctx.backend.serialize(ref)
+    assert (ctx.decrypt(got[0]) == x).all()
+    assert (ctx.decrypt(got[1]) == (x[:70] + 5) % ctx.fp.p).all()
+    width, fresh = ct_bytes(ctx.he_params, 2), ct_bytes(ctx.he_params, 2, seeded=True)
+    assert sa.report().bytes_sent["A"] == FRAME_OVERHEAD + 3 * fresh + 2 * width
+    sa.close()
+    sb.close()
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_misdeclared_seeded_frames_are_rejected(backend):
+    """Over TCP, a frame whose seeded ciphertexts are not where the
+    receiver expects them raises before it is read: ``ShapeMismatch`` when
+    the frame length differs (a seeded vector where an unseeded one is
+    expected, or the reverse; the payload stays unread), and
+    ``MalformedBytes`` from the first header whose flag disagrees when the
+    lengths cancel out."""
+    ours, theirs = socket.socketpair()
+    ctx = _stream_ctx("A", TcpSession("A", PROFILES["lan"], ours), backend)
+    into, out = socket.socketpair()
+    peer = _stream_ctx("B", TcpSession("B", PROFILES["lan"], out), backend)
+    theirs.settimeout(10)
+    out.settimeout(10)
+    x = np.arange(64, dtype=np.uint64)
+    fresh, computed = ctx.encrypt(x), ctx.encrypt(x).add_pt(1)
+
+    def relay(vecs, flags):
+        """Send ``vecs`` as A flags them; hand B the frame; return its payload."""
+        ctx.send_cts("x", vecs, *[64] * len(vecs), fresh=flags)
+        length = sum(ct_bytes(ctx.he_params, 2, f) for f in flags)
+        frame = bytearray()
+        while len(frame) < FRAME_OVERHEAD + length:
+            frame += theirs.recv(FRAME_OVERHEAD + length - len(frame))
+        into.sendall(frame)
+        return bytes(frame[FRAME_OVERHEAD:])
+
+    for vec, flag in ((fresh, True), (computed, False)):
+        payload = relay([vec], [flag])
+        with pytest.raises(ShapeMismatch, match="bytes, expected"):
+            list(peer.recv_cts("x", 64, fresh=[not flag]))
+        got = bytearray()
+        while len(got) < len(payload):
+            got += out.recv(len(payload) - len(got))
+        assert got == payload  # unread by the receiver
+    relay([fresh, computed, fresh], [True, False, True])
+    with pytest.raises(MalformedBytes, match="a seeded ciphertext where an unseeded"):
+        list(peer.recv_cts("x", 64, 64, 64, fresh=[False, True, True]))
+    for sock in (ours, theirs, into, out):
+        sock.close()
 
 
 def test_tcp_ciphertext_frame_length_is_checked_before_its_payload(monkeypatch):

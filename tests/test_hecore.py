@@ -6,7 +6,8 @@ import pytest
 
 from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
-from privblock.hecore import (HEADER_BYTES, KeyMismatch, MalformedBytes,
+from privblock import hecore
+from privblock.hecore import (HEADER_BYTES, SEED_BYTES, KeyMismatch, MalformedBytes,
                               MissingRelinKey, NoiseExhausted, create_backend, ct_bytes,
                               noise, pack_slots, parse_header)
 from privblock.hecore.clear import ClearPublicKey
@@ -35,6 +36,8 @@ def test_param_validation():
         HeParams(n=64, q_primes=TOY.q_primes, p=12347)  # prime, not 1 mod 2N
     with pytest.raises(ParamError):
         HeParams(n=48, q_primes=TOY.q_primes, p=12289)  # not a power of two
+    with pytest.raises(ParamError, match="2 limbs"):
+        HeParams(n=64, q_primes=TOY.q_primes[:1], p=12289)
 
 
 def test_keygen_roundtrip_zero_and_random():
@@ -205,6 +208,55 @@ def test_deserialize_rejects_component_counts_and_noise_fields(backend):
             be.deserialize(bytes(bad))
     blob[12:16] = struct.pack(">f", 0.0)
     assert be.deserialize(bytes(blob)).noise_bits == 0.0
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_flags_byte_and_seed_are_checked(backend, monkeypatch):
+    """A secret-key encryption serializes seeded (flag bit 0, the seed,
+    then c0 alone) and parses back only where a seeded ciphertext is
+    expected; a public-key one serializes whole.  A flipped flag, a flags
+    byte no rule defines, a cut seed, and a seeded blob where an unseeded
+    one is expected (and the reverse) raise ``MalformedBytes`` on both
+    backends before the body is parsed: no buffer is read past the
+    header."""
+    be = create_backend(TOY, backend, np.random.default_rng(16))
+    kp = be.keygen("A")
+    m = np.arange(64, dtype=np.uint64)
+    ct = be.encrypt(m, kp)
+    seeded, whole = be.serialize(ct), be.serialize(be.encrypt(m, kp.public))
+    assert len(seeded) == ct_bytes(TOY, 2, seeded=True) == \
+        HEADER_BYTES + SEED_BYTES + TOY.limbs * TOY.n * 4
+    assert len(whole) == ct_bytes(TOY, 2) and seeded[11] == 1 and whole[11] == 0
+    assert seeded[HEADER_BYTES:HEADER_BYTES + SEED_BYTES] == ct.seed
+    assert parse_header(seeded, TOY)[4] and not parse_header(whole, TOY)[4]
+    back = be.deserialize(seeded, seeded=True)
+    assert back.seed == ct.seed and be.serialize(back) == seeded
+    assert np.array_equal(be.decrypt(back, kp), m)
+    # an operation's result is unseeded, and serializes whole
+    assert be.add_pt(ct, 0).seed is None and len(be.serialize(be.add_pt(ct, 0))) == len(whole)
+
+    def flagged(blob, flags):
+        return blob[:11] + bytes([flags]) + blob[12:]
+
+    bad = [(flagged(seeded, 0), True, "unseeded ciphertext where a seeded"),
+           (flagged(seeded, 0), False, "truncated"),
+           (flagged(whole, 1), False, "seeded ciphertext where an unseeded"),
+           (flagged(whole, 1), True, "truncated"),
+           (seeded, False, "seeded ciphertext where an unseeded"),
+           (whole, True, "unseeded ciphertext where a seeded"),
+           (seeded[:HEADER_BYTES + 10], True, "truncated"),
+           (seeded[:HEADER_BYTES + 10] + seeded[HEADER_BYTES + SEED_BYTES:], True,
+            "truncated")]
+    bad += [(flagged(blob, flags), want, "undefined ciphertext flags")
+            for flags in (2, 3, 0x80, 0xFF) for blob, want in ((seeded, True), (whole, False))]
+
+    def no_body(*args, **kwargs):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(hecore.np, "frombuffer", no_body)
+    for blob, want, match in bad:
+        with pytest.raises(MalformedBytes, match=match):
+            be.deserialize(blob, seeded=want)
 
 
 @pytest.mark.parametrize("backend", ["clear", "rlwe"])
@@ -392,14 +444,14 @@ def test_share_conversions_round_trip(pair_runner, backend):
                  for _ in range(3))
 
     def fa(ctx):
-        ctx.send_cts("values", map(ctx.encrypt, x), 150, 70)
+        ctx.send_cts("values", map(ctx.encrypt, x), 150, 70, fresh=(True, True))
         shares = ctx.recv_decrypted("masked", 150, 70)
         [bounded] = ctx.recv_decrypted("bounded", 70)
         ctx.send_encrypted("shares", *sa)
         return shares, bounded, [ctx.decrypt(v) for v in ctx.recv_cts("sums", 150, 70)]
 
     def fb(ctx):
-        vecs = list(ctx.recv_cts("values", 150, 70))
+        vecs = list(ctx.recv_cts("values", 150, 70, fresh=(True, True)))
         assert [len(v.cts) for v in vecs] == [3, 2]
         masks = ctx.send_masked("masked", iter(vecs), 150, 70)
         [bounded] = ctx.send_masked("bounded", vecs[1:], 70, bits=bits)
@@ -426,9 +478,11 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     slice of a larger buffer.  A list holding a ciphertext that is not two
     components wide, or of another count of vectors than sizes, is rejected
     before anything is sent; an iterator is checked as it is read, so the
-    chunks before the one holding the bad ciphertext are handed over."""
+    chunks before the one holding the bad ciphertext are handed over.  The
+    fresh vectors go seeded, and a seeded ciphertext in a vector not
+    flagged fresh, or the reverse, is rejected before anything is sent."""
     cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
-    width = ct_bytes(cfg.he, 2)
+    width = ct_bytes(cfg.he, 2, seeded=True)
     monkeypatch.setattr(common, "CHUNK_BYTES", 2 * width + 1)
     ours, theirs = socket.socketpair()
     sa = TcpSession("A", PROFILES["lan"], ours)
@@ -444,7 +498,8 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
             sent[-1][2].append(bytes(chunk))
 
     monkeypatch.setattr(sa, "send", capture)
-    ctx.send_cts("x", vecs, 100, 150)
+    fresh = (True, True)
+    ctx.send_cts("x", vecs, 100, 150, fresh=fresh)
     blobs = [ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts]
     [(label, length, chunks)] = sent
     assert (label, length) == ("x", 5 * width)
@@ -453,14 +508,14 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
 
     monkeypatch.setattr(common, "CHUNK_BYTES", 1)  # still one ciphertext a chunk
     sent.clear()
-    ctx.send_cts("x", vecs[:1], 100)
+    ctx.send_cts("x", vecs[:1], 100, fresh=[True])
     assert sent[0][2] == blobs[:2]
 
     pair, _ = make_pair(PROFILES["lan"])
     monkeypatch.setattr(pair, "send", capture)
     ctx.session = pair
     sent.clear()
-    ctx.send_cts("x", vecs, 100, 150)
+    ctx.send_cts("x", vecs, 100, 150, fresh=fresh)
     assert sent == [("x", 5 * width, [b"".join(blobs)])]
     ctx.session = sa
 
@@ -475,14 +530,18 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     bad = [vecs[0], CtVec(ctx, [ct, _widen(ct)], 100)]
     sent.clear()
     with pytest.raises(ShapeMismatch, match="3 components"):
-        ctx.send_cts("y", bad, 100, 100)
+        ctx.send_cts("y", bad, 100, 100, fresh=fresh)
     with pytest.raises(ShapeMismatch, match="more than 1 encrypted vectors"):
-        ctx.send_cts("y", vecs, 100)
+        ctx.send_cts("y", vecs, 100, fresh=[True])
     with pytest.raises(ShapeMismatch, match="fewer than 2 encrypted vectors"):
         ctx.send_masked("y", vecs[:1], 100, 150)
+    with pytest.raises(ShapeMismatch, match="a seeded ciphertext in a non-fresh vector"):
+        ctx.send_cts("y", vecs, 100, 150)
+    with pytest.raises(ShapeMismatch, match="an unseeded ciphertext in a fresh vector"):
+        ctx.send_cts("y", [vecs[0], vecs[1].add_pt(1)], 100, 150, fresh=fresh)
     assert sent == []
     with pytest.raises(ShapeMismatch, match="3 components"):
-        ctx.send_cts("y", iter(bad), 100, 100)
+        ctx.send_cts("y", iter(bad), 100, 100, fresh=fresh)
     assert sent == [("y", 4 * width, [b"".join(blobs[:2])])]
     ours.close()
     theirs.close()
@@ -532,12 +591,12 @@ def test_block_headers_are_public(toy_cfg, rlwe_toy_cfg, pair_runner, monkeypatc
     sent = {}
     send_cts = PartyCtx.send_cts
 
-    def recording(ctx, label, vecs, *sizes):
+    def recording(ctx, label, vecs, *sizes, **kwargs):
         vecs = list(vecs)
         for i, ct in enumerate(ct for vec in vecs for ct in vec.cts):
             header = parse_header(ctx.backend.serialize(ct), ctx.he_params)
             sent[ctx.role].append((label, i, header[3]))
-        return send_cts(ctx, label, vecs, *sizes)
+        return send_cts(ctx, label, vecs, *sizes, **kwargs)
 
     monkeypatch.setattr(PartyCtx, "send_cts", recording)
     bc = toy_block_config()

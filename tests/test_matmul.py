@@ -265,9 +265,12 @@ def test_shared_transcript_is_the_cross_terms(cfg_name, pair_runner, request):
                       ("B", "mmshared/cross_ba/inputs"),
                       ("A", "mmshared/cross_ba/masked_product")]
     assert all(kind == "frame" for kind, _, _ in transcript)
-    one = FRAME_OVERHEAD + ct_bytes(cfg.he)
+    # one ciphertext a frame: the inputs fresh and seeded, the products whole
+    one = {"inputs": FRAME_OVERHEAD + ct_bytes(cfg.he, seeded=True),
+           "masked_product": FRAME_OVERHEAD + ct_bytes(cfg.he)}
     for _, label in frames:
-        assert rep.phases[label]["bytes_a"] + rep.phases[label]["bytes_b"] == one
+        assert (rep.phases[label]["bytes_a"] + rep.phases[label]["bytes_b"]
+                == one[label.rsplit("/", 1)[1]])
 
 
 def test_determinism(toy_cfg, pair_runner):
@@ -369,13 +372,14 @@ def test_packed_partition_desk_and_toy():
     bc = toy_block_config()
     cfg = Config(he_backend="clear")
     one = FRAME_OVERHEAD + ct_bytes(cfg.he)
+    fresh = FRAME_OVERHEAD + ct_bytes(cfg.he, seeded=True)
     for m, n, h in {(bc.d_s, bc.d_m, 3 * bc.d_m),
                     (bc.d_s, bc.d_m, bc.d_k), (bc.d_s, bc.d_k, bc.d_s),
                     (bc.d_s, bc.d_s, bc.d_k), (bc.d_s, bc.d_m, bc.d_m),
                     (bc.d_s, bc.d_m, bc.d_f), (bc.d_s, bc.d_f, bc.d_m)}:
         assert packed_partition(m, n, h, 8192) == (m, n, h)
         assert costs.matmul_bytes(cfg, m, n, h, packed=True) == {
-            "inputs": one, "masked_product": one}
+            "inputs": fresh, "masked_product": one}
 
 
 def test_packed_masks_every_coefficient(pair_runner):

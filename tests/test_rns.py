@@ -15,6 +15,7 @@ mul_ct at N = 8192.  The edge value +-(Q-1)/2 lies 1/(2Q) from such a tie,
 which no float resolves; ``test_edge_coefficients`` pins what happens there.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -96,12 +97,25 @@ def ref_encrypt(be, slots, public):
     return (mulmod(public.pk, u, be.q_col) + np.stack([e1 + dm, e2])) % be.q_col
 
 
+def ref_expand_a(seed, qs, n):
+    """The NTT-form ``a`` of a seed, one word at a time: limb i keeps the
+    first n little-endian 4-byte words of shake_128(seed || i), each cut to
+    the bit length of q_i, that fall below q_i."""
+    rows = []
+    for i, q in enumerate(qs):
+        stream = hashlib.shake_128(seed + bytes([i])).digest(8 * n)
+        words = (int.from_bytes(stream[j:j + 4], "little") & ((1 << q.bit_length()) - 1)
+                 for j in range(0, len(stream), 4))
+        rows.append([w for w in words if w < q][:n])
+    return np.array(rows, dtype=np.uint64)
+
+
 def ref_sk_encrypt(be, slots, kp):
     """Encrypt (e + floor(q/p) m - a s, a) under the secret key, with one NTT
-    per limb for each of m and e."""
+    per limb for each of m and e, and a expanded from a 32-byte seed."""
     m_ntt = _to_ntt(be.plan_p.inverse(np.asarray(slots, dtype=np.uint64)), be.plans)
     e = _to_ntt(be._gauss(), be.plans)
-    a = np.stack([be.rng.integers(0, q, size=be.n, dtype=np.uint64) for q in be.qs])
+    a = ref_expand_a(be.rng.bytes(32), be.qs, be.n)
     body = e + mulmod(m_ntt, be.delta_col, be.q_col) + be.q_col - mulmod(a, kp._s, be.q_col)
     return np.stack([body % be.q_col, a])
 
@@ -255,3 +269,30 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
     assert np.array_equal(got.astype(object), m.astype(object) * m[::-1] % params.p)
     got, _ = run(lambda: be.decrypt(sq, kp))
     assert np.array_equal(got.astype(object), m.astype(object) ** 2 % params.p)
+
+
+@pytest.mark.parametrize("params", [TOY_P37, HeParams()], ids=["toy_p37", "n8192"])
+def test_seed_expansion(params):
+    """``a`` of a seeded ciphertext is the word-by-word reference expansion
+    of its seed alone: two backends on different RNGs expand a seed alike,
+    every entry lies below its limb prime, another seed gives another
+    ``a``, and a first read too short for any limb, which takes the
+    extension path, gives the same ``a``."""
+    be = create_backend(params, "rlwe", np.random.default_rng(30))
+    other = create_backend(params, "rlwe", np.random.default_rng(31))
+    kp = be.keygen("A")
+    ct = be.encrypt(np.arange(params.n, dtype=np.uint64), kp)
+    a = ct.data[1]
+    assert len(ct.seed) == 32
+    assert np.array_equal(a, other._expand_a(ct.seed))
+    assert np.array_equal(a, ref_expand_a(ct.seed, be.qs, be.n))
+    assert (a < be.q_col).all()
+    assert not np.array_equal(a, be._expand_a(bytes(32)))
+    other.a_words = [be.n // 2] * be.L
+    assert np.array_equal(a, other._expand_a(ct.seed))
+    other.a_words = [1] * be.L
+    assert np.array_equal(a, other._expand_a(ct.seed))
+    # the receiver's re-expansion restores the sender's ciphertext
+    back = other.deserialize(be.serialize(ct), seeded=True)
+    assert np.array_equal(back.data, ct.data) and back.seed == ct.seed
+    assert np.array_equal(be.decrypt(back, kp), np.arange(params.n) % params.p)
