@@ -3,21 +3,21 @@
 A ``Session`` is one side of one logical conversation.  Both endpoints log
 every metered message with a step label and ``FRAME_OVERHEAD + length``
 bytes, so a finished run yields identical ``CostReport`` objects on both sides
-on either transport: the in-process pair queues a frame's chunks (the first
-with the length), and only TCP writes ``magic(4) | length(4, big-endian) |
-payload``.  A frame is a stream of chunks.  ``send`` declares the length,
-then writes each buffer its iterable yields before the next one is produced
-(``PartyCtx.send_cts`` serializes a few ciphertexts into each; TCP sends the
-header with the first in one ``sendmsg``).  ``recv_chunks`` yields the
-payload piece by piece: TCP ``recv_into``s each piece, of the lengths the
-receiver asks for, into one reused buffer, one kernel-to-user copy, and a
-receiver that expects a length
-rejects any other before it reserves or reads a payload byte.  A single
-buffer is the one-chunk case of ``send``, and ``recv`` returns a whole frame
-as a memoryview on both transports.
-Simulated time is computed
-analytically from the transcript: ``latency + 8 * frame_bytes / bandwidth``
-per message along the (sequential) critical path, never by sleeping.
+on either transport: the in-process pair queues a frame as one item, its
+length and its chunks, and only TCP writes ``magic(4) | length(4,
+big-endian) | payload``.  A frame is a stream of chunks.  ``send`` declares
+the length, then writes each buffer its iterable yields before the next one
+is produced (``PartyCtx.send_cts`` serializes a few ciphertexts into each;
+TCP sends the header with the first in one ``sendmsg``).  ``recv_chunks``
+reads the header when called, rejects a length other than the one the
+receiver expects before it reserves or reads a payload byte, meters the
+frame, and returns an iterator of its payload: TCP ``recv_into``s each
+piece, of the lengths the receiver asks for, into one reused buffer, one
+kernel-to-user copy.  A single buffer is the one-chunk case of ``send``,
+and ``recv`` returns a whole frame as a memoryview on both transports.
+Simulated time is computed analytically from the transcript: ``latency +
+8 * frame_bytes / bandwidth`` per message along the (sequential) critical
+path, never by sleeping.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ class Session:
         raise NotImplementedError
 
     def _recv_frame(self, pieces: list | None):
-        """The next frame's declared payload length, and a generator that
-        reads and yields its payload (pieces of the lengths in ``pieces``,
-        or one piece, where the transport chooses) once it is iterated."""
+        """The next frame's declared payload length, and an iterator of its
+        payload (pieces of the lengths in ``pieces``, or one piece, where
+        the transport chooses), read as it is iterated."""
         raise NotImplementedError
 
     def close(self):
@@ -239,21 +239,21 @@ class Session:
 
     def recv_chunks(self, label: str, length: int | None = None,
                     pieces: list | None = None, metered: bool = True):
-        """Yield the next frame's payload in order as memoryviews: over TCP
-        pieces of the lengths in ``pieces`` (which sum to ``length``), or
-        one piece, read into one buffer that the next piece overwrites, and
-        the sender's chunks on the pair.  A declared length other than
+        """Read the next frame's header, meter the frame, and return an
+        iterator of its payload in order as memoryviews: over TCP pieces of
+        the lengths in ``pieces`` (which sum to ``length``), or one piece,
+        read into one buffer that the next piece overwrites, and the
+        sender's chunks on the pair.  A declared length other than
         ``length`` raises ``ShapeMismatch`` before a payload byte is
-        reserved or read.  The frame is metered once its last byte is
-        read."""
-        declared, pieces = self._recv_frame(pieces)
+        reserved or read."""
+        declared, chunks = self._recv_frame(pieces)
         if length is not None and declared != length:
             raise ShapeMismatch(f"{self._qualify(label)}: a frame of {declared} "
                                 f"bytes, expected {length}")
-        yield from pieces
         if metered:
             self.ledger.log_frame(self.peer_role, self._qualify(label),
                                   FRAME_OVERHEAD + declared)
+        return chunks
 
     def recv(self, label: str, metered: bool = True) -> memoryview:
         """The whole payload, in a buffer of its own: it slices and compares
@@ -275,6 +275,15 @@ class Session:
         return [(k, d, l) for k, d, l, _, _ in self.ledger.entries if k != "warn"]
 
     # -- handshake ---------------------------------------------------------
+    def _exchange(self, label: str, blob: bytes) -> memoryview:
+        """Swap ``blob`` for the peer's, A sending first."""
+        if self.role == A:
+            self.send(label, blob)
+            return self.recv(label)
+        other = self.recv(label)
+        self.send(label, blob)
+        return other
+
     def handshake(self, params_blob: bytes):
         """Exchange a parameter fingerprint once; abort on mismatch.  A repeat
         call moves nothing, and raises unless its fingerprint is the agreed one."""
@@ -282,19 +291,15 @@ class Session:
             if params_blob != self._agreed:
                 raise HandshakeMismatch("fingerprint differs from the one agreed")
             return
-        if self.role == A:
-            self.send("handshake", params_blob)
-            other = self.recv("handshake")
-        else:
-            other = self.recv("handshake")
-            self.send("handshake", params_blob)
+        other = self._exchange("handshake", params_blob)
         if other != params_blob:
             raise HandshakeMismatch("parameter fingerprints differ between parties")
         self._agreed = bytes(params_blob)
 
 
 class PairSession(Session):
-    """In-process session backed by a pair of queues of payloads."""
+    """In-process session backed by a pair of queues: one item a frame, its
+    length and its chunks."""
 
     def __init__(self, role, profile, inbox: Queue, outbox: Queue):
         super().__init__(role, profile)
@@ -314,27 +319,11 @@ class PairSession(Session):
         return item
 
     def _send_chunks(self, length, chunks):
-        first = True
-        for chunk in chunks:
-            # the length rides with the first chunk: a one-chunk frame is
-            # one item on the queue
-            self._put((length, chunk) if first else chunk)
-            first = False
-        if first:
-            self._put((length, b""))
+        self._put((length, list(chunks)))
 
     def _recv_frame(self, pieces):
-        length, first = self._get()
-        return length, self._pieces(length, first)
-
-    def _pieces(self, length, piece):
-        got = len(piece)
-        if got:
-            yield memoryview(piece)
-        while got < length:
-            piece = self._get()
-            got += len(piece)
-            yield memoryview(piece)
+        length, chunks = self._get()
+        return length, map(memoryview, chunks)
 
     def close(self):
         self._outbox.put(None)

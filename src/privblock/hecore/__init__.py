@@ -13,21 +13,23 @@ RLWE/NTT scheme with exact plaintext semantics mod p) and ``clear``
 testing.  Both serialize ciphertexts to the identical wire format and byte
 size, so cost accounting is backend-independent.
 
-A ciphertext on the wire is a 16-byte header (magic, parameter hash,
-component count, owner, backend id, a flags byte and the float32 noise
-estimate) and its body.  A fresh secret-key encryption (c0, a) draws its
-uniform ``a`` from a 32-byte seed; until an operation touches it, it
-carries that seed, and it is written seeded: flag bit 0 set, the seed, then
-c0 alone, 16 + 32 + L N 4 bytes in place of 16 + 2 L N 4.  The reader
-names the form it expects (``deserialize(data, seeded)``), checks the flag
-and the length against it, and re-expands ``a`` from the seed.  No other
-flag bit is defined.
+Every ciphertext has two components, since each product is relinearized;
+the count lives only on the wire.  A ciphertext there is a 16-byte header
+(magic, parameter hash, the component count 2, owner, backend id, a flags
+byte and the float32 noise estimate) and its body.  A fresh secret-key
+encryption (c0, a) draws its uniform ``a`` from a 32-byte seed; until an
+operation touches it, it carries that seed, and it is written seeded: flag
+bit 0 set, the seed, then c0 alone, 16 + 32 + L N 4 bytes in place of
+16 + 2 L N 4.  The reader names the form it expects
+(``deserialize(data, seeded)``), checks the flag and the length against
+it, and re-expands ``a`` from the seed.  No other flag bit is defined.
 
 Every rule the two backends share is written once here, and a backend
 supplies only its arithmetic and the noise update of each op:
-``check_same_key`` (the operands of add_ct and of a product),
+``check_same_key`` (the owner of the operands of add_ct and of a product),
 ``check_decrypt``, ``check_product`` (the ct*ct gate) and the wire pair
-``write_ct``/``read_ct``.  So both fail the same way on the same input.
+``write_ct``/``read_ct``, which alone writes and checks the component
+count.  So both fail the same way on the same input.
 """
 
 from __future__ import annotations
@@ -85,12 +87,11 @@ def pack_slots(values, params: HeParams) -> np.ndarray:
     return out
 
 
-def ct_bytes(params: HeParams, n_components: int = 2, seeded: bool = False) -> int:
+def ct_bytes(params: HeParams, seeded: bool = False) -> int:
     """Serialized ciphertext size; identical for both backends.  A seeded
-    ciphertext carries the seed of its last component in place of it."""
-    if seeded:
-        return HEADER_BYTES + SEED_BYTES + (n_components - 1) * params.limbs * params.n * 4
-    return HEADER_BYTES + n_components * params.limbs * params.n * 4
+    ciphertext carries the seed of its second component in place of it."""
+    component = params.limbs * params.n * 4
+    return HEADER_BYTES + (SEED_BYTES if seeded else component) + component
 
 
 def write_ct(params: HeParams, ct, backend_id: int, body: np.ndarray, dtype: str,
@@ -101,14 +102,14 @@ def write_ct(params: HeParams, ct, backend_id: int, body: np.ndarray, dtype: str
     into it in place (the padding is not touched) and ``out`` is returned;
     without it, the same bytes are returned new."""
     seeded = ct.seed is not None
-    size = ct_bytes(params, ct.ncomp, seeded)
+    size = ct_bytes(params, seeded)
     buf = np.zeros(size, np.uint8) if out is None else np.frombuffer(out, np.uint8)
     if buf.size != size:
         raise MalformedBytes(f"a buffer of {buf.size} bytes for a ciphertext of {size}")
     start = HEADER_BYTES + SEED_BYTES * seeded
     end = start + body.size * np.dtype(dtype).itemsize
     head = (CT_MAGIC + params.param_hash()
-            + struct.pack(">BBBBf", ct.ncomp, ord(ct.owner), backend_id,
+            + struct.pack(">BBBBf", 2, ord(ct.owner), backend_id,
                           SEEDED * seeded, ct.noise_bits))
     buf[:HEADER_BYTES] = np.frombuffer(head, np.uint8)
     if seeded:
@@ -118,8 +119,9 @@ def write_ct(params: HeParams, ct, backend_id: int, body: np.ndarray, dtype: str
 
 
 def parse_header(data: bytes, params: HeParams):
-    """(ncomp, owner, backend id, noise bits, seeded) of a header under
-    ``params``; a flags byte other than 0 or ``SEEDED`` is malformed."""
+    """(owner, backend id, noise bits, seeded) of a header under
+    ``params``; a component count other than 2, or a flags byte other than
+    0 or ``SEEDED``, is malformed."""
     if len(data) < HEADER_BYTES or data[:4] != CT_MAGIC:
         raise MalformedBytes("bad ciphertext magic")
     if data[4:8] != params.param_hash():
@@ -127,34 +129,34 @@ def parse_header(data: bytes, params: HeParams):
     ncomp, owner, backend_id, flags = struct.unpack(">BBBB", data[8:12])
     if flags not in (0, SEEDED):
         raise MalformedBytes(f"undefined ciphertext flags {flags:#04x}")
+    if ncomp != 2:
+        raise MalformedBytes(f"a ciphertext of {ncomp} components, expected 2")
     (noise_bits,) = struct.unpack(">f", data[12:16])
-    return ncomp, chr(owner), backend_id, noise_bits, flags == SEEDED
+    return chr(owner), backend_id, noise_bits, flags == SEEDED
 
 
 def read_ct(params: HeParams, data: bytes, backend_id: int, dtype: str,
             seeded: bool = False, count: int = -1):
-    """The inverse of ``write_ct``: (ncomp, owner, noise_bits, seed, body)
-    of a whole two-component ciphertext of backend ``backend_id``, seeded
+    """The inverse of ``write_ct``: (owner, noise_bits, seed, body) of a
+    whole two-component ciphertext of backend ``backend_id``, seeded
     exactly when ``seeded`` (its seed, else None), whose noise estimate is
     finite and not negative, the body its first ``count`` words (every word
     by default) of ``dtype`` after the header and seed, unconverted."""
-    ncomp, owner, got_id, noise_bits, got_seeded = parse_header(data, params)
+    owner, got_id, noise_bits, got_seeded = parse_header(data, params)
     if got_id != backend_id:
         raise MalformedBytes("ciphertext from a different backend")
-    if ncomp != 2:
-        raise MalformedBytes(f"a ciphertext of {ncomp} components, expected 2")
     if got_seeded != seeded:
         raise MalformedBytes(f"{'a seeded' if got_seeded else 'an unseeded'} ciphertext "
                              f"where {'a seeded' if seeded else 'an unseeded'} one "
                              f"is expected")
     if not (math.isfinite(noise_bits) and noise_bits >= 0):
         raise MalformedBytes(f"a noise estimate of {noise_bits} bits")
-    if len(data) != ct_bytes(params, ncomp, seeded):
+    if len(data) != ct_bytes(params, seeded):
         raise MalformedBytes("truncated or padded ciphertext stream")
     start = HEADER_BYTES + SEED_BYTES * seeded
     seed = bytes(data[HEADER_BYTES:start]) if seeded else None
     body = np.frombuffer(data, dtype=dtype, count=count, offset=start)
-    return ncomp, owner, noise_bits, seed, body
+    return owner, noise_bits, seed, body
 
 
 def noise_budget_bits(params: HeParams, noise_bits: float) -> float:
@@ -177,12 +179,9 @@ def aux_basis(params: HeParams) -> tuple:
 
 
 def check_same_key(*cts):
-    """Ciphertexts that combine: one owner (``KeyMismatch``) and one
-    component count (``MalformedBytes``)."""
+    """Ciphertexts that combine have one owner (``KeyMismatch``)."""
     if len({ct.owner for ct in cts}) != 1:
         raise KeyMismatch("ciphertexts under different keys")
-    if len({ct.ncomp for ct in cts}) != 1:
-        raise MalformedBytes("component count mismatch")
 
 
 def check_decrypt(params: HeParams, ct, keypair):
@@ -195,16 +194,13 @@ def check_decrypt(params: HeParams, ct, keypair):
 
 def check_product(params: HeParams, pairs, public, max_fan_in: int) -> tuple:
     """The (x, y) pairs of a sum of products as a list, and the noise bits
-    of the sum: 1 to ``max_fan_in`` pairs of two-component ciphertexts
-    under one key, a public key with relinearization, and budget left after
-    the product."""
+    of the sum: 1 to ``max_fan_in`` pairs of ciphertexts under one key, a
+    public key with relinearization, and budget left after the product."""
     pairs = list(pairs)
     if not 1 <= len(pairs) <= max_fan_in:
         raise ParamError(f"a sum of {len(pairs)} ct*ct products; the auxiliary "
                          f"basis allows 1 to {max_fan_in}")
     check_same_key(*(ct for pair in pairs for ct in pair))
-    if pairs[0][0].ncomp != 2:
-        raise MalformedBytes(f"ct*ct of {pairs[0][0].ncomp}-component operands")
     if not public.has_relin:
         raise MissingRelinKey("relinearization key required for ct*ct")
     nb = noise.mul_ct_bits(params, [(x.noise_bits, y.noise_bits) for x, y in pairs])

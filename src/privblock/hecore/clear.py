@@ -43,13 +43,12 @@ class ClearKeyPair:
 
 
 class ClearCiphertext:
-    __slots__ = ("slots", "owner", "noise_bits", "ncomp", "seed")
+    __slots__ = ("slots", "owner", "noise_bits", "seed")
 
-    def __init__(self, slots, owner, noise_bits, ncomp=2, seed=None):
+    def __init__(self, slots, owner, noise_bits, seed=None):
         self.slots = np.asarray(slots, dtype=np.uint64)
         self.owner = owner
         self.noise_bits = float(noise_bits)
-        self.ncomp = ncomp
         self.seed = seed
 
 
@@ -128,6 +127,6 @@ class ClearBackend:
     def deserialize(self, data: bytes, seeded: bool = False) -> ClearCiphertext:
         """The ciphertext of ``data``, which must be seeded exactly when
         ``seeded``."""
-        ncomp, owner, noise_bits, seed, slots = read_ct(self.params, data, BACKEND_ID,
-                                                        "<u8", seeded, self.params.n)
-        return ClearCiphertext(slots.copy(), owner, noise_bits, ncomp, seed)
+        owner, noise_bits, seed, slots = read_ct(self.params, data, BACKEND_ID, "<u8",
+                                                 seeded, self.params.n)
+        return ClearCiphertext(slots.copy(), owner, noise_bits, seed)

@@ -2,15 +2,16 @@
 
 Ciphertext polynomials live permanently in per-limb NTT (evaluation) form,
 so additions and plaintext multiplies are pointwise; every such step works
-on the whole (ncomp, L, N) array at once against the (L, 1) column of limb
+on the whole (2, L, N) array at once against the (L, 1) column of limb
 moduli.  Every operation stays in machine words (full RNS, after Halevi,
 Polyakov and Shoup, CT-RSA 2019): ct*ct extends its inputs from the basis Q
 to an auxiliary basis P, tensors them pointwise over Q and P, scales by p/Q
 into P and extends the result back to Q, where the quadratic component's
-residues are the digits of the limb-decomposed relinearization.  Decrypt
-takes round(p v / Q) mod p from the phase's limb residues.  Plaintext
-slots are the CRT components of Z_p[X]/(X^N+1), reached through a mod-p
-negacyclic transform; there is no slot permutation anywhere.
+residues are the digits of the limb-decomposed relinearization, so every
+ciphertext has two components.  Decrypt takes round(p v / Q) mod p from the
+limb residues of the phase v = c0 + c1 s.  Plaintext slots are the CRT
+components of Z_p[X]/(X^N+1), reached through a mod-p negacyclic
+transform; there is no slot permutation anywhere.
 
 A secret-key encryption draws its uniform ``a`` from a fresh 32-byte seed
 out of the backend RNG and keeps that seed, so it serializes at half size
@@ -134,11 +135,9 @@ class RlwePublicKey:
 
 
 class RlweKeyPair:
-    def __init__(self, owner: str, s_ntt: np.ndarray, s2_ntt: np.ndarray,
-                 public: RlwePublicKey):
+    def __init__(self, owner: str, s_ntt: np.ndarray, public: RlwePublicKey):
         self.owner = owner
         self._s = s_ntt
-        self._s2 = s2_ntt
         self.public = public
 
 
@@ -147,14 +146,10 @@ class RlweCiphertext:
 
     def __init__(self, data: np.ndarray, owner: str, noise_bits: float,
                  seed: bytes | None = None):
-        self.data = data  # (ncomp, L, N) uint64, NTT domain per limb
+        self.data = data  # (2, L, N) uint64, NTT domain per limb
         self.owner = owner
         self.noise_bits = float(noise_bits)
         self.seed = seed  # the seed data[1] expands from, while it is fresh
-
-    @property
-    def ncomp(self) -> int:
-        return self.data.shape[0]
 
 
 class RlweBackend:
@@ -241,16 +236,16 @@ class RlweBackend:
     # -- keys -------------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
         s_ntt = self._to_ntt(self._ternary())
-        s2_ntt = mulmod(s_ntt, s_ntt, self.q_col)
         pk, _ = self._sk_encrypt(s_ntt)
         rlk = None
         if with_relin:
             # row i encrypts s^2 in limb i: (e_i - a_i s + [j == i] s^2, a_i)
             rlk = np.stack([self._sk_encrypt(s_ntt)[0] for _ in range(self.L)])
             diag = np.arange(self.L)
-            rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + s2_ntt, self.q_col)
+            rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + mulmod(s_ntt, s_ntt, self.q_col),
+                                     self.q_col)
         public = RlwePublicKey(owner, pk, rlk)
-        return RlweKeyPair(owner, s_ntt, s2_ntt, public)
+        return RlweKeyPair(owner, s_ntt, public)
 
     def parse_public_key(self, data: bytes) -> RlwePublicKey:
         """The peer's public key from its blob (``MalformedBytes`` if bad)."""
@@ -300,9 +295,8 @@ class RlweBackend:
         return RlweCiphertext(data, key.owner, noise.fresh_bits(self.params), seed)
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
-        """c0 + c1 s (+ c2 s^2) mod each limb, in coefficient form."""
-        keys = np.stack((kp._s, kp._s2)[:ct.ncomp - 1])
-        acc = ct.data[0] + mulmod(ct.data[1:], keys, self.q_col).sum(axis=0)
+        """c0 + c1 s mod each limb, in coefficient form."""
+        acc = ct.data[0] + mulmod(ct.data[1], kp._s, self.q_col)
         return _transform(mod(acc, self.q_col), self.plans, inverse=True)
 
     def decrypt(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
@@ -392,8 +386,8 @@ class RlweBackend:
     def deserialize(self, data: bytes, seeded: bool = False) -> RlweCiphertext:
         """The ciphertext of ``data``, which must be seeded exactly when
         ``seeded``; a seeded one gets its ``a`` re-expanded."""
-        ncomp, owner, noise_bits, seed, body = read_ct(self.params, data, BACKEND_ID,
-                                                       "<u4", seeded)
+        owner, noise_bits, seed, body = read_ct(self.params, data, BACKEND_ID, "<u4",
+                                                seeded)
         rows = body.astype(np.uint64).reshape(-1, self.L, self.n)
         if seeded:
             rows = np.stack([rows[0], self._expand_a(seed)])

@@ -12,12 +12,13 @@ hold all ciphertext framing.  Both sides of a frame name its vectors' sizes
 and which of them are ``fresh``: this party's own encryptions, untouched by
 any operation, which go over the wire seeded, at about half the size of any
 other ciphertext.  A frame streams: the sender takes each vector from its
-iterable only as its chunk fills, and the receiver yields each vector once
-its bytes have arrived.  Over TCP the chunks hold the most whole
-ciphertexts that fit in ``CHUNK_BYTES`` (at least one), so neither side
-holds a whole frame; on the in-process pair a frame is one chunk.
-``recv_cts`` rejects a frame that does not hold exactly the ciphertexts of
-the sizes and forms it expects before reading any of it.
+iterable only as its chunk fills, and the receiver reads each vector as it
+is taken.  Over TCP the chunks hold the most whole ciphertexts that fit in
+``CHUNK_BYTES`` (at least one), so neither side holds a whole frame; on the
+in-process pair a frame is one chunk.  ``recv_cts`` reads and meters the
+frame's header when called, and rejects a frame that does not hold exactly
+the ciphertexts of the sizes and forms it expects before reading any of
+its payload.
 
 Every protocol is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
@@ -36,6 +37,7 @@ import numpy as np
 
 from ..channel import Session, ShapeMismatch
 from ..hecore import create_backend, ct_bytes
+from ..modarith import mod
 from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, GadgetProvider, Share
 
@@ -167,13 +169,7 @@ class PartyCtx:
     # -- key plumbing -------------------------------------------------------
     def exchange_keys(self):
         self.keypair = self.backend.keygen(self.role)
-        blob = self.keypair.public.to_bytes()
-        if self.role == "A":
-            self.session.send("keyexchange", blob)
-            other = self.session.recv("keyexchange")
-        else:
-            other = self.session.recv("keyexchange")
-            self.session.send("keyexchange", blob)
+        other = self.session._exchange("keyexchange", self.keypair.public.to_bytes())
         self.peer_public = self.backend.parse_public_key(other)
 
     def public_of(self, owner: str):
@@ -224,7 +220,7 @@ class PartyCtx:
         split into the chunks the frame moves in: the most whole
         ciphertexts that fit in ``CHUNK_BYTES``, at least one, or one chunk
         on a transport that keeps its chunks."""
-        widths = [ct_bytes(self.he_params, 2, s) for s in seeded]
+        widths = [ct_bytes(self.he_params, s) for s in seeded]
         if not self.session.copies_chunks:
             return [widths] if widths else []
         out = []
@@ -238,9 +234,9 @@ class PartyCtx:
     def _cts_of(self, label: str, vecs, sizes, seeded=None):
         """Yield the ciphertexts of the encrypted vectors ``vecs``, checking
         each vector as it is taken: ``ShapeMismatch`` for a vector of other
-        than its size in ``sizes``, a ciphertext of other than 2 components
-        or (given ``seeded``) seeded other than it says, or a count of
-        vectors other than ``len(sizes)``."""
+        than its size in ``sizes``, a ciphertext (given ``seeded``) seeded
+        other than it says, or a count of vectors other than
+        ``len(sizes)``."""
         vecs = iter(vecs)
         seeded = None if seeded is None else iter(seeded)
         for size in sizes:
@@ -251,9 +247,6 @@ class PartyCtx:
                 raise ShapeMismatch(f"{label}: an encrypted vector of {vec.size} "
                                     f"values, expected {size}")
             for ct in vec.cts:
-                if ct.ncomp != 2:
-                    raise ShapeMismatch(f"{label}: a ciphertext of {ct.ncomp} "
-                                        f"components, expected 2")
                 if seeded is not None and (ct.seed is not None) != next(seeded):
                     raise ShapeMismatch(f"{label}: {'a ' if ct.seed else 'an un'}seeded "
                                         f"ciphertext in a {'non-' if ct.seed else ''}"
@@ -302,12 +295,12 @@ class PartyCtx:
         self.session.send(label, chunks(), length=sum(map(sum, plan)))
 
     def recv_cts(self, label: str, *sizes: int, fresh=()):
-        """Yield the encrypted vectors of ``sizes`` values of one frame, each
-        once its ciphertexts have arrived; consume them all.  ``fresh`` is
-        the sender's flags.  A frame of any other length raises
-        ``ShapeMismatch`` before it is read, and a ciphertext seeded other
-        than the flags say ``MalformedBytes`` before its body is read."""
-        counts = [self.n_blocks(size) for size in sizes]
+        """Read the header of one frame, which meters it, and return an
+        iterator of its encrypted vectors of ``sizes`` values, each read as
+        it is taken.  ``fresh`` is the sender's flags.  A frame of any other
+        length raises ``ShapeMismatch`` here, before its payload is read,
+        and a ciphertext seeded other than the flags say ``MalformedBytes``
+        before its body is read."""
         seeded = self._layout(sizes, fresh)
         pieces = list(map(sum, self._chunks(seeded)))
         chunks = self.session.recv_chunks(label, sum(pieces), pieces)
@@ -318,18 +311,12 @@ class PartyCtx:
                 at = 0
                 while at < len(chunk):
                     form = next(forms)
-                    width = ct_bytes(self.he_params, 2, form)
+                    width = ct_bytes(self.he_params, form)
                     yield self.backend.deserialize(chunk[at:at + width], form)
                     at += width
 
         cts = deserialized()
-        if not sizes:
-            next(cts, None)  # an empty frame: read its header, which meters it
-        for k, (size, count) in enumerate(zip(sizes, counts), 1):
-            vec = CtVec(self, islice(cts, count), size)
-            if k == len(sizes):
-                next(cts, None)  # read to the end of the frame, which meters it
-            yield vec
+        return (CtVec(self, islice(cts, self.n_blocks(size)), size) for size in sizes)
 
     # -- HE <-> share conversions -------------------------------------------
     def send_masked(self, label: str, vecs, *sizes: int,
@@ -379,7 +366,7 @@ def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> Party
 # ---------------------------------------------------------------------------
 
 def _row_sums(flat: np.ndarray, shape: tuple, p: int) -> np.ndarray:
-    return flat.reshape(shape).sum(axis=1) % np.uint64(p)
+    return mod(flat.reshape(shape).sum(axis=1), p)
 
 
 def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
-from ..modarith import lift_shift, mulmod
+from ..modarith import lift_shift, mod, mulmod
 from ..sharing import FIELD, RING, Share, not_share, xor_shares
 from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
@@ -92,7 +92,7 @@ def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
     p = ctx.fp.p
     pay = ctx.provider.b2a(b, FIELD).payload
     if ctx.role == "A":
-        pay = (pay + (p - (1 << s))) % np.uint64(p)  # remove the public offset once
+        pay = mod(pay + (p - (1 << s)), p)  # remove the public offset once
     return mulmod(pay, pow(1 << s, -1, p), p)
 
 
@@ -161,8 +161,8 @@ def _party_a(ctx, shape, plan, table, sy):
     bits = _selector_bits(ctx, x_ring, table, s)
     ctx.send_encrypted("selector_and_square_shares",
                        *[_bit_to_field(ctx, b) for b in bits],
-                       *[lift_shift(v, p, vb_sq, s) % p for v in t2])
+                       *[mod(lift_shift(v, p, vb_sq, s), p) for v in t2])
     got = ctx.recv_decrypted("masked_powers", *[n_vals] * len(_power_keys(plan)))
-    ctx.send_encrypted("power_shares", *[lift_shift(v, p, vb_hi, s) % p for v in got])
+    ctx.send_encrypted("power_shares", *[mod(lift_shift(v, p, vb_hi, s), p) for v in got])
     [share] = ctx.recv_decrypted("result", n_vals)
     return ProtocolOutputShares(ctx.field_share(share), shape, sy)

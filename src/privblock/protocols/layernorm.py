@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fixedpoint import encode_int
-from ..modarith import lift_shift
+from ..modarith import lift_shift, mod
 from ..sharing import FIELD, RING, DomainError, Share
 from .common import (DegenerateRow, PartyCtx, ProtocolOutputShares,
                      ShapeMismatch, recv_masked_row_sums, send_masked_rows)
@@ -70,8 +70,8 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
     with ctx.session.phase(label):
         # re-center locally: a = n*x - row_sum(x), still ring shares at scale s
         xs = x_share.payload.reshape(m, n)
-        rows = xs.sum(axis=1, keepdims=True) % np.uint64(ring_mod)
-        a = (n * xs + (ring_mod - rows)) % np.uint64(ring_mod)
+        rows = mod(xs.sum(axis=1, keepdims=True), ring_mod)
+        a = mod(n * xs + (ring_mod - rows), ring_mod)
         a_sh = x_share.like(a.ravel())
         # fused rescale (s -> sa) + exact conversion into the field
         a_f = ctx.provider.convert(a_sh, FIELD, s - sa)
@@ -86,7 +86,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
                                             fresh=(False, True))
             w = ctx.decrypt(ct_wr)
             off = 1 << (sa + s_inv - shift)
-            t_b = (lift_shift(w, p, sa + s_inv + 1, shift) - off) % p
+            t_b = mod(lift_shift(w, p, sa + s_inv + 1, shift) - off, p)
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
             bs = encode_int(params.beta, ctx.fp, FIELD, LN_OUT_SCALE)
             ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))

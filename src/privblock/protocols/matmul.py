@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from ..hecore.ntt import get_plan
-from ..modarith import matmod
+from ..modarith import matmod, mod
 from ..sharing import FIELD, Share
 from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
 
@@ -217,5 +217,5 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
         c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba",
                        packed=True)
         total = local + c1.share.payload + c2.share.payload
-        share = ctx.field_share(total % np.uint64(p))
+        share = ctx.field_share(mod(total, p))
         return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..modarith import mod
 from ..sharing import RING, Share
 from .common import (PartyCtx, ProtocolOutputShares, ShapeMismatch,
                      recv_masked_row_sums, send_masked_rows)
@@ -48,8 +49,7 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             mx = ctx.provider.row_max(x_share, d)
             spread = np.repeat(mx.payload, d)
             ring_mod = ctx.fp.ring_mod
-            x_share = x_share.like(
-                (x_share.payload + (ring_mod - spread)) % np.uint64(ring_mod))
+            x_share = x_share.like(mod(x_share.payload + (ring_mod - spread), ring_mod))
         e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
         if ctx.role == "B":
             ctx.send_encrypted("exp_share", e_sh.payload)

@@ -211,6 +211,13 @@ def _stream_ctx(role, sess, backend):
     return ctx
 
 
+def _session_pair(transport):
+    if transport == "pair":
+        return make_pair(PROFILES["lan"])
+    ours, theirs = socket.socketpair()
+    return TcpSession("A", PROFILES["lan"], ours), TcpSession("B", PROFILES["lan"], theirs)
+
+
 @pytest.mark.parametrize("backend", ["clear", "rlwe"])
 def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch):
     """Over TCP, a ciphertext frame of fewer ciphertexts than one chunk
@@ -221,7 +228,7 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
     changes within a frame, and no chunk carries bytes of the one before."""
     ours, theirs = socket.socketpair()
     ctx = _stream_ctx("A", TcpSession("A", PROFILES["lan"], ours), backend)
-    width = ct_bytes(ctx.he_params, 2)
+    width = ct_bytes(ctx.he_params)
     monkeypatch.setattr(common, "CHUNK_BYTES", 3 * width)
     into, out = socket.socketpair()
     peer = _stream_ctx("B", TcpSession("B", PROFILES["lan"], out), backend)
@@ -252,12 +259,7 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
 def test_empty_ciphertext_frame_is_read_and_metered(transport):
     """A frame of no encrypted vectors is sent, read and metered like any
     other, so the frame after it is read in its place on both sides."""
-    if transport == "pair":
-        sa, sb = make_pair(PROFILES["lan"])
-    else:
-        ours, theirs = socket.socketpair()
-        sa, sb = (TcpSession("A", PROFILES["lan"], ours),
-                  TcpSession("B", PROFILES["lan"], theirs))
+    sa, sb = _session_pair(transport)
     ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
     x = np.arange(100, dtype=np.uint64)
     ctx.send_cts("none", [])
@@ -267,7 +269,7 @@ def test_empty_ciphertext_frame_is_read_and_metered(transport):
     assert (ctx.decrypt(vec) == x).all()
     assert sb.report().to_dict() == sa.report().to_dict()
     assert sa.report().bytes_sent["A"] == (2 * FRAME_OVERHEAD
-                                           + 2 * ct_bytes(ctx.he_params, 2, seeded=True))
+                                           + 2 * ct_bytes(ctx.he_params, seeded=True))
     sa.close()
     sb.close()
 
@@ -278,12 +280,7 @@ def test_seeded_vectors_decrypt_after_a_round_trip(backend, transport):
     """A fresh vector of three blocks goes over the wire seeded, next to a
     computed one that goes whole; the receiver re-expands each seeded
     ciphertext to the sender's (c0, a) and it decrypts exactly."""
-    if transport == "pair":
-        sa, sb = make_pair(PROFILES["lan"])
-    else:
-        ours, theirs = socket.socketpair()
-        sa, sb = (TcpSession("A", PROFILES["lan"], ours),
-                  TcpSession("B", PROFILES["lan"], theirs))
+    sa, sb = _session_pair(transport)
     ctx, peer = _stream_ctx("A", sa, backend), _stream_ctx("B", sb, backend)
     x = np.random.default_rng(8).integers(0, ctx.fp.p, size=150, dtype=np.uint64)
     sent = [ctx.encrypt(x), ctx.encrypt(x[:70]).add_pt(5)]
@@ -297,7 +294,7 @@ def test_seeded_vectors_decrypt_after_a_round_trip(backend, transport):
             assert ctx.backend.serialize(ct) == ctx.backend.serialize(ref)
     assert (ctx.decrypt(got[0]) == x).all()
     assert (ctx.decrypt(got[1]) == (x[:70] + 5) % ctx.fp.p).all()
-    width, fresh = ct_bytes(ctx.he_params, 2), ct_bytes(ctx.he_params, 2, seeded=True)
+    width, fresh = ct_bytes(ctx.he_params), ct_bytes(ctx.he_params, seeded=True)
     assert sa.report().bytes_sent["A"] == FRAME_OVERHEAD + 3 * fresh + 2 * width
     sa.close()
     sb.close()
@@ -323,7 +320,7 @@ def test_misdeclared_seeded_frames_are_rejected(backend):
     def relay(vecs, flags):
         """Send ``vecs`` as A flags them; hand B the frame; return its payload."""
         ctx.send_cts("x", vecs, *[64] * len(vecs), fresh=flags)
-        length = sum(ct_bytes(ctx.he_params, 2, f) for f in flags)
+        length = sum(ct_bytes(ctx.he_params, f) for f in flags)
         frame = bytearray()
         while len(frame) < FRAME_OVERHEAD + length:
             frame += theirs.recv(FRAME_OVERHEAD + length - len(frame))
@@ -367,9 +364,9 @@ def test_tcp_ciphertext_frame_length_is_checked_before_its_payload(monkeypatch):
 
 
 def test_pair_chunks_are_produced_on_the_sender_thread():
-    """The pair transport queues each chunk of a frame as the sender's
-    thread produces it; the receiver gets the chunks in order, and the
-    frame is metered once, at its declared length, on both sides."""
+    """The pair transport produces every chunk of a frame on the sender's
+    thread; the receiver gets the chunks in order, and the frame is metered
+    once, at its declared length, on both sides."""
     made = []
 
     def chunks():
@@ -388,6 +385,54 @@ def test_pair_chunks_are_produced_on_the_sender_thread():
     assert made == [ident] * 3
     assert pieces == [b"\x00", b"\x01\x01", b"\x02\x02\x02"]
     assert rep.bytes_sent == {"A": FRAME_OVERHEAD + 6, "B": 0}
+
+
+def test_pair_frame_is_one_queue_item():
+    """A frame of three chunks is one item on the pair's queue, and the
+    receiver iterates the three chunks from it."""
+    sa, sb = make_pair(PROFILES["lan"])
+    sa.send("x", (bytes([i]) * (i + 1) for i in range(3)), length=6)
+    assert sb._inbox.qsize() == 1
+    pieces = sb.recv_chunks("x", 6)
+    assert sb._inbox.qsize() == 0
+    assert [bytes(piece) for piece in pieces] == [b"\x00", b"\x01\x01", b"\x02\x02\x02"]
+
+
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_recv_cts_meters_the_frame_before_a_vector_is_taken(transport):
+    """``recv_cts`` reads the header of a two-vector frame and meters it on
+    the call; the vectors are read as they are taken, after."""
+    sa, sb = _session_pair(transport)
+    ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
+    x = np.arange(100, dtype=np.uint64)
+    ctx.send_cts("x", [ctx.encrypt(x), ctx.encrypt(x[:64]).add_pt(1)], 100, 64,
+                 fresh=(True, False))
+    vecs = peer.recv_cts("x", 100, 64, fresh=(True, False))
+    assert sb.report().to_dict() == sa.report().to_dict()
+    width, fresh = ct_bytes(ctx.he_params), ct_bytes(ctx.he_params, seeded=True)
+    assert sb.report().bytes_sent["A"] == FRAME_OVERHEAD + 2 * fresh + width
+    first, second = vecs
+    assert (ctx.decrypt(first) == x).all() and (ctx.decrypt(second) == x[:64] + 1).all()
+    sa.close()
+    sb.close()
+
+
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_untaken_empty_frame_keeps_the_next_frame_in_order(transport):
+    """An empty ciphertext frame whose ``recv_cts`` is never iterated is
+    still read and metered, so the frame after it is read in order."""
+    sa, sb = _session_pair(transport)
+    ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
+    x = np.arange(100, dtype=np.uint64)
+    ctx.send_cts("none", [])
+    ctx.send_cts("x", [ctx.encrypt(x)], 100, fresh=[True])
+    peer.recv_cts("none")
+    [vec] = peer.recv_cts("x", 100, fresh=[True])
+    assert (ctx.decrypt(vec) == x).all()
+    assert sb.report().to_dict() == sa.report().to_dict()
+    assert [label for _, _, label in sb.transcript_labels()] == ["none", "x"]
+    sa.close()
+    sb.close()
 
 
 def test_tcp_and_pair_meter_the_same_frame():

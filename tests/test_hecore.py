@@ -18,7 +18,7 @@ from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
 from privblock.channel import PROFILES, TcpSession, make_pair
 from privblock.protocols import common
-from privblock.protocols.common import CtVec, PartyCtx
+from privblock.protocols.common import PartyCtx
 from privblock.sharing import reconstruct, share
 
 TOY = toy_he_params(n=64, p=12289, limbs=3)
@@ -53,8 +53,7 @@ def test_keygen_roundtrip_zero_and_random():
 
 def test_wrong_key_rejected():
     """Both backends fail the same way on ciphertexts that do not belong
-    together: another party's key, another component count, another
-    backend's wire form."""
+    together: another party's key, another backend's wire form."""
     for be, other in zip(backends(), backends()[::-1]):
         ka, kb = be.keygen("A"), be.keygen("B")
         ct = be.encrypt(np.arange(64, dtype=np.uint64), ka.public)
@@ -62,8 +61,6 @@ def test_wrong_key_rejected():
             be.decrypt(ct, kb)
         with pytest.raises(KeyMismatch):
             be.add_ct(ct, be.encrypt(np.arange(64, dtype=np.uint64), kb.public))
-        with pytest.raises(MalformedBytes):
-            be.add_ct(ct, _widen(ct))
         with pytest.raises(MalformedBytes):
             be.deserialize(other.serialize(other.encrypt(np.arange(64, dtype=np.uint64),
                                                          other.keygen("A"))))
@@ -181,13 +178,6 @@ def test_serialize_roundtrip_and_malformed():
             be.deserialize(b"XXXX" + blob[4:])
 
 
-def _widen(ct):
-    """``ct`` with a third component (a copy of its first)."""
-    if hasattr(ct, "slots"):
-        return type(ct)(ct.slots, ct.owner, ct.noise_bits, ncomp=3)
-    return type(ct)(np.concatenate([ct.data, ct.data[:1]]), ct.owner, ct.noise_bits)
-
-
 @pytest.mark.parametrize("backend", ["clear", "rlwe"])
 def test_deserialize_rejects_component_counts_and_noise_fields(backend):
     """A blob of the right length for 0 or 3 components, or whose noise
@@ -198,7 +188,7 @@ def test_deserialize_rejects_component_counts_and_noise_fields(backend):
     blob = bytearray(be.serialize(be.encrypt(np.arange(64, dtype=np.uint64),
                                              be.keygen("A").public)))
     for ncomp in (0, 3):
-        bad = blob[:HEADER_BYTES] + bytes(ct_bytes(TOY, ncomp) - HEADER_BYTES)
+        bad = blob[:HEADER_BYTES] + bytes(ncomp * TOY.limbs * TOY.n * 4)
         bad[8] = ncomp
         with pytest.raises(MalformedBytes, match="components"):
             be.deserialize(bytes(bad))
@@ -224,11 +214,11 @@ def test_flags_byte_and_seed_are_checked(backend, monkeypatch):
     m = np.arange(64, dtype=np.uint64)
     ct = be.encrypt(m, kp)
     seeded, whole = be.serialize(ct), be.serialize(be.encrypt(m, kp.public))
-    assert len(seeded) == ct_bytes(TOY, 2, seeded=True) == \
+    assert len(seeded) == ct_bytes(TOY, seeded=True) == \
         HEADER_BYTES + SEED_BYTES + TOY.limbs * TOY.n * 4
-    assert len(whole) == ct_bytes(TOY, 2) and seeded[11] == 1 and whole[11] == 0
+    assert len(whole) == ct_bytes(TOY) and seeded[11] == 1 and whole[11] == 0
     assert seeded[HEADER_BYTES:HEADER_BYTES + SEED_BYTES] == ct.seed
-    assert parse_header(seeded, TOY)[4] and not parse_header(whole, TOY)[4]
+    assert parse_header(seeded, TOY)[3] and not parse_header(whole, TOY)[3]
     back = be.deserialize(seeded, seeded=True)
     assert back.seed == ct.seed and be.serialize(back) == seeded
     assert np.array_equal(be.decrypt(back, kp), m)
@@ -259,26 +249,12 @@ def test_flags_byte_and_seed_are_checked(backend, monkeypatch):
             be.deserialize(blob, seeded=want)
 
 
-@pytest.mark.parametrize("backend", ["clear", "rlwe"])
-def test_products_reject_three_component_operands(backend):
-    """mul_ct, square and mul_ct_sum of ciphertexts that are not two
-    components wide raise ``MalformedBytes`` on both backends."""
-    be = create_backend(TOY, backend, np.random.default_rng(15))
-    kp = be.keygen("A")
-    wide = _widen(be.encrypt(np.arange(64, dtype=np.uint64), kp.public))
-    for product in (lambda: be.mul_ct(wide, wide, kp.public),
-                    lambda: be.square(wide, kp.public),
-                    lambda: be.mul_ct_sum([(wide, wide)], kp.public)):
-        with pytest.raises(MalformedBytes, match="3-component"):
-            product()
-
-
 def test_wire_sizes_match_across_backends():
     rbe, cbe = backends(seed=11)
     kr, kc = rbe.keygen("A"), cbe.keygen("A")
     m = np.arange(64, dtype=np.uint64)
     assert len(rbe.serialize(rbe.encrypt(m, kr.public))) == \
-        len(cbe.serialize(cbe.encrypt(m, kc.public))) == ct_bytes(TOY, 2)
+        len(cbe.serialize(cbe.encrypt(m, kc.public))) == ct_bytes(TOY)
 
 
 def test_default_params_ct_size_bracket():
@@ -475,14 +451,13 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     ciphertexts, as many as fit in ``CHUNK_BYTES`` (at least one), and
     join to the ciphertexts' ``serialize`` output end to end; the pair gets
     the frame as one chunk; ``serialize(ct, out)`` writes only its own
-    slice of a larger buffer.  A list holding a ciphertext that is not two
-    components wide, or of another count of vectors than sizes, is rejected
-    before anything is sent; an iterator is checked as it is read, so the
-    chunks before the one holding the bad ciphertext are handed over.  The
-    fresh vectors go seeded, and a seeded ciphertext in a vector not
-    flagged fresh, or the reverse, is rejected before anything is sent."""
+    slice of a larger buffer.  The fresh vectors go seeded.  A list of
+    another count of vectors than sizes, or holding a seeded ciphertext in
+    a vector not flagged fresh, or the reverse, is rejected before anything
+    is sent; an iterator is checked as it is read, so the chunks before the
+    one holding the bad ciphertext are handed over."""
     cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend=backend)
-    width = ct_bytes(cfg.he, 2, seeded=True)
+    width = ct_bytes(cfg.he, seeded=True)
     monkeypatch.setattr(common, "CHUNK_BYTES", 2 * width + 1)
     ours, theirs = socket.socketpair()
     sa = TcpSession("A", PROFILES["lan"], ours)
@@ -526,11 +501,8 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     assert buf[8:-8].tobytes() == blobs[1]
 
     monkeypatch.setattr(common, "CHUNK_BYTES", 2 * width)
-    ct = vecs[0].cts[0]
-    bad = [vecs[0], CtVec(ctx, [ct, _widen(ct)], 100)]
+    bad = [vecs[0], vecs[1].add_pt(1)]
     sent.clear()
-    with pytest.raises(ShapeMismatch, match="3 components"):
-        ctx.send_cts("y", bad, 100, 100, fresh=fresh)
     with pytest.raises(ShapeMismatch, match="more than 1 encrypted vectors"):
         ctx.send_cts("y", vecs, 100, fresh=[True])
     with pytest.raises(ShapeMismatch, match="fewer than 2 encrypted vectors"):
@@ -538,11 +510,11 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     with pytest.raises(ShapeMismatch, match="a seeded ciphertext in a non-fresh vector"):
         ctx.send_cts("y", vecs, 100, 150)
     with pytest.raises(ShapeMismatch, match="an unseeded ciphertext in a fresh vector"):
-        ctx.send_cts("y", [vecs[0], vecs[1].add_pt(1)], 100, 150, fresh=fresh)
+        ctx.send_cts("y", bad, 100, 150, fresh=fresh)
     assert sent == []
-    with pytest.raises(ShapeMismatch, match="3 components"):
-        ctx.send_cts("y", iter(bad), 100, 100, fresh=fresh)
-    assert sent == [("y", 4 * width, [b"".join(blobs[:2])])]
+    with pytest.raises(ShapeMismatch, match="an unseeded ciphertext in a fresh vector"):
+        ctx.send_cts("y", iter(bad), 100, 150, fresh=fresh)
+    assert sent == [("y", 5 * width, [b"".join(blobs[:2])])]
     ours.close()
     theirs.close()
 
@@ -595,7 +567,7 @@ def test_block_headers_are_public(toy_cfg, rlwe_toy_cfg, pair_runner, monkeypatc
         vecs = list(vecs)
         for i, ct in enumerate(ct for vec in vecs for ct in vec.cts):
             header = parse_header(ctx.backend.serialize(ct), ctx.he_params)
-            sent[ctx.role].append((label, i, header[3]))
+            sent[ctx.role].append((label, i, header[2]))
         return send_cts(ctx, label, vecs, *sizes, **kwargs)
 
     monkeypatch.setattr(PartyCtx, "send_cts", recording)

@@ -114,7 +114,7 @@ def test_serialize_runs_on_the_sending_party_thread(toy_cfg, pair_runner, monkey
     """On the pair transport every ciphertext a party sends is serialized
     on that party's own thread, so per-party CPU stays with the party that
     did the work."""
-    monkeypatch.setattr(common, "CHUNK_BYTES", 2 * ct_bytes(toy_cfg.he, 2))
+    monkeypatch.setattr(common, "CHUNK_BYTES", 2 * ct_bytes(toy_cfg.he))
     calls, threads = [], {}
     serialize = ClearBackend.serialize
 
@@ -141,7 +141,7 @@ def test_streamed_matmul_memory_is_bounded_by_chunks(toy_cfg, monkeypatch):
     allocates less than half that frame, across both parties, while it
     runs: neither side ever holds the whole frame."""
     m, n, h = 4, 64, 8
-    width = ct_bytes(toy_cfg.he, 2)
+    width = ct_bytes(toy_cfg.he)
     monkeypatch.setattr(common, "CHUNK_BYTES", 4 * width)
     rng = np.random.default_rng(17)
     mats = {"A": rng.integers(0, 1 << 20, size=(m, n), dtype=np.uint64),
