@@ -2,9 +2,10 @@
 
 Party A holds the (pre-embedded) input activations, party B holds all block
 weights.  One block = multi-head attention (one product against every
-head's [wq | wk | wv], per-head scores, one softmax over the stacked heads,
-per-head value mixing, output projection), residual + layernorm, then the
-two-layer feed-forward with the piecewise gelu, residual + layernorm.  Each
+head's [wq | wk | wv], then the scores, one softmax and the value mixing of
+all heads at once, each shared product one exchange for every head; output
+projection), residual + layernorm, then the two-layer feed-forward with the
+piecewise gelu, residual + layernorm.  Each
 product's output (scale 2s, plus any residual lifted to 2s locally) takes
 one truncating conversion back to scale s, into the ring where softmax or
 layernorm comes next.
@@ -255,12 +256,6 @@ def _add_residual(ctx: PartyCtx, a: ProtocolOutputShares,
     return _add_payload(ctx, a, mulmod(residual.share.payload, lift, ctx.fp.p))
 
 
-def _stack(ctx: PartyCtx, outs: list, axis: int) -> ProtocolOutputShares:
-    """The outputs' matrices joined along ``axis`` as one share."""
-    mat = np.concatenate([o.matrix() for o in outs], axis=axis)
-    return ProtocolOutputShares(ctx.field_share(mat.ravel()), mat.shape, outs[0].scale)
-
-
 def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
                 config: BlockConfig) -> ProtocolOutputShares:
     """Run one block; party A supplies the input matrix (or its share),
@@ -290,18 +285,17 @@ def infer_block(ctx: PartyCtx, x_or_shares, weights: BlockWeights | None,
     with sess.phase("head"):
         qkv = pi_matmul(ctx, x_sh.matrix() if ctx.role == "A" else w["qkv"],
                         (d_s, d_m, 3 * d_m), label="qkv", packed=True)
-        cols = _to_s(ctx, qkv).matrix().reshape(d_s, 3 * h, d_k)
-        q, k, v = ([cols[:, j * h + i] for i in range(h)] for j in range(3))
+        # q, k and v, each the heads stacked (h, d_s, d_k)
+        q, k, v = _to_s(ctx, qkv).matrix().reshape(d_s, 3, h, d_k).transpose(1, 2, 0, 3)
         shared = lambda mat: ctx.field_share(mat.ravel())
-        scores = _stack(ctx, [pi_matmul_shared(ctx, shared(q[i]), shared(k[i]), (d_s, d_k),
-                                               (d_s, d_k), label="scores")
-                              for i in range(h)], axis=0)
+        scores = pi_matmul_shared(ctx, shared(q), shared(k), (h, d_s, d_k), (h, d_s, d_k),
+                                  label="scores")
         sm = pi_softmax(ctx, _to_s(ctx, scores, RING).share, (h * d_s, d_s), normalize="max")
-        rows = _to_s(ctx, sm).matrix().reshape(h, d_s, d_s)
-        mixed = _stack(ctx, [pi_matmul_shared(ctx, shared(rows[i]), shared(v[i].T),
-                                              (d_s, d_s), (d_k, d_s), label="mix")
-                             for i in range(h)], axis=1)
-        h_sh = _to_s(ctx, mixed)
+        mixed = pi_matmul_shared(ctx, _to_s(ctx, sm).share, shared(v.transpose(0, 2, 1)),
+                                 (h, d_s, d_s), (h, d_k, d_s), label="mix")
+        # the heads side by side, (d_s, h * d_k)
+        heads = mixed.matrix().transpose(1, 0, 2).reshape(d_s, d_m)
+        h_sh = _to_s(ctx, ProtocolOutputShares(shared(heads), heads.shape, mixed.scale))
 
     with sess.phase("proj"):
         proj = _linear(ctx, h_sh, w.get("wo"), None, d_m, "wo")

@@ -29,10 +29,11 @@ def _gadget(cfg: Config, entry: str, n: int) -> int:
     return total
 
 
-def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False) -> dict:
+def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False,
+                 heads: int = 1) -> dict:
     """The paper's slot-replicated product, or with ``packed`` the
     coefficient-packed one: one ciphertext per block of L in, one per block
-    of C out."""
+    of C out, for each of ``heads`` products in the same frames."""
     if packed:
         widths = packed_partition(m, n, h, cfg.he.n)
         bm, bn, bh = (ceil_div(d, w) for d, w in zip((m, n, h), widths))
@@ -42,14 +43,14 @@ def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False) -> d
         cts_in = n * cts_out
     ct, fresh = _widths(cfg.he)
     return {
-        "inputs": FRAME_OVERHEAD + cts_in * fresh,
-        "masked_product": FRAME_OVERHEAD + cts_out * ct,
+        "inputs": FRAME_OVERHEAD + heads * cts_in * fresh,
+        "masked_product": FRAME_OVERHEAD + heads * cts_out * ct,
     }
 
 
-def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int) -> dict:
+def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int, heads: int = 1) -> dict:
     out = {}
-    for sub, val in matmul_bytes(cfg, m, n, h, packed=True).items():
+    for sub, val in matmul_bytes(cfg, m, n, h, packed=True, heads=heads).items():
         out[f"cross_ab/{sub}"] = val
         out[f"cross_ba/{sub}"] = val
     return out
@@ -97,11 +98,11 @@ def gelu_bytes(cfg: Config, m: int, w: int,
     return {
         "encrypt_input": FRAME_OVERHEAD + blocks * fresh,
         "gadget:convert": _gadget(cfg, "convert", n_vals),
-        "gadget:lt": n_bounds * _gadget(cfg, "lt", n_vals),
-        "gadget:b2a": (n_bounds + 1) * _gadget(cfg, "b2a", n_vals),
+        "gadget:lt": _gadget(cfg, "lt", n_bounds * n_vals),
+        "gadget:b2a": _gadget(cfg, "b2a", n_bounds * n_vals),
         "input_and_squares": FRAME_OVERHEAD + (1 + len(plan)) * blocks * ct,
         "selector_and_square_shares":
-            FRAME_OVERHEAD + (n_bounds + 1 + len(plan)) * blocks * fresh,
+            FRAME_OVERHEAD + (n_bounds + len(plan)) * blocks * fresh,
         "masked_powers": FRAME_OVERHEAD + n_powers * blocks * ct,
         "power_shares": FRAME_OVERHEAD + n_powers * blocks * fresh,
         "result": FRAME_OVERHEAD + blocks * ct,

@@ -2,9 +2,11 @@
 
 The evaluating party raises the input to the needed powers homomorphically
 (per-segment centered variables keep coefficient precision inside the field;
-their squares (x - m)^2 = x^2 - 2 m x + m^2 share one ciphertext square),
-segment membership bits come from one comparison gadget per table boundary
-with XOR composition and exactly one bit set per element, and the result is
+their squares (x - m)^2 = x^2 - 2 m x + m^2 share one ciphertext square).
+One comparison call yields the bits [x < c] for every table boundary c and
+one bit conversion turns them arithmetic; A encrypts its shares of them,
+and B forms the one-hot segment selectors homomorphically as their
+differences (the bits never fall as the boundaries rise).  The result is
 the selector-weighted sum of the segment polynomials plus the two closed-form
 tails (a constant left tail; a constant or linear right tail), its ct*ct
 products summed under one relinearization.  Power
@@ -23,7 +25,7 @@ import numpy as np
 from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
 from ..modarith import lift_shift, mod, mulmod
-from ..sharing import FIELD, RING, Share, not_share, xor_shares
+from ..sharing import FIELD, RING, Share
 from .common import CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
@@ -79,21 +81,25 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
         return _party_b(ctx, ct_x, shape, plan, table, sy)
 
 
-def _selector_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly, s: int):
-    """One-hot selectors (left tail, each segment, right tail) from one
-    strict comparison per boundary."""
-    lt = [ctx.provider.lt(x_ring, c) for c in quantized_boundaries(table, s)]
-    return [lt[0], *map(xor_shares, lt[:-1], lt[1:]), not_share(lt[-1])]
-
-
-def _bit_to_field(ctx: PartyCtx, b: Share) -> np.ndarray:
-    """Arithmetic share of the exact bit via the offset-convention B2A."""
-    s = ctx.fp.s
+def _boundary_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly,
+                   s: int) -> list:
+    """Field shares of the bits [x < c], one vector per quantized table
+    boundary c: one comparison call and one offset-convention B2A for all
+    boundaries."""
+    bounds = quantized_boundaries(table, s)
     p = ctx.fp.p
-    pay = ctx.provider.b2a(b, FIELD).payload
+    pay = ctx.provider.b2a(ctx.provider.lt(x_ring, bounds), FIELD).payload
     if ctx.role == "A":
         pay = mod(pay + (p - (1 << s)), p)  # remove the public offset once
-    return mulmod(pay, pow(1 << s, -1, p), p)
+    return np.split(mulmod(pay, pow(1 << s, -1, p), p), len(bounds))
+
+
+def _selectors(ct_lt: list) -> list:
+    """One-hot selectors (left tail, each segment, right tail) from the
+    encrypted bits lt_i = [x < c_i], which never fall as the boundaries
+    rise: lt_0, each lt_i - lt_(i-1), and 1 - lt_last."""
+    return [ct_lt[0], *(hi.add_ct(lo.neg_ct()) for lo, hi in zip(ct_lt, ct_lt[1:])),
+            ct_lt[-1].neg_ct().add_pt(1)]
 
 
 def _party_b(ctx, ct_x, shape, plan, table, sy):
@@ -116,11 +122,10 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
                  [ct_x.sub_pt(rx), *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)]],
                  *[n_vals] * (1 + len(plan)))
     x_ring = ctx.provider.convert(ctx.field_share(rx), RING)
-    bits = _selector_bits(ctx, x_ring, table, s)
-    b_arith = [_bit_to_field(ctx, b) for b in bits]
+    lt = _boundary_bits(ctx, x_ring, table, s)
     got = ctx.recv_added("selector_and_square_shares",
-                         *b_arith, *[r >> np.uint64(s) for r in r2])
-    ct_b, ct_t2s = got[:len(bits)], got[len(bits):]
+                         *lt, *[r >> np.uint64(s) for r in r2])
+    ct_b, ct_t2s = _selectors(got[:len(lt)]), got[len(lt):]
     # cubes and quartics from the rescaled squares
     keys = _power_keys(plan)
     rmask = ctx.send_masked("masked_powers",
@@ -158,9 +163,8 @@ def _party_a(ctx, shape, plan, table, sy):
     vb_hi = 2 * s + 4
     x_a, *t2 = ctx.recv_decrypted("input_and_squares", *[n_vals] * (1 + len(plan)))
     x_ring = ctx.provider.convert(ctx.field_share(x_a), RING)
-    bits = _selector_bits(ctx, x_ring, table, s)
     ctx.send_encrypted("selector_and_square_shares",
-                       *[_bit_to_field(ctx, b) for b in bits],
+                       *_boundary_bits(ctx, x_ring, table, s),
                        *[mod(lift_shift(v, p, vb_sq, s), p) for v in t2])
     got = ctx.recv_decrypted("masked_powers", *[n_vals] * len(_power_keys(plan)))
     ctx.send_encrypted("power_shares", *[mod(lift_shift(v, p, vb_hi, s), p) for v in got])

@@ -22,6 +22,10 @@ rotated.  The layouts differ only in their encoders and their decoder.
   wrapped terms land below n_w - 1.  One ciphertext per packed polynomial
   each way.
 
+A call may stack several independent products of one shape (attention's
+heads): each head's vectors follow the last head's in the same two frames,
+so h products cost two messages, not 2h.
+
 Uniform mask slots are uniform coefficients, so every coefficient the data
 party decrypts is masked, not only those that carry C.  Both parties decode
 their slots (the data party its decryption, the weight party its masks) the
@@ -159,63 +163,76 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
     the other party, both at scale s.  Outputs additive field shares of C at
     scale 2s; the data party ends with C - R_mask, the weight party with
     R_mask.  Exact mod p.  ``packed`` picks the coefficient-packed layout
-    over the paper's slot-replicated one."""
-    m, n, h = shape
-    if min(m, n, h) < 1:
-        raise ShapeMismatch("all dimensions must be >= 1")
+    over the paper's slot-replicated one.
+
+    ``shape`` is (m, n, h), or (heads, m, n, h) for that many independent
+    products in the same two frames: each party's matrix is then a stack of
+    one matrix per head, each head's vectors follow the last head's in
+    every frame, and C is (heads, m, h)."""
+    *batch, m, n, h = shape
+    if len(batch) > 1 or min(shape) < 1:
+        raise ShapeMismatch(f"shape {shape} is not (m, n, h) or (heads, m, n, h), "
+                            f"each >= 1")
+    heads = batch[0] if batch else 1
     with ctx.session.phase(label):
-        layout = (_Packed if packed else _Replicated)(ctx, shape)
+        layout = (_Packed if packed else _Replicated)(ctx, (m, n, h))
+        k = len(layout.out_sizes)
+        in_sizes, out_sizes = layout.in_sizes * heads, layout.out_sizes * heads
         mat = np.asarray(mat, dtype=np.uint64)
-        fresh = [True] * len(layout.in_sizes)  # the data party's own encryptions
+        fresh = [True] * len(in_sizes)  # the data party's own encryptions
         if ctx.role == data_party:
-            if mat.shape != (m, n):
-                raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(m, n)}")
-            ctx.send_cts("inputs", map(ctx.encrypt, layout.left(mat)), *layout.in_sizes,
-                         fresh=fresh)
-            share = layout.decode(ctx.recv_decrypted("masked_product", *layout.out_sizes))
+            if mat.shape != (*batch, m, n):
+                raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(*batch, m, n)}")
+            lefts = (vec for one in mat.reshape(heads, m, n) for vec in layout.left(one))
+            ctx.send_cts("inputs", map(ctx.encrypt, lefts), *in_sizes, fresh=fresh)
+            outs = ctx.recv_decrypted("masked_product", *out_sizes)
         else:
-            if mat.shape != (n, h):
-                raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(n, h)}")
-            sums = [None] * len(layout.out_sizes)
-            for vec, terms in zip(ctx.recv_cts("inputs", *layout.in_sizes, fresh=fresh),
-                                  layout.right(mat)):
+            if mat.shape != (*batch, n, h):
+                raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(*batch, n, h)}")
+            # each input's (output index, plaintext) terms, head after head
+            rights = ([(b * k + o, pt) for o, pt in terms]
+                      for b, one in enumerate(mat.reshape(heads, n, h))
+                      for terms in layout.right(one))
+            sums = [None] * len(out_sizes)
+            for vec, terms in zip(ctx.recv_cts("inputs", *in_sizes, fresh=fresh), rights):
                 for o, pt in terms:
                     term = vec.mul_pt(pt)
                     sums[o] = term if sums[o] is None else sums[o].add_ct(term)
-            share = layout.decode(ctx.send_masked("masked_product", sums,
-                                                  *layout.out_sizes))
-        return ProtocolOutputShares(ctx.field_share(share), (m, h), 2 * ctx.fp.s)
+            outs = ctx.send_masked("masked_product", sums, *out_sizes)
+        share = np.concatenate([layout.decode(outs[b * k:(b + 1) * k]) for b in range(heads)])
+        return ProtocolOutputShares(ctx.field_share(share), (*batch, m, h), 2 * ctx.fp.s)
 
 
 def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
                      q_shape: tuple, k_shape: tuple,
                      label: str = "mmshared") -> ProtocolOutputShares:
     """Product q k^T of two secret-shared matrices, q of ``q_shape`` (m, n)
-    and k of ``k_shape`` (h, n): each party adds its local share product to
-    its shares of two coefficient-packed cross-term matmul invocations with
-    swapped data parties.  Each party's share holds the uniform mask it drew
-    as the weight party of one cross term, so the sum is a uniform sharing
-    without a further exchange.  Outputs field shares at scale 2s."""
-    m, n = q_shape
-    h, n2 = k_shape
-    if n2 != n:
-        raise ShapeMismatch(f"inner dimensions differ: {n} vs {n2}")
+    and k of ``k_shape`` (h, n), or of every head of two stacks, (heads, m,
+    n) and (heads, h, n), giving (heads, m, h): each party adds its local
+    share product to its shares of two coefficient-packed cross-term matmul
+    invocations with swapped data parties, each one exchange for all heads.
+    Each party's share holds the uniform mask it drew as the weight party
+    of one cross term, so the sum is a uniform sharing without a further
+    exchange.  Outputs field shares at scale 2s."""
+    *heads, m, n = q_shape
+    *heads_k, h, n2 = k_shape
+    if n2 != n or heads_k != heads:
+        raise ShapeMismatch(f"shapes {q_shape} and {k_shape} do not pair as q k^T")
     if q_share.domain != FIELD or k_share.domain != FIELD:
         raise ShapeMismatch("shared matmul expects field shares")
     p = ctx.fp.p
     q_mat = q_share.payload.reshape(q_shape)
     k_mat = k_share.payload.reshape(k_shape)
-    rt = k_mat.T.copy()
+    rt = np.swapaxes(k_mat, -1, -2).copy()
+    shape = (*heads, m, n, h)
     with ctx.session.phase(label):
         local = matmod(q_mat, rt, p).ravel()
         # cross term 1: A's q-share against B's k-share
         mine = q_mat if ctx.role == "A" else rt
-        c1 = pi_matmul(ctx, mine, (m, n, h), data_party="A", label="cross_ab",
-                       packed=True)
+        c1 = pi_matmul(ctx, mine, shape, data_party="A", label="cross_ab", packed=True)
         # cross term 2: B's q-share against A's k-share
         mine = rt if ctx.role == "A" else q_mat
-        c2 = pi_matmul(ctx, mine, (m, n, h), data_party="B", label="cross_ba",
-                       packed=True)
+        c2 = pi_matmul(ctx, mine, shape, data_party="B", label="cross_ba", packed=True)
         total = local + c1.share.payload + c2.share.payload
         share = ctx.field_share(mod(total, p))
-        return ProtocolOutputShares(share, (m, h), 2 * ctx.fp.s)
+        return ProtocolOutputShares(share, c1.shape, 2 * ctx.fp.s)

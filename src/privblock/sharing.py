@@ -8,14 +8,16 @@ root) plus two composites built from them: one truncating conversion between
 the ring and the field (either way, or within one, with an optional
 rescale) and the row maximum.
 
-The provider's "ideal" backend is a trusted-dealer emulation written once,
-as one dealer round: party A ships its input share to party B over an
-unmetered side channel, B evaluates the function on the reconstructed secret
-and returns a fresh uniform resharing.  Each gadget only declares the input
-domains it accepts, the cost-table entries it is charged and the function the
-dealer evaluates.  The metered channel is charged the byte/round cost of the
-cited protocol from the configurable cost table, so cost accounting of the
-surrounding protocols does not depend on the emulation shortcut.
+The provider's "ideal" backend is a trusted-dealer emulation written once:
+party A ships its input share to party B over an unmetered side channel, B
+evaluates the function on the reconstructed secret and returns a fresh
+uniform resharing, one unmetered round per function (a comparison against k
+constants is k functions of one input in one metered call).  Each gadget
+only declares the input domains it accepts, the cost-table entries it is
+charged and the functions the dealer evaluates.  The metered channel is
+charged the byte/round cost of the cited protocol from the configurable
+cost table, so cost accounting of the surrounding protocols does not depend
+on the emulation shortcut.
 """
 
 from __future__ import annotations
@@ -141,51 +143,65 @@ class GadgetProvider:
                             total - total // 2, rounds, warn_zero=warn)
 
     def _round(self, x: Share, domains: tuple, entries: tuple, out_domain: str,
-               func) -> Share:
+               *funcs) -> Share:
         """One gadget call: reject an input outside ``domains``, charge each
-        cost entry for ``len(x)`` elements, then run the trusted-dealer round:
-        reconstruct at B, evaluate ``func`` on the secret, reduce the result
-        into ``out_domain`` and reshare it fresh.
+        cost entry once for ``len(funcs) * len(x)`` elements, then run the
+        trusted dealer: A ships its share once, B reconstructs the secret
+        and, one unmetered round per function of ``funcs``, evaluates it on
+        the secret, reduces the result into ``out_domain`` and reshares it
+        fresh.  The output joins the parts in order.
 
-        Any exception ``func`` raises travels back to A as an error frame, so
-        both parties raise instead of one deadlocking: A raises the same
-        ``RangeError`` or ``DomainError``, or ``GadgetUnavailable`` naming
-        any other exception.
+        Any exception a function raises travels back to A as an error
+        frame in place of its part, so both parties raise instead of one
+        deadlocking: A raises the same ``RangeError`` or ``DomainError``, or
+        ``GadgetUnavailable`` naming any other exception.
         """
         if x.domain not in domains:
             raise DomainMismatch(f"gadget expects {' or '.join(domains)} shares, "
                                  f"got {x.domain}")
         for entry in entries:
-            self.charge(entry, len(x))
+            self.charge(entry, len(funcs) * len(x))
         modulus = _mod_of(out_domain, self.cfg)
         if self.role == "A":
             self.session.send("_gadget", x.payload.tobytes(), metered=False)
-            raw = self.session.recv("_gadget", metered=False)
-            if raw[:1] == b"E":
-                kind, _, msg = bytes(raw[1:]).decode().partition(":")
-                exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
-                raise exc(msg) if exc else GadgetUnavailable(f"dealer raised {kind}: {msg}")
-            out = np.frombuffer(raw[1:], dtype=np.uint64).copy()
-            return Share(out_domain, "A", out, modulus)
+            parts = []
+            for _ in funcs:
+                raw = self.session.recv("_gadget", metered=False)
+                if raw[:1] == b"E":
+                    kind, _, msg = bytes(raw[1:]).decode().partition(":")
+                    exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
+                    raise exc(msg) if exc else GadgetUnavailable(
+                        f"dealer raised {kind}: {msg}")
+                parts.append(np.frombuffer(raw[1:], dtype=np.uint64))
+            return Share(out_domain, "A", np.concatenate(parts), modulus)
         other = np.frombuffer(self.session.recv("_gadget", metered=False),
                               dtype=np.uint64)
         secret = reconstruct(x.like(other), x)
-        try:
-            result = func(secret)
-        except Exception as e:
-            self.session.send("_gadget", f"E{type(e).__name__}:{e}".encode(), metered=False)
-            raise
-        # ``share`` draws its first share from the dealer RNG; B keeps that one.
-        mine, theirs = share(np.asarray(result) % modulus, out_domain, self.cfg,
-                             self._dealer_rng)
-        self.session.send("_gadget", b"K" + theirs.payload.tobytes(), metered=False)
-        return Share(out_domain, "B", mine.payload, modulus)
+        parts = []
+        for func in funcs:
+            try:
+                result = func(secret)
+            except Exception as e:
+                self.session.send("_gadget", f"E{type(e).__name__}:{e}".encode(),
+                                  metered=False)
+                raise
+            # ``share`` draws its first share from the dealer RNG; B keeps that one.
+            mine, theirs = share(np.asarray(result) % modulus, out_domain, self.cfg,
+                                 self._dealer_rng)
+            self.session.send("_gadget", b"K" + theirs.payload.tobytes(), metered=False)
+            parts.append(mine.payload)
+        return Share(out_domain, "B", np.concatenate(parts), modulus)
 
     # -- the four imported protocols ----------------------------------------
-    def lt(self, x: Share, c_enc: int) -> Share:
-        """Boolean shares of [x < c] for signed fixed-point x and public c."""
+    def lt(self, x: Share, c) -> Share:
+        """Boolean shares of [x < c] for signed fixed-point x and a public
+        int c.  For a sequence of constants, one call of ``len(c) * len(x)``
+        bits, constant-major ([x < c_0], then [x < c_1], ...), which costs
+        the bytes of ``len(c)`` calls in the rounds of one."""
+        consts = [c] if np.ndim(c) == 0 else list(c)
         return self._round(x, (RING, FIELD), ("lt",), BOOL,
-                           lambda secret: signed_lift(secret, x.modulus) < c_enc)
+                           *(lambda secret, c=c: signed_lift(secret, x.modulus) < c
+                             for c in consts))
 
     def b2a(self, b: Share, target_domain: str) -> Share:
         """Boolean -> arithmetic in the activation protocol's offset

@@ -233,13 +233,13 @@ EXPECTED_TRANSCRIPTS = {
            ("frame", "B", "ln/result")],
     "gelu": [("frame", "A", "gelu/encrypt_input"),
              ("frame", "B", "gelu/input_and_squares"),
-             ("charge", "AB", "gelu/gadget:convert")]
-            + [("charge", "AB", "gelu/gadget:lt")] * 4
-            + [("charge", "AB", "gelu/gadget:b2a")] * 5
-            + [("frame", "A", "gelu/selector_and_square_shares"),
-               ("frame", "B", "gelu/masked_powers"),
-               ("frame", "A", "gelu/power_shares"),
-               ("frame", "B", "gelu/result")],
+             ("charge", "AB", "gelu/gadget:convert"),
+             ("charge", "AB", "gelu/gadget:lt"),
+             ("charge", "AB", "gelu/gadget:b2a"),
+             ("frame", "A", "gelu/selector_and_square_shares"),
+             ("frame", "B", "gelu/masked_powers"),
+             ("frame", "A", "gelu/power_shares"),
+             ("frame", "B", "gelu/result")],
 }
 
 

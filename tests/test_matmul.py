@@ -273,6 +273,47 @@ def test_shared_transcript_is_the_cross_terms(cfg_name, pair_runner, request):
                 == one[label.rsplit("/", 1)[1]])
 
 
+@pytest.mark.parametrize("kind", ["clear", "rlwe"])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_shared_over_heads_is_one_exchange(pair_runner, kind, heads):
+    """A stack of heads in one shared product reconstructs equal to one
+    call per head, moves ``costs.matmul_shared_bytes(..., heads=h)``, and
+    sends each label as one message, in 3 rounds.  At N=64 each head's
+    cross terms span several ciphertexts each way."""
+    cfg = _n64(kind)
+    m, n, h = 9, 40, 13
+    rng = np.random.default_rng(20 + heads)
+    q = rng.integers(0, P, size=(heads, m, n), dtype=np.uint64)
+    k = rng.integers(0, P, size=(heads, h, n), dtype=np.uint64)
+    qa, qb = share(q.ravel(), "field", cfg.fixedpoint, rng)
+    ka, kb = share(k.ravel(), "field", cfg.fixedpoint, rng)
+
+    def batched(qs, ks):
+        return lambda ctx: pi_matmul_shared(ctx, qs, ks, (heads, m, n), (heads, h, n))
+
+    def per_head(qs, ks):
+        def run(ctx):
+            rows = zip(qs.payload.reshape(heads, -1), ks.payload.reshape(heads, -1))
+            return np.concatenate([
+                pi_matmul_shared(ctx, ctx.field_share(qi), ctx.field_share(ki),
+                                 (m, n), (h, n)).share.payload for qi, ki in rows])
+        return run
+
+    ra, rb, rep, transcript = pair_runner(cfg, batched(qa, ka), batched(qb, kb),
+                                          want_transcript=True)
+    pa, pb = pair_runner(cfg, per_head(qa, ka), per_head(qb, kb))
+    got = reconstruct(ra.share, rb.share)
+    assert ra.shape == (heads, m, h)
+    assert np.array_equal(got, (pa + pb) % P)
+    want = np.stack([(qi.astype(object) @ ki.astype(object).T) % P for qi, ki in zip(q, k)])
+    assert np.array_equal(got.reshape(heads, m, h).astype(object), want)
+    assert (_phase_bytes(rep, "mmshared")
+            == costs.matmul_shared_bytes(cfg, m, n, h, heads=heads))
+    labels = [label for _, _, label in transcript if label.startswith("mmshared/")]
+    assert len(labels) == 4 and all(rep.phases[lbl]["messages"] == 1 for lbl in labels)
+    assert sum(rep.phases[lbl]["rounds"] for lbl in labels) == 3
+
+
 def test_determinism(toy_cfg, pair_runner):
     a = np.arange(6, dtype=np.uint64).reshape(2, 3)
     b = np.arange(6, dtype=np.uint64).reshape(3, 2)

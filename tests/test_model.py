@@ -233,9 +233,9 @@ def test_toy_block_he_work(pair_runner):
 
 def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):
     """At N=256, where the block's products span several partitions, the
-    qkv, wo, wf1 and wf2 weight products and both cross terms of every
-    head's scores and mix products move exactly the packed formula's bytes,
-    one frame per product and direction."""
+    qkv, wo, wf1 and wf2 weight products and both cross terms of the
+    scores and mix products move exactly the packed formula's bytes, one
+    frame per label: the cross terms of all heads share their frames."""
     bc = toy_block_config()
     rng = np.random.default_rng(16)
     weights = BlockWeights.random(bc, rng)
@@ -254,9 +254,25 @@ def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):
         if shape is None:
             continue
         assert packed_partition(*shape, toy_cfg.he.n) != shape
-        calls = h if product.startswith(("head/scores/", "head/mix/")) else 1
-        want = costs.matmul_bytes(toy_cfg, *shape, packed=True)[sub]
-        assert ph["bytes_a"] + ph["bytes_b"] == calls * want, label
-        assert ph["messages"] == calls, label
+        heads = h if product.startswith(("head/scores/", "head/mix/")) else 1
+        want = costs.matmul_bytes(toy_cfg, *shape, packed=True, heads=heads)[sub]
+        assert ph["bytes_a"] + ph["bytes_b"] == want, label
+        assert ph["messages"] == 1, label
         checked += 1
     assert checked == 2 * len(shapes) == 16
+
+
+def test_toy_block_ledger_is_pinned(pair_runner):
+    """The toy block's deterministic ledger on clear at the default
+    parameters (N=8192), set-up excluded.  A change that moves any of these
+    numbers must update them here and say why."""
+    bc = toy_block_config()
+    rng = np.random.default_rng(18)
+    weights = BlockWeights.random(bc, rng)
+    x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
+    _, rep = _run_block(Config(he_backend="clear"), pair_runner, x, weights, bc,
+                        want_reports=True)
+    staged = [ph for label, ph in rep.phases.items()
+              if label.split("/")[0] in BLOCK_STAGES]
+    assert (sum(ph["rounds"] for ph in staged), sum(ph["messages"] for ph in staged),
+            sum(ph["bytes_a"] + ph["bytes_b"] for ph in staged)) == (371, 38, 23_044_880)

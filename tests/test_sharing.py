@@ -212,6 +212,67 @@ def test_gadget_costs_charged(toy_cfg, pair_runner):
     assert rep_a.to_dict() == rep_b.to_dict()
 
 
+LT_CONSTS = [-300, -1, 0, 17, 400]
+
+
+def test_lt_over_constants_is_one_call(toy_cfg, pair_runner):
+    """lt against k constants is one call: one ``gadget:lt`` ledger entry
+    with the bytes of k single calls in the rounds of one, and its bits,
+    constant-major, reconstruct equal to the k single calls'."""
+    vals = np.arange(1024, dtype=np.uint64)
+    got, mod, charges = _tiny_gadget(toy_cfg, pair_runner, vals, RING,
+                                     lambda g, x: g.lt(x, LT_CONSTS), seed=18)
+    assert mod == 2 and charges == ["gadget:lt"]
+    singles = [_tiny_gadget(toy_cfg, pair_runner, vals, RING,
+                            lambda g, x, c=c: g.lt(x, c), seed=18)[0] for c in LT_CONSTS]
+    assert got == [bit for single in singles for bit in single]
+    signed = [_signed(v, 1024) for v in range(1024)]
+    assert got == [int(v < c) for c in LT_CONSTS for v in signed]
+
+    sa, sb = _mk_shares(np.zeros(100, dtype=np.uint64), RING, seed=14)
+    _, _, rep_a, rep_b = pair_runner(toy_cfg,
+                                     lambda ctx: ctx.provider.lt(sa, LT_CONSTS),
+                                     lambda ctx: ctx.provider.lt(sb, LT_CONSTS),
+                                     want_reports=True)
+    one, rounds, _ = GadgetCostTable().cost("lt", 100)
+    ph = rep_a.phases["gadget:lt"]
+    assert ph["bytes_a"] + ph["bytes_b"] == len(LT_CONSTS) * one
+    assert ph["rounds"] == rounds
+    assert rep_a.to_dict() == rep_b.to_dict()
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_lt_dealer_error_on_any_constant_fails_both_parties(bad):
+    """A constant the dealer cannot compare against fails both parties the
+    same way wherever it stands among the constants: B with the exception
+    itself, A with GadgetUnavailable naming it from the error frame that
+    takes that constant's place."""
+    consts = list(LT_CONSTS)
+    consts[bad] = None
+    sessions = make_pair(PROFILES["lan"])
+    shares = _mk_shares(np.arange(4, dtype=np.uint64), RING)
+    errors = {}
+
+    def run(me):
+        try:
+            GadgetProvider(sessions[me], CFG, GadgetCostTable()).lt(shares[me], consts)
+        except Exception as e:
+            errors[me] = e
+
+    threads = [threading.Thread(target=run, args=(me,), daemon=True) for me in (0, 1)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        for session in sessions:
+            session.close()
+    assert isinstance(errors[0], GadgetUnavailable) and "TypeError" in str(errors[0])
+    assert isinstance(errors[1], TypeError)
+
+
 WRONG_DOMAIN = {  # gadget -> (call, a share domain it does not accept)
     "lt": (lambda g, x: g.lt(x, 0), BOOL),
     "b2a": (lambda g, x: g.b2a(x, FIELD), RING),
