@@ -1,5 +1,4 @@
-"""Shared protocol machinery: the party context, encrypted vectors, and the
-masked row-sum exchange.
+"""Shared protocol machinery: the party context and encrypted vectors.
 
 An encrypted vector (``CtVec``) is the one place that knows how a vector of
 field values maps onto N-slot ciphertexts: one backend ciphertext per block,
@@ -24,8 +23,12 @@ Every protocol is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
 under the peer's key into additive shares (this party keeps the masks, the
 key holder decrypts the rest), and ``send_encrypted``/``recv_added`` turn
-shares back into a vector under the sender's key.  ``PartyCtx.mask`` draws
-every additive mask.
+shares back into a vector under the sender's key.  A product of two shared
+values x*y needs no ciphertext*ciphertext product: a party multiplies the
+peer's fresh encryptions of its shares (``recv_cts``, not ``recv_added``)
+by its own shares, the cross terms, and adds its local term x_own*y_own in
+the clear; the key holder adds its own once it decrypts.
+``PartyCtx.mask`` draws every additive mask.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import numpy as np
 
 from ..channel import Session, ShapeMismatch
 from ..hecore import create_backend, ct_bytes
-from ..modarith import mod
 from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, GadgetProvider, Share
 
@@ -360,28 +362,3 @@ def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> Party
     ctx.exchange_keys()
     return ctx
 
-
-# ---------------------------------------------------------------------------
-# masked row-sum exchange
-# ---------------------------------------------------------------------------
-
-def _row_sums(flat: np.ndarray, shape: tuple, p: int) -> np.ndarray:
-    return mod(flat.reshape(shape).sum(axis=1), p)
-
-
-def send_masked_rows(ctx: PartyCtx, label: str, vec: CtVec, shape: tuple):
-    """Party A's half of the masked row-sum exchange: blind the m x d slot
-    matrix ``vec`` (under B's key) with a fresh mask r and send it with A's
-    encryption of the row sums of r."""
-    r = ctx.mask(vec.size)
-    ctx.send_cts(label, [vec.add_pt(r), ctx.encrypt(_row_sums(r, shape, ctx.fp.p))],
-                 vec.size, shape[0], fresh=(False, True))
-
-
-def recv_masked_row_sums(ctx: PartyCtx, label: str, shape: tuple) -> CtVec:
-    """Party B's half: decrypt the blinded matrix, sum its rows and remove
-    the mask under A's key.  Returns A's encryption of the row sums."""
-    masked, mask_sums = ctx.recv_cts(label, shape[0] * shape[1], shape[0],
-                                     fresh=(False, True))
-    sums = _row_sums(ctx.decrypt(masked), shape, ctx.fp.p)
-    return mask_sums.neg_ct().add_pt(sums)

@@ -64,9 +64,8 @@ def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
     if normalize == "max":
         out["gadget:rowmax"] = _gadget(cfg, "rowmax", m * d)
     out["gadget:rexp"] = _gadget(cfg, "rexp", m * d)
-    out["exp_share"] = FRAME_OVERHEAD + blocks * fresh
-    out["masked_exp"] = FRAME_OVERHEAD + blocks * ct + vec * fresh
-    out["denominator"] = FRAME_OVERHEAD + vec * ct + blocks * fresh
+    out["rowsum_share"] = FRAME_OVERHEAD + vec * fresh
+    out["denominator"] = FRAME_OVERHEAD + vec * ct + 2 * blocks * fresh
     out["result"] = FRAME_OVERHEAD + blocks * ct
     return out
 
@@ -74,14 +73,12 @@ def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
 def ln_bytes(cfg: Config, m: int, n: int) -> dict:
     ct, fresh = _widths(cfg.he)
     blocks = ceil_div(m * n, cfg.he.n)
-    vec = ceil_div(m, cfg.he.n)
     return {
         "gadget:trunc": _gadget(cfg, "trunc", m * n),
         "gadget:convert": _gadget(cfg, "convert", m * n) + _gadget(cfg, "convert", m),
         "gadget:invsqrt": _gadget(cfg, "invsqrt", m),
         "ashare": FRAME_OVERHEAD + blocks * fresh,
-        "masked_square": FRAME_OVERHEAD + blocks * ct + vec * fresh,
-        "masked_rowsum": FRAME_OVERHEAD + vec * ct,
+        "masked_square": FRAME_OVERHEAD + blocks * ct,
         "invsqrt_share": FRAME_OVERHEAD + blocks * fresh,
         "masked_ratio": FRAME_OVERHEAD + blocks * (ct + fresh),
         "result": FRAME_OVERHEAD + blocks * ct,
@@ -100,7 +97,7 @@ def gelu_bytes(cfg: Config, m: int, w: int,
         "gadget:convert": _gadget(cfg, "convert", n_vals),
         "gadget:lt": _gadget(cfg, "lt", n_bounds * n_vals),
         "gadget:b2a": _gadget(cfg, "b2a", n_bounds * n_vals),
-        "input_and_squares": FRAME_OVERHEAD + (1 + len(plan)) * blocks * ct,
+        "input_and_squares": FRAME_OVERHEAD + len(plan) * blocks * ct,
         "selector_and_square_shares":
             FRAME_OVERHEAD + (n_bounds + len(plan)) * blocks * fresh,
         "masked_powers": FRAME_OVERHEAD + n_powers * blocks * ct,

@@ -3,15 +3,16 @@
 The evaluating party raises the input to the needed powers homomorphically
 (per-segment centered variables keep coefficient precision inside the field;
 their squares (x - m)^2 = x^2 - 2 m x + m^2 share one ciphertext square).
-One comparison call yields the bits [x < c] for every table boundary c and
-one bit conversion turns them arithmetic; A encrypts its shares of them,
-and B forms the one-hot segment selectors homomorphically as their
-differences (the bits never fall as the boundaries rise).  The result is
-the selector-weighted sum of the segment polynomials plus the two closed-form
-tails (a constant left tail; a constant or linear right tail), its ct*ct
-products summed under one relinearization.  Power
-rescaling rides on two extra masked exchanges; out-of-segment slots decode
-arbitrarily there and are nulled by their zero selectors.
+From each party's own input share, one comparison call yields the bits
+[x < c] for every table boundary c and one bit conversion turns them
+arithmetic; A encrypts its shares of them, and B forms the one-hot segment
+selectors homomorphically as their differences (the bits never fall as the
+boundaries rise).  The result is the selector-weighted sum of the segment
+polynomials plus the two closed-form tails (a constant left tail; a
+constant or linear right tail), its ct*ct products (not cross terms, which
+cost three plaintext products each) summed under one relinearization.
+Power rescaling rides on two extra masked exchanges; out-of-segment slots
+decode arbitrarily there and are nulled by their zero selectors.
 
 Both parties enter with field shares of the input at scale s; party A
 encrypts its share under its own key.  Output shares are field-domain at
@@ -76,18 +77,20 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
         plan = _segment_plan(table, s)
         if ctx.role == "A":
             ctx.send_encrypted("encrypt_input", x_share.payload)
-            return _party_a(ctx, shape, plan, table, sy)
+            return _party_a(ctx, x_share, shape, plan, table, sy)
         [ct_x] = ctx.recv_added("encrypt_input", x_share.payload)
-        return _party_b(ctx, ct_x, shape, plan, table, sy)
+        return _party_b(ctx, x_share, ct_x, shape, plan, table, sy)
 
 
-def _boundary_bits(ctx: PartyCtx, x_ring: Share, table: PiecewisePoly,
+def _boundary_bits(ctx: PartyCtx, x_share: Share, table: PiecewisePoly,
                    s: int) -> list:
     """Field shares of the bits [x < c], one vector per quantized table
-    boundary c: one comparison call and one offset-convention B2A for all
+    boundary c, from this party's field share of the input: one conversion
+    to the ring, one comparison call and one offset-convention B2A for all
     boundaries."""
     bounds = quantized_boundaries(table, s)
     p = ctx.fp.p
+    x_ring = ctx.provider.convert(x_share, RING)
     pay = ctx.provider.b2a(ctx.provider.lt(x_ring, bounds), FIELD).payload
     if ctx.role == "A":
         pay = mod(pay + (p - (1 << s)), p)  # remove the public offset once
@@ -102,7 +105,7 @@ def _selectors(ct_lt: list) -> list:
             ct_lt[-1].neg_ct().add_pt(1)]
 
 
-def _party_b(ctx, ct_x, shape, plan, table, sy):
+def _party_b(ctx, x_share, ct_x, shape, plan, table, sy):
     m, w = shape
     n_vals = m * w
     s, p = ctx.fp.s, ctx.fp.p
@@ -110,19 +113,13 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
     vb_hi = 2 * s + 4
     off3 = 1 << (2 * s + 3)
     # squares of the per-segment centered variables from one square of x,
-    # then mask everything
+    # masked below the field for A's lift
     ct_t = [ct_x.sub_pt(seg["midq"] % p) for seg in plan]
     ct_x2 = ct_x.square()
     ct_t2 = [ct_x2.add_ct(ct_x.mul_pt(-2 * seg["midq"] % p)).add_pt(seg["midq"] ** 2 % p)
              for seg in plan]
-    # x is masked uniformly, the squares below the field for A's lift
-    rx = ctx.mask(n_vals)
-    r2 = [ctx.mask(n_vals, bits=vb_sq) for _ in plan]
-    ctx.send_cts("input_and_squares",
-                 [ct_x.sub_pt(rx), *[t2.sub_pt(r) for t2, r in zip(ct_t2, r2)]],
-                 *[n_vals] * (1 + len(plan)))
-    x_ring = ctx.provider.convert(ctx.field_share(rx), RING)
-    lt = _boundary_bits(ctx, x_ring, table, s)
+    r2 = ctx.send_masked("input_and_squares", ct_t2, *[n_vals] * len(plan), bits=vb_sq)
+    lt = _boundary_bits(ctx, x_share, table, s)
     got = ctx.recv_added("selector_and_square_shares",
                          *lt, *[r >> np.uint64(s) for r in r2])
     ct_b, ct_t2s = _selectors(got[:len(lt)]), got[len(lt):]
@@ -155,16 +152,15 @@ def _party_b(ctx, ct_x, shape, plan, table, sy):
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy)
 
 
-def _party_a(ctx, shape, plan, table, sy):
+def _party_a(ctx, x_share, shape, plan, table, sy):
     m, w = shape
     n_vals = m * w
     s, p = ctx.fp.s, ctx.fp.p
     vb_sq = 2 * s + 2
     vb_hi = 2 * s + 4
-    x_a, *t2 = ctx.recv_decrypted("input_and_squares", *[n_vals] * (1 + len(plan)))
-    x_ring = ctx.provider.convert(ctx.field_share(x_a), RING)
+    t2 = ctx.recv_decrypted("input_and_squares", *[n_vals] * len(plan))
     ctx.send_encrypted("selector_and_square_shares",
-                       *_boundary_bits(ctx, x_ring, table, s),
+                       *_boundary_bits(ctx, x_share, table, s),
                        *[mod(lift_shift(v, p, vb_sq, s), p) for v in t2])
     got = ctx.recv_decrypted("masked_powers", *[n_vals] * len(_power_keys(plan)))
     ctx.send_encrypted("power_shares", *[mod(lift_shift(v, p, vb_hi, s), p) for v in got])

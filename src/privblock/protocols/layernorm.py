@@ -1,10 +1,12 @@
 """Secure layernorm over ring shares.
 
-Re-centering is free on shares (a_ij = n*x_ij - sum_j x_ij is linear), the
-squared row norm comes from one homomorphic squaring plus a masked row-sum,
-and the inverse square root is the imported gadget.  The normalized ratio is
-rescaled at the masked-decrypt step before the weight party applies
-gamma*sqrt(n) and beta.  Output shares are field-domain at scale LN_OUT_SCALE.
+Re-centering and row sums are free on shares (a_ij = n*x_ij - sum_j x_ij is
+linear).  The square a^2 and the ratio a*inv are products of shared values,
+computed as cross terms under B's key (see ``common``), so B's masked
+decryption of a^2 is already a sharing of it; the inverse square root is
+the imported gadget.  The normalized ratio is rescaled at the masked-decrypt
+step before the weight party applies gamma*sqrt(n) and beta.  Output shares
+are field-domain at scale LN_OUT_SCALE.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fixedpoint import encode_int
-from ..modarith import lift_shift, mod
+from ..modarith import lift_shift, mod, mulmod
 from ..sharing import FIELD, RING, DomainError, Share
-from .common import (DegenerateRow, PartyCtx, ProtocolOutputShares,
-                     ShapeMismatch, recv_masked_row_sums, send_masked_rows)
+from .common import DegenerateRow, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 RATIO_BITS = 30       # centered scale + 1/sqrt precision, fixed budget
 RATIO_SCALE = 15      # normalized ratio after decrypt-side rescale
@@ -74,17 +75,26 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         a = mod(n * xs + (ring_mod - rows), ring_mod)
         a_sh = x_share.like(a.ravel())
         # fused rescale (s -> sa) + exact conversion into the field
-        a_f = ctx.provider.convert(a_sh, FIELD, s - sa)
+        a_own = ctx.provider.convert(a_sh, FIELD, s - sa).payload
         shift = sa + s_inv - RATIO_SCALE
+        # a^2 = a_B*2a_A + a_A^2 + a_B^2: A computes the first two terms
+        # under B's key and masks them, B adds a_B^2 after it decrypts, and
+        # each party sums its rows for its share of the squared row norms
         if ctx.role == "B":
-            ctx.send_encrypted("ashare", a_f.payload)
-            ct_k = recv_masked_row_sums(ctx, "masked_square", shape)
-            [v] = ctx.send_masked("masked_rowsum", [ct_k], m)
-            inv = _invsqrt(ctx, ctx.field_share(v), sa, s_inv)
-            ctx.send_encrypted("invsqrt_share", np.repeat(inv.payload, n))
+            ctx.send_encrypted("ashare", a_own)
+            [sq] = ctx.recv_decrypted("masked_square", m * n)
+            sq = mod(sq + mulmod(a_own, a_own, p), p)
+        else:
+            [ct_ab] = ctx.recv_cts("ashare", m * n, fresh=[True])
+            [sq] = ctx.send_masked("masked_square", [
+                ct_ab.mul_pt(mod(2 * a_own, p)).add_pt(mulmod(a_own, a_own, p))], m * n)
+        k = mod(sq.reshape(m, n).sum(axis=1), p)
+        inv = np.repeat(_invsqrt(ctx, ctx.field_share(k), sa, s_inv).payload, n)
+        if ctx.role == "B":
+            ctx.send_encrypted("invsqrt_share", inv)
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n,
                                             fresh=(False, True))
-            w = ctx.decrypt(ct_wr)
+            w = mod(ctx.decrypt(ct_wr) + mulmod(a_own, inv, p), p)
             off = 1 << (sa + s_inv - shift)
             t_b = mod(lift_shift(w, p, sa + s_inv + 1, shift) - off, p)
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
@@ -92,13 +102,11 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))
             [share] = ctx.send_masked("result", [ct_y], m * n)
         else:
-            [ct_a] = ctx.recv_added("ashare", a_f.payload)
-            send_masked_rows(ctx, "masked_square", ct_a.square(), shape)
-            [k] = ctx.recv_decrypted("masked_rowsum", m)
-            inv = _invsqrt(ctx, ctx.field_share(k), sa, s_inv)
-            [ct_inv] = ctx.recv_added("invsqrt_share", np.repeat(inv.payload, n))
-            # statistically-masked decrypt-side rescale of the ratio
-            ct_off = ct_a.mul_ct(ct_inv).add_pt(1 << (sa + s_inv))
+            [ct_inv] = ctx.recv_cts("invsqrt_share", m * n, fresh=[True])
+            # a*inv less a_B*inv_B, offset and statistically masked for the
+            # decrypt-side rescale; B adds a_B*inv_B after it decrypts
+            ct_off = (ct_ab.mul_pt(inv).add_ct(ct_inv.mul_pt(a_own))
+                      .add_pt(mod(mulmod(a_own, inv, p) + (1 << (sa + s_inv)), p)))
             smask = ctx.mask(m * n, bits=sa + s_inv)
             ctx.send_cts("masked_ratio",
                          [ct_off.sub_pt(smask), ctx.encrypt(smask >> np.uint64(shift))],

@@ -1,11 +1,11 @@
 """Secure row-wise softmax over ring shares.
 
-Both parties run the shared-exponential gadget, re-encrypt the exponent
-shares into one SIMD batch, and reduce the denominator through a masked
-row-sum plus a multiplicatively masked reciprocal: the masked denominator
-sum is decrypted as an exact fixed-point integer, its real-valued
-reciprocal re-enters at guard-extended scale, and one ciphertext*ciphertext
-product lands the quotient.  Output shares are field-domain at scale
+Both parties run the shared-exponential gadget and sum their rows locally.
+The denominator goes through a multiplicatively masked reciprocal: B returns
+v times each row sum under A's key, which A decrypts as an exact fixed-point
+integer, and the reciprocal re-enters at guard-extended scale as the
+plaintext of cross terms (see ``common``) against B's fresh encryptions of v
+and of e_B*v.  Output shares are field-domain at scale
 2s + SOFTMAX_GUARD_BITS.
 """
 
@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modarith import mod
+from ..modarith import mod, mulmod
 from ..sharing import RING, Share
-from .common import (PartyCtx, ProtocolOutputShares, ShapeMismatch,
-                     recv_masked_row_sums, send_masked_rows)
+from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 SOFTMAX_GUARD_BITS = 11
 
@@ -39,7 +38,7 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
         raise ShapeMismatch("softmax expects ring shares")
     if x_share.payload.size != m * d:
         raise ShapeMismatch("share length does not match shape")
-    s = ctx.fp.s
+    s, p = ctx.fp.s, ctx.fp.p
     g = SOFTMAX_GUARD_BITS
     out_scale = 2 * s + g
     n_vals = m * d
@@ -50,21 +49,23 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             spread = np.repeat(mx.payload, d)
             ring_mod = ctx.fp.ring_mod
             x_share = x_share.like(mod(x_share.payload + (ring_mod - spread), ring_mod))
-        e_sh = ctx.provider.rexp(x_share)  # field shares of encode(e^x, s)
+        e = ctx.provider.rexp(x_share).payload  # field shares of encode(e^x, s)
+        row_sums = mod(e.reshape(m, d).sum(axis=1), p)
         if ctx.role == "B":
-            ctx.send_encrypted("exp_share", e_sh.payload)
-            ct_sum = recv_masked_row_sums(ctx, "masked_exp", shape)
+            [ct_sum] = ctx.recv_added("rowsum_share", row_sums)
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
-            ctx.send_cts("denominator", [ct_sum.mul_pt(v), ctx.encrypt(np.repeat(v, d))],
-                         m, n_vals, fresh=(False, True))
+            v_rep = np.repeat(v, d)
+            ctx.send_cts("denominator", [ct_sum.mul_pt(v),
+                                         ctx.encrypt(v_rep), ctx.encrypt(mulmod(e, v_rep, p))],
+                         m, n_vals, n_vals, fresh=(False, True, True))
             [share] = ctx.recv_decrypted("result", n_vals)
         else:
-            [ct_e] = ctx.recv_added("exp_share", e_sh.payload)
-            send_masked_rows(ctx, "masked_exp", ct_e, shape)
-            ct_sumv, ct_vhat = ctx.recv_cts("denominator", m, n_vals, fresh=(False, True))
+            ctx.send_encrypted("rowsum_share", row_sums)
+            ct_sumv, ct_v, ct_ev = ctx.recv_cts("denominator", m, n_vals, n_vals,
+                                                fresh=(False, True, True))
             u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
-            recip = ((1 << out_scale) + u // 2) // np.maximum(u, 1)
-            ct_y = ct_e.mul_ct(ct_vhat.mul_pt(np.repeat(recip, d)))
+            recip = np.repeat(((1 << out_scale) + u // 2) // np.maximum(u, 1), d)
+            ct_y = ct_v.mul_pt(mulmod(e, recip, p)).add_ct(ct_ev.mul_pt(recip))
             [share] = ctx.send_masked("result", [ct_y], n_vals)
         return ProtocolOutputShares(ctx.field_share(share), shape, out_scale)

@@ -217,15 +217,13 @@ EXPECTED_TRANSCRIPTS = {
     "matmul": [("frame", "A", "matmul/inputs"),
                ("frame", "B", "matmul/masked_product")],
     "softmax": [("charge", "AB", "softmax/gadget:rexp"),
-                ("frame", "B", "softmax/exp_share"),
-                ("frame", "A", "softmax/masked_exp"),
+                ("frame", "A", "softmax/rowsum_share"),
                 ("frame", "B", "softmax/denominator"),
                 ("frame", "A", "softmax/result")],
     "ln": [("charge", "AB", "ln/gadget:trunc"),
            ("charge", "AB", "ln/gadget:convert"),
            ("frame", "B", "ln/ashare"),
            ("frame", "A", "ln/masked_square"),
-           ("frame", "B", "ln/masked_rowsum"),
            ("charge", "AB", "ln/gadget:convert"),
            ("charge", "AB", "ln/gadget:invsqrt"),
            ("frame", "B", "ln/invsqrt_share"),

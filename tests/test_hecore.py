@@ -307,6 +307,19 @@ def test_noise_estimate_dominates_measurement():
     sk = be.encrypt(m, kp)
     assert np.array_equal(be.decrypt(sk, kp), m) and sk.noise_bits == ct.noise_bits
     assert measured_noise_bits(be, sk, kp) <= sk.noise_bits
+    # the cross-term chain of layernorm and softmax: two fresh own-key
+    # ciphertexts, each times a full-range vector, added, then a vector
+    # add_pt and sub_pt; at the toy and the default parameters
+    for params in (TOY, HeParams()):
+        be, _ = backends(params, seed=18)
+        kp = be.keygen("B")
+        x, y, u, v, c, r = (rng.integers(0, params.p, size=params.n, dtype=np.uint64)
+                            for _ in range(6))
+        cross = be.add_ct(be.mul_pt(be.encrypt(x, kp), u), be.mul_pt(be.encrypt(y, kp), v))
+        chain = be.sub_pt(be.add_pt(cross, c), r)
+        want = (x.astype(object) * u + y.astype(object) * v + c.astype(object) - r) % params.p
+        assert np.array_equal(be.decrypt(chain, kp).astype(object), want)
+        assert measured_noise_bits(be, chain, kp) <= chain.noise_bits
 
 
 @pytest.mark.parametrize("params", [TOY, HeParams()], ids=["toy", "n8192"])

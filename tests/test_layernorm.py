@@ -86,7 +86,6 @@ def test_transcript_shape(toy_cfg, pair_runner):
         ("charge", "AB", "ln/gadget:convert"),
         ("frame", "B", "ln/ashare"),
         ("frame", "A", "ln/masked_square"),
-        ("frame", "B", "ln/masked_rowsum"),
         ("charge", "AB", "ln/gadget:convert"),
         ("charge", "AB", "ln/gadget:invsqrt"),
         ("frame", "B", "ln/invsqrt_share"),

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -205,17 +207,39 @@ def test_block_determinism(toy_cfg, pair_runner):
     assert run() == run()
 
 
+def _caller_in(code) -> bool:
+    """Whether ``code`` runs anywhere up the calling thread's stack."""
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not code:
+        frame = frame.f_back
+    return frame is not None
+
+
 def test_toy_block_he_work(pair_runner):
-    """One toy block on clear at N=8192 makes at most 36 encryptions and 31
-    ciphertext*plaintext products: each of its products is one packed
-    ciphertext each way, and attention projects all heads at once."""
+    """One toy block on clear at N=8192 makes exactly 33 encryptions, 38
+    ciphertext*plaintext products and 6 ciphertext*ciphertext products
+    (``mul_ct_sum``, through which ``mul_ct`` and ``square`` pass).  Matmul
+    makes 12 of the plaintext products: each of its products is one packed
+    ciphertext each way, and attention projects all heads at once.  Every
+    ct*ct product is gelu's: layernorm and softmax multiply shared values
+    by cross terms."""
     from privblock.hecore.clear import ClearBackend
-    calls = {"encrypt": 0, "mul_pt": 0}
-    originals = {name: getattr(ClearBackend, name) for name in calls}
+    from privblock.protocols import gelu, matmul
+    calls = {"encrypt": 0, "mul_pt": 0, "mul_ct_sum": 0,
+             "mul_pt in matmul": 0, "mul_ct_sum in gelu": 0}
+    scopes = {"mul_pt": ("mul_pt in matmul", matmul.pi_matmul.__code__),
+              "mul_ct_sum": ("mul_ct_sum in gelu", gelu.pi_gelu.__code__)}
+    originals = {name: getattr(ClearBackend, name) for name in ("encrypt", "mul_pt",
+                                                                "mul_ct_sum")}
+    lock = threading.Lock()  # both parties' threads count
 
     def counted(name):
         def op(self, *args):
-            calls[name] += 1
+            scoped = name in scopes and _caller_in(scopes[name][1])
+            with lock:
+                calls[name] += 1
+                if scoped:
+                    calls[scopes[name][0]] += 1
             return originals[name](self, *args)
         return op
 
@@ -224,11 +248,12 @@ def test_toy_block_he_work(pair_runner):
     weights = BlockWeights.random(bc, rng)
     x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
+        for name in originals:
             mp.setattr(ClearBackend, name, counted(name))
         y, _ = _run_block(Config(he_backend="clear"), pair_runner, x, weights, bc)
     assert np.abs(y - oracle_block(x, weights, bc)).max() <= 2.0 ** -4
-    assert calls["encrypt"] <= 36 and calls["mul_pt"] <= 31, calls
+    assert calls == {"encrypt": 33, "mul_pt": 38, "mul_ct_sum": 6,
+                     "mul_pt in matmul": 12, "mul_ct_sum in gelu": 6}, calls
 
 
 def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):
@@ -275,4 +300,4 @@ def test_toy_block_ledger_is_pinned(pair_runner):
     staged = [ph for label, ph in rep.phases.items()
               if label.split("/")[0] in BLOCK_STAGES]
     assert (sum(ph["rounds"] for ph in staged), sum(ph["messages"] for ph in staged),
-            sum(ph["bytes_a"] + ph["bytes_b"] for ph in staged)) == (371, 38, 23_044_880)
+            sum(ph["bytes_a"] + ph["bytes_b"] for ph in staged)) == (368, 35, 21_078_616)

@@ -89,8 +89,7 @@ def test_transcript_shape(toy_cfg, pair_runner):
     labels = [(k, d, l) for k, d, l in tr if l.startswith("softmax/")]
     assert labels == [
         ("charge", "AB", "softmax/gadget:rexp"),
-        ("frame", "B", "softmax/exp_share"),
-        ("frame", "A", "softmax/masked_exp"),
+        ("frame", "A", "softmax/rowsum_share"),
         ("frame", "B", "softmax/denominator"),
         ("frame", "A", "softmax/result"),
     ]
