@@ -15,6 +15,10 @@ frame, and returns an iterator of its payload: TCP ``recv_into``s each
 piece, of the lengths the receiver asks for, into one reused buffer, one
 kernel-to-user copy.  A single buffer is the one-chunk case of ``send``,
 and ``recv`` returns a whole frame as a memoryview on both transports.
+A frame of no expected length (any but a ciphertext frame) longer than
+the session's ``max_frame``, once a party context sets it, raises
+``IoError`` on either side: the sender's before it writes a byte, the
+receiver's before it reserves or reads one.
 Simulated time is computed analytically from the transcript: ``latency +
 8 * frame_bytes / bandwidth`` per message along the (sequential) critical
 path, never by sleeping.
@@ -83,10 +87,14 @@ class CostReport:
 
     ``phases`` maps step label -> {bytes_a, bytes_b, messages, rounds,
     sim_time, warnings}.  Rounds are direction alternations over real frames
-    plus the declared round counts of charged gadget invocations.
+    plus the declared round counts of charged gadget invocations.  Bytes
+    are those of frames that crossed the session (``sent_bytes``) plus the
+    cost-table charges of gadgets (``charged_bytes``), which move none.
     """
 
     bytes_sent: dict = field(default_factory=lambda: {A: 0, B: 0})
+    sent_bytes: int = 0
+    charged_bytes: int = 0
     message_count: int = 0
     round_count: int = 0
     simulated_time: float = 0.0
@@ -95,7 +103,7 @@ class CostReport:
 
     @property
     def total_bytes(self) -> int:
-        return self.bytes_sent[A] + self.bytes_sent[B]
+        return self.sent_bytes + self.charged_bytes
 
     def bytes_for(self, label_prefix: str) -> int:
         return sum(ph["bytes_a"] + ph["bytes_b"]
@@ -106,6 +114,8 @@ class CostReport:
         return {
             "bytes_a": self.bytes_sent[A],
             "bytes_b": self.bytes_sent[B],
+            "sent_bytes": self.sent_bytes,
+            "charged_bytes": self.charged_bytes,
             "total_bytes": self.total_bytes,
             "message_count": self.message_count,
             "round_count": self.round_count,
@@ -141,6 +151,7 @@ class _Ledger:
             if kind == "frame":
                 sender = direction
                 rep.bytes_sent[sender] += nbytes
+                rep.sent_bytes += nbytes
                 ph["bytes_a" if sender == A else "bytes_b"] += nbytes
                 rep.message_count += 1
                 ph["messages"] += 1
@@ -156,6 +167,7 @@ class _Ledger:
                 ba, bb = nbytes
                 rep.bytes_sent[A] += ba
                 rep.bytes_sent[B] += bb
+                rep.charged_bytes += ba + bb
                 ph["bytes_a"] += ba
                 ph["bytes_b"] += bb
                 rep.round_count += rounds
@@ -180,6 +192,9 @@ class Session:
     # whether each chunk handed to ``send`` is copied out before the next is
     # produced, so that its buffer may be refilled
     copies_chunks = False
+    # the longest frame of no expected length either side accepts (see
+    # ``protocols.common.max_frame``); None until a party context sets it
+    max_frame = None
 
     def __init__(self, role: str, profile: NetworkProfile):
         assert role in (A, B)
@@ -232,6 +247,7 @@ class Session:
         sender's work stays on the sender's thread."""
         if length is None:
             payload, length = [payload], len(payload)
+            self._check_cap(label, length)
         self._send_chunks(length, payload)
         if metered:
             self.ledger.log_frame(self.role, self._qualify(label),
@@ -247,7 +263,9 @@ class Session:
         ``length`` raises ``ShapeMismatch`` before a payload byte is
         reserved or read."""
         declared, chunks = self._recv_frame(pieces)
-        if length is not None and declared != length:
+        if length is None:
+            self._check_cap(label, declared)
+        elif declared != length:
             raise ShapeMismatch(f"{self._qualify(label)}: a frame of {declared} "
                                 f"bytes, expected {length}")
         if metered:
@@ -255,10 +273,17 @@ class Session:
                                   FRAME_OVERHEAD + declared)
         return chunks
 
-    def recv(self, label: str, metered: bool = True) -> memoryview:
+    def _check_cap(self, label: str, length: int):
+        if self.max_frame is not None and length > self.max_frame:
+            raise IoError(f"{self._qualify(label)}: a frame of {length} bytes, over the "
+                          f"{self.max_frame} this configuration sends; not reserved")
+
+    def recv(self, label: str, metered: bool = True,
+             length: int | None = None) -> memoryview:
         """The whole payload, in a buffer of its own: it slices and compares
-        like bytes; take ``bytes()`` of a slice to decode it."""
-        pieces = list(self.recv_chunks(label, metered=metered))
+        like bytes; take ``bytes()`` of a slice to decode it.  ``length``,
+        if given, is the one length accepted (see ``recv_chunks``)."""
+        pieces = list(self.recv_chunks(label, length, metered=metered))
         return pieces[0] if len(pieces) == 1 else memoryview(b"".join(pieces))
 
     def charge(self, label: str, bytes_ab: int, bytes_ba: int, rounds: int,
@@ -275,23 +300,28 @@ class Session:
         return [(k, d, l) for k, d, l, _, _ in self.ledger.entries if k != "warn"]
 
     # -- handshake ---------------------------------------------------------
-    def _exchange(self, label: str, blob: bytes) -> memoryview:
-        """Swap ``blob`` for the peer's, A sending first."""
+    def _exchange(self, label: str, blob: bytes, length: int | None = None) -> memoryview:
+        """Swap ``blob`` for the peer's (of ``length`` bytes, if given), A
+        sending first."""
         if self.role == A:
             self.send(label, blob)
-            return self.recv(label)
-        other = self.recv(label)
+            return self.recv(label, length=length)
+        other = self.recv(label, length=length)
         self.send(label, blob)
         return other
 
     def handshake(self, params_blob: bytes):
-        """Exchange a parameter fingerprint once; abort on mismatch.  A repeat
-        call moves nothing, and raises unless its fingerprint is the agreed one."""
+        """Exchange a parameter fingerprint once; abort on mismatch, a peer
+        frame of another length before it is read.  A repeat call moves
+        nothing, and raises unless its fingerprint is the agreed one."""
         if self._agreed is not None:
             if params_blob != self._agreed:
                 raise HandshakeMismatch("fingerprint differs from the one agreed")
             return
-        other = self._exchange("handshake", params_blob)
+        try:
+            other = self._exchange("handshake", params_blob, len(params_blob))
+        except ShapeMismatch as e:
+            raise HandshakeMismatch(f"parameter fingerprints differ in length: {e}") from e
         if other != params_blob:
             raise HandshakeMismatch("parameter fingerprints differ between parties")
         self._agreed = bytes(params_blob)

@@ -218,6 +218,7 @@ def _print_report(report, err, wall, protocol, dims):
     out = sys.stdout
     out.write(f"protocol={protocol} shape={dims}\n")
     out.write(f"bytes_a={report.bytes_sent['A']} bytes_b={report.bytes_sent['B']} "
+              f"sent={report.sent_bytes} charged={report.charged_bytes} "
               f"total={report.total_bytes}\n")
     out.write(f"messages={report.message_count} rounds={report.round_count} "
               f"simulated_time={report.simulated_time:.6f}s wall={wall:.3f}s "
@@ -231,7 +232,8 @@ def _print_report(report, err, wall, protocol, dims):
         out.write(f"  warning: {w}\n")
 
 
-BENCH_COLUMNS = ["protocol", "shape", "rep", "bytes_a", "bytes_b", "total_bytes",
+BENCH_COLUMNS = ["protocol", "shape", "rep", "bytes_a", "bytes_b", "sent_bytes",
+                 "charged_bytes", "total_bytes",
                  "messages", "rounds", "simulated_time", "wall_time", "max_abs_err"]
 
 
@@ -245,6 +247,7 @@ def cmd_bench(args) -> int:
         report, err, wall, dims = run_once(args, cfg, profile, args.seed + rep)
         rows.append([args.protocol, dims, rep,
                      report.bytes_sent["A"], report.bytes_sent["B"],
+                     report.sent_bytes, report.charged_bytes,
                      report.total_bytes, report.message_count,
                      report.round_count, report.simulated_time, wall, err])
     agg = ["aggregate", dims, args.repetitions]

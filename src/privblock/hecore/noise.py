@@ -2,7 +2,9 @@
 
 High-probability canonical-style growth estimates, mirrored by both backends
 so the clear backend exhausts exactly when the real one would.  Estimates
-are validated empirically against measured RLWE noise in the test suite.
+are validated empirically against measured RLWE noise in the test suite,
+replies among them.  A reply's bits are measured against its own modulus
+Q_l, whose budget is ``hecore.noise_budget_bits(params, bits, l)``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,23 @@ def mul_pt_bits(params, n1: float, operand) -> float:
     p = params.p
     bound = (p - 1) // 2 if np.ndim(operand) else min(int(operand), p - int(operand))
     return n1 + 0.5 * math.log2(params.n) + math.log2(max(bound, 1)) + 1.0
+
+
+def switch_bits(params) -> float:
+    """The rounding a modulus switch adds to the phase: tau0 + tau1 s, each
+    tau coefficient within 1/2 and s ternary, so at most (N + 1)/2."""
+    return math.log2((params.n + 1) / 2)
+
+
+def reply_bits(params, n1: float, limbs: int) -> float:
+    """A reply at ``limbs`` limbs: the mask's add_pt at the whole modulus,
+    then, below every limb, the switch, which divides that noise by the
+    dropped limbs' product and adds its rounding term."""
+    nb = add_pt_bits(params, n1)
+    if limbs == params.limbs:
+        return nb
+    dropped = math.log2(math.prod(params.q_primes[limbs:]))
+    return log2add(nb - dropped, switch_bits(params))
 
 
 def relin_bits(params) -> float:

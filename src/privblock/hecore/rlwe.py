@@ -17,6 +17,14 @@ A secret-key encryption draws its uniform ``a`` from a fresh 32-byte seed
 out of the backend RNG and keeps that seed, so it serializes at half size
 (see ``hecore``): limb i of ``a`` is read in NTT form from
 shake_128(seed || i), by rejection sampling of ``<u4`` words.
+
+A reply keeps the first l limbs: with D the product of the dropped ones,
+each component c becomes (c - [c]_D) / D mod Q_l, [c]_D the centered
+residue, which a base extension carries from the dropped limbs to the kept
+ones.  Only the dropped limbs are inverse-transformed (the mask's
+floor(Q/p) m joins c0 there in coefficient form), and the correction and
+the mask's kept residues share one forward transform per kept limb.
+Decrypt takes the phase at whatever limbs the ciphertext has.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ import math
 
 import numpy as np
 
-from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_product,
-               check_same_key, pack_slots, read_ct, scalar_slot, write_ct)
+from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_operands,
+               check_product, check_reply, pack_slots, read_ct, reply_limbs, scalar_slot,
+               write_ct)
 from ..modarith import matmod, mod, mulmod, signed_lift
 from ..params import HeParams
 from . import noise
@@ -146,10 +155,14 @@ class RlweCiphertext:
 
     def __init__(self, data: np.ndarray, owner: str, noise_bits: float,
                  seed: bytes | None = None):
-        self.data = data  # (2, L, N) uint64, NTT domain per limb
+        self.data = data  # (2, limbs, N) uint64, NTT domain per limb
         self.owner = owner
         self.noise_bits = float(noise_bits)
         self.seed = seed  # the seed data[1] expands from, while it is fresh
+
+    @property
+    def limbs(self) -> int:
+        return self.data.shape[1]
 
 
 class RlweBackend:
@@ -184,7 +197,14 @@ class RlweBackend:
         self.scale_qp = _ScaleRound(self.qs, self.p * big_p, self.q * big_p, self.ps)
         self.lam_col = _column(self.p * (big_p // pk) * pow(self.q * big_p // pk, -1, pk) % pk
                                for pk in self.ps)
-        self.scale_q = _ScaleRound(self.qs, self.p, self.q, [self.p])
+        # decryption at every limb and at a reply's; a reply's switch, from
+        # the dropped limbs (product D) to the kept ones, then times D^-1
+        keep = reply_limbs(params)
+        self.scale_q = {k: _ScaleRound(self.qs[:k], self.p, math.prod(self.qs[:k]), [self.p])
+                        for k in {self.L, keep}}
+        self.switch = _BaseExtension(self.qs[keep:], self.qs[:keep])
+        self.inv_dropped = _column(pow(math.prod(self.qs[keep:]), -1, q)
+                                   for q in self.qs[:keep])
 
     # -- sampling -------------------------------------------------------------
     def _ternary(self) -> np.ndarray:
@@ -295,25 +315,29 @@ class RlweBackend:
         return RlweCiphertext(data, key.owner, noise.fresh_bits(self.params), seed)
 
     def _phase(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
-        """c0 + c1 s mod each limb, in coefficient form."""
-        acc = ct.data[0] + mulmod(ct.data[1], kp._s, self.q_col)
-        return _transform(mod(acc, self.q_col), self.plans, inverse=True)
+        """c0 + c1 s mod each limb of ``ct``, in coefficient form."""
+        k = ct.limbs
+        q = self.q_col[:k]
+        acc = ct.data[0] + mulmod(ct.data[1], kp._s[:k], q)
+        return _transform(mod(acc, q), self.plans[:k], inverse=True)
 
     def decrypt(self, ct: RlweCiphertext, kp: RlweKeyPair) -> np.ndarray:
         check_decrypt(self.params, ct, kp)
-        # round(p v / q) mod p does not change when the phase v shifts by q
-        return self._coeffs_to_slots(self.scale_q(self._phase(ct, kp))[0])
+        # round(p v / Q) mod p does not change when the phase v shifts by Q
+        return self._coeffs_to_slots(self.scale_q[ct.limbs](self._phase(ct, kp))[0])
 
     # -- linear ops -------------------------------------------------------------
     def add_ct(self, x: RlweCiphertext, y: RlweCiphertext) -> RlweCiphertext:
-        check_same_key(x, y)
+        check_operands(self.params, x, y)
         return RlweCiphertext(mod(x.data + y.data, self.q_col), x.owner,
                               noise.add_ct_bits(x.noise_bits, y.noise_bits))
 
     def neg_ct(self, x: RlweCiphertext) -> RlweCiphertext:
+        check_operands(self.params, x)
         return RlweCiphertext(mod(self.q_col - x.data, self.q_col), x.owner, x.noise_bits)
 
     def _add_to_c0(self, x: RlweCiphertext, dm: np.ndarray) -> RlweCiphertext:
+        check_operands(self.params, x)
         out = x.data.copy()
         out[0] = mod(out[0] + dm, self.q_col)
         return RlweCiphertext(out, x.owner, noise.add_pt_bits(self.params, x.noise_bits))
@@ -325,6 +349,7 @@ class RlweBackend:
         return self._add_to_c0(x, self.q_col - self._pt_delta_ntt(slots))
 
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
+        check_operands(self.params, x)
         if np.ndim(slots) == 0:
             m_ntt = self._const(signed_lift(scalar_slot(slots, self.params), self.p))
         else:
@@ -375,6 +400,23 @@ class RlweBackend:
     def square(self, x: RlweCiphertext, public: RlwePublicKey) -> RlweCiphertext:
         return self.mul_ct(x, x, public)
 
+    # -- replies -------------------------------------------------------------------
+    def reply(self, x: RlweCiphertext, mask, whole: bool = False) -> RlweCiphertext:
+        """x - floor(Q/p) mask, switched down to ``reply_limbs`` l (unless
+        ``whole``) for x's key holder to decrypt: 2 (L - l) inverse and 2 l
+        forward row transforms."""
+        limbs, nb = check_reply(self.params, x, whole)
+        if limbs == self.L:
+            return self.sub_pt(x, mask)  # under the same estimate, nb
+        dm = self._pt_delta(mask)
+        q, qd = self.q_col[:limbs], self.q_col[limbs:]
+        low = _transform(x.data[:, limbs:], self.plans[limbs:], inverse=True)
+        low[0] = mod(low[0] + qd - dm[limbs:], qd)
+        corr = self.switch(low)  # [c]_D in each kept limb
+        corr[0] += dm[:limbs]
+        kept = x.data[:, :limbs] + q - _transform(corr, self.plans[:limbs])
+        return RlweCiphertext(mulmod(kept, self.inv_dropped, q), x.owner, nb)
+
     # -- wire format ----------------------------------------------------------------
     def serialize(self, ct: RlweCiphertext, out=None):
         """Every limb as ``<u4`` after the header, of c0 alone after the seed
@@ -383,12 +425,15 @@ class RlweBackend:
         body = ct.data if ct.seed is None else ct.data[:1]
         return write_ct(self.params, ct, BACKEND_ID, body, "<u4", out)
 
-    def deserialize(self, data: bytes, seeded: bool = False) -> RlweCiphertext:
+    def deserialize(self, data: bytes, seeded: bool = False,
+                    limbs: int | None = None) -> RlweCiphertext:
         """The ciphertext of ``data``, which must be seeded exactly when
-        ``seeded``; a seeded one gets its ``a`` re-expanded."""
+        ``seeded`` and hold ``limbs`` limbs (every limb by default); a
+        seeded one gets its ``a`` re-expanded."""
+        limbs = self.L if limbs is None else limbs
         owner, noise_bits, seed, body = read_ct(self.params, data, BACKEND_ID, "<u4",
-                                                seeded)
-        rows = body.astype(np.uint64).reshape(-1, self.L, self.n)
+                                                seeded, limbs=limbs)
+        rows = body.astype(np.uint64).reshape(-1, limbs, self.n)
         if seeded:
             rows = np.stack([rows[0], self._expand_a(seed)])
         return RlweCiphertext(rows, owner, noise_bits, seed)

@@ -161,6 +161,9 @@ class HeParams:
         if len(self.q_primes) < 2:
             # a seeded ciphertext's one component must hold N clear slots
             raise ParamError(f"he.q_primes needs at least 2 limbs, got {len(self.q_primes)}")
+        if len(self.q_primes) > 15:
+            # a ciphertext header gives its limb count 4 bits
+            raise ParamError(f"he.q_primes allows at most 15 limbs, got {len(self.q_primes)}")
         if self.n & (self.n - 1) or self.n < 8:
             raise ParamError(f"N must be a power of two >= 8, got {self.n}")
         _check_word_size(self.p)

@@ -8,26 +8,31 @@ slot holds zero or a value computed from public constants, never a secret
 or a mask.  Protocols encrypt, operate on,
 frame and decrypt whole vectors; ``PartyCtx.send_cts`` and ``recv_cts``
 hold all ciphertext framing.  Both sides of a frame name its vectors' sizes
-and which of them are ``fresh``: this party's own encryptions, untouched by
-any operation, which go over the wire seeded, at about half the size of any
-other ciphertext.  A frame streams: the sender takes each vector from its
-iterable only as its chunk fills, and the receiver reads each vector as it
-is taken.  Over TCP the chunks hold the most whole ciphertexts that fit in
-``CHUNK_BYTES`` (at least one), so neither side holds a whole frame; on the
-in-process pair a frame is one chunk.  ``recv_cts`` reads and meters the
-frame's header when called, and rejects a frame that does not hold exactly
-the ciphertexts of the sizes and forms it expects before reading any of
-its payload.
+and the wire form of each (``hecore``): ``FRESH``, this party's own
+encryptions, untouched by any operation, which go over the wire seeded, at
+about half the size of a whole ciphertext; ``WHOLE``, any other computed
+ciphertext at every limb; or ``REPLY``, a computed ciphertext under the
+receiver's key, masked and switched down to ``reply_limbs`` for it to
+decrypt (2 of 6 limbs at the defaults, a third of a whole one).  A frame
+streams: the sender takes each vector from its iterable only as its chunk
+fills, and the receiver reads each vector as it is taken.  Over TCP the
+chunks hold the most whole ciphertexts that fit in ``CHUNK_BYTES`` (at
+least one), so neither side holds a whole frame; on the in-process pair a
+frame is one chunk.  ``recv_cts`` reads and meters the frame's header when
+called, and rejects a frame that does not hold exactly the ciphertexts of
+the sizes and forms it expects before reading any of its payload.  Every
+other frame is capped at ``max_frame`` of the parameters.
 
 Every protocol is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
 under the peer's key into additive shares (this party keeps the masks, the
-key holder decrypts the rest), and ``send_encrypted``/``recv_added`` turn
-shares back into a vector under the sender's key.  A product of two shared
-values x*y needs no ciphertext*ciphertext product: a party multiplies the
-peer's fresh encryptions of its shares (``recv_cts``, not ``recv_added``)
-by its own shares, the cross terms, and adds its local term x_own*y_own in
-the clear; the key holder adds its own once it decrypts.
+key holder decrypts the rest; every vector sent back this way leaves
+through the backend's ``reply``), and ``send_encrypted``/``recv_added``
+turn shares back into a vector under the sender's key.  A product of two
+shared values x*y needs no ciphertext*ciphertext product: a party
+multiplies the peer's fresh encryptions of its shares (``recv_cts``, not
+``recv_added``) by its own shares, the cross terms, and adds its local term
+x_own*y_own in the clear; the key holder adds its own once it decrypts.
 ``PartyCtx.mask`` draws every additive mask.
 """
 
@@ -39,7 +44,7 @@ from itertools import islice
 import numpy as np
 
 from ..channel import Session, ShapeMismatch
-from ..hecore import create_backend, ct_bytes
+from ..hecore import FRESH, REPLY, WHOLE, create_backend, ct_bytes, wire_form
 from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, GadgetProvider, Share
 
@@ -47,6 +52,9 @@ MAX_BLOCKS = 64
 # a ciphertext frame moves in chunks of the most whole ciphertexts that fit
 # in this many bytes, and at least one
 CHUNK_BYTES = 8 << 20
+# the most vectors of MAX_BLOCKS blocks one gadget frame carries: the bits
+# of a comparison of a vector against this many constants
+GADGET_FAN_IN = 8
 
 
 class CapacityExceeded(ValueError):
@@ -59,6 +67,15 @@ class DegenerateRow(ValueError):
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def max_frame(he: HeParams) -> int:
+    """The longest frame other than a ciphertext frame that a party sends
+    under ``he``: a gadget frame, a tag byte and one word per value of
+    ``GADGET_FAN_IN`` vectors of ``MAX_BLOCKS`` blocks.  It also bounds an
+    rlwe public key with its relinearization key, 6 + 16 L (L + 1) N
+    bytes, below 4096 N for the at most 15 limbs ``HeParams`` allows."""
+    return 1 + 8 * GADGET_FAN_IN * MAX_BLOCKS * he.n
 
 
 @dataclass
@@ -148,6 +165,12 @@ class CtVec:
     def neg_ct(self) -> "CtVec":
         return CtVec(self.ctx, map(self.ctx.backend.neg_ct, self.cts), self.size)
 
+    def reply(self, mask, form: str = REPLY) -> "CtVec":
+        """This vector less ``mask``, for its key holder to decrypt, in wire
+        form ``form``: ``REPLY`` (switched down) or ``WHOLE``."""
+        backend = self.ctx.backend
+        return self._with_pt(lambda ct, m: backend.reply(ct, m, form == WHOLE), mask)
+
 
 class PartyCtx:
     """Everything one party needs to drive protocols over one session."""
@@ -165,6 +188,7 @@ class PartyCtx:
         self.rng = np.random.default_rng(mask_seed)
         self.provider = GadgetProvider(session, cfg.fixedpoint, cfg.gadget_costs,
                                        dealer_seed=seed)
+        session.max_frame = max_frame(cfg.he)
         self.keypair = None
         self.peer_public = None
 
@@ -208,21 +232,22 @@ class PartyCtx:
         out = np.concatenate([self.backend.decrypt(ct, self.keypair) for ct in vec.cts])
         return out[:vec.size]
 
-    def _layout(self, sizes, fresh) -> list:
-        """Whether each ciphertext of a frame of vectors of ``sizes`` values
-        is seeded: those of the vectors ``fresh`` flags (one flag per
-        vector; none for no fresh vector)."""
-        fresh = tuple(fresh) or (False,) * len(sizes)
-        if len(fresh) != len(sizes):
-            raise ShapeMismatch(f"{len(fresh)} fresh flags for {len(sizes)} vectors")
-        return [bool(f) for size, f in zip(sizes, fresh) for _ in range(self.n_blocks(size))]
+    def _layout(self, sizes, forms) -> list:
+        """The (seeded, limbs) of each ciphertext of a frame of vectors of
+        ``sizes`` values in the wire ``forms``, one per vector (none for
+        every vector ``WHOLE``)."""
+        forms = tuple(forms) or (WHOLE,) * len(sizes)
+        if len(forms) != len(sizes):
+            raise ShapeMismatch(f"{len(forms)} wire forms for {len(sizes)} vectors")
+        return [wire_form(self.he_params, form) for size, form in zip(sizes, forms)
+                for _ in range(self.n_blocks(size))]
 
-    def _chunks(self, seeded: list) -> list:
-        """The widths of a frame's ciphertexts, seeded as ``seeded`` says,
-        split into the chunks the frame moves in: the most whole
-        ciphertexts that fit in ``CHUNK_BYTES``, at least one, or one chunk
-        on a transport that keeps its chunks."""
-        widths = [ct_bytes(self.he_params, s) for s in seeded]
+    def _chunks(self, layout: list) -> list:
+        """The widths of a frame's ciphertexts of the (seeded, limbs)
+        ``layout``, split into the chunks the frame moves in: the most
+        whole ciphertexts that fit in ``CHUNK_BYTES``, at least one, or one
+        chunk on a transport that keeps its chunks."""
+        widths = [ct_bytes(self.he_params, *form) for form in layout]
         if not self.session.copies_chunks:
             return [widths] if widths else []
         out = []
@@ -233,14 +258,14 @@ class PartyCtx:
                 out.append([width])
         return out
 
-    def _cts_of(self, label: str, vecs, sizes, seeded=None):
+    def _cts_of(self, label: str, vecs, sizes, layout=None):
         """Yield the ciphertexts of the encrypted vectors ``vecs``, checking
         each vector as it is taken: ``ShapeMismatch`` for a vector of other
-        than its size in ``sizes``, a ciphertext (given ``seeded``) seeded
-        other than it says, or a count of vectors other than
-        ``len(sizes)``."""
+        than its size in ``sizes``, a ciphertext (given its ``layout``)
+        seeded other than it says or of other limbs, or a count of vectors
+        other than ``len(sizes)``."""
         vecs = iter(vecs)
-        seeded = None if seeded is None else iter(seeded)
+        layout = None if layout is None else iter(layout)
         for size in sizes:
             vec = next(vecs, None)
             if vec is None:
@@ -249,19 +274,24 @@ class PartyCtx:
                 raise ShapeMismatch(f"{label}: an encrypted vector of {vec.size} "
                                     f"values, expected {size}")
             for ct in vec.cts:
-                if seeded is not None and (ct.seed is not None) != next(seeded):
+                seeded, limbs = (None, ct.limbs) if layout is None else next(layout)
+                if seeded is not None and (ct.seed is not None) != seeded:
                     raise ShapeMismatch(f"{label}: {'a ' if ct.seed else 'an un'}seeded "
                                         f"ciphertext in a {'non-' if ct.seed else ''}"
                                         f"fresh vector")
+                if ct.limbs != limbs:
+                    raise ShapeMismatch(f"{label}: a ciphertext of {ct.limbs} limbs in "
+                                        f"a vector of {limbs}")
                 yield ct
         if next(vecs, None) is not None:
             raise ShapeMismatch(f"{label}: more than {len(sizes)} encrypted vectors")
 
-    def send_cts(self, label: str, vecs, *sizes: int, fresh=()):
+    def send_cts(self, label: str, vecs, *sizes: int, forms=()):
         """Send the encrypted vectors of ``vecs``, of ``sizes`` values, as
-        one frame.  ``fresh`` flags, one per vector, the vectors that are
-        this party's untouched encryptions: their ciphertexts must be
-        seeded, and no other.  A list or tuple is checked whole before a
+        one frame.  ``forms`` names the wire form of each vector (every
+        vector ``WHOLE`` by default): only the ciphertexts of ``FRESH``
+        vectors may be seeded, and a ciphertext must have the limbs of its
+        vector's form.  A list or tuple is checked whole before a
         byte is sent.  Any other iterable (which must not use the session)
         is read, and each vector checked, only when the chunk it goes in is
         filled; so over TCP a bad vector past the first chunk raises after
@@ -273,9 +303,9 @@ class PartyCtx:
         that copies each one out before the next, which then refills one
         buffer; the pair's queue keeps what it is given, so there the frame
         is one chunk."""
-        seeded = self._layout(sizes, fresh)
-        plan = self._chunks(seeded)
-        cts = self._cts_of(label, vecs, sizes, seeded)
+        layout = self._layout(sizes, forms)
+        plan = self._chunks(layout)
+        cts = self._cts_of(label, vecs, sizes, layout)
         if isinstance(vecs, (list, tuple)):
             cts = iter(list(cts))
 
@@ -296,36 +326,37 @@ class PartyCtx:
 
         self.session.send(label, chunks(), length=sum(map(sum, plan)))
 
-    def recv_cts(self, label: str, *sizes: int, fresh=()):
+    def recv_cts(self, label: str, *sizes: int, forms=()):
         """Read the header of one frame, which meters it, and return an
         iterator of its encrypted vectors of ``sizes`` values, each read as
-        it is taken.  ``fresh`` is the sender's flags.  A frame of any other
+        it is taken.  ``forms`` is the sender's.  A frame of any other
         length raises ``ShapeMismatch`` here, before its payload is read,
-        and a ciphertext seeded other than the flags say ``MalformedBytes``
-        before its body is read."""
-        seeded = self._layout(sizes, fresh)
-        pieces = list(map(sum, self._chunks(seeded)))
+        and a ciphertext seeded other than its form says, or of other
+        limbs, ``MalformedBytes`` before its body is read."""
+        layout = self._layout(sizes, forms)
+        pieces = list(map(sum, self._chunks(layout)))
         chunks = self.session.recv_chunks(label, sum(pieces), pieces)
 
         def deserialized():
-            forms = iter(seeded)
+            forms = iter(layout)
             for chunk in chunks:
                 at = 0
                 while at < len(chunk):
                     form = next(forms)
-                    width = ct_bytes(self.he_params, form)
-                    yield self.backend.deserialize(chunk[at:at + width], form)
+                    width = ct_bytes(self.he_params, *form)
+                    yield self.backend.deserialize(chunk[at:at + width], *form)
                     at += width
 
         cts = deserialized()
         return (CtVec(self, islice(cts, self.n_blocks(size)), size) for size in sizes)
 
     # -- HE <-> share conversions -------------------------------------------
-    def send_masked(self, label: str, vecs, *sizes: int,
-                    bits: int | None = None) -> list:
-        """Subtract a fresh ``mask(bits=bits)`` from each vector of the
-        iterable ``vecs`` (under the peer's key, of ``sizes`` values) as it
-        is sent in one frame; return the masks: this party's shares."""
+    def send_masked(self, label: str, vecs, *sizes: int, bits: int | None = None,
+                    form: str = REPLY) -> list:
+        """Reply to the peer with each vector of the iterable ``vecs``
+        (under the peer's key, of ``sizes`` values) less a fresh
+        ``mask(bits=bits)``, in wire form ``form``, as it is sent in one
+        frame; return the masks: this party's shares."""
         if isinstance(vecs, (list, tuple)):
             list(self._cts_of(label, vecs, sizes))  # checked whole before a byte is sent
         masks = []
@@ -333,32 +364,34 @@ class PartyCtx:
         def masked():
             for vec in vecs:
                 masks.append(self.mask(vec.size, bits))
-                yield vec.sub_pt(masks[-1])
+                yield vec.reply(masks[-1], form)
 
-        self.send_cts(label, masked(), *sizes)
+        self.send_cts(label, masked(), *sizes, forms=[form] * len(sizes))
         return masks
 
-    def recv_decrypted(self, label: str, *sizes: int) -> list:
+    def recv_decrypted(self, label: str, *sizes: int, form: str = REPLY) -> list:
         """The peer's ``send_masked`` frame, each vector decrypted."""
-        return [self.decrypt(vec) for vec in self.recv_cts(label, *sizes)]
+        return [self.decrypt(vec)
+                for vec in self.recv_cts(label, *sizes, forms=[form] * len(sizes))]
 
     def send_encrypted(self, label: str, *shares):
         """Encrypt each share under this party's key as it is sent in one
         frame, seeded."""
         self.send_cts(label, map(self.encrypt, shares), *map(len, shares),
-                      fresh=[True] * len(shares))
+                      forms=[FRESH] * len(shares))
 
     def recv_added(self, label: str, *shares) -> list:
         """The peer's ``send_encrypted`` frame, this party's share added to
         each vector: the shared values under the peer's key."""
-        got = self.recv_cts(label, *map(len, shares), fresh=[True] * len(shares))
+        got = self.recv_cts(label, *map(len, shares), forms=[FRESH] * len(shares))
         return [vec.add_pt(sh) for vec, sh in zip(got, shares)]
 
 
 def make_party(role: str, session: Session, cfg: Config, seed: int = 0) -> PartyCtx:
-    """Handshake parameters, exchange public keys, return a ready context."""
-    session.handshake(cfg.fingerprint())
+    """Handshake parameters, exchange public keys, return a ready context;
+    the context caps the session's frames first."""
     ctx = PartyCtx(role, session, cfg, seed)
+    session.handshake(cfg.fingerprint())
     ctx.exchange_keys()
     return ctx
 

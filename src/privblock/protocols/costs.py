@@ -2,9 +2,10 @@
 
 Each formula reproduces, exactly, the bytes a run records on the channel:
 serialized ciphertext batches (one 8-byte frame per labeled group), in
-which a party's fresh encryptions are seeded (``fresh``) and every other
-ciphertext whole (``ct``), and the per-element gadget charges from the
-cost table.
+which a party's fresh encryptions are seeded (``fresh``), a computed
+ciphertext returned to its key holder is a switched-down reply (``reply``)
+and every other ciphertext whole (``ct``), and the per-element gadget
+charges from the cost table.
 The test suite holds recorded totals equal to these numbers.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from ..approx import GELU_TABLE, PiecewisePoly
 from ..channel import FRAME_OVERHEAD
-from ..hecore import ct_bytes
+from ..hecore import FRESH, REPLY, WHOLE, ct_bytes, wire_form
 from ..params import Config, HeParams
 from .common import ceil_div
 from .gelu import _power_keys, _segment_plan
@@ -20,8 +21,9 @@ from .matmul import packed_partition
 
 
 def _widths(he: HeParams) -> tuple:
-    """(bytes of a computed ciphertext, bytes of a fresh seeded one)."""
-    return ct_bytes(he), ct_bytes(he, seeded=True)
+    """The bytes of a whole computed ciphertext, of a fresh seeded one and
+    of a reply."""
+    return tuple(ct_bytes(he, *wire_form(he, form)) for form in (WHOLE, FRESH, REPLY))
 
 
 def _gadget(cfg: Config, entry: str, n: int) -> int:
@@ -41,10 +43,10 @@ def matmul_bytes(cfg: Config, m: int, n: int, h: int, packed: bool = False,
     else:
         cts_out = ceil_div(m * h, cfg.he.n)
         cts_in = n * cts_out
-    ct, fresh = _widths(cfg.he)
+    _, fresh, reply = _widths(cfg.he)
     return {
         "inputs": FRAME_OVERHEAD + heads * cts_in * fresh,
-        "masked_product": FRAME_OVERHEAD + heads * cts_out * ct,
+        "masked_product": FRAME_OVERHEAD + heads * cts_out * reply,
     }
 
 
@@ -57,7 +59,7 @@ def matmul_shared_bytes(cfg: Config, m: int, n: int, h: int, heads: int = 1) -> 
 
 
 def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
-    ct, fresh = _widths(cfg.he)
+    ct, fresh, _ = _widths(cfg.he)
     blocks = ceil_div(m * d, cfg.he.n)
     vec = ceil_div(m, cfg.he.n)
     out = {}
@@ -71,23 +73,23 @@ def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
 
 
 def ln_bytes(cfg: Config, m: int, n: int) -> dict:
-    ct, fresh = _widths(cfg.he)
+    _, fresh, reply = _widths(cfg.he)
     blocks = ceil_div(m * n, cfg.he.n)
     return {
         "gadget:trunc": _gadget(cfg, "trunc", m * n),
         "gadget:convert": _gadget(cfg, "convert", m * n) + _gadget(cfg, "convert", m),
         "gadget:invsqrt": _gadget(cfg, "invsqrt", m),
         "ashare": FRAME_OVERHEAD + blocks * fresh,
-        "masked_square": FRAME_OVERHEAD + blocks * ct,
+        "masked_square": FRAME_OVERHEAD + blocks * reply,
         "invsqrt_share": FRAME_OVERHEAD + blocks * fresh,
-        "masked_ratio": FRAME_OVERHEAD + blocks * (ct + fresh),
-        "result": FRAME_OVERHEAD + blocks * ct,
+        "masked_ratio": FRAME_OVERHEAD + blocks * (reply + fresh),
+        "result": FRAME_OVERHEAD + blocks * reply,
     }
 
 
 def gelu_bytes(cfg: Config, m: int, w: int,
                table: PiecewisePoly = GELU_TABLE) -> dict:
-    ct, fresh = _widths(cfg.he)
+    _, fresh, reply = _widths(cfg.he)
     blocks = ceil_div(m * w, cfg.he.n)
     n_vals = m * w
     plan = _segment_plan(table, cfg.fixedpoint.s)
@@ -97,12 +99,12 @@ def gelu_bytes(cfg: Config, m: int, w: int,
         "gadget:convert": _gadget(cfg, "convert", n_vals),
         "gadget:lt": _gadget(cfg, "lt", n_bounds * n_vals),
         "gadget:b2a": _gadget(cfg, "b2a", n_bounds * n_vals),
-        "input_and_squares": FRAME_OVERHEAD + len(plan) * blocks * ct,
+        "input_and_squares": FRAME_OVERHEAD + len(plan) * blocks * reply,
         "selector_and_square_shares":
             FRAME_OVERHEAD + (n_bounds + len(plan)) * blocks * fresh,
-        "masked_powers": FRAME_OVERHEAD + n_powers * blocks * ct,
+        "masked_powers": FRAME_OVERHEAD + n_powers * blocks * reply,
         "power_shares": FRAME_OVERHEAD + n_powers * blocks * fresh,
-        "result": FRAME_OVERHEAD + blocks * ct,
+        "result": FRAME_OVERHEAD + blocks * reply,
     }
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from ..fixedpoint import encode_int
 from ..modarith import lift_shift, mod, mulmod
 from ..sharing import FIELD, RING, DomainError, Share
-from .common import DegenerateRow, PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import (FRESH, REPLY, DegenerateRow, PartyCtx, ProtocolOutputShares,
+                     ShapeMismatch)
 
 RATIO_BITS = 30       # centered scale + 1/sqrt precision, fixed budget
 RATIO_SCALE = 15      # normalized ratio after decrypt-side rescale
@@ -85,7 +86,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             [sq] = ctx.recv_decrypted("masked_square", m * n)
             sq = mod(sq + mulmod(a_own, a_own, p), p)
         else:
-            [ct_ab] = ctx.recv_cts("ashare", m * n, fresh=[True])
+            [ct_ab] = ctx.recv_cts("ashare", m * n, forms=[FRESH])
             [sq] = ctx.send_masked("masked_square", [
                 ct_ab.mul_pt(mod(2 * a_own, p)).add_pt(mulmod(a_own, a_own, p))], m * n)
         k = mod(sq.reshape(m, n).sum(axis=1), p)
@@ -93,7 +94,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         if ctx.role == "B":
             ctx.send_encrypted("invsqrt_share", inv)
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n,
-                                            fresh=(False, True))
+                                            forms=(REPLY, FRESH))
             w = mod(ctx.decrypt(ct_wr) + mulmod(a_own, inv, p), p)
             off = 1 << (sa + s_inv - shift)
             t_b = mod(lift_shift(w, p, sa + s_inv + 1, shift) - off, p)
@@ -102,15 +103,15 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             ct_y = ct_strunc.add_pt(t_b).mul_pt(np.tile(gs, m)).add_pt(np.tile(bs, m))
             [share] = ctx.send_masked("result", [ct_y], m * n)
         else:
-            [ct_inv] = ctx.recv_cts("invsqrt_share", m * n, fresh=[True])
+            [ct_inv] = ctx.recv_cts("invsqrt_share", m * n, forms=[FRESH])
             # a*inv less a_B*inv_B, offset and statistically masked for the
-            # decrypt-side rescale; B adds a_B*inv_B after it decrypts
+            # decrypt-side rescale, a reply; B adds a_B*inv_B after it decrypts
             ct_off = (ct_ab.mul_pt(inv).add_ct(ct_inv.mul_pt(a_own))
                       .add_pt(mod(mulmod(a_own, inv, p) + (1 << (sa + s_inv)), p)))
             smask = ctx.mask(m * n, bits=sa + s_inv)
             ctx.send_cts("masked_ratio",
-                         [ct_off.sub_pt(smask), ctx.encrypt(smask >> np.uint64(shift))],
-                         m * n, m * n, fresh=(False, True))
+                         [ct_off.reply(smask), ctx.encrypt(smask >> np.uint64(shift))],
+                         m * n, m * n, forms=(REPLY, FRESH))
             [share] = ctx.recv_decrypted("result", m * n)
         return ProtocolOutputShares(ctx.field_share(share), shape, LN_OUT_SCALE)
 

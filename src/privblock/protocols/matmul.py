@@ -42,7 +42,7 @@ import numpy as np
 from ..hecore.ntt import get_plan
 from ..modarith import matmod, mod
 from ..sharing import FIELD, Share
-from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
+from .common import FRESH, PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
 
 
 def expand_left(mat: np.ndarray, h: int):
@@ -179,12 +179,12 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
         k = len(layout.out_sizes)
         in_sizes, out_sizes = layout.in_sizes * heads, layout.out_sizes * heads
         mat = np.asarray(mat, dtype=np.uint64)
-        fresh = [True] * len(in_sizes)  # the data party's own encryptions
+        forms = [FRESH] * len(in_sizes)  # the data party's own encryptions
         if ctx.role == data_party:
             if mat.shape != (*batch, m, n):
                 raise ShapeMismatch(f"left matrix is {mat.shape}, expected {(*batch, m, n)}")
             lefts = (vec for one in mat.reshape(heads, m, n) for vec in layout.left(one))
-            ctx.send_cts("inputs", map(ctx.encrypt, lefts), *in_sizes, fresh=fresh)
+            ctx.send_cts("inputs", map(ctx.encrypt, lefts), *in_sizes, forms=forms)
             outs = ctx.recv_decrypted("masked_product", *out_sizes)
         else:
             if mat.shape != (*batch, n, h):
@@ -194,7 +194,7 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
                       for b, one in enumerate(mat.reshape(heads, n, h))
                       for terms in layout.right(one))
             sums = [None] * len(out_sizes)
-            for vec, terms in zip(ctx.recv_cts("inputs", *in_sizes, fresh=fresh), rights):
+            for vec, terms in zip(ctx.recv_cts("inputs", *in_sizes, forms=forms), rights):
                 for o, pt in terms:
                     term = vec.mul_pt(pt)
                     sums[o] = term if sums[o] is None else sums[o].add_ct(term)

@@ -5,8 +5,10 @@ The denominator goes through a multiplicatively masked reciprocal: B returns
 v times each row sum under A's key, which A decrypts as an exact fixed-point
 integer, and the reciprocal re-enters at guard-extended scale as the
 plaintext of cross terms (see ``common``) against B's fresh encryptions of v
-and of e_B*v.  Output shares are field-domain at scale
-2s + SOFTMAX_GUARD_BITS.
+and of e_B*v.  Both returned ciphertexts, the masked denominator and the
+masked result, go back whole, not switched down: at 128x128 a switched one
+would take softmax below half its published bytes.  Output shares are
+field-domain at scale 2s + SOFTMAX_GUARD_BITS.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..modarith import mod, mulmod
 from ..sharing import RING, Share
-from .common import PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import FRESH, WHOLE, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 SOFTMAX_GUARD_BITS = 11
 
@@ -58,14 +60,14 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             v_rep = np.repeat(v, d)
             ctx.send_cts("denominator", [ct_sum.mul_pt(v),
                                          ctx.encrypt(v_rep), ctx.encrypt(mulmod(e, v_rep, p))],
-                         m, n_vals, n_vals, fresh=(False, True, True))
-            [share] = ctx.recv_decrypted("result", n_vals)
+                         m, n_vals, n_vals, forms=(WHOLE, FRESH, FRESH))
+            [share] = ctx.recv_decrypted("result", n_vals, form=WHOLE)
         else:
             ctx.send_encrypted("rowsum_share", row_sums)
             ct_sumv, ct_v, ct_ev = ctx.recv_cts("denominator", m, n_vals, n_vals,
-                                                fresh=(False, True, True))
+                                                forms=(WHOLE, FRESH, FRESH))
             u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
             recip = np.repeat(((1 << out_scale) + u // 2) // np.maximum(u, 1), d)
             ct_y = ct_v.mul_pt(mulmod(e, recip, p)).add_ct(ct_ev.mul_pt(recip))
-            [share] = ctx.send_masked("result", [ct_y], n_vals)
+            [share] = ctx.send_masked("result", [ct_y], n_vals, form=WHOLE)
         return ProtocolOutputShares(ctx.field_share(share), shape, out_scale)

@@ -27,8 +27,11 @@ def crt_reconstruct_centered(residues, primes):
 
 def measured_noise_bits(be, ct, kp) -> float:
     """True residual noise of ``ct`` under the rlwe backend ``be``: the
-    distance of the exact centered phase to its code point."""
-    phi = crt_reconstruct_centered(be._phase(ct, kp), be.qs)
-    m = (2 * be.p * phi + be.q) // (2 * be.q)
-    r = phi - (m * be.q + be.p // 2) // be.p
+    distance of the exact centered phase to its code point, at the modulus
+    of the limbs ``ct`` has (a reply's fewer)."""
+    primes = be.qs[:ct.limbs]
+    q = math.prod(primes)
+    phi = crt_reconstruct_centered(be._phase(ct, kp), primes)
+    m = (2 * be.p * phi + q) // (2 * q)
+    r = phi - (m * q + be.p // 2) // be.p
     return math.log2(max(int(np.abs(r).max()), 1))

@@ -13,7 +13,8 @@ from privblock.channel import (FRAME_OVERHEAD, MAGIC, PROFILES,
                                HandshakeMismatch, IoError, NetworkProfile,
                                PeerClosed, TcpSession, connect, make_pair,
                                run_pair)
-from privblock.hecore import MalformedBytes, ct_bytes
+from privblock.hecore import FRESH, HEADER_BYTES, REPLY, WHOLE, MalformedBytes, ct_bytes
+from privblock.modarith import mod, mulmod
 from privblock.params import Config, toy_he_params
 from privblock.protocols import ShapeMismatch, common
 from privblock.protocols.common import PartyCtx
@@ -235,10 +236,10 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
     theirs.settimeout(10)
     for count in (2, 3, 7):
         sizes = [64] * (count - 2) + [100]  # the last vector spans two ciphertexts
-        fresh = [k % 3 != 1 for k in range(len(sizes))]
+        forms = [FRESH if k % 3 != 1 else WHOLE for k in range(len(sizes))]
         vecs = [ctx.encrypt(np.arange(size, dtype=np.uint64) * count) for size in sizes]
-        vecs = [vec if f else vec.add_pt(1) for vec, f in zip(vecs, fresh)]
-        ctx.send_cts("x", iter(vecs), *sizes, fresh=fresh)
+        vecs = [vec if f == FRESH else vec.add_pt(1) for vec, f in zip(vecs, forms)]
+        ctx.send_cts("x", iter(vecs), *sizes, forms=forms)
         blobs = b"".join(ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts)
         want = MAGIC + struct.pack(">I", len(blobs)) + blobs
         got = bytearray()
@@ -247,7 +248,7 @@ def test_streamed_tcp_frames_are_the_serialized_ciphertexts(backend, monkeypatch
         assert got == want
         into.sendall(got)
         back = b"".join(peer.backend.serialize(ct)
-                        for vec in peer.recv_cts("x", *sizes, fresh=fresh)
+                        for vec in peer.recv_cts("x", *sizes, forms=forms)
                         for ct in vec.cts)
         assert back == blobs
     assert peer.session.report().to_dict() == ctx.session.report().to_dict()
@@ -263,9 +264,9 @@ def test_empty_ciphertext_frame_is_read_and_metered(transport):
     ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
     x = np.arange(100, dtype=np.uint64)
     ctx.send_cts("none", [])
-    ctx.send_cts("x", [ctx.encrypt(x)], 100, fresh=[True])
+    ctx.send_cts("x", [ctx.encrypt(x)], 100, forms=[FRESH])
     assert list(peer.recv_cts("none")) == []
-    [vec] = peer.recv_cts("x", 100, fresh=[True])
+    [vec] = peer.recv_cts("x", 100, forms=[FRESH])
     assert (ctx.decrypt(vec) == x).all()
     assert sb.report().to_dict() == sa.report().to_dict()
     assert sa.report().bytes_sent["A"] == (2 * FRAME_OVERHEAD
@@ -284,8 +285,8 @@ def test_seeded_vectors_decrypt_after_a_round_trip(backend, transport):
     ctx, peer = _stream_ctx("A", sa, backend), _stream_ctx("B", sb, backend)
     x = np.random.default_rng(8).integers(0, ctx.fp.p, size=150, dtype=np.uint64)
     sent = [ctx.encrypt(x), ctx.encrypt(x[:70]).add_pt(5)]
-    ctx.send_cts("x", sent, 150, 70, fresh=(True, False))
-    got = list(peer.recv_cts("x", 150, 70, fresh=(True, False)))
+    ctx.send_cts("x", sent, 150, 70, forms=(FRESH, WHOLE))
+    got = list(peer.recv_cts("x", 150, 70, forms=(FRESH, WHOLE)))
     assert [ct.seed for ct in got[0].cts] == [ct.seed for ct in sent[0].cts]
     assert all(ct.seed is not None for ct in got[0].cts)
     assert all(ct.seed is None for ct in got[1].cts)
@@ -319,7 +320,8 @@ def test_misdeclared_seeded_frames_are_rejected(backend):
 
     def relay(vecs, flags):
         """Send ``vecs`` as A flags them; hand B the frame; return its payload."""
-        ctx.send_cts("x", vecs, *[64] * len(vecs), fresh=flags)
+        ctx.send_cts("x", vecs, *[64] * len(vecs),
+                     forms=[FRESH if f else WHOLE for f in flags])
         length = sum(ct_bytes(ctx.he_params, f) for f in flags)
         frame = bytearray()
         while len(frame) < FRAME_OVERHEAD + length:
@@ -330,14 +332,14 @@ def test_misdeclared_seeded_frames_are_rejected(backend):
     for vec, flag in ((fresh, True), (computed, False)):
         payload = relay([vec], [flag])
         with pytest.raises(ShapeMismatch, match="bytes, expected"):
-            list(peer.recv_cts("x", 64, fresh=[not flag]))
+            list(peer.recv_cts("x", 64, forms=[WHOLE if flag else FRESH]))
         got = bytearray()
         while len(got) < len(payload):
             got += out.recv(len(payload) - len(got))
         assert got == payload  # unread by the receiver
     relay([fresh, computed, fresh], [True, False, True])
     with pytest.raises(MalformedBytes, match="a seeded ciphertext where an unseeded"):
-        list(peer.recv_cts("x", 64, 64, 64, fresh=[False, True, True]))
+        list(peer.recv_cts("x", 64, 64, 64, forms=[WHOLE, FRESH, FRESH]))
     for sock in (ours, theirs, into, out):
         sock.close()
 
@@ -406,8 +408,8 @@ def test_recv_cts_meters_the_frame_before_a_vector_is_taken(transport):
     ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
     x = np.arange(100, dtype=np.uint64)
     ctx.send_cts("x", [ctx.encrypt(x), ctx.encrypt(x[:64]).add_pt(1)], 100, 64,
-                 fresh=(True, False))
-    vecs = peer.recv_cts("x", 100, 64, fresh=(True, False))
+                 forms=(FRESH, WHOLE))
+    vecs = peer.recv_cts("x", 100, 64, forms=(FRESH, WHOLE))
     assert sb.report().to_dict() == sa.report().to_dict()
     width, fresh = ct_bytes(ctx.he_params), ct_bytes(ctx.he_params, seeded=True)
     assert sb.report().bytes_sent["A"] == FRAME_OVERHEAD + 2 * fresh + width
@@ -425,9 +427,9 @@ def test_untaken_empty_frame_keeps_the_next_frame_in_order(transport):
     ctx, peer = _stream_ctx("A", sa, "clear"), _stream_ctx("B", sb, "clear")
     x = np.arange(100, dtype=np.uint64)
     ctx.send_cts("none", [])
-    ctx.send_cts("x", [ctx.encrypt(x)], 100, fresh=[True])
+    ctx.send_cts("x", [ctx.encrypt(x)], 100, forms=[FRESH])
     peer.recv_cts("none")
-    [vec] = peer.recv_cts("x", 100, fresh=[True])
+    [vec] = peer.recv_cts("x", 100, forms=[FRESH])
     assert (ctx.decrypt(vec) == x).all()
     assert sb.report().to_dict() == sa.report().to_dict()
     assert [label for _, _, label in sb.transcript_labels()] == ["none", "x"]
@@ -585,3 +587,133 @@ def test_time_monotone(nbytes, latency, bandwidth):
 def test_profile_validation():
     with pytest.raises(ValueError):
         NetworkProfile("bad", 0, 0)
+
+
+def test_sent_and_charged_bytes_are_reported_apart():
+    """Frames count as sent bytes, gadget charges as charged bytes, and the
+    total is their sum; the per-party totals hold both."""
+    sa, sb = make_pair(PROFILES["lan"])
+    sa.send("x", b"abc")
+    sa.charge("gadget:test", 600, 400, 7)
+    assert sb.recv("x") == b"abc"
+    rep = sa.report()
+    assert (rep.sent_bytes, rep.charged_bytes) == (FRAME_OVERHEAD + 3, 1000)
+    assert rep.total_bytes == sum(rep.bytes_sent.values()) == FRAME_OVERHEAD + 1003
+    got = rep.to_dict()
+    assert (got["sent_bytes"], got["charged_bytes"], got["total_bytes"]) == \
+        (FRAME_OVERHEAD + 3, 1000, FRAME_OVERHEAD + 1003)
+
+
+def test_declared_4gib_frame_is_refused_unreserved(monkeypatch):
+    """Once a party context has set the configuration's cap, a peer that
+    declares a frame of 4 GiB (the largest length field) where no frame
+    length is expected gets ``IoError`` before any buffer is reserved or
+    payload byte read, and a sender cannot send such a frame; the cap
+    covers the public key and the handshake stays length-checked."""
+    cfg = Config(he=toy_he_params(n=64, p=137438822401, limbs=6), he_backend="rlwe")
+    sess, raw = _tcp_end()
+    ctx = PartyCtx("B", sess, cfg, seed=1)
+    assert sess.max_frame == common.max_frame(cfg.he)
+    assert len(ctx.backend.keygen("B").public.to_bytes()) <= sess.max_frame
+    assert 6 + 16 * 15 * 16 * cfg.he.n < sess.max_frame  # a key at 15 limbs
+    raw.sendall(MAGIC + struct.pack(">I", 2 ** 32 - 1) + b"payload")
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("a buffer was reserved")
+
+    monkeypatch.setattr(channel.np, "empty", no_buffer)
+    with pytest.raises(IoError, match="not reserved"):
+        sess.recv("_gadget", metered=False)
+    assert sess._sock.recv(16) == b"payload"  # unread
+    assert sess.report().message_count == 0
+    monkeypatch.setattr(sess, "max_frame", 4)
+    with pytest.raises(IoError, match="over the 4"):
+        sess.send("x", b"12345")
+    raw.setblocking(False)
+    with pytest.raises(BlockingIOError):
+        raw.recv(1)  # nothing was written
+    sess.close()
+    raw.close()
+
+
+def test_handshake_of_another_length_is_refused_unread():
+    """A peer fingerprint of another length is a ``HandshakeMismatch``
+    before its payload is read."""
+    sess, raw = _tcp_end()
+    raw.sendall(MAGIC + struct.pack(">I", 2 ** 32 - 1) + b"xy")
+    with pytest.raises(HandshakeMismatch, match="length"):
+        sess.handshake(b"params")
+    assert sess._sock.recv(16) == b"xy"
+    sess.close()
+    raw.close()
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+@pytest.mark.parametrize("transport", ["pair", "tcp"])
+def test_replies_round_trip(backend, transport):
+    """B replies to A's fresh vector of three blocks with its masked
+    product: each ciphertext leaves switched down to ``reply_limbs`` and A
+    decrypts shares of the product; a whole reply (no switch) round-trips
+    beside it."""
+    sa, sb = _session_pair(transport)
+    ctx, peer = _stream_ctx("A", sa, backend), _stream_ctx("B", sb, backend)
+    p = ctx.fp.p
+    x, w = np.random.default_rng(9).integers(0, p, size=(2, 150), dtype=np.uint64)
+    ctx.send_encrypted("x", x)
+    [vec] = peer.recv_cts("x", 150, forms=[FRESH])
+    masks = peer.send_masked("y", [vec.mul_pt(w)], 150)
+    [whole] = peer.send_masked("z", [vec.add_pt(w)], 150, form=WHOLE)
+    [got] = list(ctx.recv_cts("y", 150, forms=[REPLY]))
+    assert [ct.limbs for ct in got.cts] == [2, 2, 2]
+    assert np.array_equal(mod(ctx.decrypt(got) + masks[0], p), mulmod(x, w, p))
+    [share] = ctx.recv_decrypted("z", 150, form=WHOLE)
+    assert np.array_equal(mod(share + whole, p), mod(x + w, p))
+    reply, full = ct_bytes(ctx.he_params, limbs=2), ct_bytes(ctx.he_params)
+    assert reply == HEADER_BYTES + 2 * 2 * 64 * 4
+    assert sb.report().bytes_sent["B"] == 2 * FRAME_OVERHEAD + 3 * reply + 3 * full
+    assert sa.report().to_dict() == sb.report().to_dict()
+    sa.close()
+    sb.close()
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_misdeclared_reply_frames_are_rejected(backend):
+    """Over TCP, a reply frame read as whole (or the reverse) raises
+    ``ShapeMismatch`` on its length before a payload byte is read; where
+    the lengths cancel, the first header whose limb count disagrees raises
+    ``MalformedBytes``.  A sender cannot put a whole ciphertext in a reply
+    vector."""
+    ours, theirs = socket.socketpair()
+    ctx = _stream_ctx("A", TcpSession("A", PROFILES["lan"], ours), backend)
+    into, out = socket.socketpair()
+    peer = _stream_ctx("B", TcpSession("B", PROFILES["lan"], out), backend)
+    theirs.settimeout(10)
+    out.settimeout(10)
+    x = np.arange(64, dtype=np.uint64)
+    whole = ctx.encrypt(x).add_pt(1)
+    reply = whole.reply(x)
+
+    def relay(vecs, forms):
+        ctx.send_cts("x", vecs, *[64] * len(vecs), forms=forms)
+        length = sum(len(ctx.backend.serialize(ct)) for vec in vecs for ct in vec.cts)
+        frame = bytearray()
+        while len(frame) < FRAME_OVERHEAD + length:
+            frame += theirs.recv(FRAME_OVERHEAD + length - len(frame))
+        into.sendall(frame)
+        return bytes(frame[FRAME_OVERHEAD:])
+
+    for vec, form, other in ((reply, REPLY, WHOLE), (whole, WHOLE, REPLY)):
+        payload = relay([vec], [form])
+        with pytest.raises(ShapeMismatch, match="bytes, expected"):
+            list(peer.recv_cts("x", 64, forms=[other]))
+        got = bytearray()
+        while len(got) < len(payload):
+            got += out.recv(len(payload) - len(got))
+        assert got == payload  # unread by the receiver
+    relay([reply, whole], [REPLY, WHOLE])
+    with pytest.raises(MalformedBytes, match="2 limbs where 6 are expected"):
+        list(peer.recv_cts("x", 64, 64, forms=[WHOLE, REPLY]))
+    with pytest.raises(ShapeMismatch, match="6 limbs in a vector of 2"):
+        ctx.send_cts("y", [whole], 64, forms=[REPLY])
+    for sock in (ours, theirs, into, out):
+        sock.close()

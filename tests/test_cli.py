@@ -44,6 +44,25 @@ def test_party_local_smoke(toy_cfg_file):
     assert "matmul/inputs" in out
 
 
+def test_party_and_bench_report_sent_and_charged_bytes(toy_cfg_file, tmp_path):
+    """Both commands print the bytes that crossed the session apart from
+    the bytes charged from the gadget cost table; the total is their sum."""
+    code, out = _capture(["party", "--protocol", "gelu", "--shape", "2x16", "--local",
+                          "--config", toy_cfg_file])
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("bytes_a="))
+    got = dict(field.split("=") for field in line.split())
+    assert int(got["sent"]) > 0 and int(got["charged"]) > 0
+    assert int(got["sent"]) + int(got["charged"]) == int(got["total"]) == \
+        int(got["bytes_a"]) + int(got["bytes_b"])
+    path = os.path.join(tmp_path, "bench.csv")
+    assert main(["bench", "--protocol", "gelu", "--shape", "2x16", "--local",
+                 "--config", toy_cfg_file, "--out", path]) == 0
+    row = next(csv.DictReader(open(path)))
+    assert (row["sent_bytes"], row["charged_bytes"], row["total_bytes"]) == \
+        (got["sent"], got["charged"], got["total"])
+
+
 def test_party_every_protocol_local(toy_cfg_file):
     for proto, shape in (("mmshared", "4x3x5"), ("softmax", "4x8"),
                          ("ln", "4x16"), ("gelu", "2x16"), ("block", "-")):

@@ -7,7 +7,7 @@ import pytest
 from exact_noise import measured_noise_bits
 from privblock import fixedpoint as fp
 from privblock import hecore
-from privblock.hecore import (HEADER_BYTES, SEED_BYTES, KeyMismatch, MalformedBytes,
+from privblock.hecore import (FRESH, HEADER_BYTES, SEED_BYTES, KeyMismatch, MalformedBytes,
                               MissingRelinKey, NoiseExhausted, create_backend, ct_bytes,
                               noise, pack_slots, parse_header)
 from privblock.hecore.clear import ClearPublicKey
@@ -16,7 +16,7 @@ from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
-from privblock.channel import PROFILES, TcpSession, make_pair
+from privblock.channel import FRAME_OVERHEAD, PROFILES, TcpSession, make_pair
 from privblock.protocols import common
 from privblock.protocols.common import PartyCtx
 from privblock.sharing import reconstruct, share
@@ -320,6 +320,20 @@ def test_noise_estimate_dominates_measurement():
         want = (x.astype(object) * u + y.astype(object) * v + c.astype(object) - r) % params.p
         assert np.array_equal(be.decrypt(chain, kp).astype(object), want)
         assert measured_noise_bits(be, chain, kp) <= chain.noise_bits
+        # replies, switched down to 2 limbs: of a fresh ciphertext, of the
+        # cross-term chain and of a depth-2 ct*ct product, each decrypting
+        # exactly under an estimate above the noise measured at Q_2
+        depth2 = be.square(be.mul_ct(be.encrypt(x, kp.public), be.encrypt(y, kp.public),
+                                     kp.public), kp.public)
+        sq = (x.astype(object) * y) ** 2
+        assert hecore.reply_limbs(params) == 2
+        for ct, value in ((be.encrypt(x, kp), x.astype(object)), (chain, want),
+                          (depth2, sq)):
+            got = be.reply(ct, r)
+            assert got.limbs == 2 and got.noise_bits < ct.noise_bits
+            assert np.array_equal(be.decrypt(got, kp).astype(object), (value - r) % params.p)
+            assert measured_noise_bits(be, got, kp) <= got.noise_bits
+            assert hecore.noise_budget_bits(params, got.noise_bits, 2) > 0
 
 
 @pytest.mark.parametrize("params", [TOY, HeParams()], ids=["toy", "n8192"])
@@ -433,14 +447,14 @@ def test_share_conversions_round_trip(pair_runner, backend):
                  for _ in range(3))
 
     def fa(ctx):
-        ctx.send_cts("values", map(ctx.encrypt, x), 150, 70, fresh=(True, True))
+        ctx.send_cts("values", map(ctx.encrypt, x), 150, 70, forms=(FRESH, FRESH))
         shares = ctx.recv_decrypted("masked", 150, 70)
         [bounded] = ctx.recv_decrypted("bounded", 70)
         ctx.send_encrypted("shares", *sa)
         return shares, bounded, [ctx.decrypt(v) for v in ctx.recv_cts("sums", 150, 70)]
 
     def fb(ctx):
-        vecs = list(ctx.recv_cts("values", 150, 70, fresh=(True, True)))
+        vecs = list(ctx.recv_cts("values", 150, 70, forms=(FRESH, FRESH)))
         assert [len(v.cts) for v in vecs] == [3, 2]
         masks = ctx.send_masked("masked", iter(vecs), 150, 70)
         [bounded] = ctx.send_masked("bounded", vecs[1:], 70, bits=bits)
@@ -486,8 +500,8 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
             sent[-1][2].append(bytes(chunk))
 
     monkeypatch.setattr(sa, "send", capture)
-    fresh = (True, True)
-    ctx.send_cts("x", vecs, 100, 150, fresh=fresh)
+    forms = (FRESH, FRESH)
+    ctx.send_cts("x", vecs, 100, 150, forms=forms)
     blobs = [ctx.backend.serialize(ct) for vec in vecs for ct in vec.cts]
     [(label, length, chunks)] = sent
     assert (label, length) == ("x", 5 * width)
@@ -496,14 +510,14 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
 
     monkeypatch.setattr(common, "CHUNK_BYTES", 1)  # still one ciphertext a chunk
     sent.clear()
-    ctx.send_cts("x", vecs[:1], 100, fresh=[True])
+    ctx.send_cts("x", vecs[:1], 100, forms=[FRESH])
     assert sent[0][2] == blobs[:2]
 
     pair, _ = make_pair(PROFILES["lan"])
     monkeypatch.setattr(pair, "send", capture)
     ctx.session = pair
     sent.clear()
-    ctx.send_cts("x", vecs, 100, 150, fresh=fresh)
+    ctx.send_cts("x", vecs, 100, 150, forms=forms)
     assert sent == [("x", 5 * width, [b"".join(blobs)])]
     ctx.session = sa
 
@@ -517,16 +531,16 @@ def test_send_cts_frame_is_the_serialized_ciphertexts(backend, monkeypatch):
     bad = [vecs[0], vecs[1].add_pt(1)]
     sent.clear()
     with pytest.raises(ShapeMismatch, match="more than 1 encrypted vectors"):
-        ctx.send_cts("y", vecs, 100, fresh=[True])
+        ctx.send_cts("y", vecs, 100, forms=[FRESH])
     with pytest.raises(ShapeMismatch, match="fewer than 2 encrypted vectors"):
         ctx.send_masked("y", vecs[:1], 100, 150)
     with pytest.raises(ShapeMismatch, match="a seeded ciphertext in a non-fresh vector"):
         ctx.send_cts("y", vecs, 100, 150)
     with pytest.raises(ShapeMismatch, match="an unseeded ciphertext in a fresh vector"):
-        ctx.send_cts("y", bad, 100, 150, fresh=fresh)
+        ctx.send_cts("y", bad, 100, 150, forms=forms)
     assert sent == []
     with pytest.raises(ShapeMismatch, match="an unseeded ciphertext in a fresh vector"):
-        ctx.send_cts("y", iter(bad), 100, 150, fresh=fresh)
+        ctx.send_cts("y", iter(bad), 100, 150, forms=forms)
     assert sent == [("y", 5 * width, [b"".join(blobs[:2])])]
     ours.close()
     theirs.close()
@@ -685,3 +699,91 @@ def test_public_key_blob_is_checked(kind):
         for cut in bad:
             with pytest.raises(MalformedBytes):
                 parse(cut)
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_reply_is_switched_down_and_only_decrypted(backend):
+    """A reply leaves at ``reply_limbs`` (2 of 3 at TOY), one header, size
+    and estimate on both backends; it parses back only where that limb
+    count is expected, a header limb count outside 2 to L is malformed,
+    and no op but serialize and decrypt takes it.  A reply whose estimate
+    would not fit raises ``NoiseExhausted`` at its sender."""
+    be = create_backend(TOY, backend, np.random.default_rng(20))
+    other = create_backend(TOY, "rlwe" if backend == "clear" else "clear",
+                           np.random.default_rng(20))
+    kp = be.keygen("A")
+    m, mask = np.random.default_rng(21).integers(0, TOY.p, size=(2, 64), dtype=np.uint64)
+    ct = be.mul_pt(be.encrypt(m, kp.public), 3)
+    rep = be.reply(ct, mask)
+    twin = other.reply(other.mul_pt(other.encrypt(m, other.keygen("A").public), 3), mask)
+    blob = be.serialize(rep)
+    assert rep.limbs == hecore.reply_limbs(TOY) == 2 and rep.seed is None
+    assert len(blob) == ct_bytes(TOY, limbs=2) == HEADER_BYTES + 2 * 2 * 64 * 4
+    assert parse_header(blob, TOY)[4] == 2 and blob[8] == 0x22
+    assert rep.noise_bits == twin.noise_bits == noise.reply_bits(TOY, ct.noise_bits, 2)
+    want = (3 * m.astype(object) - mask) % TOY.p
+    back = be.deserialize(blob, limbs=2)
+    assert np.array_equal(be.decrypt(back, kp).astype(object), want)
+    assert be.serialize(back) == blob
+    with pytest.raises(MalformedBytes, match="2 limbs where 3 are expected"):
+        be.deserialize(blob)
+    for layout in (0x12, 0x42, 0xF2):
+        with pytest.raises(MalformedBytes, match="limbs, expected 2 to 3"):
+            be.deserialize(blob[:8] + bytes([layout]) + blob[9:], limbs=2)
+    public = kp.public
+    for op in (lambda: be.add_ct(rep, ct), lambda: be.add_ct(ct, rep),
+               lambda: be.mul_pt(rep, m), lambda: be.add_pt(rep, 1),
+               lambda: be.sub_pt(rep, m), lambda: be.neg_ct(rep),
+               lambda: be.mul_ct(rep, ct, public), lambda: be.square(rep, public),
+               lambda: be.mul_ct_sum([(ct, ct), (ct, rep)], public),
+               lambda: be.reply(rep, mask)):
+        with pytest.raises(hecore.LevelMismatch):
+            op()
+    whole = be.reply(ct, mask, whole=True)
+    assert whole.limbs == TOY.limbs and len(be.serialize(whole)) == ct_bytes(TOY)
+    assert np.array_equal(be.decrypt(whole, kp).astype(object), want)
+    ct.noise_bits = 80.0  # past the 75-bit budget: no reply fits in 45 bits
+    with pytest.raises(NoiseExhausted, match="at 2 limbs"):
+        be.reply(ct, mask)
+
+
+def test_toy_block_replies_leave_switched_down(toy_cfg, rlwe_toy_cfg, pair_runner,
+                                               monkeypatch):
+    """A walk of the toy block's transcript on both backends: every frame
+    that carries a ciphertext computed under its receiver's key carries it
+    at reply width, except softmax's ``denominator`` and ``result``, which
+    stay whole; the metered bytes of each such frame are its ciphertexts'."""
+    frames = []
+    send_cts = PartyCtx.send_cts
+
+    def recording(ctx, label, vecs, *sizes, **kwargs):
+        vecs = list(vecs)
+        theirs = [ct for vec in vecs for ct in vec.cts if ct.owner != ctx.role]
+        frames.append((ctx.session._qualify(label), ctx.role,
+                       [ct.limbs for ct in theirs],
+                       sum(len(ctx.backend.serialize(ct)) for vec in vecs for ct in vec.cts)))
+        return send_cts(ctx, label, vecs, *sizes, **kwargs)
+
+    monkeypatch.setattr(PartyCtx, "send_cts", recording)
+    bc = toy_block_config()
+    rng = np.random.default_rng(43)
+    weights = BlockWeights.random(bc, rng)
+    x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
+    whole = ("head/softmax/denominator", "head/softmax/result")
+    for cfg in (toy_cfg, rlwe_toy_cfg):
+        frames.clear()
+        _, _, rep, _ = pair_runner(cfg, lambda c: infer_block(c, x, None, bc),
+                                   lambda c: infer_block(c, None, weights, bc), seed=4,
+                                   want_reports=True)
+        replied = set()
+        for label, role, limbs, nbytes in frames:
+            ph = rep.phases[label]
+            assert ph["bytes_a" if role == "A" else "bytes_b"] - FRAME_OVERHEAD == nbytes
+            if not limbs:
+                continue
+            replied.add(label.rsplit("/", 1)[1])
+            want = cfg.he.limbs if label in whole else hecore.reply_limbs(cfg.he)
+            assert limbs == [want] * len(limbs), label
+        assert {label for label, _, limbs, _ in frames if limbs} >= set(whole)
+        assert replied == {"masked_product", "denominator", "result", "masked_square",
+                           "masked_ratio", "input_and_squares", "masked_powers"}

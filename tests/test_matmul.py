@@ -9,7 +9,7 @@ import pytest
 
 from privblock import fixedpoint as fp
 from privblock.channel import FRAME_OVERHEAD, PROFILES, connect
-from privblock.hecore import ct_bytes
+from privblock.hecore import ct_bytes, reply_limbs
 from privblock.hecore.clear import ClearBackend
 from privblock.hecore.ntt import get_plan
 from privblock.model import toy_block_config
@@ -265,9 +265,10 @@ def test_shared_transcript_is_the_cross_terms(cfg_name, pair_runner, request):
                       ("B", "mmshared/cross_ba/inputs"),
                       ("A", "mmshared/cross_ba/masked_product")]
     assert all(kind == "frame" for kind, _, _ in transcript)
-    # one ciphertext a frame: the inputs fresh and seeded, the products whole
+    # one ciphertext a frame: the inputs fresh and seeded, the products
+    # replies, switched down
     one = {"inputs": FRAME_OVERHEAD + ct_bytes(cfg.he, seeded=True),
-           "masked_product": FRAME_OVERHEAD + ct_bytes(cfg.he)}
+           "masked_product": FRAME_OVERHEAD + ct_bytes(cfg.he, limbs=reply_limbs(cfg.he))}
     for _, label in frames:
         assert (rep.phases[label]["bytes_a"] + rep.phases[label]["bytes_b"]
                 == one[label.rsplit("/", 1)[1]])
@@ -412,7 +413,7 @@ def test_packed_partition_desk_and_toy():
     assert cts == [56, 192, 384, 384, 24, 336]
     bc = toy_block_config()
     cfg = Config(he_backend="clear")
-    one = FRAME_OVERHEAD + ct_bytes(cfg.he)
+    one = FRAME_OVERHEAD + ct_bytes(cfg.he, limbs=reply_limbs(cfg.he))
     fresh = FRAME_OVERHEAD + ct_bytes(cfg.he, seeded=True)
     for m, n, h in {(bc.d_s, bc.d_m, 3 * bc.d_m),
                     (bc.d_s, bc.d_m, bc.d_k), (bc.d_s, bc.d_k, bc.d_s),
