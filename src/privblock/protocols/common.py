@@ -33,6 +33,9 @@ shared values x*y needs no ciphertext*ciphertext product: a party
 multiplies the peer's fresh encryptions of its shares (``recv_cts``, not
 ``recv_added``) by its own shares, the cross terms, and adds its local term
 x_own*y_own in the clear; the key holder adds its own once it decrypts.
+Layernorm and softmax form every product this way, and gelu its square,
+cubes and quartics; gelu's selector-weighted sum (``CtVec.mul_ct_sum``) is
+the one ciphertext*ciphertext product of any protocol.
 ``PartyCtx.mask`` draws every additive mask.
 """
 
@@ -137,11 +140,6 @@ class CtVec:
     def add_ct(self, other: "CtVec") -> "CtVec":
         return self._with_ct(self.ctx.backend.add_ct, other)
 
-    def mul_ct(self, other: "CtVec") -> "CtVec":
-        ctx = self.ctx
-        return self._with_ct(
-            lambda x, y: ctx.backend.mul_ct(x, y, ctx.public_of(x.owner)), other)
-
     @staticmethod
     def mul_ct_sum(pairs) -> "CtVec":
         """The sum of x*y over the (x, y) ``pairs`` of same-size vectors under
@@ -156,11 +154,6 @@ class CtVec:
         return CtVec(ctx, (ctx.backend.mul_ct_sum([(x.cts[b], y.cts[b]) for x, y in pairs],
                                                   public)
                            for b in range(len(first.cts))), first.size)
-
-    def square(self) -> "CtVec":
-        ctx = self.ctx
-        return CtVec(ctx, (ctx.backend.square(ct, ctx.public_of(ct.owner))
-                           for ct in self.cts), self.size)
 
     def neg_ct(self) -> "CtVec":
         return CtVec(self.ctx, map(self.ctx.backend.neg_ct, self.cts), self.size)

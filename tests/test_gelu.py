@@ -1,3 +1,5 @@
+import hashlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from privblock import approx
 from privblock import fixedpoint as fp
+from privblock.hecore.clear import ClearBackend
+from privblock.hecore.rlwe import RlweBackend
 from privblock.protocols import ShapeMismatch, costs, pi_gelu
 from privblock.protocols.gelu import _boundary_bits
 from privblock.sharing import reconstruct, share
@@ -223,3 +227,50 @@ def test_determinism(toy_cfg, pair_runner):
         return y.tobytes(), rep.to_dict()
 
     assert run() == run()
+
+
+# SHA-256 of A's then B's output share payload (uint64, little-endian) of
+# one 8x40 pi_gelu at seed 21 and N=256 (two blocks), per table; the two
+# backends give the same shares
+OUTPUT_DIGESTS = {
+    "gelu": "6916bd4cc472897c97f06ab89ce4ff760d6f3725f0b0290f96e886f81041ae1d",
+    "tanh": "3749f761e086b5d35271a8953fd5b044920c626348dc239c3057518077d80ed5",
+}
+
+
+@pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
+@pytest.mark.parametrize("table", [approx.GELU_TABLE, approx.TANH_TABLE],
+                         ids=["gelu", "tanh"])
+def test_one_ct_product_per_block_and_pinned_shares(cfg_name, table, pair_runner,
+                                                    request):
+    """The selector-weighted sum is gelu's only ciphertext*ciphertext
+    product: one ``mul_ct_sum`` per block and no ``mul_ct`` or ``square``,
+    since its square, cubes and quartics are cross terms.  Both parties'
+    output shares hash to pinned digests, so the cross terms decrypt to
+    the same values mod p as the ct*ct products they replaced, with masks
+    drawn in the same order."""
+    cfg = request.getfixturevalue(cfg_name)
+    backend = {"clear": ClearBackend, "rlwe": RlweBackend}[cfg.he_backend]
+    calls = {"mul_ct_sum": 0, "mul_ct": 0, "square": 0}
+    lock = threading.Lock()  # both parties' threads count
+
+    def counted(name, op):
+        def run(self, *args):
+            with lock:
+                calls[name] += 1
+            return op(self, *args)
+        return run
+
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-8, 8, size=(8, 40))
+    xe = fp.encode_int(x, cfg.fixedpoint, "field", S)
+    xa, xb = share(xe.ravel(), "field", cfg.fixedpoint, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(backend, name, counted(name, getattr(backend, name)))
+        ra, rb = pair_runner(cfg, lambda ctx: pi_gelu(ctx, xa, (8, 40), table=table),
+                             lambda ctx: pi_gelu(ctx, xb, (8, 40), table=table), seed=21)
+    assert calls == {"mul_ct_sum": 2, "mul_ct": 0, "square": 0}, calls
+    payloads = b"".join(r.share.payload.astype("<u8").tobytes() for r in (ra, rb))
+    assert (hashlib.sha256(payloads).hexdigest()
+            == OUTPUT_DIGESTS[table.name])

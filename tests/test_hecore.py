@@ -422,7 +422,7 @@ def test_encrypted_vector_blocks_and_shapes(toy_cfg, rlwe_toy_cfg, pair_runner):
             vec.add_ct(ctx.encrypt(np.arange(n, dtype=np.uint64)))
         with pytest.raises(ShapeMismatch):
             vec.mul_pt(np.ones(n, dtype=np.uint64))
-        out = vec.add_pt(5).mul_ct(vec.neg_ct())
+        out = common.CtVec.mul_ct_sum([(vec.add_pt(5), vec.neg_ct())])
         want = (p - (np.arange(n + 3) + 5) * np.arange(n + 3) % p) % p
         assert np.array_equal(ctx.decrypt(out), want.astype(np.uint64))
         assert not ctx.backend.decrypt(out.cts[1], ctx.keypair)[3:].any()

@@ -216,13 +216,13 @@ def _caller_in(code) -> bool:
 
 
 def test_toy_block_he_work(pair_runner):
-    """One toy block on clear at N=8192 makes exactly 33 encryptions, 38
-    ciphertext*plaintext products and 6 ciphertext*ciphertext products
+    """One toy block on clear at N=8192 makes exactly 33 encryptions, 45
+    ciphertext*plaintext products and one ciphertext*ciphertext product
     (``mul_ct_sum``, through which ``mul_ct`` and ``square`` pass).  Matmul
     makes 12 of the plaintext products: each of its products is one packed
-    ciphertext each way, and attention projects all heads at once.  Every
-    ct*ct product is gelu's: layernorm and softmax multiply shared values
-    by cross terms."""
+    ciphertext each way, and attention projects all heads at once.  The
+    one ct*ct product is gelu's selector-weighted sum: layernorm, softmax
+    and gelu's powers multiply shared values by cross terms."""
     from privblock.hecore.clear import ClearBackend
     from privblock.protocols import gelu, matmul
     calls = {"encrypt": 0, "mul_pt": 0, "mul_ct_sum": 0,
@@ -252,8 +252,8 @@ def test_toy_block_he_work(pair_runner):
             mp.setattr(ClearBackend, name, counted(name))
         y, _ = _run_block(Config(he_backend="clear"), pair_runner, x, weights, bc)
     assert np.abs(y - oracle_block(x, weights, bc)).max() <= 2.0 ** -4
-    assert calls == {"encrypt": 33, "mul_pt": 38, "mul_ct_sum": 6,
-                     "mul_pt in matmul": 12, "mul_ct_sum in gelu": 6}, calls
+    assert calls == {"encrypt": 33, "mul_pt": 45, "mul_ct_sum": 1,
+                     "mul_pt in matmul": 12, "mul_ct_sum in gelu": 1}, calls
 
 
 def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):
