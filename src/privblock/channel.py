@@ -58,6 +58,10 @@ class ShapeMismatch(ValueError):
     """A message or operand whose size is not the one the protocol expects."""
 
 
+class CapacityExceeded(ValueError):
+    """A call wider than the frames this configuration sends."""
+
+
 @dataclass(frozen=True)
 class NetworkProfile:
     """Link model: bits/second bandwidth and one-way latency in seconds."""
@@ -212,8 +216,9 @@ class Session:
 
     def _recv_frame(self, pieces: list | None):
         """The next frame's declared payload length, and an iterator of its
-        payload (pieces of the lengths in ``pieces``, or one piece, where
-        the transport chooses), read as it is iterated."""
+        payload (pieces of the lengths in ``pieces`` if they sum to that
+        length, or one piece, where the transport chooses), read as it is
+        iterated."""
         raise NotImplementedError
 
     def close(self):
@@ -257,9 +262,9 @@ class Session:
                     pieces: list | None = None, metered: bool = True):
         """Read the next frame's header, meter the frame, and return an
         iterator of its payload in order as memoryviews: over TCP pieces of
-        the lengths in ``pieces`` (which sum to ``length``), or one piece,
-        read into one buffer that the next piece overwrites, and the
-        sender's chunks on the pair.  A declared length other than
+        the lengths in ``pieces`` if they sum to the declared length, else
+        one piece, read into one buffer that the next piece overwrites, and
+        the sender's chunks on the pair.  A declared length other than
         ``length`` raises ``ShapeMismatch`` before a payload byte is
         reserved or read."""
         declared, chunks = self._recv_frame(pieces)
@@ -406,7 +411,9 @@ class TcpSession(Session):
         if head[:4] != MAGIC:
             raise IoError("bad frame magic")
         (length,) = struct.unpack(">I", head[4:])
-        return length, self._pieces(length, pieces or [length] * bool(length))
+        if not pieces or sum(pieces) != length:
+            pieces = [length] * bool(length)
+        return length, self._pieces(length, pieces)
 
     def _pieces(self, length, pieces):
         try:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_operands,
-               check_product, check_reply, pack_slots, read_ct, write_ct)
-from ..modarith import mod, mulmod
+               check_product, check_reply, pack_slots, read_ct, scalar_slot, write_ct)
+from ..modarith import addmod, mod, mulmod, submod
 from ..params import HeParams
 from . import noise
 
@@ -84,7 +84,7 @@ class ClearBackend:
 
     def add_ct(self, x: ClearCiphertext, y: ClearCiphertext) -> ClearCiphertext:
         check_operands(self.params, x, y)
-        return ClearCiphertext(mod(x.slots + y.slots, self.params.p), x.owner,
+        return ClearCiphertext(addmod(x.slots, y.slots, self.params.p), x.owner,
                                noise.add_ct_bits(x.noise_bits, y.noise_bits), self.L)
 
     def neg_ct(self, x: ClearCiphertext) -> ClearCiphertext:
@@ -92,22 +92,29 @@ class ClearBackend:
         p = self.params.p
         return ClearCiphertext(mod(p - x.slots, p), x.owner, x.noise_bits, self.L)
 
+    def _operand(self, slots):
+        """A plaintext operand: an int as itself (the constant polynomial,
+        the same value in every slot), a vector as its N slots."""
+        if isinstance(slots, (int, np.integer)) or np.ndim(slots) == 0:
+            return scalar_slot(slots, self.params)
+        return pack_slots(slots, self.params)
+
     def add_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         check_operands(self.params, x)
-        v = pack_slots(slots, self.params)
-        return ClearCiphertext(mod(x.slots + v, self.params.p), x.owner,
+        v = self._operand(slots)
+        return ClearCiphertext(addmod(x.slots, v, self.params.p), x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits), self.L)
 
     def sub_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         check_operands(self.params, x)
         p = self.params.p
-        v = pack_slots(slots, self.params)
-        return ClearCiphertext(mod(x.slots + (p - v), p), x.owner,
+        v = self._operand(slots)
+        return ClearCiphertext(submod(x.slots, v, p), x.owner,
                                noise.add_pt_bits(self.params, x.noise_bits), self.L)
 
     def mul_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         check_operands(self.params, x)
-        out = mulmod(x.slots, pack_slots(slots, self.params), self.params.p)
+        out = mulmod(x.slots, self._operand(slots), self.params.p)
         return ClearCiphertext(out, x.owner,
                                noise.mul_pt_bits(self.params, x.noise_bits, slots), self.L)
 
@@ -131,7 +138,7 @@ class ClearBackend:
         limbs, nb = check_reply(self.params, x, whole)
         p = self.params.p
         v = pack_slots(mask, self.params)
-        return ClearCiphertext(mod(x.slots + (p - v), p), x.owner, nb, limbs)
+        return ClearCiphertext(submod(x.slots, v, p), x.owner, nb, limbs)
 
     # -- wire format ---------------------------------------------------------
     def serialize(self, ct: ClearCiphertext, out=None):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fixedpoint as fp
 from .approx import gelu_exact
-from .modarith import matmod, mod, mulmod
+from .modarith import addmod, matmod, mulmod
 from .protocols import (LnParams, PartyCtx, pi_gelu, pi_ln, pi_matmul,
                         pi_matmul_shared, pi_softmax)
 from .protocols.common import ProtocolOutputShares, ShapeMismatch
@@ -243,7 +243,7 @@ def _layernorm(ctx: PartyCtx, x: ProtocolOutputShares, weights: BlockWeights | N
 
 def _add_payload(ctx: PartyCtx, a: ProtocolOutputShares,
                  payload: np.ndarray) -> ProtocolOutputShares:
-    merged = mod(a.share.payload + payload, ctx.fp.p)
+    merged = addmod(a.share.payload, payload, ctx.fp.p)
     return ProtocolOutputShares(ctx.field_share(merged), a.shape, a.scale)
 
 

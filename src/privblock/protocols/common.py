@@ -46,7 +46,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..channel import Session, ShapeMismatch
+from ..channel import CapacityExceeded, Session, ShapeMismatch
 from ..hecore import FRESH, REPLY, WHOLE, create_backend, ct_bytes, wire_form
 from ..params import Config, FixedPointConfig, HeParams
 from ..sharing import FIELD, GadgetProvider, Share
@@ -58,10 +58,6 @@ CHUNK_BYTES = 8 << 20
 # the most vectors of MAX_BLOCKS blocks one gadget frame carries: the bits
 # of a comparison of a vector against this many constants
 GADGET_FAN_IN = 8
-
-
-class CapacityExceeded(ValueError):
-    pass
 
 
 class DegenerateRow(ValueError):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
-from ..modarith import lift_shift, mod, mulmod
+from ..modarith import addmod, lift_shift, mod, mulmod, submod
 from ..sharing import FIELD, RING, Share
 from .common import FRESH, CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
@@ -99,7 +99,7 @@ def _boundary_bits(ctx: PartyCtx, x_share: Share, table: PiecewisePoly,
     x_ring = ctx.provider.convert(x_share, RING)
     pay = ctx.provider.b2a(ctx.provider.lt(x_ring, bounds), FIELD).payload
     if ctx.role == "A":
-        pay = mod(pay + (p - (1 << s)), p)  # remove the public offset once
+        pay = submod(pay, 1 << s, p)  # remove the public offset once
     return np.split(mulmod(pay, pow(1 << s, -1, p), p), len(bounds))
 
 
@@ -147,7 +147,7 @@ def _party_b(ctx, x_share, shape, plan, table, sy):
             ct_a, ct_a2[i] = ct_a2[i], None  # dropped once its cross terms are formed
             for j in seg["powers"]:
                 if j == 3:
-                    d = mod(x_b + (p - seg["midq"] % p), p)
+                    d = submod(x_b, seg["midq"], p)
                     yield ct_a.mul_pt(d).add_ct(ct_t[i].mul_pt(b2[i])).add_pt(off3)
                 elif j == 4:
                     yield ct_a.add_ct(ct_t2s[i]).mul_pt(b2[i])
@@ -188,7 +188,7 @@ def _party_a(ctx, x_share, shape, plan, table, sy):
     def lifted(v, local, bits):
         """A's share, shifted down by s bits, of a decrypted cross-term
         value plus A's local term."""
-        return mod(lift_shift(mod(v + local, p), p, bits, s), p)
+        return mod(lift_shift(addmod(v, local, p), p, bits, s), p)
 
     ctx.send_encrypted("encrypt_input", x_a)
     xa2 = mulmod(x_a, x_a, p)

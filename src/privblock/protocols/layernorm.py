@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fixedpoint import encode_int
-from ..modarith import lift_shift, mod, mulmod
+from ..modarith import addmod, lift_shift, mod, mulmod
 from ..sharing import FIELD, RING, DomainError, Share
 from .common import (FRESH, REPLY, DegenerateRow, PartyCtx, ProtocolOutputShares,
                      ShapeMismatch)
@@ -84,7 +84,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
         if ctx.role == "B":
             ctx.send_encrypted("ashare", a_own)
             [sq] = ctx.recv_decrypted("masked_square", m * n)
-            sq = mod(sq + mulmod(a_own, a_own, p), p)
+            sq = addmod(sq, mulmod(a_own, a_own, p), p)
         else:
             [ct_ab] = ctx.recv_cts("ashare", m * n, forms=[FRESH])
             [sq] = ctx.send_masked("masked_square", [
@@ -95,7 +95,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             ctx.send_encrypted("invsqrt_share", inv)
             ct_wr, ct_strunc = ctx.recv_cts("masked_ratio", m * n, m * n,
                                             forms=(REPLY, FRESH))
-            w = mod(ctx.decrypt(ct_wr) + mulmod(a_own, inv, p), p)
+            w = addmod(ctx.decrypt(ct_wr), mulmod(a_own, inv, p), p)
             off = 1 << (sa + s_inv - shift)
             t_b = mod(lift_shift(w, p, sa + s_inv + 1, shift) - off, p)
             gs = encode_int(params.gamma * math.sqrt(n), ctx.fp, FIELD, GAMMA_SCALE)
@@ -107,7 +107,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             # a*inv less a_B*inv_B, offset and statistically masked for the
             # decrypt-side rescale, a reply; B adds a_B*inv_B after it decrypts
             ct_off = (ct_ab.mul_pt(inv).add_ct(ct_inv.mul_pt(a_own))
-                      .add_pt(mod(mulmod(a_own, inv, p) + (1 << (sa + s_inv)), p)))
+                      .add_pt(addmod(mulmod(a_own, inv, p), 1 << (sa + s_inv), p)))
             smask = ctx.mask(m * n, bits=sa + s_inv)
             ctx.send_cts("masked_ratio",
                          [ct_off.reply(smask), ctx.encrypt(smask >> np.uint64(shift))],

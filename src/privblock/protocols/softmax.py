@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modarith import mod, mulmod
+from ..modarith import mod, mulmod, submod
 from ..sharing import RING, Share
 from .common import FRESH, WHOLE, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
@@ -50,7 +50,7 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             mx = ctx.provider.row_max(x_share, d)
             spread = np.repeat(mx.payload, d)
             ring_mod = ctx.fp.ring_mod
-            x_share = x_share.like(mod(x_share.payload + (ring_mod - spread), ring_mod))
+            x_share = x_share.like(submod(x_share.payload, spread, ring_mod))
         e = ctx.provider.rexp(x_share).payload  # field shares of encode(e^x, s)
         row_sums = mod(e.reshape(m, d).sum(axis=1), p)
         if ctx.role == "B":

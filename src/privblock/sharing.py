@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Session
-from .modarith import mod, round_shift, signed_lift
+from .channel import CapacityExceeded, Session, ShapeMismatch
+from .modarith import addmod, mod, round_shift, signed_lift, submod
 from .params import FixedPointConfig, GadgetCostTable
 
 RING, FIELD, BOOL = "ring", "field", "bool"
@@ -86,7 +86,7 @@ def share(secret, domain: str, cfg: FixedPointConfig, rng: np.random.Generator):
     if domain == BOOL:
         rb = sec ^ ra
     else:
-        rb = mod(sec + (modulus - ra), modulus)
+        rb = submod(sec, ra, modulus)
     return Share(domain, "A", ra, modulus), Share(domain, "B", rb, modulus)
 
 
@@ -97,7 +97,7 @@ def reconstruct(sh_a: Share, sh_b: Share):
         raise DomainMismatch("share lengths differ")
     if sh_a.domain == BOOL:
         return sh_a.payload ^ sh_b.payload
-    return mod(sh_a.payload + sh_b.payload, sh_a.modulus)
+    return addmod(sh_a.payload, sh_b.payload, sh_a.modulus)
 
 
 def xor_shares(x: Share, y: Share) -> Share:
@@ -117,6 +117,11 @@ def not_share(x: Share) -> Share:
 
 
 GADGET_LABEL = "gadget"
+
+
+def _bytes(a: np.ndarray) -> memoryview:
+    """The bytes of a contiguous array, uncopied."""
+    return memoryview(a.view(np.uint8))
 
 
 class GadgetProvider:
@@ -143,13 +148,19 @@ class GadgetProvider:
                             total - total // 2, rounds, warn_zero=warn)
 
     def _round(self, x: Share, domains: tuple, entries: tuple, out_domain: str,
-               *funcs) -> Share:
-        """One gadget call: reject an input outside ``domains``, charge each
-        cost entry once for ``len(funcs) * len(x)`` elements, then run the
-        trusted dealer: A ships its share once, B reconstructs the secret
-        and, one unmetered round per function of ``funcs``, evaluates it on
-        the secret, reduces the result into ``out_domain`` and reshares it
-        fresh.  The output joins the parts in order.
+               funcs: list, width: int | None = None, signed: bool = False) -> Share:
+        """One gadget call: reject an input outside ``domains`` and a call
+        of ``len(funcs) * len(x)`` values wider than the session's
+        ``max_frame`` (``CapacityExceeded``, on both parties before any byte
+        moves), charge each cost entry once for those values, then run the
+        trusted dealer.  A ships its share once; B reconstructs the secret
+        (lifted once to its signed value in (-M/2, M/2] if ``signed``) and,
+        one unmetered round per function of ``funcs``, evaluates it on the
+        secret, reduces the result into ``out_domain`` and reshares it
+        fresh, ``width`` values (``len(x)`` by default).  The output joins
+        the parts in order.  Arrays move as buffers: A's share and each
+        resharing, after its tag byte, go out uncopied, and A receives each
+        part into its output.
 
         Any exception a function raises travels back to A as an error
         frame in place of its part, so both parties raise instead of one
@@ -159,24 +170,25 @@ class GadgetProvider:
         if x.domain not in domains:
             raise DomainMismatch(f"gadget expects {' or '.join(domains)} shares, "
                                  f"got {x.domain}")
+        cap = self.session.max_frame
+        if cap is not None and 1 + 8 * len(funcs) * len(x) > cap:
+            raise CapacityExceeded(f"a gadget call of {len(funcs)} x {len(x)} values, "
+                                   f"over the {cap}-byte frames this configuration sends")
         for entry in entries:
             self.charge(entry, len(funcs) * len(x))
         modulus = _mod_of(out_domain, self.cfg)
+        width = len(x) if width is None else width
         if self.role == "A":
-            self.session.send("_gadget", x.payload.tobytes(), metered=False)
-            parts = []
-            for _ in funcs:
-                raw = self.session.recv("_gadget", metered=False)
-                if raw[:1] == b"E":
-                    kind, _, msg = bytes(raw[1:]).decode().partition(":")
-                    exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
-                    raise exc(msg) if exc else GadgetUnavailable(
-                        f"dealer raised {kind}: {msg}")
-                parts.append(np.frombuffer(raw[1:], dtype=np.uint64))
-            return Share(out_domain, "A", np.concatenate(parts), modulus)
+            self.session.send("_gadget", _bytes(x.payload), metered=False)
+            out = np.empty(len(funcs) * width, dtype=np.uint64)
+            for part in np.split(out, len(funcs)):
+                self._receive_part(part)
+            return Share(out_domain, "A", out, modulus)
         other = np.frombuffer(self.session.recv("_gadget", metered=False),
                               dtype=np.uint64)
         secret = reconstruct(x.like(other), x)
+        if signed:
+            secret = signed_lift(secret, x.modulus)
         parts = []
         for func in funcs:
             try:
@@ -186,11 +198,30 @@ class GadgetProvider:
                                   metered=False)
                 raise
             # ``share`` draws its first share from the dealer RNG; B keeps that one.
-            mine, theirs = share(np.asarray(result) % modulus, out_domain, self.cfg,
+            mine, theirs = share(mod(np.asarray(result), modulus), out_domain, self.cfg,
                                  self._dealer_rng)
-            self.session.send("_gadget", b"K" + theirs.payload.tobytes(), metered=False)
+            self.session.send("_gadget", [b"K", _bytes(theirs.payload)], metered=False,
+                              length=1 + theirs.payload.nbytes)
             parts.append(mine.payload)
-        return Share(out_domain, "B", np.concatenate(parts), modulus)
+        return Share(out_domain, "B", parts[0] if len(parts) == 1 else np.concatenate(parts),
+                     modulus)
+
+    def _receive_part(self, part: np.ndarray):
+        """Read one dealer frame into ``part``: its tag byte, then the
+        resharing, or raise the dealer's error."""
+        chunks = self.session.recv_chunks("_gadget", pieces=[1, part.nbytes], metered=False)
+        head = next(chunks)
+        tag = bytes(head[:1])  # over TCP the next piece overwrites ``head``
+        if tag == b"E":
+            raw = b"".join([bytes(head[1:]), *map(bytes, chunks)])
+            kind, _, msg = raw.decode().partition(":")
+            exc = {"RangeError": RangeError, "DomainError": DomainError}.get(kind)
+            raise exc(msg) if exc else GadgetUnavailable(f"dealer raised {kind}: {msg}")
+        body = next(chunks, None) if len(head) == 1 else None
+        if tag != b"K" or body is None or len(body) != part.nbytes:
+            raise ShapeMismatch(f"_gadget: a dealer frame that is not a resharing of "
+                                f"{part.size} values")
+        _bytes(part)[:] = body
 
     # -- the four imported protocols ----------------------------------------
     def lt(self, x: Share, c) -> Share:
@@ -200,8 +231,7 @@ class GadgetProvider:
         the bytes of ``len(c)`` calls in the rounds of one."""
         consts = [c] if np.ndim(c) == 0 else list(c)
         return self._round(x, (RING, FIELD), ("lt",), BOOL,
-                           *(lambda secret, c=c: signed_lift(secret, x.modulus) < c
-                             for c in consts))
+                           [lambda v, c=c: v < c for c in consts], signed=True)
 
     def b2a(self, b: Share, target_domain: str) -> Share:
         """Boolean -> arithmetic in the activation protocol's offset
@@ -209,32 +239,31 @@ class GadgetProvider:
         remove the public 2^s afterwards."""
         two_s = np.uint64(1 << self.cfg.s)
         return self._round(b, (BOOL,), ("b2a",), target_domain,
-                           lambda secret: secret * two_s + two_s)
+                           [lambda secret: secret * two_s + two_s])
 
     def rexp(self, x: Share) -> Share:
         """Field shares of encode(e^x) for ring shares of x <= 0, both at
         scale s."""
         s = self.cfg.s
 
-        def f(secret):
-            sx = signed_lift(secret, x.modulus).astype(np.float64) / (1 << s)
+        def f(v):
+            sx = v.astype(np.float64) / (1 << s)
             if np.any(sx > 2.0 ** (-s) * 8):
                 raise RangeError("rexp input exceeds 0 beyond tolerance")
             return np.round(np.exp(np.minimum(sx, 0.0)) * (1 << s)).astype(np.int64)
 
-        return self._round(x, (RING,), ("rexp",), FIELD, f)
+        return self._round(x, (RING,), ("rexp",), FIELD, [f], signed=True)
 
     def invsqrt(self, x: Share, scale: int, out_scale: int) -> Share:
         """Field shares of encode(1/sqrt(x), out_scale); input at ``scale``,
         x > 0."""
-        def f(secret):
-            sx = signed_lift(secret, x.modulus)
-            if np.any(sx <= 0):
+        def f(v):
+            if np.any(v <= 0):
                 raise DomainError("invsqrt domain requires x > 0")
-            vals = np.round((1 << out_scale) / np.sqrt(sx.astype(np.float64) / 2.0 ** scale))
+            vals = np.round((1 << out_scale) / np.sqrt(v.astype(np.float64) / 2.0 ** scale))
             return vals.astype(np.int64)
 
-        return self._round(x, (RING, FIELD), ("invsqrt",), FIELD, f)
+        return self._round(x, (RING, FIELD), ("invsqrt",), FIELD, [f], signed=True)
 
     # -- composites ----------------------------------------------------------
     def convert(self, x: Share, to_domain: str, shift: int = 0) -> Share:
@@ -244,10 +273,10 @@ class GadgetProvider:
         shift > 0, then one conversion (comparison + multiplexer route)."""
         entries = ("trunc", "convert") if shift > 0 else ("convert",)
         return self._round(x, (RING, FIELD), entries, to_domain,
-                           lambda secret: round_shift(secret, x.modulus, shift))
+                           [lambda secret: round_shift(secret, x.modulus, shift)])
 
     def row_max(self, x: Share, row_len: int) -> Share:
         """Ring shares of per-row maxima (comparison-tree composite)."""
         return self._round(x, (RING,), ("rowmax",), RING,
-                           lambda secret: signed_lift(secret, x.modulus)
-                           .reshape(-1, row_len).max(axis=1))
+                           [lambda v: v.reshape(-1, row_len).max(axis=1)],
+                           width=len(x) // row_len, signed=True)

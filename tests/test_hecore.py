@@ -400,6 +400,37 @@ def test_scalar_operand_is_the_constant_polynomial():
             assert np.array_equal(cbe.decrypt(got_c, kc), rbe.decrypt(got, kr))
 
 
+WIDE = toy_he_params(n=256, p=137438822401, limbs=6)
+
+
+def test_clear_int_operand_at_a_wide_prime():
+    """At the 37-bit default p an int operand takes every route of the
+    scalar multiply (one product, one product of the negated operand, the
+    split product): each op's slots equal the vector with c in every slot,
+    its estimate equals rlwe's for the same int, and c >= p still raises."""
+    rbe, cbe = backends(WIDE, seed=30)
+    kr, kc = rbe.keygen("A"), cbe.keygen("A")
+    p = WIDE.p
+    m = np.random.default_rng(31).integers(0, p, size=WIDE.n, dtype=np.uint64)
+    m[:3] = [0, 1, p - 1]
+    xr, xc = rbe.encrypt(m, kr), cbe.encrypt(m, kc)
+    for c in (0, 1, p - 1, p // 2, p // 2 + 1, (1 << 26) - 1, (1 << 26) + 1,
+              p - (1 << 26), np.uint64(77), np.int64(p - 3)):
+        full = np.full(WIDE.n, c, dtype=np.uint64)
+        for op in ("add_pt", "sub_pt", "mul_pt"):
+            got, ref = getattr(cbe, op)(xc, c), getattr(cbe, op)(xc, full)
+            assert np.array_equal(got.slots, ref.slots), (op, c)
+            assert got.noise_bits == getattr(rbe, op)(xr, c).noise_bits
+            if op != "mul_pt":
+                assert got.noise_bits == ref.noise_bits
+        want = [int(v) * int(c) % p for v in m]
+        assert cbe.mul_pt(xc, c).slots.tolist() == want
+    for bad in (p, p + 5, (1 << 64) - 1, -1):
+        for op in ("add_pt", "sub_pt", "mul_pt"):
+            with pytest.raises(ParamError):
+                getattr(cbe, op)(xc, bad)
+
+
 def test_no_rotation_anywhere():
     """The rotation operation is absent from the API by design."""
     rbe, cbe = backends(seed=18)

@@ -203,3 +203,93 @@ def test_object_dtype_only_in_big_integer_paths():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if pattern.search(line)]
     assert found == []
+
+
+# one pass up to WALK_ABOVE values, blocks of BLOCK past it (the last one
+# value long, then seven)
+WALKED_SIZES = [ma.BLOCK - 1, ma.BLOCK, ma.BLOCK + 1, ma.WALK_ABOVE, ma.WALK_ABOVE + 1,
+                3 * ma.BLOCK + 7]
+
+
+@pytest.mark.parametrize("size", WALKED_SIZES)
+def test_mod_and_mulmod_around_walked_lengths_match_python(size, rng):
+    x = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    x[:3] = [0, (1 << 64) - 1, P]
+    assert ma.mod(x, P).tolist() == [int(v) % P for v in x]
+    a, b = _inputs(P, size, rng), _inputs(P, size, rng)[::-1].copy()
+    assert ma.mulmod(a, b, P).tolist() == [int(u) * int(v) % P for u, v in zip(a, b)]
+    small = (1 << 32) - 5  # the one-product path
+    a, b = _inputs(small, size, rng), _inputs(small, size, rng)
+    assert ma.mulmod(a, b, small).tolist() == [int(u) * int(v) % small
+                                              for u, v in zip(a, b)]
+
+
+@pytest.mark.parametrize("shape", [(3, ma.BLOCK + 5), (ma.BLOCK // 4 + 1, 4, 3)])
+def test_walked_kernels_keep_shapes(shape, rng):
+    size = math.prod(shape)
+    a = _inputs(P, size, rng).reshape(shape)
+    b = rng.permutation(a.ravel()).reshape(shape)
+    got = ma.mulmod(a, b, P)
+    assert got.shape == shape
+    assert got.ravel().tolist() == [int(u) * int(v) % P for u, v in zip(a.ravel(), b.ravel())]
+    got = ma.addmod(a, b, P)
+    assert got.shape == shape
+    assert got.ravel().tolist() == [(int(u) + int(v)) % P for u, v in zip(a.ravel(), b.ravel())]
+    # a transposed view is walked in its own (logical) order
+    assert np.array_equal(ma.addmod(a.T, b.T, P), got.T)
+
+
+def test_column_modulus_path_is_unchanged(rng):
+    """An (L, 1) column of moduli over rows past one block in total: the
+    flat pass, equal to numpy's % row by row."""
+    x = rng.integers(0, 1 << 64, size=(Q_COLUMN.shape[0], 8192), dtype=np.uint64)
+    assert np.array_equal(ma.mod(x, Q_COLUMN), x % Q_COLUMN)
+    a = ma.mod(x, Q_COLUMN)
+    b = ma.mod(x[::-1].copy(), Q_COLUMN)
+    want = [[int(u) * int(v) % int(q) for u, v in zip(ra, rb)]
+            for ra, rb, q in zip(a, b, Q_COLUMN[:, 0])]
+    assert ma.mulmod(a, b, Q_COLUMN).tolist() == want
+
+
+SCALARS = [0, 1, P - 1, P >> 1, (P >> 1) + 1, (1 << 26) - 1, (1 << 26) + 1, P - (1 << 26)]
+
+
+@pytest.mark.parametrize("c", SCALARS)
+@pytest.mark.parametrize("size", [8192, 3 * ma.BLOCK + 7])
+def test_scalar_mulmod_equals_the_vector_path(c, size, rng):
+    """An int second factor (one product where the centered c keeps c p
+    below 2^64, the split product otherwise) equals the same factor in
+    every slot, and Python's."""
+    a = _inputs(P, size, rng)
+    got = ma.mulmod(a, c, P)
+    assert np.array_equal(got, ma.mulmod(a, np.full(size, c, dtype=np.uint64), P))
+    assert np.array_equal(got, ma.mulmod(a, np.uint64(c), P))
+    assert got[:5].tolist() == [int(v) * c % P for v in a[:5]]
+    assert got.tolist() == [int(v) * c % P for v in a]
+
+
+@pytest.mark.parametrize("size", WALKED_SIZES)
+def test_walked_lifts_match_python(size, rng):
+    v = _inputs(P, size, rng)
+    lifted = _lift_ref(v, P)
+    assert ma.signed_lift(v, P).tolist() == lifted
+    assert ma.round_shift(v, P, 12).tolist() == [(x + 2048) >> 12 for x in lifted]
+    value = rng.integers(0, (1 << 26) + 1, size=size, dtype=np.uint64)
+    mask = rng.integers(0, P - (1 << 26), size=size, dtype=np.uint64)
+    masked = np.array([(int(x) - int(r)) % P for x, r in zip(value, mask)], dtype=np.uint64)
+    assert ma.lift_shift(masked, P, 26, 12).tolist() == [(int(x) - int(r)) >> 12
+                                                         for x, r in zip(value, mask)]
+
+
+@pytest.mark.parametrize("mod", [P, RING])
+@pytest.mark.parametrize("size", [8192, 3 * ma.BLOCK + 7])
+def test_addmod_and_submod_match_python(mod, size, rng):
+    """Representatives below the modulus plus or minus an array of them, or
+    any int (reduced first), by the conditional subtraction."""
+    a = _inputs(mod, size, rng)
+    b = rng.permutation(a)
+    assert ma.addmod(a, b, mod).tolist() == [(int(x) + int(y)) % mod for x, y in zip(a, b)]
+    assert ma.submod(a, b, mod).tolist() == [(int(x) - int(y)) % mod for x, y in zip(a, b)]
+    for c in (0, 1, mod - 1, mod >> 1, mod, 3 * mod + 5, -7, np.uint64(mod - 2)):
+        assert ma.addmod(a, c, mod).tolist() == [(int(x) + int(c)) % mod for x in a]
+        assert ma.submod(a, c, mod).tolist() == [(int(x) - int(c)) % mod for x in a]

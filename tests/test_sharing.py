@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privblock.channel import PROFILES, PeerClosed, TcpSession, make_pair
-from privblock.params import FixedPointConfig, GadgetCostTable
+from privblock import fixedpoint as fp
+from privblock.channel import PROFILES, CapacityExceeded, PeerClosed, TcpSession, make_pair
+from privblock.params import FixedPointConfig, GadgetCostTable, toy_he_params
+from privblock.protocols import make_party, pi_gelu
+from privblock.protocols.common import GADGET_FAN_IN, MAX_BLOCKS, max_frame
 from privblock.sharing import (BOOL, FIELD, RING, DomainError, DomainMismatch,
                                GadgetProvider, GadgetUnavailable, RangeError,
                                Share, not_share, reconstruct, share, xor_shares)
@@ -394,3 +397,125 @@ def test_ring_to_field_strict_trunc_toy_ring(toy_cfg, pair_runner, shift):
     assert mod == 661 and got == want
     assert charges == (["gadget:trunc"] if shift else []) + ["gadget:convert"]
 
+
+
+def _run_both(sessions, call):
+    """Run ``call(session, me)`` for parties 0 (A) and 1 (B) on two threads;
+    their results and errors by party."""
+    out, errors = {}, {}
+
+    def run(me):
+        try:
+            out[me] = call(sessions[me], me)
+        except Exception as e:
+            errors[me] = e
+            sessions[me].close()
+
+    threads = [threading.Thread(target=run, args=(me,), daemon=True) for me in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return out, errors
+
+
+_RNG = np.random.default_rng(40)
+_RING_X = _RNG.integers(-(1 << 20), 1 << 20, size=3000) % (1 << 37)
+GADGET_CALLS = {  # name -> (call, input secret, its domain)
+    "convert": (lambda g, x: g.convert(x, FIELD), _RING_X, RING),
+    "convert_shift": (lambda g, x: g.convert(x, RING, 7), _RING_X % CFG.p, FIELD),
+    "lt": (lambda g, x: g.lt(x, [-70_000, -1, 0, 5, 123_456]), _RING_X, RING),
+    "b2a": (lambda g, x: g.b2a(x, FIELD), _RNG.integers(0, 2, size=3000), BOOL),
+    "rexp": (lambda g, x: g.rexp(x), -_RNG.integers(0, 1 << 16, size=3000) % (1 << 37), RING),
+    "invsqrt": (lambda g, x: g.invsqrt(x, S, S), _RNG.integers(1, 1 << 20, size=3000), FIELD),
+    "row_max": (lambda g, x: g.row_max(x, 12), _RING_X, RING),
+}
+
+
+@pytest.mark.parametrize("gadget", GADGET_CALLS)
+def test_gadgets_over_tcp_equal_the_pair_bit_for_bit(gadget):
+    """Every gadget runs over a TCP socketpair as over the in-process pair:
+    with one dealer seed, both parties' output shares are the same words on
+    both transports, and they reconstruct to a value of the right size."""
+    call, secret, domain = GADGET_CALLS[gadget]
+    shares = _mk_shares(np.asarray(secret, dtype=np.uint64), domain, seed=41)
+    got = {}
+    for transport in ("pair", "tcp"):
+        sessions = make_pair(PROFILES["lan"]) if transport == "pair" else _tcp_pair()
+        try:
+            out, errors = _run_both(sessions, lambda sess, me: call(
+                GadgetProvider(sess, CFG, GadgetCostTable(), dealer_seed=42), shares[me]))
+        finally:
+            for session in sessions:
+                session.close()
+        assert errors == {}
+        got[transport] = out
+    for me in (0, 1):
+        assert got["pair"][me].payload.tobytes() == got["tcp"][me].payload.tobytes()
+        assert got["tcp"][me].party == "AB"[me]
+    want = len(secret) // 12 if gadget == "row_max" else len(secret) * (5 if gadget == "lt" else 1)
+    assert len(reconstruct(got["tcp"][0], got["tcp"][1])) == want
+
+
+def test_toy_gelu_over_tcp_equals_the_pair(toy_cfg, pair_runner):
+    """The toy gelu over a TCP socketpair: the same output shares and the
+    same cost report as over the pair."""
+    x = np.random.default_rng(43).uniform(-6, 6, size=(4, 24))
+    xs = _mk_shares(fp.encode_int(x, CFG, FIELD, S).ravel(), FIELD, seed=44)
+
+    def party(me):
+        return lambda ctx: pi_gelu(ctx, xs[me], (4, 24))
+
+    ra, rb, rep_a, rep_b = pair_runner(toy_cfg, party(0), party(1), want_reports=True)
+    sessions = _tcp_pair()
+    try:
+        out, errors = _run_both(sessions, lambda sess, me: (
+            party(me)(make_party("AB"[me], sess, toy_cfg, 0)), sess.report()))
+    finally:
+        for session in sessions:
+            session.close()
+    assert errors == {}
+    for (tcp_out, tcp_rep), pair_out, pair_rep in zip((out[0], out[1]), (ra, rb),
+                                                      (rep_a, rep_b)):
+        assert tcp_out.share.payload.tobytes() == pair_out.share.payload.tobytes()
+        assert tcp_rep.to_dict() == pair_rep.to_dict()
+
+
+N256_CAP = max_frame(toy_he_params(n=256))
+WIDEST = GADGET_FAN_IN * MAX_BLOCKS * 256  # values of the widest gadget call
+
+
+@pytest.mark.parametrize("call,width", [
+    (lambda g, x: g.lt(x, [1, 2, 3, 4]), WIDEST // 4 + 1),
+    (lambda g, x: g.lt(x, list(range(GADGET_FAN_IN + 1))), MAX_BLOCKS * 256),
+    (lambda g, x: g.convert(x, FIELD), WIDEST + 1),
+], ids=["lt4", "lt9", "convert"])
+def test_gadget_wider_than_max_frame_fails_both_parties_unsent(call, width):
+    """A gadget call of more than GADGET_FAN_IN vectors of MAX_BLOCKS blocks
+    (at N=256) raises CapacityExceeded on either party before anything is
+    charged or sent; the peer, closed first, would fail it otherwise."""
+    for me in (0, 1):
+        pair = make_pair(PROFILES["lan"])
+        session, peer = pair[me], pair[1 - me]
+        session.max_frame = N256_CAP
+        peer.close()
+        x = _mk_shares(np.zeros(width, dtype=np.uint64), RING)[me]
+        with pytest.raises(CapacityExceeded):
+            call(GadgetProvider(session, CFG, GadgetCostTable()), x)
+        assert session.ledger.entries == []
+        session.close()
+        with pytest.raises(PeerClosed):
+            peer.recv("_gadget", metered=False)
+
+
+def test_widest_gadget_call_runs(toy_cfg, pair_runner):
+    """A comparison of GADGET_FAN_IN vectors of MAX_BLOCKS blocks fits."""
+    x = np.arange(MAX_BLOCKS * 256, dtype=np.uint64)
+    sa, sb = _mk_shares(x, RING)
+    consts = list(range(0, 8 * GADGET_FAN_IN, 8))
+    ra, rb = pair_runner(toy_cfg, lambda ctx: ctx.provider.lt(sa, consts),
+                         lambda ctx: ctx.provider.lt(sb, consts))
+    assert ra.payload.size == WIDEST
+    assert np.array_equal(reconstruct(ra, rb),
+                          np.concatenate([(x < c).astype(np.uint64) for c in consts]))
