@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import erf
 
 SQRT2 = math.sqrt(2.0)
@@ -71,7 +72,7 @@ class PiecewisePoly:
         out = np.full(x.shape, self.left[1], dtype=np.float64)
         for i, coeffs in enumerate(self.segments, 1):
             m = piece == i
-            out[m] = _horner(coeffs, x[m])
+            out[m] = polyval(x[m], coeffs)
         m = piece == len(self.boundaries)
         kind, value = self.right
         out[m] = value if kind == "const" else x[m] + value
@@ -98,13 +99,6 @@ class PiecewisePoly:
         if missing := [k for k in keys if k not in d]:
             raise ValueError(f"table lacks key(s) {', '.join(missing)}")
         return cls(*(d[k] for k in keys))
-
-
-def _horner(coeffs, x):
-    r = np.zeros_like(x)
-    for c in reversed(coeffs):
-        r = r * x + c
-    return r
 
 
 def dump_table(pp: PiecewisePoly) -> str:

@@ -24,7 +24,7 @@ from .channel import (PROFILES, HandshakeMismatch, IoError, NetworkProfile,
 from .hecore import MalformedBytes, NoiseExhausted
 from .modarith import matmod
 from .model import (BlockWeights, dump_weights, infer_block, load_weights,
-                    oracle_block, toy_block_config)
+                    oracle_block, oracle_layernorm, oracle_softmax, toy_block_config)
 from .params import Config, ParamError
 from .protocols import (DegenerateRow, LnParams, ShapeMismatch, make_party,
                         pi_gelu, pi_ln, pi_matmul, pi_matmul_shared,
@@ -142,14 +142,9 @@ def _verify(protocol, shape, inputs, out_a, out_b, cfg, block=None):
         exact = np.array_equal(rec.reshape(out_a.shape), matmod(a, b, fpc.p))
         return 0.0 if exact else float("inf")
     if protocol == "softmax":
-        x = inputs["plain"]
-        ref = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
-        return float(np.abs(val - ref).max())
+        return float(np.abs(val - oracle_softmax(inputs["plain"])).max())
     if protocol == "ln":
-        x, gamma, beta = inputs["plain"]
-        mu = x.mean(axis=1, keepdims=True)
-        sd = x.std(axis=1, keepdims=True)
-        return float(np.abs(val - (gamma * (x - mu) / sd + beta)).max())
+        return float(np.abs(val - oracle_layernorm(*inputs["plain"])).max())
     if protocol == "gelu":
         xe = np.round(inputs["plain"] * (1 << fpc.s)).astype(np.int64)
         ref = approx.eval_on_grid(approx.GELU_TABLE, xe, fpc.s)
@@ -175,15 +170,16 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
         dims = args.shape or ("8x8x8" if want == 3 else "8x8")
         shape = _parse_shape(dims, want)
         inputs = _gen_inputs(protocol, shape, cfg, seed)
+
+    def party(role):
+        def run(sess):
+            ctx = make_party(role, sess, cfg, seed)
+            return _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg), sess
+        return run
+
     t0 = time.perf_counter()
     if args.local:
-        def fa(sess):
-            ctx = make_party("A", sess, cfg, seed)
-            return _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg), sess
-        def fb(sess):
-            ctx = make_party("B", sess, cfg, seed)
-            return _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg), sess
-        (out_a, sess_a), (out_b, _) = run_pair(fa, fb, profile)
+        (out_a, sess_a), (out_b, _) = run_pair(party("A"), party("B"), profile)
         wall = time.perf_counter() - t0
         err = _verify(protocol, shape, inputs, out_a, out_b, cfg,
                       (block_cfg, weights) if protocol == "block" else None)
@@ -192,8 +188,7 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
     host, port = args.endpoint.split(":")
     sess = connect(role, (host, int(port)), profile, cfg.fingerprint())
     try:
-        ctx = make_party(role, sess, cfg, seed)
-        _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg)
+        party(role)(sess)
         wall = time.perf_counter() - t0
         return sess.report(), float("nan"), wall, dims
     finally:

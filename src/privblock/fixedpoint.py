@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modarith import signed_lift
+from .modarith import mod, signed_lift, submod
 from .params import FixedPointConfig
-from .sharing import RING, FIELD, Share, DomainMismatch
+from .sharing import BOOL, FIELD, RING, DomainMismatch, Share, _mod_of
 
 
 def _modulus(cfg: FixedPointConfig, domain: str) -> int:
-    if domain == RING:
-        return cfg.ring_mod
-    if domain == FIELD:
-        return cfg.p
-    raise DomainMismatch(f"bad domain {domain!r}")
+    if domain == BOOL:
+        raise DomainMismatch(f"no fixed-point encoding in domain {domain!r}")
+    return _mod_of(domain, cfg)
 
 
 def encode_int(x, cfg: FixedPointConfig, domain: str, scale: int):
@@ -50,7 +48,7 @@ def convert_share(sh: Share, to_domain: str, cfg: FixedPointConfig) -> Share:
     """
     if (sh.domain, to_domain) != (RING, FIELD):
         raise DomainMismatch(f"cannot convert {sh.domain} -> {to_domain} locally")
-    payload = sh.payload % cfg.p
+    payload = mod(sh.payload, cfg.p)
     if sh.party == "B":
-        payload = (payload + (cfg.p - cfg.ring_mod % cfg.p)) % cfg.p
+        payload = submod(payload, cfg.ring_mod, cfg.p)
     return Share(FIELD, sh.party, payload, cfg.p)

@@ -23,11 +23,11 @@ called, and rejects a frame that does not hold exactly the ciphertexts of
 the sizes and forms it expects before reading any of its payload.  Every
 other frame is capped at ``max_frame`` of the parameters.
 
-Every protocol is a chain of two conversions, each a method pair of
+Every protocol checks its input shares with ``PartyCtx.expect`` before any
+frame moves, and is a chain of two conversions, each a method pair of
 ``PartyCtx``: ``send_masked``/``recv_decrypted`` turn a vector encrypted
 under the peer's key into additive shares (this party keeps the masks, the
-key holder decrypts the rest; every vector sent back this way leaves
-through the backend's ``reply``), and ``send_encrypted``/``recv_added``
+key holder decrypts the rest), and ``send_encrypted``/``recv_added``
 turn shares back into a vector under the sender's key.  A product of two
 shared values x*y needs no ciphertext*ciphertext product: a party
 multiplies the peer's fresh encryptions of its shares (``recv_cts``, not
@@ -36,11 +36,15 @@ x_own*y_own in the clear; the key holder adds its own once it decrypts.
 Layernorm and softmax form every product this way, and gelu its square,
 cubes and quartics; gelu's selector-weighted sum (``CtVec.mul_ct_sum``) is
 the one ciphertext*ciphertext product of any protocol.
-``PartyCtx.mask`` draws every additive mask.
+``PartyCtx.mask`` draws every additive mask.  Every ciphertext a party
+returns to its key holder leaves through the backend's ``reply``:
+``send_masked``'s, ln's masked ratio and softmax's multiplicatively masked
+denominator, a reply of no additive mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -203,6 +207,20 @@ class PartyCtx:
     def field_share(self, payload) -> Share:
         return Share(FIELD, self.role, payload, self.fp.p)
 
+    @staticmethod
+    def expect(share: Share, domain: str, shape: tuple, what: str):
+        """A protocol's entry check, the same on both parties before any
+        frame moves: ``ShapeMismatch`` for a share of a domain other than
+        ``domain``, a dimension of ``shape`` below 1, or a share length
+        other than the product of ``shape``."""
+        if share.domain != domain:
+            raise ShapeMismatch(f"{what} expects {domain} shares, got {share.domain}")
+        if min(shape) < 1:
+            raise ShapeMismatch(f"{what}: shape {tuple(shape)} has a dimension below 1")
+        if len(share) != math.prod(shape):
+            raise ShapeMismatch(f"{what}: a share of {len(share)} values for shape "
+                                f"{tuple(shape)}")
+
     # -- encrypted vectors --------------------------------------------------
     def n_blocks(self, n_values: int) -> int:
         blocks = ceil_div(n_values, self.he_params.n)
@@ -247,14 +265,13 @@ class PartyCtx:
                 out.append([width])
         return out
 
-    def _cts_of(self, label: str, vecs, sizes, layout=None):
+    def _cts_of(self, label: str, vecs, sizes, layout):
         """Yield the ciphertexts of the encrypted vectors ``vecs``, checking
         each vector as it is taken: ``ShapeMismatch`` for a vector of other
-        than its size in ``sizes``, a ciphertext (given its ``layout``)
-        seeded other than it says or of other limbs, or a count of vectors
-        other than ``len(sizes)``."""
-        vecs = iter(vecs)
-        layout = None if layout is None else iter(layout)
+        than its size in ``sizes``, a ciphertext whose seed or limbs differ
+        from its (seeded, limbs) in ``layout``, or a count of vectors other
+        than ``len(sizes)``."""
+        vecs, layout = iter(vecs), iter(layout)
         for size in sizes:
             vec = next(vecs, None)
             if vec is None:
@@ -263,8 +280,8 @@ class PartyCtx:
                 raise ShapeMismatch(f"{label}: an encrypted vector of {vec.size} "
                                     f"values, expected {size}")
             for ct in vec.cts:
-                seeded, limbs = (None, ct.limbs) if layout is None else next(layout)
-                if seeded is not None and (ct.seed is not None) != seeded:
+                seeded, limbs = next(layout)
+                if (ct.seed is not None) != seeded:
                     raise ShapeMismatch(f"{label}: {'a ' if ct.seed else 'an un'}seeded "
                                         f"ciphertext in a {'non-' if ct.seed else ''}"
                                         f"fresh vector")
@@ -342,20 +359,22 @@ class PartyCtx:
     # -- HE <-> share conversions -------------------------------------------
     def send_masked(self, label: str, vecs, *sizes: int, bits: int | None = None,
                     form: str = REPLY) -> list:
-        """Reply to the peer with each vector of the iterable ``vecs``
-        (under the peer's key, of ``sizes`` values) less a fresh
-        ``mask(bits=bits)``, in wire form ``form``, as it is sent in one
-        frame; return the masks: this party's shares."""
-        if isinstance(vecs, (list, tuple)):
-            list(self._cts_of(label, vecs, sizes))  # checked whole before a byte is sent
+        """Reply to the peer with each vector of ``vecs`` (under the peer's
+        key, of ``sizes`` values) less a fresh ``mask(bits=bits)``, in wire
+        form ``form``, in one ``send_cts`` frame: the replies of a list or
+        tuple are formed and checked whole before a byte is sent, those of
+        any other iterable as each is sent.  Return the masks: this party's
+        shares."""
         masks = []
 
-        def masked():
-            for vec in vecs:
-                masks.append(self.mask(vec.size, bits))
-                yield vec.reply(masks[-1], form)
+        def reply(vec):
+            masks.append(self.mask(vec.size, bits))
+            return vec.reply(masks[-1], form)
 
-        self.send_cts(label, masked(), *sizes, forms=[form] * len(sizes))
+        replies = map(reply, vecs)
+        if isinstance(vecs, (list, tuple)):
+            replies = list(replies)
+        self.send_cts(label, replies, *sizes, forms=[form] * len(sizes))
         return masks
 
     def recv_decrypted(self, label: str, *sizes: int, form: str = REPLY) -> list:

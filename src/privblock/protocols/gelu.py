@@ -74,11 +74,8 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
     """Piecewise activation on field shares of m*w values at scale s: A
     encrypts its share under its own key, and B adds its own share to form
     the SIMD batch [[X]]_A it evaluates."""
+    ctx.expect(x_share, FIELD, shape, "gelu")
     m, w = shape
-    if x_share.domain != FIELD:
-        raise ShapeMismatch("gelu expects field shares at scale s")
-    if x_share.payload.size != m * w:
-        raise ShapeMismatch("share length does not match shape")
     s = ctx.fp.s
     sy = 2 * s + COEFF_BITS
     with ctx.session.phase(label):

@@ -55,11 +55,8 @@ def centered_scale(fp, n: int) -> tuple:
 def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
           label: str = "ln") -> ProtocolOutputShares:
     """Row-wise layernorm on ring shares at scale s; gamma/beta live at B."""
+    ctx.expect(x_share, RING, shape, "layernorm")
     m, n = shape
-    if x_share.domain != RING:
-        raise ShapeMismatch("layernorm expects ring shares")
-    if x_share.payload.size != m * n:
-        raise ShapeMismatch("share length does not match shape")
     if ctx.role == "B":
         if params is None:
             raise ShapeMismatch("party B must supply gamma/beta")

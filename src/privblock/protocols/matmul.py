@@ -218,8 +218,8 @@ def pi_matmul_shared(ctx: PartyCtx, q_share: Share, k_share: Share,
     *heads_k, h, n2 = k_shape
     if n2 != n or heads_k != heads:
         raise ShapeMismatch(f"shapes {q_shape} and {k_shape} do not pair as q k^T")
-    if q_share.domain != FIELD or k_share.domain != FIELD:
-        raise ShapeMismatch("shared matmul expects field shares")
+    ctx.expect(q_share, FIELD, q_shape, "shared matmul's q")
+    ctx.expect(k_share, FIELD, k_shape, "shared matmul's k")
     p = ctx.fp.p
     q_mat = q_share.payload.reshape(q_shape)
     k_mat = k_share.payload.reshape(k_shape)

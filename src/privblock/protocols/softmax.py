@@ -6,9 +6,9 @@ v times each row sum under A's key, which A decrypts as an exact fixed-point
 integer, and the reciprocal re-enters at guard-extended scale as the
 plaintext of cross terms (see ``common``) against B's fresh encryptions of v
 and of e_B*v.  Both returned ciphertexts, the masked denominator and the
-masked result, go back whole, not switched down: at 128x128 a switched one
-would take softmax below half its published bytes.  Output shares are
-field-domain at scale 2s + SOFTMAX_GUARD_BITS.
+masked result, leave through ``reply`` whole, not switched down: at 128x128
+a switched one would take softmax below half its published bytes.  Output
+shares are field-domain at scale 2s + SOFTMAX_GUARD_BITS.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ..modarith import mod, mulmod, submod
 from ..sharing import RING, Share
-from .common import FRESH, WHOLE, PartyCtx, ProtocolOutputShares, ShapeMismatch
+from .common import FRESH, WHOLE, PartyCtx, ProtocolOutputShares
 
 SOFTMAX_GUARD_BITS = 11
 
@@ -35,11 +35,8 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
                normalize: str = "none", label: str = "softmax") -> ProtocolOutputShares:
     """Row-wise softmax on ring shares at scale s (entries must be <= 0
     unless ``normalize='max'`` subtracts the row maximum first)."""
+    ctx.expect(x_share, RING, shape, "softmax")
     m, d = shape
-    if x_share.domain != RING:
-        raise ShapeMismatch("softmax expects ring shares")
-    if x_share.payload.size != m * d:
-        raise ShapeMismatch("share length does not match shape")
     s, p = ctx.fp.s, ctx.fp.p
     g = SOFTMAX_GUARD_BITS
     out_scale = 2 * s + g
@@ -58,7 +55,7 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
             lo, hi = mask_band(ctx, d)
             v = ctx.rng.integers(lo, hi + 1, size=m, dtype=np.uint64)
             v_rep = np.repeat(v, d)
-            ctx.send_cts("denominator", [ct_sum.mul_pt(v),
+            ctx.send_cts("denominator", [ct_sum.mul_pt(v).reply(0, WHOLE),
                                          ctx.encrypt(v_rep), ctx.encrypt(mulmod(e, v_rep, p))],
                          m, n_vals, n_vals, forms=(WHOLE, FRESH, FRESH))
             [share] = ctx.recv_decrypted("result", n_vals, form=WHOLE)

@@ -155,6 +155,13 @@ def test_config_error_exit_code():
     assert code == 2
 
 
+def test_zero_rows_are_a_protocol_error():
+    """A zero-row softmax fails the entry check on both parties before any
+    frame: a protocol error (exit 3), as a zero matmul dimension is."""
+    for protocol, shape in (("softmax", "0x8"), ("matmul", "0x8x8")):
+        assert main(["party", "--protocol", protocol, "--shape", shape, "--local"]) == 3
+
+
 def test_network_overrides_replace_only_given_fields(toy_cfg_file):
     def profile(*flags):
         return _profile(build_parser().parse_args(

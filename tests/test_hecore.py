@@ -10,8 +10,8 @@ from privblock import hecore
 from privblock.hecore import (FRESH, HEADER_BYTES, SEED_BYTES, KeyMismatch, MalformedBytes,
                               MissingRelinKey, NoiseExhausted, create_backend, ct_bytes,
                               noise, pack_slots, parse_header)
-from privblock.hecore.clear import ClearPublicKey
-from privblock.hecore.rlwe import RlwePublicKey
+from privblock.hecore.clear import ClearBackend, ClearPublicKey
+from privblock.hecore.rlwe import RlweBackend, RlwePublicKey
 from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
@@ -780,22 +780,34 @@ def test_reply_is_switched_down_and_only_decrypted(backend):
 
 def test_toy_block_replies_leave_switched_down(toy_cfg, rlwe_toy_cfg, pair_runner,
                                                monkeypatch):
-    """A walk of the toy block's transcript on both backends: every frame
-    that carries a ciphertext computed under its receiver's key carries it
-    at reply width, except softmax's ``denominator`` and ``result``, which
-    stay whole; the metered bytes of each such frame are its ciphertexts'."""
+    """A walk of the toy block's transcript on both backends: every
+    ciphertext a party sends under its receiver's key came out of the
+    backend's ``reply``, and it goes at reply width, except softmax's
+    ``denominator`` and ``result``, which stay whole; the metered bytes of
+    each such frame are its ciphertexts'."""
     frames = []
     send_cts = PartyCtx.send_cts
+    replies = {}  # id -> every ciphertext ``reply`` returned, kept alive
 
     def recording(ctx, label, vecs, *sizes, **kwargs):
         vecs = list(vecs)
         theirs = [ct for vec in vecs for ct in vec.cts if ct.owner != ctx.role]
+        assert all(replies.get(id(ct)) is ct for ct in theirs), label
         frames.append((ctx.session._qualify(label), ctx.role,
                        [ct.limbs for ct in theirs],
                        sum(len(ctx.backend.serialize(ct)) for vec in vecs for ct in vec.cts)))
         return send_cts(ctx, label, vecs, *sizes, **kwargs)
 
+    def kept(reply):
+        def run(self, *args):
+            out = reply(self, *args)
+            replies[id(out)] = out
+            return out
+        return run
+
     monkeypatch.setattr(PartyCtx, "send_cts", recording)
+    for backend in (ClearBackend, RlweBackend):
+        monkeypatch.setattr(backend, "reply", kept(backend.reply))
     bc = toy_block_config()
     rng = np.random.default_rng(43)
     weights = BlockWeights.random(bc, rng)
