@@ -1,9 +1,9 @@
 """SIMD lattice HE core.
 
 Exactly the operation surface the protocols need: KeyGen, Encrypt, Decrypt,
-ciphertext+plaintext add/sub, ciphertext*plaintext multiply,
-ciphertext*ciphertext multiply (also a sum of such products, relinearized
-once), Square, and Reply (a masked ciphertext switched down for its key
+ciphertext+plaintext add/sub, ciphertext*plaintext multiply, a sum of
+ciphertext*ciphertext products (relinearized once; a pair (x, x) is a
+square), and Reply (a masked ciphertext switched down for its key
 holder).  A plaintext operand is a slot vector, or an int c: the
 constant polynomial c, which holds c in every slot.  There is deliberately
 no rotation anywhere in this API.

@@ -22,25 +22,18 @@ BACKEND_ID = 0
 
 
 class ClearPublicKey:
-    def __init__(self, owner: str):
+    def __init__(self, owner: str, has_relin: bool = True):
         self.owner = owner
-        self.has_relin = True
+        self.has_relin = has_relin
 
     def to_bytes(self) -> bytes:
         return b"CLRK" + self.owner.encode()
 
-    @classmethod
-    def from_bytes(cls, data: bytes):
-        """Parse a key blob: the magic and an owner of A or B, nothing more."""
-        if len(data) != 5 or data[:4] != b"CLRK" or data[4:] not in (b"A", b"B"):
-            raise MalformedBytes("bad clear public key blob")
-        return cls(bytes(data[4:]).decode())
-
 
 class ClearKeyPair:
-    def __init__(self, owner: str):
+    def __init__(self, owner: str, with_relin: bool = True):
         self.owner = owner
-        self.public = ClearPublicKey(owner)
+        self.public = ClearPublicKey(owner, with_relin)
 
 
 class ClearCiphertext:
@@ -64,12 +57,16 @@ class ClearBackend:
         _, self.max_fan_in = aux_basis(params)  # the rlwe backend's cap
 
     # -- keys ---------------------------------------------------------------
-    def keygen(self, owner: str) -> ClearKeyPair:
-        return ClearKeyPair(owner)
+    def keygen(self, owner: str, with_relin: bool = True) -> ClearKeyPair:
+        return ClearKeyPair(owner, with_relin)
 
     def parse_public_key(self, data: bytes) -> ClearPublicKey:
-        """The peer's public key from its blob (``MalformedBytes`` if bad)."""
-        return ClearPublicKey.from_bytes(data)
+        """The peer's key from its blob: the magic and an owner of A or B,
+        nothing more (``MalformedBytes`` otherwise).  The blob has no
+        relinearization flag, so the parsed key admits products."""
+        if len(data) != 5 or data[:4] != b"CLRK" or data[4:] not in (b"A", b"B"):
+            raise MalformedBytes("bad clear public key blob")
+        return ClearPublicKey(bytes(data[4:]).decode())
 
     # -- core ops -------------------------------------------------------------
     def encrypt(self, slots, key) -> ClearCiphertext:
@@ -124,13 +121,6 @@ class ClearBackend:
         p = self.params.p
         out = mod(sum(mulmod(x.slots, y.slots, p) for x, y in pairs), p)
         return ClearCiphertext(out, pairs[0][0].owner, nb, self.L)
-
-    def mul_ct(self, x: ClearCiphertext, y: ClearCiphertext,
-               public: ClearPublicKey) -> ClearCiphertext:
-        return self.mul_ct_sum([(x, y)], public)
-
-    def square(self, x: ClearCiphertext, public: ClearPublicKey) -> ClearCiphertext:
-        return self.mul_ct(x, x, public)
 
     def reply(self, x: ClearCiphertext, mask, whole: bool = False) -> ClearCiphertext:
         """x - mask for x's key holder to decrypt, at ``reply_limbs`` (at

@@ -13,10 +13,11 @@ limb residues of the phase v = c0 + c1 s.  Plaintext slots are the CRT
 components of Z_p[X]/(X^N+1), reached through a mod-p negacyclic
 transform; there is no slot permutation anywhere.
 
-A secret-key encryption draws its uniform ``a`` from a fresh 32-byte seed
-out of the backend RNG and keeps that seed, so it serializes at half size
-(see ``hecore``): limb i of ``a`` is read in NTT form from
-shake_128(seed || i), by rejection sampling of ``<u4`` words.
+A secret-key encryption, a ciphertext or a row of the relinearization key,
+draws its uniform ``a`` from a fresh 32-byte seed out of the backend RNG
+and keeps that seed, so it serializes at half size (see ``hecore``): limb
+i of ``a`` is read in NTT form from shake_128(seed || i), by rejection
+sampling of ``<u4`` words.
 
 A reply keeps the first l limbs: with D the product of the dropped ones,
 each component c becomes (c - [c]_D) / D mod Q_l, [c]_D the centered
@@ -113,34 +114,21 @@ class _ScaleRound:
 
 
 class RlwePublicKey:
-    def __init__(self, owner: str, pk: np.ndarray, rlk: np.ndarray | None):
+    def __init__(self, owner: str, pk: np.ndarray | None, rlk: np.ndarray | None, seeds):
         self.owner = owner
-        self.pk = pk          # (2, L, N) NTT domain
+        self.pk = pk          # (2, L, N) NTT domain; never leaves its owner
         self.rlk = rlk        # (L, 2, L, N) NTT domain
+        self.seeds = seeds    # the L seeds rlk[:, 1] expands from
         self.has_relin = rlk is not None
 
     def to_bytes(self) -> bytes:
-        head = b"RLPK" + self.owner.encode() + (b"\x01" if self.has_relin else b"\x00")
-        body = self.pk.astype("<u8").tobytes()
-        if self.has_relin:
-            body += self.rlk.astype("<u8").tobytes()
-        return head + body
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: HeParams):
-        """Parse a key blob; anything but a whole key of these parameters,
-        owned by A or B, raises ``MalformedBytes``."""
-        if len(data) < 6 or data[:4] != b"RLPK":
-            raise MalformedBytes("bad public key blob")
-        if data[4:5] not in (b"A", b"B") or data[5] not in (0, 1):
-            raise MalformedBytes("bad public key owner or relinearization flag")
-        L, N = params.limbs, params.n
-        if len(data) != 6 + 8 * 2 * L * N * (1 + L * data[5]):
-            raise MalformedBytes("truncated or padded public key blob")
-        body = np.frombuffer(data, dtype="<u8", offset=6)
-        pk = body[:2 * L * N].reshape(2, L, N).copy()
-        rlk = body[2 * L * N:].reshape(L, 2, L, N).copy() if data[5] else None
-        return cls(bytes(data[4:5]).decode(), pk, rlk)
+        """The blob a party sends at set-up: ``RLPK``, the owner, a flag, and
+        with the relinearization key each row's seed, then every row's c0
+        limbs as ``<u4``."""
+        head = b"RLPK" + self.owner.encode() + bytes([self.has_relin])
+        if not self.has_relin:
+            return head
+        return head + b"".join(self.seeds) + self.rlk[:, 0].astype("<u4").tobytes()
 
 
 class RlweKeyPair:
@@ -257,19 +245,33 @@ class RlweBackend:
     def keygen(self, owner: str, with_relin: bool = True) -> RlweKeyPair:
         s_ntt = self._to_ntt(self._ternary())
         pk, _ = self._sk_encrypt(s_ntt)
-        rlk = None
+        rlk = seeds = None
         if with_relin:
             # row i encrypts s^2 in limb i: (e_i - a_i s + [j == i] s^2, a_i)
-            rlk = np.stack([self._sk_encrypt(s_ntt)[0] for _ in range(self.L)])
-            diag = np.arange(self.L)
+            rows, seeds = zip(*(self._sk_encrypt(s_ntt) for _ in range(self.L)))
+            rlk, diag = np.stack(rows), np.arange(self.L)
             rlk[diag, 0, diag] = mod(rlk[diag, 0, diag] + mulmod(s_ntt, s_ntt, self.q_col),
                                      self.q_col)
-        public = RlwePublicKey(owner, pk, rlk)
-        return RlweKeyPair(owner, s_ntt, public)
+        return RlweKeyPair(owner, s_ntt, RlwePublicKey(owner, pk, rlk, seeds))
 
     def parse_public_key(self, data: bytes) -> RlwePublicKey:
-        """The peer's public key from its blob (``MalformedBytes`` if bad)."""
-        return RlwePublicKey.from_bytes(data, self.params)
+        """The peer's key from its blob (``RlwePublicKey.to_bytes``), each
+        row's ``a`` re-expanded from its seed; anything but a whole blob of
+        these parameters, owned by A or B, with a flag of 0 or 1, raises
+        ``MalformedBytes``."""
+        if len(data) < 6 or data[:4] != b"RLPK":
+            raise MalformedBytes("bad public key blob")
+        if data[4:5] not in (b"A", b"B") or data[5] not in (0, 1):
+            raise MalformedBytes("bad public key owner or relinearization flag")
+        L, N = self.L, self.n
+        if len(data) != 6 + data[5] * L * (SEED_BYTES + 4 * L * N):
+            raise MalformedBytes("truncated or padded public key blob")
+        rlk = seeds = None
+        if data[5]:
+            seeds = [bytes(data[6 + i * SEED_BYTES:6 + (i + 1) * SEED_BYTES]) for i in range(L)]
+            c0 = np.frombuffer(data, "<u4", offset=6 + L * SEED_BYTES).reshape(L, L, N)
+            rlk = np.stack([c0, np.stack([self._expand_a(seed) for seed in seeds])], axis=1)
+        return RlwePublicKey(bytes(data[4:5]).decode(), None, rlk, seeds)
 
     # -- plaintext codec ---------------------------------------------------------
     def _slots_to_coeffs(self, slots) -> np.ndarray:
@@ -392,13 +394,6 @@ class RlweBackend:
         d = self.p_to_q(mod(r, self.p_col))
         data = _transform(d[:2], self.plans) + self._relin(d[2], public)
         return RlweCiphertext(mod(data, self.q_col), pairs[0][0].owner, nb)
-
-    def mul_ct(self, x: RlweCiphertext, y: RlweCiphertext,
-               public: RlwePublicKey) -> RlweCiphertext:
-        return self.mul_ct_sum([(x, y)], public)
-
-    def square(self, x: RlweCiphertext, public: RlwePublicKey) -> RlweCiphertext:
-        return self.mul_ct(x, x, public)
 
     # -- replies -------------------------------------------------------------------
     def reply(self, x: RlweCiphertext, mask, whole: bool = False) -> RlweCiphertext:

@@ -75,9 +75,7 @@ def ceil_div(a: int, b: int) -> int:
 def max_frame(he: HeParams) -> int:
     """The longest frame other than a ciphertext frame that a party sends
     under ``he``: a gadget frame, a tag byte and one word per value of
-    ``GADGET_FAN_IN`` vectors of ``MAX_BLOCKS`` blocks.  It also bounds an
-    rlwe public key with its relinearization key, 6 + 16 L (L + 1) N
-    bytes, below 4096 N for the at most 15 limbs ``HeParams`` allows."""
+    ``GADGET_FAN_IN`` vectors of ``MAX_BLOCKS`` blocks."""
     return 1 + 8 * GADGET_FAN_IN * MAX_BLOCKS * he.n
 
 
@@ -187,7 +185,8 @@ class PartyCtx:
 
     # -- key plumbing -------------------------------------------------------
     def exchange_keys(self):
-        self.keypair = self.backend.keygen(self.role)
+        # only gelu's selector sum multiplies ciphertexts, B under A's key
+        self.keypair = self.backend.keygen(self.role, with_relin=self.role == "A")
         other = self.session._exchange("keyexchange", self.keypair.public.to_bytes())
         self.peer_public = self.backend.parse_public_key(other)
 

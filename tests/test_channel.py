@@ -615,7 +615,7 @@ def test_declared_4gib_frame_is_refused_unreserved(monkeypatch):
     ctx = PartyCtx("B", sess, cfg, seed=1)
     assert sess.max_frame == common.max_frame(cfg.he)
     assert len(ctx.backend.keygen("B").public.to_bytes()) <= sess.max_frame
-    assert 6 + 16 * 15 * 16 * cfg.he.n < sess.max_frame  # a key at 15 limbs
+    assert 6 + 15 * (32 + 60 * cfg.he.n) < sess.max_frame  # a key at 15 limbs
     raw.sendall(MAGIC + struct.pack(">I", 2 ** 32 - 1) + b"payload")
 
     def no_buffer(*args, **kwargs):

@@ -244,14 +244,14 @@ OUTPUT_DIGESTS = {
 def test_one_ct_product_per_block_and_pinned_shares(cfg_name, table, pair_runner,
                                                     request):
     """The selector-weighted sum is gelu's only ciphertext*ciphertext
-    product: one ``mul_ct_sum`` per block and no ``mul_ct`` or ``square``,
-    since its square, cubes and quartics are cross terms.  Both parties'
+    product: one ``mul_ct_sum`` per block, since its square, cubes and
+    quartics are cross terms.  Both parties'
     output shares hash to pinned digests, so the cross terms decrypt to
     the same values mod p as the ct*ct products they replaced, with masks
     drawn in the same order."""
     cfg = request.getfixturevalue(cfg_name)
     backend = {"clear": ClearBackend, "rlwe": RlweBackend}[cfg.he_backend]
-    calls = {"mul_ct_sum": 0, "mul_ct": 0, "square": 0}
+    calls = {"mul_ct_sum": 0}
     lock = threading.Lock()  # both parties' threads count
 
     def counted(name, op):
@@ -270,7 +270,7 @@ def test_one_ct_product_per_block_and_pinned_shares(cfg_name, table, pair_runner
             mp.setattr(backend, name, counted(name, getattr(backend, name)))
         ra, rb = pair_runner(cfg, lambda ctx: pi_gelu(ctx, xa, (8, 40), table=table),
                              lambda ctx: pi_gelu(ctx, xb, (8, 40), table=table), seed=21)
-    assert calls == {"mul_ct_sum": 2, "mul_ct": 0, "square": 0}, calls
+    assert calls == {"mul_ct_sum": 2}, calls
     payloads = b"".join(r.share.payload.astype("<u8").tobytes() for r in (ra, rb))
     assert (hashlib.sha256(payloads).hexdigest()
             == OUTPUT_DIGESTS[table.name])

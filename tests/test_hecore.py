@@ -10,14 +10,14 @@ from privblock import hecore
 from privblock.hecore import (FRESH, HEADER_BYTES, SEED_BYTES, KeyMismatch, MalformedBytes,
                               MissingRelinKey, NoiseExhausted, create_backend, ct_bytes,
                               noise, pack_slots, parse_header)
-from privblock.hecore.clear import ClearBackend, ClearPublicKey
-from privblock.hecore.rlwe import RlweBackend, RlwePublicKey
+from privblock.hecore.clear import ClearBackend
+from privblock.hecore.rlwe import RlweBackend
 from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.params import Config, HeParams, ParamError, toy_he_params
 from privblock.protocols import (LnParams, ShapeMismatch, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
-from privblock.channel import FRAME_OVERHEAD, PROFILES, TcpSession, make_pair
-from privblock.protocols import common
+from privblock.channel import FRAME_OVERHEAD, PROFILES, TcpSession, make_pair, run_pair
+from privblock.protocols import common, make_party
 from privblock.protocols.common import PartyCtx
 from privblock.sharing import reconstruct, share
 
@@ -90,6 +90,7 @@ def test_every_plaintext_is_packed_and_checked(op):
                 apply(bad)
 
 
+# a product and a square are one-pair sums, (x, y) and (x, x)
 OPS = ("add_pt", "sub_pt", "mul_pt", "add_ct", "mul_ct", "square", "neg_ct")
 
 
@@ -116,20 +117,17 @@ def test_differential_random_programs():
                     if op == "add_ct":
                         ctr, ctc = rbe.add_ct(ctr, otr), cbe.add_ct(ctc, otc)
                     else:
-                        ctr = rbe.mul_ct(ctr, otr, kr.public)
-                        ctc = cbe.mul_ct(ctc, otc, kc.public)
+                        ctr = rbe.mul_ct_sum([(ctr, otr)], kr.public)
+                        ctc = cbe.mul_ct_sum([(ctc, otc)], kc.public)
                 elif op == "square":
-                    ctr = rbe.square(ctr, kr.public)
-                    ctc = cbe.square(ctc, kc.public)
+                    ctr = rbe.mul_ct_sum([(ctr, ctr)], kr.public)
+                    ctc = cbe.mul_ct_sum([(ctc, ctc)], kc.public)
                 else:
                     ctr, ctc = rbe.neg_ct(ctr), cbe.neg_ct(ctc)
             except NoiseExhausted:
                 # both backends must run out of budget on the same op
                 with pytest.raises(NoiseExhausted):
-                    if op == "square":
-                        cbe.square(ctc, kc.public)
-                    else:
-                        cbe.mul_ct(ctc, otc, kc.public)
+                    cbe.mul_ct_sum([(ctc, ctc if op == "square" else otc)], kc.public)
                 exhausted = True
                 break
         if not exhausted:
@@ -147,7 +145,8 @@ def test_slotwise_identities():
     ct = be.encrypt(m, kp.public)
     assert np.array_equal(be.decrypt(be.add_pt(ct, np.zeros(64, dtype=np.uint64)), kp), m)
     assert np.array_equal(be.decrypt(be.add_ct(ct, be.encrypt(np.zeros(64, dtype=np.uint64), kp.public)), kp), m)
-    sq = be.decrypt(be.square(be.encrypt(np.arange(64, dtype=np.uint64), kp.public), kp.public), kp)
+    ct = be.encrypt(np.arange(64, dtype=np.uint64), kp.public)
+    sq = be.decrypt(be.mul_ct_sum([(ct, ct)], kp.public), kp)
     assert np.array_equal(sq.astype(object), (np.arange(64, dtype=object) ** 2) % TOY.p)
 
 
@@ -156,12 +155,11 @@ def test_missing_relin_key():
     kp = be.keygen("A", with_relin=False)
     ct = be.encrypt(np.arange(64, dtype=np.uint64), kp.public)
     with pytest.raises(MissingRelinKey):
-        be.mul_ct(ct, ct, kp.public)
-    ckp = cbe.keygen("A")
-    ckp.public.has_relin = False
+        be.mul_ct_sum([(ct, ct)], kp.public)
+    ckp = cbe.keygen("A", with_relin=False)
     cct = cbe.encrypt(np.arange(64, dtype=np.uint64), ckp.public)
     with pytest.raises(MissingRelinKey):
-        cbe.square(cct, ckp.public)
+        cbe.mul_ct_sum([(cct, cct)], ckp.public)
 
 
 def test_serialize_roundtrip_and_malformed():
@@ -273,8 +271,8 @@ def test_depth2_chain_default_params():
     rng = np.random.default_rng(14)
     m1 = rng.integers(0, params.p, size=params.n, dtype=np.uint64)
     m2 = rng.integers(0, params.p, size=params.n, dtype=np.uint64)
-    ct = be.mul_ct(be.encrypt(m1, kp.public), be.encrypt(m2, kp.public), kp.public)
-    ct = be.square(ct, kp.public)
+    ct = be.mul_ct_sum([(be.encrypt(m1, kp.public), be.encrypt(m2, kp.public))], kp.public)
+    ct = be.mul_ct_sum([(ct, ct)], kp.public)
     want = ((m1.astype(object) * m2.astype(object)) ** 2) % params.p
     assert np.array_equal(be.decrypt(ct, kp).astype(object), want)
     assert measured_noise_bits(be, ct, kp) <= ct.noise_bits
@@ -289,7 +287,7 @@ def test_noise_monotone_and_loud_exhaustion():
         prev = ct.noise_bits
         with pytest.raises(NoiseExhausted):
             for _ in range(20):
-                ct = be.mul_ct(ct, ct, kp.public)
+                ct = be.mul_ct_sum([(ct, ct)], kp.public)
                 assert ct.noise_bits > prev
                 prev = ct.noise_bits
 
@@ -301,7 +299,7 @@ def test_noise_estimate_dominates_measurement():
     m = rng.integers(0, TOY.p, size=64, dtype=np.uint64)
     ct = be.encrypt(m, kp.public)
     assert measured_noise_bits(be, ct, kp) <= ct.noise_bits
-    ct2 = be.mul_ct(ct, ct, kp.public)
+    ct2 = be.mul_ct_sum([(ct, ct)], kp.public)
     assert measured_noise_bits(be, ct2, kp) <= ct2.noise_bits
     # the secret-key encryption, under the same estimate
     sk = be.encrypt(m, kp)
@@ -323,8 +321,9 @@ def test_noise_estimate_dominates_measurement():
         # replies, switched down to 2 limbs: of a fresh ciphertext, of the
         # cross-term chain and of a depth-2 ct*ct product, each decrypting
         # exactly under an estimate above the noise measured at Q_2
-        depth2 = be.square(be.mul_ct(be.encrypt(x, kp.public), be.encrypt(y, kp.public),
-                                     kp.public), kp.public)
+        xy = be.mul_ct_sum([(be.encrypt(x, kp.public), be.encrypt(y, kp.public))],
+                           kp.public)
+        depth2 = be.mul_ct_sum([(xy, xy)], kp.public)
         sq = (x.astype(object) * y) ** 2
         assert hecore.reply_limbs(params) == 2
         for ct, value in ((be.encrypt(x, kp), x.astype(object)), (chain, want),
@@ -355,9 +354,9 @@ def test_mul_ct_sum(params):
         cts = [be.encrypt(m, kp) for m in ms]
         pairs = [(cts[i], cts[j]) for i, j in idx]
         got = be.mul_ct_sum(pairs, kp.public)
-        one_by_one = be.mul_ct(*pairs[0], kp.public)
-        for x, y in pairs[1:]:
-            one_by_one = be.add_ct(one_by_one, be.mul_ct(x, y, kp.public))
+        one_by_one = be.mul_ct_sum(pairs[:1], kp.public)
+        for pair in pairs[1:]:
+            one_by_one = be.add_ct(one_by_one, be.mul_ct_sum([pair], kp.public))
         assert np.array_equal(be.decrypt(got, kp).astype(object), want)
         assert np.array_equal(be.decrypt(got, kp), be.decrypt(one_by_one, kp))
         assert got.noise_bits <= one_by_one.noise_bits
@@ -710,26 +709,60 @@ def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
 def test_public_key_blob_is_checked(kind):
     """A key blob parses only whole, with an owner of A or B and (rlwe) a
     relinearization flag of 0 or 1; a cut, padded, bad-flag or bad-owner
-    blob raises MalformedBytes on both backends."""
+    blob of either flag value raises MalformedBytes on both backends.  An
+    rlwe blob holds no ``pk``, and with the flag set each row's seed and
+    its c0 limbs at 4 B a residue, from which the reader restores the
+    owner's relinearization key bit for bit."""
     be = create_backend(TOY, kind, np.random.default_rng(19))
-    if kind == "clear":
-        parse = ClearPublicKey.from_bytes
-        blobs = [be.keygen("B").public.to_bytes()]
-    else:
-        parse = lambda blob: RlwePublicKey.from_bytes(blob, TOY)
-        blobs = [be.keygen("B", with_relin=relin).public.to_bytes()
-                 for relin in (True, False)]
-    for blob in blobs:
-        key = parse(blob)
-        assert key.owner == "B" and parse(key.to_bytes()).has_relin == key.has_relin
+    L, N = TOY.limbs, TOY.n
+    for relin in (True, False):
+        key = be.keygen("B", with_relin=relin).public
+        blob = key.to_bytes()
+        got = be.parse_public_key(blob)
+        assert got.owner == "B" and got.to_bytes() == blob
+        if kind == "rlwe":
+            assert len(blob) == 6 + relin * L * (SEED_BYTES + 4 * L * N)
+            assert got.pk is None and got.has_relin == relin
+            assert not relin or np.array_equal(got.rlk, key.rlk)
         bad = [blob[:-9], blob[:-1], blob[:4], blob + b"\0\0", blob + b"\1",
                blob[:4] + b"C" + blob[5:], blob[:4] + b"\0" + blob[5:]]
         if kind == "rlwe":
-            bad += [blob[:5], blob[:6]]
             bad += [blob[:5] + bytes([flag]) + blob[6:] for flag in (2, 255, 1 - blob[5])]
+            if relin:  # no key, or its seeds alone
+                bad += [blob[:6], blob[:6 + L * SEED_BYTES]]
         for cut in bad:
             with pytest.raises(MalformedBytes):
-                parse(cut)
+                be.parse_public_key(cut)
+
+
+@pytest.mark.parametrize("he", [toy_he_params(n=256, p=137438822401, limbs=6), HeParams()],
+                         ids=["toy", "default"])
+def test_setup_sends_only_the_relinearization_key_of_a(he):
+    """Set-up sends exactly the key material a protocol reads: on rlwe, A's
+    seeded relinearization key (gelu's selector sum is B's one ct*ct
+    product, under A's key) and no ``pk``, so ``keyexchange`` is two
+    frames in two rounds of 2 * 8 + 6 + 6 + L (32 + 4 L N) bytes,
+    1,179,868 at the defaults.  B's copy of A's key holds A's rows bit for
+    bit; B's key pair and A's copy of B's key hold none.  On clear it
+    stays 26 B."""
+    def setup(role, cfg):
+        def run(sess):
+            return make_party(role, sess, cfg, seed=3), sess.report()
+        return run
+
+    L, N = he.limbs, he.n
+    want = {"clear": 26, "rlwe": 2 * FRAME_OVERHEAD + 6 + 6 + L * (SEED_BYTES + 4 * L * N)}
+    for kind in ("clear", "rlwe"):
+        cfg = Config(he=he, he_backend=kind)
+        (ca, rep), (cb, _) = run_pair(setup("A", cfg), setup("B", cfg), PROFILES["lan"])
+        kx = rep.phases["keyexchange"]
+        assert (kx["messages"], kx["rounds"]) == (2, 2)
+        assert rep.bytes_for("keyexchange") == want[kind]
+        if kind == "rlwe":
+            assert np.array_equal(cb.peer_public.rlk, ca.keypair.public.rlk)
+            assert not cb.keypair.public.has_relin and not ca.peer_public.has_relin
+    if he == HeParams():
+        assert want["rlwe"] == 1_179_868
 
 
 @pytest.mark.parametrize("backend", ["clear", "rlwe"])
@@ -765,7 +798,8 @@ def test_reply_is_switched_down_and_only_decrypted(backend):
     for op in (lambda: be.add_ct(rep, ct), lambda: be.add_ct(ct, rep),
                lambda: be.mul_pt(rep, m), lambda: be.add_pt(rep, 1),
                lambda: be.sub_pt(rep, m), lambda: be.neg_ct(rep),
-               lambda: be.mul_ct(rep, ct, public), lambda: be.square(rep, public),
+               lambda: be.mul_ct_sum([(rep, ct)], public),
+               lambda: be.mul_ct_sum([(rep, rep)], public),
                lambda: be.mul_ct_sum([(ct, ct), (ct, rep)], public),
                lambda: be.reply(rep, mask)):
         with pytest.raises(hecore.LevelMismatch):

@@ -218,7 +218,7 @@ def _caller_in(code) -> bool:
 def test_toy_block_he_work(pair_runner):
     """One toy block on clear at N=8192 makes exactly 33 encryptions, 45
     ciphertext*plaintext products and one ciphertext*ciphertext product
-    (``mul_ct_sum``, through which ``mul_ct`` and ``square`` pass).  Matmul
+    (``mul_ct_sum``, the backends' one such op).  Matmul
     makes 12 of the plaintext products: each of its products is one packed
     ciphertext each way, and attention projects all heads at once.  The
     one ct*ct product is gelu's selector-weighted sum: layernorm, softmax

@@ -155,19 +155,19 @@ PINNED_REPORTS = {
     ("clear", "block"):
         "d34c390107c6cd63da32e48b86cfe075b008cde9eec1e9bf07bc72707475e320",
     ("rlwe", "softmax_none"):
-        "1832e957319550b23d9d0bf84d0dc5e5895254cbc551a31e971feee7040b8084",
+        "90959db86c941186e4ef5fec14bc349b995d029f7ba209e94df80c86f69efc1c",
     ("rlwe", "softmax_max"):
-        "1af527c060d9b0fdabdd6d8fe19092067f6d1b2e69afcb2394ab58b61c9616d1",
+        "99b0f35d4c1c9c722d0e9288321ec662a0edbd38ed864bc5a6dbfd8f584d3b8b",
     ("rlwe", "ln"):
-        "a8f66487ae3a0891ac28a90f86fa942640f4b109ded2ccd96ed35f39f990acc2",
+        "0e7971142ef901410e0167e8e963592ae66aa5f2c6ca23e4967871b8374468e2",
     ("rlwe", "matmul"):
-        "ce97ba759810a2b0a4eeb20ea06d8fe168b4152a390eeae6df95b4e148cbc78b",
+        "5daabd070493c662837e5cebea3254ec15a9d290cace41818bb46779d8348352",
     ("rlwe", "matmul_packed"):
-        "2bbe008d15110ddadf076a2b683276b46b29ddd54ff37617dadb0622db4a53f8",
+        "9f1203e84b18980cb41309c4d712291b3d1dad2732b07863c785134baccaa7e3",
     ("rlwe", "mmshared"):
-        "2b682344f858ffa9e9f82143f624492ae41eff11ce2df30d44579387d4e6bcfe",
+        "b859b595504b5f4ec05ba8802289b31d192921c48cc52f5cdef97faac21441c7",
     ("rlwe", "block"):
-        "3df4205fef28be6a74546ca9c13877ddb4608de8ddb366158707e4dcf2d94d56",
+        "0bc99954ac2afe1a7c56d156075026d9b8a3c21c8f72b4fd6c8640728c4a46e3",
 }
 
 

@@ -11,7 +11,7 @@ of ct*ct errs only for a coefficient within about 2^-50 Q of +-Q/2, and the
 scaling by p/Q only within about 2^-50 of a rounding tie (a single float sum
 there errs by up to 2^-21, which would part from the reference in about 2%
 of N = 8192 products).  For uniform coefficients that is below 2^-33 per
-mul_ct at N = 8192.  The edge value +-(Q-1)/2 lies 1/(2Q) from such a tie,
+ct*ct product at N = 8192.  The edge value +-(Q-1)/2 lies 1/(2Q) from such a tie,
 which no float resolves; ``test_edge_coefficients`` pins what happens there.
 """
 
@@ -149,9 +149,9 @@ def test_ops_equal_the_exact_reference(params):
         assert np.array_equal(sk.data, ref_sk_encrypt(ref, m, kp))
         assert np.array_equal(be.decrypt(sk, kp), m)
     x, y, z = cts
-    prod = be.mul_ct(x, y, kp.public)
+    prod = be.mul_ct_sum([(x, y)], kp.public)
     assert np.array_equal(prod.data, ref_mul_ct(be, _lifts(be, x), _lifts(be, y), kp.public))
-    sq = be.square(z, kp.public)
+    sq = be.mul_ct_sum([(z, z)], kp.public)
     assert np.array_equal(sq.data, ref_mul_ct(be, _lifts(be, z), _lifts(be, z), kp.public))
     for ct in (x, prod, sq):
         assert np.array_equal(be.decrypt(ct, kp), ref_decrypt(be, ct, kp))
@@ -181,7 +181,7 @@ def test_edge_coefficients(params):
     small = rng.choice([0, 1, -1], size=(4, be.n)).astype(object)
     edge = rng.choice([0, 1, -1, half, -half], size=(4, be.n)).astype(object)
     x, y = _ct(be, small[:2]), _ct(be, small[2:])
-    assert np.array_equal(be.mul_ct(x, y, kp.public).data,
+    assert np.array_equal(be.mul_ct_sum([(x, y)], kp.public).data,
                           ref_mul_ct(be, list(small[:2]), list(small[2:]), kp.public))
 
     coeffs = rlwe._transform(_ct(be, edge).data, be.plans, inverse=True)
@@ -246,7 +246,7 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
     for op in (be.add_pt, be.sub_pt, be.mul_pt):
         _, c = run(lambda: op(x, 12345))
         assert c == dict.fromkeys(counts, 0)
-    prod, c = run(lambda: be.mul_ct(x, y, kp.public))
+    prod, c = run(lambda: be.mul_ct_sum([(x, y)], kp.public))
     assert c["forward"] <= 80 and c["inverse"] <= 66
     assert c["forward_calls"] + c["inverse_calls"] <= 40
     # a 2-pair sum shares the inverse transforms, scaling and
@@ -254,7 +254,7 @@ def test_protocol_ops_stay_in_machine_words(monkeypatch):
     _, c = run(lambda: be.mul_ct_sum([(x, y), (y, x)], kp.public))
     assert c["forward"] + c["inverse"] < 2 * (80 + 66)
     assert c["forward"] <= 112 and c["inverse"] <= 90
-    sq, c = run(lambda: be.square(x, kp.public))
+    sq, c = run(lambda: be.mul_ct_sum([(x, x)], kp.public))
     assert c["forward"] <= 64 and c["inverse"] <= 54
     assert c["forward_calls"] + c["inverse_calls"] <= 40
     got, _ = run(lambda: be.decrypt(prod, kp))
