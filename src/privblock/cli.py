@@ -157,8 +157,10 @@ def _verify(protocol, shape, inputs, out_a, out_b, cfg, block=None):
 
 
 def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
-    """One full two-party execution; returns (report, max_err, wall, dims):
-    dims is the --shape, or d_s,d_m,h,d_k,d_f for the block."""
+    """One full two-party execution; returns (report, max_err, wall, dims,
+    out_of_range): dims is the --shape, or d_s,d_m,h,d_k,d_f for the block,
+    and out_of_range party B's count of narrow-comparison inputs outside
+    their exact range (None where this process ran A alone)."""
     protocol = args.protocol
     block_cfg = weights = None
     if protocol == "block":
@@ -174,23 +176,25 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
     def party(role):
         def run(sess):
             ctx = make_party(role, sess, cfg, seed)
-            return _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg), sess
+            out = _run_protocol(ctx, protocol, shape, inputs, weights, block_cfg)
+            return out, sess, ctx.provider.lt_out_of_range
         return run
 
     t0 = time.perf_counter()
     if args.local:
-        (out_a, sess_a), (out_b, _) = run_pair(party("A"), party("B"), profile)
+        (out_a, sess_a, _), (out_b, _, outside) = run_pair(party("A"), party("B"),
+                                                           profile)
         wall = time.perf_counter() - t0
         err = _verify(protocol, shape, inputs, out_a, out_b, cfg,
                       (block_cfg, weights) if protocol == "block" else None)
-        return sess_a.report(), err, wall, dims
+        return sess_a.report(), err, wall, dims, outside
     role = args.role.upper()
     host, port = args.endpoint.split(":")
     sess = connect(role, (host, int(port)), profile, cfg.fingerprint())
     try:
-        party(role)(sess)
+        _, _, outside = party(role)(sess)
         wall = time.perf_counter() - t0
-        return sess.report(), float("nan"), wall, dims
+        return sess.report(), float("nan"), wall, dims, outside if role == "B" else None
     finally:
         sess.close()
 
@@ -198,8 +202,9 @@ def run_once(args, cfg: Config, profile: NetworkProfile, seed: int):
 def cmd_party(args) -> int:
     cfg = _config(args)
     profile = _profile(args)
-    report, err, wall, dims = run_once(args, cfg, profile, args.seed)
-    _print_report(report, err, wall, args.protocol, dims)
+    report, err, wall, dims, outside = run_once(args, cfg, profile, args.seed)
+    _print_report(report, err, wall, args.protocol, dims, cfg.gadget_costs.fingerprint(),
+                  outside)
     return 0
 
 
@@ -209,17 +214,19 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
-def _print_report(report, err, wall, protocol, dims):
+def _print_report(report, err, wall, protocol, dims, cost_table, outside):
     out = sys.stdout
     out.write(f"protocol={protocol} shape={dims}\n")
     out.write(f"bytes_a={report.bytes_sent['A']} bytes_b={report.bytes_sent['B']} "
               f"sent={report.sent_bytes} charged={report.charged_bytes} "
-              f"total={report.total_bytes}\n")
+              f"cost_table={cost_table} total={report.total_bytes}\n")
     out.write(f"messages={report.message_count} rounds={report.round_count} "
               f"simulated_time={report.simulated_time:.6f}s wall={wall:.3f}s "
               f"peak_rss_mb={_peak_rss_mb():.1f}\n")
     if err == err:  # not NaN
         out.write(f"max_abs_err={err:.3e}\n")
+    if protocol in ("gelu", "block") and outside is not None:
+        out.write(f"lt_out_of_range={outside}\n")
     for label, ph in sorted(report.phases.items()):
         out.write(f"  {label}: bytes={ph['bytes_a'] + ph['bytes_b']} "
                   f"rounds={ph['rounds']} sim={ph['sim_time']:.6f}\n")
@@ -227,8 +234,8 @@ def _print_report(report, err, wall, protocol, dims):
         out.write(f"  warning: {w}\n")
 
 
-BENCH_COLUMNS = ["protocol", "shape", "rep", "bytes_a", "bytes_b", "sent_bytes",
-                 "charged_bytes", "total_bytes",
+BENCH_COLUMNS = ["protocol", "shape", "cost_table", "rep", "bytes_a", "bytes_b",
+                 "sent_bytes", "charged_bytes", "total_bytes",
                  "messages", "rounds", "simulated_time", "wall_time", "max_abs_err"]
 
 
@@ -237,16 +244,17 @@ def cmd_bench(args) -> int:
     profile = _profile(args)
     if args.repetitions < 1:
         raise ParamError("repetitions must be >= 1")
+    table = cfg.gadget_costs.fingerprint()
     rows = []
     for rep in range(args.repetitions):
-        report, err, wall, dims = run_once(args, cfg, profile, args.seed + rep)
-        rows.append([args.protocol, dims, rep,
+        report, err, wall, dims, _ = run_once(args, cfg, profile, args.seed + rep)
+        rows.append([args.protocol, dims, table, rep,
                      report.bytes_sent["A"], report.bytes_sent["B"],
                      report.sent_bytes, report.charged_bytes,
                      report.total_bytes, report.message_count,
                      report.round_count, report.simulated_time, wall, err])
-    agg = ["aggregate", dims, args.repetitions]
-    for col in range(3, len(BENCH_COLUMNS)):
+    agg = ["aggregate", dims, table, args.repetitions]
+    for col in range(4, len(BENCH_COLUMNS)):
         agg.append(float(np.mean([r[col] for r in rows])))
     rows.append(agg)
     _write_csv(args.out, BENCH_COLUMNS, rows)

@@ -212,6 +212,8 @@ class HeParams:
 # l = 37, lambda = 128; the inverse-sqrt entry is an engineering estimate of
 # the same order as other fixed-point math kernels.  All entries are
 # config-overridable; a zero-byte entry raises a warning flag in the report.
+# A comparison's cost grows linearly in its bit width, so the ``lt`` entry is
+# its price at l = k and an m-bit comparison costs ceil(b * m / k) bytes.
 DEFAULT_GADGET_COSTS = {
     "lt":      {"bytes_per_element": 592,  "rounds": 4},
     "b2a":     {"bytes_per_element": 21,   "rounds": 1},
@@ -229,13 +231,26 @@ class GadgetCostTable:
 
     entries: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_GADGET_COSTS)))
 
-    def cost(self, name: str, n_elements: int) -> tuple[int, int, bool]:
-        """Return (total_bytes, rounds, zero_cost_flag) for a gadget call."""
+    def cost(self, name: str, n_elements: int, bits: int | None = None,
+             k: int | None = None) -> tuple[int, int, bool]:
+        """Return (total_bytes, rounds, zero_cost_flag) for a gadget call;
+        with ``bits`` = m, for a call on m of the ring's k bits, whose
+        per-element bytes are the entry's, read as its price at k bits,
+        times m / k, rounded up."""
         e = self.entries.get(name)
         if e is None:
             return 0, 0, True
-        total = int(e["bytes_per_element"]) * int(n_elements)
+        per = int(e["bytes_per_element"])
+        if bits is not None:
+            per = -(-per * bits // k)
+        total = per * int(n_elements)
         return total, int(e["rounds"]), total == 0
+
+    def fingerprint(self) -> str:
+        """A short hash of the table, to name the table a charged total
+        came from."""
+        blob = json.dumps(self.entries, sort_keys=True).encode()
+        return hashlib.blake2b(blob, digest_size=4).hexdigest()
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.entries))
@@ -244,7 +259,7 @@ class GadgetCostTable:
     def from_dict(cls, d: dict) -> "GadgetCostTable":
         base = json.loads(json.dumps(DEFAULT_GADGET_COSTS))
         keys = ("bytes_per_element", "rounds")
-        for name, e in _checked(d, "gadget_costs", allowed=d).items():  # any name
+        for name, e in _checked(d, "gadget_costs", DEFAULT_GADGET_COSTS).items():
             for key, value in _checked(e, f"gadget_costs.{name}", keys, keys).items():
                 _check_int(f"gadget_costs.{name}.{key}", value)
                 if value < 0:

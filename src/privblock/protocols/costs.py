@@ -16,7 +16,7 @@ from ..channel import FRAME_OVERHEAD
 from ..hecore import FRESH, REPLY, WHOLE, ct_bytes, wire_form
 from ..params import Config, HeParams
 from .common import ceil_div
-from .gelu import _power_keys, _segment_plan
+from .gelu import _power_keys, _segment_plan, compare_bits
 from .matmul import packed_partition
 
 
@@ -26,8 +26,8 @@ def _widths(he: HeParams) -> tuple:
     return tuple(ct_bytes(he, *wire_form(he, form)) for form in (WHOLE, FRESH, REPLY))
 
 
-def _gadget(cfg: Config, entry: str, n: int) -> int:
-    total, _, _ = cfg.gadget_costs.cost(entry, n)
+def _gadget(cfg: Config, entry: str, n: int, bits: int | None = None) -> int:
+    total, _, _ = cfg.gadget_costs.cost(entry, n, bits, cfg.fixedpoint.k)
     return total
 
 
@@ -97,7 +97,8 @@ def gelu_bytes(cfg: Config, m: int, w: int,
     return {
         "encrypt_input": FRAME_OVERHEAD + blocks * fresh,
         "gadget:convert": _gadget(cfg, "convert", n_vals),
-        "gadget:lt": _gadget(cfg, "lt", n_bounds * n_vals),
+        "gadget:lt": _gadget(cfg, "lt", n_bounds * n_vals,
+                             compare_bits(table, cfg.fixedpoint)),
         "gadget:b2a": _gadget(cfg, "b2a", n_bounds * n_vals),
         "input_and_squares": FRAME_OVERHEAD + len(plan) * blocks * reply,
         "selector_and_square_shares":

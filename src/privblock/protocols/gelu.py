@@ -14,7 +14,8 @@ exchanges; out-of-segment slots decode arbitrarily there and are nulled by
 their zero selectors.
 
 From each party's own input share, one comparison call yields the bits
-[x < c] for every table boundary c and one bit conversion turns them
+[x < c] for every table boundary c, on the fewest bits that keep every
+|x| < INPUT_BOUND exact (``compare_bits``), and one bit conversion turns them
 arithmetic; A encrypts its shares of them, and B forms the one-hot segment
 selectors homomorphically as their differences (the bits never fall as the
 boundaries rise).  The result is the selector-weighted sum of the segment
@@ -35,10 +36,14 @@ import numpy as np
 from ..approx import (GELU_TABLE, PiecewisePoly, quantized_boundaries,
                       shifted_segment_coeffs)
 from ..modarith import addmod, lift_shift, mod, mulmod, submod
+from ..params import FixedPointConfig
 from ..sharing import FIELD, RING, Share
 from .common import FRESH, CtVec, PartyCtx, ProtocolOutputShares, ShapeMismatch
 
 COEFF_BITS = 7  # coefficient scale = s + COEFF_BITS
+# The |x| every caller's input stays below: the desk block's gelu inputs
+# lie within 2.67, and the CLI and the tests draw from [-8, 8].
+INPUT_BOUND = 16
 
 
 def _segment_plan(table: PiecewisePoly, s: int):
@@ -85,16 +90,25 @@ def pi_gelu(ctx: PartyCtx, x_share: Share, shape: tuple,
         return party(ctx, x_share, shape, plan, table, sy)
 
 
+def compare_bits(table: PiecewisePoly, fp: FixedPointConfig) -> int:
+    """The fewest bits m whose comparisons against the table's quantized
+    boundaries c are exact for every |x| < INPUT_BOUND, that is
+    INPUT_BOUND + max|c| < 2^(m-1-s), capped at k."""
+    need = (INPUT_BOUND << fp.s) + max(abs(c) for c in quantized_boundaries(table, fp.s))
+    return min(need.bit_length() + 1, fp.k)
+
+
 def _boundary_bits(ctx: PartyCtx, x_share: Share, table: PiecewisePoly,
                    s: int) -> list:
     """Field shares of the bits [x < c], one vector per quantized table
     boundary c, from this party's field share of the input: one conversion
-    to the ring, one comparison call and one offset-convention B2A for all
-    boundaries."""
+    to the ring, one comparison call at ``compare_bits`` bits and one
+    offset-convention B2A for all boundaries."""
     bounds = quantized_boundaries(table, s)
     p = ctx.fp.p
     x_ring = ctx.provider.convert(x_share, RING)
-    pay = ctx.provider.b2a(ctx.provider.lt(x_ring, bounds), FIELD).payload
+    m = compare_bits(table, ctx.fp)
+    pay = ctx.provider.b2a(ctx.provider.lt(x_ring, bounds, bits=m), FIELD).payload
     if ctx.role == "A":
         pay = submod(pay, 1 << s, p)  # remove the public offset once
     return np.split(mulmod(pay, pow(1 << s, -1, p), p), len(bounds))

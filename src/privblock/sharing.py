@@ -140,21 +140,26 @@ class GadgetProvider:
         self.role = session.role
         self._dealer_rng = (np.random.default_rng(dealer_seed)
                             if self.role == "B" else None)
+        # B's count of narrow-comparison inputs outside their exact range; the
+        # dealer knows the secret, so this is a diagnostic and is never sent
+        self.lt_out_of_range = 0
 
     # -- plumbing ----------------------------------------------------------
-    def charge(self, entry: str, n: int):
-        total, rounds, warn = self.costs.cost(entry, n)
+    def charge(self, entry: str, n: int, bits: int | None = None):
+        total, rounds, warn = self.costs.cost(entry, n, bits, self.cfg.k)
         self.session.charge(f"{GADGET_LABEL}:{entry}", total // 2,
                             total - total // 2, rounds, warn_zero=warn)
 
     def _round(self, x: Share, domains: tuple, entries: tuple, out_domain: str,
-               funcs: list, width: int | None = None, signed: bool = False) -> Share:
+               funcs: list, width: int | None = None, signed: bool = False,
+               bits: int | None = None) -> Share:
         """One gadget call: reject an input outside ``domains`` and a call
         of ``len(funcs) * len(x)`` values wider than the session's
         ``max_frame`` (``CapacityExceeded``, on both parties before any byte
-        moves), charge each cost entry once for those values, then run the
-        trusted dealer.  A ships its share once; B reconstructs the secret
-        (lifted once to its signed value in (-M/2, M/2] if ``signed``) and,
+        moves), charge each cost entry once for those values (priced at
+        ``bits`` of the ring's k, if given), then run the trusted dealer.  A
+        ships its share once; B reconstructs the secret (lifted once to its
+        signed value in (-M/2, M/2] if ``signed``) and,
         one unmetered round per function of ``funcs``, evaluates it on the
         secret, reduces the result into ``out_domain`` and reshares it
         fresh, ``width`` values (``len(x)`` by default).  The output joins
@@ -175,7 +180,7 @@ class GadgetProvider:
             raise CapacityExceeded(f"a gadget call of {len(funcs)} x {len(x)} values, "
                                    f"over the {cap}-byte frames this configuration sends")
         for entry in entries:
-            self.charge(entry, len(funcs) * len(x))
+            self.charge(entry, len(funcs) * len(x), bits)
         modulus = _mod_of(out_domain, self.cfg)
         width = len(x) if width is None else width
         if self.role == "A":
@@ -224,14 +229,31 @@ class GadgetProvider:
         _bytes(part)[:] = body
 
     # -- the four imported protocols ----------------------------------------
-    def lt(self, x: Share, c) -> Share:
+    def lt(self, x: Share, c, bits: int | None = None) -> Share:
         """Boolean shares of [x < c] for signed fixed-point x and a public
         int c.  For a sequence of constants, one call of ``len(c) * len(x)``
         bits, constant-major ([x < c_0], then [x < c_1], ...), which costs
-        the bytes of ``len(c)`` calls in the rounds of one."""
+        the bytes of ``len(c)`` calls in the rounds of one.
+
+        With ``bits`` = m <= k, an m-bit comparison, charged m/k of the
+        full one: each bit is the sign bit of (x - c) mod 2^m, which is
+        [x < c] when -2^(m-1) <= x - c < 2^(m-1) and wrong, as a real m-bit
+        protocol's would be, otherwise.  B adds the number of inputs outside
+        that range for any constant to ``lt_out_of_range``."""
         consts = [c] if np.ndim(c) == 0 else list(c)
-        return self._round(x, (RING, FIELD), ("lt",), BOOL,
-                           [lambda v, c=c: v < c for c in consts], signed=True)
+        if bits is None:
+            funcs = [lambda v, c=c: v < c for c in consts]
+        else:
+            half = 1 << (bits - 1)
+            lo, hi = max(consts) - half, min(consts) + half  # in range of every c
+
+            def sign_bit(v, i):
+                if i == 0:
+                    self.lt_out_of_range += int(np.count_nonzero((v < lo) | (v >= hi)))
+                return ((v - consts[i]) & (2 * half - 1)) >= half
+
+            funcs = [lambda v, i=i: sign_bit(v, i) for i in range(len(consts))]
+        return self._round(x, (RING, FIELD), ("lt",), BOOL, funcs, signed=True, bits=bits)
 
     def b2a(self, b: Share, target_domain: str) -> Share:
         """Boolean -> arithmetic in the activation protocol's offset

@@ -63,6 +63,26 @@ def test_party_and_bench_report_sent_and_charged_bytes(toy_cfg_file, tmp_path):
         (got["sent"], got["charged"], got["total"])
 
 
+def test_party_and_bench_name_the_cost_table_and_count_out_of_range(toy_cfg_file, tmp_path):
+    """gelu and the block print party B's count of comparison inputs
+    outside their exact range, 0 for the default inputs; party and bench
+    name the cost table their charged bytes came from."""
+    want = Config.from_dict(TOY_CFG_DICT).gadget_costs.fingerprint()
+    for proto in ("gelu", "block"):
+        code, out = _capture(["party", "--protocol", proto, "--local",
+                              "--config", toy_cfg_file])
+        assert code == 0
+        assert "lt_out_of_range=0" in out.splitlines()
+        assert f" cost_table={want} " in out
+    code, out = _capture(["party", "--protocol", "softmax", "--local",
+                          "--config", toy_cfg_file])
+    assert code == 0 and "lt_out_of_range" not in out
+    path = os.path.join(tmp_path, "bench.csv")
+    assert main(["bench", "--protocol", "gelu", "--repetitions", "2", "--local",
+                 "--config", toy_cfg_file, "--out", path]) == 0
+    assert {r["cost_table"] for r in csv.DictReader(open(path))} == {want}
+
+
 def test_party_every_protocol_local(toy_cfg_file):
     for proto, shape in (("mmshared", "4x3x5"), ("softmax", "4x8"),
                          ("ln", "4x16"), ("gelu", "2x16"), ("block", "-")):
@@ -343,10 +363,13 @@ PARTY_GELU = ["party", "--protocol", "gelu", "--shape", "1x4", "--local", "--con
     (PARTY_MATMUL, _malformed_config(lambda c: c["he"].update(p=137438840321)), "he.p"),
     (PARTY_MATMUL, _malformed_config(lambda c: c["fixedpoint"].update(truncation_mode="local")),
      "truncation_mode"),
+    (PARTY_GELU, _malformed_config(lambda c: c["gadget_costs"].update(LT=c["gadget_costs"]["lt"])),
+     "gadget_costs: unknown key(s) LT"),
 ], ids=["unknown_fixedpoint_key", "he_without_q_primes", "table_without_segments",
         "unknown_tail_kind", "he_n_string", "fixedpoint_s_string", "q_primes_not_a_list",
         "cost_without_rounds", "cost_bool_bytes", "cost_negative_bytes",
-        "cost_negative_rounds", "he_p_differs", "truncation_mode_key"])
+        "cost_negative_rounds", "he_p_differs", "truncation_mode_key",
+        "cost_unknown_gadget"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj, named):
     code = main(argv + [_write_json(tmp_path, "in.json", obj)])
     assert code == 2

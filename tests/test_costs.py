@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
+from privblock.params import GadgetCostTable
 from privblock.hecore import ct_bytes
 from privblock.protocols import (LnParams, costs, pi_gelu, pi_ln, pi_matmul,
                                  pi_matmul_shared, pi_softmax)
@@ -65,3 +66,14 @@ def test_every_ledger_equals_its_formula(backend_cfg, request, pair_runner):
         got = {k.split("/", 1)[1]: v["bytes_a"] + v["bytes_b"]
                for k, v in rep.phases.items() if k.startswith(prefix + "/")}
         assert got == formula, (backend_cfg, name)
+
+
+def test_cost_table_fingerprint():
+    """The default table's fingerprint is stable, a table equal to it has
+    the same one, and an lt override changes it."""
+    default = GadgetCostTable()
+    assert default.fingerprint() == "016e214d"
+    same = GadgetCostTable.from_dict({"lt": {"bytes_per_element": 592, "rounds": 4}})
+    assert same.fingerprint() == default.fingerprint()
+    cheap = GadgetCostTable.from_dict({"lt": {"bytes_per_element": 100, "rounds": 4}})
+    assert cheap.fingerprint() != default.fingerprint()

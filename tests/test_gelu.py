@@ -10,7 +10,8 @@ from privblock import fixedpoint as fp
 from privblock.hecore.clear import ClearBackend
 from privblock.hecore.rlwe import RlweBackend
 from privblock.protocols import ShapeMismatch, costs, pi_gelu
-from privblock.protocols.gelu import _boundary_bits
+from privblock.params import GadgetCostTable
+from privblock.protocols.gelu import INPUT_BOUND, _boundary_bits, compare_bits
 from privblock.sharing import reconstruct, share
 
 S = 12
@@ -132,6 +133,75 @@ def test_cost_formula_exact(toy_cfg, pair_runner):
     x = rng.uniform(-8, 8, size=(4, 32))
     _, rep, _ = _run(toy_cfg, pair_runner, x, seed=6, want="reports")
     assert _phase_bytes(rep) == costs.gelu_bytes(toy_cfg, 4, 32)
+
+
+@pytest.mark.parametrize("table", [approx.GELU_TABLE, approx.TANH_TABLE],
+                         ids=["gelu", "tanh"])
+def test_compare_bits_cover_the_input_bound(toy_cfg, table):
+    """At s = 12 both tables compare on 18 bits: INPUT_BOUND plus the
+    largest boundary fits below 2^(m-1-s), and it would not at m - 1."""
+    m = compare_bits(table, toy_cfg.fixedpoint)
+    need = INPUT_BOUND + max(map(abs, table.boundaries))
+    assert m == 18 and need < 2 ** (m - 1 - S) and not need < 2 ** (m - 2 - S)
+
+
+@pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
+def test_exact_past_the_input_bound_and_counted_beyond(cfg_name, pair_runner, request):
+    """The 18-bit comparisons keep gelu exact out to |x| = 26.5, past the
+    declared INPUT_BOUND, and B counts no input; an input at |x| >= 27
+    is outside its far boundary's range and is counted."""
+    cfg = request.getfixturevalue(cfg_name)
+    x = np.concatenate([np.linspace(-26.5, 26.5, 58),
+                        [27.0, -27.0, 30.0, -31.5, 0.5, -0.5]]).reshape(2, 32)
+    xe = fp.encode_int(x, cfg.fixedpoint, "field", S)
+    xa, xb = share(xe.ravel(), "field", cfg.fixedpoint, np.random.default_rng(13))
+
+    def party(sh):
+        return lambda ctx: (pi_gelu(ctx, sh, (2, 32)), ctx.provider.lt_out_of_range)
+
+    (ra, count_a), (rb, count_b) = pair_runner(cfg, party(xa), party(xb), seed=13)
+    y = fp.decode_int(reconstruct(ra.share, rb.share), cfg.fixedpoint,
+                      "field", ra.scale).reshape(x.shape)
+    inside = np.abs(x) <= 26.5
+    assert (np.abs(y - _oracle(x))[inside].max() * 2 ** S) <= 2.0
+    assert (count_a, count_b) == (0, 4)
+
+
+def test_out_of_range_bits_are_the_18_bit_sign_bits(toy_cfg, pair_runner):
+    """Inputs straddling the exact region get from ``_boundary_bits`` the
+    sign bits of (x - c) mod 2^18: [x < c] inside |x - c| < 2^17, the
+    wrong bit an 18-bit comparison gives outside it."""
+    bq = approx.quantized_boundaries(approx.GELU_TABLE, S)
+    probes = np.array([-131_072 + bq[-1], -131_073 + bq[-1], -110_000, 110_000,
+                       131_071 + bq[0], 131_072 + bq[0], 125_000, -125_000])
+    xa, xb = share(probes % toy_cfg.fixedpoint.p, "field", toy_cfg.fixedpoint,
+                   np.random.default_rng(14))
+
+    def run(sh):
+        def body(ctx):
+            bits = _boundary_bits(ctx, sh, approx.GELU_TABLE, S)
+            return ctx.field_share(np.concatenate(bits)), ctx.provider.lt_out_of_range
+        return body
+
+    (bits_a, _), (bits_b, count) = pair_runner(toy_cfg, run(xa), run(xb))
+    got = reconstruct(bits_a, bits_b).astype(np.int64).reshape(len(bq), len(probes))
+    d = probes[None, :] - np.array(bq)[:, None]
+    assert np.array_equal(got, (d % 2 ** 18) >> 17)
+    wrong = got != (d < 0)
+    assert wrong.any() and np.array_equal(wrong, (d < -2 ** 17) | (d >= 2 ** 17))
+    assert count == int(wrong.any(axis=0).sum()) == 4
+
+
+def test_lt_override_moves_the_narrow_charge(toy_cfg, pair_runner):
+    """A config pricing lt at b B moves gelu's comparison charge to
+    ceil(18 b / 37) B per comparison, and the formula follows the run."""
+    costs_ = GadgetCostTable.from_dict({"lt": {"bytes_per_element": 100, "rounds": 4}})
+    cfg = replace(toy_cfg, gadget_costs=costs_)
+    x = np.random.default_rng(15).uniform(-8, 8, size=(2, 32))
+    _, rep, _ = _run(cfg, pair_runner, x, seed=15, want="reports")
+    got = _phase_bytes(rep)
+    assert got["gadget:lt"] == 49 * len(approx.GELU_TABLE.boundaries) * 64
+    assert got == costs.gelu_bytes(cfg, 2, 32)
 
 
 @pytest.mark.parametrize("table", [CONST_TAIL_GELU, TOTAL_TANH, approx.TANH_TABLE,

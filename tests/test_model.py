@@ -300,4 +300,4 @@ def test_toy_block_ledger_is_pinned(pair_runner):
     staged = [ph for label, ph in rep.phases.items()
               if label.split("/")[0] in BLOCK_STAGES]
     assert (sum(ph["rounds"] for ph in staged), sum(ph["messages"] for ph in staged),
-            sum(ph["bytes_a"] + ph["bytes_b"] for ph in staged)) == (368, 35, 14_262_872)
+            sum(ph["bytes_a"] + ph["bytes_b"] for ph in staged)) == (368, 35, 13_951_576)

@@ -153,7 +153,7 @@ PINNED_REPORTS = {
     ("clear", "mmshared"):
         "937ca545b444529acf82375cee55753e60eb9646b6ae7a17be78c5b870dda2fd",
     ("clear", "block"):
-        "d34c390107c6cd63da32e48b86cfe075b008cde9eec1e9bf07bc72707475e320",
+        "e7033d1c71b666529539ba8cd802c3d0a90940cb19e41ae90319973eb59d1673",
     ("rlwe", "softmax_none"):
         "90959db86c941186e4ef5fec14bc349b995d029f7ba209e94df80c86f69efc1c",
     ("rlwe", "softmax_max"):
@@ -167,7 +167,7 @@ PINNED_REPORTS = {
     ("rlwe", "mmshared"):
         "b859b595504b5f4ec05ba8802289b31d192921c48cc52f5cdef97faac21441c7",
     ("rlwe", "block"):
-        "0bc99954ac2afe1a7c56d156075026d9b8a3c21c8f72b4fd6c8640728c4a46e3",
+        "d832f663ea2595df55eb4c57b5a5d992f3f95945dcd68e0438c0bfb4e9048eb7",
 }
 
 

@@ -244,6 +244,37 @@ def test_lt_over_constants_is_one_call(toy_cfg, pair_runner):
     assert rep_a.to_dict() == rep_b.to_dict()
 
 
+def test_narrow_lt_exhaustive_on_a_tiny_ring(toy_cfg, pair_runner):
+    """An m-bit lt on an 8-bit ring, over every secret: each bit is the sign
+    bit of (x - c) mod 2^m, which is [x < c] wherever |x - c| < 2^(m-1);
+    it is charged ceil(592 m / k) B per comparison in lt's 4 rounds, and B
+    counts the inputs outside that range for any constant."""
+    tiny, m = FixedPointConfig(k=8, s=2, p=251), 4
+    vals = np.arange(256, dtype=np.uint64)
+    signed = np.array([_signed(v, 256) for v in range(256)])
+    consts = [-100, -3, 0, 5, 77]
+    sa, sb = _mk_shares(vals, RING, tiny, seed=19)
+
+    def f(sh):
+        def run(ctx):
+            g = GadgetProvider(ctx.session, tiny, ctx.provider.costs)
+            return g.lt(sh, consts, bits=m), g.lt_out_of_range
+        return run
+
+    (ra, count_a), (rb, count_b), rep_a, _ = pair_runner(toy_cfg, f(sa), f(sb),
+                                                         want_reports=True)
+    got = reconstruct(ra, rb).astype(np.int64).reshape(len(consts), 256)
+    d = signed[None, :] - np.array(consts)[:, None]
+    inside = (-(1 << (m - 1)) <= d) & (d < 1 << (m - 1))
+    assert np.array_equal(got, (d % (1 << m)) >> (m - 1))
+    assert np.array_equal(got[inside], (d < 0)[inside])
+    assert not np.array_equal(got, (d < 0).astype(np.int64))
+    assert count_a == 0 and count_b == int((~inside).any(axis=0).sum())
+    ph = rep_a.phases["gadget:lt"]
+    assert ph["bytes_a"] + ph["bytes_b"] == len(consts) * 256 * -(-592 * m // 8) == 378_880
+    assert ph["rounds"] == 4
+
+
 @pytest.mark.parametrize("bad", [0, 2, 4])
 def test_lt_dealer_error_on_any_constant_fails_both_parties(bad):
     """A constant the dealer cannot compare against fails both parties the
