@@ -437,7 +437,9 @@ class TcpSession(Session):
 def connect(role: str, endpoint: tuple, profile: NetworkProfile,
             params_blob: bytes, timeout: float = 30.0) -> TcpSession:
     """Open a TCP session: role B listens, role A connects, retrying a
-    refused connect after 1 ms, doubling up to 50 ms.  ``timeout`` bounds
+    refused connect after 50 us, doubling up to 50 ms: parties started
+    together often find B not yet listening, and it is listening within
+    well under a millisecond.  ``timeout`` bounds
     only the wait for the connection; the connected socket blocks, so a
     peer may compute for any time between frames.  The handshake exchanges
     ``params_blob``; a mismatch aborts the session.  Nagle is off, so the
@@ -450,7 +452,7 @@ def connect(role: str, endpoint: tuple, profile: NetworkProfile,
         srv.close()
     else:
         deadline = time.monotonic() + timeout
-        pause = 0.001
+        pause = 50e-6
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=timeout)

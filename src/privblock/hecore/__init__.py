@@ -1,12 +1,14 @@
 """SIMD lattice HE core.
 
 Exactly the operation surface the protocols need: KeyGen, Encrypt, Decrypt,
-ciphertext+plaintext add/sub, ciphertext*plaintext multiply, a sum of
-ciphertext*ciphertext products (relinearized once; a pair (x, x) is a
-square), and Reply (a masked ciphertext switched down for its key
-holder).  A plaintext operand is a slot vector, or an int c: the
-constant polynomial c, which holds c in every slot.  There is deliberately
-no rotation anywhere in this API.
+ciphertext+plaintext add/sub, ciphertext*plaintext multiply, and Reply (a
+masked ciphertext switched down for its key holder), plus two sums reduced
+once: ``mul_ct_sum``, a sum of ciphertext*ciphertext products relinearized
+once (a pair (x, x) is a square), and ``pt_sum``, an accumulator of
+ciphertext*plaintext products x_i pt_i under one key (``PtSum``).  A
+plaintext operand is a slot vector, or an int c: the constant polynomial
+c, which holds c in every slot.  There is deliberately no rotation
+anywhere in this API.
 
 Two interchangeable backends implement the surface: ``rlwe`` (a real
 RLWE/NTT scheme with exact plaintext semantics mod p) and ``clear``
@@ -42,8 +44,9 @@ Every rule the two backends share is written once here, and a backend
 supplies only its arithmetic and the noise update of each op:
 ``check_operands`` (whole operands under one key), ``check_decrypt``,
 ``check_product`` (the ct*ct gate), ``check_reply`` (the reply's limbs and
-budget) and the wire pair ``write_ct``/``read_ct``, which alone writes and
-checks the layout byte.  So both fail the same way on the same input.
+budget), ``PtSum``'s per-term checks and noise fold, and the wire pair
+``write_ct``/``read_ct``, which alone writes and checks the layout byte.
+So both fail the same way on the same input.
 """
 
 from __future__ import annotations
@@ -94,9 +97,11 @@ def scalar_slot(value, params: HeParams) -> int:
     return c
 
 
-def pack_slots(values, params: HeParams) -> np.ndarray:
+def pack_slots(values, params: HeParams, copy: bool = True) -> np.ndarray:
     """The N plaintext slots over Z_p holding ``values``: a vector fills the
-    leading slots and leaves the tail zero, an int fills every slot."""
+    leading slots and leaves the tail zero, an int fills every slot.  A
+    vector of all N slots is copied once, or, unless ``copy``, returned as
+    the uint64 vector it is: for an operand an op only reads."""
     if np.ndim(values) == 0:
         return np.full(params.n, scalar_slot(values, params), dtype=np.uint64)
     v = np.asarray(values, dtype=np.uint64).ravel()
@@ -104,6 +109,8 @@ def pack_slots(values, params: HeParams) -> np.ndarray:
         raise ParamError(f"{v.size} values exceed {params.n} slots")
     if v.size and int(v.max()) >= params.p:
         raise ParamError("slot values must be < p")
+    if v.size == params.n:
+        return v.copy() if copy else v
     out = np.zeros(params.n, dtype=np.uint64)
     out[:v.size] = v
     return out
@@ -234,6 +241,49 @@ def check_operands(params: HeParams, *cts):
         raise LevelMismatch("a reply is only decrypted; no operation takes it")
     if len({ct.owner for ct in cts}) != 1:
         raise KeyMismatch("ciphertexts under different keys")
+
+
+class PtSum:
+    """The sum of ciphertext*plaintext products x_i pt_i under one key,
+    added a term at a time and read once.  Each term is checked and its
+    noise folded as ``mul_pt`` then ``add_ct`` of the running sum would
+    (``LevelMismatch``, ``ParamError``, then ``KeyMismatch``).  The
+    products are summed unreduced in uint64 words and reduced only every
+    ``lazy_terms`` terms, before a sum could wrap, and at the end (Harvey,
+    J. Symb. Comput. 2014), so the result is bit for bit the chain's.  A
+    backend supplies ``_operand`` (the plaintext as its multiply takes it),
+    ``_accumulate``, ``_reduce`` and ``_result``."""
+
+    def __init__(self, params: HeParams, lazy_terms: int):
+        self.params = params
+        self.lazy_terms = lazy_terms
+        self.owner = None
+        self.bits = None  # the noise estimate of the sum so far
+        self.pending = 0  # terms added since the last reduction
+
+    def add(self, x, slots):
+        """Add the product x * ``slots``."""
+        check_operands(self.params, x)
+        operand = self._operand(slots)
+        nb = noise.mul_pt_bits(self.params, x.noise_bits, slots)
+        if self.owner is None:
+            self.owner, self.bits = x.owner, nb
+        elif x.owner != self.owner:
+            raise KeyMismatch("ciphertexts under different keys")
+        else:
+            self.bits = noise.add_ct_bits(self.bits, nb)
+        if self.pending == self.lazy_terms:
+            self._reduce()
+            self.pending = 0
+        self._accumulate(x, operand)
+        self.pending += 1
+
+    def result(self):
+        """The sum as a ciphertext, read once: the accumulator lets go of
+        its arrays.  A sum of no terms is an error."""
+        if self.owner is None:
+            raise ParamError("a sum of no ciphertext*plaintext products")
+        return self._result()
 
 
 def check_decrypt(params: HeParams, ct, keypair):

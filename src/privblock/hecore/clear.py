@@ -10,11 +10,14 @@ fast lane for CI and desk-scale cost runs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_operands,
-               check_product, check_reply, pack_slots, read_ct, scalar_slot, write_ct)
-from ..modarith import addmod, mod, mulmod, submod
+from . import (SEED_BYTES, MalformedBytes, PtSum, aux_basis, check_decrypt,
+               check_operands, check_product, check_reply, pack_slots, read_ct,
+               scalar_slot, write_ct)
+from ..modarith import LOW, SPLIT, addmod, lazy_terms, mod, mulmod, submod
 from ..params import HeParams
 from . import noise
 
@@ -47,6 +50,49 @@ class ClearCiphertext:
         self.seed = seed
 
 
+class _ClearPtSum(PtSum):
+    """``PtSum`` on slot vectors: each plaintext v is split at 19 bits, and
+    x (v >> 19) and x (v & (2^19 - 1)) are summed unreduced in two uint64
+    slot arrays through the backend's one scratch array.  Both are reduced
+    every ``lazy_terms`` terms (256 at the default 37-bit p, 2 at a 41-bit
+    one) and at the end, and then combined by one final reduction."""
+
+    def __init__(self, backend: "ClearBackend"):
+        p = backend.params.p
+        super().__init__(backend.params,
+                         lazy_terms((p - 1) * max(int(LOW), (p - 1) >> SPLIT), p))
+        self.backend = backend
+        self.hi = self.lo = None
+
+    def _operand(self, slots):
+        v = self.backend._operand(slots)
+        return np.uint64(v) if isinstance(v, int) else v
+
+    def _accumulate(self, x: ClearCiphertext, v):
+        if self.hi is None:
+            self.hi, self.lo = x.slots * (v >> SPLIT), x.slots * (v & LOW)
+            return
+        t = self.backend.scratch
+        np.right_shift(v, SPLIT, out=t)
+        t *= x.slots
+        self.hi += t
+        np.bitwise_and(v, LOW, out=t)
+        t *= x.slots
+        self.lo += t
+
+    def _reduce(self):
+        p = self.params.p
+        self.hi, self.lo = mod(self.hi, p), mod(self.lo, p)
+
+    def _result(self) -> ClearCiphertext:
+        self._reduce()
+        hi, lo, self.hi, self.lo = self.hi, self.lo, None, None
+        hi <<= SPLIT
+        hi += lo
+        return ClearCiphertext(mod(hi, self.params.p), self.owner, self.bits,
+                               self.params.limbs)
+
+
 class ClearBackend:
     kind = "clear"
 
@@ -55,6 +101,11 @@ class ClearBackend:
         self.rng = rng or np.random.default_rng()
         self.L = params.limbs
         _, self.max_fan_in = aux_basis(params)  # the rlwe backend's cap
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """The one temporary of every ``pt_sum``: a product's N slots."""
+        return np.empty(self.params.n, dtype=np.uint64)
 
     # -- keys ---------------------------------------------------------------
     def keygen(self, owner: str, with_relin: bool = True) -> ClearKeyPair:
@@ -91,10 +142,11 @@ class ClearBackend:
 
     def _operand(self, slots):
         """A plaintext operand: an int as itself (the constant polynomial,
-        the same value in every slot), a vector as its N slots."""
+        the same value in every slot), a vector as its N slots, uncopied
+        when it has all N (add, mul and reply only read it)."""
         if isinstance(slots, (int, np.integer)) or np.ndim(slots) == 0:
             return scalar_slot(slots, self.params)
-        return pack_slots(slots, self.params)
+        return pack_slots(slots, self.params, copy=False)
 
     def add_pt(self, x: ClearCiphertext, slots) -> ClearCiphertext:
         check_operands(self.params, x)
@@ -122,13 +174,16 @@ class ClearBackend:
         out = mod(sum(mulmod(x.slots, y.slots, p) for x, y in pairs), p)
         return ClearCiphertext(out, pairs[0][0].owner, nb, self.L)
 
+    def pt_sum(self) -> PtSum:
+        """An empty sum of ciphertext*plaintext products (``_ClearPtSum``)."""
+        return _ClearPtSum(self)
+
     def reply(self, x: ClearCiphertext, mask, whole: bool = False) -> ClearCiphertext:
         """x - mask for x's key holder to decrypt, at ``reply_limbs`` (at
         every limb if ``whole``; see ``hecore``)."""
         limbs, nb = check_reply(self.params, x, whole)
-        p = self.params.p
-        v = pack_slots(mask, self.params)
-        return ClearCiphertext(submod(x.slots, v, p), x.owner, nb, limbs)
+        return ClearCiphertext(submod(x.slots, self._operand(mask), self.params.p),
+                               x.owner, nb, limbs)
 
     # -- wire format ---------------------------------------------------------
     def serialize(self, ct: ClearCiphertext, out=None):

@@ -9,6 +9,7 @@ Q_l, whose budget is ``hecore.noise_budget_bits(params, bits, l)``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,12 +21,13 @@ def log2add(a: float, b: float) -> float:
     return float(np.logaddexp2(a, b))
 
 
+@functools.lru_cache(maxsize=None)
 def fresh_bits(params) -> float:
     """A fresh encryption under either key.  Public key: e1 + e*u + e2*s
     with ternary u, s (~ sigma*sqrt(2N)); secret key: one Gaussian e, which
     that term covers.  Both add the floor(q/p) rounding term, which scales
     with the message, can reach q mod p and dominates at the default
-    parameters."""
+    parameters.  Computed once per parameter set."""
     base = math.log2(SIGMA) + 0.5 * math.log2(2 * params.n) + 2.0
     rt = params.q % params.p
     return log2add(base, math.log2(max(rt, 1))) + 0.5

@@ -35,10 +35,10 @@ import math
 
 import numpy as np
 
-from . import (SEED_BYTES, MalformedBytes, aux_basis, check_decrypt, check_operands,
-               check_product, check_reply, pack_slots, read_ct, reply_limbs, scalar_slot,
-               write_ct)
-from ..modarith import matmod, mod, mulmod, signed_lift
+from . import (SEED_BYTES, MalformedBytes, PtSum, aux_basis, check_decrypt,
+               check_operands, check_product, check_reply, pack_slots, read_ct,
+               reply_limbs, scalar_slot, write_ct)
+from ..modarith import lazy_terms, matmod, mod, mulmod, signed_lift
 from ..params import HeParams
 from . import noise
 from .ntt import get_plan
@@ -151,6 +151,35 @@ class RlweCiphertext:
     @property
     def limbs(self) -> int:
         return self.data.shape[1]
+
+
+class _RlwePtSum(PtSum):
+    """``PtSum`` on NTT-form limbs: each plaintext becomes its NTT column
+    or rows as ``mul_pt`` makes them, and x.data times it, each product
+    below q_i^2 < 2^60, is summed unreduced in one (2, L, N) array, reduced
+    every ``lazy_terms`` terms (16 at 30-bit limbs) and once at the end."""
+
+    def __init__(self, backend: "RlweBackend"):
+        q = max(backend.qs)
+        super().__init__(backend.params, lazy_terms((q - 1) ** 2, q))
+        self.backend = backend
+        self.acc = None
+
+    def _operand(self, slots):
+        return self.backend._pt_ntt(slots)
+
+    def _accumulate(self, x: RlweCiphertext, m: np.ndarray):
+        if self.acc is None:
+            self.acc = x.data * m
+        else:
+            self.acc += x.data * m
+
+    def _reduce(self):
+        self.acc = mod(self.acc, self.backend.q_col)
+
+    def _result(self) -> RlweCiphertext:
+        acc, self.acc = self.acc, None
+        return RlweCiphertext(mod(acc, self.backend.q_col), self.owner, self.bits)
 
 
 class RlweBackend:
@@ -350,14 +379,21 @@ class RlweBackend:
     def sub_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
         return self._add_to_c0(x, self.q_col - self._pt_delta_ntt(slots))
 
+    def _pt_ntt(self, slots) -> np.ndarray:
+        """A multiply's plaintext m in NTT form, centered: an (L, 1) column
+        for a scalar, the (L, N) rows of a vector."""
+        if np.ndim(slots) == 0:
+            return self._const(signed_lift(scalar_slot(slots, self.params), self.p))
+        return self._to_ntt(signed_lift(self._slots_to_coeffs(slots), self.p))
+
     def mul_pt(self, x: RlweCiphertext, slots) -> RlweCiphertext:
         check_operands(self.params, x)
-        if np.ndim(slots) == 0:
-            m_ntt = self._const(signed_lift(scalar_slot(slots, self.params), self.p))
-        else:
-            m_ntt = self._to_ntt(signed_lift(self._slots_to_coeffs(slots), self.p))
-        return RlweCiphertext(mulmod(x.data, m_ntt, self.q_col), x.owner,
+        return RlweCiphertext(mulmod(x.data, self._pt_ntt(slots), self.q_col), x.owner,
                               noise.mul_pt_bits(self.params, x.noise_bits, slots))
+
+    def pt_sum(self) -> PtSum:
+        """An empty sum of ciphertext*plaintext products (``_RlwePtSum``)."""
+        return _RlwePtSum(self)
 
     # -- ct * ct -----------------------------------------------------------------
     def _relin(self, d2: np.ndarray, public: RlwePublicKey) -> np.ndarray:

@@ -7,7 +7,8 @@ them live in uint64 arrays; lifts to signed values live in int64.
 ``mulmod``, ``matmod``, the NTT and the ``rlwe`` backend reduce with ``mod``,
 x - (x // m) * m: numpy divides by a fixed divisor (a scalar, or one modulus
 per row) with libdivide, several times faster than its ``%`` on 64-bit
-integers.
+integers.  A sum of many products reduces lazily: ``lazy_terms`` is how many
+bounded terms a reduced uint64 sum takes before it could wrap.
 
 Products mod p split one factor at 19 bits, so the high partial product
 a * (b >> 19) must stay below 2^64: ``mulmod`` and ``matmod`` are exact for
@@ -43,8 +44,8 @@ import numpy as np
 MAX_MODULUS_BITS = 41
 BLOCK = 1 << 14  # values per pass of a walked kernel
 WALK_ABOVE = 2 * BLOCK  # the longest array a kernel takes in one pass
-_SPLIT = 19
-_LOW = np.uint64((1 << _SPLIT) - 1)
+SPLIT = 19
+LOW = np.uint64((1 << SPLIT) - 1)
 
 
 def _blockwise(kernel, *arrays) -> np.ndarray:
@@ -85,15 +86,22 @@ def mulmod_limit(p: int) -> int:
     ((p - 1) << 19) + a (2^19 - 1), stay below 2^64."""
     if p < 1 << 32:
         return (1 << 64) // (p - 1)
-    return min((1 << 64) // ((p - 1) >> _SPLIT), ((1 << 64) - ((p - 1) << _SPLIT)) >> _SPLIT)
+    return min((1 << 64) // ((p - 1) >> SPLIT), ((1 << 64) - ((p - 1) << SPLIT)) >> SPLIT)
+
+
+def lazy_terms(term: int, modulus: int) -> int:
+    """The most uint64 terms, each at most ``term``, that a sum reduced
+    below ``modulus`` can take before its next reduction without wrapping:
+    (modulus - 1) + k term < 2^64."""
+    return ((1 << 64) - modulus) // term
 
 
 def _mulmod(a, b, p, one_product: bool) -> np.ndarray:
     if one_product:
         return mod(a * b, p)
-    hi = b >> _SPLIT
-    lo = b & _LOW
-    return mod((mod(a * hi, p) << _SPLIT) + a * lo, p)
+    hi = b >> SPLIT
+    lo = b & LOW
+    return mod((mod(a * hi, p) << SPLIT) + a * lo, p)
 
 
 def _mul_scalar(a, c: int, p: int) -> np.ndarray:
@@ -173,14 +181,14 @@ def matmod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     if a.shape[-1] * int(a.max(initial=0)) * int(b.max(initial=0)) < 1 << 64:
         return mod(a @ b, np.asarray(p, dtype=np.uint64))
     p = np.asarray(p, dtype=np.int64)  # int64 // uint64 would be float64
-    ah = (a >> np.uint64(_SPLIT)).astype(np.int64)
-    al = (a & _LOW).astype(np.int64)
-    bh = (b >> np.uint64(_SPLIT)).astype(np.int64)
-    bl = (b & _LOW).astype(np.int64)
+    ah = (a >> np.uint64(SPLIT)).astype(np.int64)
+    al = (a & LOW).astype(np.int64)
+    bh = (b >> np.uint64(SPLIT)).astype(np.int64)
+    bl = (b & LOW).astype(np.int64)
     # Horner in 2^19: hh * 2^38 + (hl + lh) * 2^19 + ll; each sum < 2^62
     acc = mod(ah @ bh, p)
-    acc = mod((acc << _SPLIT) + ah @ bl + al @ bh, p)
-    acc = mod((acc << _SPLIT) + al @ bl, p)
+    acc = mod((acc << SPLIT) + ah @ bl + al @ bh, p)
+    acc = mod((acc << SPLIT) + al @ bl, p)
     return acc.astype(np.uint64)
 
 

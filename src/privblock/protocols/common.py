@@ -35,7 +35,11 @@ multiplies the peer's fresh encryptions of its shares (``recv_cts``, not
 x_own*y_own in the clear; the key holder adds its own once it decrypts.
 Layernorm and softmax form every product this way, and gelu its square,
 cubes and quartics; gelu's selector-weighted sum (``CtVec.mul_ct_sum``) is
-the one ciphertext*ciphertext product of any protocol.
+the one ciphertext*ciphertext product of any protocol.  A sum of
+ciphertext*plaintext products, the weight party's matmul outputs,
+layernorm's ratio and softmax's result, is a ``PtSum`` (``CtVec.mul_pt_sum``
+for a list of terms): the backend's ``pt_sum`` per block, which joins
+``mul_ct_sum`` as the second sum reduced once, not once per term.
 ``PartyCtx.mask`` draws every additive mask.  Every ciphertext a party
 returns to its key holder leaves through the backend's ``reply``:
 ``send_masked``'s, ln's masked ratio and softmax's multiplicatively masked
@@ -107,15 +111,19 @@ class CtVec:
         self.cts = list(cts)
         self.size = size
 
-    def _with_pt(self, op, values) -> "CtVec":
+    def _blocks(self, values) -> list:
+        """A plaintext operand per block: an int as itself, a vector of
+        ``size`` values (else ``ShapeMismatch``) as its N-slot slices."""
         if np.ndim(values) == 0:
-            return CtVec(self.ctx, (op(ct, values) for ct in self.cts), self.size)
+            return [values] * len(self.cts)
         if np.shape(values) != (self.size,):
             raise ShapeMismatch(f"plaintext of shape {np.shape(values)} against "
                                 f"an encrypted vector of {self.size} values")
         n = self.ctx.he_params.n
-        return CtVec(self.ctx, (op(ct, values[b * n:(b + 1) * n])
-                                for b, ct in enumerate(self.cts)), self.size)
+        return [values[b * n:(b + 1) * n] for b in range(len(self.cts))]
+
+    def _with_pt(self, op, values) -> "CtVec":
+        return CtVec(self.ctx, map(op, self.cts, self._blocks(values)), self.size)
 
     def _same_size(self, other: "CtVec"):
         if other.size != self.size:
@@ -153,6 +161,17 @@ class CtVec:
                                                   public)
                            for b in range(len(first.cts))), first.size)
 
+    @staticmethod
+    def mul_pt_sum(terms) -> "CtVec":
+        """The sum of x*pt over the (x, pt) ``terms``, vectors of one size
+        under one key and their plaintext operands (``PtSum``)."""
+        terms = list(terms)
+        first = terms[0][0]
+        total = PtSum(first.ctx, first.size)
+        for vec, values in terms:
+            total.add(vec, values)
+        return total.result()
+
     def neg_ct(self) -> "CtVec":
         return CtVec(self.ctx, map(self.ctx.backend.neg_ct, self.cts), self.size)
 
@@ -161,6 +180,29 @@ class CtVec:
         form ``form``: ``REPLY`` (switched down) or ``WHOLE``."""
         backend = self.ctx.backend
         return self._with_pt(lambda ct, m: backend.reply(ct, m, form == WHOLE), mask)
+
+
+class PtSum:
+    """The sum of x*pt over encrypted vectors x of ``size`` values under one
+    key and their plaintext operands pt, added one term at a time as the
+    vectors arrive: one backend ``pt_sum`` per block, which checks each
+    term as ``mul_pt`` and ``add_ct`` would and reduces lazily
+    (``hecore.PtSum``)."""
+
+    def __init__(self, ctx: "PartyCtx", size: int):
+        self.ctx = ctx
+        self.size = size
+        self.sums = [ctx.backend.pt_sum() for _ in range(ctx.n_blocks(size))]
+
+    def add(self, vec: CtVec, values):
+        """Add vec * ``values``, a vector of ``size`` values or an int."""
+        if vec.size != self.size:
+            raise ShapeMismatch(f"encrypted vectors of {self.size} and {vec.size} values")
+        for total, ct, pt in zip(self.sums, vec.cts, vec._blocks(values)):
+            total.add(ct, pt)
+
+    def result(self) -> CtVec:
+        return CtVec(self.ctx, (total.result() for total in self.sums), self.size)
 
 
 class PartyCtx:

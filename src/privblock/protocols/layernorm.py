@@ -19,7 +19,7 @@ import numpy as np
 from ..fixedpoint import encode_int
 from ..modarith import addmod, lift_shift, mod, mulmod
 from ..sharing import FIELD, RING, DomainError, Share
-from .common import (FRESH, REPLY, DegenerateRow, PartyCtx, ProtocolOutputShares,
+from .common import (FRESH, REPLY, CtVec, DegenerateRow, PartyCtx, ProtocolOutputShares,
                      ShapeMismatch)
 
 RATIO_BITS = 30       # centered scale + 1/sqrt precision, fixed budget
@@ -103,7 +103,7 @@ def pi_ln(ctx: PartyCtx, x_share: Share, shape: tuple, params: LnParams | None,
             [ct_inv] = ctx.recv_cts("invsqrt_share", m * n, forms=[FRESH])
             # a*inv less a_B*inv_B, offset and statistically masked for the
             # decrypt-side rescale, a reply; B adds a_B*inv_B after it decrypts
-            ct_off = (ct_ab.mul_pt(inv).add_ct(ct_inv.mul_pt(a_own))
+            ct_off = (CtVec.mul_pt_sum([(ct_ab, inv), (ct_inv, a_own)])
                       .add_pt(addmod(mulmod(a_own, inv, p), 1 << (sa + s_inv), p)))
             smask = ctx.mask(m * n, bits=sa + s_inv)
             ctx.send_cts("masked_ratio",

@@ -3,8 +3,9 @@
 One protocol serves both: the data party encrypts a sequence of plaintext
 vectors, each as it is sent; the weight party multiply-accumulates every
 input into its running output sums by ciphertext*plaintext products as the
-input arrives, subtracts uniform mask slots and returns the sums; the data
-party decrypts.  No slot is ever
+input arrives (``PtSum``: each output's sum is reduced only when it could
+next wrap a machine word, not after every product), subtracts uniform mask
+slots and returns the sums; the data party decrypts.  No slot is ever
 rotated.  The layouts differ only in their encoders and their decoder.
 
 - Slot-replicated (the paper's protocol, the default): the data party
@@ -35,14 +36,14 @@ same way, so the shares are C - R_mask and R_mask.
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from ..hecore.ntt import get_plan
 from ..modarith import matmod, mod
 from ..sharing import FIELD, Share
-from .common import FRESH, PartyCtx, ProtocolOutputShares, ShapeMismatch, ceil_div
+from .common import FRESH, PartyCtx, ProtocolOutputShares, PtSum, ShapeMismatch, ceil_div
 
 
 def expand_left(mat: np.ndarray, h: int):
@@ -93,10 +94,11 @@ class _Replicated:
     def left(self, mat):
         return expand_left(mat, self.shape[2])
 
-    def right(self, mat):
-        """Each input's (output index, plaintext) terms, in input order."""
+    def right(self, mat, first: int):
+        """Each input's (output index, plaintext) terms, in input order, its
+        output numbered ``first``."""
         for row in expand_right(mat, self.shape[0]):
-            yield [(0, row)]
+            yield [(first, row)]
 
     def decode(self, outs: list) -> np.ndarray:
         return outs[0]
@@ -131,16 +133,19 @@ class _Packed:
             block = mat[bi * m_w:(bi + 1) * m_w, bj * n_w:(bj + 1) * n_w]
             yield self._poly(block, m_w, n_w * h_w, flip=False)
 
-    def right(self, mat):
-        """Each input's (output index, plaintext) terms, in input order: the
-        bh plaintexts of one row block of R serve its bm inputs in a row."""
+    def right(self, mat, first: int):
+        """Each input's (output index, plaintext) terms, in input order, its
+        outputs numbered from ``first``: the bh plaintexts of one row block
+        of R serve its bm inputs in a row, and are let go before the next
+        row block's are built."""
         _, n_w, h_w = self.widths
         bm, bn, bh = self.blocks
         for bj in range(bn):
             pts = [self._poly(mat[bj * n_w:(bj + 1) * n_w, bk * h_w:(bk + 1) * h_w].T,
                               h_w, n_w, flip=True) for bk in range(bh)]
             for bi in range(bm):
-                yield [(bk * bm + bi, pt) for bk, pt in enumerate(pts)]
+                yield [(first + bk * bm + bi, pt) for bk, pt in enumerate(pts)]
+            del pts
 
     def decode(self, outs: list) -> np.ndarray:
         m_w, n_w, h_w = self.widths
@@ -189,16 +194,17 @@ def pi_matmul(ctx: PartyCtx, mat, shape: tuple, data_party: str = "A",
         else:
             if mat.shape != (*batch, n, h):
                 raise ShapeMismatch(f"right matrix is {mat.shape}, expected {(*batch, n, h)}")
-            # each input's (output index, plaintext) terms, head after head
-            rights = ([(b * k + o, pt) for o, pt in terms]
-                      for b, one in enumerate(mat.reshape(heads, n, h))
-                      for terms in layout.right(one))
-            sums = [None] * len(out_sizes)
-            for vec, terms in zip(ctx.recv_cts("inputs", *in_sizes, forms=forms), rights):
-                for o, pt in terms:
-                    term = vec.mul_pt(pt)
-                    sums[o] = term if sums[o] is None else sums[o].add_ct(term)
-            outs = ctx.send_masked("masked_product", sums, *out_sizes)
+            # each input's (output index, plaintext) terms, head after head,
+            # held by nothing once added, so a row block's plaintexts are
+            # freed before the next one's are built
+            rights = chain.from_iterable(layout.right(one, b * k) for b, one
+                                         in enumerate(mat.reshape(heads, n, h)))
+            sums = [PtSum(ctx, size) for size in out_sizes]
+            for vec in ctx.recv_cts("inputs", *in_sizes, forms=forms):
+                for o, pt in next(rights):
+                    sums[o].add(vec, pt)
+            outs = ctx.send_masked("masked_product", [s.result() for s in sums],
+                                   *out_sizes)
         share = np.concatenate([layout.decode(outs[b * k:(b + 1) * k]) for b in range(heads)])
         return ProtocolOutputShares(ctx.field_share(share), (*batch, m, h), 2 * ctx.fp.s)
 

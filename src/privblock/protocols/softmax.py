@@ -17,7 +17,7 @@ import numpy as np
 
 from ..modarith import mod, mulmod, submod
 from ..sharing import RING, Share
-from .common import FRESH, WHOLE, PartyCtx, ProtocolOutputShares
+from .common import FRESH, WHOLE, CtVec, PartyCtx, ProtocolOutputShares
 
 SOFTMAX_GUARD_BITS = 11
 
@@ -65,6 +65,6 @@ def pi_softmax(ctx: PartyCtx, x_share: Share, shape: tuple,
                                                 forms=(WHOLE, FRESH, FRESH))
             u = ctx.decrypt(ct_sumv)  # exact integers: sum(E) * v < p
             recip = np.repeat(((1 << out_scale) + u // 2) // np.maximum(u, 1), d)
-            ct_y = ct_v.mul_pt(mulmod(e, recip, p)).add_ct(ct_ev.mul_pt(recip))
+            ct_y = CtVec.mul_pt_sum([(ct_v, mulmod(e, recip, p)), (ct_ev, recip)])
             [share] = ctx.send_masked("result", [ct_y], n_vals, form=WHOLE)
         return ProtocolOutputShares(ctx.field_share(share), shape, out_scale)

@@ -487,6 +487,53 @@ def test_handshake_mismatch_tcp():
     assert "b" in errs
 
 
+def test_connect_retries_until_the_listener_is_up(monkeypatch):
+    """B starts listening only after A's first connect is refused: A
+    pauses 50 us, doubling, and connects once B listens; both sessions
+    handshake and carry a frame."""
+    prof = PROFILES["lan"]
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        endpoint = probe.getsockname()
+    refused = threading.Event()
+    attempts, pauses = [], []
+    create = socket.create_connection
+
+    def attempt(*args, **kwargs):
+        attempts.append(time.monotonic())
+        try:
+            return create(*args, **kwargs)
+        except OSError:
+            refused.set()
+            raise
+
+    real_sleep = time.sleep
+
+    def pause(seconds):
+        pauses.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(channel.socket, "create_connection", attempt)
+    monkeypatch.setattr(channel.time, "sleep", pause)
+    got = {}
+
+    def server():
+        assert refused.wait(timeout=10)
+        sess = connect("B", endpoint, prof, b"params")
+        got["b"] = bytes(sess.recv("ping"))
+        sess.close()
+
+    th = threading.Thread(target=server, daemon=True)
+    th.start()
+    sa = connect("A", endpoint, prof, b"params")
+    sa.send("ping", b"hello")
+    th.join(timeout=10)
+    sa.close()
+    assert got == {"b": b"hello"}
+    assert len(attempts) >= 2 and len(pauses) == len(attempts) - 1
+    assert pauses == [min(50e-6 * 2 ** i, 0.05) for i in range(len(pauses))]
+
+
 @pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
 def test_transport_independent_accounting(cfg_name, request):
     """The same protocol over TCP and over the in-process pair produces an

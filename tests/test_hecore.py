@@ -430,6 +430,149 @@ def test_clear_int_operand_at_a_wide_prime():
                 getattr(cbe, op)(xc, bad)
 
 
+def _data(ct):
+    return ct.data if hasattr(ct, "data") else ct.slots
+
+
+def _chain(be, terms):
+    """The per-term chain a ``pt_sum`` replaces: mul_pt, then add_ct."""
+    out = be.mul_pt(*terms[0])
+    for x, pt in terms[1:]:
+        out = be.add_ct(out, be.mul_pt(x, pt))
+    return out
+
+
+def _summed(be, terms):
+    total = be.pt_sum()
+    for x, pt in terms:
+        total.add(x, pt)
+    return total.result()
+
+
+def _same(got, want):
+    assert np.array_equal(_data(got), _data(want))
+    assert got.noise_bits == want.noise_bits and got.owner == want.owner
+    assert got.limbs == want.limbs and got.seed is None
+
+
+@pytest.mark.parametrize("operand", ["vector", "int", "mixed"])
+@pytest.mark.parametrize("backend,count", [("clear", 600), ("rlwe", 40)])
+def test_pt_sum_is_the_chain_bit_for_bit(backend, count, operand):
+    """A sum of ciphertext*plaintext products over more than ``lazy_terms``
+    terms (256 on clear at the 37-bit p, 16 on rlwe at 30-bit limbs), and
+    of one term, equals the mul_pt/add_ct chain bit for bit: the same
+    residues and the same noise estimate, folded in the same order."""
+    be = create_backend(WIDE, backend, np.random.default_rng(40))
+    kp = be.keygen("A")
+    assert be.pt_sum().lazy_terms == {"clear": 256, "rlwe": 16}[backend] < count
+    rng = np.random.default_rng(41)
+    p = WIDE.p
+    xs = [be.encrypt(rng.integers(0, p, size=WIDE.n, dtype=np.uint64), kp)
+          for _ in range(count)]
+    ints = [int(c) for c in rng.integers(0, p, size=count)]
+    vecs = [rng.integers(0, p, size=WIDE.n - 5 * (i % 2), dtype=np.uint64)
+            for i in range(count)]
+    pts = {"vector": vecs, "int": ints,
+           "mixed": [v if i % 3 else c for i, (v, c) in enumerate(zip(vecs, ints))]}[operand]
+    terms = list(zip(xs, pts))
+    _same(_summed(be, terms), _chain(be, terms))
+    _same(_summed(be, terms[:1]), be.mul_pt(*terms[0]))
+
+
+def _largest_prime(n: int) -> int:
+    """The largest p below 2^41 (the widest the kernels take) with p = 1
+    mod 2N: the largest plaintext modulus parameters of degree N allow."""
+    from privblock.params import _is_prime
+    return next(c for c in range((1 << 41) - 2 * n + 1, 0, -2 * n) if _is_prime(c))
+
+
+@pytest.mark.parametrize("p,lazy", [(137438822401, 256), (_largest_prime(64), 2)],
+                         ids=["p37", "p41"])
+def test_clear_pt_sum_worst_case_wraps_nothing(p, lazy):
+    """Every slot p - 1 times the largest plaintext halves a 19-bit split
+    can give (p - 1, and the largest value below p whose low 19 bits are
+    all ones), over three reductions' worth of terms: no uint64 sum wraps,
+    at the default 37-bit p and at the largest p the kernels allow."""
+    params = toy_he_params(n=64, p=p, limbs=3)
+    be = create_backend(params, "clear", np.random.default_rng(42))
+    assert be.pt_sum().lazy_terms == lazy
+    x = be.encrypt(np.full(params.n, p - 1, dtype=np.uint64), be.keygen("A"))
+    low_ones = ((p >> 19) << 19) - 1
+    for pt in (p - 1, np.full(params.n, p - 1, dtype=np.uint64),
+               np.full(params.n, low_ones, dtype=np.uint64)):
+        terms = [(x, pt)] * (3 * lazy + 1)
+        got = _summed(be, terms)
+        _same(got, _chain(be, terms))
+        want = (p - 1) * int(np.max(pt)) * len(terms) % p
+        assert (got.slots == want).all()
+
+
+def test_rlwe_pt_sum_worst_case_wraps_nothing():
+    """Every residue q_i - 1 times the int p - 1, whose constant
+    polynomial is -1, q_i - 1 in every limb: each product is (q_i - 1)^2,
+    the largest a limb takes, and 40 of them (more than twice
+    ``lazy_terms``) sum as the chain does."""
+    be = create_backend(WIDE, "rlwe", np.random.default_rng(43))
+    q = np.array(WIDE.q_primes, dtype=np.uint64).reshape(-1, 1)
+    data = np.broadcast_to(q - 1, (2, WIDE.limbs, WIDE.n)).copy()
+    x = type(be.encrypt(0, be.keygen("A")))(data, "A", 20.0)
+    assert np.array_equal(be._pt_ntt(WIDE.p - 1), q - 1)
+    terms = [(x, WIDE.p - 1)] * 40
+    _same(_summed(be, terms), _chain(be, terms))
+
+
+@pytest.mark.parametrize("backend", ["clear", "rlwe"])
+def test_pt_sum_fails_as_the_chain_does(backend):
+    """A reply operand (``LevelMismatch``), ciphertexts under two keys
+    (``KeyMismatch``) and a plaintext at or above p or longer than N
+    (``ParamError``) raise what the chain raises; a sum of no terms is a
+    ``ParamError``."""
+    be = create_backend(TOY, backend, np.random.default_rng(44))
+    ka, kb = be.keygen("A"), be.keygen("B")
+    m = np.random.default_rng(45).integers(0, TOY.p, size=TOY.n, dtype=np.uint64)
+    xa, xb = be.encrypt(m, ka), be.encrypt(m, kb)
+    rep = be.reply(be.mul_pt(xa, 3), m)
+    too_big = np.full(TOY.n, TOY.p, dtype=np.uint64)
+    for terms, error in (([(rep, m)], hecore.LevelMismatch),
+                         ([(xa, m), (rep, m)], hecore.LevelMismatch),
+                         ([(xa, m), (xb, m)], KeyMismatch),
+                         ([(xa, m), (xa, too_big)], ParamError),
+                         ([(xa, TOY.p)], ParamError),
+                         ([(xa, np.ones(TOY.n + 1, dtype=np.uint64))], ParamError)):
+        with pytest.raises(error):
+            _chain(be, terms)
+        with pytest.raises(error):
+            _summed(be, terms)
+    with pytest.raises(ParamError):
+        be.pt_sum().result()
+
+
+def test_encrypted_vector_pt_sum(toy_cfg, rlwe_toy_cfg, pair_runner):
+    """``CtVec.mul_pt_sum`` over vectors of two blocks equals the chain of
+    ``mul_pt`` and ``add_ct`` block for block, and a plaintext or a vector
+    of another size raises ``ShapeMismatch`` as the chain does."""
+    def fa(ctx):
+        n, p = ctx.he_params.n, ctx.he_params.p
+        rng = np.random.default_rng(46)
+        a, b = (ctx.encrypt(rng.integers(0, p, size=n + 3, dtype=np.uint64))
+                for _ in range(2))
+        u = rng.integers(0, p, size=n + 3, dtype=np.uint64)
+        got = common.CtVec.mul_pt_sum([(a, u), (b, 7), (a, u)])
+        want = a.mul_pt(u).add_ct(b.mul_pt(7)).add_ct(a.mul_pt(u))
+        assert len(got.cts) == 2 and got.size == n + 3
+        for g, w in zip(got.cts, want.cts):
+            _same(g, w)
+        short = ctx.encrypt(np.arange(n, dtype=np.uint64))
+        for bad in (lambda: common.CtVec.mul_pt_sum([(a, u[:-1])]),
+                    lambda: common.CtVec.mul_pt_sum([(a, u), (short, 1)]),
+                    lambda: a.mul_pt(u[:-1]), lambda: a.add_ct(short)):
+            with pytest.raises(ShapeMismatch):
+                bad()
+
+    for cfg in (toy_cfg, rlwe_toy_cfg):
+        pair_runner(cfg, fa, lambda ctx: None)
+
+
 def test_no_rotation_anywhere():
     """The rotation operation is absent from the API by design."""
     rbe, cbe = backends(seed=18)

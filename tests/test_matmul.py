@@ -398,6 +398,35 @@ def test_packed_weight_party_holds_one_row_block_of_plaintexts(pair_runner, monk
     assert len(peak) == bn * bh and max(peak) <= 2 * bh
 
 
+def test_packed_weight_party_frees_a_row_block_before_the_next(pair_runner, monkeypatch):
+    """The weight party's terms are held by nothing once added, so a row
+    block's bh plaintexts are freed before the next row block's are built:
+    with bn = 20 row blocks of bh = 13, at most bh + 1 are alive at once
+    (the last one added stays bound until the next row block is in use)."""
+    cfg = _n64("clear")
+    shape = (70, 40, 13)
+    bh = -(-shape[2] // packed_partition(*shape, 64)[2])
+    live, peak = [], []
+    poly = _Packed._poly
+
+    def counted(self, block, rows, cols, flip):
+        out = poly(self, block, rows, cols, flip)
+        if flip:
+            live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(out)]
+            peak.append(len(live))
+        return out
+
+    monkeypatch.setattr(_Packed, "_poly", counted)
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, P, size=shape[:2], dtype=np.uint64)
+    b = rng.integers(0, P, size=shape[1:], dtype=np.uint64)
+    ra, rb = pair_runner(cfg, lambda ctx: pi_matmul(ctx, a, shape, packed=True),
+                         lambda ctx: pi_matmul(ctx, b, shape, packed=True))
+    got = reconstruct(ra.share, rb.share).reshape(70, 13).astype(object)
+    assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % P)
+    assert bh == 13 and max(peak) == bh + 1
+
+
 def test_packed_partition_desk_and_toy():
     """At N=8192 the desk products need 56, 192, 384, 384, 24 and (the
     block's one qkv product) 192 + 144 = 336 ciphertexts in plus out, and

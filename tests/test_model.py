@@ -219,18 +219,22 @@ def test_toy_block_he_work(pair_runner):
     """One toy block on clear at N=8192 makes exactly 33 encryptions, 45
     ciphertext*plaintext products and one ciphertext*ciphertext product
     (``mul_ct_sum``, the backends' one such op).  Matmul
-    makes 12 of the plaintext products: each of its products is one packed
-    ciphertext each way, and attention projects all heads at once.  The
+    makes 12 of the plaintext products, all as terms of the weight party's
+    sums (``pt_sum``) and none by ``mul_pt``: each of its products is one
+    packed ciphertext each way, and attention projects all heads at once.
+    Layernorm's ratio and softmax's result add 2 terms each.  The
     one ct*ct product is gelu's selector-weighted sum: layernorm, softmax
     and gelu's powers multiply shared values by cross terms."""
-    from privblock.hecore.clear import ClearBackend
+    from privblock.hecore.clear import ClearBackend, _ClearPtSum
     from privblock.protocols import gelu, matmul
-    calls = {"encrypt": 0, "mul_pt": 0, "mul_ct_sum": 0,
-             "mul_pt in matmul": 0, "mul_ct_sum in gelu": 0}
+    calls = {"encrypt": 0, "mul_pt": 0, "add": 0, "mul_ct_sum": 0,
+             "mul_pt in matmul": 0, "add in matmul": 0, "mul_ct_sum in gelu": 0}
     scopes = {"mul_pt": ("mul_pt in matmul", matmul.pi_matmul.__code__),
+              "add": ("add in matmul", matmul.pi_matmul.__code__),
               "mul_ct_sum": ("mul_ct_sum in gelu", gelu.pi_gelu.__code__)}
-    originals = {name: getattr(ClearBackend, name) for name in ("encrypt", "mul_pt",
-                                                                "mul_ct_sum")}
+    owners = {"encrypt": ClearBackend, "mul_pt": ClearBackend, "mul_ct_sum": ClearBackend,
+              "add": _ClearPtSum}
+    originals = {name: getattr(cls, name) for name, cls in owners.items()}
     lock = threading.Lock()  # both parties' threads count
 
     def counted(name):
@@ -248,12 +252,14 @@ def test_toy_block_he_work(pair_runner):
     weights = BlockWeights.random(bc, rng)
     x = rng.normal(0, 1.0, size=(bc.d_s, bc.d_m))
     with pytest.MonkeyPatch.context() as mp:
-        for name in originals:
-            mp.setattr(ClearBackend, name, counted(name))
+        for name, cls in owners.items():
+            mp.setattr(cls, name, counted(name))
         y, _ = _run_block(Config(he_backend="clear"), pair_runner, x, weights, bc)
     assert np.abs(y - oracle_block(x, weights, bc)).max() <= 2.0 ** -4
-    assert calls == {"encrypt": 33, "mul_pt": 45, "mul_ct_sum": 1,
-                     "mul_pt in matmul": 12, "mul_ct_sum in gelu": 1}, calls
+    assert calls["mul_pt"] + calls["add"] == 45, calls
+    assert calls == {"encrypt": 33, "mul_pt": 27, "add": 18, "mul_ct_sum": 1,
+                     "mul_pt in matmul": 0, "add in matmul": 12,
+                     "mul_ct_sum in gelu": 1}, calls
 
 
 def test_block_products_cost_the_packed_formula(toy_cfg, pair_runner):

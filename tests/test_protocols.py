@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from privblock import fixedpoint as fp
-from privblock.channel import PROFILES, TcpSession, make_pair
+from privblock.channel import PROFILES, PairSession, TcpSession, make_pair
 from privblock.model import BlockWeights, infer_block, toy_block_config
 from privblock.protocols import (LnParams, ShapeMismatch, make_party, pi_gelu, pi_ln,
                                  pi_matmul, pi_matmul_shared, pi_softmax)
@@ -185,3 +185,53 @@ def test_transcripts_are_pinned(case, cfg_name, pair_runner, request):
     reports = "".join(json.dumps(rep.to_dict(), sort_keys=True) for rep in (rep_a, rep_b))
     assert _digest(shares_) == PINNED_SHARES[case]
     assert _digest(reports.encode()) == PINNED_REPORTS[cfg.he_backend, case]
+
+
+# SHA-256 of every frame A sent, then every frame B sent, each as its 8-byte
+# little-endian length and its bytes, per backend and case at seed 5: the
+# ciphertext bodies, seeds and noise headers, not only their byte counts
+PINNED_FRAMES = {
+    ("clear", "matmul"):
+        "f5adfad88797903a9a6b83107c0ca8699b6e1e71aad1e8528649de5965db52f7",
+    ("clear", "matmul_packed"):
+        "d5d362822ad4015e10c8cb2e4c16bc4659cc0bfb0de705bcb300fd6c3fb75ce8",
+    ("clear", "mmshared"):
+        "7c3056d3bd5f1fc87b4e23535301e07963b31decdd8b29c11e2f641ee81e3d6f",
+    ("clear", "ln"):
+        "70dff1976cca89390935acfea5d3910c141cba96aa1fc943edb98e70706230a2",
+    ("clear", "softmax_max"):
+        "5abc3c1b8ebc8f22b581ca3e9d07180f3475d9248306d477101206ca1a3e2d5c",
+    ("rlwe", "matmul"):
+        "b5424206773af3ef8a62956bb2cf8d37248b7360c6027b86ffdfa5eca0499d83",
+    ("rlwe", "matmul_packed"):
+        "2411ca4bda5dc4737209d7f167c7e531647f9014bce835c13ca6ee6c0f77ff8e",
+    ("rlwe", "mmshared"):
+        "3033403715977719cc9e5d390c5f94844da997d2fdab849df34738af8ced2618",
+    ("rlwe", "ln"):
+        "ad2db52faf0f7435d333c3ca4abc013d776ca9a00a9dee3f087b641737f38836",
+    ("rlwe", "softmax_max"):
+        "4a38460e5f84c4254aefdb7e6277aaaa14a0315c9bf8e29198ea5d578d30fa97",
+}
+
+
+@pytest.mark.parametrize("cfg_name", ["toy_cfg", "rlwe_toy_cfg"])
+@pytest.mark.parametrize("case", sorted({case for _, case in PINNED_FRAMES}))
+def test_frames_are_pinned(case, cfg_name, pair_runner, request, monkeypatch):
+    """Every byte either party puts on the wire hashes to a pinned digest,
+    so a change to how a party computes its ciphertexts that moves a
+    residue, a seed or a noise header shows here even when the shares and
+    byte counts stay put."""
+    cfg = request.getfixturevalue(cfg_name)
+    frames = {"A": [], "B": []}
+    send = PairSession._send_chunks
+
+    def recorded(self, length, chunks):
+        chunks = [bytes(chunk) for chunk in chunks]
+        frames[self.role].append(length.to_bytes(8, "little") + b"".join(chunks))
+        send(self, length, chunks)
+
+    monkeypatch.setattr(PairSession, "_send_chunks", recorded)
+    fa, fb = _pinned_cases(cfg)[case]
+    pair_runner(cfg, fa, fb, seed=5)
+    digest = _digest(b"".join(frames["A"] + frames["B"]))
+    assert digest == PINNED_FRAMES[cfg.he_backend, case]
