@@ -30,7 +30,9 @@ class ClearPublicKey:
         self.has_relin = has_relin
 
     def to_bytes(self) -> bytes:
-        return b"CLRK" + self.owner.encode()
+        """``CLRK``, the owner and the relinearization flag, as rlwe's
+        blob begins."""
+        return b"CLRK" + self.owner.encode() + bytes([self.has_relin])
 
 
 class ClearKeyPair:
@@ -112,12 +114,13 @@ class ClearBackend:
         return ClearKeyPair(owner, with_relin)
 
     def parse_public_key(self, data: bytes) -> ClearPublicKey:
-        """The peer's key from its blob: the magic and an owner of A or B,
-        nothing more (``MalformedBytes`` otherwise).  The blob has no
-        relinearization flag, so the parsed key admits products."""
-        if len(data) != 5 or data[:4] != b"CLRK" or data[4:] not in (b"A", b"B"):
+        """The peer's key from its blob: the magic, an owner of A or B and
+        a relinearization flag of 0 or 1, nothing more (``MalformedBytes``
+        otherwise)."""
+        if (len(data) != 6 or data[:4] != b"CLRK" or data[4:5] not in (b"A", b"B")
+                or data[5] not in (0, 1)):
             raise MalformedBytes("bad clear public key blob")
-        return ClearPublicKey(bytes(data[4:]).decode())
+        return ClearPublicKey(bytes(data[4:5]).decode(), bool(data[5]))
 
     # -- core ops -------------------------------------------------------------
     def encrypt(self, slots, key) -> ClearCiphertext:

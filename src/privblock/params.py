@@ -205,24 +205,26 @@ class HeParams:
         return cls(n=d["n"], q_primes=tuple(d["q_primes"]), p=d["p"])
 
 
-# Per-element byte/round charges for the imported two-party sub-protocols.
-# The exponential entry is the published per-element cost of the cited
-# prior-art protocol at this matrix size (592 KB / 117 rounds per 128x128);
-# comparison and bit-conversion entries are lambda*l-style estimates at
-# l = 37, lambda = 128; the inverse-sqrt entry is an engineering estimate of
-# the same order as other fixed-point math kernels.  All entries are
-# config-overridable; a zero-byte entry raises a warning flag in the report.
-# A comparison's cost grows linearly in its bit width, so the ``lt`` entry is
-# its price at l = k and an m-bit comparison costs ceil(b * m / k) bytes.
+# Per-element byte/round charges for the four imported two-party
+# sub-protocols.  The exponential entry is the published per-element cost of
+# the cited prior-art protocol at this matrix size (592 KB / 117 rounds per
+# 128x128); comparison and bit-conversion entries are lambda*l-style
+# estimates at l = 37, lambda = 128; the inverse-sqrt entry is an engineering
+# estimate of the same order as other fixed-point math kernels.  All entries
+# are config-overridable; a zero-byte charge raises a warning flag in the
+# report.  A comparison's cost grows linearly in its bit width, so the ``lt``
+# entry is its price at l = k and an m-bit comparison costs ceil(b * m / k)
+# bytes.
 DEFAULT_GADGET_COSTS = {
     "lt":      {"bytes_per_element": 592,  "rounds": 4},
     "b2a":     {"bytes_per_element": 21,   "rounds": 1},
     "rexp":    {"bytes_per_element": 37,   "rounds": 117},
     "invsqrt": {"bytes_per_element": 2048, "rounds": 25},
-    "convert": {"bytes_per_element": 613,  "rounds": 5},
-    "trunc":   {"bytes_per_element": 613,  "rounds": 5},
-    "rowmax":  {"bytes_per_element": 1839, "rounds": 28},
 }
+# The composites the provider builds from them (see ``GadgetCostTable.cost``):
+# a conversion or truncation is a comparison plus a bit conversion (the
+# multiplexer route), and a row maximum is a comparison tree.
+COMPOSITES = ("convert", "trunc", "rowmax")
 
 
 @dataclass
@@ -232,19 +234,34 @@ class GadgetCostTable:
     entries: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_GADGET_COSTS)))
 
     def cost(self, name: str, n_elements: int, bits: int | None = None,
-             k: int | None = None) -> tuple[int, int, bool]:
-        """Return (total_bytes, rounds, zero_cost_flag) for a gadget call;
-        with ``bits`` = m, for a call on m of the ring's k bits, whose
-        per-element bytes are the entry's, read as its price at k bits,
-        times m / k, rounded up."""
-        e = self.entries.get(name)
-        if e is None:
-            return 0, 0, True
-        per = int(e["bytes_per_element"])
+             k: int | None = None, row_len: int | None = None) -> tuple[int, int, bool]:
+        """Return (total_bytes, rounds, zero_cost_flag) for a gadget call
+        on ``n_elements`` values; with ``bits`` = m, for a call on m of the
+        ring's k bits, whose per-element bytes are the entry's, read as its
+        price at k bits, times m / k, rounded up.  ``convert`` and ``trunc``
+        cost ``lt`` + ``b2a`` in bytes and rounds; ``rowmax`` over rows of
+        ``row_len`` = d costs 3 (``lt`` + ``b2a``) bytes per element in
+        ceil(log2 d) times ``lt``'s rounds.  Any other name raises
+        ``ParamError``."""
+        if name in COMPOSITES:
+            (lt, lt_rounds), (b2a, b2a_rounds) = self._entry("lt"), self._entry("b2a")
+            per, rounds = lt + b2a, lt_rounds + b2a_rounds
+            if name == "rowmax":
+                if row_len is None or row_len < 1:
+                    raise ParamError(f"rowmax needs a row length >= 1, got {row_len!r}")
+                per, rounds = 3 * per, (row_len - 1).bit_length() * lt_rounds
+        elif name in self.entries:
+            per, rounds = self._entry(name)
+        else:
+            raise ParamError(f"no gadget cost for {name!r}")
         if bits is not None:
             per = -(-per * bits // k)
         total = per * int(n_elements)
-        return total, int(e["rounds"]), total == 0
+        return total, rounds, total == 0
+
+    def _entry(self, name: str) -> tuple[int, int]:
+        e = self.entries[name]
+        return int(e["bytes_per_element"]), int(e["rounds"])
 
     def fingerprint(self) -> str:
         """A short hash of the table, to name the table a charged total

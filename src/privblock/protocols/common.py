@@ -37,7 +37,8 @@ Layernorm and softmax form every product this way, and gelu its square,
 cubes and quartics; gelu's selector-weighted sum (``CtVec.mul_ct_sum``) is
 the one ciphertext*ciphertext product of any protocol.  A sum of
 ciphertext*plaintext products, the weight party's matmul outputs,
-layernorm's ratio and softmax's result, is a ``PtSum`` (``CtVec.mul_pt_sum``
+layernorm's ratio, softmax's result and gelu's cube terms and tails, is a
+``PtSum`` (``CtVec.mul_pt_sum``
 for a list of terms): the backend's ``pt_sum`` per block, which joins
 ``mul_ct_sum`` as the second sum reduced once, not once per term.
 ``PartyCtx.mask`` draws every additive mask.  Every ciphertext a party

@@ -26,8 +26,9 @@ def _widths(he: HeParams) -> tuple:
     return tuple(ct_bytes(he, *wire_form(he, form)) for form in (WHOLE, FRESH, REPLY))
 
 
-def _gadget(cfg: Config, entry: str, n: int, bits: int | None = None) -> int:
-    total, _, _ = cfg.gadget_costs.cost(entry, n, bits, cfg.fixedpoint.k)
+def _gadget(cfg: Config, entry: str, n: int, bits: int | None = None,
+            row_len: int | None = None) -> int:
+    total, _, _ = cfg.gadget_costs.cost(entry, n, bits, cfg.fixedpoint.k, row_len)
     return total
 
 
@@ -64,7 +65,7 @@ def softmax_bytes(cfg: Config, m: int, d: int, normalize: str = "none") -> dict:
     vec = ceil_div(m, cfg.he.n)
     out = {}
     if normalize == "max":
-        out["gadget:rowmax"] = _gadget(cfg, "rowmax", m * d)
+        out["gadget:rowmax"] = _gadget(cfg, "rowmax", m * d, row_len=d)
     out["gadget:rexp"] = _gadget(cfg, "rexp", m * d)
     out["rowsum_share"] = FRAME_OVERHEAD + vec * fresh
     out["denominator"] = FRAME_OVERHEAD + vec * ct + 2 * blocks * fresh

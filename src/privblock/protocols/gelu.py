@@ -159,7 +159,7 @@ def _party_b(ctx, x_share, shape, plan, table, sy):
             for j in seg["powers"]:
                 if j == 3:
                     d = submod(x_b, seg["midq"], p)
-                    yield ct_a.mul_pt(d).add_ct(ct_t[i].mul_pt(b2[i])).add_pt(off3)
+                    yield CtVec.mul_pt_sum([(ct_a, d), (ct_t[i], b2[i])]).add_pt(off3)
                 elif j == 4:
                     yield ct_a.add_ct(ct_t2s[i]).mul_pt(b2[i])
 
@@ -178,13 +178,15 @@ def _party_b(ctx, x_share, shape, plan, table, sy):
             src = ct_t2s[i] if j == 2 else ct_pow[(i, j)]
             fi = fi.add_ct(src.mul_pt(_fixed(cf[j], sc, p)))
         pairs.append((ct_b[i + 1], fi))
-    tails = ct_b[0].mul_pt(_fixed(table.left[1], sy, p))
+    tails = [(ct_b[0], _fixed(table.left[1], sy, p))]
     kind, value = table.right
     if kind == "const":
-        tails = tails.add_ct(ct_b[-1].mul_pt(_fixed(value, sy, p)))
+        tails.append((ct_b[-1], _fixed(value, sy, p)))
     else:
         pairs.append((ct_b[-1], ct_x.mul_pt(1 << (sy - s)).add_pt(_fixed(value, sy, p))))
-    [mask] = ctx.send_masked("result", [CtVec.mul_ct_sum(pairs).add_ct(tails)], n_vals)
+    [mask] = ctx.send_masked("result",
+                             [CtVec.mul_ct_sum(pairs).add_ct(CtVec.mul_pt_sum(tails))],
+                             n_vals)
     return ProtocolOutputShares(ctx.field_share(mask), shape, sy)
 
 

@@ -6,7 +6,8 @@ sub-protocols this artifact imports as black boxes (less-than comparison,
 bool-to-arithmetic conversion, shared exponential, shared inverse square
 root) plus two composites built from them: one truncating conversion between
 the ring and the field (either way, or within one, with an optional
-rescale) and the row maximum.
+rescale) and the row maximum.  The cost table prices only the four; a
+composite is charged what it is built from (``GadgetCostTable.cost``).
 
 The provider's "ideal" backend is a trusted-dealer emulation written once:
 party A ships its input share to party B over an unmetered side channel, B
@@ -145,27 +146,28 @@ class GadgetProvider:
         self.lt_out_of_range = 0
 
     # -- plumbing ----------------------------------------------------------
-    def charge(self, entry: str, n: int, bits: int | None = None):
-        total, rounds, warn = self.costs.cost(entry, n, bits, self.cfg.k)
+    def charge(self, entry: str, n: int, bits: int | None = None,
+               row_len: int | None = None):
+        total, rounds, warn = self.costs.cost(entry, n, bits, self.cfg.k, row_len)
         self.session.charge(f"{GADGET_LABEL}:{entry}", total // 2,
                             total - total // 2, rounds, warn_zero=warn)
 
     def _round(self, x: Share, domains: tuple, entries: tuple, out_domain: str,
                funcs: list, width: int | None = None, signed: bool = False,
-               bits: int | None = None) -> Share:
+               bits: int | None = None, row_len: int | None = None) -> Share:
         """One gadget call: reject an input outside ``domains`` and a call
         of ``len(funcs) * len(x)`` values wider than the session's
         ``max_frame`` (``CapacityExceeded``, on both parties before any byte
         moves), charge each cost entry once for those values (priced at
-        ``bits`` of the ring's k, if given), then run the trusted dealer.  A
-        ships its share once; B reconstructs the secret (lifted once to its
-        signed value in (-M/2, M/2] if ``signed``) and,
-        one unmetered round per function of ``funcs``, evaluates it on the
-        secret, reduces the result into ``out_domain`` and reshares it
-        fresh, ``width`` values (``len(x)`` by default).  The output joins
-        the parts in order.  Arrays move as buffers: A's share and each
-        resharing, after its tag byte, go out uncopied, and A receives each
-        part into its output.
+        ``bits`` of the ring's k, or for rows of ``row_len``, if given),
+        then run the trusted dealer.  A ships its share once; B reconstructs
+        the secret (lifted once to its signed value in (-M/2, M/2] if
+        ``signed``) and, one unmetered round per function of ``funcs``,
+        evaluates it on the secret, reduces the result into ``out_domain``
+        and reshares it fresh, ``width`` values (``len(x)`` by default).  The
+        output joins the parts in order.  Arrays move as buffers: A's share
+        and each resharing, after its tag byte, go out uncopied, and A
+        receives each part into its output.
 
         Any exception a function raises travels back to A as an error
         frame in place of its part, so both parties raise instead of one
@@ -180,7 +182,7 @@ class GadgetProvider:
             raise CapacityExceeded(f"a gadget call of {len(funcs)} x {len(x)} values, "
                                    f"over the {cap}-byte frames this configuration sends")
         for entry in entries:
-            self.charge(entry, len(funcs) * len(x), bits)
+            self.charge(entry, len(funcs) * len(x), bits, row_len)
         modulus = _mod_of(out_domain, self.cfg)
         width = len(x) if width is None else width
         if self.role == "A":
@@ -298,7 +300,8 @@ class GadgetProvider:
                            [lambda secret: round_shift(secret, x.modulus, shift)])
 
     def row_max(self, x: Share, row_len: int) -> Share:
-        """Ring shares of per-row maxima (comparison-tree composite)."""
+        """Ring shares of per-row maxima (comparison-tree composite),
+        charged for rows of ``row_len``."""
         return self._round(x, (RING,), ("rowmax",), RING,
                            [lambda v: v.reshape(-1, row_len).max(axis=1)],
-                           width=len(x) // row_len, signed=True)
+                           width=len(x) // row_len, signed=True, row_len=row_len)

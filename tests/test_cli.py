@@ -365,11 +365,16 @@ PARTY_GELU = ["party", "--protocol", "gelu", "--shape", "1x4", "--local", "--con
      "truncation_mode"),
     (PARTY_GELU, _malformed_config(lambda c: c["gadget_costs"].update(LT=c["gadget_costs"]["lt"])),
      "gadget_costs: unknown key(s) LT"),
+    *[(PARTY_GELU, _malformed_config(
+        lambda c, name=name: c["gadget_costs"].update({name: {"bytes_per_element": 613,
+                                                              "rounds": 5}})),
+       f"gadget_costs: unknown key(s) {name}") for name in ("convert", "trunc", "rowmax")],
 ], ids=["unknown_fixedpoint_key", "he_without_q_primes", "table_without_segments",
         "unknown_tail_kind", "he_n_string", "fixedpoint_s_string", "q_primes_not_a_list",
         "cost_without_rounds", "cost_bool_bytes", "cost_negative_bytes",
         "cost_negative_rounds", "he_p_differs", "truncation_mode_key",
-        "cost_unknown_gadget"])
+        "cost_unknown_gadget", "cost_composite_convert", "cost_composite_trunc",
+        "cost_composite_rowmax"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, argv, obj, named):
     code = main(argv + [_write_json(tmp_path, "in.json", obj)])
     assert code == 2

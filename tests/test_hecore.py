@@ -162,6 +162,26 @@ def test_missing_relin_key():
         cbe.mul_ct_sum([(cct, cct)], ckp.public)
 
 
+@pytest.mark.parametrize("kind", ["clear", "rlwe"])
+def test_product_under_a_peer_key_without_relinearization(kind):
+    """A key blob carries its relinearization flag on both backends: A's
+    copy of B's key, which B builds without one, refuses a product of B's
+    ciphertexts with ``MissingRelinKey``, and B's copy of A's key admits
+    it."""
+    be_a, be_b = (create_backend(TOY, kind, np.random.default_rng(seed)) for seed in (21, 22))
+    kp_a, kp_b = be_a.keygen("A", with_relin=True), be_b.keygen("B", with_relin=False)
+    b_at_a = be_a.parse_public_key(kp_b.public.to_bytes())
+    a_at_b = be_b.parse_public_key(kp_a.public.to_bytes())
+    assert (b_at_a.has_relin, a_at_b.has_relin) == (False, True)
+    m = np.arange(64, dtype=np.uint64)
+    ct_b = be_a.deserialize(be_b.serialize(be_b.encrypt(m, kp_b)), seeded=True)
+    with pytest.raises(MissingRelinKey):
+        be_a.mul_ct_sum([(ct_b, ct_b)], b_at_a)
+    ct_a = be_b.deserialize(be_a.serialize(be_a.encrypt(m, kp_a)), seeded=True)
+    got = be_a.decrypt(be_b.mul_ct_sum([(ct_a, ct_a)], a_at_b), kp_a)
+    assert np.array_equal(got.astype(object), (m.astype(object) ** 2) % TOY.p)
+
+
 def test_serialize_roundtrip_and_malformed():
     for be in backends(seed=9):
         kp = be.keygen("A")
@@ -850,27 +870,29 @@ def test_protocols_match_across_backends(toy_cfg, rlwe_toy_cfg, pair_runner):
 
 @pytest.mark.parametrize("kind", ["clear", "rlwe"])
 def test_public_key_blob_is_checked(kind):
-    """A key blob parses only whole, with an owner of A or B and (rlwe) a
-    relinearization flag of 0 or 1; a cut, padded, bad-flag or bad-owner
-    blob of either flag value raises MalformedBytes on both backends.  An
-    rlwe blob holds no ``pk``, and with the flag set each row's seed and
-    its c0 limbs at 4 B a residue, from which the reader restores the
-    owner's relinearization key bit for bit."""
+    """A key blob parses only whole, with an owner of A or B and a
+    relinearization flag of 0 or 1, which the parsed key keeps; a cut,
+    padded, bad-flag or bad-owner blob of either flag value raises
+    MalformedBytes on both backends.  An rlwe blob holds no ``pk``, and
+    with the flag set each row's seed and its c0 limbs at 4 B a residue,
+    from which the reader restores the owner's relinearization key bit for
+    bit."""
     be = create_backend(TOY, kind, np.random.default_rng(19))
     L, N = TOY.limbs, TOY.n
     for relin in (True, False):
         key = be.keygen("B", with_relin=relin).public
         blob = key.to_bytes()
         got = be.parse_public_key(blob)
-        assert got.owner == "B" and got.to_bytes() == blob
+        assert got.owner == "B" and got.has_relin == relin and got.to_bytes() == blob
         if kind == "rlwe":
             assert len(blob) == 6 + relin * L * (SEED_BYTES + 4 * L * N)
-            assert got.pk is None and got.has_relin == relin
+            assert got.pk is None
             assert not relin or np.array_equal(got.rlk, key.rlk)
         bad = [blob[:-9], blob[:-1], blob[:4], blob + b"\0\0", blob + b"\1",
                blob[:4] + b"C" + blob[5:], blob[:4] + b"\0" + blob[5:]]
+        bad += [blob[:5] + bytes([flag]) + blob[6:] for flag in (2, 255)]
         if kind == "rlwe":
-            bad += [blob[:5] + bytes([flag]) + blob[6:] for flag in (2, 255, 1 - blob[5])]
+            bad.append(blob[:5] + bytes([1 - blob[5]]) + blob[6:])
             if relin:  # no key, or its seeds alone
                 bad += [blob[:6], blob[:6 + L * SEED_BYTES]]
         for cut in bad:
@@ -886,15 +908,16 @@ def test_setup_sends_only_the_relinearization_key_of_a(he):
     product, under A's key) and no ``pk``, so ``keyexchange`` is two
     frames in two rounds of 2 * 8 + 6 + 6 + L (32 + 4 L N) bytes,
     1,179,868 at the defaults.  B's copy of A's key holds A's rows bit for
-    bit; B's key pair and A's copy of B's key hold none.  On clear it
-    stays 26 B."""
+    bit; B's key pair and A's copy of B's key hold none.  On clear each
+    blob is ``CLRK``, the owner and the flag: 2 * 8 + 6 + 6 = 28 B."""
     def setup(role, cfg):
         def run(sess):
             return make_party(role, sess, cfg, seed=3), sess.report()
         return run
 
     L, N = he.limbs, he.n
-    want = {"clear": 26, "rlwe": 2 * FRAME_OVERHEAD + 6 + 6 + L * (SEED_BYTES + 4 * L * N)}
+    want = {"clear": 2 * FRAME_OVERHEAD + 6 + 6,
+            "rlwe": 2 * FRAME_OVERHEAD + 6 + 6 + L * (SEED_BYTES + 4 * L * N)}
     for kind in ("clear", "rlwe"):
         cfg = Config(he=he, he_backend=kind)
         (ca, rep), (cb, _) = run_pair(setup("A", cfg), setup("B", cfg), PROFILES["lan"])

@@ -141,23 +141,23 @@ PINNED_SHARES = {
 # backend and case
 PINNED_REPORTS = {
     ("clear", "softmax_none"):
-        "6df88a3186d260428979633be763034902dc6646661d5e28990b614a173b820d",
+        "019ea92c668f71adad9e7cf94101c95e396602f6d73fbd3a222c3b20ff5d2e8e",
     ("clear", "softmax_max"):
-        "e2cfe96c040db7e35b2066f3a1ac38d7a444587b51c563c23033b13587ef8167",
+        "4bdd9114690b305aecdf98beb33157dce36aa99dac7c88d6428b63051635389d",
     ("clear", "ln"):
-        "39043dcb95462328cc9f9811c62071f712b8fa30ff5d694385192692e72a9088",
+        "c21d25f8dcb5e05ad9005645286e1e769889045322da06cc8ed00cdd823a4caa",
     ("clear", "matmul"):
-        "bade512f078671c000c5151be94117e7971482ed548c61d63a5711999a891a93",
+        "43107532f5c8a3a44d681431c05782b808f71e234994386813d21b9621f3bd63",
     ("clear", "matmul_packed"):
-        "f796650fb8177896aad840b9313b039b4083a95b5da030c3d602b43fc2b90c09",
+        "8c95472ed5ed2d3b3874ea155daa230d9358b555ac5daa8e25fe4e566eae3cf3",
     ("clear", "mmshared"):
-        "937ca545b444529acf82375cee55753e60eb9646b6ae7a17be78c5b870dda2fd",
+        "e9a237c1e3e2ded9fa07ca28776401ed121be0f332bf96af3c24632bc74bcc65",
     ("clear", "block"):
-        "e7033d1c71b666529539ba8cd802c3d0a90940cb19e41ae90319973eb59d1673",
+        "a29e6c07cacfdf6265be3d7f8458f41030fcd8b340b911bec41bc5d4e1d35cb0",
     ("rlwe", "softmax_none"):
         "90959db86c941186e4ef5fec14bc349b995d029f7ba209e94df80c86f69efc1c",
     ("rlwe", "softmax_max"):
-        "99b0f35d4c1c9c722d0e9288321ec662a0edbd38ed864bc5a6dbfd8f584d3b8b",
+        "db94719435d832458fa27cb57a8120f20e95b053a63bd2d81898d7e0c3b9b4b7",
     ("rlwe", "ln"):
         "0e7971142ef901410e0167e8e963592ae66aa5f2c6ca23e4967871b8374468e2",
     ("rlwe", "matmul"):
@@ -167,7 +167,7 @@ PINNED_REPORTS = {
     ("rlwe", "mmshared"):
         "b859b595504b5f4ec05ba8802289b31d192921c48cc52f5cdef97faac21441c7",
     ("rlwe", "block"):
-        "d832f663ea2595df55eb4c57b5a5d992f3f95945dcd68e0438c0bfb4e9048eb7",
+        "69dc3e893c20b00da453c32c3cd6ac56f149159302503b5bc66669f7f2d874d4",
 }
 
 
@@ -192,15 +192,15 @@ def test_transcripts_are_pinned(case, cfg_name, pair_runner, request):
 # ciphertext bodies, seeds and noise headers, not only their byte counts
 PINNED_FRAMES = {
     ("clear", "matmul"):
-        "f5adfad88797903a9a6b83107c0ca8699b6e1e71aad1e8528649de5965db52f7",
+        "fe5b714242c27af30daba1600a58202952e69cdbf4639b3a422ed1ab4204429b",
     ("clear", "matmul_packed"):
-        "d5d362822ad4015e10c8cb2e4c16bc4659cc0bfb0de705bcb300fd6c3fb75ce8",
+        "87f474a61da2c68e53257d0113d1694e9c51708037a5bfe4cd1f9d8a7dd22573",
     ("clear", "mmshared"):
-        "7c3056d3bd5f1fc87b4e23535301e07963b31decdd8b29c11e2f641ee81e3d6f",
+        "1a22d9f1894aaad68567d2d92bd5ad8bfc7758402f81393ad81b69ffae9f8600",
     ("clear", "ln"):
-        "70dff1976cca89390935acfea5d3910c141cba96aa1fc943edb98e70706230a2",
+        "31f1ce590228ce803a37ec59941ca296ae28de5cec683531ae7834699b4074da",
     ("clear", "softmax_max"):
-        "5abc3c1b8ebc8f22b581ca3e9d07180f3475d9248306d477101206ca1a3e2d5c",
+        "dddf79043a4943fe3797c8dc10ed4763caf9ee2ac75cdb1dc501111d544137d1",
     ("rlwe", "matmul"):
         "b5424206773af3ef8a62956bb2cf8d37248b7360c6027b86ffdfa5eca0499d83",
     ("rlwe", "matmul_packed"):
